@@ -1,7 +1,7 @@
 (* Benchmark harness: regenerates every table and figure of the paper
    (see DESIGN.md's experiment index). Run with no arguments for all
    experiments, or pass a subset of: e1 e2 e3 f2 e4 t1 a1..a6 prop chaos
-   chaos-campaign mrt sched bmp (scale the MRT dump with
+   mrt sched bmp (scale the MRT dump with
    MRT_BENCH_PREFIXES and the BMP feed with BMP_BENCH_PREFIXES, both
    default 1M).
    Pass --bechamel to additionally run microbenchmarks of the core
@@ -664,38 +664,12 @@ let a6 () =
     \  design targets.\n"
 
 (* ------------------------------------------------------------------ *)
-(* CHAOS: fault-injection drill (robustness) *)
+(* CHAOS: fault drills, recovery SLOs, blast radius *)
 
 let chaos () =
-  section "CHAOS  Fault-injection drill (graceful degradation under faults)";
-  let module Chaos = Peering_fault.Chaos in
-  let outcomes = Chaos.run_all ~seed:42 () in
-  List.iter
-    (fun (o : Chaos.outcome) ->
-      paper_vs_measured
-        ~label:(Printf.sprintf "%s (%s) reconverges" o.Chaos.scenario o.Chaos.fault_class)
-        ~paper:"yes, no routes lost"
-        ~measured:
-          (if o.Chaos.reconverged then
-             Printf.sprintf "yes in %.2f virtual s, %d lost" o.Chaos.recovery_s
-               o.Chaos.routes_lost
-           else Printf.sprintf "STUCK (%d lost)" o.Chaos.routes_lost);
-      Printf.printf "    %s\n" o.Chaos.detail)
-    outcomes;
-  let stuck =
-    List.length (List.filter (fun (o : Chaos.outcome) -> not o.Chaos.reconverged) outcomes)
-  in
-  paper_vs_measured ~label:"scenarios reconverged" ~paper:"all"
-    ~measured:
-      (Printf.sprintf "%d of %d" (List.length outcomes - stuck) (List.length outcomes))
-
-(* ------------------------------------------------------------------ *)
-(* CHAOS-CAMPAIGN: compound faults on the default testbed *)
-
-let chaos_campaign () =
   section
-    "CHAOS-CAMPAIGN  Compound faults, recovery SLOs, blast radius (testbed \
-     scale)";
+    "CHAOS  Fault drills: compound faults on the testbed, single faults on \
+     a wire";
   let module Campaign = Peering_fault.Campaign in
   let r = Campaign.run ~seed:42 () in
   List.iter
@@ -1267,7 +1241,7 @@ let sched () =
 let all_experiments =
   [ ("e1", e1); ("e2", e2); ("e3", e3); ("f2", f2); ("e4", e4); ("t1", t1);
     ("a1", a1); ("a2", a2); ("a3", a3); ("a4", a4); ("a5", a5); ("a6", a6);
-    ("prop", prop); ("chaos", chaos); ("chaos-campaign", chaos_campaign);
+    ("prop", prop); ("chaos", chaos);
     ("mrt", mrt); ("sched", sched); ("bmp", bmp) ]
 
 module Json = Peering_obs.Json

@@ -833,66 +833,26 @@ let chaos_cmd =
     Arg.(value & flag & info [ "json" ] ~doc)
   in
   let list_arg =
-    let doc = "List available scenarios and campaign drills, then exit." in
+    let doc = "List the drill names, then exit." in
     Arg.(value & flag & info [ "list" ] ~doc)
   in
   let scenario_arg =
-    let doc =
-      "Run a single scenario (micro drill) or campaign drill by name; see \
-       --list."
-    in
+    let doc = "Run a single drill by name; see --list." in
     Arg.(
       value & opt (some string) None & info [ "scenario" ] ~docv:"NAME" ~doc)
   in
-  let campaign_arg =
-    let doc =
-      "Run the testbed-scale compound campaign (correlated faults, recovery \
-       SLOs, blast-radius accounting) instead of the micro scenarios."
-    in
-    Arg.(value & flag & info [ "campaign" ] ~doc)
-  in
   let module Metrics = Peering_obs.Metrics in
   let module Json = Peering_obs.Json in
-  let module Chaos = Peering_fault.Chaos in
   let module Campaign = Peering_fault.Campaign in
-  let print_micro ~seed outcomes json =
-    if json then
-      print_endline
-        (Json.to_string ~indent:2 (Chaos.to_json ~seed outcomes))
-    else begin
-      Printf.printf "%-10s %-16s %-12s %10s %6s  %s\n" "scenario" "class"
-        "reconverged" "recovery_s" "lost" "detail";
-      List.iter
-        (fun (o : Chaos.outcome) ->
-          Printf.printf "%-10s %-16s %-12b %10.2f %6d  %s\n" o.Chaos.scenario
-            o.Chaos.fault_class o.Chaos.reconverged o.Chaos.recovery_s
-            o.Chaos.routes_lost o.Chaos.detail)
-        outcomes;
-      let stuck =
-        List.filter (fun (o : Chaos.outcome) -> not o.Chaos.reconverged) outcomes
-      in
-      let lost =
-        List.fold_left
-          (fun acc (o : Chaos.outcome) -> acc + o.Chaos.routes_lost)
-          0 outcomes
-      in
-      Printf.printf
-        "\n%d/%d scenarios reconverged; %d route%s lost overall\n"
-        (List.length outcomes - List.length stuck)
-        (List.length outcomes) lost
-        (if lost = 1 then "" else "s");
-      if stuck <> [] then exit 1
-    end
-  in
-  let print_campaign (report : Campaign.report) json =
+  let print_report (report : Campaign.report) json =
     if json then
       print_endline (Json.to_string ~indent:2 (Campaign.to_json report))
     else begin
-      Printf.printf "%-12s %-12s %-12s %10s %6s  %s\n" "drill" "class"
+      Printf.printf "%-12s %-13s %-12s %10s %6s  %s\n" "drill" "class"
         "reconverged" "recovery_s" "lost" "detail";
       List.iter
         (fun (o : Campaign.outcome) ->
-          Printf.printf "%-12s %-12s %-12b %10.2f %6d  %s\n" o.Campaign.drill
+          Printf.printf "%-12s %-13s %-12b %10.2f %6d  %s\n" o.Campaign.drill
             o.Campaign.slo_class o.Campaign.reconverged o.Campaign.recovery_s
             o.Campaign.routes_lost o.Campaign.detail;
           if o.Campaign.tenant_reaches <> [] then begin
@@ -918,11 +878,11 @@ let chaos_cmd =
                   b.Campaign.reach_dips)))
         report.Campaign.outcomes;
       if report.Campaign.slos <> [] then begin
-        Printf.printf "\n%-12s %10s %10s %8s  %s\n" "slo class" "p99_s"
+        Printf.printf "\n%-13s %10s %10s %8s  %s\n" "slo class" "p99_s"
           "budget_s" "samples" "met";
         List.iter
           (fun (v : Campaign.slo_verdict) ->
-            Printf.printf "%-12s %10.2f %10.2f %8d  %b\n"
+            Printf.printf "%-13s %10.2f %10.2f %8d  %b\n"
               v.Campaign.verdict_class v.Campaign.p99_s v.Campaign.budget_s
               v.Campaign.samples v.Campaign.met)
           report.Campaign.slos
@@ -939,49 +899,33 @@ let chaos_cmd =
           report.Campaign.sweep
       end;
       Printf.printf "\nzero routes lost: %b; campaign passed: %b\n"
-        report.Campaign.zero_routes_lost report.Campaign.passed;
-      if not report.Campaign.passed then exit 1
-    end
+        report.Campaign.zero_routes_lost report.Campaign.passed
+    end;
+    if not report.Campaign.passed then exit 1
   in
-  let run seed json list scenario campaign =
-    if list then begin
-      Printf.printf "micro scenarios (chaos [--scenario NAME]):\n";
-      List.iter (Printf.printf "  %s\n") Chaos.scenarios;
-      Printf.printf "campaign drills (chaos --campaign [--scenario NAME]):\n";
-      List.iter (Printf.printf "  %s\n") Campaign.drills
-    end
+  let run seed json list scenario =
+    if list then List.iter print_endline Campaign.drills
     else begin
       (* Reset the global registry so two same-seed invocations emit
          byte-identical documents regardless of process history. *)
       Metrics.reset ();
       match scenario with
       | Some name when List.mem name Campaign.drills ->
-        print_campaign (Campaign.run ~seed ~drills:[ name ] ()) json
-      | Some name when List.mem name Chaos.scenarios ->
-        (* Same index-derived seed as the scenario's run_all slot, so a
-           single-scenario run replays the full suite's member. *)
-        let idx = ref 0 in
-        List.iteri (fun i s -> if s = name then idx := i) Chaos.scenarios;
-        print_micro ~seed
-          [ Chaos.run_one ~seed:(seed + (101 * !idx)) name ]
-          json
+        print_report (Campaign.run ~seed ~drills:[ name ] ()) json
       | Some name ->
-        Printf.eprintf "unknown scenario %S; try --list\n" name;
+        Printf.eprintf "unknown drill %S; try --list\n" name;
         exit 2
-      | None ->
-        if campaign then print_campaign (Campaign.run ~seed ()) json
-        else print_micro ~seed (Chaos.run_all ~seed ()) json
+      | None -> print_report (Campaign.run ~seed ()) json
     end
   in
   Cmd.v
     (Cmd.info "chaos"
        ~doc:
-         "Run the fault-injection drills: micro scenarios (one per fault \
-          class, each on a deterministic seeded two-router engine) or, with \
-          --campaign, testbed-scale compound campaigns with correlated \
-          faults, per-class recovery SLOs and blast-radius accounting")
-    Term.(const run $ seed_arg $ json_arg $ list_arg $ scenario_arg
-          $ campaign_arg)
+         "Run the fault drills: correlated faults on the default testbed \
+          and single fault classes on a standalone BGP wire, each judged \
+          by zero routes lost and a per-class p99 recovery SLO, with \
+          blast-radius accounting; exits 1 when any drill fails")
+    Term.(const run $ seed_arg $ json_arg $ list_arg $ scenario_arg)
 
 let sched_cmd =
   let json_arg =

@@ -17,9 +17,18 @@ let m_decode_errors =
   Metrics.counter ~help:"messages that failed wire decoding at the receiver"
     "bgp.wire.decode_errors"
 
-type wire_fault = Drop | Duplicate | Corrupt | Delay of float
+type wire_fault = Drop | Retransmit | Duplicate | Corrupt | Delay of float
 
 type endpoint = { fsm : Fsm.t; addr : Ipv4.t }
+
+(* One direction of the transport. While a lost segment waits for its
+   retransmission, everything sent after it waits too, as TCP's
+   in-order delivery demands. Each held send carries the [finish] that
+   closes its span if the connection dies first. *)
+type lane = {
+  held : ((unit -> unit) * (string -> unit)) Queue.t;
+  mutable stalled : bool;
+}
 
 type t = {
   engine : Engine.t;
@@ -29,14 +38,42 @@ type t = {
   mutable bytes : int;
   mutable messages : int;
   mutable fault_hook : (Message.t -> wire_fault option) option;
+  a_to_b : lane;
+  b_to_a : lane;
+  mutable connection : int;  (* bumped on every close; stale retransmits die *)
 }
 
 let set_fault_hook t hook = t.fault_hook <- hook
 
+(* RFC 6298: a 1 s initial retransmission timeout, doubled on every
+   further loss of the same segment, capped at 60 s. *)
+let initial_rto = 1.0
+let max_rto = 60.0
+
+let rec drain lane =
+  if not lane.stalled then
+    match Queue.take_opt lane.held with
+    | Some (send, _) ->
+      send ();
+      drain lane
+    | None -> ()
+
+(* The connection closed: segments awaiting retransmission, and the
+   sends queued behind them, belonged to it and are gone. *)
+let discard_pending t =
+  t.connection <- t.connection + 1;
+  List.iter
+    (fun lane ->
+      Queue.iter (fun (_, finish) -> finish "discarded") lane.held;
+      Queue.clear lane.held;
+      lane.stalled <- false)
+    [ t.a_to_b; t.b_to_a ]
+
 (* Encode with the sender's negotiated options (default before
    negotiation), deliver the bytes after [latency], decode with the
    receiver's options. *)
-let transmit t ~(sender : unit -> Fsm.t) ~(receiver : unit -> Fsm.t) msg =
+let transmit t ~lane ~(sender : unit -> Fsm.t) ~(receiver : unit -> Fsm.t)
+    msg =
   let opts =
     Option.value (Fsm.negotiated (sender ())) ~default:Wire.default_opts
   in
@@ -100,12 +137,20 @@ let transmit t ~(sender : unit -> Fsm.t) ~(receiver : unit -> Fsm.t) msg =
     | None -> schedule ()
     | Some s -> Span.with_current (Some (Span.context s)) schedule
   in
-  match t.fault_hook with
-  | None -> deliver bytes
-  | Some hook -> (
-    match hook msg with
+  let rec send ~rto () =
+    match Option.bind t.fault_hook (fun hook -> hook msg) with
     | None -> deliver bytes
     | Some Drop -> finish_sp "dropped"
+    | Some Retransmit ->
+      lane.stalled <- true;
+      let connection = t.connection in
+      Engine.schedule t.engine ~delay:rto (fun () ->
+          if connection = t.connection then begin
+            lane.stalled <- false;
+            send ~rto:(Float.min max_rto (2.0 *. rto)) ();
+            drain lane
+          end
+          else finish_sp "discarded")
     | Some Duplicate ->
       deliver bytes;
       deliver bytes
@@ -117,7 +162,10 @@ let transmit t ~(sender : unit -> Fsm.t) ~(receiver : unit -> Fsm.t) msg =
       if Bytes.length corrupted > 0 then
         Bytes.set corrupted 0
           (Char.chr (Char.code (Bytes.get corrupted 0) lxor 0xFF));
-      deliver corrupted)
+      deliver corrupted
+  in
+  if lane.stalled then Queue.add (send ~rto:initial_rto, finish_sp) lane.held
+  else send ~rto:initial_rto ()
 
 let nop_established (_ : Wire.session_opts) = ()
 let nop_update (_ : Message.update) = ()
@@ -145,7 +193,10 @@ let create engine ?(latency = 0.01) ~a:(cfg_a, addr_a) ~b:(cfg_b, addr_b)
       b = { fsm = placeholder; addr = addr_b };
       bytes = 0;
       messages = 0;
-      fault_hook = None
+      fault_hook = None;
+      a_to_b = { held = Queue.create (); stalled = false };
+      b_to_a = { held = Queue.create (); stalled = false };
+      connection = 0
     }
   in
   let fsm_a =
@@ -153,13 +204,16 @@ let create engine ?(latency = 0.01) ~a:(cfg_a, addr_a) ~b:(cfg_b, addr_b)
       { cfg_a with Fsm.passive = false }
       { Fsm.send =
           (fun m ->
-            transmit session
+            transmit session ~lane:session.a_to_b
               ~sender:(fun () -> session.a.fsm)
               ~receiver:(fun () -> session.b.fsm)
               m);
         on_established = on_established_a;
         on_update = on_update_a;
-        on_close = on_close_a
+        on_close =
+          (fun reason ->
+            discard_pending session;
+            on_close_a reason)
       }
   in
   let fsm_b =
@@ -167,13 +221,16 @@ let create engine ?(latency = 0.01) ~a:(cfg_a, addr_a) ~b:(cfg_b, addr_b)
       { cfg_b with Fsm.passive = true }
       { Fsm.send =
           (fun m ->
-            transmit session
+            transmit session ~lane:session.b_to_a
               ~sender:(fun () -> session.b.fsm)
               ~receiver:(fun () -> session.a.fsm)
               m);
         on_established = on_established_b;
         on_update = on_update_b;
-        on_close = on_close_b
+        on_close =
+          (fun reason ->
+            discard_pending session;
+            on_close_b reason)
       }
   in
   session.a <- { fsm = fsm_a; addr = addr_a };
@@ -191,10 +248,16 @@ let established t =
   Fsm.state t.a.fsm = Fsm.Established && Fsm.state t.b.fsm = Fsm.Established
 
 let send_from_a t msg =
-  transmit t ~sender:(fun () -> t.a.fsm) ~receiver:(fun () -> t.b.fsm) msg
+  transmit t ~lane:t.a_to_b
+    ~sender:(fun () -> t.a.fsm)
+    ~receiver:(fun () -> t.b.fsm)
+    msg
 
 let send_from_b t msg =
-  transmit t ~sender:(fun () -> t.b.fsm) ~receiver:(fun () -> t.a.fsm) msg
+  transmit t ~lane:t.b_to_a
+    ~sender:(fun () -> t.b.fsm)
+    ~receiver:(fun () -> t.a.fsm)
+    msg
 
 let bytes_on_wire t = t.bytes
 let messages_on_wire t = t.messages

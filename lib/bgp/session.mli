@@ -16,7 +16,14 @@ type endpoint = {
 
 (** What a fault hook may do to one in-flight message. *)
 type wire_fault =
-  | Drop  (** the message never arrives *)
+  | Drop  (** the message never arrives (the path is cut) *)
+  | Retransmit
+      (** the segment is lost and the transport resends it after a
+          retransmission timeout (1 s, doubling per further loss, capped
+          at 60 s), consulting the hook again each time: the message
+          arrives late, and later messages in the same direction wait
+          behind it, as TCP's in-order delivery demands. A close of
+          either side discards everything still pending. *)
   | Duplicate  (** the message arrives twice *)
   | Corrupt  (** the marker is smashed so decoding fails at the receiver *)
   | Delay of float  (** extra seconds added to the wire latency *)

@@ -68,14 +68,19 @@ type slo = { slo_class : string; p99_budget_s : float }
    cascade drills are dominated by the longest mux downtime plus wire
    re-establishment; the fate-group drill by the blackhole window; the
    leak storm by the explicit pollution window; the dampening sweep by
-   RFC 2439 decay at the largest half-life x suppress combination. *)
+   RFC 2439 decay at the largest half-life x suppress combination. The
+   wire classes are bounded by the fault window plus the reconnect
+   backoff still pending when it ends (5 s doubling, jittered x1.25). *)
 let default_slos =
   [ { slo_class = "compound"; p99_budget_s = 90.0 };
     { slo_class = "fate_group"; p99_budget_s = 30.0 };
     { slo_class = "cascade"; p99_budget_s = 120.0 };
     { slo_class = "leak_storm"; p99_budget_s = 30.0 };
     { slo_class = "dampening"; p99_budget_s = 4000.0 };
-    { slo_class = "multi_tenant"; p99_budget_s = 90.0 }
+    { slo_class = "multi_tenant"; p99_budget_s = 90.0 };
+    { slo_class = "impair"; p99_budget_s = 120.0 };
+    { slo_class = "session_reset"; p99_budget_s = 60.0 };
+    { slo_class = "partition"; p99_budget_s = 75.0 }
   ]
 
 type slo_verdict = {
@@ -103,7 +108,6 @@ type sweep_row = {
    periphery (wire sessions, tunnels, the HE-style emulation) *)
 
 type wire = {
-  wire_site : string;
   wr1 : Router.t;
   wr2 : Router.t;
   wire_session : Session.t;
@@ -152,6 +156,31 @@ let emu_converged emu =
     (fun (_, _, s) -> Session.established s)
     (Mininext.ibgp_sessions emu)
 
+let wire_lost w =
+  max 0 (w.wire_full - Router.table_size w.wr1)
+  + max 0 (w.wire_full - Router.table_size w.wr2)
+
+(* A live upstream BGP pair whose transport the injector can impair or
+   partition, registered as [link:<site>]. Aggressive hold time so
+   partitions are detected inside drill windows. *)
+let make_wire eng inj i site =
+  let mk asn router_id =
+    Router.create eng ~asn:(Asn.of_int asn) ~router_id ~hold_time:9
+      ~graceful_restart:120 ()
+  in
+  let a1 = Ipv4.of_octets 192 168 (40 + i) 1 in
+  let a2 = Ipv4.of_octets 192 168 (40 + i) 2 in
+  let r1 = mk (65100 + (2 * i)) a1 in
+  let r2 = mk (65101 + (2 * i)) a2 in
+  let n = 4 in
+  for j = 0 to n - 1 do
+    Router.originate r1 (Prefix.make (Ipv4.of_octets 10 (60 + i) j 0) 24);
+    Router.originate r2 (Prefix.make (Ipv4.of_octets 10 (70 + i) j 0) 24)
+  done;
+  let session = Router.connect eng ~auto_restart:true (r1, a1) (r2, a2) in
+  Injector.add_link inj ~name:("link:" ^ site) session;
+  { wr1 = r1; wr2 = r2; wire_session = session; wire_full = 2 * n }
+
 let client_node = "cl:probe"
 let mux_node site = "mx:" ^ site
 
@@ -167,34 +196,8 @@ let make_world ?(on_world = fun _ -> ()) ~seed () =
         ~name:("mux:" ^ Testbed.site_name s)
         (Testbed.site_server s))
     (Testbed.sites tb);
-  (* One upstream wire session per university site: a live BGP pair
-     whose transport the injector can impair or partition. Aggressive
-     hold time so partitions are detected inside drill windows. *)
-  let wires =
-    List.mapi
-      (fun i site ->
-        let mk asn router_id =
-          Router.create eng ~asn:(Asn.of_int asn) ~router_id ~hold_time:9
-            ~graceful_restart:120 ()
-        in
-        let a1 = Ipv4.of_octets 192 168 (40 + i) 1 in
-        let a2 = Ipv4.of_octets 192 168 (40 + i) 2 in
-        let r1 = mk (65100 + (2 * i)) a1 in
-        let r2 = mk (65101 + (2 * i)) a2 in
-        let n = 4 in
-        for j = 0 to n - 1 do
-          Router.originate r1 (Prefix.make (Ipv4.of_octets 10 (60 + i) j 0) 24);
-          Router.originate r2 (Prefix.make (Ipv4.of_octets 10 (70 + i) j 0) 24)
-        done;
-        let session =
-          Router.connect eng ~auto_restart:true (r1, a1) (r2, a2)
-        in
-        Injector.add_link inj ~name:("link:" ^ site) session;
-        { wire_site = site; wr1 = r1; wr2 = r2; wire_session = session;
-          wire_full = 2 * n
-        })
-      university_sites
-  in
+  (* One upstream wire session per university site. *)
+  let wires = List.mapi (make_wire eng inj) university_sites in
   (* Dataplane: one tunnel from a probe client to each university
      site's mux node — the fate-group drill blackholes them together. *)
   let fwd = Forwarder.create eng in
@@ -372,22 +375,47 @@ let collect_blast ?(plan = []) ~dips () =
     trace_spans = List.length closure
   }
 
-(* Run [body] (which arms faults and drives the engine) under a fresh
-   flight recorder, measuring recovery against [world_recovered]. *)
+(* What the harness needs to drive one drill, whatever world it runs
+   on: the engine and injector the plan is armed on, the drill's own
+   notion of "recovered" and of routes lost, and a sampler run every
+   slice whose reach dips feed the blast radius. *)
+type rig = {
+  eng : Engine.t;
+  inj : Injector.t;
+  recovered : unit -> bool;
+  lost : unit -> int;
+  sample : unit -> unit;
+  dips : unit -> reach_dip list;
+}
+
+let world_rig w =
+  let sample, dips = make_dip_tracker w in
+  { eng = w.eng;
+    inj = w.inj;
+    recovered = (fun () -> world_recovered w);
+    lost = (fun () -> routes_lost w);
+    sample;
+    dips
+  }
+
+(* The one drill runner. Under a fresh flight recorder, [setup] builds
+   the drill's world and rig; then the harness arms [plan], runs
+   [body] (drill-specific traffic or faults that are not injector
+   targets), and waits until the fault horizon has passed and the rig
+   reports recovery. *)
 let drill_harness ~drill ~slo_class ~plan ~fault_horizon ?(extra_timeout = 600.)
-    ?(body = fun _ -> ()) ?on_world ~seed () =
+    ?(body = fun _ -> ()) setup =
   Span.reset ();
   Sink.start_flight_recorder ();
-  let w = make_world ?on_world ~seed () in
-  let sample, dips = make_dip_tracker w in
-  let fault_start = Engine.now w.eng in
-  Injector.arm w.inj plan;
-  body w;
+  let x, rig = setup () in
+  let fault_start = Engine.now rig.eng in
+  Injector.arm rig.inj plan;
+  body x;
   let settled =
-    wait_until w.eng
+    wait_until rig.eng
       (fun () ->
-        sample ();
-        Engine.now w.eng >= fault_start +. fault_horizon && world_recovered w)
+        rig.sample ();
+        Engine.now rig.eng >= fault_start +. fault_horizon && rig.recovered ())
       ~timeout:(fault_horizon +. extra_timeout)
   in
   Sink.stop_flight_recorder ();
@@ -400,44 +428,48 @@ let drill_harness ~drill ~slo_class ~plan ~fault_horizon ?(extra_timeout = 600.)
   let injected =
     List.map (fun (s : Plan.step) -> Plan.describe s.fault) plan
   in
-  let blast = collect_blast ~plan ~dips:(dips ()) () in
   let outcome =
     { drill;
       slo_class;
       injected;
       reconverged;
       recovery_s;
-      routes_lost = routes_lost w;
+      routes_lost = rig.lost ();
       tenant_reaches = [];
-      blast;
+      blast = collect_blast ~plan ~dips:(rig.dips ()) ();
       detail = ""
     }
   in
-  (w, outcome)
+  (x, outcome)
+
+(* A drill on a fresh default-testbed world. *)
+let world_drill ~drill ~plan ~fault_horizon ?body ?on_world ~seed () =
+  drill_harness ~drill ~slo_class:drill ~plan ~fault_horizon ?body (fun () ->
+      let w = make_world ?on_world ~seed () in
+      (w, world_rig w))
 
 (* ------------------------------------------------------------------ *)
 (* Drills *)
 
 (* Compound: a mux restart with a wire partition opening mid-downtime
    and a short emulation partition nested inside that window. *)
+let compound_plan =
+  Plan.of_steps
+    [ { Plan.at = 1.0;
+        fault = Plan.Mux_crash { mux = "mux:gatech01"; downtime = 20.0 }
+      };
+      { Plan.at = 8.0;
+        fault = Plan.Partition { link = "link:usc01"; duration = 25.0 }
+      };
+      { Plan.at = 10.0;
+        fault = Plan.Partition { link = "link:emu:fra-ams"; duration = 5.0 }
+      }
+    ]
+
 let compound_drill ?on_world ~seed () =
-  let plan =
-    Plan.of_steps
-      [ { Plan.at = 1.0;
-          fault = Plan.Mux_crash { mux = "mux:gatech01"; downtime = 20.0 }
-        };
-        { Plan.at = 8.0;
-          fault = Plan.Partition { link = "link:usc01"; duration = 25.0 }
-        };
-        { Plan.at = 10.0;
-          fault =
-            Plan.Partition { link = "link:emu:fra-ams"; duration = 5.0 }
-        }
-      ]
-  in
   let w, o =
-    drill_harness ~drill:"compound" ~slo_class:"compound" ~plan
-      ~fault_horizon:34.0 ?on_world ~seed ()
+    world_drill ~drill:"compound" ~plan:compound_plan ~fault_horizon:34.0
+      ?on_world ~seed ()
   in
   let gatech_reach =
     match w.baseline with (p, _) :: _ -> Testbed.reach_count w.tb p | [] -> 0
@@ -496,8 +528,8 @@ let fate_group_drill ?on_world ~seed () =
     done
   in
   let _w, o =
-    drill_harness ~drill:"fate_group" ~slo_class:"fate_group" ~plan
-      ~fault_horizon:(5.0 +. duration) ~body ?on_world ~seed ()
+    world_drill ~drill:"fate_group" ~plan ~fault_horizon:(5.0 +. duration)
+      ~body ?on_world ~seed ()
   in
   let total_delivered =
     Hashtbl.fold (fun _ n acc -> acc + n) delivered 0
@@ -551,8 +583,8 @@ let cascade_drill ?on_world ~seed () =
         Client.withdraw a.ann_client ~servers:[ "ufmg01" ] a.ann_prefix)
   in
   let _w, o =
-    drill_harness ~drill:"cascade" ~slo_class:"cascade" ~plan
-      ~fault_horizon:26.0 ~body ?on_world ~seed ()
+    world_drill ~drill:"cascade" ~plan ~fault_horizon:26.0 ~body ?on_world
+      ~seed ()
   in
   { o with
     reconverged = o.reconverged && !refused_down && !failover_ok;
@@ -562,85 +594,70 @@ let cascade_drill ?on_world ~seed () =
         !refused_down !failover_ok
   }
 
+let polluted_routes w =
+  List.fold_left
+    (fun acc (prefix, _) ->
+      match Testbed.result_for w.tb prefix with
+      | Some r ->
+        acc + List.length (Propagation.polluted (Testbed.graph w.tb) r)
+      | None -> acc)
+    0 w.baseline
+
 (* Leak storm: mid-run, a handful of edges start leaking (RFC 7908),
    repropagation switches to the general engine, and the pollution set
    is the measured blast radius; clearing the leaks must restore the
    valley-free baseline exactly. *)
 let leak_storm_drill ?on_world ~seed () =
-  Span.reset ();
-  Sink.start_flight_recorder ();
-  let w = make_world ?on_world ~seed () in
-  let sample, dips = make_dip_tracker w in
-  let g = Testbed.graph w.tb in
-  (* Deterministic leakers: the first ASes (ascending) with at least
-     two providers each leak to their second provider. *)
-  let leak_edges =
-    let rec pick acc n = function
-      | [] -> List.rev acc
-      | _ when n = 0 -> List.rev acc
-      | asn :: rest -> (
-        match As_graph.providers g asn with
-        | _ :: second :: _ -> pick ((asn, second) :: acc) (n - 1) rest
-        | _ -> pick acc n rest)
+  let polluted = ref 0 and residual = ref 0 and n_edges = ref 0 in
+  let body (w, sample) =
+    let g = Testbed.graph w.tb in
+    (* Deterministic leakers: the first ASes (ascending) with at least
+       two providers each leak to their second provider. *)
+    let leak_edges =
+      let rec pick acc n = function
+        | [] -> List.rev acc
+        | _ when n = 0 -> List.rev acc
+        | asn :: rest -> (
+          match As_graph.providers g asn with
+          | _ :: second :: _ -> pick ((asn, second) :: acc) (n - 1) rest
+          | _ -> pick acc n rest)
+      in
+      pick [] 3 (As_graph.ases g)
     in
-    pick [] 3 (As_graph.ases g)
+    n_edges := List.length leak_edges;
+    (* The storm is not an injector fault (it rewires propagation, not
+       a registered target), so the drill roots the span itself,
+       exactly like Injector.apply does. *)
+    Span.with_span
+      ~time:(fun () -> Engine.now w.eng)
+      ~attrs:
+        [ ("target", "leak-edges");
+          ("fault", Printf.sprintf "route-leak storm on %d edges" !n_edges)
+        ]
+      "fault.inject"
+      (fun () ->
+        Testbed.set_leak_edges w.tb leak_edges;
+        polluted := polluted_routes w);
+    sample ();
+    Engine.run_for w.eng 10.0;
+    Testbed.set_leak_edges w.tb [];
+    residual := polluted_routes w
   in
-  let fault_start = Engine.now w.eng in
-  let polluted = ref 0 in
-  (* The storm is not an injector fault (it rewires propagation, not a
-     registered target), so the drill roots the span itself, exactly
-     like Injector.apply does. *)
-  Span.with_span
-    ~time:(fun () -> Engine.now w.eng)
-    ~attrs:
-      [ ("target", "leak-edges");
-        ( "fault",
-          Printf.sprintf "route-leak storm on %d edges"
-            (List.length leak_edges) )
-      ]
-    "fault.inject"
-    (fun () ->
-      Testbed.set_leak_edges w.tb leak_edges;
-      polluted :=
-        List.fold_left
-          (fun acc (prefix, _) ->
-            match Testbed.result_for w.tb prefix with
-            | Some r -> acc + List.length (Propagation.polluted g r)
-            | None -> acc)
-          0 w.baseline);
-  sample ();
-  Engine.run_for w.eng 10.0;
-  Testbed.set_leak_edges w.tb [];
-  let residual =
-    List.fold_left
-      (fun acc (prefix, _) ->
-        match Testbed.result_for w.tb prefix with
-        | Some r -> acc + List.length (Propagation.polluted g r)
-        | None -> acc)
-      0 w.baseline
+  let _, o =
+    drill_harness ~drill:"leak_storm" ~slo_class:"leak_storm" ~plan:[]
+      ~fault_horizon:0.0 ~extra_timeout:60.0 ~body (fun () ->
+        let w = make_world ?on_world ~seed () in
+        let rig = world_rig w in
+        ( (w, rig.sample),
+          { rig with recovered = (fun () -> !residual = 0 && rig.recovered ()) }
+        ))
   in
-  let settled = wait_until w.eng (fun () -> world_recovered w) ~timeout:60.0 in
-  Sink.stop_flight_recorder ();
-  let recovery_s =
-    match settled with Some at -> at -. fault_start | None -> Float.nan
-  in
-  let reconverged = settled <> None && residual = 0 in
-  if reconverged then
-    Metrics.Histogram.observe (recovery_hist "leak_storm") recovery_s;
-  { drill = "leak_storm";
-    slo_class = "leak_storm";
-    injected =
-      [ Printf.sprintf "route-leak storm on %d edges" (List.length leak_edges)
-      ];
-    reconverged;
-    recovery_s;
-    routes_lost = routes_lost w;
-    tenant_reaches = [];
-    blast = collect_blast ~dips:(dips ()) ();
+  { o with
+    injected = [ Printf.sprintf "route-leak storm on %d edges" !n_edges ];
     detail =
       Printf.sprintf
         "%d polluted AS-routes at storm peak; %d after clearing" !polluted
-        residual
+        !residual
   }
 
 (* Multi-tenant compound: the compound fault plan fired under 20
@@ -649,97 +666,130 @@ let leak_storm_drill ?on_world ~seed () =
    predicate AND every tenant's per-prefix reach back at its own
    baseline — the per-tenant zero-routes-lost SLO. *)
 let multi_tenant_drill ?on_world ~seed () =
-  Span.reset ();
-  Sink.start_flight_recorder ();
-  let w = make_world ?on_world ~seed () in
-  let n_tenants = 20 in
-  let sched = Scheduler.create ~quota:4 ~round_interval:0.5 w.tb in
-  for i = 0 to n_tenants - 1 do
-    let tenant = Printf.sprintf "exp-%02d" i in
-    match Scheduler.admit sched (Scheduler.proposal tenant) with
-    | Scheduler.Admitted _ -> ()
-    | Scheduler.Rejected issues ->
-      invalid_arg
-        (Printf.sprintf "Campaign: tenant %s rejected: %s" tenant
-           (String.concat "; "
-              (List.map (fun i -> i.Scheduler.issue_message) issues)))
-  done;
-  List.iter
-    (fun tenant ->
-      List.iter
-        (fun p ->
-          match Scheduler.request_announce sched ~tenant p with
-          | Ok () -> ()
-          | Error e -> invalid_arg ("Campaign: " ^ e))
-        (Scheduler.leased_prefixes sched tenant))
-    (Scheduler.tenants sched);
-  ignore (Scheduler.pump sched);
-  let tenant_baseline =
-    List.map
+  let setup () =
+    let w = make_world ?on_world ~seed () in
+    let n_tenants = 20 in
+    let sched = Scheduler.create ~quota:4 ~round_interval:0.5 w.tb in
+    for i = 0 to n_tenants - 1 do
+      let tenant = Printf.sprintf "exp-%02d" i in
+      match Scheduler.admit sched (Scheduler.proposal tenant) with
+      | Scheduler.Admitted _ -> ()
+      | Scheduler.Rejected issues ->
+        invalid_arg
+          (Printf.sprintf "Campaign: tenant %s rejected: %s" tenant
+             (String.concat "; "
+                (List.map (fun i -> i.Scheduler.issue_message) issues)))
+    done;
+    List.iter
       (fun tenant ->
-        let p = List.hd (Scheduler.leased_prefixes sched tenant) in
-        (tenant, p, Testbed.reach_count w.tb p))
-      (Scheduler.tenants sched)
+        List.iter
+          (fun p ->
+            match Scheduler.request_announce sched ~tenant p with
+            | Ok () -> ()
+            | Error e -> invalid_arg ("Campaign: " ^ e))
+          (Scheduler.leased_prefixes sched tenant))
+      (Scheduler.tenants sched);
+    ignore (Scheduler.pump sched);
+    let leased =
+      List.map
+        (fun tenant ->
+          (tenant, List.hd (Scheduler.leased_prefixes sched tenant)))
+        (Scheduler.tenants sched)
+    in
+    let baseline = List.map (fun (_, p) -> Testbed.reach_count w.tb p) leased in
+    let final () =
+      List.map2
+        (fun (tenant, p) base -> (tenant, base, Testbed.reach_count w.tb p))
+        leased baseline
+    in
+    let tenant_lost () =
+      List.fold_left
+        (fun acc (_, base, now) -> acc + max 0 (base - now))
+        0 (final ())
+    in
+    let rig = world_rig w in
+    ( final,
+      { rig with
+        recovered =
+          (fun () ->
+            rig.recovered ()
+            && List.for_all (fun (_, base, now) -> now = base) (final ()));
+        lost = (fun () -> rig.lost () + tenant_lost ())
+      } )
   in
-  let tenants_recovered () =
-    List.for_all
-      (fun (_, p, base) -> Testbed.reach_count w.tb p = base)
-      tenant_baseline
+  let final, o =
+    drill_harness ~drill:"multi_tenant" ~slo_class:"multi_tenant"
+      ~plan:compound_plan ~fault_horizon:34.0 setup
   in
-  let sample, dips = make_dip_tracker w in
-  let fault_horizon = 34.0 in
-  let plan =
-    Plan.of_steps
-      [ { Plan.at = 1.0;
-          fault = Plan.Mux_crash { mux = "mux:gatech01"; downtime = 20.0 }
-        };
-        { Plan.at = 8.0;
-          fault = Plan.Partition { link = "link:usc01"; duration = 25.0 }
-        };
-        { Plan.at = 10.0;
-          fault = Plan.Partition { link = "link:emu:fra-ams"; duration = 5.0 }
-        }
-      ]
-  in
-  let fault_start = Engine.now w.eng in
-  Injector.arm w.inj plan;
-  let settled =
-    wait_until w.eng
-      (fun () ->
-        sample ();
-        Engine.now w.eng >= fault_start +. fault_horizon
-        && world_recovered w && tenants_recovered ())
-      ~timeout:(fault_horizon +. 600.0)
-  in
-  Sink.stop_flight_recorder ();
-  let recovery_s =
-    match settled with Some at -> at -. fault_start | None -> Float.nan
-  in
-  let reconverged = settled <> None in
-  if reconverged then
-    Metrics.Histogram.observe (recovery_hist "multi_tenant") recovery_s;
-  let tenant_reaches =
-    List.map
-      (fun (tenant, p, base) -> (tenant, base, Testbed.reach_count w.tb p))
-      tenant_baseline
-  in
-  let tenant_lost =
-    List.fold_left
-      (fun acc (_, base, final) -> acc + max 0 (base - final))
-      0 tenant_reaches
-  in
-  { drill = "multi_tenant";
-    slo_class = "multi_tenant";
-    injected = List.map (fun (s : Plan.step) -> Plan.describe s.fault) plan;
-    reconverged;
-    recovery_s;
-    routes_lost = routes_lost w + tenant_lost;
+  let tenant_reaches = final () in
+  { o with
     tenant_reaches;
-    blast = collect_blast ~plan ~dips:(dips ()) ();
     detail =
       Printf.sprintf
         "%d concurrent scheduled experiments; per-tenant reach restored: %b"
-        (List.length tenant_reaches) (tenant_lost = 0)
+        (List.length tenant_reaches)
+        (List.for_all (fun (_, base, now) -> now = base) tenant_reaches)
+  }
+
+(* Wire drills: one fault class against a standalone upstream wire —
+   the pair [make_world] builds per university site — on its own
+   engine, so a drill costs milliseconds, not a testbed build. *)
+let wire_link = "link:wire"
+
+let wire_drills =
+  let impair profile duration =
+    ( { Plan.at = 0.5;
+        fault = Plan.Impair { link = wire_link; profile; duration }
+      },
+      0.5 +. duration )
+  in
+  [ ("loss", impair (Plan.lossy ~loss:0.30 ()) 30.0);
+    ("duplicate", impair (Plan.lossy ~duplicate:0.50 ()) 20.0);
+    ("corrupt", impair (Plan.lossy ~corrupt:0.05 ()) 20.0);
+    ( "reorder",
+      impair (Plan.lossy ~reorder:0.50 ~reorder_max_delay:0.4 ()) 20.0 );
+    ( "reset",
+      ({ Plan.at = 0.0; fault = Plan.Session_reset { link = wire_link } }, 0.5)
+    );
+    ( "partition",
+      ( { Plan.at = 0.0;
+          fault = Plan.Partition { link = wire_link; duration = 25.0 }
+        },
+        25.0 ) )
+  ]
+
+let wire_drill ~seed drill (step, fault_horizon) =
+  let (w, low_water), o =
+    drill_harness ~drill
+      ~slo_class:(Plan.fault_class step.Plan.fault)
+      ~plan:[ step ] ~fault_horizon
+      (fun () ->
+        let eng = Engine.create ~seed () in
+        let inj = Injector.create eng in
+        let w = make_wire eng inj 0 "wire" in
+        ignore (wait_until eng (fun () -> wire_converged w) ~timeout:60.0);
+        let low_water = ref w.wire_full in
+        ( (w, low_water),
+          { eng;
+            inj;
+            recovered = (fun () -> wire_converged w);
+            lost = (fun () -> wire_lost w);
+            sample =
+              (fun () ->
+                low_water :=
+                  min !low_water
+                    (min (Router.table_size w.wr1) (Router.table_size w.wr2)));
+            dips = (fun () -> [])
+          } ))
+  in
+  { o with
+    detail =
+      Printf.sprintf "session established %d times; %s"
+        (Peering_bgp.Fsm.established_count
+           (Session.a w.wire_session).Session.fsm)
+        (if !low_water = w.wire_full then
+           "routes retained throughout (RFC 4724)"
+         else Printf.sprintf "table dipped to %d of %d" !low_water w.wire_full)
   }
 
 (* Dampening sweep: the same seeded flap workload against a grid of
@@ -875,6 +925,7 @@ let dampening_drill ~seed =
 let drills =
   [ "compound"; "fate_group"; "cascade"; "leak_storm"; "dampening";
     "multi_tenant" ]
+  @ List.map fst wire_drills
 
 let drill_index name =
   let rec go i = function
@@ -901,7 +952,10 @@ let run_drill ?on_world ~seed name =
   | "leak_storm" -> (leak_storm_drill ?on_world ~seed (), [])
   | "dampening" -> dampening_drill ~seed
   | "multi_tenant" -> (multi_tenant_drill ?on_world ~seed (), [])
-  | s -> invalid_arg (Printf.sprintf "Campaign: unknown drill %S" s)
+  | s -> (
+    match List.assoc_opt s wire_drills with
+    | Some d -> (wire_drill ~seed s d, [])
+    | None -> invalid_arg (Printf.sprintf "Campaign: unknown drill %S" s))
 
 let slo_verdicts slos =
   List.filter_map
@@ -1021,7 +1075,7 @@ let sweep_json r =
 
 let to_json report =
   Json.Obj
-    [ ("schema", Json.String "peering-chaos-campaign/1");
+    [ ("schema", Json.String "peering-chaos/2");
       ("seed", Json.Int report.seed);
       ("drills", Json.List (List.map outcome_json report.outcomes));
       ("slos", Json.List (List.map verdict_json report.slos));

@@ -1,15 +1,17 @@
-(** Testbed-scale compound chaos campaigns.
+(** Fault drills: the one runner for every fault the testbed is held to.
 
-    Where {!Chaos} drills one fault class against a two-router
-    micro-world, a campaign drills {e correlated} and {e overlapping}
-    faults against the real default testbed ({!Peering_core.Testbed}):
-    every mux, a live upstream wire session per university site, a
-    tunnel per site, and a MinineXt-style emulated backbone are all
-    registered with one {!Injector}, and each drill holds the world to
-    two bars — a per-class recovery SLO (p99 of
+    Most drills fire {e correlated} and {e overlapping} faults against
+    the real default testbed ({!Peering_core.Testbed}): every mux, a
+    live upstream wire session per university site, a tunnel per site,
+    and a MinineXt-style emulated backbone are all registered with one
+    {!Injector}. The wire drills fire one fault class each (loss,
+    duplication, corruption, reordering, a transport reset, a
+    partition) at a standalone copy of one such upstream wire on its
+    own engine. Every drill that arms a fault runs through the same
+    harness and is held to two bars — a per-class recovery SLO (p99 of
     [fault.recovery_s{class=…}] against a budget) and {e zero routes
-    lost} (every prefix's propagation reach returns exactly to its
-    pre-fault baseline).
+    lost} (every prefix's propagation reach, or the wire's tables,
+    return exactly to the pre-fault baseline).
 
     Each drill runs under the span flight recorder: the injected
     faults root [fault.inject] traces, and the blast radius — which
@@ -56,7 +58,8 @@ type outcome = {
   recovery_s : float;  (** NaN when the drill never settled *)
   routes_lost : int;
       (** summed baseline-reach shortfall at drill end (scheduled
-          tenants included); 0 required *)
+          tenants included; for a wire drill, the routes missing from
+          its two tables); 0 required *)
   tenant_reaches : (string * int * int) list;
       (** [(tenant, baseline reach, final reach)] per scheduled
           experiment, for drills that run the multi-tenant scheduler
@@ -105,7 +108,9 @@ val drills : string list
     parameter sweep), ["multi_tenant"] (the compound plan fired under
     20 concurrent {!Peering_core.Scheduler}-admitted experiments;
     recovery additionally requires every tenant's per-prefix reach
-    back at its own baseline). *)
+    back at its own baseline), then the wire drills ["loss"],
+    ["duplicate"], ["corrupt"], ["reorder"] (SLO class ["impair"]),
+    ["reset"] (["session_reset"]) and ["partition"]. *)
 
 val run_drill :
   ?on_world:(Peering_core.Testbed.t -> unit) ->
@@ -115,10 +120,10 @@ val run_drill :
 (** Run one drill on a fresh world. [on_world] is called with the
     drill's testbed right after it is built and before any fault is
     armed — the BMP differential harness uses it to attach a
-    {!Peering_measure.Monitor} to every mux inside the drill
-    (["dampening"] builds no testbed and ignores it). The sweep rows
-    are non-empty only for ["dampening"]. Raises [Invalid_argument] on
-    unknown names. *)
+    {!Peering_measure.Monitor} to every mux inside the drill (the wire
+    drills and ["dampening"] build no testbed and ignore it). The
+    sweep rows are non-empty only for ["dampening"]. Raises
+    [Invalid_argument] on unknown names. *)
 
 type report = {
   seed : int;
@@ -139,5 +144,5 @@ val run : ?seed:int -> ?drills:string list -> ?slos:slo list -> unit -> report
     byte-identical regardless of process history. *)
 
 val to_json : report -> Peering_obs.Json.t
-(** Schema ["peering-chaos-campaign/1"], embedding the metrics
+(** Schema ["peering-chaos/2"], embedding the metrics
     snapshot. Deterministic for a given seed and drill list. *)

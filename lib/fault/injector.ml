@@ -125,7 +125,7 @@ let impair_for t ~name ~duration hook =
 let profile_hook t (p : Plan.link_profile) _msg =
   if p.Plan.loss > 0.0 && Rng.bernoulli t.rng p.Plan.loss then begin
     Metrics.Counter.inc m_dropped;
-    Some Session.Drop
+    Some Session.Retransmit
   end
   else if p.Plan.duplicate > 0.0 && Rng.bernoulli t.rng p.Plan.duplicate
   then begin

@@ -7,7 +7,10 @@
     identical seeds replay identical failure timelines. *)
 
 type link_profile = {
-  loss : float;  (** per-message drop probability, [0,1] *)
+  loss : float;
+      (** per-message loss probability, [0,1]; the transport
+          retransmits a lost message, so it arrives late and in order
+          ({!Peering_bgp.Session.Retransmit}) *)
   duplicate : float;  (** per-message duplication probability *)
   corrupt : float;  (** per-message corruption probability *)
   reorder : float;  (** per-message extra-delay (reordering) probability *)
@@ -34,7 +37,8 @@ type fault =
       (** probabilistic message loss/duplication/corruption/reordering
           on a link for [duration] seconds *)
   | Partition of { link : string; duration : float }
-      (** total message loss on a link for [duration] seconds *)
+      (** the link is cut for [duration] seconds: every message sent
+          meanwhile is dropped for good, not retransmitted *)
   | Session_reset of { link : string }
       (** instantaneous transport reset: both FSMs drop without
           NOTIFICATIONs *)

@@ -6,8 +6,12 @@
    reproduce the full campaign's outcome for that drill exactly, since
    drill seeds derive from canonical positions, not run order.
 
-   Run alone with `dune build @chaos-campaign`; widen the sweep with
-   CHAOS_CAMPAIGN_SEEDS=<n> (default 3). *)
+   The wire drills cost milliseconds each, so on top of the full
+   campaigns each one also runs alone over a wide seed sweep, where a
+   rare stuck session (an UPDATE lost and never resent) cannot hide.
+
+   Run alone with `dune build @chaos-campaign`; widen the campaign
+   sweep with CHAOS_CAMPAIGN_SEEDS=<n> (default 3). *)
 
 module Campaign = Peering_fault.Campaign
 module Metrics = Peering_obs.Metrics
@@ -17,6 +21,11 @@ let n_seeds =
   match Sys.getenv_opt "CHAOS_CAMPAIGN_SEEDS" with
   | Some s -> (try max 1 (int_of_string (String.trim s)) with _ -> 3)
   | None -> 3
+
+let n_wire_seeds = 200
+
+let wire_drills =
+  [ "loss"; "duplicate"; "corrupt"; "reorder"; "reset"; "partition" ]
 
 let failures = ref 0
 
@@ -106,12 +115,41 @@ let exercise seed =
     (List.length r.Campaign.outcomes)
     (List.length r.Campaign.slos)
 
+(* Every wire drill, alone, on seeds 1..n: reconverged, zero routes
+   lost, and recovery within its class budget. *)
+let sweep_wire_drills () =
+  List.iter
+    (fun drill ->
+      check
+        (Printf.sprintf "%s is a campaign drill" drill)
+        (List.mem drill Campaign.drills);
+      for seed = 1 to n_wire_seeds do
+        let o, _ = Campaign.run_drill ~seed drill in
+        let { Campaign.p99_budget_s = budget; _ } =
+          List.find
+            (fun (s : Campaign.slo) ->
+              s.Campaign.slo_class = o.Campaign.slo_class)
+            Campaign.default_slos
+        in
+        check
+          (Printf.sprintf "[%d] %s reconverged with zero routes lost" seed drill)
+          (o.Campaign.reconverged && o.Campaign.routes_lost = 0);
+        check
+          (Printf.sprintf "[%d] %s recovered in %.2fs within %.0fs" seed drill
+             o.Campaign.recovery_s budget)
+          (o.Campaign.recovery_s <= budget)
+      done)
+    wire_drills;
+  Printf.printf "wire drills: %d drills x %d seeds\n"
+    (List.length wire_drills) n_wire_seeds
+
 let () =
   Printf.printf
     "chaos-campaign: %d seeds (CHAOS_CAMPAIGN_SEEDS to widen)\n" n_seeds;
   for i = 0 to n_seeds - 1 do
     exercise (42 + (7 * i))
   done;
+  sweep_wire_drills ();
   if !failures > 0 then begin
     Printf.printf "chaos-campaign: %d FAILURES\n" !failures;
     exit 1
