@@ -141,10 +141,23 @@ let repropagate t prefix =
 let repropagate_all t =
   Prefix.Map.iter (fun prefix _ -> repropagate t prefix) t.active
 
+(* Flipping one AS changes few table entries, so while the world is
+   valley-free each table is repaired in place rather than rebuilt;
+   leaks break the stable-state argument the repair rests on. *)
 let set_down t asn down =
   t.down <-
     (if down then Asn.Set.add asn t.down else Asn.Set.remove asn t.down);
-  repropagate_all t
+  match t.leaks with
+  | _ :: _ -> repropagate_all t
+  | [] ->
+    let deny = rov_deny t and toggled = Asn.Set.singleton asn in
+    Prefix.Map.iter
+      (fun prefix prev ->
+        let anns =
+          List.map (fun a -> a.ann) (Prefix.Map.find prefix t.active)
+        in
+        Propagation.repair ?deny ~down:t.down (graph t) anns prev ~toggled)
+      t.results
 
 let set_leak_edges t edges =
   t.leaks <- edges;
@@ -502,6 +515,9 @@ let add_remote_ixp t ~via ~name ?(calibration = small_ixp_calibration) () =
         As_graph.add_edge (graph t) s.s_asn Relationship.Peer peer
       end)
     (Fabric.route_server_users fabric);
+  (* The new edges invalidate every table, and set_down repairs tables
+     rather than rebuilding them, so rebuild them here. *)
+  repropagate_all t;
   fabric
 
 (* ------------------------------------------------------------------ *)

@@ -83,7 +83,10 @@ val connect_client : t -> Client.t -> sites:string list -> unit
 (** {2 Control plane} *)
 
 val result_for : t -> Prefix.t -> Propagation.result option
-(** Latest propagation result for an announced prefix. *)
+(** Latest propagation result for an announced prefix. The testbed owns
+    the result and {!set_down} repairs it in place, so it reflects the
+    testbed's state when it is read, not when it was fetched: read it
+    right away, or snapshot it with {!Propagation.table}. *)
 
 val route_from : t -> Asn.t -> Prefix.t -> Propagation.route option
 val reach_count : t -> Prefix.t -> int
@@ -107,10 +110,16 @@ val inject_external :
 val retract_external : t -> origin:Asn.t -> Prefix.t -> unit
 
 val set_down : t -> Asn.t -> bool -> unit
-(** Fail / restore an AS; all active prefixes re-propagate. Site nodes
-    are toggled automatically by each mux's status hook ({!Server.crash}
-    / {!Server.restart}), so a dead PoP really disappears from the
-    simulated Internet. *)
+(** Fail / restore an AS. Site nodes are toggled automatically by each
+    mux's status hook ({!Server.crash} / {!Server.restart}), so a dead
+    PoP really disappears from the simulated Internet.
+
+    Cost: with no leak active, every active prefix's table is repaired
+    in place with {!Propagation.repair}, in time proportional to the
+    routes that change and their neighbourhoods rather than to the
+    table; the result equals a full re-propagation. While leaks are active (see
+    {!set_leak_edges}) every active prefix re-propagates with
+    {!Propagation.propagate_general} instead. *)
 
 val set_leak_edges : t -> (Asn.t * Asn.t) list -> unit
 (** Inject (or, with [[]], clear) RFC 7908 route leaks: each [(u, v)]
@@ -153,7 +162,8 @@ val add_remote_ixp :
     the world"): build a new IXP fabric and peer the existing [via]
     site's server with its route-server users over the virtual L2 —
     more peers with no new physical deployment. Members already peered
-    with that server are skipped. Returns the new fabric. *)
+    with that server are skipped. The new edges change the graph, so
+    all active prefixes re-propagate. Returns the new fabric. *)
 
 val feed_peer_routes : t -> site:string -> ?max_per_peer:int -> unit -> int
 

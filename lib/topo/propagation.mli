@@ -15,7 +15,9 @@
     the adopted table is byte-identical for every domain count —
     including one — and to the sequential reference {!propagate_seq},
     which is kept as the oracle for the differential test harness
-    ([test/test_propagation_diff.ml]).
+    ([test/test_propagation_diff.ml]). {!repair} updates an existing
+    table after ASes fail or recover, touching only what changes, and
+    is held to the same tables by that harness.
 
     This engine is what stands in for "the live Internet" reacting to
     PEERING announcements: route injection, selective announcements,
@@ -134,6 +136,39 @@ val propagate_general :
     neighbors are visited in ascending ASN order. This engine is the
     dynamic oracle the static leak analysis is differentially tested
     against ([test/test_check_diff.ml], alias [@check-diff]). *)
+
+val repair :
+  ?deny:(Asn.t -> announcement -> bool) ->
+  down:Asn.Set.t ->
+  As_graph.t ->
+  announcement list ->
+  result ->
+  toggled:Asn.Set.t ->
+  unit
+(** [repair ?deny ~down graph anns prev ~toggled] turns [prev], in
+    place, into the table [propagate ?deny ~down graph anns] would
+    build, without rebuilding it. [prev] must be the valley-free table
+    for the same graph, announcements and [deny] under a down set that
+    differs from [down] exactly on (a subset of) [toggled]. Its old
+    table is gone afterwards.
+
+    A worklist of dirty ASes, seeded with [toggled] in ascending ASN
+    order, re-selects each AS's best origin route or importable
+    neighbour offer (the export rules of {!propagate}); when a route
+    changes, only the neighbours that routed through it or prefer its
+    new offer are re-selected. The cost is proportional to the routes
+    that change and their neighbourhoods, not to the table. Exact
+    because the valley-free table is the unique stable state and, with
+    no provider cycle in [graph], re-selection converges to it from any
+    starting table (DESIGN.md §9, "Incremental repair"); it does {e
+    not} hold for the leaking worlds of {!propagate_general}.
+
+    Records [topo.propagation.repairs] (one per call) and
+    [topo.propagation.reselects] (one per re-selected AS) and none of
+    {!propagate}'s counters, so [Testbed.set_down],
+    which repairs instead of re-propagating while no leak is active,
+    no longer ticks [topo.propagation.{rounds,offers,adoptions}] or
+    the frontier histogram. *)
 
 val route_at : result -> Asn.t -> route option
 (** The route the AS selected, [None] if unreachable. *)

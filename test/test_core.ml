@@ -717,6 +717,94 @@ let test_remote_peering () =
   ignore (Client.announce client p);
   check Alcotest.bool "reaches internet" true (Testbed.reach_count t p > 0)
 
+(* Testbed.set_down repairs every table in place. Whatever sequence of
+   failures, restores and mux crashes led to a table, it must equal a
+   full recomputation: clear_rov / set_rov rebuild every table from
+   scratch (with the same import filter), so snapshots taken before
+   and after must agree. add_remote_ixp changes the graph under the
+   tables, so it must rebuild them too, or later repairs would start
+   from a stale base. *)
+let test_set_down_repair_matches_recompute () =
+  let t = Testbed.build ~params:small_params () in
+  let exp =
+    match Testbed.new_experiment t ~id:"churn" ~n_prefixes:3 () with
+    | Ok e -> e
+    | Error e -> Alcotest.fail e
+  in
+  let client = Client.create ~id:"c-churn" ~experiment:exp () in
+  Testbed.connect_client t client
+    ~sites:(List.map Testbed.site_name (Testbed.sites t));
+  List.iter (fun p -> ignore (Client.announce client p)) exp.Experiment.prefixes;
+  let w = Testbed.world t in
+  (* An anycast competitor for the first prefix, and a prefix the
+     Amsterdam site node originates to every neighbour: its table
+     depends on each edge that node has, remote peerings included. *)
+  let attacker = List.nth w.Gen.small_transit 2 in
+  Testbed.inject_external t ~origin:attacker (List.hd exp.Experiment.prefixes);
+  let unfiltered = pfx "198.51.100.0/24" in
+  Testbed.inject_external t
+    ~origin:(Testbed.site_asn (Testbed.site_exn t "amsterdam01"))
+    unfiltered;
+  let prefixes = unfiltered :: exp.Experiment.prefixes in
+  let snapshot () =
+    List.map
+      (fun p ->
+        match Testbed.result_for t p with
+        | Some r -> Peering_topo.Propagation.table r
+        | None -> [])
+      prefixes
+  in
+  let matches_recompute what recompute =
+    let repaired = snapshot () in
+    recompute ();
+    check Alcotest.bool (what ^ ": repaired tables = recomputed") true
+      (repaired = snapshot ())
+  in
+  let clear () = Testbed.clear_rov t in
+  let baseline = List.map (Testbed.reach_count t) prefixes in
+  let mux name = Testbed.site_server (Testbed.site_exn t name) in
+  let provider = List.hd (Testbed.peers_at t "gatech01") in
+  let tier1 = List.hd w.Gen.tier1 in
+  Testbed.set_down t provider true;
+  Testbed.set_down t tier1 true;
+  matches_recompute "provider + tier-1 down" clear;
+  Server.crash (mux "amsterdam01");
+  matches_recompute "amsterdam mux crashed" clear;
+  Testbed.set_down t tier1 false;
+  Server.restart (mux "amsterdam01");
+  (* ROV is unchanged across set_down, so the repair keeps its filter *)
+  let roas =
+    Peering_bgp.Rpki.add_roa Peering_bgp.Rpki.empty
+      ~prefix:(List.hd exp.Experiment.prefixes) Testbed.peering_asn
+  in
+  let adopters =
+    Asn.Set.of_list
+      (List.filteri
+         (fun i _ -> i mod 2 = 0)
+         (Peering_topo.As_graph.ases (Testbed.graph t)))
+  in
+  let same_rov () = Testbed.set_rov t ~roas ~adopters in
+  Testbed.set_down t provider false;
+  same_rov ();
+  Testbed.set_down t provider true;
+  Testbed.set_down t attacker true;
+  matches_recompute "failures under ROV" same_rov;
+  Testbed.set_down t provider false;
+  Testbed.set_down t attacker false;
+  matches_recompute "restores under ROV" same_rov;
+  clear ();
+  matches_recompute "all restored" clear;
+  check Alcotest.(list int) "reach back to baseline" baseline
+    (List.map (Testbed.reach_count t) prefixes);
+  ignore (Testbed.add_remote_ixp t ~via:"amsterdam01" ~name:"DE-CIX" ());
+  matches_recompute "after remote peering" clear;
+  Server.crash (mux "gatech01");
+  Testbed.set_down t tier1 true;
+  matches_recompute "churn on the grown graph" clear;
+  Server.restart (mux "gatech01");
+  Testbed.set_down t tier1 false;
+  matches_recompute "grown graph restored" clear
+
 let test_route_server_to_mux_integration () =
   (* Control-plane path the AMS-IX deployment uses: members announce to
      the IXP route server; the server's deliveries feed the PEERING
@@ -1365,6 +1453,8 @@ let () =
         ] );
       ( "extensions",
         [ tc "remote peering" `Quick test_remote_peering;
+          tc "set_down repair = recompute" `Quick
+            test_set_down_repair_matches_recompute;
           tc "route server to mux" `Quick test_route_server_to_mux_integration;
           tc "monitoring" `Quick test_monitoring;
           tc "beacon" `Quick test_beacon_schedule;

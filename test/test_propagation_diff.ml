@@ -5,8 +5,9 @@
    [Propagation.propagate_seq] — route by route: path, learned_over,
    ann_index — for every seed, world size and domain count, including
    runs exercising [?deny], [?export_to], [~down], multi-origin anycast
-   and path poisoning. The seed sweep widens without code changes via
-   PROPAGATION_DIFF_SEEDS=<n> (default 10 seeds). *)
+   and path poisoning. [Propagation.repair] is held to the same tables
+   along seeded down/up sequences. The seed sweep widens without code
+   changes via PROPAGATION_DIFF_SEEDS=<n> (default 10 seeds). *)
 
 open Peering_net
 open Peering_topo
@@ -66,7 +67,7 @@ let route_str (rt : Propagation.route) =
     rt.Propagation.ann_index
 
 (* Full-table equality, with the first diverging ASN in the failure. *)
-let check_tables ~what seq par =
+let check_tables ?(engine = "parallel") ~what seq par =
   let ts = Propagation.table seq and tp = Propagation.table par in
   let rec cmp = function
     | [], [] -> ()
@@ -74,15 +75,15 @@ let check_tables ~what seq par =
       Alcotest.failf "%s: %s=%s only in sequential table" what
         (Asn.to_string a) (route_str ra)
     | [], (a, ra) :: _ ->
-      Alcotest.failf "%s: %s=%s only in parallel table" what
-        (Asn.to_string a) (route_str ra)
+      Alcotest.failf "%s: %s=%s only in %s table" what
+        (Asn.to_string a) (route_str ra) engine
     | (a, ra) :: rest_a, (b, rb) :: rest_b ->
       if not (Asn.equal a b) then
         Alcotest.failf "%s: holder sets diverge at %s vs %s" what
           (Asn.to_string a) (Asn.to_string b)
       else if ra <> rb then
-        Alcotest.failf "%s: %s selected %s sequentially but %s in parallel"
-          what (Asn.to_string a) (route_str ra) (route_str rb)
+        Alcotest.failf "%s: %s selected %s sequentially but %s in %s"
+          what (Asn.to_string a) (route_str ra) (route_str rb) engine
       else cmp (rest_a, rest_b)
   in
   cmp (ts, tp)
@@ -143,6 +144,73 @@ let diff_one_world params seed =
 
 let test_differential params () =
   List.iter (fun seed -> diff_one_world params seed) seeds
+
+(* ------------------------------------------------------------------ *)
+(* Incremental repair: from each scenario's table, a seeded sequence of
+   down/up steps — single failures of an AS on a live path, restores,
+   multi-AS toggles and origin toggles — is applied by repairing one
+   table in place; after every step it must equal what both full
+   engines build under the new down set. *)
+
+let repair_steps = 24
+
+let toggle set asn =
+  if Asn.Set.mem asn set then Asn.Set.remove asn set else Asn.Set.add asn set
+
+(* The ASes flipped at [step]: every sixth step the first origin; every
+   third step two or three ASes at once; otherwise one restore of a
+   down AS or one failure of a hop on a random holder's path. *)
+let pick_toggled rng ~origin ~down ~ases r step =
+  let on_path () =
+    let from = ases.(Random.State.int rng (Array.length ases)) in
+    match Propagation.full_path r from with
+    | Some fp -> List.nth fp (Random.State.int rng (List.length fp))
+    | None -> from
+  in
+  if step mod 6 = 5 then Asn.Set.singleton origin
+  else if step mod 3 = 2 then
+    Asn.Set.of_list (List.init (2 + Random.State.int rng 2) (fun _ -> on_path ()))
+  else if (not (Asn.Set.is_empty down)) && Random.State.bool rng then
+    let d = Asn.Set.elements down in
+    Asn.Set.singleton (List.nth d (Random.State.int rng (List.length d)))
+  else Asn.Set.singleton (on_path ())
+
+let repair_one_world params seed =
+  let w = Gen.generate { params with Gen.seed } in
+  let g = w.Gen.graph in
+  let ases = Array.of_list (As_graph.ases g) in
+  let changed = ref 0 in
+  List.iter
+    (fun (name, deny, down, anns) ->
+      let rng = Random.State.make [| seed; Hashtbl.hash name |] in
+      let origin = (List.hd anns).Propagation.origin in
+      let r = Propagation.propagate ?deny ~down ~domains:1 g anns in
+      let down = ref down in
+      for step = 0 to repair_steps - 1 do
+        let toggled = pick_toggled rng ~origin ~down:!down ~ases r step in
+        down := Asn.Set.fold (fun a s -> toggle s a) toggled !down;
+        let before = Propagation.table r in
+        Propagation.repair ?deny ~down:!down g anns r ~toggled;
+        let what =
+          Printf.sprintf "seed %d %s step %d toggling {%s}" seed name step
+            (String.concat " " (List.map Asn.to_string (Asn.Set.elements toggled)))
+        in
+        let seq = Propagation.propagate_seq ?deny ~down:!down g anns in
+        check_tables ~engine:"repair" ~what seq r;
+        check_tables ~what seq
+          (Propagation.propagate ?deny ~down:!down ~domains:1 g anns);
+        if Propagation.table r <> before then incr changed
+      done)
+    (scenarios w);
+  (* Guard against a vacuous sweep: at least a quarter of the steps
+     must change the table. *)
+  let steps = repair_steps * List.length (scenarios w) in
+  if 4 * !changed < steps then
+    Alcotest.failf "seed %d: only %d of %d repair steps changed a table" seed
+      !changed steps
+
+let test_repair params () =
+  List.iter (fun seed -> repair_one_world params seed) seeds
 
 (* ------------------------------------------------------------------ *)
 (* Structural properties of every adopted table: valley-freeness,
@@ -384,6 +452,12 @@ let () =
           (fun (label, params) ->
             tc (Printf.sprintf "parallel = sequential (%s)" label) `Quick
               (test_differential params))
+          sizes );
+      ( "repair",
+        List.map
+          (fun (label, params) ->
+            tc (Printf.sprintf "repair = full propagation (%s)" label) `Quick
+              (test_repair params))
           sizes );
       ( "properties",
         [ tc "valley-free, loop-free, origin-terminated, accounted" `Quick
