@@ -701,11 +701,10 @@ let chaos () =
     ~measured:(if r.Campaign.passed then "passed" else "FAILED")
 
 (* ------------------------------------------------------------------ *)
-(* PROP: parallel valley-free propagation speedup (ROADMAP item) *)
+(* PROP: valley-free propagation cost and incremental repair *)
 
 let prop () =
-  section
-    "PROP  Parallel propagation on the ~45K-AS world (E2/E3's engine cost)";
+  section "PROP  Propagation on the ~45K-AS world (E2/E3's engine cost)";
   let c = Lazy.force world_ctx in
   let g = c.world.Gen.graph in
   let origin = List.hd c.world.Gen.stubs in
@@ -713,11 +712,8 @@ let prop () =
   let anns = [ Propagation.announce origin p ] in
   Printf.printf
     "  one announcement propagated over %d ASes / %d edges; wall time is\n\
-    \  the best of 3 runs (host has %d recommended domains)\n"
-    (As_graph.n_ases g) (As_graph.n_edges g)
-    (Domain.recommended_domain_count ());
-  (* Wall clock, not [Sys.time]: CPU time sums over domains and would
-     hide any speedup. *)
+    \  the best of 3 runs\n"
+    (As_graph.n_ases g) (As_graph.n_edges g);
   let timed f =
     let best = ref infinity and result = ref None in
     for _ = 1 to 3 do
@@ -734,31 +730,13 @@ let prop () =
   let digest r =
     Digest.to_hex (Digest.string (Marshal.to_string (Propagation.table r) []))
   in
-  let seq_r, seq_t = timed (fun () -> Propagation.propagate_seq g anns) in
-  let seq_digest = digest seq_r in
-  paper_vs_measured ~label:"sequential reference wall time" ~paper:"n/a"
-    ~measured:(Printf.sprintf "%.1f ms" (1000.0 *. seq_t));
-  let all_identical = ref true in
-  List.iter
-    (fun d ->
-      let r, t = timed (fun () -> Propagation.propagate ~domains:d g anns) in
-      let identical = digest r = seq_digest in
-      if not identical then all_identical := false;
-      paper_vs_measured
-        ~label:(Printf.sprintf "propagation speedup at %d domains" d)
-        ~paper:">1.5x at 4 (multicore host)"
-        ~measured:
-          (Printf.sprintf "%.2fx (%.1f ms, table %s)" (seq_t /. t)
-             (1000.0 *. t)
-             (if identical then "identical" else "DIVERGED")))
-    [ 1; 2; 4; 8 ];
-  paper_vs_measured ~label:"route tables byte-identical across domain counts"
-    ~paper:"byte-identical"
-    ~measured:(if !all_identical then "yes" else "NO");
+  let base_r, base_t = timed (fun () -> Propagation.propagate g anns) in
+  paper_vs_measured ~label:"propagation wall time" ~paper:"n/a"
+    ~measured:(Printf.sprintf "%.1f ms" (1000.0 *. base_t));
   Printf.printf
-    "  reachable: %d ASes; rounds/offers/adoptions are in the metrics\n\
-    \  snapshot (topo.propagation.*) and identical for every domain count.\n"
-    (Propagation.reachable_count seq_r);
+    "  reachable: %d ASes; offers/adoptions are in the metrics snapshot\n\
+    \  (topo.propagation.*).\n"
+    (Propagation.reachable_count base_r);
   (* Incremental repair: fail a seeded tier-1 or large transit AS and
      repair a live table in place, against propagating from scratch.
      Each timed run fails the AS; an untimed repair restores it. *)
@@ -767,10 +745,8 @@ let prop () =
       (Array.of_list (c.world.Gen.tier1 @ c.world.Gen.large_transit))
   in
   let down = Asn.Set.singleton victim and toggled = Asn.Set.singleton victim in
-  let full_r, full_t =
-    timed (fun () -> Propagation.propagate ~down ~domains:1 g anns)
-  in
-  let live = Propagation.propagate ~domains:1 g anns in
+  let full_r, full_t = timed (fun () -> Propagation.propagate ~down g anns) in
+  let live = Propagation.propagate g anns in
   let repair_t = ref infinity and repaired_digest = ref "" in
   for _ = 1 to 3 do
     let t0 = Unix.gettimeofday () in
@@ -782,9 +758,9 @@ let prop () =
   let repair_t = !repair_t in
   let changed =
     List.sort_uniq Asn.compare
-      (Propagation.reachable seq_r @ Propagation.reachable full_r)
+      (Propagation.reachable base_r @ Propagation.reachable full_r)
     |> List.filter (fun a ->
-           Propagation.route_at seq_r a <> Propagation.route_at full_r a)
+           Propagation.route_at base_r a <> Propagation.route_at full_r a)
     |> List.length
   in
   paper_vs_measured

@@ -64,7 +64,6 @@ type t = {
   mutable leaks : (Asn.t * Asn.t) list;
   mutable rov : (Peering_bgp.Rpki.t * Asn.Set.t) option;
   mutable monitor_rounds : int;
-  domains : int option;
 }
 
 let engine t = t.eng
@@ -123,8 +122,7 @@ let repropagate t prefix =
     let result =
       match t.leaks with
       | [] ->
-        Propagation.propagate ?deny:(rov_deny t) ~down:t.down
-          ?domains:t.domains (graph t) anns
+        Propagation.propagate ?deny:(rov_deny t) ~down:t.down (graph t) anns
       | leaks ->
         (* Active route leaks break valley-freeness, so the general
            fixpoint engine takes over until the leaks are cleared. *)
@@ -272,8 +270,7 @@ let build ?(params = default_params) () =
       down = Asn.Set.empty;
       leaks = [];
       rov = None;
-      monitor_rounds = 0;
-      domains = params.domains
+      monitor_rounds = 0
     }
   in
   let next_site_idx = ref 0 in

@@ -29,9 +29,8 @@ type params = {
   bilateral_requests : bool;
       (** send peering requests to all open non-RS AMS-IX members *)
   domains : int option;
-      (** worker-domain bound handed to {!Propagation.propagate} on
-          every repropagation; [None] = the engine's default. The
-          propagation result is identical for every value. *)
+      (** accepted and ignored: propagation runs on the calling
+          domain. Kept only for callers that still set it. *)
 }
 
 val default_params : params

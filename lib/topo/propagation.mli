@@ -8,16 +8,16 @@
     customer routes climb provider links, cross one peer link, then
     descend to customers.
 
-    Two engines compute the same fixpoint. {!propagate} restructures
-    the phase-1/phase-3 work-queue into synchronized rounds whose
-    frontier is sharded across OCaml 5 domains; candidates are merged
-    in a stable total order (ascending target ASN, then {!better}), so
-    the adopted table is byte-identical for every domain count —
-    including one — and to the sequential reference {!propagate_seq},
-    which is kept as the oracle for the differential test harness
-    ([test/test_propagation_diff.ml]). {!repair} updates an existing
-    table after ASes fail or recover, touching only what changes, and
-    is held to the same tables by that harness.
+    {!propagate} computes the table with a three-phase work queue.
+    Because {!better} is a strict total order, the valley-free table
+    is the unique stable state, so {!repair} — a worklist that
+    re-selects each dirty AS's best offer — reaches the same table from
+    any starting point. It updates a table in place after ASes fail or
+    recover, touching only what changes. The differential harness
+    ([test/test_propagation_diff.ml]) holds the two algorithms to the
+    same tables, with {!repair} run both from live tables and from the
+    empty one. {!propagate_general} drops the phase structure for
+    worlds that are not valley-free.
 
     This engine is what stands in for "the live Internet" reacting to
     PEERING announcements: route injection, selective announcements,
@@ -57,8 +57,8 @@ type route = {
 
 val class_pref : Relationship.t option -> int
 (** Gao–Rexford preference class: origin 3 > customer 2 > peer 1 >
-    provider 0. Exposed so tests can check the total-order laws the
-    parallel merge depends on. *)
+    provider 0. Exposed so tests can check the total-order laws of
+    {!better}. *)
 
 val better : route -> route -> bool
 (** [better a b] iff [a] is strictly preferred over [b]: higher
@@ -68,8 +68,9 @@ val better : route -> route -> bool
     two distinct candidates compare strictly one way. Comparing the
     full path before the announcement index makes a neighbor's
     re-exported candidates monotonically improving, so stale imports
-    are always displaced and the fixpoint both engines converge to is
-    unique. *)
+    are always displaced and the valley-free fixpoint is unique: the
+    property that makes {!propagate}'s result independent of its
+    queue order and lets {!repair} converge to the same table. *)
 
 type result
 
@@ -77,38 +78,38 @@ val propagate :
   ?deny:(Asn.t -> announcement -> bool) ->
   ?down:Asn.Set.t ->
   ?domains:int ->
-  As_graph.t ->
-  announcement list ->
-  result
-(** Run propagation with the round-synchronized parallel engine.
-    [deny asn ann] lets an AS refuse a specific announcement on import
-    (modelling filters); ASes in [down] neither import nor export
-    anything (modelling failures). Announcements must all carry the
-    same prefix or covering/covered prefixes; each is propagated
-    independently and ASes pick their single best.
-
-    [domains] (default [Domain.recommended_domain_count ()], min 1)
-    bounds the worker domains used per round; the resulting table is
-    identical for every value. Candidate generation runs on worker
-    domains and only reads the graph and the round-start table; the
-    [deny] closure is invoked exclusively on the calling domain, so it
-    needs no synchronization. Records [topo.propagation.*] metrics
-    (rounds, offers, adoptions, frontier histogram) whose values are
-    also independent of [domains]. *)
-
-val propagate_seq :
-  ?deny:(Asn.t -> announcement -> bool) ->
-  ?down:Asn.Set.t ->
   ?visit:(Asn.t -> unit) ->
   As_graph.t ->
   announcement list ->
   result
-(** The sequential three-phase work-queue reference engine. Same
-    semantics and same result table as {!propagate}; kept as the oracle
-    for differential testing and records no metrics. Work queues are
-    seeded in ascending ASN order so the visit order is a function of
-    the inputs alone, not of hash-table layout. [visit] is a test hook
-    called on every AS dequeued in phases 1 and 3, in order. *)
+(** Run valley-free propagation: the three-phase work queue (customer
+    routes climb provider edges to a fixpoint, cross one peer edge,
+    then descend customer edges to a fixpoint). [deny asn ann] lets an
+    AS refuse a specific announcement on import (modelling filters);
+    ASes in [down] neither import nor export anything (modelling
+    failures). Announcements must all carry the same prefix or
+    covering/covered prefixes; each is propagated independently and
+    ASes pick their single best.
+
+    Work queues are seeded in ascending ASN order, so the visit order
+    is a function of the inputs alone, not of hash-table layout.
+    [visit] is a test hook called on every AS dequeued in phases 1 and
+    3, in order. [domains] is accepted and ignored: the engine runs on
+    the calling domain, and the argument remains only for callers that
+    still pass it. Records [topo.propagation.offers] (one per
+    candidate reaching an up, loop-free importer, before [deny]) and
+    [topo.propagation.adoptions] (one per table write, origins
+    excluded). *)
+
+val propagate_seq :
+  ?deny:(Asn.t -> announcement -> bool) ->
+  ?down:Asn.Set.t ->
+  ?domains:int ->
+  ?visit:(Asn.t -> unit) ->
+  As_graph.t ->
+  announcement list ->
+  result
+(** An alias of {!propagate}, kept for callers of the old name. *)
 
 val propagate_general :
   ?deny:(Asn.t -> announcement -> bool) ->
@@ -129,9 +130,17 @@ val propagate_general :
     [export_filter u v ann r] refines exports further (return [false]
     to suppress — prefix-windowed export policies); [import_filter v
     ~from r] lets the importer reject a candidate (Peerlock-style
-    filters; [r.path] starts with [from]). On valley-free inputs (no
-    [leak]/filters) the fixpoint equals {!propagate_seq}'s table.
-    Terminates because adoption is strictly improving under {!better}.
+    filters; [r.path] starts with [from]). Terminates because adoption
+    is strictly improving under {!better}.
+
+    Known defect: an AS adopts an offer only when it beats its current
+    route, and a neighbour that switches routes never withdraws the
+    one it exported before, so an AS can keep a route its neighbour
+    has dropped. The result therefore does {e not} equal
+    {!propagate}'s table even on valley-free inputs: with AS4 peering
+    with origin AS1, AS3 a customer of AS4, origin AS2 a customer of
+    AS3 and AS5 a customer of AS4, AS5 keeps [[AS4 AS1]] while AS4
+    holds [[AS3 AS2]]. See ROADMAP.md.
     Deterministic: the work queue is seeded in ascending ASN order and
     neighbors are visited in ascending ASN order. This engine is the
     dynamic oracle the static leak analysis is differentially tested
@@ -165,10 +174,9 @@ val repair :
 
     Records [topo.propagation.repairs] (one per call) and
     [topo.propagation.reselects] (one per re-selected AS) and none of
-    {!propagate}'s counters, so [Testbed.set_down],
-    which repairs instead of re-propagating while no leak is active,
-    no longer ticks [topo.propagation.{rounds,offers,adoptions}] or
-    the frontier histogram. *)
+    {!propagate}'s counters, so [Testbed.set_down], which repairs
+    instead of re-propagating while no leak is active, ticks neither
+    [topo.propagation.offers] nor [topo.propagation.adoptions]. *)
 
 val route_at : result -> Asn.t -> route option
 (** The route the AS selected, [None] if unreachable. *)

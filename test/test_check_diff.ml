@@ -233,9 +233,13 @@ let scenario_windowed seed world =
         (Printf.sprintf "windowed seed=%d" seed)
         w (Propagation.announce origin p))
 
-(* With no overrides at all, the general engine must agree exactly
-   with the sequential three-phase oracle, and the static analysis
-   must report nothing tainted. *)
+(* With no overrides at all, the static analysis must report nothing
+   tainted, and on these single-origin worlds the general engine agrees
+   with the three-phase [Propagation.propagate] (checked up to
+   CHECK_DIFF_SEEDS=100). That agreement is not a law: the general
+   engine keeps routes a neighbour has since dropped (see
+   propagation.mli), so it differs on some valley-free inputs, for
+   example multi-origin anycast. *)
 let scenario_no_leak seed world =
   let g = world.Gen.graph in
   match
@@ -245,11 +249,11 @@ let scenario_no_leak seed world =
   | Some origin ->
     let ann = announcement_for g origin in
     let general = Propagation.propagate_general g [ ann ] in
-    let seq = Propagation.propagate_seq g [ ann ] in
+    let valley_free = Propagation.propagate g [ ann ] in
     Alcotest.(check bool)
-      (Printf.sprintf "general = seq on leak-free world (seed %d)" seed)
+      (Printf.sprintf "general = propagate on leak-free world (seed %d)" seed)
       true
-      (Propagation.table general = Propagation.table seq);
+      (Propagation.table general = Propagation.table valley_free);
     Alcotest.(check (list int))
       (Printf.sprintf "nothing polluted without leaks (seed %d)" seed)
       []

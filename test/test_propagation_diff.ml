@@ -1,12 +1,14 @@
-(* Differential harness for the parallel propagation engine.
+(* Differential harness for valley-free propagation.
 
-   [Propagation.propagate] (round-synchronized, domain-sharded) must
-   produce a route table byte-identical to the sequential reference
-   [Propagation.propagate_seq] — route by route: path, learned_over,
-   ann_index — for every seed, world size and domain count, including
-   runs exercising [?deny], [?export_to], [~down], multi-origin anycast
-   and path poisoning. [Propagation.repair] is held to the same tables
-   along seeded down/up sequences. The seed sweep widens without code
+   Two algorithms compute the valley-free table: the three-phase work
+   queue [Propagation.propagate], which pushes offers phase by phase,
+   and the worklist re-selection of [Propagation.repair]. Started from
+   the empty table, repair must build a table byte-identical to
+   propagate's — route by route: path, learned_over, ann_index — for
+   every seed and world size, including runs exercising [?deny],
+   [?export_to], [~down], multi-origin anycast and path poisoning.
+   Repair is also held to propagate's tables along seeded down/up
+   sequences on a live table. The seed sweep widens without code
    changes via PROPAGATION_DIFF_SEEDS=<n> (default 10 seeds). *)
 
 open Peering_net
@@ -25,7 +27,6 @@ let n_seeds =
       invalid_arg "PROPAGATION_DIFF_SEEDS must be a positive integer")
 
 let seeds = List.init n_seeds (fun i -> i + 1)
-let domain_counts = [ 1; 2; 4; 8 ]
 
 (* Three world sizes: ~100, ~900 and ~3000 ASes. *)
 let sizes =
@@ -66,27 +67,27 @@ let route_str (rt : Propagation.route) =
     (String.concat " " (List.map Asn.to_string rt.Propagation.path))
     rt.Propagation.ann_index
 
-(* Full-table equality, with the first diverging ASN in the failure. *)
-let check_tables ?(engine = "parallel") ~what seq par =
-  let ts = Propagation.table seq and tp = Propagation.table par in
+(* Full-table equality, with the first diverging ASN in the failure.
+   [expected] is propagate's table; [got] is [engine]'s. *)
+let check_tables ~engine ~what expected got =
   let rec cmp = function
     | [], [] -> ()
     | (a, ra) :: _, [] ->
-      Alcotest.failf "%s: %s=%s only in sequential table" what
+      Alcotest.failf "%s: %s=%s only in the propagate table" what
         (Asn.to_string a) (route_str ra)
     | [], (a, ra) :: _ ->
-      Alcotest.failf "%s: %s=%s only in %s table" what
+      Alcotest.failf "%s: %s=%s only in the %s table" what
         (Asn.to_string a) (route_str ra) engine
     | (a, ra) :: rest_a, (b, rb) :: rest_b ->
       if not (Asn.equal a b) then
         Alcotest.failf "%s: holder sets diverge at %s vs %s" what
           (Asn.to_string a) (Asn.to_string b)
       else if ra <> rb then
-        Alcotest.failf "%s: %s selected %s sequentially but %s in %s"
+        Alcotest.failf "%s: %s selected %s by propagate but %s by %s"
           what (Asn.to_string a) (route_str ra) (route_str rb) engine
       else cmp (rest_a, rest_b)
   in
-  cmp (ts, tp)
+  cmp (Propagation.table expected, Propagation.table got)
 
 (* The announcement workloads differentially tested per world. Each is
    [name, deny, down, announcements]. *)
@@ -127,19 +128,29 @@ let scenarios (w : Gen.world) =
       ] )
   ]
 
+(* Repair from the empty table: with every origin also down nothing
+   holds a route, and bringing the origins that are not really down
+   back up makes repair select every route from scratch. *)
 let diff_one_world params seed =
   let w = Gen.generate { params with Gen.seed } in
   let g = w.Gen.graph in
   List.iter
     (fun (name, deny, down, anns) ->
-      let seq = Propagation.propagate_seq ?deny ~down g anns in
-      List.iter
-        (fun domains ->
-          let par = Propagation.propagate ?deny ~down ~domains g anns in
-          check_tables
-            ~what:(Printf.sprintf "seed %d %s domains=%d" seed name domains)
-            seq par)
-        domain_counts)
+      let origins =
+        Asn.Set.of_list (List.map (fun a -> a.Propagation.origin) anns)
+      in
+      let r =
+        Propagation.propagate ?deny ~down:(Asn.Set.union down origins) g anns
+      in
+      if Propagation.reachable_count r <> 0 then
+        Alcotest.failf "seed %d %s: table not empty with every origin down"
+          seed name;
+      Propagation.repair ?deny ~down g anns r
+        ~toggled:(Asn.Set.diff origins down);
+      check_tables ~engine:"repair"
+        ~what:(Printf.sprintf "seed %d %s" seed name)
+        (Propagation.propagate ?deny ~down g anns)
+        r)
     (scenarios w)
 
 let test_differential params () =
@@ -149,8 +160,8 @@ let test_differential params () =
 (* Incremental repair: from each scenario's table, a seeded sequence of
    down/up steps — single failures of an AS on a live path, restores,
    multi-AS toggles and origin toggles — is applied by repairing one
-   table in place; after every step it must equal what both full
-   engines build under the new down set. *)
+   table in place; after every step it must equal what propagate
+   builds under the new down set. *)
 
 let repair_steps = 24
 
@@ -184,7 +195,7 @@ let repair_one_world params seed =
     (fun (name, deny, down, anns) ->
       let rng = Random.State.make [| seed; Hashtbl.hash name |] in
       let origin = (List.hd anns).Propagation.origin in
-      let r = Propagation.propagate ?deny ~down ~domains:1 g anns in
+      let r = Propagation.propagate ?deny ~down g anns in
       let down = ref down in
       for step = 0 to repair_steps - 1 do
         let toggled = pick_toggled rng ~origin ~down:!down ~ases r step in
@@ -195,10 +206,9 @@ let repair_one_world params seed =
           Printf.sprintf "seed %d %s step %d toggling {%s}" seed name step
             (String.concat " " (List.map Asn.to_string (Asn.Set.elements toggled)))
         in
-        let seq = Propagation.propagate_seq ?deny ~down:!down g anns in
-        check_tables ~engine:"repair" ~what seq r;
-        check_tables ~what seq
-          (Propagation.propagate ?deny ~down:!down ~domains:1 g anns);
+        check_tables ~engine:"repair" ~what
+          (Propagation.propagate ?deny ~down:!down g anns)
+          r;
         if Propagation.table r <> before then incr changed
       done)
     (scenarios w);
@@ -311,7 +321,7 @@ let test_properties () =
     seeds
 
 (* ------------------------------------------------------------------ *)
-(* Determinism regression: the sequential engine's queue visit order is
+(* Determinism regression: the engine's queue visit order is
    a function of the inputs alone (queues are seeded in sorted ASN
    order, not Hashtbl.iter order), so two identical runs produce
    identical visit traces. *)
@@ -330,7 +340,7 @@ let test_visit_trace_deterministic () =
   let trace () =
     let visits = ref [] in
     let r =
-      Propagation.propagate_seq ~visit:(fun a -> visits := a :: !visits) g anns
+      Propagation.propagate ~visit:(fun a -> visits := a :: !visits) g anns
     in
     (List.rev !visits, r)
   in
@@ -341,12 +351,12 @@ let test_visit_trace_deterministic () =
     Alcotest.(list int)
     "identical visit traces"
     (List.map Asn.to_int t1) (List.map Asn.to_int t2);
-  check_tables ~what:"same-input reruns" r1 r2
+  check_tables ~engine:"rerun" ~what:"same-input reruns" r1 r2
 
 (* ------------------------------------------------------------------ *)
-(* Relationship truth tables and the total-order laws of the merge
-   comparator: the parallel engine's stable merge is deterministic
-   only because [better] is a strict total order. *)
+(* Relationship truth tables and the total-order laws of [better]: the
+   valley-free fixpoint is unique, and repair converges to it, only
+   because [better] is a strict total order. *)
 
 let all_rels = [ Relationship.Customer; Relationship.Provider; Relationship.Peer ]
 
@@ -442,15 +452,14 @@ let prop_better_transitive =
 (* ------------------------------------------------------------------ *)
 
 let () =
-  Printf.printf "propagation-diff: %d seeds x %d domain counts (set \
-                 PROPAGATION_DIFF_SEEDS to widen)\n%!"
-    n_seeds
-    (List.length domain_counts);
+  Printf.printf
+    "propagation-diff: %d seeds (set PROPAGATION_DIFF_SEEDS to widen)\n%!"
+    n_seeds;
   Alcotest.run "propagation-diff"
     [ ( "differential",
         List.map
           (fun (label, params) ->
-            tc (Printf.sprintf "parallel = sequential (%s)" label) `Quick
+            tc (Printf.sprintf "phased = repair from empty (%s)" label) `Quick
               (test_differential params))
           sizes );
       ( "repair",
