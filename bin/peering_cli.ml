@@ -32,6 +32,15 @@ let seed_arg =
   let doc = "Deterministic seed for world generation." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
 
+(* Open an output file before any work is done, so a bad path fails
+   fast with exit 2 rather than an uncaught exception after the run.
+   [Sys_error] messages already read "<path>: <reason>". *)
+let open_out_or_exit path =
+  try open_out_bin path
+  with Sys_error msg ->
+    Printf.eprintf "error: %s\n" msg;
+    exit 2
+
 let scale_arg =
   let doc =
     "World scale: 'tiny' (~70 ASes), 'small' (~3.4K ASes) or 'paper' \
@@ -446,14 +455,13 @@ let verify_cmd =
    BGP session, an IXP route-server pass and a dataplane packet, all on
    one deterministic engine. The chosen announcement, the route-server
    redistribution of its prefix and the tunnel packet it makes
-   deliverable run under one root span, so with span collection on the
-   whole story lands in a single causal tree. *)
+   deliverable run under one root span, so the whole story lands in a
+   single causal tree in the recorder ({!Peering_obs.Sink}). *)
 
 module Scenario = struct
   module Metrics = Peering_obs.Metrics
   module Span = Peering_obs.Span
   module Sink = Peering_obs.Sink
-  module Trace = Peering_sim.Trace
   module Router = Peering_router.Router
   module Route_server = Peering_ixp.Route_server
   module Tunnel = Peering_dataplane.Tunnel
@@ -479,20 +487,16 @@ module Scenario = struct
     in
     ignore (Peering_check.Check.check_world w)
 
-  let run ?(record_spans = false) ~seed () =
+  let run ~seed =
     Metrics.reset ();
-    Span.reset ();
-    if record_spans then Sink.start_flight_recorder ()
-    else Sink.stop_flight_recorder ();
     verified_world ();
-    let trace = Trace.create () in
     (* Scenario 1: the quickstart experiment — controller, safety
        filter (one accepted announce, one blocked hijack, one
        withdrawal), route servers, propagation. *)
     let params = { Testbed.default_params with Testbed.seed } in
     let t = Testbed.build ~params () in
     let engine = Testbed.engine t in
-    Trace.attach trace ~clock:(fun () -> Engine.now engine);
+    Sink.start ~clock:(fun () -> Engine.now engine) ();
     let experiment =
       match
         Testbed.new_experiment t ~id:"stats" ~owner:"cli"
@@ -518,7 +522,6 @@ module Scenario = struct
     Forwarder.set_route fwd "mux" (Prefix.of_string_exn "172.16.0.0/12")
       Fib.Local;
     Span.with_span
-      ~time:(fun () -> Engine.now engine)
       ~attrs:[ ("prefix", Prefix.to_string prefix) ]
       "experiment.announce"
       (fun () ->
@@ -547,9 +550,8 @@ module Scenario = struct
     let _session = Router.connect engine (r1, a1) (r2, a2) in
     Engine.run_for engine 30.0;
     Engine.run_for engine 1.0;
-    Trace.detach ();
-    if record_spans then Sink.stop_flight_recorder ();
-    (trace, prefix)
+    Sink.stop ();
+    prefix
 end
 
 let stats_cmd =
@@ -567,74 +569,60 @@ let stats_cmd =
   in
   let module Json = Peering_obs.Json in
   let module Span = Peering_obs.Span in
-  let module Trace = Peering_sim.Trace in
+  let module Sink = Peering_obs.Sink in
   let module Obs_report = Peering_measure.Obs_report in
-  let dump_events trace file =
-    let oc = open_out file in
+  let dump_events oc =
     let w = Json.Writer.to_channel ~indent:2 oc in
     Json.Writer.begin_arr w;
     List.iter
-      (fun (e : Trace.event) ->
+      (fun (e : Sink.event) ->
         Json.Writer.value w
           (Json.Obj
-             [ ("time", Json.Float e.Trace.time);
+             [ ("time", Json.Float e.Sink.time);
                ( "level",
-                 Json.String (Peering_obs.Event.level_to_string e.Trace.level)
+                 Json.String (Peering_obs.Event.level_to_string e.Sink.level)
                );
-               ("subsystem", Json.String e.Trace.subsystem);
+               ("subsystem", Json.String e.Sink.subsystem);
                ( "trace",
-                 match e.Trace.span with
+                 match e.Sink.span with
                  | None -> Json.Null
                  | Some c -> Json.Int c.Span.trace );
                ( "span",
-                 match e.Trace.span with
+                 match e.Sink.span with
                  | None -> Json.Null
                  | Some c -> Json.Int c.Span.span );
-               ("message", Json.String (Trace.message e))
+               ("message", Json.String (Sink.message e))
              ]))
-      (Trace.events trace);
+      (Sink.events ());
     Json.Writer.end_arr w;
     Json.Writer.close w;
     close_out oc
   in
   let run seed json events_file =
-    let trace, _prefix = Scenario.run ~seed () in
-    Option.iter (dump_events trace) events_file;
+    let events_oc = Option.map open_out_or_exit events_file in
+    ignore (Scenario.run ~seed);
+    Option.iter dump_events events_oc;
     if json then
       let doc =
         Json.Obj
-          [ ("schema", Json.String "peering-stats/1");
+          [ ("schema", Json.String "peering-stats/2");
             ("seed", Json.Int seed);
-            ( "drops",
-              Json.Obj
-                [ ( "trace_buffer",
-                    Json.Int
-                      (Peering_obs.Metrics.counter_value "sim.trace.dropped")
-                  );
-                  ( "flight_recorder",
-                    Json.Int
-                      (Peering_obs.Metrics.counter_value "obs.flight.dropped")
-                  )
-                ] );
+            ("dropped", Json.Int (Sink.dropped ()));
             ("metrics", Obs_report.to_json ());
             ( "trace",
               Json.Obj
                 (List.map
                    (fun (subsystem, n) -> (subsystem, Json.Int n))
-                   (Trace.count_by_subsystem trace)) )
+                   (Sink.count_by_subsystem ())) )
           ]
       in
       print_endline (Json.to_string ~indent:2 doc)
     else begin
       Printf.printf "trace events by subsystem (%d total, %d dropped):\n"
-        (Trace.count trace) (Trace.dropped trace);
+        (List.length (Sink.events ())) (Sink.dropped ());
       List.iter
         (fun (subsystem, n) -> Printf.printf "  %-24s %d\n" subsystem n)
-        (Trace.count_by_subsystem trace);
-      Printf.printf
-        "capacity drops: trace-buffer %d, flight-recorder %d\n"
-        (Peering_obs.Metrics.counter_value "sim.trace.dropped")
-        (Peering_obs.Metrics.counter_value "obs.flight.dropped");
+        (Sink.count_by_subsystem ());
       print_newline ();
       print_string (Obs_report.render ~include_volatile:true ())
     end
@@ -657,10 +645,9 @@ let trace_cmd =
   let module Json = Peering_obs.Json in
   let module Span = Peering_obs.Span in
   let module Sink = Peering_obs.Sink in
-  let module Trace = Peering_sim.Trace in
   let run seed json =
-    let trace, prefix = Scenario.run ~record_spans:true ~seed () in
-    let spans = Sink.flight_spans () in
+    let prefix = Scenario.run ~seed in
+    let spans = Sink.spans () in
     let by_id = Hashtbl.create 64 in
     let child_tbl = Hashtbl.create 64 in
     List.iter
@@ -684,13 +671,13 @@ let trace_cmd =
     in
     let ev_tbl = Hashtbl.create 64 in
     List.iter
-      (fun (e : Trace.event) ->
-        match e.Trace.span with
+      (fun (e : Sink.event) ->
+        match e.Sink.span with
         | None -> ()
         | Some c ->
           Hashtbl.replace ev_tbl c.Span.span
             (e :: Option.value (Hashtbl.find_opt ev_tbl c.Span.span) ~default:[]))
-      (Trace.events trace);
+      (Sink.events ());
     let events_of sp =
       List.rev
         (Option.value (Hashtbl.find_opt ev_tbl sp.Span.ctx.Span.span)
@@ -737,13 +724,13 @@ let trace_cmd =
       let attrs_json attrs =
         Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) attrs)
       in
-      let event_json (e : Trace.event) =
+      let event_json (e : Sink.event) =
         Json.Obj
-          [ ("time", Json.Float e.Trace.time);
+          [ ("time", Json.Float e.Sink.time);
             ( "level",
-              Json.String (Peering_obs.Event.level_to_string e.Trace.level) );
-            ("subsystem", Json.String e.Trace.subsystem);
-            ("message", Json.String (Trace.message e))
+              Json.String (Peering_obs.Event.level_to_string e.Sink.level) );
+            ("subsystem", Json.String e.Sink.subsystem);
+            ("message", Json.String (Sink.message e))
           ]
       in
       let rec span_json (sp : Span.completed) =
@@ -763,7 +750,7 @@ let trace_cmd =
             ("seed", Json.Int seed);
             ("prefix", Json.String (Prefix.to_string prefix));
             ("spans_recorded", Json.Int (List.length spans));
-            ("spans_dropped", Json.Int (Sink.flight_dropped ()));
+            ("spans_dropped", Json.Int (Sink.dropped ()));
             ("tree_spans", Json.Int tree_size);
             ("tree", span_json root);
             ( "critical_path",
@@ -785,7 +772,7 @@ let trace_cmd =
       Printf.printf "causal trace for announcement of %s (seed %d)\n"
         (Prefix.to_string prefix) seed;
       Printf.printf "%d spans in this tree (%d recorded, %d dropped)\n\n"
-        tree_size (List.length spans) (Sink.flight_dropped ());
+        tree_size (List.length spans) (Sink.dropped ());
       let attrs_str attrs =
         String.concat ""
           (List.map (fun (k, v) -> Printf.sprintf "  %s=%s" k v) attrs)
@@ -795,9 +782,9 @@ let trace_cmd =
           sp.Span.started sp.Span.ended
           (attrs_str sp.Span.attrs);
         List.iter
-          (fun (e : Trace.event) ->
-            Printf.printf "%s  * [%.3f] %s\n" indent e.Trace.time
-              (Trace.message e))
+          (fun (e : Sink.event) ->
+            Printf.printf "%s  * [%.3f] %s\n" indent e.Sink.time
+              (Sink.message e))
           (events_of sp);
         List.iter (print_span (indent ^ "    ")) (children sp)
       in
@@ -1347,11 +1334,6 @@ let portal_cmd =
 
 module Mrt = Peering_measure.Mrt
 
-let write_file_bytes path b =
-  let oc = open_out_bin path in
-  output_bytes oc b;
-  close_out oc
-
 let read_file_bytes path =
   let ic = open_in_bin path in
   let n = in_channel_length ic in
@@ -1382,6 +1364,7 @@ let mrt_dump_cmd =
     Arg.(value & opt (some int) None & info [ "limit" ] ~docv:"N" ~doc)
   in
   let run seed scale out peers updates limit =
+    let oc = open_out_or_exit out in
     let w = Gen.generate (params_of ~seed ~scale) in
     let records = Mrt.table_of_world ~seed ~peers w in
     let records =
@@ -1389,7 +1372,8 @@ let mrt_dump_cmd =
       else records
     in
     let bytes = Mrt.encode records in
-    write_file_bytes out bytes;
+    output_bytes oc bytes;
+    close_out oc;
     (match Mrt.summarize bytes with
     | Ok s -> Format.printf "%a@." Mrt.pp_summary s
     | Error e -> failwith (Mrt.error_to_string e));

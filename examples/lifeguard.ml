@@ -15,7 +15,7 @@ open Peering_core
 module Gen = Peering_topo.Gen
 module Propagation = Peering_topo.Propagation
 module Engine = Peering_sim.Engine
-module Trace = Peering_sim.Trace
+module Sink = Peering_obs.Sink
 module Event = Peering_obs.Event
 
 let () =
@@ -23,8 +23,7 @@ let () =
   let t = Testbed.build () in
   (* Record typed events so the safety layer's rulings can be asserted
      by pattern matching instead of scraping rendered trace text. *)
-  let trace = Trace.create () in
-  Trace.attach trace ~clock:(fun () -> Engine.now (Testbed.engine t));
+  Sink.start ~clock:(fun () -> Engine.now (Testbed.engine t)) ();
   (* Poisoning requires explicit vetting by the advisory board. *)
   let experiment =
     match
@@ -130,12 +129,12 @@ let () =
      safety ruling on our announcements must be an acceptance. *)
   let verdicts =
     List.filter_map
-      (fun (e : Trace.event) ->
-        match e.Trace.ev with
+      (fun (e : Sink.event) ->
+        match e.Sink.ev with
         | Event.Safety_verdict { client = "lifeguard"; prefix = p; verdict }
           when Prefix.equal p prefix -> Some verdict
         | _ -> None)
-      (Trace.events trace)
+      (Sink.events ())
   in
   let rejections =
     List.filter
@@ -149,5 +148,5 @@ let () =
     (List.length rejections);
   assert (verdicts <> []);
   assert (rejections = []);
-  Trace.detach ();
+  Sink.stop ();
   print_endline "done."

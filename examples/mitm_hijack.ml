@@ -17,16 +17,15 @@ open Peering_core
 module Gen = Peering_topo.Gen
 module Propagation = Peering_topo.Propagation
 module Engine = Peering_sim.Engine
-module Trace = Peering_sim.Trace
+module Sink = Peering_obs.Sink
 module Event = Peering_obs.Event
 
 let () =
   print_endline "building testbed...";
   let t = Testbed.build () in
-  (* Typed trace buffer: assertions below pattern-match on the event
+  (* Typed event recorder: assertions below pattern-match on the event
      payloads rather than searching rendered message text. *)
-  let trace = Trace.create () in
-  Trace.attach trace ~clock:(fun () -> Engine.now (Testbed.engine t));
+  Sink.start ~clock:(fun () -> Engine.now (Testbed.engine t)) ();
   let experiment =
     match
       Testbed.new_experiment t ~id:"mitm-victim" ~owner:"security-lab"
@@ -115,19 +114,19 @@ let () =
      injected in the simulated Internet and never produced a verdict. *)
   let victim_accepts, other_verdicts =
     List.fold_left
-      (fun (acc, others) (e : Trace.event) ->
-        match e.Trace.ev with
+      (fun (acc, others) (e : Sink.event) ->
+        match e.Sink.ev with
         | Event.Safety_verdict
             { client = "victim"; prefix = p; verdict = Event.Accepted }
           when Prefix.equal p prefix -> (acc + 1, others)
         | Event.Safety_verdict _ -> (acc, others + 1)
         | _ -> (acc, others))
-      (0, 0) (Trace.events trace)
+      (0, 0) (Sink.events ())
   in
   Printf.printf
     "typed trace: %d acceptances for the victim, %d other safety verdicts\n"
     victim_accepts other_verdicts;
   assert (victim_accepts >= 2) (* one per connected site *);
   assert (other_verdicts = 0);
-  Trace.detach ();
+  Sink.stop ();
   print_endline "done."

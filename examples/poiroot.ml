@@ -15,7 +15,7 @@ open Peering_net
 open Peering_core
 module Gen = Peering_topo.Gen
 module Engine = Peering_sim.Engine
-module Trace = Peering_sim.Trace
+module Sink = Peering_obs.Sink
 module Event = Peering_obs.Event
 
 let paths_from t vantages prefix =
@@ -29,10 +29,9 @@ let paths_from t vantages prefix =
 let () =
   print_endline "building testbed...";
   let t = Testbed.build () in
-  (* Typed trace buffer: the ground-truth announcement is asserted by
+  (* Typed event recorder: the ground-truth announcement is asserted by
      matching event payloads, not by searching rendered text. *)
-  let trace = Trace.create () in
-  Trace.attach trace ~clock:(fun () -> Engine.now (Testbed.engine t));
+  Sink.start ~clock:(fun () -> Engine.now (Testbed.engine t)) ();
   let exp =
     match
       Testbed.new_experiment t ~id:"poiroot" ~owner:"poiroot"
@@ -116,18 +115,18 @@ let () =
      both connected sites and rejected nothing. *)
   let accepted =
     List.filter_map
-      (fun (e : Trace.event) ->
-        match e.Trace.ev with
+      (fun (e : Sink.event) ->
+        match e.Sink.ev with
         | Event.Safety_verdict
             { client = "poiroot"; prefix = p; verdict = Event.Accepted }
-          when Prefix.equal p prefix -> Some e.Trace.time
+          when Prefix.equal p prefix -> Some e.Sink.time
         | Event.Safety_verdict { verdict = Event.Rejected reason; _ } ->
           failwith ("safety layer rejected the controlled announcement: " ^ reason)
         | _ -> None)
-      (Trace.events trace)
+      (Sink.events ())
   in
   Printf.printf "typed trace: controlled announcement accepted %d times\n"
     (List.length accepted);
   assert (List.length accepted >= 2);
-  Trace.detach ();
+  Sink.stop ();
   print_endline "done."

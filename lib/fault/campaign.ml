@@ -352,7 +352,7 @@ let plan_targets plan =
   |> List.rev
 
 let collect_blast ?(plan = []) ~dips () =
-  let spans = Sink.flight_spans () in
+  let spans = Sink.spans () in
   let roots = Blast.roots spans ~name:"fault.inject" in
   let closure = Blast.in_traces spans roots in
   let by_target = Blast.rollup closure ~key:"target" in
@@ -398,15 +398,14 @@ let world_rig w =
     dips
   }
 
-(* The one drill runner. Under a fresh flight recorder, [setup] builds
+(* The one drill runner. Under a fresh recorder, [setup] builds
    the drill's world and rig; then the harness arms [plan], runs
    [body] (drill-specific traffic or faults that are not injector
    targets), and waits until the fault horizon has passed and the rig
    reports recovery. *)
 let drill_harness ~drill ~slo_class ~plan ~fault_horizon ?(extra_timeout = 600.)
     ?(body = fun _ -> ()) setup =
-  Span.reset ();
-  Sink.start_flight_recorder ();
+  Sink.start ();
   let x, rig = setup () in
   let fault_start = Engine.now rig.eng in
   Injector.arm rig.inj plan;
@@ -418,7 +417,7 @@ let drill_harness ~drill ~slo_class ~plan ~fault_horizon ?(extra_timeout = 600.)
         Engine.now rig.eng >= fault_start +. fault_horizon && rig.recovered ())
       ~timeout:(fault_horizon +. extra_timeout)
   in
-  Sink.stop_flight_recorder ();
+  Sink.stop ();
   let recovery_s =
     match settled with Some at -> at -. fault_start | None -> Float.nan
   in

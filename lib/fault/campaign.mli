@@ -13,7 +13,7 @@
     lost} (every prefix's propagation reach, or the wire's tables,
     return exactly to the pre-fault baseline).
 
-    Each drill runs under the span flight recorder: the injected
+    Each drill runs under the {!Peering_obs.Sink} recorder: the injected
     faults root [fault.inject] traces, and the blast radius — which
     sites, clients and prefixes the fault actually touched, and for
     how long — is rolled up from the causal closure of those traces

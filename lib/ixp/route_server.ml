@@ -86,7 +86,7 @@ let announce t ~from (route : Route.t) =
   if not (Asn.Set.mem from t.connected) then
     invalid_arg "Route_server.announce: member not connected";
   (* The route server has no clock of its own; the span leans on the
-     clock Trace.attach installs, and parents itself on whatever span
+     clock Sink.start installs, and parents itself on whatever span
      carried the route here (wire UPDATE, mux export). *)
   Span.with_span "ixp.route_server.fanout"
     ~attrs:

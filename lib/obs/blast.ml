@@ -1,4 +1,4 @@
-(* Pure queries over flight-recorder span dumps; see blast.mli. *)
+(* Pure queries over recorded span dumps; see blast.mli. *)
 
 type entity = {
   value : string;

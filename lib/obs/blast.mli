@@ -4,8 +4,8 @@
     ({!Span}): everything it triggers — mux restart re-exports, wire
     retransmits, recovery events — finishes as spans sharing the
     root's trace id, each carrying structured attributes ([site],
-    [client], [prefix], …). This module turns a flight-recorder dump
-    ({!Sink.flight_spans}) into blast-radius accounting: {e which}
+    [client], [prefix], …). This module turns a recorder dump
+    ({!Sink.spans}) into blast-radius accounting: {e which}
     entities a fault touched and {e for how long}.
 
     Everything here is a pure function of the span list, so reports

@@ -10,7 +10,7 @@
 open Peering_net
 
 type level = Debug | Info | Warn
-(** Severity, mirrored by {!Peering_sim.Trace}. *)
+(** Severity, carried by every {!Sink.event}. *)
 
 type verdict =
   | Accepted
@@ -73,7 +73,7 @@ type t =
 
 val to_string : t -> string
 (** A stable one-line rendering (used by substring search over traces
-    and by {!Peering_sim.Trace}'s pretty-printer). *)
+    and by {!Sink.message}). *)
 
 val label : t -> string
 (** The constructor's short name, e.g. ["session_transition"]; handy

@@ -7,14 +7,14 @@
     client announcement, a wire UPDATE, an injected fault) and opening
     child spans at each stage it passes through (safety verdict, mux
     export, route-server fan-out, tunnel forward). Completed spans are
-    pushed to a recorder (normally {!Sink}'s flight recorder) and
+    pushed to a recorder (normally {!Sink}'s buffer) and
     {!Sink.emit} stamps every trace event with the ambient context, so
     a flat event stream regains its causal tree.
 
     Ids are minted from a deterministic process-wide counter — never
     from a clock or RNG — so two identically-seeded runs produce
-    byte-identical trace artifacts ({!reset} rewinds the counter
-    between runs). Virtual time stands still inside synchronous code,
+    byte-identical trace artifacts ({!reset}, which {!Sink.start}
+    calls, rewinds the counter between runs). Virtual time stands still inside synchronous code,
     so a span only acquires duration when its work crosses the engine's
     event queue (wire latency, tunnel latency); zero-duration spans are
     normal and meaningful (see DESIGN.md §10).
@@ -40,8 +40,7 @@ type completed = {
   ended : float;  (** virtual time the span closed *)
   attrs : (string * string) list;  (** structured attributes, in order added *)
 }
-(** An immutable record of a finished span, as retained by the flight
-    recorder. *)
+(** An immutable record of a finished span, as retained by {!Sink}. *)
 
 type t
 (** An open (in-progress) span. *)
@@ -51,14 +50,13 @@ val enabled : unit -> bool
     this, so a disabled process allocates nothing. *)
 
 val set_enabled : bool -> unit
-(** Turn collection on or off. Normally driven by
-    {!Sink.start_flight_recorder} / {!Sink.stop_flight_recorder}
-    rather than called directly. *)
+(** Turn collection on or off. Normally driven by {!Sink.start} /
+    {!Sink.stop} rather than called directly. *)
 
 val reset : unit -> unit
-(** Rewind the id counter to 1 and clear the ambient context. Call at
-    the start of a seeded run so span ids — and therefore rendered
-    trace artifacts — are identical across identically-seeded runs. *)
+(** Rewind the id counter to 1 and clear the ambient context.
+    {!Sink.start} calls it, so span ids — and therefore rendered trace
+    artifacts — are identical across identically-seeded runs. *)
 
 val start :
   ?parent:context option ->
@@ -111,9 +109,9 @@ val with_span :
 
 val set_clock : (unit -> float) -> unit
 (** Install the virtual clock {!with_span} falls back on.
-    [Peering_sim.Trace.attach] installs the engine clock here, the
-    same one it gives the event sink; the default clock reads 0. *)
+    {!Sink.start} installs its clock here, the same one that stamps
+    events; the default clock reads 0. *)
 
 val set_recorder : (completed -> unit) -> unit
-(** Install the completed-span consumer. {!Sink} installs its flight
-    recorder here at initialisation; tests may substitute their own. *)
+(** Install the completed-span consumer. {!Sink} installs its buffer
+    here at initialisation. *)

@@ -3,12 +3,20 @@
 
 open Peering_obs
 module Engine = Peering_sim.Engine
-module Trace = Peering_sim.Trace
 module Obs_report = Peering_measure.Obs_report
 open Peering_core
 
 let check = Alcotest.check
 let tc = Alcotest.test_case
+
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec go i =
+    if i + nn > nh then false
+    else if String.sub haystack i nn = needle then true
+    else go (i + 1)
+  in
+  go 0
 
 (* ------------------------------------------------------------------ *)
 (* Json *)
@@ -250,12 +258,11 @@ let test_family_hot_path_allocation () =
     (Metrics.counter_value ~registry:r ~labels:[ ("site", "ams") ] "hot.count")
 
 (* ------------------------------------------------------------------ *)
-(* Causal spans: contexts, the flight recorder, ambient stamping,
+(* Causal spans: contexts, the recorder, ambient stamping,
    propagation across the engine's event queue *)
 
 let test_span_contexts () =
-  Span.reset ();
-  Sink.start_flight_recorder ();
+  Sink.start ();
   let root = Span.start ~time:0.0 "root" in
   let child =
     Span.with_current
@@ -270,20 +277,19 @@ let test_span_contexts () =
     (Some rc.Span.span) cc.Span.parent;
   Span.finish child ~time:1.0;
   Span.finish root ~time:2.0 ~attrs:[ ("done", "yes") ];
-  (match Sink.flight_spans () with
+  (match Sink.spans () with
   | [ c; r ] ->
     check Alcotest.string "finish order" "child" c.Span.name;
     check Alcotest.string "root finished last" "root" r.Span.name;
     check Alcotest.(float 1e-9) "duration recorded" 2.0 r.Span.ended;
     check Alcotest.bool "finish-time attrs merged" true
       (List.mem_assoc "done" r.Span.attrs)
-  | _ -> Alcotest.fail "flight recorder shape");
-  Sink.stop_flight_recorder ();
-  Sink.clear_flight_recorder ()
+  | _ -> Alcotest.fail "recorder shape");
+  Sink.stop ();
+  Sink.clear ()
 
 let test_flight_recorder_drops () =
-  Span.reset ();
-  Sink.start_flight_recorder ~capacity:2 ();
+  Sink.start ~capacity:2 ();
   List.iter
     (fun name ->
       let sp = Span.start ~time:0.0 name in
@@ -291,44 +297,39 @@ let test_flight_recorder_drops () =
       (* finishing again is a no-op, not a duplicate record *)
       Span.finish sp ~time:9.0)
     [ "a"; "b"; "c" ];
-  check Alcotest.int "capacity bound holds" 2 (Sink.flight_count ());
-  check Alcotest.int "drop accounted" 1 (Sink.flight_dropped ());
-  (match Sink.flight_spans () with
+  check Alcotest.int "capacity bound holds" 2 (List.length (Sink.spans ()));
+  check Alcotest.int "drop accounted" 1 (Sink.dropped ());
+  (match Sink.spans () with
   | [ b; c ] ->
     check Alcotest.string "oldest dropped" "b" b.Span.name;
     check Alcotest.string "newest kept" "c" c.Span.name;
     check Alcotest.(float 1e-9) "idempotent finish kept first end time" 1.0
       c.Span.ended
-  | _ -> Alcotest.fail "flight recorder shape");
-  Sink.stop_flight_recorder ();
-  Sink.clear_flight_recorder ()
+  | _ -> Alcotest.fail "recorder shape");
+  Sink.stop ();
+  Sink.clear ()
 
 let test_emit_ambient_stamp () =
-  Span.reset ();
-  Span.set_enabled true;
-  let tr = Trace.create () in
-  Trace.attach tr ~clock:(fun () -> 0.0);
+  Sink.start ();
   let sp = Span.start ~time:0.0 "ambient" in
   Span.with_current
     (Some (Span.context sp))
     (fun () -> Sink.emit ~subsystem:"t" (Event.Ad_hoc "stamped"));
   Sink.emit ~subsystem:"t" (Event.Ad_hoc "unstamped");
   Span.finish sp ~time:1.0;
-  Trace.detach ();
-  Span.set_enabled false;
-  match Trace.events tr with
+  Sink.stop ();
+  match Sink.events () with
   | [ a; b ] ->
-    (match a.Trace.span with
+    (match a.Sink.span with
     | Some c ->
       check Alcotest.int "stamped with the ambient span"
         (Span.context sp).Span.span c.Span.span
     | None -> Alcotest.fail "event missing its span stamp");
-    check Alcotest.bool "no ambient, no stamp" true (b.Trace.span = None)
+    check Alcotest.bool "no ambient, no stamp" true (b.Sink.span = None)
   | _ -> Alcotest.fail "event shape"
 
 let test_engine_span_capture () =
-  Span.reset ();
-  Span.set_enabled true;
+  Sink.start ();
   let engine = Engine.create () in
   let seen = ref None in
   let sp = Span.start ~time:0.0 "cause" in
@@ -339,7 +340,7 @@ let test_engine_span_capture () =
   Span.finish sp ~time:0.0;
   Engine.schedule engine ~delay:2.0 (fun () -> ());
   Engine.run_for engine 5.0;
-  Span.set_enabled false;
+  Sink.stop ();
   match !seen with
   | Some c ->
     check Alcotest.int "callback ran under the scheduling span"
@@ -350,8 +351,7 @@ let test_engine_span_capture () =
    names, parents, times and attributes. *)
 let span_fingerprint () =
   Metrics.reset ();
-  Span.reset ();
-  Sink.start_flight_recorder ();
+  Sink.start ();
   let params =
     { Testbed.default_params with
       Testbed.world =
@@ -374,7 +374,7 @@ let span_fingerprint () =
   let prefix = List.hd experiment.Experiment.prefixes in
   ignore (Client.announce client prefix);
   Client.withdraw client prefix;
-  Sink.stop_flight_recorder ();
+  Sink.stop ();
   let fp =
     String.concat "\n"
       (List.map
@@ -387,9 +387,9 @@ let span_fingerprint () =
              sp.Span.name sp.Span.started sp.Span.ended
              (String.concat ","
                 (List.map (fun (k, v) -> k ^ "=" ^ v) sp.Span.attrs)))
-         (Sink.flight_spans ()))
+         (Sink.spans ()))
   in
-  Sink.clear_flight_recorder ();
+  Sink.clear ();
   fp
 
 let test_span_tree_determinism () =
@@ -399,11 +399,13 @@ let test_span_tree_determinism () =
   check Alcotest.bool "non-trivial" true (String.length a > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Events through the sink into a trace *)
+(* Events and spans in the one recorder *)
+
+let ad_hoc ?(level = Event.Info) ~time ~subsystem msg =
+  Sink.emit ~time ~level ~subsystem (Event.Ad_hoc msg)
 
 let test_sink_trace () =
-  let tr = Trace.create () in
-  Trace.attach tr ~clock:(fun () -> 42.0);
+  Sink.start ~clock:(fun () -> 42.0) ();
   Sink.emit ~subsystem:"test"
     (Event.Session_transition
        { peer = "65001"; from_state = "OpenConfirm"; to_state = "Established" });
@@ -413,22 +415,117 @@ let test_sink_trace () =
          prefix = Peering_net.Prefix.of_string_exn "8.8.8.0/24";
          verdict = Event.Rejected "hijack"
        });
-  Trace.detach ();
-  Sink.emit ~subsystem:"test" (Event.Ad_hoc "after detach: dropped");
-  check Alcotest.int "two events captured" 2 (Trace.count tr);
-  (match Trace.events tr with
+  Sink.stop ();
+  Sink.emit ~subsystem:"test" (Event.Ad_hoc "after stop: dropped");
+  let events = Sink.events () in
+  check Alcotest.int "two events captured" 2 (List.length events);
+  (match events with
   | [ a; b ] ->
-    check Alcotest.(float 1e-9) "clock fallback" 42.0 a.Trace.time;
-    check Alcotest.(float 1e-9) "explicit time" 1.5 b.Trace.time;
-    (match a.Trace.ev with
+    check Alcotest.(float 1e-9) "clock fallback" 42.0 a.Sink.time;
+    check Alcotest.(float 1e-9) "explicit time" 1.5 b.Sink.time;
+    (match a.Sink.ev with
     | Event.Session_transition { to_state; _ } ->
       check Alcotest.string "typed payload" "Established" to_state
     | _ -> Alcotest.fail "wrong event payload");
     check Alcotest.bool "rendered message mentions verdict" true
-      (Trace.find tr ~contains:"hijack" () <> [])
+      (contains (Sink.message b) "hijack")
   | _ -> Alcotest.fail "event shape");
   check Alcotest.int "count_by_subsystem" 2
-    (List.length (Trace.count_by_subsystem tr))
+    (List.length (Sink.count_by_subsystem ()))
+
+let test_trace_roundtrip () =
+  Sink.start ();
+  ad_hoc ~time:1.0 ~subsystem:"bgp" "session up";
+  ad_hoc ~time:2.0 ~level:Event.Warn ~subsystem:"safety" "hijack blocked";
+  Sink.stop ();
+  let events = Sink.events () in
+  let where ?subsystem ?needle () =
+    List.length
+      (List.filter
+         (fun (e : Sink.event) ->
+           Option.fold ~none:true ~some:(String.equal e.Sink.subsystem) subsystem
+           && Option.fold ~none:true ~some:(contains (Sink.message e)) needle)
+         events)
+  in
+  check Alcotest.int "count" 2 (List.length events);
+  check Alcotest.int "filter subsystem" 1 (where ~subsystem:"bgp" ());
+  check Alcotest.int "filter contains" 1 (where ~needle:"hijack" ());
+  check Alcotest.int "filter both" 0
+    (where ~subsystem:"bgp" ~needle:"hijack" ())
+
+let test_trace_capacity () =
+  Sink.start ~capacity:10 ();
+  for i = 1 to 25 do
+    ad_hoc ~time:(float_of_int i) ~level:Event.Debug ~subsystem:"x"
+      (string_of_int i)
+  done;
+  Sink.stop ();
+  check Alcotest.int "bounded" 10 (List.length (Sink.events ()));
+  check Alcotest.int "dropped" 15 (Sink.dropped ());
+  match Sink.events () with
+  | e :: _ -> check Alcotest.string "oldest retained" "16" (Sink.message e)
+  | [] -> Alcotest.fail "no events"
+
+(* Events and spans share one capacity: eviction is oldest-first across
+   both kinds and each eviction is counted once. *)
+let test_shared_capacity () =
+  Metrics.reset ();
+  Sink.start ~capacity:3 ();
+  let span name = Span.finish (Span.start ~time:0.0 name) ~time:1.0 in
+  ad_hoc ~time:0.0 ~subsystem:"t" "e1";
+  span "a";
+  ad_hoc ~time:0.0 ~subsystem:"t" "e2";
+  span "b";
+  ad_hoc ~time:0.0 ~subsystem:"t" "e3";
+  Sink.stop ();
+  check Alcotest.(list string) "oldest events evicted" [ "e2"; "e3" ]
+    (List.map Sink.message (Sink.events ()));
+  check Alcotest.(list string) "oldest span evicted" [ "b" ]
+    (List.map (fun (sp : Span.completed) -> sp.Span.name) (Sink.spans ()));
+  check Alcotest.int "dropped counted once" 2 (Sink.dropped ());
+  check Alcotest.int "obs.recorder.dropped row" 2
+    (Metrics.counter_value "obs.recorder.dropped")
+
+let test_off_after_stop () =
+  Sink.start ();
+  let late = Span.start ~time:0.0 "late" in
+  Sink.stop ();
+  check Alcotest.bool "inactive after stop" false (Sink.active ());
+  Sink.emit ~subsystem:"t" (Event.Ad_hoc "after stop");
+  Span.finish late ~time:1.0;
+  Span.with_span "after" (fun () -> ());
+  check Alcotest.int "no events after stop" 0 (List.length (Sink.events ()));
+  check Alcotest.int "no spans after stop" 0 (List.length (Sink.spans ()))
+
+let test_start_clears () =
+  Sink.start ~capacity:1 ();
+  ad_hoc ~time:0.0 ~subsystem:"t" "old";
+  Span.with_span "old" (fun () -> ());
+  check Alcotest.int "previous run dropped one" 1 (Sink.dropped ());
+  Sink.start ();
+  check Alcotest.int "events cleared" 0 (List.length (Sink.events ()));
+  check Alcotest.int "spans cleared" 0 (List.length (Sink.spans ()));
+  check Alcotest.int "drops cleared" 0 (Sink.dropped ());
+  let sp = Span.start ~time:0.0 "fresh" in
+  check Alcotest.int "span ids rewound" 1 (Span.context sp).Span.span;
+  Sink.stop ()
+
+(* [start ~clock] stamps clock-less events and spans; a later [start]
+   without a clock does not inherit it. *)
+let test_start_clock () =
+  let stamps () =
+    Sink.emit ~subsystem:"t" (Event.Ad_hoc "clockless");
+    Span.with_span "clockless" (fun () -> ());
+    Sink.stop ();
+    match (Sink.events (), Sink.spans ()) with
+    | [ e ], [ sp ] -> (e.Sink.time, sp.Span.started, sp.Span.ended)
+    | _ -> Alcotest.fail "recorder shape"
+  in
+  let stamp = Alcotest.(triple (float 0.0) (float 0.0) (float 0.0)) in
+  Sink.start ~clock:(fun () -> 7.0) ();
+  check stamp "stamped by the start clock" (7.0, 7.0, 7.0) (stamps ());
+  Sink.start ();
+  check stamp "default clock reads 0" (0.0, 0.0, 0.0) (stamps ())
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: identical seeded runs produce identical snapshots *)
@@ -469,15 +566,6 @@ let test_snapshot_determinism () =
 
 (* ------------------------------------------------------------------ *)
 (* Obs_report rendering *)
-
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i =
-    if i + nn > nh then false
-    else if String.sub haystack i nn = needle then true
-    else go (i + 1)
-  in
-  go 0
 
 let test_obs_report () =
   let r = Metrics.create () in
@@ -593,32 +681,19 @@ let prop_quantile_add_bounds =
 
 let test_drop_rows () =
   Metrics.reset ();
-  (* trace buffer: capacity 2, five events -> three drops *)
-  let tr = Trace.create ~capacity:2 () in
-  for i = 1 to 5 do
-    Trace.record tr ~time:(float_of_int i) ~level:Event.Info ~subsystem:"t"
-      (Printf.sprintf "ev %d" i)
+  (* capacity 2, three events and two spans -> three drops *)
+  Sink.start ~capacity:2 ();
+  for i = 1 to 3 do
+    ad_hoc ~time:(float_of_int i) ~subsystem:"t" (Printf.sprintf "ev %d" i)
   done;
-  check Alcotest.int "trace buffer dropped" 3 (Trace.dropped tr);
-  check Alcotest.int "sim.trace.dropped row" 3
-    (Metrics.counter_value "sim.trace.dropped");
-  (* flight recorder: capacity 1, two spans -> one drop *)
-  Span.reset ();
-  Sink.start_flight_recorder ~capacity:1 ();
-  List.iter
-    (fun name ->
-      let sp = Span.start ~time:0.0 name in
-      Span.finish sp ~time:1.0)
-    [ "a"; "b" ];
-  Sink.stop_flight_recorder ();
-  Sink.clear_flight_recorder ();
-  check Alcotest.int "obs.flight.dropped row" 1
-    (Metrics.counter_value "obs.flight.dropped");
+  List.iter (fun name -> Span.with_span name (fun () -> ())) [ "a"; "b" ];
+  Sink.stop ();
+  Sink.clear ();
+  check Alcotest.int "obs.recorder.dropped row" 3
+    (Metrics.counter_value "obs.recorder.dropped");
   let txt = Obs_report.render ~include_volatile:true () in
-  check Alcotest.bool "stats text carries the trace drop row" true
-    (contains txt "sim.trace.dropped");
-  check Alcotest.bool "stats text carries the flight drop row" true
-    (contains txt "obs.flight.dropped")
+  check Alcotest.bool "stats text carries the recorder drop row" true
+    (contains txt "obs.recorder.dropped")
 
 let () =
   Alcotest.run "obs"
@@ -644,6 +719,16 @@ let () =
           tc "tree determinism" `Slow test_span_tree_determinism
         ] );
       ("events", [ tc "sink to trace" `Quick test_sink_trace ]);
+      ( "trace",
+        [ tc "roundtrip" `Quick test_trace_roundtrip;
+          tc "capacity" `Quick test_trace_capacity
+        ] );
+      ( "recorder",
+        [ tc "shared capacity" `Quick test_shared_capacity;
+          tc "off after stop" `Quick test_off_after_stop;
+          tc "start clears" `Quick test_start_clears;
+          tc "start clock" `Quick test_start_clock
+        ] );
       ( "window",
         [ tc "series ring" `Quick test_window_series;
           tc "quantiles + slo" `Quick test_window_quantiles;

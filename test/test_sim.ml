@@ -194,33 +194,6 @@ let test_rng_distributions () =
   check Alcotest.bool "pareto floor" true (List.for_all (fun x -> x >= 2.0) ps);
   check Alcotest.bool "pareto tail" true (List.exists (fun x -> x > 20.0) ps)
 
-(* ------------------------------------------------------------------ *)
-(* Trace *)
-
-let test_trace_roundtrip () =
-  let tr = Trace.create () in
-  Trace.record tr ~time:1.0 ~level:Trace.Info ~subsystem:"bgp" "session up";
-  Trace.record tr ~time:2.0 ~level:Trace.Warn ~subsystem:"safety" "hijack blocked";
-  check Alcotest.int "count" 2 (Trace.count tr);
-  check Alcotest.int "filter subsystem" 1
-    (List.length (Trace.find tr ~subsystem:"bgp" ()));
-  check Alcotest.int "filter contains" 1
-    (List.length (Trace.find tr ~contains:"hijack" ()));
-  check Alcotest.int "filter both" 0
-    (List.length (Trace.find tr ~subsystem:"bgp" ~contains:"hijack" ()))
-
-let test_trace_capacity () =
-  let tr = Trace.create ~capacity:10 () in
-  for i = 1 to 25 do
-    Trace.record tr ~time:(float_of_int i) ~level:Trace.Debug ~subsystem:"x"
-      (string_of_int i)
-  done;
-  check Alcotest.int "bounded" 10 (Trace.count tr);
-  check Alcotest.int "dropped" 15 (Trace.dropped tr);
-  match Trace.events tr with
-  | e :: _ -> check Alcotest.string "oldest retained" "16" (Trace.message e)
-  | [] -> Alcotest.fail "no events"
-
 let () =
   Alcotest.run "sim"
     [ ( "rng",
@@ -245,9 +218,5 @@ let () =
           tc "past rejected" `Quick test_engine_past_rejected;
           tc "max events" `Quick test_engine_max_events;
           tc "distributions" `Quick test_rng_distributions
-        ] );
-      ( "trace",
-        [ tc "roundtrip" `Quick test_trace_roundtrip;
-          tc "capacity" `Quick test_trace_capacity
         ] )
     ]
