@@ -112,32 +112,27 @@ let rov_deny t =
              ~origin:(Some (perceived_origin t ann))
            = Peering_bgp.Rpki.Invalid)
 
-let repropagate t prefix =
-  match Prefix.Map.find_opt prefix t.active with
-  | None | Some [] ->
-    t.results <- Prefix.Map.remove prefix t.results;
-    t.active <- Prefix.Map.remove prefix t.active
-  | Some anns ->
-    let anns = List.map (fun a -> a.ann) anns in
-    let result =
-      match t.leaks with
-      | [] ->
-        Propagation.propagate ?deny:(rov_deny t) ~down:t.down (graph t) anns
-      | leaks ->
-        (* Active route leaks break valley-freeness, so the general
-           fixpoint engine takes over until the leaks are cleared. *)
-        let leak u v =
-          List.exists
-            (fun (a, b) -> Asn.equal a u && Asn.equal b v)
-            leaks
-        in
-        Propagation.propagate_general ?deny:(rov_deny t) ~down:t.down ~leak
-          (graph t) anns
-    in
-    t.results <- Prefix.Map.add prefix result t.results
+(* Rebuild the table of [prefix], whose active list is [active]. *)
+let repropagate t prefix active =
+  let anns = List.map (fun a -> a.ann) active in
+  let result =
+    match t.leaks with
+    | [] ->
+      Propagation.propagate ?deny:(rov_deny t) ~down:t.down (graph t) anns
+    | leaks ->
+      (* Active route leaks break valley-freeness, so the general
+         fixpoint engine takes over until the leaks are cleared. *)
+      let leak u v =
+        List.exists
+          (fun (a, b) -> Asn.equal a u && Asn.equal b v)
+          leaks
+      in
+      Propagation.propagate_general ?deny:(rov_deny t) ~down:t.down ~leak
+        (graph t) anns
+  in
+  t.results <- Prefix.Map.add prefix result t.results
 
-let repropagate_all t =
-  Prefix.Map.iter (fun prefix _ -> repropagate t prefix) t.active
+let repropagate_all t = Prefix.Map.iter (repropagate t) t.active
 
 (* Flipping one AS changes few table entries, so while the world is
    valley-free each table is repaired in place rather than rebuilt;
@@ -199,22 +194,43 @@ let source_matches a b =
   | External x, External y -> Asn.equal x y
   | From_site _, External _ | External _, From_site _ -> false
 
-let remove_active t prefix src =
-  let anns = Option.value (Prefix.Map.find_opt prefix t.active) ~default:[] in
-  let anns = List.filter (fun a -> not (source_matches a.src src)) anns in
-  t.active <-
-    (if anns = [] then Prefix.Map.remove prefix t.active
-     else Prefix.Map.add prefix anns t.active);
-  repropagate t prefix
+(* The prefix's announcement list went from [before] to [after], both
+   non-empty: while the world is valley-free its table is repaired in
+   place; with leaks active it is rebuilt. *)
+let update_active t prefix before after =
+  t.active <- Prefix.Map.add prefix after t.active;
+  match (t.leaks, Prefix.Map.find_opt prefix t.results) with
+  | [], Some result ->
+    let anns l = List.map (fun a -> a.ann) l in
+    Propagation.update ?deny:(rov_deny t) ~down:t.down (graph t)
+      ~before:(anns before) ~after:(anns after) result
+  | _ -> repropagate t prefix after
 
+let remove_active t prefix src =
+  match Prefix.Map.find_opt prefix t.active with
+  | None -> ()
+  | Some before -> (
+    match List.filter (fun a -> not (source_matches a.src src)) before with
+    | [] ->
+      t.active <- Prefix.Map.remove prefix t.active;
+      t.results <- Prefix.Map.remove prefix t.results
+    | after -> update_active t prefix before after)
+
+(* A source keeps its slot while it stays active: a re-export replaces
+   its entry in place, so no other announcement's index moves. *)
 let add_active t prefix src ann =
-  let anns = Option.value (Prefix.Map.find_opt prefix t.active) ~default:[] in
-  let anns =
-    List.filter (fun a -> not (source_matches a.src src)) anns
-    @ [ { src; ann } ]
-  in
-  t.active <- Prefix.Map.add prefix anns t.active;
-  repropagate t prefix
+  let entry = { src; ann } in
+  match Prefix.Map.find_opt prefix t.active with
+  | None ->
+    t.active <- Prefix.Map.add prefix [ entry ] t.active;
+    repropagate t prefix [ entry ]
+  | Some before ->
+    let after =
+      if List.exists (fun a -> source_matches a.src src) before then
+        List.map (fun a -> if source_matches a.src src then entry else a) before
+      else before @ [ entry ]
+    in
+    update_active t prefix before after
 
 let handle_export t site_name site_asn event =
   match event with

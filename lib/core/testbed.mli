@@ -83,9 +83,21 @@ val connect_client : t -> Client.t -> sites:string list -> unit
 
 val result_for : t -> Prefix.t -> Propagation.result option
 (** Latest propagation result for an announced prefix. The testbed owns
-    the result and {!set_down} repairs it in place, so it reflects the
-    testbed's state when it is read, not when it was fetched: read it
-    right away, or snapshot it with {!Propagation.table}. *)
+    the result, and {!set_down} and every announcement change repair it
+    in place, so it reflects the testbed's state when it is read, not
+    when it was fetched: read it right away, or snapshot it with
+    {!Propagation.table}.
+
+    Each prefix holds one announcement list, with one slot per source:
+    a (site, client) export or an {!inject_external} origin. A route's
+    [ann_index] names its slot. A source keeps its slot while it stays
+    active: a re-export (a re-announce, or a mux restart re-issuing its
+    announcements) replaces the entry in place, a new source appends
+    one, and a withdraw removes the source's slot, shifting the later
+    slots down by one. While no leak is active each change is repaired
+    with {!Propagation.update}, in time proportional to the routes that
+    change; the first announcement of a prefix builds its table with
+    {!Propagation.propagate}, and the last withdraw drops it. *)
 
 val route_from : t -> Asn.t -> Prefix.t -> Propagation.route option
 val reach_count : t -> Prefix.t -> int

@@ -13,11 +13,13 @@
     is the unique stable state, so {!repair} — a worklist that
     re-selects each dirty AS's best offer — reaches the same table from
     any starting point. It updates a table in place after ASes fail or
-    recover, touching only what changes. The differential harness
-    ([test/test_propagation_diff.ml]) holds the two algorithms to the
-    same tables, with {!repair} run both from live tables and from the
-    empty one. {!propagate_general} drops the phase structure for
-    worlds that are not valley-free.
+    recover, and {!update} drives it after an announcement changes,
+    touching only what changes. The differential harness
+    ([test/test_propagation_diff.ml]) holds the algorithms to the same
+    tables, with {!repair} run from live tables and from the empty one
+    and {!update} run along seeded announcement deltas.
+    {!propagate_general} drops the phase structure for worlds that are
+    not valley-free.
 
     This engine is what stands in for "the live Internet" reacting to
     PEERING announcements: route injection, selective announcements,
@@ -99,7 +101,16 @@ val propagate :
     still pass it. Records [topo.propagation.offers] (one per
     candidate reaching an up, loop-free importer, before [deny]) and
     [topo.propagation.adoptions] (one per table write, origins
-    excluded). *)
+    excluded).
+
+    Known defect: an AS keeps a route a neighbour has dropped when it
+    [deny]s the announcement that neighbour switched to, because the
+    neighbour's new offer never displaces the old import. A [deny]
+    that looks at the announcement (ROV refusing one origin of several)
+    can therefore leave stale routes that {!repair} and {!update},
+    which re-select from the neighbours' current routes, do not keep.
+    A [deny] that refuses every announcement at an AS is exact. See
+    ROADMAP.md. *)
 
 val propagate_seq :
   ?deny:(Asn.t -> announcement -> bool) ->
@@ -176,7 +187,49 @@ val repair :
     [topo.propagation.reselects] (one per re-selected AS) and none of
     {!propagate}'s counters, so [Testbed.set_down], which repairs
     instead of re-propagating while no leak is active, ticks neither
-    [topo.propagation.offers] nor [topo.propagation.adoptions]. *)
+    [topo.propagation.offers] nor [topo.propagation.adoptions].
+
+    A route whose [ann_index] lies past the end of [anns] is treated
+    as withdrawn: it is never offered to a neighbour and never kept by
+    a re-selection. {!update} relies on this when it removes a slot. *)
+
+val update :
+  ?deny:(Asn.t -> announcement -> bool) ->
+  down:Asn.Set.t ->
+  As_graph.t ->
+  before:announcement list ->
+  after:announcement list ->
+  result ->
+  unit
+(** [update ?deny ~down graph ~before ~after prev] turns [prev], the
+    valley-free table for the announcement list [before], in place into
+    the table [propagate ?deny ~down graph after] would build. [after]
+    must be [before] with one of three deltas:
+    - some slots replaced (an announcement at index [i] swapped for
+      another with the same prefix), the rest equal;
+    - one announcement appended;
+    - one slot removed, the slots above it shifting down by one.
+
+    Anything else raises [Invalid_argument], as does a replacement that
+    changes a slot's prefix. Announcements compare field by field, and
+    [export_to] sets by content. [deny] must give the same verdict to
+    two announcements that differ only in [export_to].
+
+    It runs {!repair} seeded with the ASes the delta can unsettle: for
+    a replaced slot, the old and new origins plus, when [export_to]
+    changed, the symmetric difference of the old and new export sets
+    ([None] standing for all of the origin's neighbours); for an
+    appended announcement, its origin; for a removed slot, its origin,
+    after one pass over the table moves the removed slot's routes past
+    the end of [after] (withdrawn, see {!repair}) and shifts the
+    indices above it down. Every other AS is still stable: a changed
+    origin route or suffix changes every path derived from the slot,
+    so [repair]'s notify cascade re-selects every holder and every
+    neighbour the new offers reach, and [better] compares [ann_index]
+    only between equal paths, which meet only at their common origin.
+    The cost is proportional to the routes that change (plus the table
+    for a removal below the last slot), not to the table. An unchanged
+    list does nothing. Records {!repair}'s counters. *)
 
 val route_at : result -> Asn.t -> route option
 (** The route the AS selected, [None] if unreachable. *)

@@ -805,6 +805,167 @@ let test_set_down_repair_matches_recompute () =
   Testbed.set_down t tier1 false;
   matches_recompute "grown graph restored" clear
 
+(* A mux restart re-exports every surviving announcement. Each source
+   keeps its slot in the prefix's announcement list, so the restart
+   leaves every table — announcement indices included — and every
+   catchment exactly as it was: index 0 still names the first site's
+   announcement. *)
+let test_restart_keeps_slots () =
+  let t = Testbed.build ~params:small_params () in
+  let exp =
+    match Testbed.new_experiment t ~id:"slots" () with
+    | Ok e -> e
+    | Error e -> Alcotest.fail e
+  in
+  let client = Client.create ~id:"c-slots" ~experiment:exp () in
+  Testbed.connect_client t client
+    ~sites:(List.map Testbed.site_name (Testbed.sites t));
+  let p = List.hd exp.Experiment.prefixes in
+  ignore (Client.announce client p);
+  let snapshot () =
+    match Testbed.result_for t p with
+    | Some r ->
+      (Peering_topo.Propagation.table r, Peering_topo.Propagation.catchment r)
+    | None -> Alcotest.fail "no table for the announced prefix"
+  in
+  let table0, catchment0 = snapshot () in
+  check Alcotest.int "one slot per site" (List.length (Testbed.sites t))
+    (List.length catchment0);
+  let mux = Testbed.site_server (Testbed.site_exn t "amsterdam01") in
+  Server.crash mux;
+  Server.restart mux;
+  let table1, catchment1 = snapshot () in
+  check Alcotest.(list (pair int int)) "catchment unchanged" catchment0
+    catchment1;
+  check Alcotest.bool "table unchanged, ann_index included" true
+    (table0 = table1)
+
+(* Every announcement change — a re-announce with other peers or
+   another poisoned suffix, a withdraw at one site, an external
+   injection and its retraction (also from an AS outside the graph),
+   two clients of one experiment at one site — repairs the prefix's
+   table in place. After each step every
+   table must equal a forced rebuild (clear_rov / set_rov rebuild them
+   all), with ROV on, with a site node down and with a transit AS
+   down. *)
+let test_announce_repair_matches_rebuild () =
+  let t = Testbed.build ~params:small_params () in
+  let w = Testbed.world t in
+  let g = Testbed.graph t in
+  let sites = List.map Testbed.site_name (Testbed.sites t) in
+  let prefixes = ref [] in
+  let snapshot () =
+    List.map
+      (fun p ->
+        match Testbed.result_for t p with
+        | Some r -> Peering_topo.Propagation.table r
+        | None -> [])
+      !prefixes
+  in
+  let accepted what outcomes =
+    List.iter
+      (fun (site, r) ->
+        match r with
+        | Ok () -> ()
+        | Error e ->
+          Alcotest.failf "%s: %s refused: %s" what site
+            (Safety.reason_to_string e))
+      outcomes
+  in
+  let gatech_provider = List.hd (Testbed.peers_at t "gatech01") in
+  let attacker = List.nth w.Gen.small_transit 2 in
+  let outsider = asn 64_999 in
+  check Alcotest.bool "outsider not in the graph" false
+    (Peering_topo.As_graph.mem g outsider);
+  let peers = Testbed.all_peers t in
+  let half k = List.filteri (fun i _ -> i mod 2 = k) peers in
+  let adopters =
+    Asn.Set.of_list
+      (List.filteri (fun i _ -> i mod 2 = 0) (Peering_topo.As_graph.ases g))
+  in
+  let rov = ref None in
+  let rebuild () =
+    match !rov with
+    | None -> Testbed.clear_rov t
+    | Some roas -> Testbed.set_rov t ~roas ~adopters
+  in
+  let run_script name =
+    let exp =
+      match
+        Testbed.new_experiment t ~id:("repair-" ^ name) ~may_poison:true ()
+      with
+      | Ok e -> e
+      | Error e -> Alcotest.fail e
+    in
+    let c1 = Client.create ~id:("c1-" ^ name) ~experiment:exp () in
+    let c2 = Client.create ~id:("c2-" ^ name) ~experiment:exp () in
+    Testbed.connect_client t c1 ~sites;
+    Testbed.connect_client t c2 ~sites:[ "gatech01" ];
+    let p = List.hd exp.Experiment.prefixes in
+    prefixes := p :: !prefixes;
+    let step what f =
+      f ();
+      let what = Printf.sprintf "%s: %s" name what in
+      let repaired = snapshot () in
+      rebuild ();
+      check Alcotest.bool (what ^ ": repaired tables = rebuilt") true
+        (repaired = snapshot ())
+    in
+    step "announce everywhere" (fun () ->
+        accepted "announce" (Client.announce c1 p));
+    step "re-announce to half the peers" (fun () ->
+        accepted "half" (Client.announce c1 ~peers:(half 0) p));
+    step "re-announce poisoned" (fun () ->
+        accepted "poison"
+          (Client.announce c1 ~path_suffix:[ gatech_provider ] p));
+    step "re-announce to the other half" (fun () ->
+        accepted "other half" (Client.announce c1 ~peers:(half 1) p));
+    step "external injection" (fun () ->
+        Testbed.inject_external t ~origin:attacker p);
+    step "withdraw at phoenix01" (fun () ->
+        Client.withdraw c1 ~servers:[ "phoenix01" ] p);
+    step "second client at gatech01 ties at the origin" (fun () ->
+        accepted "second client" (Client.announce c2 p));
+    step "external retraction" (fun () ->
+        Testbed.retract_external t ~origin:attacker p);
+    step "injection from outside the graph" (fun () ->
+        Testbed.inject_external t ~origin:outsider p);
+    step "re-injection from outside the graph" (fun () ->
+        Testbed.inject_external t ~origin:outsider ~path_suffix:[ attacker ] p);
+    step "retraction from outside the graph" (fun () ->
+        Testbed.retract_external t ~origin:outsider p);
+    step "second client poisons" (fun () ->
+        accepted "second poison"
+          (Client.announce c2 ~path_suffix:[ gatech_provider ] p));
+    step "second client withdraws" (fun () -> Client.withdraw c2 p);
+    step "withdraw everywhere" (fun () -> Client.withdraw c1 p);
+    check Alcotest.bool (name ^ ": table dropped") true
+      (Testbed.result_for t p = None);
+    step "announce again" (fun () ->
+        accepted "again" (Client.announce c2 ~peers:(half 0) p))
+  in
+  run_script "plain";
+  rov :=
+    Some
+      (Peering_bgp.Rpki.add_roa Peering_bgp.Rpki.empty ~max_length:24
+         ~prefix:Testbed.peering_supply Testbed.peering_asn);
+  rebuild ();
+  run_script "rov";
+  rov := None;
+  rebuild ();
+  let phoenix = Testbed.site_asn (Testbed.site_exn t "phoenix01") in
+  Testbed.set_down t phoenix true;
+  run_script "site-down";
+  Testbed.set_down t phoenix false;
+  let transit = List.hd w.Gen.large_transit in
+  Testbed.set_down t transit true;
+  run_script "transit-down";
+  Testbed.set_down t transit false;
+  let repaired = snapshot () in
+  rebuild ();
+  check Alcotest.bool "all restored: repaired tables = rebuilt" true
+    (repaired = snapshot ())
+
 let test_route_server_to_mux_integration () =
   (* Control-plane path the AMS-IX deployment uses: members announce to
      the IXP route server; the server's deliveries feed the PEERING
@@ -1455,6 +1616,9 @@ let () =
         [ tc "remote peering" `Quick test_remote_peering;
           tc "set_down repair = recompute" `Quick
             test_set_down_repair_matches_recompute;
+          tc "restart keeps announcement slots" `Quick test_restart_keeps_slots;
+          tc "announce repair = rebuild" `Quick
+            test_announce_repair_matches_rebuild;
           tc "route server to mux" `Quick test_route_server_to_mux_integration;
           tc "monitoring" `Quick test_monitoring;
           tc "beacon" `Quick test_beacon_schedule;

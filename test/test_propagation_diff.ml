@@ -8,7 +8,8 @@
    every seed and world size, including runs exercising [?deny],
    [?export_to], [~down], multi-origin anycast and path poisoning.
    Repair is also held to propagate's tables along seeded down/up
-   sequences on a live table. The seed sweep widens without code
+   sequences on a live table, and [Propagation.update] along seeded
+   announcement deltas. The seed sweep widens without code
    changes via PROPAGATION_DIFF_SEEDS=<n> (default 10 seeds). *)
 
 open Peering_net
@@ -68,7 +69,8 @@ let route_str (rt : Propagation.route) =
     rt.Propagation.ann_index
 
 (* Full-table equality, with the first diverging ASN in the failure.
-   [expected] is propagate's table; [got] is [engine]'s. *)
+   [expected] is propagate's table; [got] is [engine]'s; both as
+   {!Propagation.table} lists. *)
 let check_tables ~engine ~what expected got =
   let rec cmp = function
     | [], [] -> ()
@@ -87,7 +89,7 @@ let check_tables ~engine ~what expected got =
           what (Asn.to_string a) (route_str ra) (route_str rb) engine
       else cmp (rest_a, rest_b)
   in
-  cmp (Propagation.table expected, Propagation.table got)
+  cmp (expected, got)
 
 (* The announcement workloads differentially tested per world. Each is
    [name, deny, down, announcements]. *)
@@ -149,8 +151,8 @@ let diff_one_world params seed =
         ~toggled:(Asn.Set.diff origins down);
       check_tables ~engine:"repair"
         ~what:(Printf.sprintf "seed %d %s" seed name)
-        (Propagation.propagate ?deny ~down g anns)
-        r)
+        (Propagation.table (Propagation.propagate ?deny ~down g anns))
+        (Propagation.table r))
     (scenarios w)
 
 let test_differential params () =
@@ -206,10 +208,11 @@ let repair_one_world params seed =
           Printf.sprintf "seed %d %s step %d toggling {%s}" seed name step
             (String.concat " " (List.map Asn.to_string (Asn.Set.elements toggled)))
         in
+        let got = Propagation.table r in
         check_tables ~engine:"repair" ~what
-          (Propagation.propagate ?deny ~down:!down g anns)
-          r;
-        if Propagation.table r <> before then incr changed
+          (Propagation.table (Propagation.propagate ?deny ~down:!down g anns))
+          got;
+        if got <> before then incr changed
       done)
     (scenarios w);
   (* Guard against a vacuous sweep: at least a quarter of the steps
@@ -221,6 +224,116 @@ let repair_one_world params seed =
 
 let test_repair params () =
   List.iter (fun seed -> repair_one_world params seed) seeds
+
+(* ------------------------------------------------------------------ *)
+(* Announce deltas: from each scenario's table, a seeded sequence of
+   announcement changes — a new origin appended, a slot's export set
+   moved between all neighbours and two seeded subsets, a slot's
+   suffix changed (poisoning included), a middle slot removed, a
+   second announcement tying an existing one at its origin — is
+   applied by [Propagation.update] on one live table, under a seeded
+   down set and a seeded [deny] on top of the scenario's. After every
+   step the table must equal what propagate builds for the current
+   list. *)
+
+let delta_steps = 24
+
+(* Drop slot [i] / replace slot [i] with [a]. *)
+let remove_nth i l = List.filteri (fun j _ -> j <> i) l
+let replace_nth i a l = List.mapi (fun j b -> if j = i then a else b) l
+
+(* The list after step [step]: a function of [rng] and the live table
+   [r] (poisoned ASes are drawn from selected paths). *)
+let delta_step rng g ~ases r anns step =
+  let n = List.length anns in
+  let slot = Random.State.int rng n in
+  let (cur : Propagation.announcement) = List.nth anns slot in
+  let subset () =
+    if As_graph.mem g cur.Propagation.origin then
+      Some
+        (Asn.Set.of_list
+           (List.filter_map
+              (fun (v, _) -> if Random.State.bool rng then Some v else None)
+              (As_graph.neighbors g cur.Propagation.origin)))
+    else None
+  in
+  let any_as () = ases.(Random.State.int rng (Array.length ases)) in
+  let on_path () =
+    let from = any_as () in
+    match Propagation.full_path r from with
+    | Some fp -> List.nth fp (Random.State.int rng (List.length fp))
+    | None -> from
+  in
+  let append_new () =
+    anns @ [ Propagation.announce (any_as ()) cur.Propagation.prefix ]
+  in
+  match step mod 5 with
+  | 0 -> append_new ()
+  | 1 ->
+    let export_to =
+      match (cur.Propagation.export_to, Random.State.int rng 3) with
+      | Some _, 0 -> None
+      | None, _ | Some _, _ -> subset ()
+    in
+    replace_nth slot { cur with Propagation.export_to } anns
+  | 2 ->
+    let path_suffix =
+      match Random.State.int rng 3 with
+      | 0 -> []
+      | 1 -> [ on_path () ]
+      | _ -> [ on_path (); on_path () ]
+    in
+    replace_nth slot { cur with Propagation.path_suffix } anns
+  | 3 when n >= 3 -> remove_nth (1 + Random.State.int rng (n - 2)) anns
+  | 3 -> append_new ()
+  | _ ->
+    (* Same origin and suffix, its own export set: the two tie at the
+       origin, where the lower index wins. *)
+    anns @ [ { cur with Propagation.export_to = subset () } ]
+
+let delta_one_world params seed =
+  let w = Gen.generate { params with Gen.seed } in
+  let g = w.Gen.graph in
+  let ases = Array.of_list (As_graph.ases g) in
+  let changed = ref 0 in
+  List.iter
+    (fun (name, deny, down, anns) ->
+      let rng = Random.State.make [| seed; Hashtbl.hash ("delta", name) |] in
+      let down =
+        Asn.Set.union down
+          (Asn.Set.of_list
+             (List.init 3 (fun _ -> ases.(Random.State.int rng (Array.length ases)))))
+      in
+      (* A seeded set of ASes refuses every announcement. The filter
+         does not look at the announcement: propagate, the oracle,
+         keeps stale routes when an importer refuses only the
+         announcement its neighbour switched to (ROADMAP.md). *)
+      let deny asn (a : Propagation.announcement) =
+        (match deny with Some f -> f asn a | None -> false)
+        || Hashtbl.hash (seed, Asn.to_int asn) mod 13 = 0
+      in
+      let r = Propagation.propagate ~deny ~down g anns in
+      let anns = ref anns and table = ref (Propagation.table r) in
+      for step = 0 to delta_steps - 1 do
+        let after = delta_step rng g ~ases r !anns step in
+        Propagation.update ~deny ~down g ~before:!anns ~after r;
+        anns := after;
+        let got = Propagation.table r in
+        check_tables ~engine:"update"
+          ~what:(Printf.sprintf "seed %d %s delta step %d" seed name step)
+          (Propagation.table (Propagation.propagate ~deny ~down g after))
+          got;
+        if got <> !table then incr changed;
+        table := got
+      done)
+    (scenarios w);
+  let steps = delta_steps * List.length (scenarios w) in
+  if 4 * !changed < steps then
+    Alcotest.failf "seed %d: only %d of %d announce delta steps changed a table"
+      seed !changed steps
+
+let test_delta params () =
+  List.iter (fun seed -> delta_one_world params seed) seeds
 
 (* ------------------------------------------------------------------ *)
 (* Structural properties of every adopted table: valley-freeness,
@@ -351,7 +464,8 @@ let test_visit_trace_deterministic () =
     Alcotest.(list int)
     "identical visit traces"
     (List.map Asn.to_int t1) (List.map Asn.to_int t2);
-  check_tables ~engine:"rerun" ~what:"same-input reruns" r1 r2
+  check_tables ~engine:"rerun" ~what:"same-input reruns"
+    (Propagation.table r1) (Propagation.table r2)
 
 (* ------------------------------------------------------------------ *)
 (* Relationship truth tables and the total-order laws of [better]: the
@@ -467,6 +581,12 @@ let () =
           (fun (label, params) ->
             tc (Printf.sprintf "repair = full propagation (%s)" label) `Quick
               (test_repair params))
+          sizes );
+      ( "delta",
+        List.map
+          (fun (label, params) ->
+            tc (Printf.sprintf "update = full propagation (%s)" label) `Quick
+              (test_delta params))
           sizes );
       ( "properties",
         [ tc "valley-free, loop-free, origin-terminated, accounted" `Quick
