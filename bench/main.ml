@@ -1,12 +1,10 @@
 (* Benchmark harness: regenerates every table and figure of the paper
    (see DESIGN.md's experiment index). Run with no arguments for all
-   experiments, or pass a subset of: e1 e2 e3 f2 e4 t1 a1..a6 prop chaos
-   mrt sched bmp (scale the MRT dump with
-   MRT_BENCH_PREFIXES and the BMP feed with BMP_BENCH_PREFIXES, both
-   default 1M).
-   Pass --bechamel to additionally run microbenchmarks of the core
-   primitives, and --json FILE to also write every paper-vs-measured
-   row plus the metrics snapshot as a machine-readable artifact. *)
+   experiments, or pass a subset of: e1 e2 e3 f2 e4 t1 a1..a6 chaos
+   sched; an unknown name exits 2 before any experiment runs. Pass
+   --json FILE to also write every paper-vs-measured row plus the
+   metrics snapshot as a machine-readable artifact. Timing of the hot
+   paths lives in perfbench/, not here. *)
 
 open Peering_net
 open Peering_core
@@ -229,8 +227,9 @@ let f2 () =
   section "F2  BGP table memory vs prefixes and peers (Figure 2)";
   Printf.printf
     "  Modelled resident memory (MB), Quagga-calibrated (Fig. 2 axes):\n";
-  (* 1M extends the grid an order of magnitude past the synthetic
-     world, to the full-DFZ feed size the MRT bench loads for real. *)
+  (* 1M extends the model an order of magnitude past the synthetic
+     world, to full-DFZ feed size; the measured grid below stays at
+     1/25 scale. *)
   let xs = [ 15_625; 125_000; 250_000; 375_000; 500_000; 1_000_000 ] in
   let ns = [ 5; 10; 15; 20 ] in
   row "  %10s" "prefixes";
@@ -701,421 +700,6 @@ let chaos () =
     ~measured:(if r.Campaign.passed then "passed" else "FAILED")
 
 (* ------------------------------------------------------------------ *)
-(* PROP: valley-free propagation cost and incremental repair *)
-
-let prop () =
-  section "PROP  Propagation on the ~45K-AS world (E2/E3's engine cost)";
-  let c = Lazy.force world_ctx in
-  let g = c.world.Gen.graph in
-  let origin = List.hd c.world.Gen.stubs in
-  let p = List.hd (As_graph.prefixes_of g origin) in
-  let anns = [ Propagation.announce origin p ] in
-  Printf.printf
-    "  one announcement propagated over %d ASes / %d edges; wall time is\n\
-    \  the best of 3 runs\n"
-    (As_graph.n_ases g) (As_graph.n_edges g);
-  let timed f =
-    let best = ref infinity and result = ref None in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt;
-      result := Some r
-    done;
-    match !result with
-    | Some r -> (r, !best)
-    | None -> assert false
-  in
-  let digest r =
-    Digest.to_hex (Digest.string (Marshal.to_string (Propagation.table r) []))
-  in
-  let base_r, base_t = timed (fun () -> Propagation.propagate g anns) in
-  paper_vs_measured ~label:"propagation wall time" ~paper:"n/a"
-    ~measured:(Printf.sprintf "%.1f ms" (1000.0 *. base_t));
-  Printf.printf
-    "  reachable: %d ASes; offers/adoptions are in the metrics snapshot\n\
-    \  (topo.propagation.*).\n"
-    (Propagation.reachable_count base_r);
-  (* Incremental repair: fail a seeded tier-1 or large transit AS and
-     repair a live table in place, against propagating from scratch.
-     Each timed run fails the AS; an untimed repair restores it. *)
-  let victim =
-    Rng.choice (Rng.create 14)
-      (Array.of_list (c.world.Gen.tier1 @ c.world.Gen.large_transit))
-  in
-  let down = Asn.Set.singleton victim and toggled = Asn.Set.singleton victim in
-  let full_r, full_t = timed (fun () -> Propagation.propagate ~down g anns) in
-  let live = Propagation.propagate g anns in
-  let repair_t = ref infinity and repaired_digest = ref "" in
-  for _ = 1 to 3 do
-    let t0 = Unix.gettimeofday () in
-    Propagation.repair ~down g anns live ~toggled;
-    repair_t := Float.min !repair_t (Unix.gettimeofday () -. t0);
-    repaired_digest := digest live;
-    Propagation.repair ~down:Asn.Set.empty g anns live ~toggled
-  done;
-  let repair_t = !repair_t in
-  let changed =
-    List.sort_uniq Asn.compare
-      (Propagation.reachable base_r @ Propagation.reachable full_r)
-    |> List.filter (fun a ->
-           Propagation.route_at base_r a <> Propagation.route_at full_r a)
-    |> List.length
-  in
-  paper_vs_measured
-    ~label:(Printf.sprintf "repair after failing %s" (Asn.to_string victim))
-    ~paper:"n/a"
-    ~measured:
-      (Printf.sprintf "%.2f ms vs %.1f ms full (%.0fx), %d entries changed"
-         (1000.0 *. repair_t) (1000.0 *. full_t) (full_t /. repair_t) changed);
-  paper_vs_measured ~label:"repaired table byte-identical to full propagate"
-    ~paper:"byte-identical"
-    ~measured:(if !repaired_digest = digest full_r then "yes" else "NO")
-
-(* ------------------------------------------------------------------ *)
-(* MRT: the wire hot path — decode throughput, cursor vs eager, and
-   the 1M-prefix / 20-peer mux load of the ISSUE's F2 extension.
-   Wall-clock rows here are volatile by nature, like PROP's. *)
-
-module Mrt = Peering_measure.Mrt
-module Wire = Peering_bgp.Wire
-
-(* Peak RSS as the kernel saw it; unlike GC stats this includes the
-   decode buffers. Process-wide, so when several experiments run it
-   reflects the largest of them. *)
-let vm_hwm_mb () =
-  try
-    let ic = open_in "/proc/self/status" in
-    let rec go () =
-      match input_line ic with
-      | line ->
-        if String.length line > 6 && String.sub line 0 6 = "VmHWM:" then begin
-          close_in ic;
-          Scanf.sscanf
-            (String.sub line 6 (String.length line - 6))
-            " %d kB"
-            (fun kb -> Some (float_of_int kb /. 1024.0))
-        end
-        else go ()
-      | exception End_of_file ->
-        close_in ic;
-        None
-    in
-    go ()
-  with Sys_error _ | Scanf.Scan_failure _ | Failure _ -> None
-
-let mrt () =
-  section "MRT  RFC 6396 ingest: decode throughput and 1M-prefix mux load";
-  let n_prefixes =
-    match Sys.getenv_opt "MRT_BENCH_PREFIXES" with
-    | Some s -> int_of_string s
-    | None -> 1_000_000
-  in
-  let n_peers = 20 in
-  let peers = Mrt.make_peers ~n:n_peers in
-  (* Generate a TABLE_DUMP_V2 dump, streamed straight into one buffer
-     (records are never materialized as a list). *)
-  let t0 = Unix.gettimeofday () in
-  let buf = Buffer.create (64 * 1024 * 1024) in
-  Mrt.iter_synthetic_rib ~peers ~n_prefixes (fun r -> Mrt.encode_record buf r);
-  let dump = Buffer.to_bytes buf in
-  let gen_t = Unix.gettimeofday () -. t0 in
-  Printf.printf
-    "  dump: %d prefixes sharded over %d peers, %.1f MB (generated in %.1fs)\n"
-    n_prefixes n_peers
-    (float_of_int (Bytes.length dump) /. 1048576.0)
-    gen_t;
-  paper_vs_measured ~label:"RIB dump size"
-    ~paper:"~1M prefixes (full DFZ feed, §2)"
-    ~measured:
-      (Printf.sprintf "%d prefixes, %.1f MB" n_prefixes
-         (float_of_int (Bytes.length dump) /. 1048576.0));
-  (* Pass 1: streaming decode, nothing retained. *)
-  let t0 = Unix.gettimeofday () in
-  (match
-     Mrt.fold dump ~init:(0, 0) ~f:(fun (r, e) t ->
-         match t.Mrt.record with
-         | Mrt.Rib_v4 { entries; _ } -> (r + 1, e + List.length entries)
-         | _ -> (r + 1, e))
-   with
-  | Error e -> failwith (Mrt.error_to_string e)
-  | Ok (records, entries) ->
-    let dt = Unix.gettimeofday () -. t0 in
-    paper_vs_measured ~label:"MRT decode throughput" ~paper:"n/a"
-      ~measured:
-        (Printf.sprintf "%.0fk records/s (%d records, %d entries, %.1fs)"
-           (float_of_int records /. dt /. 1000.0)
-           records entries dt));
-  (* Pass 2: load into a mux-style table (per-peer Adj-RIBs-In feeding
-     a Loc-RIB through the decision process). *)
-  let t0 = Unix.gettimeofday () in
-  (match Mrt.load dump with
-  | Error e -> failwith (Mrt.error_to_string e)
-  | Ok l ->
-    let dt = Unix.gettimeofday () -. t0 in
-    let model_mb =
-      float_of_int
-        (Memory.model_bytes ~peers:n_peers
-           ~prefixes_per_peer:(n_prefixes / n_peers) ())
-      /. 1048576.0
-    in
-    let rib_mb =
-      float_of_int (Memory.measured_bytes l.Mrt.rib) /. 1048576.0
-    in
-    paper_vs_measured
-      ~label:
-        (Printf.sprintf "mux load: %dk prefixes into %d peers"
-           (n_prefixes / 1000) n_peers)
-      ~paper:"tables are the mux scaling wall (Fig. 2)"
-      ~measured:
-        (Printf.sprintf "%d routes in %.1fs (%.0fk routes/s)" l.Mrt.routes4
-           dt
-           (float_of_int l.Mrt.routes4 /. dt /. 1000.0));
-    paper_vs_measured ~label:"table memory after load"
-      ~paper:(Printf.sprintf "Fig. 2 model: %.0f MB" model_mb)
-      ~measured:(Printf.sprintf "%.0f MB (Obj.reachable_words)" rib_mb);
-    let gc_mb =
-      float_of_int ((Gc.quick_stat ()).Gc.top_heap_words * Sys.word_size / 8)
-      /. 1048576.0
-    in
-    (match vm_hwm_mb () with
-    | Some hwm ->
-      paper_vs_measured ~label:"peak RSS (VmHWM, process-wide)"
-        ~paper:"n/a"
-        ~measured:
-          (Printf.sprintf "%.0f MB (GC top heap %.0f MB)" hwm gc_mb)
-    | None ->
-      paper_vs_measured ~label:"peak heap (GC top_heap_words)" ~paper:"n/a"
-        ~measured:(Printf.sprintf "%.0f MB" gc_mb)));
-  (* Pass 3: cursor vs eager on a plain BGP UPDATE stream — the
-     session hot path, without MRT framing. *)
-  let n_msgs = min 200_000 (max 1 n_prefixes) in
-  let opts = Wire.{ four_octet_asn = true; add_path = false } in
-  let sb = Buffer.create (64 * n_msgs) in
-  for i = 0 to n_msgs - 1 do
-    let attrs =
-      Peering_bgp.Attrs.make
-        ~as_path:
-          (Peering_bgp.As_path.of_asns
-             [ Asn.of_int (64500 + (i mod 20));
-               Asn.of_int (64000 + (i mod 37));
-               Asn.of_int (65000 + (i mod 997))
-             ])
-        ~next_hop:(Ipv4.of_int (0x0A010001 + (i mod 20)))
-        ()
-    in
-    let p = Prefix.make (Ipv4.of_int (0x0400_0000 lor (i lsl 10))) 22 in
-    Buffer.add_bytes sb
-      (Wire.encode opts
-         (Peering_bgp.Message.update_of_announce p attrs))
-  done;
-  let stream = Buffer.to_bytes sb in
-  let walk decode =
-    let t0 = Unix.gettimeofday () in
-    let n = ref 0 and pos = ref 0 in
-    let total = Bytes.length stream in
-    while !pos < total do
-      match decode opts stream ~pos:!pos with
-      | Ok (_, next) ->
-        incr n;
-        pos := next
-      | Error e -> failwith (Wire.error_to_string e)
-    done;
-    (!n, Unix.gettimeofday () -. t0)
-  in
-  let n_cursor, t_cursor = walk Wire.decode in
-  let n_eager, t_eager = walk Wire.decode_eager in
-  assert (n_cursor = n_eager);
-  paper_vs_measured ~label:"UPDATE decode, cursor path" ~paper:"n/a"
-    ~measured:
-      (Printf.sprintf "%.0fk msgs/s (%d msgs, %.2fs)"
-         (float_of_int n_cursor /. t_cursor /. 1000.0)
-         n_cursor t_cursor);
-  paper_vs_measured ~label:"UPDATE decode, eager reference" ~paper:"n/a"
-    ~measured:
-      (Printf.sprintf "%.0fk msgs/s (cursor is %.2fx)"
-         (float_of_int n_eager /. t_eager /. 1000.0)
-         (t_eager /. t_cursor))
-
-(* ------------------------------------------------------------------ *)
-(* BMP: telemetry-plane throughput. One synthetic full-table feed —
-   Route Monitoring announces sharded over the mux's peers, the same
-   1M-prefix / 20-peer load the MRT experiment uses — is first encoded
-   (the mux's export path) and then pushed through a live
-   Peering_measure.Monitor in transport-sized chunks (the station's
-   ingest + reconstruction path). Scale with BMP_BENCH_PREFIXES. *)
-
-module Bmp = Peering_bgp.Bmp
-module Monitor = Peering_measure.Monitor
-
-let bmp () =
-  section "BMP  RFC 7854 telemetry: export and ingest throughput";
-  let n_prefixes =
-    match Sys.getenv_opt "BMP_BENCH_PREFIXES" with
-    | Some s -> int_of_string s
-    | None -> 1_000_000
-  in
-  let n_peers = 20 in
-  let peer_hdr i =
-    Bmp.make_peer_header
-      ~addr:(Ipv4.of_int (0x0A000001 + i))
-      ~asn:(Asn.of_int (64500 + i))
-      ~time:(1.0 +. (0.001 *. float_of_int i))
-      ()
-  in
-  let hdrs = Array.init n_peers peer_hdr in
-  let msg_of i =
-    let attrs =
-      Peering_bgp.Attrs.make
-        ~as_path:
-          (Peering_bgp.As_path.of_asns
-             [ Asn.of_int (64500 + (i mod n_peers));
-               Asn.of_int (64000 + (i mod 37));
-               Asn.of_int (65000 + (i mod 997))
-             ])
-        ~next_hop:(Ipv4.of_int (0x0A010001 + (i mod n_peers)))
-        ()
-    in
-    let p = Prefix.make (Ipv4.of_int (0x0400_0000 lor (i lsl 10))) 22 in
-    Bmp.Route_monitoring
-      { peer = hdrs.(i mod n_peers);
-        update =
-          { Peering_bgp.Message.withdrawn = [];
-            attrs = Some attrs;
-            nlri = [ (0, p) ]
-          }
-      }
-  in
-  (* Export path: per-message encode, streamed into one buffer. *)
-  let t0 = Unix.gettimeofday () in
-  let buf = Buffer.create (64 * 1024 * 1024) in
-  for i = 0 to n_prefixes - 1 do
-    Buffer.add_bytes buf (Bmp.encode (msg_of i))
-  done;
-  let feed = Buffer.to_bytes buf in
-  let t_enc = Unix.gettimeofday () -. t0 in
-  paper_vs_measured ~label:"BMP export (encode)" ~paper:"n/a"
-    ~measured:
-      (Printf.sprintf "%.0fk msgs/s (%d msgs, %.1f MB, %.2fs)"
-         (float_of_int n_prefixes /. t_enc /. 1000.0)
-         n_prefixes
-         (float_of_int (Bytes.length feed) /. 1048576.0)
-         t_enc);
-  (* Ingest path: the station reassembles frames from transport-sized
-     chunks and rebuilds the per-peer Adj-RIBs-In as it goes. *)
-  let mon = Monitor.create () in
-  let chunk = 64 * 1024 in
-  let total = Bytes.length feed in
-  let t0 = Unix.gettimeofday () in
-  let pos = ref 0 in
-  while !pos < total do
-    let len = min chunk (total - !pos) in
-    Monitor.feed mon ~mux:"bench" (Bytes.sub feed !pos len);
-    pos := !pos + len
-  done;
-  let t_ing = Unix.gettimeofday () -. t0 in
-  if Monitor.messages mon <> n_prefixes then
-    failwith "bmp bench: station lost messages";
-  if Monitor.parse_errors mon <> 0 then
-    failwith "bmp bench: parse errors in a clean feed";
-  paper_vs_measured ~label:"BMP ingest (decode + rebuild)" ~paper:"n/a"
-    ~measured:
-      (Printf.sprintf "%.0fk msgs/s (%d routes reconstructed, %.2fs)"
-         (float_of_int n_prefixes /. t_ing /. 1000.0)
-         (Monitor.route_count mon ~mux:"bench")
-         t_ing);
-  (* Reconstruction lag: how far the station runs behind a mux
-     replaying its full table flat out — the catch-up time for the
-     whole feed, and per message. *)
-  paper_vs_measured ~label:"reconstruction lag, full-table replay"
-    ~paper:"station must keep up with the mux (§3 monitoring)"
-    ~measured:
-      (Printf.sprintf "%.2fs behind a %.2fs export (%.2f us/msg)"
-         t_ing t_enc
-         (t_ing /. float_of_int n_prefixes *. 1e6));
-  let gc_mb =
-    float_of_int ((Gc.quick_stat ()).Gc.top_heap_words * Sys.word_size / 8)
-    /. 1048576.0
-  in
-  match vm_hwm_mb () with
-  | Some hwm ->
-    paper_vs_measured ~label:"peak RSS (VmHWM, process-wide)" ~paper:"n/a"
-      ~measured:(Printf.sprintf "%.0f MB (GC top heap %.0f MB)" hwm gc_mb)
-  | None ->
-    paper_vs_measured ~label:"peak heap (GC top_heap_words)" ~paper:"n/a"
-      ~measured:(Printf.sprintf "%.0f MB" gc_mb)
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks *)
-
-let bechamel () =
-  section "Microbenchmarks (bechamel)";
-  let open Bechamel in
-  let open Toolkit in
-  let test_rib =
-    Test.make ~name:"rib-fill-1k-routes"
-      (Staged.stage (fun () ->
-           ignore (Memory.fill_rib ~peers:1 ~prefixes_per_peer:1000)))
-  in
-  let lookup_rib = Memory.fill_rib ~peers:1 ~prefixes_per_peer:10_000 in
-  let test_lpm =
-    Test.make ~name:"rib-lpm-lookup"
-      (Staged.stage (fun () ->
-           ignore (Rib.lookup lookup_rib (Ipv4.of_octets 80 0 39 5))))
-  in
-  let attrs =
-    Peering_bgp.Attrs.make
-      ~as_path:
-        (Peering_bgp.As_path.of_asns [ Asn.of_int 47065; Asn.of_int 3356 ])
-      ~next_hop:(Ipv4.of_octets 10 0 0 1) ()
-  in
-  let msg =
-    Peering_bgp.Message.update_of_announce
-      (Prefix.of_string_exn "184.164.224.0/24")
-      attrs
-  in
-  let opts = Peering_bgp.Wire.default_opts in
-  let test_wire =
-    Test.make ~name:"wire-encode-decode"
-      (Staged.stage (fun () ->
-           ignore
-             (Peering_bgp.Wire.decode_exn opts
-                (Peering_bgp.Wire.encode opts msg))))
-  in
-  let w =
-    Gen.generate
-      { Gen.default_params with Gen.n_stub = 500; target_prefixes = 2000 }
-  in
-  let origin = List.hd w.Gen.stubs in
-  let p = List.hd (As_graph.prefixes_of w.Gen.graph origin) in
-  let test_prop =
-    Test.make ~name:"propagate-~900as"
-      (Staged.stage (fun () ->
-           ignore
-             (Propagation.propagate w.Gen.graph
-                [ Propagation.announce origin p ])))
-  in
-  let tests = [ test_rib; test_lpm; test_wire; test_prop ] in
-  let cfg =
-    Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~stabilize:false ()
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ Instance.monotonic_clock ] test in
-      let results = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] -> Printf.printf "  %-24s %14.1f ns/run\n" name est
-          | Some _ | None -> Printf.printf "  %-24s (no estimate)\n" name)
-        results)
-    tests
-
-(* ------------------------------------------------------------------ *)
 (* SCHED: the multi-tenant scheduler at testbed scale — 100+ concurrent
    experiments on the default testbed, sustained update throughput
    through the fair-share batcher, p99 convergence under a skewed
@@ -1254,8 +838,7 @@ let sched () =
 let all_experiments =
   [ ("e1", e1); ("e2", e2); ("e3", e3); ("f2", f2); ("e4", e4); ("t1", t1);
     ("a1", a1); ("a2", a2); ("a3", a3); ("a4", a4); ("a5", a5); ("a6", a6);
-    ("prop", prop); ("chaos", chaos);
-    ("mrt", mrt); ("sched", sched); ("bmp", bmp) ]
+    ("chaos", chaos); ("sched", sched) ]
 
 module Json = Peering_obs.Json
 module Metrics = Peering_obs.Metrics
@@ -1271,80 +854,61 @@ let () =
     | x :: rest -> extract_json (x :: acc) rest
     | [] -> (None, List.rev acc)
   in
-  let json_file, args = extract_json [] args in
-  let want_bechamel = List.mem "--bechamel" args in
-  let selected = List.filter (fun a -> a <> "--bechamel") args in
+  let json_file, selected = extract_json [] args in
+  (match
+     List.filter (fun a -> not (List.mem_assoc a all_experiments)) selected
+   with
+  | [] -> ()
+  | unknown ->
+    Printf.eprintf "unknown experiment %s (valid: %s)\n"
+      (String.concat ", " unknown)
+      (String.concat " " (List.map fst all_experiments));
+    exit 2);
   let to_run =
     if selected = [] then all_experiments
-    else
-      List.filter_map
-        (fun name ->
-          match List.assoc_opt name all_experiments with
-          | Some f -> Some (name, f)
-          | None ->
-            Printf.eprintf "unknown experiment %s\n" name;
-            None)
-        selected
+    else List.map (fun name -> (name, List.assoc name all_experiments)) selected
   in
+  (* Open the artifact before any experiment runs, so a bad path fails
+     fast instead of after a long run. *)
+  let json_oc = Option.map (fun file -> (file, open_out file)) json_file in
   Printf.printf "PEERING reproduction benchmark harness\n";
-  collect_rows := json_file <> None;
-  (* Stream the artifact row by row with the incremental writer instead
-     of accumulating the whole document tree: a long run flushes each
-     experiment as it finishes and never holds more than one
-     experiment's rows in memory. The bytes are identical to the old
-     whole-document emitter. *)
-  let writer =
-    match json_file with
-    | None -> None
-    | Some file ->
-      let oc = open_out file in
-      let w = Json.Writer.to_channel ~indent:2 oc in
-      Json.Writer.begin_obj w;
-      Json.Writer.key w "schema";
-      Json.Writer.value w (Json.String "peering-bench/1");
-      Json.Writer.key w "experiments";
-      Json.Writer.begin_arr w;
-      Some (file, oc, w)
+  collect_rows := json_oc <> None;
+  let results =
+    List.map
+      (fun (name, f) ->
+        Metrics.reset ();
+        json_rows := [];
+        f ();
+        Json.Obj
+          [ ("id", Json.String name);
+            ( "rows",
+              Json.List
+                (List.rev_map
+                   (fun (label, paper, measured) ->
+                     Json.Obj
+                       [ ("label", Json.String label);
+                         ("paper", Json.String paper);
+                         ("measured", Json.String measured)
+                       ])
+                   !json_rows) );
+            (* Only the deterministic (non-volatile) metrics go into the
+               artifact, so two identically-seeded runs are
+               byte-identical; wall-clock figures stay on the human
+               transcript. *)
+            ("metrics", Obs_report.to_json ())
+          ])
+      to_run
   in
-  List.iter
-    (fun (name, f) ->
-      Metrics.reset ();
-      json_rows := [];
-      f ();
-      match writer with
-      | None -> ()
-      | Some (_, oc, w) ->
-        Json.Writer.begin_obj w;
-        Json.Writer.key w "id";
-        Json.Writer.value w (Json.String name);
-        Json.Writer.key w "rows";
-        Json.Writer.begin_arr w;
-        List.iter
-          (fun (label, paper, measured) ->
-            Json.Writer.value w
-              (Json.Obj
-                 [ ("label", Json.String label);
-                   ("paper", Json.String paper);
-                   ("measured", Json.String measured)
-                 ]))
-          (List.rev !json_rows);
-        Json.Writer.end_arr w;
-        (* Only the deterministic (non-volatile) metrics go into the
-           artifact, so two identically-seeded runs are byte-identical;
-           wall-clock figures stay on the human transcript. *)
-        Json.Writer.key w "metrics";
-        Json.Writer.value w (Obs_report.to_json ());
-        Json.Writer.end_obj w;
-        flush oc)
-    to_run;
-  (match writer with
-  | None -> ()
-  | Some (file, oc, w) ->
-    Json.Writer.end_arr w;
-    Json.Writer.end_obj w;
-    Json.Writer.close w;
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "\n[json] wrote %s\n" file);
-  if want_bechamel then bechamel ();
+  Option.iter
+    (fun (file, oc) ->
+      output_string oc
+        (Json.to_string ~indent:2
+           (Json.Obj
+              [ ("schema", Json.String "peering-bench/1");
+                ("experiments", Json.List results)
+              ]));
+      output_char oc '\n';
+      close_out oc;
+      Printf.printf "\n[json] wrote %s\n" file)
+    json_oc;
   Printf.printf "\ndone.\n"

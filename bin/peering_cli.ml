@@ -46,13 +46,14 @@ let scale_arg =
     "World scale: 'tiny' (~70 ASes), 'small' (~3.4K ASes) or 'paper' \
      (~46K ASes)."
   in
-  Arg.(value & opt string "small" & info [ "scale" ] ~docv:"SCALE" ~doc)
+  let scales = [ ("tiny", `Tiny); ("small", `Small); ("paper", `Paper) ] in
+  Arg.(value & opt (enum scales) `Small & info [ "scale" ] ~docv:"SCALE" ~doc)
 
 let params_of ~seed ~scale =
   match scale with
-  | "paper" -> { Gen.paper_scale_params with Gen.seed }
-  | "small" -> { Gen.default_params with Gen.seed }
-  | "tiny" ->
+  | `Paper -> { Gen.paper_scale_params with Gen.seed }
+  | `Small -> { Gen.default_params with Gen.seed }
+  | `Tiny ->
     { Gen.seed;
       Gen.n_tier1 = 4;
       Gen.n_large_transit = 6;
@@ -61,7 +62,6 @@ let params_of ~seed ~scale =
       Gen.n_content = 6;
       Gen.target_prefixes = 150
     }
-  | s -> invalid_arg (Printf.sprintf "unknown scale %S (tiny|small|paper)" s)
 
 (* ------------------------------------------------------------------ *)
 
@@ -213,8 +213,8 @@ let config_cmd =
 
 (* Shared by [check --json] and [verify --json]: one diagnostic as a
    JSON object with a fixed key set, [null] standing in for missing
-   fields, streamed through the canonical writer so two runs over the
-   same inputs are byte-identical. *)
+   fields, printed by the canonical emitter so two runs over the same
+   inputs are byte-identical. *)
 let diag_json d =
   let module Json = Peering_obs.Json in
   let module Diagnostic = Peering_check.Diagnostic in
@@ -230,32 +230,23 @@ let diag_json d =
       ("hint", opt_str d.Diagnostic.hint)
     ]
 
-let stream_report ~schema ~extra diags =
+let print_report ~schema ~extra diags =
   let module Json = Peering_obs.Json in
   let module Diagnostic = Peering_check.Diagnostic in
-  let w = Json.Writer.to_channel ~indent:2 stdout in
-  Json.Writer.begin_obj w;
-  Json.Writer.key w "schema";
-  Json.Writer.value w (Json.String schema);
-  List.iter
-    (fun (k, v) ->
-      Json.Writer.key w k;
-      Json.Writer.value w v)
-    extra;
-  Json.Writer.key w "diagnostics";
-  Json.Writer.begin_arr w;
-  List.iter (fun d -> Json.Writer.value w (diag_json d)) diags;
-  Json.Writer.end_arr w;
-  Json.Writer.key w "summary";
-  Json.Writer.value w
-    (Json.Obj
-       [ ("errors", Json.Int (Diagnostic.count Diagnostic.Error diags));
-         ("warnings", Json.Int (Diagnostic.count Diagnostic.Warning diags));
-         ("infos", Json.Int (Diagnostic.count Diagnostic.Info diags))
-       ]);
-  Json.Writer.end_obj w;
-  Json.Writer.close w;
-  print_newline ()
+  let summary =
+    Json.Obj
+      [ ("errors", Json.Int (Diagnostic.count Diagnostic.Error diags));
+        ("warnings", Json.Int (Diagnostic.count Diagnostic.Warning diags));
+        ("infos", Json.Int (Diagnostic.count Diagnostic.Info diags))
+      ]
+  in
+  print_endline
+    (Json.to_string ~indent:2
+       (Json.Obj
+          ((("schema", Json.String schema) :: extra)
+          @ [ ("diagnostics", Json.List (List.map diag_json diags));
+              ("summary", summary)
+            ])))
 
 let read_file file =
   let ic = open_in file in
@@ -329,7 +320,7 @@ let check_cmd =
     let diags = Diagnostic.sort diags in
     let errors = Diagnostic.count Diagnostic.Error diags in
     if json then
-      stream_report ~schema:"peering-check/1"
+      print_report ~schema:"peering-check/1"
         ~extra:[ ("files", Json.Int (List.length files)) ]
         diags
     else begin
@@ -414,7 +405,7 @@ let verify_cmd =
     let g = World.graph w in
     let errors = Diagnostic.count Diagnostic.Error diags in
     if json then
-      stream_report ~schema:"peering-verify/1"
+      print_report ~schema:"peering-verify/1"
         ~extra:
           [ ("world", Json.String world_file);
             ( "shape",
@@ -561,9 +552,9 @@ let stats_cmd =
   in
   let events_arg =
     let doc =
-      "Also dump every retained trace event to $(docv) as a JSON array, \
-       streamed row by row (one object per event: time, level, \
-       subsystem, causal span ids, rendered message)."
+      "Also dump every retained trace event to $(docv) as a JSON array \
+       (one object per event: time, level, subsystem, causal span ids, \
+       rendered message)."
     in
     Arg.(value & opt (some string) None & info [ "events" ] ~docv:"FILE" ~doc)
   in
@@ -572,30 +563,21 @@ let stats_cmd =
   let module Sink = Peering_obs.Sink in
   let module Obs_report = Peering_measure.Obs_report in
   let dump_events oc =
-    let w = Json.Writer.to_channel ~indent:2 oc in
-    Json.Writer.begin_arr w;
-    List.iter
-      (fun (e : Sink.event) ->
-        Json.Writer.value w
-          (Json.Obj
-             [ ("time", Json.Float e.Sink.time);
-               ( "level",
-                 Json.String (Peering_obs.Event.level_to_string e.Sink.level)
-               );
-               ("subsystem", Json.String e.Sink.subsystem);
-               ( "trace",
-                 match e.Sink.span with
-                 | None -> Json.Null
-                 | Some c -> Json.Int c.Span.trace );
-               ( "span",
-                 match e.Sink.span with
-                 | None -> Json.Null
-                 | Some c -> Json.Int c.Span.span );
-               ("message", Json.String (Sink.message e))
-             ]))
-      (Sink.events ());
-    Json.Writer.end_arr w;
-    Json.Writer.close w;
+    let event (e : Sink.event) =
+      let span_field f =
+        match e.Sink.span with None -> Json.Null | Some c -> Json.Int (f c)
+      in
+      Json.Obj
+        [ ("time", Json.Float e.Sink.time);
+          ("level", Json.String (Peering_obs.Event.level_to_string e.Sink.level));
+          ("subsystem", Json.String e.Sink.subsystem);
+          ("trace", span_field (fun c -> c.Span.trace));
+          ("span", span_field (fun c -> c.Span.span));
+          ("message", Json.String (Sink.message e))
+        ]
+    in
+    output_string oc
+      (Json.to_string ~indent:2 (Json.List (List.map event (Sink.events ()))));
     close_out oc
   in
   let run seed json events_file =

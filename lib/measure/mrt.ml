@@ -455,11 +455,14 @@ let entry_attrs rng ~vias ~peer ~origin ~next_hop =
   in
   Attrs.make ~origin:Attrs.IGP ~as_path ?med ~communities ~next_hop ()
 
-let index_table ?(view_name = "peering-gen") peers =
+let index_table peers =
   { timestamp = base_time;
     record =
       Peer_index_table
-        { collector_id = Ipv4.of_int 0xC0A80001; view_name; peers }
+        { collector_id = Ipv4.of_int 0xC0A80001;
+          view_name = "peering-gen";
+          peers
+        }
   }
 
 let table_of_world ?(seed = 0) ?(peers = 8) ?(entries_per_prefix = 2)
@@ -584,40 +587,6 @@ let updates_of_world ?(seed = 0) ?(peer = 0) ?limit world =
        (As_graph.ases world.Gen.graph)
    with Exit -> ());
   List.rev !records
-
-let iter_synthetic_rib ?(entries_per_prefix = 1) ~peers ~n_prefixes f =
-  let n_peers = Array.length peers in
-  if n_peers = 0 then invalid_arg "Mrt.iter_synthetic_rib: no peers";
-  f (index_table ~view_name:"peering-synth" peers);
-  for i = 0 to n_prefixes - 1 do
-    let prefix = Prefix.make (Ipv4.of_int (0x0400_0000 lor (i lsl 10))) 22 in
-    let origin = Asn.of_int (65000 + (i mod 997)) in
-    let via = Asn.of_int (64000 + (i mod 37)) in
-    let k = min entries_per_prefix n_peers in
-    let entries =
-      List.init k (fun j ->
-          let pi = (i + j) mod n_peers in
-          let peer = peers.(pi) in
-          let attrs =
-            Attrs.make ~origin:Attrs.IGP
-              ~as_path:[ As_path.Seq (dedup_adjacent [ peer.asn; via; origin ]) ]
-              ?med:(if i land 1 = 0 then Some (i mod 200) else None)
-              ~communities:
-                (if i mod 4 = 0 then
-                   [ Community.of_int32
-                       ((Asn.to_int peer.asn land 0xFFFF) lsl 16 lor 200)
-                   ]
-                 else [])
-              ~next_hop:(peer_v4_addr peer) ()
-          in
-          { peer_index = pi;
-            originated = base_time - (i mod 86400);
-            attrs;
-            next_hop6 = None
-          })
-    in
-    f { timestamp = base_time; record = Rib_v4 { seq = i; prefix; entries } }
-  done
 
 (* ------------------------------------------------------------------ *)
 (* Replay *)

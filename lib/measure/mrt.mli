@@ -142,8 +142,9 @@ val base_time : int
     host clock, which is what makes them byte-identical across runs. *)
 
 val make_peers : n:int -> peer array
-(** [n] synthetic v4 collector peers on ASNs 64500+, for benches that
-    need a peer table without a world. *)
+(** [n] synthetic v4 collector peers on ASNs 64500+, for a peer table
+    without a world: perfbench's [table_load] workload builds its
+    dump over them. *)
 
 val peers_of_world : ?n:int -> Gen.world -> peer array
 (** The first [n] (default 8) transit ASes of the world as collector
@@ -163,13 +164,6 @@ val updates_of_world : ?seed:int -> ?peer:int -> ?limit:int -> Gen.world -> t li
 (** A BGP4MP update stream from one collector peer: an announcement
     per prefix, with every 16th prefix flapping (announce then
     withdraw).  [limit] caps the prefix count. *)
-
-val iter_synthetic_rib :
-  ?entries_per_prefix:int -> peers:peer array -> n_prefixes:int ->
-  (t -> unit) -> unit
-(** Stream a synthetic [n_prefixes]-prefix RIB dump (peer table first)
-    through a callback without materializing it — the generator behind
-    the 1M-prefix bench.  Fully deterministic, no RNG. *)
 
 (** {1 Replay} *)
 

@@ -36,9 +36,8 @@ let float_repr f =
     if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s
     else s ^ ".0"
 
-(* Serialize [v] into [b] as if it sat at nesting depth [depth] of a
-   pretty-printed document — the piece the incremental writer reuses. *)
-let render_into b ?indent ~depth v =
+let to_string ?indent v =
+  let b = Buffer.create 256 in
   let pad depth =
     match indent with
     | None -> ()
@@ -78,105 +77,8 @@ let render_into b ?indent ~depth v =
       pad depth;
       Buffer.add_char b '}'
   in
-  go depth v
-
-let to_string ?indent v =
-  let b = Buffer.create 256 in
-  render_into b ?indent ~depth:0 v;
+  go 0 v;
   Buffer.contents b
-
-(* ------------------------------------------------------------------ *)
-(* Incremental writer *)
-
-type json = t
-
-module Writer = struct
-  type frame = { is_obj : bool; mutable count : int; mutable pending_key : bool }
-
-  type t = {
-    emit : string -> unit;
-    indent : int option;
-    mutable stack : frame list;
-  }
-
-  let make ?indent emit = { emit; indent; stack = [] }
-  let to_buffer ?indent buf = make ?indent (Buffer.add_string buf)
-  let to_channel ?indent oc = make ?indent (output_string oc)
-
-  let pad w depth =
-    match w.indent with
-    | None -> ()
-    | Some n ->
-      w.emit "\n";
-      w.emit (String.make (n * depth) ' ')
-
-  (* Comma/newline bookkeeping before a value starts in the current
-     container; items sit one level deeper than their container, i.e.
-     at the current stack depth. *)
-  let start_value w =
-    match w.stack with
-    | [] -> ()
-    | f :: _ when f.is_obj ->
-      if not f.pending_key then
-        invalid_arg "Json.Writer: value inside an object requires a key";
-      f.pending_key <- false
-    | f :: _ ->
-      if f.count > 0 then w.emit ",";
-      f.count <- f.count + 1;
-      pad w (List.length w.stack)
-
-  let key w k =
-    match w.stack with
-    | f :: _ when f.is_obj && not f.pending_key ->
-      if f.count > 0 then w.emit ",";
-      f.count <- f.count + 1;
-      pad w (List.length w.stack);
-      let b = Buffer.create (String.length k + 2) in
-      escape_string b k;
-      w.emit (Buffer.contents b);
-      w.emit ":";
-      if w.indent <> None then w.emit " ";
-      f.pending_key <- true
-    | _ -> invalid_arg "Json.Writer.key: not at an object member position"
-
-  let value w v =
-    start_value w;
-    let b = Buffer.create 64 in
-    render_into b ?indent:w.indent ~depth:(List.length w.stack) v;
-    w.emit (Buffer.contents b)
-
-  let begin_obj w =
-    start_value w;
-    w.emit "{";
-    w.stack <- { is_obj = true; count = 0; pending_key = false } :: w.stack
-
-  let begin_arr w =
-    start_value w;
-    w.emit "[";
-    w.stack <- { is_obj = false; count = 0; pending_key = false } :: w.stack
-
-  let end_arr w =
-    match w.stack with
-    | f :: rest when not f.is_obj ->
-      w.stack <- rest;
-      if f.count > 0 then pad w (List.length rest);
-      w.emit "]"
-    | _ -> invalid_arg "Json.Writer.end_arr: no open array"
-
-  let end_obj w =
-    match w.stack with
-    | f :: rest when f.is_obj ->
-      if f.pending_key then
-        invalid_arg "Json.Writer.end_obj: key without value";
-      w.stack <- rest;
-      if f.count > 0 then pad w (List.length rest);
-      w.emit "}"
-    | _ -> invalid_arg "Json.Writer.end_obj: no open object"
-
-  let close w =
-    if w.stack <> [] then
-      invalid_arg "Json.Writer.close: unclosed containers remain"
-end
 
 (* ------------------------------------------------------------------ *)
 (* Parser: plain recursive descent over the byte string. *)

@@ -6,7 +6,9 @@
     argument: reproducible evaluation needs standard formats plus
     re-runnable measurement). No external JSON library is used; the
     emitter is canonical — same value, same bytes — which is what lets
-    two identically-seeded bench runs diff as byte-identical files. *)
+    two identically-seeded bench runs diff as byte-identical files.
+    It is also the only emitter: every document is built whole as a
+    tree and printed once by {!to_string}. *)
 
 type t =
   | Null
@@ -47,48 +49,3 @@ val number_value : t -> float option
 
 val equal : t -> t -> bool
 (** Structural equality ([Int 1] and [Float 1.] are distinct). *)
-
-type json = t
-(** Alias so {!Writer} can name the tree type alongside its own [t]. *)
-
-(** Incremental emitter: stream a large document row by row instead of
-    accumulating the whole tree in memory first (the bench driver's
-    [--json] mode writes one result row per experiment as it
-    finishes). Output is byte-identical to {!to_string} on the
-    equivalent tree, compact or pretty, so consumers cannot tell the
-    difference. Misuse (a value where a key is required, unbalanced
-    ends) raises [Invalid_argument]. *)
-module Writer : sig
-  type t
-  (** An in-progress document attached to an output sink. *)
-
-  val to_buffer : ?indent:int -> Buffer.t -> t
-  (** Write into a [Buffer] (same [indent] semantics as
-      {!to_string}). *)
-
-  val to_channel : ?indent:int -> out_channel -> t
-  (** Write to a channel; the caller flushes/closes the channel. *)
-
-  val begin_obj : t -> unit
-  (** Open an object, as the root or as the next value. *)
-
-  val begin_arr : t -> unit
-  (** Open an array, as the root or as the next value. *)
-
-  val key : t -> string -> unit
-  (** Emit a member key inside an open object; the next [value] /
-      [begin_*] supplies its value. *)
-
-  val value : t -> json -> unit
-  (** Emit a complete subtree (scalar or container) as the next value,
-      rendered at the writer's current depth. *)
-
-  val end_obj : t -> unit
-  (** Close the innermost open object. *)
-
-  val end_arr : t -> unit
-  (** Close the innermost open array. *)
-
-  val close : t -> unit
-  (** Assert the document is complete (every container closed). *)
-end

@@ -1,12 +1,10 @@
 (* Fault injection and graceful degradation: deterministic plans,
    RFC 4724 retention, reconnect backoff, retransmission of lost
-   messages, the dampening x flap interaction, and the streaming JSON
-   writer. *)
+   messages, and the dampening x flap interaction. *)
 
 open Peering_net
 module Engine = Peering_sim.Engine
 module Metrics = Peering_obs.Metrics
-module Json = Peering_obs.Json
 module Plan = Peering_fault.Plan
 module Injector = Peering_fault.Injector
 module Campaign = Peering_fault.Campaign
@@ -469,94 +467,6 @@ let test_dampening_flap_interaction () =
     (Metrics.counter_value "bgp.dampening.reuses" - reuse0 >= 1)
 
 (* ------------------------------------------------------------------ *)
-(* The streaming JSON writer must be byte-identical to the tree
-   emitter, compact and pretty. *)
-
-let sample_tree =
-  Json.Obj
-    [ ("schema", Json.String "writer-test/1");
-      ( "rows",
-        Json.List
-          [ Json.Obj
-              [ ("label", Json.String "a \"quoted\" label");
-                ("n", Json.Int 3);
-                ("x", Json.Float 1.5)
-              ];
-            Json.Obj [ ("label", Json.String "second"); ("ok", Json.Bool true) ]
-          ] );
-      ("empty_obj", Json.Obj []);
-      ("empty_list", Json.List []);
-      ("nothing", Json.Null);
-      ( "nested",
-        Json.List [ Json.List [ Json.Int 1; Json.Int 2 ]; Json.List [] ] )
-    ]
-
-let stream_sample indent =
-  let b = Buffer.create 256 in
-  let w = Json.Writer.to_buffer ?indent b in
-  Json.Writer.begin_obj w;
-  Json.Writer.key w "schema";
-  Json.Writer.value w (Json.String "writer-test/1");
-  Json.Writer.key w "rows";
-  Json.Writer.begin_arr w;
-  Json.Writer.value w
-    (Json.Obj
-       [ ("label", Json.String "a \"quoted\" label");
-         ("n", Json.Int 3);
-         ("x", Json.Float 1.5)
-       ]);
-  (* The second row is itself streamed member by member. *)
-  Json.Writer.begin_obj w;
-  Json.Writer.key w "label";
-  Json.Writer.value w (Json.String "second");
-  Json.Writer.key w "ok";
-  Json.Writer.value w (Json.Bool true);
-  Json.Writer.end_obj w;
-  Json.Writer.end_arr w;
-  Json.Writer.key w "empty_obj";
-  Json.Writer.begin_obj w;
-  Json.Writer.end_obj w;
-  Json.Writer.key w "empty_list";
-  Json.Writer.begin_arr w;
-  Json.Writer.end_arr w;
-  Json.Writer.key w "nothing";
-  Json.Writer.value w Json.Null;
-  Json.Writer.key w "nested";
-  Json.Writer.begin_arr w;
-  Json.Writer.value w (Json.List [ Json.Int 1; Json.Int 2 ]);
-  Json.Writer.begin_arr w;
-  Json.Writer.end_arr w;
-  Json.Writer.end_arr w;
-  Json.Writer.end_obj w;
-  Json.Writer.close w;
-  Buffer.contents b
-
-let test_writer_compact () =
-  Alcotest.(check string) "compact bytes" (Json.to_string sample_tree)
-    (stream_sample None)
-
-let test_writer_indented () =
-  Alcotest.(check string) "pretty bytes"
-    (Json.to_string ~indent:2 sample_tree)
-    (stream_sample (Some 2))
-
-let test_writer_misuse () =
-  Alcotest.(check bool) "key outside an object" true
-    (raises_invalid (fun () ->
-         let w = Json.Writer.to_buffer (Buffer.create 16) in
-         Json.Writer.key w "k"));
-  Alcotest.(check bool) "value in an object without a key" true
-    (raises_invalid (fun () ->
-         let w = Json.Writer.to_buffer (Buffer.create 16) in
-         Json.Writer.begin_obj w;
-         Json.Writer.value w Json.Null));
-  Alcotest.(check bool) "close with open containers" true
-    (raises_invalid (fun () ->
-         let w = Json.Writer.to_buffer (Buffer.create 16) in
-         Json.Writer.begin_arr w;
-         Json.Writer.close w))
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "fault"
@@ -586,10 +496,5 @@ let () =
       ( "dampening",
         [ tc "flap plan suppresses and releases" `Slow
             test_dampening_flap_interaction
-        ] );
-      ( "json writer",
-        [ tc "compact" `Quick test_writer_compact;
-          tc "indented" `Quick test_writer_indented;
-          tc "misuse" `Quick test_writer_misuse
         ] )
     ]

@@ -131,6 +131,68 @@ let test_json_accessors () =
       | _ -> Alcotest.fail "rows shape")
     | None -> Alcotest.fail "rows member")
 
+(* Every --json artifact depends on the emitter's exact layout, so pin
+   its bytes, compact and indent-2: empty containers, nested lists,
+   escaped quotes, floats and null. *)
+let sample_tree =
+  Json.Obj
+    [ ("schema", Json.String "layout-test/1");
+      ( "rows",
+        Json.List
+          [ Json.Obj
+              [ ("label", Json.String "a \"quoted\" label");
+                ("n", Json.Int 3);
+                ("x", Json.Float 1.5);
+                ("y", Json.Float 2.0)
+              ];
+            Json.Obj [ ("label", Json.String "second"); ("ok", Json.Bool true) ]
+          ] );
+      ("empty_obj", Json.Obj []);
+      ("empty_list", Json.List []);
+      ("nothing", Json.Null);
+      ( "nested",
+        Json.List [ Json.List [ Json.Int 1; Json.Int 2 ]; Json.List [] ] )
+    ]
+
+let test_json_compact_bytes () =
+  check Alcotest.string "compact bytes"
+    ({|{"schema":"layout-test/1","rows":[{"label":"a \"quoted\" label",|}
+    ^ {|"n":3,"x":1.5,"y":2.0},{"label":"second","ok":true}],|}
+    ^ {|"empty_obj":{},"empty_list":[],"nothing":null,"nested":[[1,2],[]]}|}
+    )
+    (Json.to_string sample_tree)
+
+let test_json_indented_bytes () =
+  check Alcotest.string "indent-2 bytes"
+    (String.concat "\n"
+       [ {|{|};
+         {|  "schema": "layout-test/1",|};
+         {|  "rows": [|};
+         {|    {|};
+         {|      "label": "a \"quoted\" label",|};
+         {|      "n": 3,|};
+         {|      "x": 1.5,|};
+         {|      "y": 2.0|};
+         {|    },|};
+         {|    {|};
+         {|      "label": "second",|};
+         {|      "ok": true|};
+         {|    }|};
+         {|  ],|};
+         {|  "empty_obj": {},|};
+         {|  "empty_list": [],|};
+         {|  "nothing": null,|};
+         {|  "nested": [|};
+         {|    [|};
+         {|      1,|};
+         {|      2|};
+         {|    ],|};
+         {|    []|};
+         {|  ]|};
+         {|}|}
+       ])
+    (Json.to_string ~indent:2 sample_tree)
+
 (* ------------------------------------------------------------------ *)
 (* Metrics *)
 
@@ -701,7 +763,9 @@ let () =
         [ tc "roundtrip" `Quick test_json_roundtrip;
           tc "parse errors" `Quick test_json_parse_errors;
           tc "edge cases" `Quick test_json_edge_cases;
-          tc "accessors" `Quick test_json_accessors
+          tc "accessors" `Quick test_json_accessors;
+          tc "to_string compact" `Quick test_json_compact_bytes;
+          tc "to_string indented" `Quick test_json_indented_bytes
         ] );
       ( "metrics",
         [ tc "basics" `Quick test_metrics_basics;
