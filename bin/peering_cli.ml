@@ -32,6 +32,26 @@ let seed_arg =
   let doc = "Deterministic seed for world generation." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
 
+let json_flag ~doc = Arg.(value & flag & info [ "json" ] ~doc)
+
+(* The default testbed, built from the [--seed] value. *)
+let seeded_testbed seed =
+  Testbed.build ~params:{ Testbed.default_params with Testbed.seed } ()
+
+(* An integer option that must be at least [min]: anything else is a
+   usage error (cmdliner's exit 124), not a crash or a degenerate
+   artifact. *)
+let count ~min =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= min -> Ok n
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" min s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let read_file file = In_channel.with_open_bin file In_channel.input_all
+
 (* Open an output file before any work is done, so a bad path fails
    fast with exit 2 rather than an uncaught exception after the run.
    [Sys_error] messages already read "<path>: <reason>". *)
@@ -118,8 +138,7 @@ let table1_cmd =
 
 let demo_cmd =
   let run seed =
-    let params = { Testbed.default_params with Testbed.seed } in
-    let t = Testbed.build ~params () in
+    let t = seeded_testbed seed in
     let e =
       match
         Testbed.new_experiment t ~id:"cli-demo" ~owner:"cli"
@@ -146,15 +165,17 @@ let demo_cmd =
 let emulate_cmd =
   let topo_arg =
     let doc = "Backbone to emulate: 'he' (Hurricane Electric) or 'abilene'." in
-    Arg.(value & opt string "he" & info [ "topology" ] ~docv:"NAME" ~doc)
-  in
-  let run topo =
-    let zoo =
-      match topo with
-      | "he" -> Topology_zoo.hurricane_electric
-      | "abilene" -> Topology_zoo.abilene
-      | s -> invalid_arg (Printf.sprintf "unknown topology %S" s)
+    let zoos =
+      [ ("he", Topology_zoo.hurricane_electric);
+        ("abilene", Topology_zoo.abilene)
+      ]
     in
+    Arg.(
+      value
+      & opt (enum zoos) Topology_zoo.hurricane_electric
+      & info [ "topology" ] ~docv:"NAME" ~doc)
+  in
+  let run zoo =
     let engine = Engine.create () in
     let fwd = Forwarder.create engine in
     let emu = Mininext.of_topology engine fwd ~asn:(Asn.of_int 6939) zoo in
@@ -185,11 +206,7 @@ let config_cmd =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
   in
   let run file =
-    let ic = open_in file in
-    let n = in_channel_length ic in
-    let text = really_input_string ic n in
-    close_in ic;
-    match Peering_router.Config.parse text with
+    match Peering_router.Config.parse (read_file file) with
     | Error e ->
       Printf.eprintf "parse error: %s\n" e;
       exit 1
@@ -230,30 +247,44 @@ let diag_json d =
       ("hint", opt_str d.Diagnostic.hint)
     ]
 
-let print_report ~schema ~extra diags =
+let plural n = if n = 1 then "" else "s"
+
+let report_json_arg =
+  json_flag
+    ~doc:
+      "Emit the report as a JSON document (byte-identical across runs over \
+       the same inputs)."
+
+(* The shared tail of [check] and [verify]: the sorted diagnostics as a
+   [schema] JSON report carrying the [extra] fields, or as text between
+   an optional [header] line and a "[summary]N errors, M warnings"
+   line; then exit 1 if any error-severity diagnostic fired, else 0. *)
+let report_and_exit ~json ~schema ~extra ?header ~summary diags =
   let module Json = Peering_obs.Json in
   let module Diagnostic = Peering_check.Diagnostic in
-  let summary =
-    Json.Obj
-      [ ("errors", Json.Int (Diagnostic.count Diagnostic.Error diags));
-        ("warnings", Json.Int (Diagnostic.count Diagnostic.Warning diags));
-        ("infos", Json.Int (Diagnostic.count Diagnostic.Info diags))
-      ]
-  in
-  print_endline
-    (Json.to_string ~indent:2
-       (Json.Obj
-          ((("schema", Json.String schema) :: extra)
-          @ [ ("diagnostics", Json.List (List.map diag_json diags));
-              ("summary", summary)
-            ])))
-
-let read_file file =
-  let ic = open_in file in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  text
+  let diags = Diagnostic.sort diags in
+  let errors = Diagnostic.count Diagnostic.Error diags in
+  let warnings = Diagnostic.count Diagnostic.Warning diags in
+  if json then
+    print_endline
+      (Json.to_string ~indent:2
+         (Json.Obj
+            ((("schema", Json.String schema) :: extra)
+            @ [ ("diagnostics", Json.List (List.map diag_json diags));
+                ( "summary",
+                  Json.Obj
+                    [ ("errors", Json.Int errors);
+                      ("warnings", Json.Int warnings);
+                      ("infos", Json.Int (Diagnostic.count Diagnostic.Info diags))
+                    ] )
+              ])))
+  else begin
+    Option.iter print_endline header;
+    List.iter (fun d -> print_endline (Diagnostic.to_string d)) diags;
+    Printf.printf "%s%d error%s, %d warning%s\n" summary errors (plural errors)
+      warnings (plural warnings)
+  end;
+  exit (if errors > 0 then 1 else 0)
 
 let check_cmd =
   let files_arg =
@@ -269,13 +300,6 @@ let check_cmd =
   let codes_arg =
     let doc = "List the diagnostic codes and exit." in
     Arg.(value & flag & info [ "codes" ] ~doc)
-  in
-  let json_arg =
-    let doc =
-      "Emit the report as a JSON document (byte-identical across runs \
-       over the same inputs)."
-    in
-    Arg.(value & flag & info [ "json" ] ~doc)
   in
   let module Check = Peering_check.Check in
   let module Diagnostic = Peering_check.Diagnostic in
@@ -312,36 +336,20 @@ let check_cmd =
             parse_failures :=
               Diagnostic.error ~file ~code:"PARSE" e :: !parse_failures)
       files;
-    let diags =
-      List.rev !parse_failures
+    let n_files = List.length files in
+    report_and_exit ~json ~schema:"peering-check/1"
+      ~extra:[ ("files", Json.Int n_files) ]
+      ~summary:(Printf.sprintf "%d file%s checked: " n_files (plural n_files))
+      (List.rev !parse_failures
       @ Check.check_configs (List.rev !configs)
-      @ Check.check_specs (List.rev !specs)
-    in
-    let diags = Diagnostic.sort diags in
-    let errors = Diagnostic.count Diagnostic.Error diags in
-    if json then
-      print_report ~schema:"peering-check/1"
-        ~extra:[ ("files", Json.Int (List.length files)) ]
-        diags
-    else begin
-      List.iter (fun d -> print_endline (Diagnostic.to_string d)) diags;
-      let warnings = Diagnostic.count Diagnostic.Warning diags in
-      Printf.printf "%d file%s checked: %d error%s, %d warning%s\n"
-        (List.length files)
-        (if List.length files = 1 then "" else "s")
-        errors
-        (if errors = 1 then "" else "s")
-        warnings
-        (if warnings = 1 then "" else "s")
-    end;
-    exit (if errors > 0 then 1 else 0)
+      @ Check.check_specs (List.rev !specs))
   in
   Cmd.v
     (Cmd.info "check"
        ~doc:
          "Statically analyze router configurations and experiment specs \
           (rcc-style); exit 1 if any error-severity diagnostic fires")
-    Term.(const run $ codes_arg $ json_arg $ files_arg)
+    Term.(const run $ codes_arg $ report_json_arg $ files_arg)
 
 let verify_cmd =
   let files_arg =
@@ -350,13 +358,6 @@ let verify_cmd =
        experiment specs to verify against it."
     in
     Arg.(value & pos_all file [] & info [] ~docv:"FILE" ~doc)
-  in
-  let json_arg =
-    let doc =
-      "Emit the report as a JSON document (byte-identical across runs \
-       over the same inputs)."
-    in
-    Arg.(value & flag & info [ "json" ] ~doc)
   in
   let module Check = Peering_check.Check in
   let module World = Peering_check.World in
@@ -399,37 +400,25 @@ let verify_cmd =
           spec_failures :=
             Diagnostic.error ~file ~code:"PARSE" e :: !spec_failures)
       exps;
-    let diags =
-      Diagnostic.sort (List.rev !spec_failures @ Check.check_world w)
-    in
+    let diags = List.rev !spec_failures @ Check.check_world w in
     let g = World.graph w in
-    let errors = Diagnostic.count Diagnostic.Error diags in
-    if json then
-      print_report ~schema:"peering-verify/1"
-        ~extra:
-          [ ("world", Json.String world_file);
-            ( "shape",
-              Json.Obj
-                [ ("ases", Json.Int (As_graph.n_ases g));
-                  ("edges", Json.Int (As_graph.n_edges g));
-                  ("prefixes", Json.Int (As_graph.n_prefixes g));
-                  ("specs", Json.Int (List.length (World.specs w)))
-                ] )
-          ]
-        diags
-    else begin
-      Printf.printf "world %s: %d ASes, %d edges, %d prefixes, %d specs\n"
-        world_file (As_graph.n_ases g) (As_graph.n_edges g)
-        (As_graph.n_prefixes g)
-        (List.length (World.specs w));
-      List.iter (fun d -> print_endline (Diagnostic.to_string d)) diags;
-      let warnings = Diagnostic.count Diagnostic.Warning diags in
-      Printf.printf "%d error%s, %d warning%s\n" errors
-        (if errors = 1 then "" else "s")
-        warnings
-        (if warnings = 1 then "" else "s")
-    end;
-    exit (if errors > 0 then 1 else 0)
+    let n_specs = List.length (World.specs w) in
+    report_and_exit ~json ~schema:"peering-verify/1"
+      ~extra:
+        [ ("world", Json.String world_file);
+          ( "shape",
+            Json.Obj
+              [ ("ases", Json.Int (As_graph.n_ases g));
+                ("edges", Json.Int (As_graph.n_edges g));
+                ("prefixes", Json.Int (As_graph.n_prefixes g));
+                ("specs", Json.Int n_specs)
+              ] )
+        ]
+      ~header:
+        (Printf.sprintf "world %s: %d ASes, %d edges, %d prefixes, %d specs"
+           world_file (As_graph.n_ases g) (As_graph.n_edges g)
+           (As_graph.n_prefixes g) n_specs)
+      ~summary:"" diags
   in
   Cmd.v
     (Cmd.info "verify"
@@ -438,7 +427,7 @@ let verify_cmd =
           reachability, Gao-Rexford stability, structural checks) and \
           any experiment specs against it; exit 1 if any error-severity \
           diagnostic fires")
-    Term.(const run $ json_arg $ files_arg)
+    Term.(const run $ report_json_arg $ files_arg)
 
 (* ------------------------------------------------------------------ *)
 (* The seeded end-to-end scenario behind [stats] and [trace]: an
@@ -484,8 +473,7 @@ module Scenario = struct
     (* Scenario 1: the quickstart experiment — controller, safety
        filter (one accepted announce, one blocked hijack, one
        withdrawal), route servers, propagation. *)
-    let params = { Testbed.default_params with Testbed.seed } in
-    let t = Testbed.build ~params () in
+    let t = seeded_testbed seed in
     let engine = Testbed.engine t in
     Sink.start ~clock:(fun () -> Engine.now engine) ();
     let experiment =
@@ -547,8 +535,7 @@ end
 
 let stats_cmd =
   let json_arg =
-    let doc = "Emit the snapshot as a JSON document instead of a table." in
-    Arg.(value & flag & info [ "json" ] ~doc)
+    json_flag ~doc:"Emit the snapshot as a JSON document instead of a table."
   in
   let events_arg =
     let doc =
@@ -618,11 +605,10 @@ let stats_cmd =
 
 let trace_cmd =
   let json_arg =
-    let doc =
-      "Emit the causal tree as a JSON document (byte-identical across \
-       identically seeded runs)."
-    in
-    Arg.(value & flag & info [ "json" ] ~doc)
+    json_flag
+      ~doc:
+        "Emit the causal tree as a JSON document (byte-identical across \
+         identically seeded runs)."
   in
   let module Json = Peering_obs.Json in
   let module Span = Peering_obs.Span in
@@ -788,10 +774,7 @@ let trace_cmd =
     Term.(const run $ seed_arg $ json_arg)
 
 let chaos_cmd =
-  let json_arg =
-    let doc = "Emit the chaos report as a JSON document." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
+  let json_arg = json_flag ~doc:"Emit the chaos report as a JSON document." in
   let list_arg =
     let doc = "List the drill names, then exit." in
     Arg.(value & flag & info [ "list" ] ~doc)
@@ -889,12 +872,11 @@ let chaos_cmd =
 
 let sched_cmd =
   let json_arg =
-    let doc = "Emit the schedule as a peering-sched/1 JSON document." in
-    Arg.(value & flag & info [ "json" ] ~doc)
+    json_flag ~doc:"Emit the schedule as a peering-sched/1 JSON document."
   in
   let tenants_arg =
     let doc = "Number of tenant proposals to submit." in
-    Arg.(value & opt int 16 & info [ "tenants" ] ~docv:"N" ~doc)
+    Arg.(value & opt (count ~min:0) 16 & info [ "tenants" ] ~docv:"N" ~doc)
   in
   let module Metrics = Peering_obs.Metrics in
   let module Json = Peering_obs.Json in
@@ -902,8 +884,7 @@ let sched_cmd =
     (* Reset the global registry so two same-seed invocations emit
        byte-identical documents regardless of process history. *)
     Metrics.reset ();
-    let params = { Testbed.default_params with Testbed.seed } in
-    let t = Testbed.build ~params () in
+    let t = seeded_testbed seed in
     let rng = Rng.create (seed + 7919) in
     let sched =
       Scheduler.create ~vet:Peering_check.Admission.vet ~quota:4
@@ -1015,11 +996,10 @@ let sched_cmd =
 
 let monitor_cmd =
   let json_arg =
-    let doc =
-      "Emit the health report as a JSON document (byte-identical across \
-       identically seeded runs)."
-    in
-    Arg.(value & flag & info [ "json" ] ~doc)
+    json_flag
+      ~doc:
+        "Emit the health report as a JSON document (byte-identical across \
+         identically seeded runs)."
   in
   let module Metrics = Peering_obs.Metrics in
   let module Json = Peering_obs.Json in
@@ -1034,8 +1014,7 @@ let monitor_cmd =
      reachability dip from the crash). *)
   let run seed json =
     Metrics.reset ();
-    let params = { Testbed.default_params with Testbed.seed } in
-    let t = Testbed.build ~params () in
+    let t = seeded_testbed seed in
     let engine = Testbed.engine t in
     let collector = Collector.create () in
     let mon = Monitor.create ~collector () in
@@ -1129,16 +1108,7 @@ let monitor_cmd =
        for mux recovery (chaos campaign budget) and feed cadence. *)
     let series = Monitor.series mon in
     let rate = Window.Series.rate ~horizon_s:60.0 series in
-    let downtime_samples =
-      List.concat_map
-        (fun (r : Metrics.row) ->
-          if r.Metrics.name = "core.server.downtime_s" then
-            match r.Metrics.value with
-            | Metrics.Histogram_v { samples; _ } -> samples
-            | _ -> []
-          else [])
-        (Metrics.snapshot ~include_volatile:true ())
-    in
+    let downtime_samples = Metrics.histogram_samples "core.server.downtime_s" in
     let recovery_budget =
       match
         List.find_opt
@@ -1271,8 +1241,7 @@ let monitor_cmd =
 
 let portal_cmd =
   let run seed =
-    let params = { Testbed.default_params with Testbed.seed } in
-    let t = Testbed.build ~params () in
+    let t = seeded_testbed seed in
     let portal = Portal.create t in
     (match
        Portal.register portal ~username:"demo" ~email:"demo@example.edu"
@@ -1316,13 +1285,7 @@ let portal_cmd =
 
 module Mrt = Peering_measure.Mrt
 
-let read_file_bytes path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let b = Bytes.create n in
-  really_input ic b 0 n;
-  close_in ic;
-  b
+let read_file_bytes path = Bytes.of_string (read_file path)
 
 let mrt_file_arg =
   let doc = "MRT file to read." in
@@ -1335,7 +1298,7 @@ let mrt_dump_cmd =
   in
   let peers_arg =
     let doc = "Collector peers in the index table." in
-    Arg.(value & opt int 8 & info [ "peers" ] ~docv:"N" ~doc)
+    Arg.(value & opt (count ~min:1) 8 & info [ "peers" ] ~docv:"N" ~doc)
   in
   let updates_arg =
     let doc = "Append a BGP4MP update stream after the RIB records." in
@@ -1343,7 +1306,7 @@ let mrt_dump_cmd =
   in
   let limit_arg =
     let doc = "Cap the update stream at N prefixes." in
-    Arg.(value & opt (some int) None & info [ "limit" ] ~docv:"N" ~doc)
+    Arg.(value & opt (some (count ~min:0)) None & info [ "limit" ] ~docv:"N" ~doc)
   in
   let run seed scale out peers updates limit =
     let oc = open_out_or_exit out in

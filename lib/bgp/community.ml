@@ -1,5 +1,3 @@
-open Peering_net
-
 type t = int
 
 let make asn value =
@@ -46,6 +44,3 @@ let add c l =
   if mem c l then l else List.sort compare (c :: l)
 
 let remove c l = List.filter (fun x -> not (equal c x)) l
-
-let matching_asn asn l =
-  List.filter (fun c -> asn_part c = Asn.to_int asn land 0xFFFF) l

@@ -5,8 +5,6 @@
     control knob: clients tag announcements to select which peers the
     mux exports them to. *)
 
-open Peering_net
-
 type t = private int
 (** 32-bit community value. *)
 
@@ -46,7 +44,3 @@ val add : t -> t list -> t list
 (** Set-like insert preserving sorted order, no duplicates. *)
 
 val remove : t -> t list -> t list
-
-val matching_asn : Asn.t -> t list -> t list
-(** Communities whose ASN half equals the given ASN (used by the mux
-    to find PEERING-scoped control communities). *)

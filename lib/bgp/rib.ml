@@ -193,8 +193,3 @@ let route_count t =
     (fun _ tbl acc ->
       Prefix_trie.fold (fun _ routes n -> n + List.length routes) tbl acc)
     t.adj_in 0
-
-let peer_route_count t ~peer =
-  Prefix_trie.fold
-    (fun _ routes n -> n + List.length routes)
-    (peer_table t peer) 0

@@ -70,5 +70,3 @@ val prefix_count : t -> int
 
 val route_count : t -> int
 (** Total routes across all Adj-RIBs-In. *)
-
-val peer_route_count : t -> peer:string -> int

@@ -8,11 +8,6 @@ type roa = {
 
 type validity = Valid | Invalid | Not_found
 
-let validity_to_string = function
-  | Valid -> "valid"
-  | Invalid -> "invalid"
-  | Not_found -> "not-found"
-
 type t = roa list Prefix_trie.t
 
 let empty = Prefix_trie.empty

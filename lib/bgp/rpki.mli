@@ -21,8 +21,6 @@ type validity =
   | Invalid  (** covered by ROAs, none of which authorises it *)
   | Not_found  (** no covering ROA *)
 
-val validity_to_string : validity -> string
-
 type t
 
 val empty : t

@@ -36,7 +36,6 @@ type t = {
   mutable a : endpoint;
   mutable b : endpoint;
   mutable bytes : int;
-  mutable messages : int;
   mutable fault_hook : (Message.t -> wire_fault option) option;
   a_to_b : lane;
   b_to_a : lane;
@@ -79,7 +78,6 @@ let transmit t ~lane ~(sender : unit -> Fsm.t) ~(receiver : unit -> Fsm.t)
   in
   let bytes = Wire.encode opts msg in
   t.bytes <- t.bytes + Bytes.length bytes;
-  t.messages <- t.messages + 1;
   Metrics.Counter.inc m_wire_messages;
   Metrics.Counter.add m_wire_bytes (Bytes.length bytes);
   (* A wire UPDATE is one of the traced entry points: a fresh root span
@@ -192,7 +190,6 @@ let create engine ?(latency = 0.01) ~a:(cfg_a, addr_a) ~b:(cfg_b, addr_b)
       a = { fsm = placeholder; addr = addr_a };
       b = { fsm = placeholder; addr = addr_b };
       bytes = 0;
-      messages = 0;
       fault_hook = None;
       a_to_b = { held = Queue.create (); stalled = false };
       b_to_a = { held = Queue.create (); stalled = false };
@@ -260,7 +257,6 @@ let send_from_b t msg =
     msg
 
 let bytes_on_wire t = t.bytes
-let messages_on_wire t = t.messages
 let drop t ~reason = Fsm.stop t.a.fsm ~reason
 
 let reset t ~reason =

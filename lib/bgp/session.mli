@@ -67,8 +67,6 @@ val bytes_on_wire : t -> int
 (** Total encoded bytes that have crossed the wire in both
     directions — used by the session-multiplexing ablation. *)
 
-val messages_on_wire : t -> int
-
 val drop : t -> reason:string -> unit
 (** Tear the session down from side [a]. *)
 

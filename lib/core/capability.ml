@@ -32,16 +32,6 @@ let testbeds =
   [ Planetlab; Vini; Emulab; Mininet; Route_collectors; Beacons;
     Transit_portal; Peering ]
 
-let testbed_to_string = function
-  | Planetlab -> "PlanetLab"
-  | Vini -> "VINI"
-  | Emulab -> "EmuLab"
-  | Mininet -> "MiniNet"
-  | Route_collectors -> "Route Collectors"
-  | Beacons -> "Beacons"
-  | Transit_portal -> "TransitPortal"
-  | Peering -> "PEERING"
-
 let testbed_abbrev = function
   | Planetlab -> "PL"
   | Vini -> "VN"

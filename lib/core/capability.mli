@@ -30,7 +30,6 @@ type testbed =
 val testbeds : testbed list
 (** Table column order (PL VN EM MN RC BC TP PR). *)
 
-val testbed_to_string : testbed -> string
 val testbed_abbrev : testbed -> string
 
 type support = Full | Limited | None_

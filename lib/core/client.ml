@@ -86,23 +86,3 @@ let candidates t prefix = Rib.candidates t.rib prefix
 let best t prefix = Rib.best t.rib prefix
 let route_count t = Rib.route_count t.rib
 let prefix_count t = Rib.prefix_count t.rib
-
-let egress_for t addr =
-  match Rib.lookup t.rib addr with
-  | None -> None
-  | Some route -> (
-    match route.Route.source with
-    | None -> None
-    | Some s ->
-      (* Recover the (server, peer) from the route's source: sources
-         are tagged with the upstream peer's identity by the server. *)
-      let peer = s.Route.peer_asn in
-      let server_name =
-        List.find_map
-          (fun l ->
-            if List.exists (Asn.equal peer) (Server.peer_asns l.server) then
-              Some (Server.name l.server)
-            else None)
-          t.links
-      in
-      Option.map (fun n -> (n, peer)) server_name)

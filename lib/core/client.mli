@@ -50,8 +50,3 @@ val candidates : t -> Prefix.t -> Route.t list
 val best : t -> Prefix.t -> Route.t option
 val route_count : t -> int
 val prefix_count : t -> int
-
-val egress_for : t -> Ipv4.t -> (string * Asn.t) option
-(** Which (server, upstream peer) the client's best route would send
-    traffic for this address through — the client-side forwarding
-    decision. *)

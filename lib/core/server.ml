@@ -407,10 +407,6 @@ let withdraw t ~client prefix =
         ("prefix", Prefix.to_string prefix) ]
     "core.server.withdraw" run
 
-let announced_prefixes t ~client =
-  let conn = find_conn_exn t client in
-  List.map fst (Prefix.Map.bindings conn.announced)
-
 let disconnect_client t id =
   match find_conn t id with
   | None -> ()
@@ -536,9 +532,6 @@ let restart t =
 
 let learned_route_count t =
   Hashtbl.fold (fun _ r acc -> acc + Prefix.Map.cardinal !r) t.learned 0
-
-let routes_from_peer t peer =
-  Prefix.Map.cardinal !(peer_table t peer)
 
 (* Canonical Adj-RIB-In dump: per-peer bindings sorted by peer ASN,
    empty tables dropped (a withdraw-only peer leaves an empty map

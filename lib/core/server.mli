@@ -96,8 +96,6 @@ val announce :
 
 val withdraw : t -> client:string -> Prefix.t -> unit
 
-val announced_prefixes : t -> client:string -> Prefix.t list
-
 val learn_route : t -> peer:Asn.t -> path:Asn.t list -> Prefix.t -> unit
 (** The testbed feeds routes the server hears from an upstream peer;
     they are relayed (per-peer, unselected) to every client. *)
@@ -105,7 +103,6 @@ val learn_route : t -> peer:Asn.t -> path:Asn.t list -> Prefix.t -> unit
 val withdraw_learned : t -> peer:Asn.t -> Prefix.t -> unit
 
 val learned_route_count : t -> int
-val routes_from_peer : t -> Asn.t -> int
 
 val is_up : t -> bool
 (** False between {!crash} and {!restart}. *)

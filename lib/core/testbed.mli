@@ -44,9 +44,6 @@ val site_server : site -> Server.t
 val site_asn : site -> Asn.t
 (** The per-site graph node's ASN. *)
 
-val site_fabric : site -> Fabric.t option
-(** The IXP fabric for IXP sites. *)
-
 type t
 
 val build : ?params:params -> unit -> t
@@ -164,9 +161,6 @@ val ingress_site : t -> from_asn:Asn.t -> Prefix.t -> string option
 (** Which PEERING site traffic from the AS enters for this prefix —
     the anycast-catchment question. [None] when the AS routes to a
     non-PEERING origin (e.g. a hijacker) or has no route. *)
-
-val ingress_peer : t -> from_asn:Asn.t -> Prefix.t -> Asn.t option
-(** The upstream peer AS through which that traffic arrives. *)
 
 val add_remote_ixp :
   t ->

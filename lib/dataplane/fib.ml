@@ -6,11 +6,6 @@ type 'a t = 'a action Prefix_trie.t
 
 let empty = Prefix_trie.empty
 let add = Prefix_trie.add
-let remove = Prefix_trie.remove
 let lookup addr t = Option.map snd (Prefix_trie.longest_match addr t)
-let lookup_prefix addr t = Prefix_trie.longest_match addr t
 let cardinal = Prefix_trie.cardinal
 let to_list = Prefix_trie.to_list
-
-let default_route nh t =
-  add (Prefix.make (Ipv4.of_int 0) 0) (Via nh) t

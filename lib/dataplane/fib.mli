@@ -13,12 +13,8 @@ type 'a t
 
 val empty : 'a t
 val add : Prefix.t -> 'a action -> 'a t -> 'a t
-val remove : Prefix.t -> 'a t -> 'a t
 val lookup : Ipv4.t -> 'a t -> 'a action option
 (** Longest-prefix match; [None] when no route covers the address. *)
 
-val lookup_prefix : Ipv4.t -> 'a t -> (Prefix.t * 'a action) option
 val cardinal : 'a t -> int
 val to_list : 'a t -> (Prefix.t * 'a action) list
-val default_route : 'a -> 'a t -> 'a t
-(** Install 0.0.0.0/0 via the given next hop. *)

@@ -9,8 +9,6 @@ let experiment_traffic_only ~experiment (pkt : Packet.t) =
     (fun p -> Prefix.mem pkt.Packet.src p || Prefix.mem pkt.Packet.dst p)
     experiment
 
-let conjoin filters pkt = List.for_all (fun f -> f pkt) filters
-
 type rate_limiter = {
   engine : Engine.t;
   rate : float;
@@ -38,5 +36,3 @@ let rate_allow rl (pkt : Packet.t) =
     true
   end
   else false
-
-let rate_filter = rate_allow

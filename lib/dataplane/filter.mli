@@ -16,8 +16,6 @@ val experiment_traffic_only : experiment:Prefix.t list -> Packet.t -> bool
     experiment's prefixes — PEERING's "no transit for non-PEERING
     destinations" rule. *)
 
-val conjoin : (Packet.t -> bool) list -> Packet.t -> bool
-
 type rate_limiter
 
 val rate_limiter :
@@ -28,7 +26,3 @@ val rate_limiter :
 val rate_allow : rate_limiter -> Packet.t -> bool
 (** Consume tokens for the packet; [false] when the bucket is empty
     (drop). *)
-
-val rate_filter : rate_limiter -> Packet.t -> bool
-(** {!rate_allow} in filter shape (same function, provided for
-    symmetry with the other combinators). *)

@@ -90,10 +90,6 @@ let set_route t id prefix action =
   let n = node_exn t id in
   n.fib <- Fib.add prefix action n.fib
 
-let del_route t id prefix =
-  let n = node_exn t id in
-  n.fib <- Fib.remove prefix n.fib
-
 let fib t id = (node_exn t id).fib
 
 let set_ingress_filter t id f = (node_exn t id).ingress <- Some f
@@ -160,30 +156,6 @@ and icmp_back t (node : node) (orig : Packet.t) icmp =
       process t node ~router:false reply)
 
 let inject t ~at pkt = process t (node_exn t at) ~router:false pkt
-
-let send_and_reply t ~at pkt =
-  (match pkt.Packet.proto with
-  | Packet.Icmp (Packet.Echo_request seq) -> (
-    (* Arm an automatic responder at the destination if it is ours and
-       has no handler already. *)
-    match node_of_address t pkt.Packet.dst with
-    | Some dst_id ->
-      let dst_node = node_exn t dst_id in
-      if dst_node.deliver = None then
-        dst_node.deliver <-
-          Some
-            (fun (p : Packet.t) ->
-              match p.Packet.proto with
-              | Packet.Icmp (Packet.Echo_request s) when s = seq ->
-                let reply =
-                  Packet.make ~src:p.Packet.dst ~dst:p.Packet.src
-                    ~proto:(Packet.Icmp (Packet.Echo_reply s)) ()
-                in
-                process t dst_node ~router:false reply
-              | _ -> ())
-    | None -> ())
-  | _ -> ());
-  inject t ~at pkt
 
 let delivered t = t.delivered
 let dropped_ttl t = t.dropped_ttl

@@ -37,7 +37,6 @@ val set_link_latency : t -> node_id -> node_id -> float -> unit
 (** Per-hop latency for this ordered pair (default 0.005 s). *)
 
 val set_route : t -> node_id -> Prefix.t -> node_id Fib.action -> unit
-val del_route : t -> node_id -> Prefix.t -> unit
 val fib : t -> node_id -> node_id Fib.t
 
 val set_ingress_filter : t -> node_id -> (Packet.t -> bool) -> unit
@@ -50,11 +49,6 @@ val on_deliver : t -> node_id -> (Packet.t -> unit) -> unit
 
 val inject : t -> at:node_id -> Packet.t -> unit
 (** Start forwarding a packet from the given node. *)
-
-val send_and_reply : t -> at:node_id -> Packet.t -> unit
-(** Inject an ICMP echo request and automatically answer it from the
-    destination node if the destination has the address; used by ping
-    measurements. Non-echo packets behave as {!inject}. *)
 
 (** Statistics, cumulative since creation. *)
 

@@ -95,11 +95,6 @@ type issue = {
   message : string;
 }
 
-let issue_to_string i =
-  Printf.sprintf "%s at t=%.1f: %s"
-    (match i.severity with Error -> "error" | Warning -> "warning")
-    i.at i.message
-
 let duration_of = function
   | Impair { duration; _ }
   | Partition { duration; _ }

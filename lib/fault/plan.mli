@@ -109,5 +109,3 @@ val validate : ?targets:targets -> t -> issue list
 
 val errors : issue list -> issue list
 (** Just the [Error]-severity issues. *)
-
-val issue_to_string : issue -> string

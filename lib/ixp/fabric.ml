@@ -3,12 +3,6 @@ module Rng = Peering_sim.Rng
 
 type response = Accepted | Declined | No_response | Replied_with_questions
 
-let response_to_string = function
-  | Accepted -> "accepted"
-  | Declined -> "declined"
-  | No_response -> "no response"
-  | Replied_with_questions -> "replied with questions"
-
 type member = {
   asn : Asn.t;
   policy : Peering_policy.t;

@@ -12,8 +12,6 @@ type response =
       (** the member answered asking why a traffic-less AS wants to
           peer — §4.1 reports exactly one of these *)
 
-val response_to_string : response -> string
-
 type member = {
   asn : Asn.t;
   policy : Peering_policy.t;

@@ -58,11 +58,3 @@ let cdf_points l =
       | _ -> points := (x, frac) :: !points)
     a;
   List.rev !points
-
-let summary l =
-  match l with
-  | [] -> "n=0"
-  | _ ->
-    Printf.sprintf "n=%d mean=%.2f p50=%.2f p90=%.2f max=%.2f"
-      (List.length l) (mean l) (median l) (percentile 90.0 l)
-      (List.fold_left Float.max neg_infinity l)

@@ -21,6 +21,3 @@ val histogram : bins:int -> float list -> (float * float * int) list
 val cdf_points : float list -> (float * float) list
 (** The empirical CDF as [(value, fraction <= value)] pairs, one per
     distinct sorted sample — the form the paper's figures plot. *)
-
-val summary : float list -> string
-(** "n=… mean=… p50=… p90=… max=…" one-liner; "n=0" when empty. *)

@@ -234,6 +234,14 @@ let counter_value ?(registry = default) ?(labels = []) name =
   | Some { e_instrument = C c; _ } -> Counter.value c
   | Some _ | None -> 0
 
+let histogram_samples ?registry name =
+  List.concat_map
+    (fun r ->
+      match r.value with
+      | Histogram_v { samples; _ } when r.name = name -> samples
+      | _ -> [])
+    (snapshot ~include_volatile:true ?registry ())
+
 let row_name r =
   match r.labels with
   | [] -> r.name

@@ -184,6 +184,11 @@ val counter_value : ?registry:t -> ?labels:(string * string) list -> string -> i
     (a scenario that exercised nothing is indistinguishable from an
     unregistered metric, which is what reporting code wants). *)
 
+val histogram_samples : ?registry:t -> string -> float list
+(** The retained samples of every histogram named [name], volatile
+    ones included, concatenated across label sets in snapshot order;
+    [[]] if none is registered. *)
+
 val row_name : row -> string
 (** [name] with labels inlined, e.g. ["core.safety.rejected{site=ams}"]
     — the stable key used by rendered output and JSON artifacts. *)

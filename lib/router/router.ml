@@ -61,9 +61,7 @@ let asn t = t.asn
 let router_id t = t.router_id
 let rib t = t.rib
 
-let neighbor_addr n = n.remote_addr
 let neighbor_asn n = n.remote_asn
-let neighbor_established n = n.up
 let neighbors t = t.nbrs
 
 let find_neighbor t addr =

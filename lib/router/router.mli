@@ -49,9 +49,7 @@ val networks : t -> Prefix.t list
 
 type neighbor
 
-val neighbor_addr : neighbor -> Ipv4.t
 val neighbor_asn : neighbor -> Asn.t
-val neighbor_established : neighbor -> bool
 
 val neighbors : t -> neighbor list
 

@@ -69,14 +69,6 @@ let add_edge t a rel b =
   eb.adj <- Asn.Map.add a (Relationship.invert rel) eb.adj;
   t.edge_count <- t.edge_count + 1
 
-let remove_edge t a b =
-  let ea = entry_exn t a and eb = entry_exn t b in
-  if Asn.Map.mem b ea.adj then begin
-    ea.adj <- Asn.Map.remove b ea.adj;
-    eb.adj <- Asn.Map.remove a eb.adj;
-    t.edge_count <- t.edge_count - 1
-  end
-
 let originate t asn p =
   let e = entry_exn t asn in
   if not (Prefix.Set.mem p e.prefixes) then begin
@@ -113,9 +105,6 @@ let ases t =
 let n_ases t = Hashtbl.length t.nodes
 let n_edges t = t.edge_count
 let n_prefixes t = t.prefix_count
-
-let fold_ases f t acc =
-  List.fold_left (fun acc asn -> f (node_exn t asn) acc) acc (ases t)
 
 let iter_prefixes f t =
   Prefix.Map.iter (fun p asn -> f asn p) t.origin_index

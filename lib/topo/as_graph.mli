@@ -35,8 +35,6 @@ val add_edge : t -> Asn.t -> Relationship.t -> Asn.t -> unit
     inverse edge is added automatically. Both ASes must exist;
     duplicate edges raise [Invalid_argument]. *)
 
-val remove_edge : t -> Asn.t -> Asn.t -> unit
-
 val originate : t -> Asn.t -> Prefix.t -> unit
 (** Record that the AS originates the prefix. *)
 
@@ -67,7 +65,5 @@ val ases : t -> Asn.t list
 val n_ases : t -> int
 val n_edges : t -> int
 val n_prefixes : t -> int
-
-val fold_ases : (node -> 'a -> 'a) -> t -> 'a -> 'a
 
 val iter_prefixes : (Asn.t -> Prefix.t -> unit) -> t -> unit

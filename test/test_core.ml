@@ -1250,49 +1250,6 @@ let test_sdx_policy_composition () =
     (Sdx.delivered_to sdx (asn 300));
   check Alcotest.int "A got nothing" 0 (Sdx.delivered_to sdx (asn 100))
 
-let test_atlas_probes () =
-  let t = Lazy.force testbed in
-  let w = Testbed.world t in
-  let atlas =
-    Peering_measure.Atlas.deploy ~rng:(Peering_sim.Rng.create 9) ~world:w
-      ~n:50
-  in
-  check Alcotest.int "50 probes" 50 (Peering_measure.Atlas.n_probes atlas);
-  let distinct =
-    List.sort_uniq Asn.compare
-      (List.map
-         (fun p -> p.Peering_measure.Atlas.host_asn)
-         (Peering_measure.Atlas.probes atlas))
-  in
-  check Alcotest.int "distinct hosts" 50 (List.length distinct);
-  (* measure toward an announced PEERING prefix *)
-  let exp =
-    match Testbed.new_experiment t ~id:"atlas" () with
-    | Ok e -> e
-    | Error e -> Alcotest.fail e
-  in
-  let client = Client.create ~id:"c-atlas" ~experiment:exp () in
-  Testbed.connect_client t client ~sites:[ "amsterdam01" ];
-  let p = List.hd exp.Experiment.prefixes in
-  ignore (Client.announce client p);
-  let oracle asn = Testbed.path_from t asn p in
-  let reach = Peering_measure.Atlas.reachability atlas ~path_of:oracle in
-  check Alcotest.bool "most probes reach" true (reach > 0.9);
-  let rtts = List.filter_map snd (Peering_measure.Atlas.ping atlas ~path_of:oracle) in
-  check Alcotest.bool "rtts positive" true (List.for_all (fun r -> r > 0.0) rtts);
-  (* a traceroute ends at PEERING *)
-  (match
-     Peering_measure.Atlas.traceroute atlas ~path_of:oracle
-       (List.hd (Peering_measure.Atlas.probes atlas))
-   with
-  | Some path ->
-    check Alcotest.int "terminates at PEERING" 47065
-      (Asn.to_int (List.nth path (List.length path - 1)))
-  | None -> Alcotest.fail "probe unreachable");
-  Client.withdraw client p;
-  check Alcotest.(float 1e-9) "withdrawal visible to probes" 0.0
-    (Peering_measure.Atlas.reachability atlas ~path_of:oracle)
-
 let test_rov_containment () =
   let params =
     { Testbed.default_params with
@@ -1337,7 +1294,11 @@ let test_rov_containment () =
   Testbed.clear_rov t;
   Testbed.retract_external t ~origin:attacker p
 
-let test_beacon_schedule () =
+(* A client that announces and withdraws on a fixed cadence through a
+   testbed mux, driven by the controller's scheduler: spaced 1800 s
+   apart it is never dampened, while every 30 s trips RFC 2439
+   dampening in the mux's safety layer. *)
+let test_periodic_announce_dampening () =
   let params =
     { Testbed.default_params with
       Testbed.world = small_world;
@@ -1346,39 +1307,45 @@ let test_beacon_schedule () =
     }
   in
   let t = Testbed.build ~params () in
-  let exp =
-    match Testbed.new_experiment t ~id:"beacon" () with
-    | Ok e -> e
-    | Error e -> Alcotest.fail e
+  let ctl = Testbed.controller t in
+  let cycle id ~period ~rounds =
+    let exp =
+      match Testbed.new_experiment t ~id () with
+      | Ok e -> e
+      | Error e -> Alcotest.fail e
+    in
+    let client = Client.create ~id:("c-" ^ id) ~experiment:exp () in
+    Testbed.connect_client t client ~sites:[ "amsterdam01" ];
+    let p = List.hd exp.Experiment.prefixes in
+    let log = ref [] and suppressed = ref 0 in
+    let start = Engine.now (Testbed.engine t) in
+    for round = 0 to rounds - 1 do
+      let announce_at = start +. (float_of_int (2 * round) +. 1.0) *. period in
+      Controller.schedule_announcement ctl ~at:announce_at
+        ~action:(fun () ->
+          if List.exists (fun (_, r) -> Result.is_ok r) (Client.announce client p)
+          then log := `Announce :: !log
+          else incr suppressed)
+        ();
+      Controller.schedule_announcement ctl ~at:(announce_at +. period)
+        ~action:(fun () ->
+          Client.withdraw client p;
+          log := `Withdraw :: !log)
+        ()
+    done;
+    (p, log, suppressed)
   in
-  let client = Client.create ~id:"c-beacon" ~experiment:exp () in
-  Testbed.connect_client t client ~sites:[ "amsterdam01" ];
-  let p = List.hd exp.Experiment.prefixes in
-  (* A classic well-spaced beacon: never dampened. *)
-  let b = Beacon.start t client ~prefix:p ~period:1800.0 ~rounds:3 () in
+  let p, log, suppressed = cycle "slow" ~period:1800.0 ~rounds:3 in
   Engine.run ~until:(1800.0 *. 8.0) (Testbed.engine t);
-  check Alcotest.int "all transitions executed" 6 (Beacon.transitions_executed b);
-  check Alcotest.int "never suppressed" 0 (Beacon.suppressed b);
-  (* strict alternation announce/withdraw at the period spacing *)
-  let rec alternates expect = function
-    | [] -> true
-    | (_, kind) :: rest -> kind = expect
-      && alternates (if expect = `Announce then `Withdraw else `Announce) rest
-  in
-  check Alcotest.bool "alternation" true (alternates `Announce (Beacon.events b));
+  check Alcotest.int "all transitions executed" 6 (List.length !log);
+  check Alcotest.int "never suppressed" 0 !suppressed;
+  check Alcotest.bool "alternation" true
+    (List.rev !log
+    = [ `Announce; `Withdraw; `Announce; `Withdraw; `Announce; `Withdraw ]);
   check Alcotest.int "prefix quiescent at the end" 0 (Testbed.reach_count t p);
-  (* An abusive fast beacon trips dampening. *)
-  let exp2 =
-    match Testbed.new_experiment t ~id:"beacon-fast" () with
-    | Ok e -> e
-    | Error e -> Alcotest.fail e
-  in
-  let client2 = Client.create ~id:"c-beacon2" ~experiment:exp2 () in
-  Testbed.connect_client t client2 ~sites:[ "amsterdam01" ];
-  let p2 = List.hd exp2.Experiment.prefixes in
-  let b2 = Beacon.start t client2 ~prefix:p2 ~period:30.0 ~rounds:6 () in
+  let _, _, fast_suppressed = cycle "fast" ~period:30.0 ~rounds:6 in
   Engine.run ~until:(1800.0 *. 8.0 +. 500.0) (Testbed.engine t);
-  check Alcotest.bool "fast beacon suppressed" true (Beacon.suppressed b2 > 0)
+  check Alcotest.bool "fast cadence suppressed" true (!fast_suppressed > 0)
 
 let test_controller_v6 () =
   let e = Engine.create () in
@@ -1758,9 +1725,9 @@ let () =
           tc "leaky tables stable" `Quick test_leaky_tables_stable;
           tc "route server to mux" `Quick test_route_server_to_mux_integration;
           tc "monitoring" `Quick test_monitoring;
-          tc "beacon" `Quick test_beacon_schedule;
+          tc "periodic announce dampening" `Quick
+            test_periodic_announce_dampening;
           tc "sdx policy composition" `Quick test_sdx_policy_composition;
-          tc "atlas probes" `Quick test_atlas_probes;
           tc "rov containment" `Quick test_rov_containment;
           tc "ipv6 allocation" `Quick test_controller_v6
         ] )

@@ -180,9 +180,7 @@ let test_stats_basics () =
   check Alcotest.(float 1e-9) "p100" 5.0 (Stats.percentile 100.0 l);
   check Alcotest.(float 1e-9) "p25 interpolates" 2.0 (Stats.percentile 25.0 l);
   check Alcotest.(float 1e-6) "stddev" (sqrt 2.0) (Stats.stddev l);
-  check Alcotest.(float 1e-9) "mean empty" 0.0 (Stats.mean []);
-  check Alcotest.bool "summary mentions n" true
-    (String.length (Stats.summary l) > 0)
+  check Alcotest.(float 1e-9) "mean empty" 0.0 (Stats.mean [])
 
 let test_stats_histogram () =
   let l = [ 0.0; 0.1; 0.2; 5.0; 9.9; 10.0 ] in
