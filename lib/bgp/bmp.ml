@@ -244,9 +244,10 @@ let check_pdu_end ~exact ~want_end got_end =
 (* ------------------------------------------------------------------ *)
 (* Cursor-path decoder *)
 
-let decode buf ~pos =
-  let total = Bytes.length buf in
-  if pos < 0 || pos > total then invalid_arg "Bmp.decode: bad position";
+let decode ?stop buf ~pos =
+  let total = Option.value stop ~default:(Bytes.length buf) in
+  if pos < 0 || pos > total || total > Bytes.length buf then
+    invalid_arg "Bmp.decode: bad position";
   if total - pos < hdr_len then Error Truncated
   else begin
     let hc = Wire.Cursor.of_bytes ~pos ~len:hdr_len buf in

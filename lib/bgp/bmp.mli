@@ -115,12 +115,15 @@ val encode : msg -> bytes
 val encode_all : msg list -> bytes
 (** Concatenated {!encode}s — a feed fragment. *)
 
-val decode : bytes -> pos:int -> (msg * int, error) result
+val decode : ?stop:int -> bytes -> pos:int -> (msg * int, error) result
 (** [decode buf ~pos] parses one message starting at [pos]; returns
     the message and the position one past its end.  This is the
     {!Wire.Cursor}-based path.  [Error Truncated] is returned both for
     a short common header and for a body the buffer cannot satisfy, so
-    feed reassembly can treat it as "wait for more bytes". *)
+    feed reassembly can treat it as "wait for more bytes".  The buffer
+    is taken to end at [stop] (default: its length): a frame whose
+    common header or declared length runs past [stop] is [Truncated],
+    so a reassembly buffer with spare room past [stop] needs no copy. *)
 
 val decode_eager : bytes -> pos:int -> (msg * int, error) result
 (** The independent direct-indexing reference decoder; same contract

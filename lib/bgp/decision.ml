@@ -8,7 +8,8 @@ let m_runs =
 
 (* Wall-clock latency is inherently nondeterministic, so this histogram
    is volatile: excluded from default snapshots to keep same-seed runs
-   byte-identical. *)
+   byte-identical. It is sampled only while the recorder runs: two
+   getrusage calls would cost more than the fold they time. *)
 let m_latency =
   Metrics.histogram ~volatile:true
     ~help:"decision-process wall-clock latency per run (s)"
@@ -83,20 +84,23 @@ let deciding_step a b =
 
 let compare a b = snd (deciding_step a b)
 
+let pick r rest =
+  List.fold_left (fun acc c -> if compare c acc < 0 then c else acc) r rest
+
 let best = function
   | [] -> None
   | r :: rest ->
     Metrics.Counter.inc m_runs;
-    if Sink.active () then
+    if Sink.active () then begin
       Sink.emit ~level:Peering_obs.Event.Debug ~subsystem:"bgp.decision"
         (Peering_obs.Event.Decision_run
            { prefix = r.Route.prefix; candidates = 1 + List.length rest });
-    let t0 = Sys.time () in
-    let winner =
-      List.fold_left (fun acc c -> if compare c acc < 0 then c else acc) r rest
-    in
-    Metrics.Histogram.observe m_latency (Sys.time () -. t0);
-    Some winner
+      let t0 = Sys.time () in
+      let winner = pick r rest in
+      Metrics.Histogram.observe m_latency (Sys.time () -. t0);
+      Some winner
+    end
+    else Some (pick r rest)
 
 let sort l = List.stable_sort compare l
 

@@ -19,7 +19,12 @@ val compare : Route.t -> Route.t -> int
     learned routes (they behave as weight = maximum). *)
 
 val best : Route.t list -> Route.t option
-(** The most preferred route, or [None] on an empty list. *)
+(** The most preferred route, or [None] on an empty list; of equally
+    preferred routes, the first in the list. Each run on a non-empty
+    list counts in [bgp.decision.runs]. Only while the recorder runs
+    ({!Peering_obs.Sink.active}) does it also emit a [Decision_run]
+    event and time itself into the volatile [bgp.decision.latency_s]
+    histogram; otherwise that histogram stays empty. *)
 
 val sort : Route.t list -> Route.t list
 (** Candidates ordered best-first. *)

@@ -24,62 +24,77 @@ type change = {
   current : Route.t option;
 }
 
-module Smap = Map.Make (String)
+(* Hashtbl.Make indexes buckets by the hash's low bits, and the low
+   bits of a /24's address are all zero, so the address is mixed
+   (multiply, then fold the high half down) before it picks a bucket. *)
+module Ptbl = Hashtbl.Make (struct
+  type t = Prefix.t
 
-(* Stale entries are keyed (path_id, prefix-string): RFC 4724 retention
-   operates per announced path, and a re-announce of the same path
-   refreshes exactly that entry. *)
-module Stale_set = Set.Make (struct
-  type t = int * string
+  let equal = Prefix.equal
 
-  let compare = compare
+  let hash p =
+    let key = (Ipv4.to_int (Prefix.addr p) lsl 6) lor Prefix.len p in
+    let h = key * 0x2545F4914F6CDD1D in
+    h lxor (h lsr 31)
 end)
 
+(* One neighbour's share of the Adj-RIB-In. [held] indexes the
+   prefixes it has at least one route for, so [drop_peer] and the
+   graceful-restart helpers touch only its own routes. *)
+type peer = {
+  key : string;
+  held : unit Ptbl.t;
+  mutable routes : int;
+  mutable stale : int;  (* RFC 4724 marks among [routes] *)
+}
+
+(* One route in a prefix's candidate set. [stale] is the RFC 4724
+   retention mark: a re-announce of the same path replaces the
+   candidate, which clears it. *)
+type cand = { owner : peer; route : Route.t; mutable stale : bool }
+
+(* [adj_in] maps a prefix to its candidates, highest peer key first and
+   each peer's paths oldest first: the order Decision resolves exact
+   ties by. *)
 type t = {
-  mutable adj_in : Route.t list Prefix_trie.t Smap.t;
+  adj_in : cand list Ptbl.t;
+  peers : (string, peer) Hashtbl.t;
   mutable loc : Route.t Prefix_trie.t;
-  mutable stale : Stale_set.t Smap.t;
 }
 
 let create () =
-  { adj_in = Smap.empty; loc = Prefix_trie.empty; stale = Smap.empty }
+  { adj_in = Ptbl.create 64;
+    peers = Hashtbl.create 16;
+    loc = Prefix_trie.empty
+  }
 
-let stale_key (path_id : int) prefix = (path_id, Prefix.to_string prefix)
+let candidates_of t prefix =
+  Option.value (Ptbl.find_opt t.adj_in prefix) ~default:[]
 
-let peer_stale t peer =
-  Option.value (Smap.find_opt peer t.stale) ~default:Stale_set.empty
+let set_candidates t prefix = function
+  | [] -> Ptbl.remove t.adj_in prefix
+  | cands -> Ptbl.replace t.adj_in prefix cands
 
-let set_peer_stale t peer set =
-  if Stale_set.is_empty set then t.stale <- Smap.remove peer t.stale
-  else t.stale <- Smap.add peer set t.stale
+let find_path p path_id =
+  List.find_opt (fun c -> c.owner == p && c.route.Route.path_id = path_id)
 
-let clear_stale t ~peer ~path_id prefix =
-  let set = peer_stale t peer in
-  let key = stale_key path_id prefix in
-  if Stale_set.mem key set then set_peer_stale t peer (Stale_set.remove key set)
+let holds p = List.exists (fun c -> c.owner == p)
 
-let stale_count t ~peer = Stale_set.cardinal (peer_stale t peer)
+(* Put [c] at the end of its peer's run, replacing that peer's
+   candidate with the same path-id. *)
+let rec insert c = function
+  | x :: rest when x.owner == c.owner ->
+    if x.route.Route.path_id = c.route.Route.path_id then insert c rest
+    else x :: insert c rest
+  | x :: rest when String.compare x.owner.key c.owner.key > 0 ->
+    x :: insert c rest
+  | l -> c :: l
 
-let peer_table t peer =
-  match Smap.find_opt peer t.adj_in with
-  | Some tbl -> tbl
-  | None -> Prefix_trie.empty
+let routes_of cands = List.map (fun c -> c.route) cands
 
-let set_peer_table t peer tbl =
-  if Prefix_trie.is_empty tbl then t.adj_in <- Smap.remove peer t.adj_in
-  else t.adj_in <- Smap.add peer tbl t.adj_in
-
-let all_candidates t prefix =
-  Smap.fold
-    (fun _peer tbl acc ->
-      match Prefix_trie.find prefix tbl with
-      | Some routes -> List.rev_append routes acc
-      | None -> acc)
-    t.adj_in []
-
-let recompute t prefix =
+let recompute t prefix cands =
   let previous = Prefix_trie.find prefix t.loc in
-  let current = Decision.best (all_candidates t prefix) in
+  let current = Decision.best (routes_of cands) in
   let changed =
     match (previous, current) with
     | None, None -> false
@@ -95,91 +110,108 @@ let recompute t prefix =
   end
   else None
 
+(* [p]'s candidates [gone] leave [prefix], whose set becomes [rest]. A
+   peer with no routes left is forgotten. *)
+let retire t p prefix gone rest =
+  List.iter
+    (fun c ->
+      p.routes <- p.routes - 1;
+      if c.stale then p.stale <- p.stale - 1)
+    gone;
+  if p.routes = 0 then Hashtbl.remove t.peers p.key;
+  if not (holds p rest) then Ptbl.remove p.held prefix;
+  set_candidates t prefix rest
+
 let announce t ~peer (route : Route.t) =
   Metrics.Counter.inc m_announces;
-  let tbl = peer_table t peer in
-  let prefix = route.Route.prefix in
-  let existing = Option.value (Prefix_trie.find prefix tbl) ~default:[] in
-  let without =
-    List.filter (fun (r : Route.t) -> r.path_id <> route.path_id) existing
+  let p =
+    match Hashtbl.find_opt t.peers peer with
+    | Some p -> p
+    | None ->
+      let p = { key = peer; held = Ptbl.create 16; routes = 0; stale = 0 } in
+      Hashtbl.replace t.peers peer p;
+      p
   in
-  set_peer_table t peer (Prefix_trie.add prefix (route :: without) tbl);
-  (* A fresh announcement refreshes any stale entry for this path. *)
-  clear_stale t ~peer ~path_id:route.Route.path_id prefix;
-  recompute t prefix
+  let prefix = route.Route.prefix in
+  let cands = candidates_of t prefix in
+  (match find_path p route.Route.path_id cands with
+  | Some old -> if old.stale then p.stale <- p.stale - 1
+  | None ->
+    p.routes <- p.routes + 1;
+    Ptbl.replace p.held prefix ());
+  let cands = insert { owner = p; route; stale = false } cands in
+  Ptbl.replace t.adj_in prefix cands;
+  recompute t prefix cands
 
 let withdraw t ~peer ?(path_id = 0) prefix =
   Metrics.Counter.inc m_withdraws;
-  clear_stale t ~peer ~path_id prefix;
-  let tbl = peer_table t peer in
-  match Prefix_trie.find prefix tbl with
-  | None -> None
-  | Some routes ->
-    let remaining =
-      List.filter (fun (r : Route.t) -> r.path_id <> path_id) routes
+  match Hashtbl.find_opt t.peers peer with
+  | Some p when Ptbl.mem p.held prefix ->
+    let cands = candidates_of t prefix in
+    let cands =
+      match find_path p path_id cands with
+      | None -> cands
+      | Some old ->
+        let rest = List.filter (fun c -> c != old) cands in
+        retire t p prefix [ old ] rest;
+        rest
     in
-    let tbl =
-      if remaining = [] then Prefix_trie.remove prefix tbl
-      else Prefix_trie.add prefix remaining tbl
-    in
-    set_peer_table t peer tbl;
-    recompute t prefix
+    recompute t prefix cands
+  | Some _ | None -> None
+
+(* Remove [p]'s candidates that satisfy [doomed], then recompute each
+   prefix that lost one, in address order. *)
+let remove_where t p doomed =
+  Ptbl.fold (fun prefix () acc -> prefix :: acc) p.held []
+  |> List.sort Prefix.compare
+  |> List.filter_map (fun prefix ->
+         let gone, rest =
+           List.partition
+             (fun c -> c.owner == p && doomed c)
+             (candidates_of t prefix)
+         in
+         if gone = [] then None
+         else begin
+           retire t p prefix gone rest;
+           recompute t prefix rest
+         end)
 
 let drop_peer t ~peer =
-  let tbl = peer_table t peer in
-  let prefixes = List.map fst (Prefix_trie.to_list tbl) in
-  set_peer_table t peer Prefix_trie.empty;
-  set_peer_stale t peer Stale_set.empty;
-  List.filter_map (recompute t) prefixes
+  match Hashtbl.find_opt t.peers peer with
+  | None -> []
+  | Some p -> remove_where t p (fun _ -> true)
 
 let mark_stale t ~peer =
-  let tbl = peer_table t peer in
-  let set =
-    Prefix_trie.fold
-      (fun prefix routes acc ->
-        List.fold_left
-          (fun acc (r : Route.t) ->
-            Stale_set.add (stale_key r.path_id prefix) acc)
-          acc routes)
-      tbl Stale_set.empty
-  in
-  set_peer_stale t peer set;
-  let n = Stale_set.cardinal set in
-  Metrics.Counter.add m_stale_marked n;
-  n
+  match Hashtbl.find_opt t.peers peer with
+  | None -> 0
+  | Some p ->
+    Ptbl.iter
+      (fun prefix () ->
+        List.iter
+          (fun c -> if c.owner == p then c.stale <- true)
+          (candidates_of t prefix))
+      p.held;
+    p.stale <- p.routes;
+    Metrics.Counter.add m_stale_marked p.routes;
+    p.routes
 
 let sweep_stale t ~peer =
-  let set = peer_stale t peer in
-  set_peer_stale t peer Stale_set.empty;
-  Metrics.Counter.add m_stale_swept (Stale_set.cardinal set);
-  (* Remove every still-stale (path, prefix) from the Adj-RIB-In, then
-     recompute each affected prefix once, in address order. *)
-  let entries = Prefix_trie.to_list (peer_table t peer) in
-  let tbl, touched =
-    List.fold_left
-      (fun (tbl_acc, touched) (prefix, routes) ->
-        let keep =
-          List.filter
-            (fun (r : Route.t) ->
-              not (Stale_set.mem (stale_key r.path_id prefix) set))
-            routes
-        in
-        if List.length keep = List.length routes then (tbl_acc, touched)
-        else
-          let tbl_acc =
-            if keep = [] then Prefix_trie.remove prefix tbl_acc
-            else Prefix_trie.add prefix keep tbl_acc
-          in
-          (tbl_acc, prefix :: touched))
-      (peer_table t peer, [])
-      entries
-  in
-  set_peer_table t peer tbl;
-  List.filter_map (recompute t) (List.rev touched)
+  match Hashtbl.find_opt t.peers peer with
+  | None -> []
+  | Some p ->
+    Metrics.Counter.add m_stale_swept p.stale;
+    if p.stale = 0 then []
+    else remove_where t p (fun c -> c.stale)
 
-let peers t = List.map fst (Smap.bindings t.adj_in)
+let stale_count t ~peer =
+  match Hashtbl.find_opt t.peers peer with Some p -> p.stale | None -> 0
+
+let peers t =
+  Hashtbl.fold (fun key _ acc -> key :: acc) t.peers []
+  |> List.sort String.compare
+
 let best t prefix = Prefix_trie.find prefix t.loc
-let candidates t prefix = Decision.sort (all_candidates t prefix)
+let candidates t prefix = Decision.sort (routes_of (candidates_of t prefix))
 
 let lookup t addr =
   Option.map snd (Prefix_trie.longest_match addr t.loc)
@@ -187,9 +219,4 @@ let lookup t addr =
 let fold_best f t acc = Prefix_trie.fold f t.loc acc
 let best_routes t = Prefix_trie.to_list t.loc
 let prefix_count t = Prefix_trie.cardinal t.loc
-
-let route_count t =
-  Smap.fold
-    (fun _ tbl acc ->
-      Prefix_trie.fold (fun _ routes n -> n + List.length routes) tbl acc)
-    t.adj_in 0
+let route_count t = Hashtbl.fold (fun _ p n -> n + p.routes) t.peers 0

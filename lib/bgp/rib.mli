@@ -5,7 +5,21 @@
     best-route changes so a router can push deltas to its
     Adj-RIBs-Out. Peers are identified by opaque string keys chosen by
     the owner (a router uses peer addresses; the PEERING mux uses
-    "client/peer" composite keys, one logical table per upstream). *)
+    "client/peer" composite keys, one logical table per upstream).
+
+    The Adj-RIB-In is stored prefix-major: one hash table maps each
+    prefix to its candidate routes, so an {!announce} or {!withdraw}
+    costs O(candidates for that prefix), not O(peers). Each peer keeps
+    an index of the prefixes it holds, which {!drop_peer},
+    {!mark_stale} and {!sweep_stale} walk; they report changes in
+    address order. RFC 4724 stale marks are a flag on the candidate.
+    A prefix's candidates are kept highest peer key first, and each
+    peer's paths oldest first. {!Decision.best} keeps the first of
+    equally preferred routes, so an exact tie across peers (same
+    source, attributes and path-id) goes to the highest peer key, and
+    {!candidates} lists such ties in that order. The Loc-RIB is a
+    {!Peering_net.Prefix_trie}; it keeps its entry while the new best
+    route is {!Route.equal} to it. *)
 
 open Peering_net
 

@@ -1,7 +1,13 @@
 open Peering_net
 open Peering_bgp
 
-type link = { server : Server.t; mutable ignored : Asn.Set.t }
+(* [keys] memoises the Rib peer key of each upstream peer of [server],
+   so route callbacks do not format it again per route. *)
+type link = {
+  server : Server.t;
+  mutable ignored : Asn.Set.t;
+  keys : (int, string) Hashtbl.t;
+}
 
 type t = {
   id : string;
@@ -16,8 +22,16 @@ let create ~id ~experiment () =
 let id t = t.id
 let experiment t = t.experiment
 
-let rib_key server peer =
-  Printf.sprintf "%s/%s" (Server.name server) (Asn.to_string peer)
+let rib_key link peer =
+  let asn = Asn.to_int peer in
+  match Hashtbl.find_opt link.keys asn with
+  | Some key -> key
+  | None ->
+    let key =
+      Printf.sprintf "%s/%s" (Server.name link.server) (Asn.to_string peer)
+    in
+    Hashtbl.add link.keys asn key;
+    key
 
 let find_link t name =
   List.find_opt (fun l -> Server.name l.server = name) t.links
@@ -25,16 +39,16 @@ let find_link t name =
 let connect t server =
   if find_link t (Server.name server) <> None then
     invalid_arg "Client.connect: already connected to this server";
-  let link = { server; ignored = Asn.Set.empty } in
+  let link = { server; ignored = Asn.Set.empty; keys = Hashtbl.create 16 } in
   t.links <- t.links @ [ link ];
   let callbacks =
     { Server.route_update =
         (fun ~peer route ->
           if not (Asn.Set.mem peer link.ignored) then
-            ignore (Rib.announce t.rib ~peer:(rib_key server peer) route));
+            ignore (Rib.announce t.rib ~peer:(rib_key link peer) route));
       route_withdraw =
         (fun ~peer prefix ->
-          ignore (Rib.withdraw t.rib ~peer:(rib_key server peer) prefix))
+          ignore (Rib.withdraw t.rib ~peer:(rib_key link peer) prefix))
     }
   in
   Server.connect_client server ~experiment:t.experiment ~callbacks t.id
@@ -46,7 +60,7 @@ let disconnect t server =
     Server.disconnect_client server t.id;
     List.iter
       (fun peer ->
-        ignore (Rib.drop_peer t.rib ~peer:(rib_key server peer)))
+        ignore (Rib.drop_peer t.rib ~peer:(rib_key link peer)))
       (Server.peer_asns link.server);
     t.links <- List.filter (fun l -> l != link) t.links
 
@@ -57,7 +71,7 @@ let ignore_peer t ~server ~peer =
   | None -> invalid_arg "Client.ignore_peer: not connected to server"
   | Some link ->
     link.ignored <- Asn.Set.add peer link.ignored;
-    ignore (Rib.drop_peer t.rib ~peer:(rib_key link.server peer))
+    ignore (Rib.drop_peer t.rib ~peer:(rib_key link peer))
 
 let unignore_peer t ~server ~peer =
   match find_link t server with

@@ -30,7 +30,11 @@ type peer_state = {
 type mux_state = {
   peers : (int, peer_state) Hashtbl.t;
   mutable mx_up : bool;
-  mutable pending : bytes;  (* unconsumed feed bytes (partial frame) *)
+  (* Unconsumed feed bytes (a partial frame) are
+     [pending.[p_start] .. pending.[p_end - 1]]; the rest is spare room. *)
+  mutable pending : bytes;
+  mutable p_start : int;
+  mutable p_end : int;
   mutable mx_msgs : int;
 }
 
@@ -84,7 +88,7 @@ let mux_state t mux =
   | None ->
     let m =
       { peers = Hashtbl.create 8; mx_up = false; pending = Bytes.empty;
-        mx_msgs = 0
+        p_start = 0; p_end = 0; mx_msgs = 0
       }
     in
     Hashtbl.replace t.muxes mux m;
@@ -298,33 +302,53 @@ let process t ~mux mx msg =
 (* ------------------------------------------------------------------ *)
 (* Feed reassembly *)
 
+(* Process every whole frame among [mx]'s pending bytes. Decoding
+   takes [p_end] as the end of the bytes, so a partial frame is
+   Truncated and waits for more; a corrupt frame drops everything
+   pending, to resync. *)
+let rec drain t ~mux mx =
+  if mx.p_start < mx.p_end then
+    match Bmp.decode mx.pending ~pos:mx.p_start ~stop:mx.p_end with
+    | Ok (msg, next) ->
+      mx.p_start <- next;
+      process t ~mux mx msg;
+      drain t ~mux mx
+    | Error Bmp.Truncated -> ()
+    | Error _ ->
+      t.parse_errors <- t.parse_errors + 1;
+      Metrics.Counter.inc m_parse_errors;
+      mx.p_start <- mx.p_end
+
+(* Append [data] to [mx]'s pending bytes. The buffer is compacted
+   while the live bytes fill at most half of it and doubled otherwise,
+   so each byte is copied O(1) times on average. *)
+let buffer mx data =
+  let n = Bytes.length data in
+  let live = mx.p_end - mx.p_start in
+  let cap = Bytes.length mx.pending in
+  if mx.p_end + n > cap then begin
+    let dst =
+      if 2 * (live + n) <= cap then mx.pending else Bytes.create (2 * (live + n))
+    in
+    Bytes.blit mx.pending mx.p_start dst 0 live;
+    mx.pending <- dst;
+    mx.p_start <- 0;
+    mx.p_end <- live
+  end;
+  Bytes.blit data 0 mx.pending mx.p_end n;
+  mx.p_end <- mx.p_end + n
+
 let feed t ~mux data =
   t.bytes_in <- t.bytes_in + Bytes.length data;
   let mx = mux_state t mux in
-  let buf =
-    if Bytes.length mx.pending = 0 then data
-    else Bytes.cat mx.pending data
-  in
-  let len = Bytes.length buf in
-  let pos = ref 0 in
-  let stop = ref false in
-  while not !stop && !pos < len do
-    match Bmp.decode buf ~pos:!pos with
-    | Ok (msg, next) ->
-      process t ~mux mx msg;
-      pos := next
-    | Error Bmp.Truncated ->
-      (* partial frame: keep the tail for the next push *)
-      stop := true
-    | Error _ ->
-      (* corrupt frame: drop the rest of the buffer to resync *)
-      t.parse_errors <- t.parse_errors + 1;
-      Metrics.Counter.inc m_parse_errors;
-      pos := len;
-      stop := true
-  done;
-  mx.pending <-
-    (if !pos >= len then Bytes.empty else Bytes.sub buf !pos (len - !pos))
+  buffer mx data;
+  drain t ~mux mx;
+  if mx.p_start = mx.p_end then begin
+    mx.p_start <- 0;
+    mx.p_end <- 0;
+    (* one large push leaves no large buffer behind *)
+    if Bytes.length mx.pending > 65_536 then mx.pending <- Bytes.empty
+  end
 
 let attach t ~mux data = feed t ~mux data
 
@@ -341,7 +365,7 @@ let parse_errors t = t.parse_errors
 let buffered t ~mux =
   match Hashtbl.find_opt t.muxes mux with
   | None -> 0
-  | Some mx -> Bytes.length mx.pending
+  | Some mx -> mx.p_end - mx.p_start
 
 let series t = t.series
 

@@ -602,38 +602,53 @@ type load = {
 
 let peer_key i = Printf.sprintf "peer%03d" i
 
+(* A PEER_INDEX_TABLE entry as RIB entries use it: the RIB peer key and
+   the route source, built once per table rather than once per entry. *)
+type indexed_peer = { key : string; source : Route.source }
+
+let index_peers parr =
+  Array.mapi
+    (fun i p ->
+      { key = peer_key i;
+        source =
+          Route.
+            { peer_asn = p.asn;
+              peer_addr = peer_v4_addr p;
+              peer_router_id = p.bgp_id;
+              ebgp = true
+            }
+      })
+    parr
+
 let load buf =
   let rib = Rib.create () in
   let peers = ref [||] in
+  let indexed = ref [||] in
   let routes4 = ref 0 in
   let entries6 = ref 0 in
   let updates = ref 0 in
-  let source_of i =
-    if i >= Array.length !peers then
+  let peer_at i =
+    if i >= Array.length !indexed then
       raise (Error (Bad_record (Printf.sprintf "peer index %d out of range" i)));
-    let p = (!peers).(i) in
-    Route.
-      { peer_asn = p.asn;
-        peer_addr = peer_v4_addr p;
-        peer_router_id = p.bgp_id;
-        ebgp = true
-      }
+    (!indexed).(i)
   in
   let apply t =
     match t.record with
-    | Peer_index_table { peers = parr; _ } -> peers := parr
+    | Peer_index_table { peers = parr; _ } ->
+      peers := parr;
+      indexed := index_peers parr
     | Rib_v4 { prefix; entries; _ } ->
       List.iter
         (fun e ->
-          let source = source_of e.peer_index in
+          let p = peer_at e.peer_index in
           ignore
-            (Rib.announce rib ~peer:(peer_key e.peer_index)
-               (Route.make ~source prefix e.attrs));
+            (Rib.announce rib ~peer:p.key
+               (Route.make ~source:p.source prefix e.attrs));
           incr routes4)
         entries
     | Rib_v6 { entries; _ } ->
       (* the mux RIB is v4-only; v6 entries are parsed and counted *)
-      List.iter (fun e -> ignore (source_of e.peer_index); incr entries6)
+      List.iter (fun e -> ignore (peer_at e.peer_index); incr entries6)
         entries
     | Bgp4mp { payload; peer_asn; as4; _ } -> (
       let opts = session_opts_of_as4 as4 in

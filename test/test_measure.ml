@@ -321,6 +321,40 @@ let test_mrt_synthetic_stream () =
     check Alcotest.int "records" 1 s.Mrt.n_records;
     check Alcotest.int "peers" 20 s.Mrt.n_peers
 
+(* A RIB entry must index into the PEER_INDEX_TABLE before it: an
+   index past the table, and a RIB record ahead of any table, are both
+   rejected with the offending index. *)
+let test_mrt_peer_index_out_of_range () =
+  let stamp record = { Mrt.timestamp = Mrt.base_time; record } in
+  let table =
+    stamp
+      (Mrt.Peer_index_table
+         { collector_id = ip "192.168.0.1"; view_name = "";
+           peers = Mrt.make_peers ~n:2 })
+  in
+  let rib seq peer_index =
+    let attrs =
+      Peering_bgp.Attrs.make
+        ~as_path:(Peering_bgp.As_path.of_asns [ asn 3356 ])
+        ~next_hop:(ip "100.65.0.1") ()
+    in
+    stamp
+      (Mrt.Rib_v4
+         { seq; prefix = pfx "10.0.0.0/8";
+           entries =
+             [ { Mrt.peer_index; originated = Mrt.base_time; attrs;
+                 next_hop6 = None } ] })
+  in
+  let expect_out_of_range name records index =
+    match Mrt.load (Mrt.encode records) with
+    | Error (Mrt.Bad_record msg) ->
+      check Alcotest.string name (Printf.sprintf "peer index %d out of range" index) msg
+    | Error e -> Alcotest.failf "%s: %s" name (Mrt.error_to_string e)
+    | Ok _ -> Alcotest.failf "%s: loaded" name
+  in
+  expect_out_of_range "index past the table" [ table; rib 0 1; rib 1 2 ] 2;
+  expect_out_of_range "RIB record before any table" [ rib 0 0; table ] 0
+
 (* ------------------------------------------------------------------ *)
 (* Monitor: BMP ingest, reassembly, reconstruction *)
 
@@ -416,6 +450,60 @@ let test_monitor_fragmentation () =
   check Alcotest.(option int) "stats report landed" (Some 3)
     (Monitor.reported_routes reference ~mux:"mux0" ~peer)
 
+(* Reassembly is linear: a 64 KiB stream of ~1.2 KB frames pushed one
+   byte at a time rebuilds the same table as one whole push, and
+   allocates a bounded number of minor words per byte. Re-copying the
+   partial frame on every push costs ~170 words a byte here. *)
+let test_monitor_bytewise_linear () =
+  let peers = List.map asn [ 65010; 65020; 65030 ] in
+  let frame i =
+    let peer = List.nth peers (i mod 3) in
+    let nlri =
+      List.init 300 (fun k ->
+          (0, Prefix.make (Ipv4.of_int (0x0A00_0000 + (((i * 300) + k) lsl 8))) 24))
+    in
+    if i mod 5 = 4 then
+      Bmp.Route_monitoring
+        { peer = bmp_hdr ~time:(float_of_int i) peer;
+          update = { Message.withdrawn = nlri; attrs = None; nlri = [] } }
+    else
+      Bmp.Route_monitoring
+        { peer = bmp_hdr ~time:(float_of_int i) peer;
+          update =
+            { Message.withdrawn = []; attrs = Some (bmp_attrs ()); nlri } }
+  in
+  let rec frames i acc =
+    if Bytes.length (Bmp.encode_all (List.rev acc)) >= 65_536 then List.rev acc
+    else frames (i + 1) (frame i :: acc)
+  in
+  let stream =
+    Bmp.encode_all
+      (Bmp.Initiation { info = [ (2, "mux0") ] }
+       :: List.map bmp_peer_up peers
+       @ frames 0 [])
+  in
+  let len = Bytes.length stream in
+  let whole = Monitor.create () in
+  let w0 = Gc.minor_words () in
+  Monitor.feed whole ~mux:"mux0" stream;
+  let whole_words = Gc.minor_words () -. w0 in
+  let bytes = Array.init len (fun i -> Bytes.sub stream i 1) in
+  let bytewise = Monitor.create () in
+  let b0 = Gc.minor_words () in
+  Array.iter (Monitor.feed bytewise ~mux:"mux0") bytes;
+  let bytewise_words = Gc.minor_words () -. b0 in
+  check Alcotest.bool "stream is at least 64 KiB" true (len >= 65_536);
+  check Alcotest.int "parse errors" (Monitor.parse_errors whole)
+    (Monitor.parse_errors bytewise);
+  check Alcotest.int "messages" (Monitor.messages whole)
+    (Monitor.messages bytewise);
+  check Alcotest.string "digest" (Monitor.rib_digest whole ~mux:"mux0")
+    (Monitor.rib_digest bytewise ~mux:"mux0");
+  check Alcotest.int "no residue" 0 (Monitor.buffered bytewise ~mux:"mux0");
+  if bytewise_words > whole_words +. (16.0 *. float_of_int len) then
+    Alcotest.failf "byte-at-a-time feed allocated %.0f minor words for %d bytes \
+                    (whole push: %.0f)" bytewise_words len whole_words
+
 (* Peer Down clears exactly that peer's table; other peers keep
    theirs.  A Termination clears the whole mux. *)
 let test_monitor_peer_down () =
@@ -494,10 +582,12 @@ let () =
           tc "golden replay" `Quick test_mrt_golden_replay;
           tc "fixture roundtrip" `Quick test_mrt_roundtrip_fixture;
           tc "malformed records" `Quick test_mrt_malformed;
+          tc "peer index out of range" `Quick test_mrt_peer_index_out_of_range;
           tc "synthetic stream" `Quick test_mrt_synthetic_stream
         ] );
       ( "monitor",
         [ tc "fragmentation" `Quick test_monitor_fragmentation;
+          tc "byte-at-a-time is linear" `Quick test_monitor_bytewise_linear;
           tc "peer down clears" `Quick test_monitor_peer_down;
           tc "collector + resync" `Quick test_monitor_collector_and_resync
         ] );
