@@ -38,6 +38,20 @@ let canon_time t =
   let s, us = split_time t in
   float_of_int s +. (float_of_int us /. 1e6)
 
+let adj_rib_dump tables =
+  tables
+  |> List.filter (fun (_, m) -> not (Prefix.Map.is_empty m))
+  |> List.map (fun (asn, m) ->
+         ( asn,
+           List.map
+             (fun (pfx, r) ->
+               (pfx, { r with Route.learned_at = canon_time r.Route.learned_at }))
+             (Prefix.Map.bindings m) ))
+  |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
+
+let rib_digest dump =
+  Digest.to_hex (Digest.string (Marshal.to_string dump [ Marshal.No_sharing ]))
+
 type stat = { stat_type : int; stat_value : int }
 
 let stat_routes_adj_rib_in = 7
@@ -376,8 +390,9 @@ let decode ?stop buf ~pos =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Eager-path decoder: direct byte indexing, embedded PDUs through
-   [Wire.decode_eager].  Independent of [Cursor] on purpose. *)
+(* Reference decoder: BMP framing by direct byte indexing, independent
+   of [Cursor] on purpose; embedded PDUs go through [Wire.decode] like
+   [decode]'s, so the two differ only in how they read the framing. *)
 
 exception Overrun
 
@@ -447,7 +462,7 @@ let decode_eager buf ~pos =
             }
           in
           let embedded_pdu ~exact =
-            match Wire.decode_eager pdu_opts buf ~pos:r.rp with
+            match Wire.decode pdu_opts buf ~pos:r.rp with
             | Error e -> fail (Bad_payload e)
             | Ok (m, pdu_end) ->
               check_pdu_end ~exact ~want_end:body_end pdu_end;

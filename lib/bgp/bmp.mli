@@ -9,12 +9,12 @@
     IPv4 peers with a zero distinguisher; embedded PDUs always use
     4-octet ASNs and no ADD-PATH ({!pdu_opts}).
 
-    The codec follows {!Wire}'s discipline: one canonical encoder, and
-    two independent decoders — {!decode} on {!Wire.Cursor} (embedded
-    PDUs via [Wire.decode]) and {!decode_eager} on direct byte indexing
-    (embedded PDUs via [Wire.decode_eager]) — that must agree on every
-    input, including the [error] value for corrupt frames; the
-    [@mrt-roundtrip] alias's BMP corruption corpus enforces this. *)
+    The codec has one canonical encoder and two independent readers of
+    the BMP framing — {!decode} on {!Wire.Cursor} and the reference
+    {!decode_eager} on direct byte indexing, both handing embedded
+    PDUs to [Wire.decode] — that must agree on every input, including
+    the [error] value for corrupt frames; the [@mrt-roundtrip] alias's
+    BMP corruption corpus enforces this. *)
 
 open Peering_net
 
@@ -51,6 +51,18 @@ val time : peer_header -> float
 val canon_time : float -> float
 (** [time (make_peer_header ~time …)]: a float timestamp truncated to
     what the wire can carry.  Idempotent. *)
+
+val adj_rib_dump :
+  (int * Route.t Prefix.Map.t) list -> (int * (Prefix.t * Route.t) list) list
+(** The canonical Adj-RIB-In dump of [(peer ASN, table)] pairs given in
+    any order: empty tables dropped (a withdraw-only peer leaves one
+    behind), bindings in prefix order, [learned_at] put through
+    {!canon_time}, peers sorted by ASN.  The live mux and the
+    monitoring station both dump through it, so equal RIBs give equal
+    dumps. *)
+
+val rib_digest : (int * (Prefix.t * Route.t) list) list -> string
+(** Hex MD5 of an {!adj_rib_dump} marshalled without sharing. *)
 
 type stat = { stat_type : int; stat_value : int }
 (** One Stats Report TLV.  Types 7 and 8 (Adj-RIB-In / Loc-RIB route

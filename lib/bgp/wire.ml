@@ -213,7 +213,7 @@ let encode opts msg =
   Buffer.to_bytes b
 
 (* ------------------------------------------------------------------ *)
-(* Cursor: the shared bounds-checked window both decoders read through. *)
+(* Cursor: the bounds-checked window every decoder reads through. *)
 
 module Cursor = struct
   type t = { buf : bytes; mutable pos : int; limit : int }
@@ -260,8 +260,8 @@ module Cursor = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Shared sub-parsers: both the eager decoder and the lazy views call
-   exactly these, so a given byte span maps to one (value | error). *)
+(* Sub-parsers over a cursor.  Each raises [Error] on a malformed or
+   truncated span; the public entry points catch it. *)
 
 let get_asn opts c =
   Asn.of_int (if opts.four_octet_asn then Cursor.u32 c else Cursor.u16 c)
@@ -441,9 +441,9 @@ let decode_notification c : Message.notification =
   Message.{ code; subcode; reason }
 
 (* ------------------------------------------------------------------ *)
-(* Eager decoding: the retained linear reference implementation. *)
+(* Decoding: one pass over the frame, sections in wire order. *)
 
-let decode_update_eager opts c =
+let decode_update opts c =
   let wlen = Cursor.u16 c in
   let wsub = Cursor.slice c wlen in
   let withdrawn = get_prefixes opts wsub in
@@ -455,8 +455,8 @@ let decode_update_eager opts c =
     raise (Error (Bad_attribute "NLRI without path attributes"));
   Message.Update { withdrawn; attrs; nlri }
 
-(* Header validation shared by both decode paths: returns the message
-   type and a cursor over the body, or raises. *)
+(* Header validation: returns the message type and total length, or
+   raises. *)
 let check_header buf ~pos =
   let total = Bytes.length buf in
   if pos + 19 > total then raise (Error Truncated);
@@ -470,14 +470,14 @@ let check_header buf ~pos =
   let ty = Cursor.u8 hdr in
   (ty, len)
 
-let decode_eager opts buf ~pos =
+let decode opts buf ~pos =
   try
     let ty, len = check_header buf ~pos in
     let c = Cursor.of_bytes ~pos:(pos + 19) ~len:(len - 19) buf in
     let msg =
       match ty with
       | 1 -> Message.Open (decode_open c)
-      | 2 -> decode_update_eager opts c
+      | 2 -> decode_update opts c
       | 3 -> Message.Notification (decode_notification c)
       | 4 ->
         if len <> 19 then raise (Error (Bad_length len));
@@ -486,177 +486,6 @@ let decode_eager opts buf ~pos =
     in
     Ok (msg, pos + len)
   with Error e -> Result.Error e
-
-(* ------------------------------------------------------------------ *)
-(* Lazy views: zero-copy message windows over a shared buffer.  An
-   UPDATE view keeps only (buffer, offset, length); each section is
-   parsed on first access and memoized.  Forcing replays the same
-   cursor reads, in the same order, over the same spans as the eager
-   decoder, so the two paths agree on every input — including the
-   error produced for corrupt frames. *)
-
-type span = { s_buf : bytes; s_pos : int; s_len : int }
-
-let cursor_of_span s = Cursor.of_bytes ~pos:s.s_pos ~len:s.s_len s.s_buf
-
-type update_view = {
-  u_opts : session_opts;
-  u_body : span;
-  mutable u_withdrawn : ((Message.path_id * Prefix.t) list, error) result option;
-  mutable u_attrs : (Attrs.t option, error) result option;
-  mutable u_nlri : ((Message.path_id * Prefix.t) list, error) result option;
-  mutable u_index : ((int * int * span) list, error) result option;
-}
-
-type view =
-  | Open_v of Message.open_msg
-  | Update_v of update_view
-  | Notification_v of Message.notification
-  | Keepalive_v
-
-let run f = try Ok (f ()) with Error e -> Result.Error e
-
-module Update_view = struct
-  let withdrawn v =
-    match v.u_withdrawn with
-    | Some r -> r
-    | None ->
-      let r =
-        run (fun () ->
-            let c = cursor_of_span v.u_body in
-            let wlen = Cursor.u16 c in
-            get_prefixes v.u_opts (Cursor.slice c wlen))
-      in
-      v.u_withdrawn <- Some r;
-      r
-
-  (* Skip to and slice the attribute section; raises on truncation. *)
-  let attrs_cursor v =
-    let c = cursor_of_span v.u_body in
-    let wlen = Cursor.u16 c in
-    Cursor.skip c wlen;
-    let alen = Cursor.u16 c in
-    Cursor.slice c alen
-
-  let attrs v =
-    match v.u_attrs with
-    | Some r -> r
-    | None ->
-      let r =
-        run (fun () ->
-            let a = attrs_cursor v in
-            if Cursor.remaining a = 0 then None else get_attrs v.u_opts a)
-      in
-      v.u_attrs <- Some r;
-      r
-
-  let nlri v =
-    match v.u_nlri with
-    | Some r -> r
-    | None ->
-      let r =
-        run (fun () ->
-            let c = cursor_of_span v.u_body in
-            let wlen = Cursor.u16 c in
-            Cursor.skip c wlen;
-            let alen = Cursor.u16 c in
-            Cursor.skip c alen;
-            get_prefixes v.u_opts c)
-      in
-      v.u_nlri <- Some r;
-      r
-
-  (* Attribute TLV index: offsets only, no body decoding. *)
-  let index v =
-    match v.u_index with
-    | Some r -> r
-    | None ->
-      let r =
-        run (fun () ->
-            let a = attrs_cursor v in
-            let acc = ref [] in
-            while Cursor.remaining a > 0 do
-              let flags = Cursor.u8 a in
-              let code = Cursor.u8 a in
-              let len =
-                if flags land 0x10 <> 0 then Cursor.u16 a else Cursor.u8 a
-              in
-              let body = Cursor.slice a len in
-              acc :=
-                ( flags,
-                  code,
-                  { s_buf = body.Cursor.buf;
-                    s_pos = body.Cursor.pos;
-                    s_len = len
-                  } )
-                :: !acc
-            done;
-            List.rev !acc)
-      in
-      v.u_index <- Some r;
-      r
-
-  let attr_raw v ~code =
-    match index v with
-    | Result.Error e -> Result.Error e
-    | Ok tlvs -> (
-      match List.find_opt (fun (_, c, _) -> c = code) tlvs with
-      | None -> Ok None
-      | Some (_, _, s) -> Ok (Some (Bytes.sub s.s_buf s.s_pos s.s_len)))
-end
-
-let view opts buf ~pos =
-  try
-    let ty, len = check_header buf ~pos in
-    let body = { s_buf = buf; s_pos = pos + 19; s_len = len - 19 } in
-    let v =
-      match ty with
-      | 1 -> Open_v (decode_open (cursor_of_span body))
-      | 2 ->
-        Update_v
-          { u_opts = opts;
-            u_body = body;
-            u_withdrawn = None;
-            u_attrs = None;
-            u_nlri = None;
-            u_index = None
-          }
-      | 3 -> Notification_v (decode_notification (cursor_of_span body))
-      | 4 ->
-        if len <> 19 then raise (Error (Bad_length len));
-        Keepalive_v
-      | t -> raise (Error (Bad_type t))
-    in
-    Ok (v, pos + len)
-  with Error e -> Result.Error e
-
-let to_message = function
-  | Open_v o -> Ok (Message.Open o)
-  | Keepalive_v -> Ok Message.Keepalive
-  | Notification_v n -> Ok (Message.Notification n)
-  | Update_v v -> (
-    (* Force sections in the eager decoder's order so the first error
-       reported matches it exactly. *)
-    match Update_view.withdrawn v with
-    | Result.Error e -> Result.Error e
-    | Ok withdrawn -> (
-      match Update_view.attrs v with
-      | Result.Error e -> Result.Error e
-      | Ok attrs -> (
-        match Update_view.nlri v with
-        | Result.Error e -> Result.Error e
-        | Ok nlri ->
-          if nlri <> [] && attrs = None then
-            Result.Error (Bad_attribute "NLRI without path attributes")
-          else Ok (Message.Update { withdrawn; attrs; nlri }))))
-
-let decode opts buf ~pos =
-  match view opts buf ~pos with
-  | Result.Error e -> Result.Error e
-  | Ok (v, next) -> (
-    match to_message v with
-    | Ok msg -> Ok (msg, next)
-    | Result.Error e -> Result.Error e)
 
 let decode_exn opts buf =
   match decode opts buf ~pos:0 with

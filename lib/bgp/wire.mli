@@ -5,19 +5,10 @@
     identifiers is session state negotiated via OPEN capabilities, so
     both directions of the codec take explicit {!session_opts}.
 
-    The codec has two decode paths over one set of shared sub-parsers:
-
-    - {!decode_eager} — the linear reference decoder, which
-      materializes a {!Message.t} in one pass;
-    - {!view} / {!Update_view} — a zero-copy path that validates only
-      the 19-byte header up front and hands back a cursor-backed
-      window; UPDATE sections (withdrawn routes, path attributes,
-      NLRI) are parsed on first access and memoized.
-
-    {!decode} is the {!view}-based wrapper and must agree with
-    {!decode_eager} on every input, including the [error] value
-    produced for corrupt frames — the [@mrt-roundtrip] differential
-    alias enforces this over seeded corpora. *)
+    {!decode} is the one decoder: it validates the 19-byte header, then
+    materializes a {!Message.t} in a single pass, reading UPDATE
+    sections in wire order (withdrawn routes, path attributes, NLRI).
+    The first malformed span decides the returned [error]. *)
 
 open Peering_net
 
@@ -54,8 +45,8 @@ exception Error of error
 (** Bounds-checked read window over a shared byte buffer.  A cursor
     never copies: slices alias the parent buffer, and every read is
     checked against the window's limit, raising {!Error}[ Truncated]
-    on overrun.  This is the only way both decode paths touch bytes,
-    which is what makes their error behavior coincide. *)
+    on overrun.  Every decoder in this module reads bytes only through
+    a cursor, so no malformed frame can read past its window. *)
 module Cursor : sig
   type t
   (** A mutable position within a fixed window of a byte buffer. *)
@@ -114,15 +105,9 @@ val encode_prefix : Buffer.t -> Prefix.t -> unit
 
 val decode : session_opts -> bytes -> pos:int -> (Message.t * int, error) result
 (** [decode opts buf ~pos] parses one message starting at [pos];
-    returns the message and the position one past its end.  This is
-    the {!view}-based cursor path; it agrees with {!decode_eager} on
-    every input. *)
-
-val decode_eager :
-  session_opts -> bytes -> pos:int -> (Message.t * int, error) result
-(** The retained single-pass reference decoder.  Kept as the oracle
-    for the cursor path's differential tests; same contract as
-    {!decode}. *)
+    returns the message and the position one past its end.  For
+    [0 <= pos <= Bytes.length buf] it never raises: a corrupt or
+    truncated frame is an [Error]. *)
 
 val decode_exn : session_opts -> bytes -> Message.t
 (** Decode a buffer holding exactly one message; raises [Failure] on
@@ -143,53 +128,3 @@ val decode_attrs :
 val read_prefix : Cursor.t -> Prefix.t
 (** Read one NLRI-encoded prefix (no ADD-PATH identifier); raises
     {!Error}.  Inverse of {!encode_prefix}. *)
-
-(** {1 Lazy views} *)
-
-type update_view
-(** A zero-copy window onto one UPDATE message: only the section
-    offsets are computed eagerly; withdrawn routes, path attributes,
-    and NLRI are each decoded on first access and memoized. *)
-
-(** A validated message header plus its body.  OPEN, NOTIFICATION and
-    KEEPALIVE are small and parsed immediately; UPDATE — the hot path
-    — stays lazy. *)
-type view =
-  | Open_v of Message.open_msg  (** an OPEN, fully parsed *)
-  | Update_v of update_view  (** an UPDATE, sections parsed on demand *)
-  | Notification_v of Message.notification  (** a NOTIFICATION *)
-  | Keepalive_v  (** a KEEPALIVE *)
-
-val view : session_opts -> bytes -> pos:int -> (view * int, error) result
-(** [view opts buf ~pos] validates the marker, length, and type of the
-    message at [pos] and returns a view plus the position one past the
-    message.  For UPDATEs no body bytes are parsed yet, so [view] can
-    succeed on a frame whose body {!to_message} later rejects. *)
-
-val to_message : view -> (Message.t, error) result
-(** Force a view into a materialized message, decoding UPDATE sections
-    in the eager decoder's order (withdrawn, attributes, NLRI) so the
-    first error reported is identical to {!decode_eager}'s. *)
-
-(** On-demand accessors for one UPDATE's sections.  Each returns the
-    memoized parse of its span; errors are stable across repeated
-    calls. *)
-module Update_view : sig
-  val withdrawn :
-    update_view -> ((Message.path_id * Prefix.t) list, error) result
-  (** Withdrawn routes, parsed on first call. *)
-
-  val attrs : update_view -> (Attrs.t option, error) result
-  (** Path attributes, parsed on first call; [None] if the section is
-      empty or holds only optional attributes. *)
-
-  val nlri : update_view -> ((Message.path_id * Prefix.t) list, error) result
-  (** Announced prefixes, parsed on first call. *)
-
-  val attr_raw : update_view -> code:int -> (bytes option, error) result
-  (** [attr_raw v ~code] is a copy of the body of the first attribute
-      TLV with type [code], or [None] if absent.  Builds (and
-      memoizes) the TLV offset index without decoding any attribute
-      bodies — how MRT readers reach e.g. MP_REACH_NLRI without paying
-      for a full attribute parse. *)
-end

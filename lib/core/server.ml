@@ -394,7 +394,9 @@ let announce t ~client ?peers ?(path_suffix = []) prefix =
 let withdraw t ~client prefix =
   let run () =
     let conn = find_conn_exn t client in
-    if t.up && Prefix.Map.mem prefix conn.announced then begin
+    (* Applies whether or not the mux is up: the announcement must not
+       come back when a crashed mux restarts and re-exports. *)
+    if Prefix.Map.mem prefix conn.announced then begin
       conn.announced <- Prefix.Map.remove prefix conn.announced;
       Safety.note_withdraw t.safety ~now:(Engine.now t.engine) ~client ~prefix;
       Metrics.Counter.inc t.m.m_withdraws_exported;
@@ -412,9 +414,6 @@ let disconnect_client t id =
   | None -> ()
   | Some conn ->
     List.iter (fun (p, _) -> withdraw t ~client:id p)
-      (Prefix.Map.bindings conn.announced);
-    List.iter
-      (fun (p, _) -> ignore (Safety.release t.safety ~client:id ~prefix:p))
       (Prefix.Map.bindings conn.announced);
     t.conns <- List.filter (fun c -> c.id <> id) t.conns
 
@@ -533,24 +532,11 @@ let restart t =
 let learned_route_count t =
   Hashtbl.fold (fun _ r acc -> acc + Prefix.Map.cardinal !r) t.learned 0
 
-(* Canonical Adj-RIB-In dump: per-peer bindings sorted by peer ASN,
-   empty tables dropped (a withdraw-only peer leaves an empty map
-   behind), [learned_at] truncated to the µs the BMP wire can carry.
-   The monitoring station produces the identical structure from the
-   feed alone, and the @bmp-diff harness compares Marshal digests. *)
 let adj_rib_dump t =
-  Hashtbl.fold (fun asn table acc -> (asn, !table) :: acc) t.learned []
-  |> List.filter (fun (_, m) -> not (Prefix.Map.is_empty m))
-  |> List.map (fun (asn, m) ->
-         ( asn,
-           List.map
-             (fun (pfx, r) ->
-               (pfx, { r with Route.learned_at = Bmp.canon_time r.Route.learned_at }))
-             (Prefix.Map.bindings m) ))
-  |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
+  Bmp.adj_rib_dump
+    (Hashtbl.fold (fun asn table acc -> (asn, !table) :: acc) t.learned [])
 
-let rib_digest t =
-  Digest.to_hex (Digest.string (Marshal.to_string (adj_rib_dump t) [ Marshal.No_sharing ]))
+let rib_digest t = Bmp.rib_digest (adj_rib_dump t)
 
 type session_stats = {
   mode : mux_mode;

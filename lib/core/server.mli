@@ -95,6 +95,10 @@ val announce :
     stripped before export). Everything passes through {!Safety}. *)
 
 val withdraw : t -> client:string -> Prefix.t -> unit
+(** Withdraw the client's announcement of a prefix, if it has one.
+    Also while the mux is crashed: the announcement is dropped, its
+    safety claim released and the withdraw exported, so {!restart}
+    does not re-issue it. *)
 
 val learn_route : t -> peer:Asn.t -> path:Asn.t list -> Prefix.t -> unit
 (** The testbed feeds routes the server hears from an upstream peer;
@@ -109,9 +113,9 @@ val is_up : t -> bool
 
 val crash : t -> unit
 (** Fault injection: the mux's BGP process dies. Learned routes are
-    lost, {!announce} returns [Mux_down], and learn/withdraw traffic is
-    ignored until {!restart}. Client registrations and the safety
-    registry survive (they live in the controller). *)
+    lost, {!announce} returns [Mux_down], and upstream learn/withdraw
+    traffic is ignored until {!restart}. Client registrations and the
+    safety registry survive (they live in the controller). *)
 
 val restart : t -> unit
 (** Bring a crashed mux back: records the downtime histogram and
@@ -148,15 +152,15 @@ val emit_bmp_stats : t -> unit
     the BMP sink now.  No-op while crashed or with no sink. *)
 
 val adj_rib_dump : t -> (int * (Prefix.t * Peering_bgp.Route.t) list) list
-(** Canonical Adj-RIB-In snapshot: [(peer ASN, sorted bindings)]
-    sorted by ASN, empty per-peer tables dropped, [learned_at]
-    truncated to the microsecond precision the BMP wire carries
-    ({!Peering_bgp.Bmp.canon_time}).  {!Peering_measure.Monitor}
-    produces the identical structure from the feed alone. *)
+(** Canonical Adj-RIB-In snapshot ({!Peering_bgp.Bmp.adj_rib_dump}):
+    [(peer ASN, sorted bindings)] sorted by ASN, empty per-peer tables
+    dropped, [learned_at] truncated to the microsecond precision the
+    BMP wire carries.  {!Peering_measure.Monitor} dumps the tables it
+    rebuilds from the feed alone through the same function. *)
 
 val rib_digest : t -> string
-(** Hex Marshal digest of {!adj_rib_dump} — the live side of the
-    [@bmp-diff] byte-identity check. *)
+(** {!Peering_bgp.Bmp.rib_digest} of {!adj_rib_dump} — the live side
+    of the [@bmp-diff] byte-identity check. *)
 
 type session_stats = {
   mode : mux_mode;

@@ -25,14 +25,21 @@ let m_fanout =
     ~help:"members reached per announcement after export filtering"
     "ixp.route_server.fanout"
 
-module Imap = Map.Make (Int)
+(* A delivered route's key: several members may announce one prefix,
+   and each member's withdraw retracts only its own route. *)
+module Delivery = Map.Make (struct
+  type t = Prefix.t * int (* prefix, origin member *)
+
+  let compare (p, a) (q, b) =
+    match Prefix.compare p q with 0 -> Int.compare a b | c -> c
+end)
 
 type t = {
   asn : Asn.t;
   mutable connected : Asn.Set.t;
-  (* member -> prefix -> (origin member, route): what each member has
+  (* member -> (prefix, origin member) -> route: what each member has
      been sent and still holds *)
-  delivered : (int, Route.t Prefix.Map.t ref) Hashtbl.t;
+  delivered : (int, Route.t Delivery.t ref) Hashtbl.t;
   (* origin member -> its announced routes *)
   announced : (int, Route.t Prefix.Map.t ref) Hashtbl.t;
 }
@@ -46,13 +53,16 @@ let create ?(asn = Asn.of_int 6777) () =
 
 let asn t = t.asn
 
-let table tbl key =
+let table tbl key ~empty =
   match Hashtbl.find_opt tbl key with
   | Some r -> r
   | None ->
-    let r = ref Prefix.Map.empty in
+    let r = ref empty in
     Hashtbl.replace tbl key r;
     r
+
+let announced_by t m = table t.announced (Asn.to_int m) ~empty:Prefix.Map.empty
+let delivered_to t m = table t.delivered (Asn.to_int m) ~empty:Delivery.empty
 
 let connect t m = t.connected <- Asn.Set.add m t.connected
 
@@ -94,7 +104,7 @@ let announce t ~from (route : Route.t) =
         ("prefix", Prefix.to_string route.Route.prefix) ]
   @@ fun () ->
   Metrics.Counter.inc m_announces;
-  let ann = table t.announced (Asn.to_int from) in
+  let ann = announced_by t from in
   ann := Prefix.Map.add route.Route.prefix route !ann;
   let deliveries = ref [] in
   let filtered = ref 0 in
@@ -103,8 +113,8 @@ let announce t ~from (route : Route.t) =
       if not (Asn.equal m from) then
         if allows_export t route m then begin
           let out = scrub t route in
-          let d = table t.delivered (Asn.to_int m) in
-          d := Prefix.Map.add out.Route.prefix out !d;
+          let d = delivered_to t m in
+          d := Delivery.add (out.Route.prefix, Asn.to_int from) out !d;
           deliveries := (m, out) :: !deliveries
         end
         else incr filtered)
@@ -126,7 +136,7 @@ let announce t ~from (route : Route.t) =
 let withdraw t ~from prefix =
   if not (Asn.Set.mem from t.connected) then
     invalid_arg "Route_server.withdraw: member not connected";
-  let ann = table t.announced (Asn.to_int from) in
+  let ann = announced_by t from in
   match Prefix.Map.find_opt prefix !ann with
   | None -> []
   | Some _route ->
@@ -136,9 +146,10 @@ let withdraw t ~from prefix =
     Asn.Set.iter
       (fun m ->
         if not (Asn.equal m from) then begin
-          let d = table t.delivered (Asn.to_int m) in
-          if Prefix.Map.mem prefix !d then begin
-            d := Prefix.Map.remove prefix !d;
+          let d = delivered_to t m in
+          let key = (prefix, Asn.to_int from) in
+          if Delivery.mem key !d then begin
+            d := Delivery.remove key !d;
             withdrawals := (m, prefix) :: !withdrawals
           end
         end)
@@ -148,7 +159,7 @@ let withdraw t ~from prefix =
 let disconnect t m =
   if not (Asn.Set.mem m t.connected) then []
   else begin
-    let ann = table t.announced (Asn.to_int m) in
+    let ann = announced_by t m in
     let prefixes = List.map fst (Prefix.Map.bindings !ann) in
     let all =
       List.concat_map (fun p -> withdraw t ~from:m p) prefixes
@@ -162,9 +173,9 @@ let disconnect t m =
 let routes_for t m =
   match Hashtbl.find_opt t.delivered (Asn.to_int m) with
   | None -> []
-  | Some d -> List.map snd (Prefix.Map.bindings !d)
+  | Some d -> List.map snd (Delivery.bindings !d)
 
 let route_count t =
   Hashtbl.fold
-    (fun _ d acc -> acc + Prefix.Map.cardinal !d)
+    (fun _ d acc -> acc + Delivery.cardinal !d)
     t.delivered 0

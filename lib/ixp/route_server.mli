@@ -43,10 +43,12 @@ val announce : t -> from:Asn.t -> Route.t -> (Asn.t * Route.t) list
 
 val withdraw : t -> from:Asn.t -> Prefix.t -> (Asn.t * Prefix.t) list
 (** Withdraw a member's route; returns the withdrawals delivered to
-    members that had received it. *)
+    members that had received it.  Routes other members announced for
+    the same prefix stay where they were delivered. *)
 
 val routes_for : t -> Asn.t -> Route.t list
-(** Routes the member currently holds from the server. *)
+(** Routes the member currently holds from the server, one per
+    (prefix, origin member), in prefix order. *)
 
 val route_count : t -> int
 (** Total routes retained across all member tables. *)

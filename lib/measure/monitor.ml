@@ -406,27 +406,15 @@ let reported_routes t ~mux ~peer =
     | None -> None
     | Some ps -> ps.p_reported)
 
-(* Must match [Peering_core.Server.adj_rib_dump] structurally: the
-   feed's timestamps are already at wire precision, but [canon_time]
-   is applied anyway so both sides share the same code path. *)
+(* The feed's timestamps are already at wire precision; the shared
+   dump applies [canon_time] anyway, as on the live side. *)
 let adj_rib_dump t ~mux =
   match Hashtbl.find_opt t.muxes mux with
   | None -> []
   | Some mx ->
-    Hashtbl.fold (fun asn ps acc -> (asn, ps.p_table) :: acc) mx.peers []
-    |> List.filter (fun (_, m) -> not (Prefix.Map.is_empty m))
-    |> List.map (fun (asn, m) ->
-           ( asn,
-             List.map
-               (fun (pfx, r) ->
-                 ( pfx,
-                   { r with
-                     Route.learned_at = Bmp.canon_time r.Route.learned_at
-                   } ))
-               (Prefix.Map.bindings m) ))
-    |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
+    Bmp.adj_rib_dump
+      (Hashtbl.fold (fun asn ps acc -> (asn, ps.p_table) :: acc) mx.peers [])
 
-let rib_digest t ~mux =
-  Digest.to_hex (Digest.string (Marshal.to_string (adj_rib_dump t ~mux) [ Marshal.No_sharing ]))
+let rib_digest t ~mux = Bmp.rib_digest (adj_rib_dump t ~mux)
 
 let alerts t = List.rev t.alerts

@@ -82,11 +82,11 @@ val reported_routes : t -> mux:string -> peer:Asn.t -> int option
     one arrived — cross-checkable against {!adj_rib}'s cardinality. *)
 
 val adj_rib_dump : t -> mux:string -> (int * (Prefix.t * Route.t) list) list
-(** Canonical dump in exactly [Peering_core.Server.adj_rib_dump]'s
-    shape and order (timestamps are already at wire precision). *)
+(** The rebuilt tables of [mux] through {!Bmp.adj_rib_dump}, the dump
+    [Peering_core.Server.adj_rib_dump] uses too. *)
 
 val rib_digest : t -> mux:string -> string
-(** Hex Marshal digest of {!adj_rib_dump} — must equal the live mux's
+(** {!Bmp.rib_digest} of {!adj_rib_dump} — must equal the live mux's
     [Server.rib_digest] whenever the feed is fully consumed. *)
 
 (** {1 Detectors}

@@ -652,28 +652,25 @@ let load buf =
         entries
     | Bgp4mp { payload; peer_asn; as4; _ } -> (
       let opts = session_opts_of_as4 as4 in
-      match Wire.view opts payload ~pos:0 with
+      match Wire.decode opts payload ~pos:0 with
       | Result.Error e -> raise (Error (Bad_message e))
-      | Ok (v, _) -> (
-        match Wire.to_message v with
-        | Result.Error e -> raise (Error (Bad_message e))
-        | Ok (Message.Update u) ->
-          incr updates;
-          let key = "upd/" ^ Asn.to_string peer_asn in
+      | Ok (Message.Update u, _) ->
+        incr updates;
+        let key = "upd/" ^ Asn.to_string peer_asn in
+        List.iter
+          (fun (path_id, prefix) ->
+            ignore (Rib.withdraw rib ~peer:key ~path_id prefix))
+          u.Message.withdrawn;
+        (match u.Message.attrs with
+        | Some attrs ->
           List.iter
             (fun (path_id, prefix) ->
-              ignore (Rib.withdraw rib ~peer:key ~path_id prefix))
-            u.Message.withdrawn;
-          (match u.Message.attrs with
-          | Some attrs ->
-            List.iter
-              (fun (path_id, prefix) ->
-                ignore
-                  (Rib.announce rib ~peer:key
-                     (Route.make ~path_id prefix attrs)))
-              u.Message.nlri
-          | None -> ())
-        | Ok _ -> incr updates))
+              ignore
+                (Rib.announce rib ~peer:key
+                   (Route.make ~path_id prefix attrs)))
+            u.Message.nlri
+        | None -> ())
+      | Ok _ -> incr updates)
   in
   try
     match fold buf ~init:0 ~f:(fun n t -> apply t; n + 1) with

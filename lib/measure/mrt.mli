@@ -179,6 +179,6 @@ type load = {
 
 val load : bytes -> (load, error) result
 (** Replay a dump: RIB entries become Adj-RIB-In routes keyed by peer
-    index, BGP4MP UPDATE payloads are decoded through the zero-copy
-    {!Wire.view} path and applied as announces/withdraws.  Fails on a
-    RIB entry whose peer index is outside the peer table. *)
+    index, BGP4MP UPDATE payloads are decoded by {!Wire.decode} and
+    applied as announces/withdraws.  Fails on a RIB entry whose peer
+    index is outside the peer table. *)

@@ -193,23 +193,18 @@ let test_wire_bad_marker () =
   | Error Wire.Bad_marker -> ()
   | _ -> Alcotest.fail "accepted bad marker"
 
-(* Cursor vs eager: both decode paths must return the same message or
-   the same error on the classic corruption cases. The wide sweep lives
-   in the @mrt-roundtrip harness; these pin the named cases. *)
-let both_agree name opts buf expect =
-  let cursor = Wire.decode opts buf ~pos:0 in
-  let eager = Wire.decode_eager opts buf ~pos:0 in
-  (match (cursor, eager) with
-  | Error c, Error e when c = e -> ()
-  | Ok (mc, nc), Ok (me, ne) when mc = me && nc = ne -> ()
-  | _ -> Alcotest.failf "%s: cursor and eager disagree" name);
-  match (expect, cursor) with
-  | None, Ok _ -> ()
+(* The exact result of [Wire.decode] on the classic corruption cases.
+   The wide sweep lives in the @mrt-roundtrip harness; these pin the
+   named cases. *)
+let expect_decode name opts buf expect =
+  match (expect, Wire.decode opts buf ~pos:0) with
+  | None, Ok (_, n) when n = Bytes.length buf -> ()
+  | None, Ok (_, n) -> Alcotest.failf "%s: consumed %d bytes" name n
   | Some want, Error got when want = got -> ()
-  | Some want, _ ->
+  | Some want, got ->
     Alcotest.failf "%s: expected %s, got %s" name
       (Wire.error_to_string want)
-      (match cursor with
+      (match got with
       | Ok _ -> "Ok"
       | Error e -> Wire.error_to_string e)
   | None, Error e ->
@@ -220,89 +215,29 @@ let test_wire_cursor_eager_errors () =
   let upd =
     Wire.encode opts (Message.update_of_announce (pfx "10.1.0.0/16") sample_attrs)
   in
-  both_agree "intact" opts upd None;
+  expect_decode "intact" opts upd None;
   (* Truncated header: fewer than 19 bytes. *)
-  both_agree "truncated header" opts (Bytes.sub upd 0 12) (Some Wire.Truncated);
+  expect_decode "truncated header" opts (Bytes.sub upd 0 12) (Some Wire.Truncated);
   (* Bad marker byte. *)
   let bad = Bytes.copy upd in
   Bytes.set bad 7 '\x42';
-  both_agree "bad marker" opts bad (Some Wire.Bad_marker);
+  expect_decode "bad marker" opts bad (Some Wire.Bad_marker);
   (* Attribute length overrun: total-attrs length past the body. *)
   let bad = Bytes.copy upd in
   Bytes.set bad 22 (Char.chr (Char.code (Bytes.get bad 22) + 4));
-  both_agree "attrs length overrun" opts bad (Some Wire.Truncated);
+  expect_decode "attrs length overrun" opts bad (Some Wire.Truncated);
   (* Per-attribute length overrun: first TLV's length runs past the
      attribute section. *)
   let bad = Bytes.copy upd in
   Bytes.set bad 25 (Char.chr 200);
-  (match (Wire.decode opts bad ~pos:0, Wire.decode_eager opts bad ~pos:0) with
-  | Error c, Error e when c = e -> ()
-  | _ -> Alcotest.fail "attr TLV overrun: decoders disagree");
-  (* Truncation at every offset of the UPDATE agrees. *)
+  expect_decode "attr TLV overrun" opts bad (Some Wire.Truncated);
+  (* Truncation at every offset of the UPDATE: the header's length
+     always outruns the cut. *)
   for len = 0 to Bytes.length upd - 1 do
-    let cut = Bytes.sub upd 0 len in
-    match (Wire.decode opts cut ~pos:0, Wire.decode_eager opts cut ~pos:0) with
-    | Error c, Error e when c = e -> ()
-    | Ok _, Ok _ -> Alcotest.failf "cut at %d decoded" len
-    | _ -> Alcotest.failf "cut at %d: decoders disagree" len
+    expect_decode
+      (Printf.sprintf "cut at %d" len)
+      opts (Bytes.sub upd 0 len) (Some Wire.Truncated)
   done
-
-let test_wire_update_view_lazy () =
-  let opts = Wire.default_opts in
-  let u =
-    { Message.withdrawn = [ (0, pfx "10.11.0.0/16") ];
-      attrs = Some sample_attrs;
-      nlri = [ (0, pfx "184.164.224.0/24") ]
-    }
-  in
-  let b = Wire.encode opts (Message.Update u) in
-  match Wire.view opts b ~pos:0 with
-  | Error e -> Alcotest.failf "view: %s" (Wire.error_to_string e)
-  | Ok (Wire.Update_v v, n) ->
-    check Alcotest.int "consumed" (Bytes.length b) n;
-    (* Sections decode independently and repeatably. *)
-    (match Wire.Update_view.nlri v with
-    | Ok [ (0, p) ] ->
-      check Alcotest.string "nlri" "184.164.224.0/24" (Prefix.to_string p)
-    | _ -> Alcotest.fail "nlri");
-    (match Wire.Update_view.withdrawn v with
-    | Ok [ (0, p) ] ->
-      check Alcotest.string "withdrawn" "10.11.0.0/16" (Prefix.to_string p)
-    | _ -> Alcotest.fail "withdrawn");
-    (match Wire.Update_view.attrs v with
-    | Ok (Some a) ->
-      check Alcotest.bool "attrs equal" true (Attrs.equal sample_attrs a)
-    | _ -> Alcotest.fail "attrs");
-    (* attr_raw finds a TLV body without a full attribute parse:
-       ORIGIN (code 1) is one byte, IGP = 0. *)
-    (match Wire.Update_view.attr_raw v ~code:1 with
-    | Ok (Some body) ->
-      check Alcotest.int "origin len" 1 (Bytes.length body);
-      check Alcotest.int "origin IGP" 0 (Char.code (Bytes.get body 0))
-    | _ -> Alcotest.fail "attr_raw origin");
-    (match Wire.Update_view.attr_raw v ~code:14 with
-    | Ok None -> ()
-    | _ -> Alcotest.fail "attr_raw absent code");
-    (* And the forced view equals the eager decode. *)
-    (match (Wire.to_message (Wire.Update_v v), Wire.decode_eager opts b ~pos:0) with
-    | Ok m, Ok (m', _) when m = m' -> ()
-    | _ -> Alcotest.fail "to_message vs eager")
-  | Ok _ -> Alcotest.fail "not an update view"
-
-(* A view on a frame with a valid header but corrupt body succeeds;
-   the error surfaces, identically to eager, only when forced. *)
-let test_wire_view_defers_body_errors () =
-  let opts = Wire.default_opts in
-  let b =
-    Wire.encode opts (Message.update_of_announce (pfx "10.1.0.0/16") sample_attrs)
-  in
-  Bytes.set b 25 (Char.chr 200) (* first TLV length overruns *);
-  match Wire.view opts b ~pos:0 with
-  | Error e -> Alcotest.failf "view should defer: %s" (Wire.error_to_string e)
-  | Ok (v, _) -> (
-    match (Wire.to_message v, Wire.decode_eager opts b ~pos:0) with
-    | Error c, Error e when c = e -> ()
-    | _ -> Alcotest.fail "deferred error differs from eager")
 
 let test_wire_encode_attrs_next_hop () =
   let opts = { Wire.four_octet_asn = true; add_path = false } in
@@ -1280,8 +1215,6 @@ let () =
           tc "bad marker" `Quick test_wire_bad_marker;
           tc "stream" `Quick test_wire_stream;
           tc "cursor = eager on errors" `Quick test_wire_cursor_eager_errors;
-          tc "lazy update view" `Quick test_wire_update_view_lazy;
-          tc "view defers body errors" `Quick test_wire_view_defers_body_errors;
           tc "encode_attrs next-hop modes" `Quick
             test_wire_encode_attrs_next_hop;
           QCheck_alcotest.to_alcotest prop_update_roundtrip;

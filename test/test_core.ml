@@ -840,6 +840,39 @@ let test_restart_keeps_slots () =
   check Alcotest.bool "table unchanged, ann_index included" true
     (table0 = table1)
 
+(* A withdraw, or a disconnect, while the client's only mux is crashed
+   must stick: the restart re-exports surviving announcements only, so
+   the prefix stays unreached and its safety claim stays released. *)
+let test_withdraw_while_crashed () =
+  let run ~id ~site leave =
+    let t = Testbed.build ~params:small_params () in
+    let exp =
+      match Testbed.new_experiment t ~id () with
+      | Ok e -> e
+      | Error e -> Alcotest.fail e
+    in
+    let client = Client.create ~id:("c-" ^ id) ~experiment:exp () in
+    Testbed.connect_client t client ~sites:[ site ];
+    let p = List.hd exp.Experiment.prefixes in
+    ignore (Client.announce client p);
+    check Alcotest.bool (id ^ ": reached before the crash") true
+      (Testbed.reach_count t p > 0);
+    let mux = Testbed.site_server (Testbed.site_exn t site) in
+    Server.crash mux;
+    check Alcotest.int (id ^ ": unreached while crashed") 0
+      (Testbed.reach_count t p);
+    leave client mux p;
+    Server.restart mux;
+    check Alcotest.int (id ^ ": unreached after restart") 0
+      (Testbed.reach_count t p);
+    check Alcotest.(option string) (id ^ ": no safety owner") None
+      (Safety.announced_by (Testbed.safety t) p)
+  in
+  run ~id:"crash-withdraw" ~site:"gatech01" (fun client _ p ->
+      Client.withdraw client p);
+  run ~id:"crash-disconnect" ~site:"phoenix01" (fun client mux _ ->
+      Client.disconnect client mux)
+
 (* Every announcement change — a re-announce with other peers or
    another poisoned suffix, a withdraw at one site, an external
    injection and its retraction (also from an AS outside the graph),
@@ -1720,6 +1753,7 @@ let () =
           tc "set_down repair = recompute" `Quick
             test_set_down_repair_matches_recompute;
           tc "restart keeps announcement slots" `Quick test_restart_keeps_slots;
+          tc "withdraw while crashed sticks" `Quick test_withdraw_while_crashed;
           tc "announce repair = rebuild" `Quick
             test_announce_repair_matches_rebuild;
           tc "leaky tables stable" `Quick test_leaky_tables_stable;

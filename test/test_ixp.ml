@@ -78,6 +78,30 @@ let test_rs_withdraw () =
   check Alcotest.int "idempotent" 0
     (List.length (Route_server.withdraw rs ~from:(asn 10) (pfx "10.1.0.0/16")))
 
+(* Two members announce one prefix; one withdraws.  Only its route is
+   retracted: the third member keeps the other announcer's route. *)
+let test_rs_withdraw_keeps_others () =
+  let rs = rs_with_members [ 10; 20; 30 ] in
+  ignore (Route_server.announce rs ~from:(asn 10) (mk_route "10.1.0.0/16" 10));
+  ignore (Route_server.announce rs ~from:(asn 20) (mk_route "10.1.0.0/16" 20));
+  check Alcotest.int "30 holds both" 2
+    (List.length (Route_server.routes_for rs (asn 30)));
+  let w = Route_server.withdraw rs ~from:(asn 10) (pfx "10.1.0.0/16") in
+  check Alcotest.(list int) "withdrawn at 20 and 30" [ 20; 30 ]
+    (List.map (fun (m, _) -> Asn.to_int m) w);
+  let origins m =
+    List.map
+      (fun r ->
+        match As_path.to_asns r.Route.attrs.Attrs.as_path with
+        | o :: _ -> Asn.to_int o
+        | [] -> Alcotest.fail "empty path")
+      (Route_server.routes_for rs (asn m))
+  in
+  check Alcotest.(list int) "30 keeps 20's route" [ 20 ] (origins 30);
+  check Alcotest.(list int) "20 holds nothing" [] (origins 20);
+  check Alcotest.(list int) "10 keeps 20's route" [ 20 ] (origins 10);
+  check Alcotest.int "retained" 2 (Route_server.route_count rs)
+
 let test_rs_disconnect () =
   let rs = rs_with_members [ 10; 20 ] in
   ignore (Route_server.announce rs ~from:(asn 10) (mk_route "10.1.0.0/16" 10));
@@ -181,6 +205,8 @@ let () =
           tc "block community" `Quick test_rs_block_community;
           tc "whitelist community" `Quick test_rs_whitelist_community;
           tc "withdraw" `Quick test_rs_withdraw;
+          tc "withdraw keeps other members' routes" `Quick
+            test_rs_withdraw_keeps_others;
           tc "disconnect" `Quick test_rs_disconnect
         ] );
       ( "fabric",

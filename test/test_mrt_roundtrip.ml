@@ -1,5 +1,4 @@
-(* Differential harness for the wire codec rework and the MRT dump
-   round trip.
+(* Property harness for the wire codec and the MRT dump round trip.
 
    Two invariants, on every seed:
 
@@ -8,12 +7,17 @@
       (the writer is canonical, so decode ∘ encode = id on our own
       output).
 
-   2. Cursor ≡ eager: [Wire.decode] (the zero-copy view path) and
-      [Wire.decode_eager] (the retained linear reference) return the
-      same message and the same [error] value on every corpus frame —
-      including truncations at every offset, corrupted marker/length/
-      type header bytes, attribute-length overruns, and seeded random
-      byte flips.
+   2. Decode is total: [Wire.decode] never raises on a corpus frame,
+      and an [Ok (_, next)] stays inside the buffer ([pos < next <=
+      length]) — on intact frames (which it must decode whole and
+      re-encode to the same bytes), truncations at every offset and
+      total-attribute-length overruns (which must be [Truncated]),
+      per-attribute length overruns, corrupted marker/length/type
+      header bytes, seeded random byte flips, and a seeded QCheck
+      sweep of random byte strings and single-byte mutations of the
+      handcrafted frames.  The BMP framing keeps two
+      readers, [Bmp.decode] and the reference [Bmp.decode_eager],
+      which must agree on every BMP corpus frame.
 
    Run alone with `dune build @mrt-roundtrip`; widen the sweep with
    MRT_ROUNDTRIP_SEEDS=<n> (default 5). *)
@@ -75,19 +79,32 @@ let roundtrip_identity () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Invariant 2: cursor and eager agree, message and error alike. *)
+(* Invariant 2: Wire.decode is total and stays in bounds. *)
 
 let show = function
   | Ok (m, n) -> Format.asprintf "Ok(%a, %d)" Message.pp m n
   | Error e -> Printf.sprintf "Error(%s)" (Wire.error_to_string e)
 
-(* Message.t and Wire.error are plain data, so structural equality is
-   the right comparison. *)
-let agree name opts buf ~pos =
-  let cursor = Wire.decode opts buf ~pos in
-  let eager = Wire.decode_eager opts buf ~pos in
-  if cursor <> eager then
-    Alcotest.failf "%s: cursor %s / eager %s" name (show cursor) (show eager)
+(* The decode result, failing the test if [decode] raises or returns a
+   next position outside [(pos, length]]. *)
+let total name opts buf ~pos =
+  let r =
+    try Wire.decode opts buf ~pos
+    with e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e)
+  in
+  (match r with
+  | Ok (_, next) when next <= pos || next > Bytes.length buf ->
+    Alcotest.failf "%s: %s out of bounds (pos %d, length %d)" name (show r)
+      pos (Bytes.length buf)
+  | _ -> ());
+  r
+
+let in_bounds name opts buf ~pos = ignore (total name opts buf ~pos)
+
+let truncated name opts buf =
+  match total name opts buf ~pos:0 with
+  | Error Wire.Truncated -> ()
+  | r -> Alcotest.failf "%s: %s, not Truncated" name (show r)
 
 (* Every frame in the dump's BGP4MP stream, with the session options
    its subtype implies. *)
@@ -148,20 +165,29 @@ let full_corpus () =
   let dump = dump_of ~seed:1 (List.assoc "tiny" sizes) in
   handcrafted @ corpus_of_dump dump
 
-(* Intact frames: both paths must succeed identically. *)
+(* Intact frames decode whole, and the canonical encoder gives back
+   the same bytes. *)
+let intact name opts b =
+  match total name opts b ~pos:0 with
+  | Ok (m, n) when n = Bytes.length b ->
+    if not (Bytes.equal (Wire.encode opts m) b) then
+      Alcotest.failf "%s: %s re-encodes differently" name (show (Ok (m, n)))
+  | r -> Alcotest.failf "%s: intact frame gave %s" name (show r)
+
 let corpus_intact () =
   List.iteri
-    (fun i (opts, b) -> agree (Printf.sprintf "frame %d" i) opts b ~pos:0)
+    (fun i (opts, b) -> intact (Printf.sprintf "frame %d" i) opts b)
     (full_corpus ())
 
-(* Truncation at every prefix length of every frame. *)
+(* Truncation at every prefix length of every frame: the header's
+   length always outruns the cut. *)
 let corpus_truncated () =
   List.iteri
     (fun i (opts, b) ->
       for len = 0 to Bytes.length b - 1 do
-        agree
+        truncated
           (Printf.sprintf "frame %d cut at %d" i len)
-          opts (Bytes.sub b 0 len) ~pos:0
+          opts (Bytes.sub b 0 len)
       done)
     (full_corpus ())
 
@@ -174,13 +200,13 @@ let corpus_bad_header () =
       for off = 0 to 18 do
         let c = Bytes.copy b in
         Bytes.set c off (Char.chr (Char.code (Bytes.get c off) lxor 0xFF));
-        agree (Printf.sprintf "frame %d header^%d" i off) opts c ~pos:0
+        in_bounds (Printf.sprintf "frame %d header^%d" i off) opts c ~pos:0
       done)
     (full_corpus ())
 
-(* Attribute-length overruns: bump the total-attributes length and each
-   per-attribute length byte of an UPDATE so sections overrun their
-   enclosing window. *)
+(* Attribute-length overruns: bump the total-attributes length (past
+   the body: [Truncated]) and each per-attribute length byte of an
+   UPDATE (a TLV that swallows its successors may fail otherwise). *)
 let corpus_attr_overrun () =
   let opts = Wire.default_opts in
   let pfx s = Peering_net.Prefix.of_string_exn s in
@@ -198,7 +224,7 @@ let corpus_attr_overrun () =
     let alen' = alen + delta in
     Bytes.set c 21 (Char.chr (alen' lsr 8));
     Bytes.set c 22 (Char.chr (alen' land 0xFF));
-    agree (Printf.sprintf "attrs-len +%d" delta) opts c ~pos:0
+    truncated (Printf.sprintf "attrs-len +%d" delta) opts c
   done;
   (* Each attribute TLV's length byte (flags, code, len): overrun it. *)
   let alen = (Char.code (Bytes.get b 21) lsl 8) lor Char.code (Bytes.get b 22) in
@@ -208,12 +234,12 @@ let corpus_attr_overrun () =
     let len = Char.code (Bytes.get b len_off) in
     let c = Bytes.copy b in
     Bytes.set c len_off (Char.chr (min 255 (len + 7)));
-    agree (Printf.sprintf "attr at %d len+7" !pos) opts c ~pos:0;
+    in_bounds (Printf.sprintf "attr at %d len+7" !pos) opts c ~pos:0;
     pos := len_off + 1 + len
   done
 
 (* Seeded random byte flips over the whole corpus — whatever the flip
-   produces, the two paths must tell the same story. *)
+   produces, decode returns a result inside the buffer. *)
 let corpus_random_flips () =
   let rng = Random.State.make [| 0x6d7274 |] in
   List.iteri
@@ -225,12 +251,12 @@ let corpus_random_flips () =
           let off = Random.State.int rng (Bytes.length c) in
           Bytes.set c off (Char.chr (Random.State.int rng 256))
         done;
-        agree (Printf.sprintf "frame %d flip trial %d" i trial) opts c ~pos:0
+        in_bounds (Printf.sprintf "frame %d flip trial %d" i trial) opts c
+          ~pos:0
       done)
     (full_corpus ())
 
-(* Seeded dumps should also agree frame-by-frame across seeds, not just
-   the fixed corpus seed. *)
+(* Every seed's dump, not just the fixed corpus seed, decodes whole. *)
 let sweep_seeds () =
   for seed = 1 to n_seeds do
     List.iter
@@ -238,17 +264,65 @@ let sweep_seeds () =
         let dump = dump_of ~seed params in
         List.iteri
           (fun i (opts, b) ->
-            agree (Printf.sprintf "%s seed=%d frame %d" size seed i) opts b
-              ~pos:0)
+            intact (Printf.sprintf "%s seed=%d frame %d" size seed i) opts b)
           (corpus_of_dump dump))
       sizes
   done
 
+(* Seeded QCheck sweep: random byte strings of up to 4,096 bytes
+   decoded at a random position, and single-byte mutations of the
+   handcrafted frames.  Half the strings carry the 16-byte marker at
+   that position so the length and type checks see them; half the
+   mutations land in the 19-byte header. *)
+let all_opts =
+  [| Wire.default_opts;
+     { Wire.four_octet_asn = true; add_path = false };
+     { Wire.four_octet_asn = true; add_path = true }
+  |]
+
+let garbage =
+  QCheck.Gen.(
+    oneofa all_opts >>= fun opts ->
+    string_size (int_range 0 4096) >>= fun s ->
+    int_bound (String.length s) >>= fun pos ->
+    bool >|= fun framed ->
+    let b = Bytes.of_string s in
+    if framed then Bytes.fill b pos (min 16 (Bytes.length b - pos)) '\xFF';
+    (opts, b, pos))
+
+let mutant =
+  QCheck.Gen.(
+    oneofl handcrafted >>= fun (opts, b) ->
+    bool >>= fun in_header ->
+    int_bound (if in_header then 18 else Bytes.length b - 1) >>= fun off ->
+    int_bound 255 >|= fun v ->
+    let c = Bytes.copy b in
+    Bytes.set c off (Char.chr v);
+    (opts, c, 0))
+
+let prop_decode_total =
+  let print (_, b, pos) =
+    Printf.sprintf "pos %d of %S" pos (Bytes.to_string b)
+  in
+  QCheck.Test.make ~name:"wire decode total" ~count:1000
+    (QCheck.make ~print QCheck.Gen.(frequency [ (1, garbage); (1, mutant) ]))
+    (fun (opts, b, pos) ->
+      match Wire.decode opts b ~pos with
+      | Ok (_, next) -> pos < next && next <= Bytes.length b
+      | Error _ -> true)
+
+let qcheck_total () =
+  for seed = 1 to n_seeds do
+    QCheck.Test.check_exn
+      ~rand:(Random.State.make [| 0x746f74; seed |])
+      prop_decode_total
+  done
+
 (* ------------------------------------------------------------------ *)
-(* BMP corruption corpus: the telemetry framing follows the same
-   dual-decoder discipline, so [Bmp.decode] and [Bmp.decode_eager]
-   must agree — message and [Bmp.error] alike — on every intact,
-   truncated and corrupted frame. *)
+(* BMP corruption corpus: [Bmp.decode] and the reference
+   [Bmp.decode_eager] read the BMP framing independently, so they must
+   agree — message and [Bmp.error] alike — on every intact, truncated
+   and corrupted frame. *)
 
 let bmp_show = function
   | Ok (m, n) -> Printf.sprintf "Ok(%s, %d)" (Bmp.msg_type_name (Bmp.msg_type m)) n
@@ -377,6 +451,10 @@ let () =
             corpus_attr_overrun;
           Alcotest.test_case "random byte flips" `Quick corpus_random_flips;
           Alcotest.test_case "seeded update streams" `Quick sweep_seeds
+        ] );
+      ( "wire-decode-total",
+        [ Alcotest.test_case "qcheck garbage + mutated frames" `Quick
+            qcheck_total
         ] );
       ( "bmp-cursor-vs-eager",
         [ Alcotest.test_case "intact frames" `Quick bmp_intact;
