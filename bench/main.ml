@@ -583,7 +583,7 @@ let a5 () =
   report "AMS-IX only";
   List.iter
     (fun name ->
-      ignore (Testbed.add_remote_ixp t ~via:"amsterdam01" ~name ());
+      ignore (Testbed.add_remote_ixp t ~via:"amsterdam01" ~name);
       report (Printf.sprintf "+ %s (remote)" name))
     [ "DE-CIX"; "LINX"; "France-IX"; "HKIX"; "Seattle-IX" ];
   Printf.printf
@@ -711,7 +711,7 @@ let sched () =
   let eng = Testbed.engine tb in
   let rng = Rng.create 0x5ced in
   let sched =
-    Scheduler.create ~vet:Peering_check.Admission.vet ~quota:4
+    Scheduler.create ~quota:4
       ~round_interval:0.5
       ~extra_supply:
         [ Prefix.of_string_exn "184.164.192.0/19";
@@ -721,8 +721,8 @@ let sched () =
       tb
   in
   let site_names = List.map Testbed.site_name (Testbed.sites tb) in
-  (* admission: every proposal runs the full Check.check_specs XEXP
-     passes against all already-running tenants *)
+  (* admission: every proposal is checked against all already-running
+     tenants (prefix overlap, cross-tenant poisoning) *)
   let admitted = ref 0 in
   for i = 0 to n_tenants - 1 do
     let sites =

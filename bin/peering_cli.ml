@@ -872,7 +872,7 @@ let chaos_cmd =
 
 let sched_cmd =
   let json_arg =
-    json_flag ~doc:"Emit the schedule as a peering-sched/1 JSON document."
+    json_flag ~doc:"Emit the schedule as a peering-sched/2 JSON document."
   in
   let tenants_arg =
     let doc = "Number of tenant proposals to submit." in
@@ -887,7 +887,7 @@ let sched_cmd =
     let t = seeded_testbed seed in
     let rng = Rng.create (seed + 7919) in
     let sched =
-      Scheduler.create ~vet:Peering_check.Admission.vet ~quota:4
+      Scheduler.create ~quota:4
         ~extra_supply:
           [ Prefix.of_string_exn "184.164.192.0/19";
             Prefix.of_string_exn "184.164.128.0/18"
@@ -989,9 +989,10 @@ let sched_cmd =
     (Cmd.info "sched"
        ~doc:
          "Run the multi-tenant experiment scheduler on the default testbed: \
-          admission-controlled proposals, prefix leases from the pool, \
-          fair-share update batching and the isolation oracle. Exits 1 if \
-          any isolation violation is detected.")
+          proposals admitted by one structural check against every running \
+          tenant (prefix overlap, cross-tenant poisoning), prefix leases \
+          from the pool, fair-share update batching and the isolation \
+          oracle. Exits 1 if any isolation violation is detected.")
     Term.(const run $ seed_arg $ json_arg $ tenants_arg)
 
 let monitor_cmd =

@@ -3,31 +3,31 @@ open Peering_net
 let max_message = 4096
 let header_overhead = 23 (* marker + length + type + the two length fields *)
 
-let prefix_bytes opts p =
-  (if opts.Wire.add_path then 4 else 0) + 1 + ((Prefix.len p + 7) / 8)
+(* Sizes are for a default session: 2-octet ASNs, no ADD-PATH. *)
+let prefix_bytes p = 1 + ((Prefix.len p + 7) / 8)
 
-let attrs_bytes opts attrs =
+let attrs_bytes attrs =
   (* Encode once to size the fixed part of each message. *)
   Bytes.length
-    (Wire.encode opts
+    (Wire.encode Wire.default_opts
        (Message.Update { withdrawn = []; attrs = Some attrs; nlri = [] }))
   - 19 (* marker+len+type *)
 
 (* Split [prefixes] into chunks whose encoded size fits alongside
    [fixed] bytes of attribute data. *)
-let chunk opts ~fixed prefixes =
+let chunk ~fixed prefixes =
   let budget = max_message - header_overhead - fixed in
   let rec go current size acc = function
     | [] -> List.rev (if current = [] then acc else List.rev current :: acc)
     | p :: rest ->
-      let b = prefix_bytes opts p in
+      let b = prefix_bytes p in
       if size + b > budget && current <> [] then
         go [ p ] b (List.rev current :: acc) rest
       else go (p :: current) (size + b) acc rest
   in
   go [] 0 [] prefixes
 
-let group ?(opts = Wire.default_opts) announcements =
+let group announcements =
   (* Bucket by attribute equality, preserving first-seen order. *)
   let buckets : (Attrs.t * Prefix.t list ref) list ref = ref [] in
   List.iter
@@ -40,24 +40,23 @@ let group ?(opts = Wire.default_opts) announcements =
     announcements;
   List.concat_map
     (fun (attrs, l) ->
-      let fixed = attrs_bytes opts attrs in
+      let fixed = attrs_bytes attrs in
       List.map
         (fun prefixes ->
           { Message.withdrawn = [];
             attrs = Some attrs;
             nlri = List.map (fun p -> (0, p)) prefixes
           })
-        (chunk opts ~fixed (List.rev !l)))
+        (chunk ~fixed (List.rev !l)))
     !buckets
 
-let group_withdrawals ?(opts = Wire.default_opts) prefixes =
+let group_withdrawals prefixes =
   List.map
     (fun chunk_prefixes ->
       { Message.withdrawn = List.map (fun p -> (0, p)) chunk_prefixes;
         attrs = None;
         nlri = []
       })
-    (chunk opts ~fixed:0 prefixes)
+    (chunk ~fixed:0 prefixes)
 
-let message_count ?(opts = Wire.default_opts) announcements =
-  List.length (group ~opts announcements)
+let message_count announcements = List.length (group announcements)

@@ -9,17 +9,14 @@
 
 open Peering_net
 
-val group :
-  ?opts:Wire.session_opts ->
-  (Prefix.t * Attrs.t) list ->
-  Message.update list
+val group : (Prefix.t * Attrs.t) list -> Message.update list
 (** Pack announcements into the fewest UPDATEs: prefixes with equal
-    attributes share a message, split when the encoded size would
-    exceed the 4096-byte limit. Prefix order within a group is
-    preserved. *)
+    attributes share a message, split when the encoded size on a
+    default session ({!Wire.default_opts}) would exceed the 4096-byte
+    limit. Prefix order within a group is preserved. *)
 
-val group_withdrawals : ?opts:Wire.session_opts -> Prefix.t list -> Message.update list
+val group_withdrawals : Prefix.t list -> Message.update list
 (** Pack withdrawals, splitting at the size limit. *)
 
-val message_count : ?opts:Wire.session_opts -> (Prefix.t * Attrs.t) list -> int
+val message_count : (Prefix.t * Attrs.t) list -> int
 (** [List.length (group l)] without materialising the messages. *)

@@ -11,14 +11,14 @@ type t = {
   mutable pending : int;
 }
 
-let default_v6_supply = Prefix6.of_string_exn "2804:269c::/32"
+(* The paper's planned IPv6 space, leased as /48 experiment blocks. *)
+let v6_supply = Prefix6.of_string_exn "2804:269c::/32"
 
-let create engine ~supply ?(alloc_len = 24) ?v6_supply ?(v6_alloc_len = 48)
+let create engine ~supply ?(alloc_len = 24)
     ?(max_prefixes_per_experiment = 4) () =
-  let v6_supply = Option.value v6_supply ~default:default_v6_supply in
   { engine;
     pool = Prefix_pool.create ~alloc_len supply;
-    v6_pool = Prefix6.Pool.create ~alloc_len:v6_alloc_len v6_supply;
+    v6_pool = Prefix6.Pool.create ~alloc_len:48 v6_supply;
     max_prefixes = max_prefixes_per_experiment;
     experiments = [];
     next_private_asn = 64512;

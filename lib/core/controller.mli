@@ -12,16 +12,13 @@ val create :
   Peering_sim.Engine.t ->
   supply:Prefix.t list ->
   ?alloc_len:int ->
-  ?v6_supply:Prefix6.t ->
-  ?v6_alloc_len:int ->
   ?max_prefixes_per_experiment:int ->
   unit ->
   t
 (** [supply] is PEERING's address space (the paper's /19);
     [alloc_len] the per-experiment block size (default 24, "a client
-    per /24"). [v6_supply] (default [2804:269c::/32]) feeds /48
-    experiment blocks ([v6_alloc_len], default 48) — the paper's
-    planned IPv6 support. *)
+    per /24"). IPv6 experiment blocks are /48s out of
+    [2804:269c::/32] — the paper's planned IPv6 support. *)
 
 val propose :
   t ->

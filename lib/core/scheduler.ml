@@ -55,14 +55,6 @@ let m_update_msgs =
     ~help:"RFC 4271 UPDATE messages the granted operations pack into"
     "core.sched.update_msgs"
 
-let m_policy_accepted =
-  Metrics.counter ~help:"policy rules accepted by the composition pass"
-    "core.sched.policy_rules_accepted"
-
-let m_policy_rejected =
-  Metrics.counter ~help:"policy rules rejected by the composition pass"
-    "core.sched.policy_rules_rejected"
-
 let m_occupancy =
   Metrics.gauge ~help:"prefix blocks currently out on lease"
     "core.sched.lease_occupancy"
@@ -177,19 +169,7 @@ let proposal ?(owner = "scheduler") ?description ?(n_prefixes = 1)
     p_lease_s = lease_s
   }
 
-type issue = {
-  issue_code : string;
-  issue_severity : [ `Error | `Warning ];
-  issue_message : string;
-}
-
-type candidate = {
-  cand_tenant : string;
-  cand_experiment : Experiment.t;
-  cand_poison_targets : Asn.t list;
-}
-
-type vet = candidate list -> issue list
+type issue = { issue_code : string; issue_message : string }
 
 type verdict = Admitted of { lease_until : float } | Rejected of issue list
 
@@ -202,9 +182,7 @@ let verdict_to_string = function
          (List.map (fun i -> i.issue_code) issues))
 
 let error code fmt =
-  Printf.ksprintf
-    (fun m -> { issue_code = code; issue_severity = `Error; issue_message = m })
-    fmt
+  Printf.ksprintf (fun m -> { issue_code = code; issue_message = m }) fmt
 
 (* ------------------------------------------------------------------ *)
 (* Update operations *)
@@ -228,15 +206,12 @@ type tenant_state = {
   ten_poison : Asn.t list;  (* declared poison targets *)
   mutable ten_lease_until : float;
   mutable ten_lease_gen : int;  (* renewal invalidates scheduled expiry *)
-  mutable ten_policy : (Prefix.t * [ `Deliver_via of string | `Drop ]) list;
   mutable ten_granted : int;  (* update slots granted so far *)
 }
 
 type t = {
   tb : Testbed.t;
   eng : Engine.t;
-  vet : vet option;
-  default_lease_s : float;
   round_interval : float;
   batcher : op Batcher.t;
   mutable running : tenant_state list;  (* admission order *)
@@ -254,14 +229,13 @@ let logf t fmt =
 
 let now t = Engine.now t.eng
 
-let create ?vet ?(quota = 4) ?(default_lease_s = 3600.0)
-    ?(round_interval = 1.0) ?(extra_supply = []) tb =
+let default_lease_s = 3600.0
+
+let create ?(quota = 4) ?(round_interval = 1.0) ?(extra_supply = []) tb =
   let ctl = Testbed.controller tb in
   List.iter (Controller.donate_supply ctl) extra_supply;
   { tb;
     eng = Testbed.engine tb;
-    vet;
-    default_lease_s;
     round_interval;
     batcher = Batcher.create ~quota;
     running = [];
@@ -298,24 +272,21 @@ let set_occupancy t =
 (* ------------------------------------------------------------------ *)
 (* Admission control *)
 
-(* Structural conflict checks against every running tenant: the same
-   ground the XEXP passes cover, restated here so admission is safe
-   even without a [Peering_check.Admission.vet] hook installed (the
-   check library depends on this one, so the full spec passes arrive
-   by injection, not by a direct call). *)
-let native_conflicts t (cand : candidate) =
+(* Admission conflicts: the candidate's allocation [exp] and declared
+   [poison] targets against every running tenant. Origin ASNs
+   need no check here: the controller never hands one out twice. *)
+let conflicts t ~tenant ~(exp : Experiment.t) ~poison =
   let issues = ref [] in
   let emit i = issues := i :: !issues in
-  let cand_prefixes = cand.cand_experiment.Experiment.prefixes in
   (* Declared poison targets must be poisonable at all. *)
   if
-    (not cand.cand_experiment.Experiment.may_poison)
-    && List.exists (fun a -> not (Asn.is_private a)) cand.cand_poison_targets
+    (not exp.Experiment.may_poison)
+    && List.exists (fun a -> not (Asn.is_private a)) poison
   then
     emit
       (error "SCHED-POISON"
          "tenant %s declares public poison targets without poisoning approval"
-         cand.cand_tenant);
+         tenant);
   List.iter
     (fun other ->
       let oexp = other.ten_experiment in
@@ -330,10 +301,10 @@ let native_conflicts t (cand : candidate) =
                 emit
                   (error "SCHED-XOVERLAP"
                      "tenant %s prefix %s overlaps %s leased by tenant %s"
-                     cand.cand_tenant (Prefix.to_string p) (Prefix.to_string q)
+                     tenant (Prefix.to_string p) (Prefix.to_string q)
                      other.ten_id))
             oexp.Experiment.prefixes)
-        cand_prefixes;
+        exp.Experiment.prefixes;
       (* Poisoning a live tenant's origin ASN withdraws its routes
          from the poisoned AS's viewpoint — sabotage, even if the
          poisoning itself was vetted (XEXP-POISON, hardened to an
@@ -344,33 +315,20 @@ let native_conflicts t (cand : candidate) =
             emit
               (error "SCHED-XPOISON"
                  "tenant %s poison target %s is tenant %s's origin ASN"
-                 cand.cand_tenant (Asn.to_string a) other.ten_id))
-        cand.cand_poison_targets;
+                 tenant (Asn.to_string a) other.ten_id))
+        poison;
       (* ... and symmetrically: an incoming tenant whose origin ASN a
          running tenant already poisons would be born sabotaged. *)
       List.iter
         (fun a ->
-          if
-            List.exists (Asn.equal a)
-              cand.cand_experiment.Experiment.private_asns
-          then
+          if List.exists (Asn.equal a) exp.Experiment.private_asns then
             emit
               (error "SCHED-XPOISON"
                  "tenant %s's origin ASN %s is a poison target of tenant %s"
-                 cand.cand_tenant (Asn.to_string a) other.ten_id))
+                 tenant (Asn.to_string a) other.ten_id))
         other.ten_poison)
     t.running;
   List.rev !issues
-
-let candidates_of t (cand : candidate) =
-  List.map
-    (fun s ->
-      { cand_tenant = s.ten_id;
-        cand_experiment = s.ten_experiment;
-        cand_poison_targets = s.ten_poison
-      })
-    t.running
-  @ [ cand ]
 
 let rec ensure_round_scheduled t =
   if (not t.round_scheduled) && Batcher.pending t.batcher > 0 then begin
@@ -508,6 +466,8 @@ let schedule_expiry t s =
 let renew t ~tenant ~lease_s =
   match find_tenant t tenant with
   | None -> Error (Printf.sprintf "tenant %s is not running" tenant)
+  | Some _ when not (lease_s > 0.0) ->
+    Error (Printf.sprintf "lease %g s is not positive" lease_s)
   | Some s ->
     s.ten_lease_until <- now t +. lease_s;
     s.ten_lease_gen <- s.ten_lease_gen + 1;
@@ -517,6 +477,7 @@ let renew t ~tenant ~lease_s =
     Ok s.ten_lease_until
 
 let admit_inner t p =
+  let lease_s = Option.value p.p_lease_s ~default:default_lease_s in
   let sites = if p.p_sites = [] then all_site_names t.tb else p.p_sites in
   let unknown =
     List.filter (fun s -> Testbed.site t.tb s = None) sites
@@ -526,6 +487,8 @@ let admit_inner t p =
       [ error "SCHED-SITE" "unknown site(s): %s" (String.concat ", " unknown) ]
   else if is_running t p.p_tenant then
     Rejected [ error "SCHED-DUP" "tenant %s is already running" p.p_tenant ]
+  else if not (lease_s > 0.0) then
+    Rejected [ error "SCHED-LEASE" "lease %g s is not positive" lease_s ]
   else
     match
       Testbed.new_experiment t.tb ~id:p.p_tenant ~owner:p.p_owner
@@ -533,33 +496,18 @@ let admit_inner t p =
         ~may_poison:p.p_may_poison ()
     with
     | Error msg -> Rejected [ error "SCHED-PROPOSE" "%s" msg ]
-    | Ok exp -> (
-      let cand =
-        { cand_tenant = p.p_tenant;
-          cand_experiment = exp;
-          cand_poison_targets = p.p_poison_targets
-        }
-      in
+    | Ok exp ->
       let issues =
-        native_conflicts t cand
-        @
-        match t.vet with
-        | None -> []
-        | Some vet -> vet (candidates_of t cand)
+        conflicts t ~tenant:p.p_tenant ~exp ~poison:p.p_poison_targets
       in
-      let errors = List.filter (fun i -> i.issue_severity = `Error) issues in
-      if issues <> [] then
+      if issues <> [] then begin
         Metrics.Counter.add m_conflicts (List.length issues);
-      if errors <> [] then begin
         (* Give the allocation back: a rejected proposal must leave
            no trace in the pool. *)
         Controller.stop (Testbed.controller t.tb) exp;
         Rejected issues
       end
       else begin
-        let lease_s =
-          Option.value p.p_lease_s ~default:t.default_lease_s
-        in
         let cl = Client.create ~id:p.p_tenant ~experiment:exp () in
         Testbed.connect_client t.tb cl ~sites;
         let s =
@@ -570,7 +518,6 @@ let admit_inner t p =
             ten_poison = p.p_poison_targets;
             ten_lease_until = now t +. lease_s;
             ten_lease_gen = 0;
-            ten_policy = [];
             ten_granted = 0
           }
         in
@@ -578,7 +525,7 @@ let admit_inner t p =
         set_occupancy t;
         schedule_expiry t s;
         Admitted { lease_until = s.ten_lease_until }
-      end)
+      end
 
 let admit t p =
   let at = now t in
@@ -652,101 +599,6 @@ let rounds_run t = t.rounds
 let ops_applied t = t.applied
 
 (* ------------------------------------------------------------------ *)
-(* SDX-style policy composition *)
-
-type policy_action = Deliver_via of string | Drop_traffic
-
-type policy_rule = { pol_dst : Prefix.t; pol_action : policy_action }
-
-let set_policy t ~tenant rules =
-  match find_tenant t tenant with
-  | None ->
-    Error [ error "SCHED-POLICY-TENANT" "tenant %s is not running" tenant ]
-  | Some s ->
-    let lease = s.ten_experiment.Experiment.prefixes in
-    let issues =
-      List.concat_map
-        (fun r ->
-          let scope =
-            if List.exists (fun p -> Prefix.subsumes p r.pol_dst) lease then []
-            else
-              match
-                List.find_map
-                  (fun other ->
-                    if other == s then None
-                    else if
-                      List.exists
-                        (fun q -> Prefix.overlaps r.pol_dst q)
-                        other.ten_experiment.Experiment.prefixes
-                    then Some other.ten_id
-                    else None)
-                  t.running
-              with
-              | Some victim ->
-                [ error "SCHED-POLICY-ISOLATION"
-                    "rule for %s would match traffic of tenant %s"
-                    (Prefix.to_string r.pol_dst) victim
-                ]
-              | None ->
-                [ error "SCHED-POLICY-SCOPE"
-                    "rule for %s is outside tenant %s's lease"
-                    (Prefix.to_string r.pol_dst) tenant
-                ]
-          in
-          let site =
-            match r.pol_action with
-            | Drop_traffic -> []
-            | Deliver_via site ->
-              if List.mem site s.ten_sites then []
-              else
-                [ error "SCHED-POLICY-SITE"
-                    "rule for %s delivers via %s, which tenant %s is not \
-                     connected to"
-                    (Prefix.to_string r.pol_dst) site tenant
-                ]
-          in
-          scope @ site)
-        rules
-    in
-    let at = now t in
-    if issues <> [] then begin
-      Metrics.Counter.add m_policy_rejected (List.length rules);
-      logf t "t=%.1f policy %s: rejected (%s)" at tenant
-        (String.concat ", "
-           (List.sort_uniq String.compare
-              (List.map (fun i -> i.issue_code) issues)));
-      Error issues
-    end
-    else begin
-      s.ten_policy <-
-        List.map
-          (fun r ->
-            ( r.pol_dst,
-              match r.pol_action with
-              | Deliver_via site -> `Deliver_via site
-              | Drop_traffic -> `Drop ))
-          rules;
-      Metrics.Counter.add m_policy_accepted (List.length rules);
-      logf t "t=%.1f policy %s: %d rule(s) installed" at tenant
-        (List.length rules);
-      Ok ()
-    end
-
-let policy t tenant =
-  match find_tenant t tenant with
-  | None -> []
-  | Some s ->
-    List.map
-      (fun (dst, act) ->
-        { pol_dst = dst;
-          pol_action =
-            (match act with
-            | `Deliver_via site -> Deliver_via site
-            | `Drop -> Drop_traffic)
-        })
-      s.ten_policy
-
-(* ------------------------------------------------------------------ *)
 (* Oracles, logs, reports *)
 
 let isolation_violations t =
@@ -796,13 +648,12 @@ let to_json t =
         ("lease_until", Json.Float s.ten_lease_until);
         ("slots_granted", Json.Int s.ten_granted);
         ("pending", Json.Int (Batcher.pending_for t.batcher s.ten_id));
-        ("policy_rules", Json.Int (List.length s.ten_policy));
         ( "sites",
           Json.List (List.map (fun x -> Json.String x) s.ten_sites) )
       ]
   in
   Json.Obj
-    [ ("schema", Json.String "peering-sched/1");
+    [ ("schema", Json.String "peering-sched/2");
       ("running", Json.List (List.map tenant_json t.running));
       ( "finished",
         Json.List

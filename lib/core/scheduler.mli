@@ -3,7 +3,7 @@
 
     The scheduler is the admission-controlled path from a
     portal-approved proposal to a running experiment on the shared
-    muxes. It layers four guarantees on top of the runtime
+    muxes. It layers three guarantees on top of the runtime
     {!Safety} filters:
 
     - {b Prefix leases}: every admitted tenant holds its allocated
@@ -13,22 +13,16 @@
       pool) and can be renewed or revoked early.
     - {b Static admission control}: before a tenant touches a mux,
       its allocation and declared poison targets are checked against
-      every running tenant — overlapping prefixes, colliding origin
-      ASNs and cross-tenant poisoning are rejected at admission time,
-      not at announce time. An optional {!vet} hook lets callers run
-      the full [Peering_check.Check.check_specs] XEXP passes over the
-      batch (see [Peering_check.Admission]); a built-in structural
-      check covers the same conflicts when no hook is installed.
+      every running tenant — overlapping prefixes and cross-tenant
+      poisoning are rejected at admission time, not at announce time.
+      Origin ASNs cannot collide: the controller never allocates one
+      twice.
     - {b Fair-share update batching}: announce/withdraw requests are
       queued per tenant and drained in deficit rounds of at most
       [quota] operations each, so a chatty tenant cannot starve
       others of update slots. Within a tenant, requests apply in
       FIFO order; granted operations are packed into RFC 4271 UPDATE
       messages with {!Peering_bgp.Update_group}.
-    - {b Policy composition}: SDX-style per-tenant inbound policies
-      are admitted only when their composition cannot touch another
-      tenant's traffic — every match must stay inside the tenant's
-      own lease.
 
     Admission decisions are span-traced ([core.sched.admit]) and the
     whole lifecycle is counted under [core.sched.*] metrics. Every
@@ -96,8 +90,8 @@ type proposal = {
           every other tenant's origin ASNs at admission *)
   p_sites : string list;  (** sites to connect to; [[]] = all sites *)
   p_lease_s : float option;
-      (** lease duration in virtual seconds; [None] = the scheduler's
-          default *)
+      (** lease duration in virtual seconds, which must be positive;
+          [None] = 3600 *)
 }
 (** A portal-approved experiment proposal, ready for admission. *)
 
@@ -112,38 +106,22 @@ val proposal :
   string ->
   proposal
 (** [proposal tenant] with sensible defaults: 1 prefix, no poisoning,
-    all sites, default lease, a description that passes vetting. *)
+    all sites, a 3600 s lease, a description that passes vetting. *)
 
 type issue = {
   issue_code : string;
-      (** stable conflict code, e.g. ["SCHED-XOVERLAP"] or an XEXP
-          code relayed from the vet hook *)
-  issue_severity : [ `Error | `Warning ];
-      (** only [`Error] issues reject; warnings ride along in the
-          verdict *)
+      (** stable code: ["SCHED-SITE"], ["SCHED-DUP"], ["SCHED-LEASE"],
+          ["SCHED-PROPOSE"], ["SCHED-POISON"], ["SCHED-XOVERLAP"] or
+          ["SCHED-XPOISON"] *)
   issue_message : string;  (** human-readable explanation *)
 }
-(** One admission-control finding. *)
-
-type candidate = {
-  cand_tenant : string;  (** tenant id *)
-  cand_experiment : Experiment.t;  (** with allocations filled in *)
-  cand_poison_targets : Asn.t list;  (** declared poison targets *)
-}
-(** What a {!vet} hook sees per tenant: running tenants in admission
-    order, the candidate last. *)
-
-type vet = candidate list -> issue list
-(** A pluggable batch admission check. [Peering_check.Admission.vet]
-    adapts {!Peering_check.Check.check_specs} (the XEXP cross-spec
-    passes) to this signature; the dependency points that way because
-    [peering_check] links against [peering_core]. *)
+(** One admission-control finding; every finding rejects. *)
 
 type verdict =
   | Admitted of { lease_until : float }
       (** running; the lease expires at the given virtual time *)
   | Rejected of issue list
-      (** refused; every [`Error] issue is a reason *)
+      (** refused; every issue is a reason *)
       (** The admission decision for one proposal. *)
 
 val verdict_to_string : verdict -> string
@@ -156,29 +134,27 @@ type t
 (** A scheduler bound to one testbed. *)
 
 val create :
-  ?vet:vet ->
   ?quota:int ->
-  ?default_lease_s:float ->
   ?round_interval:float ->
   ?extra_supply:Prefix.t list ->
   Testbed.t ->
   t
 (** [create tb] binds a scheduler to the testbed. [quota] (default 4)
-    is the per-tenant per-round update-slot grant; [default_lease_s]
-    (default 3600) the lease for proposals that do not name one;
-    [round_interval] (default 1.0) the virtual seconds between
-    batching rounds when requests are pending; [extra_supply] donates
-    additional address blocks to the controller's pool first (the
-    paper's §3 donated prefixes — the default /19 holds only 32 /24
-    leases, not enough for 100+ concurrent tenants). *)
+    is the per-tenant per-round update-slot grant; [round_interval]
+    (default 1.0) the virtual seconds between batching rounds when
+    requests are pending; [extra_supply] donates additional address
+    blocks to the controller's pool first (the paper's §3 donated
+    prefixes — the default /19 holds only 32 /24 leases, not enough
+    for 100+ concurrent tenants). *)
 
 val admit : t -> proposal -> verdict
 (** Run admission control and, on success, start the tenant: allocate
     its lease from the pool, connect its client to the proposal's
-    sites, and schedule lease expiry. Span-traced as
-    [core.sched.admit]; counted in [core.sched.admitted] /
-    [core.sched.rejected]. A rejected proposal leaves no allocation
-    behind. *)
+    sites, and schedule lease expiry. A lease that is not positive
+    (NaN included) is rejected as [SCHED-LEASE] before any
+    allocation. Span-traced as [core.sched.admit]; counted in
+    [core.sched.admitted] / [core.sched.rejected]. A rejected proposal
+    leaves no allocation behind. *)
 
 val tenants : t -> string list
 (** Running tenants in admission order. *)
@@ -197,7 +173,8 @@ val client : t -> string -> Client.t option
 
 val renew : t -> tenant:string -> lease_s:float -> (float, string) result
 (** Extend a running tenant's lease by [lease_s] from now, returning
-    the new expiry. *)
+    the new expiry. [Error] if the tenant is not running or [lease_s]
+    is not positive. *)
 
 val evict : t -> tenant:string -> reason:string -> bool
 (** Revoke the lease now: pending requests are dropped, announcements
@@ -242,31 +219,6 @@ val rounds_run : t -> int
 val ops_applied : t -> int
 (** Update operations applied so far (announce + withdraw). *)
 
-(** {1 SDX-style per-tenant policies} *)
-
-type policy_action =
-  | Deliver_via of string  (** steer matching traffic to this site *)
-  | Drop_traffic  (** drop matching traffic at the mux *)
-      (** What a policy rule does with matching inbound traffic. *)
-
-type policy_rule = {
-  pol_dst : Prefix.t;  (** destination match, must sit inside the lease *)
-  pol_action : policy_action;  (** the action *)
-}
-(** One inbound-policy rule, in the SDX participant style. *)
-
-val set_policy : t -> tenant:string -> policy_rule list -> (unit, issue list) result
-(** Install the tenant's policy after the composition pass: every
-    rule's destination must lie inside the tenant's own lease (a rule
-    that overlaps another tenant's lease is an isolation violation,
-    [SCHED-POLICY-ISOLATION]; one outside PEERING space entirely is
-    [SCHED-POLICY-SCOPE]) and [Deliver_via] must name a site the
-    tenant is connected to ([SCHED-POLICY-SITE]). Rejection installs
-    nothing. *)
-
-val policy : t -> string -> policy_rule list
-(** The tenant's installed policy ([[]] if none). *)
-
 (** {1 Oracles, logs, reports} *)
 
 val isolation_violations : t -> int
@@ -278,12 +230,12 @@ val isolation_violations : t -> int
 
 val log : t -> string list
 (** The append-only decision log (admissions, rejections, rounds,
-    evictions, policy verdicts) in chronological order. Deterministic
+    renewals, evictions) in chronological order. Deterministic
     for a given seed: the [@sched-isolation] harness compares two
     same-seed runs byte for byte. *)
 
 val to_json : t -> Peering_obs.Json.t
-(** The schedule as a [peering-sched/1] document: per-tenant status,
+(** The schedule as a [peering-sched/2] document: per-tenant status,
     leases, grant counts, the decision log and summary counters.
     Deterministic for a given seed (feeds the [sched-determinism]
     cmp rule). *)

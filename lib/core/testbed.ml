@@ -510,7 +510,7 @@ let small_ixp_calibration =
     n_unlisted = 4
   }
 
-let add_remote_ixp t ~via ~name ?(calibration = small_ixp_calibration) () =
+let add_remote_ixp t ~via ~name =
   let s = site_exn t via in
   let fabric =
     Fabric.create ~name ~country:Country.nl
@@ -519,7 +519,10 @@ let add_remote_ixp t ~via ~name ?(calibration = small_ixp_calibration) () =
   in
   (* Populate with the same member model as a real IXP build, but at
      the smaller calibration, then peer over the virtual L2. *)
-  let tmp = Amsix.build ~calibration ~rng:(Rng.split (Engine.rng t.eng)) t.w in
+  let tmp =
+    Amsix.build ~calibration:small_ixp_calibration
+      ~rng:(Rng.split (Engine.rng t.eng)) t.w
+  in
   List.iter
     (fun (m : Fabric.member) ->
       Fabric.add_member fabric ~uses_route_server:m.Fabric.uses_route_server

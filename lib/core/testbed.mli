@@ -162,13 +162,7 @@ val ingress_site : t -> from_asn:Asn.t -> Prefix.t -> string option
     the anycast-catchment question. [None] when the AS routes to a
     non-PEERING origin (e.g. a hijacker) or has no route. *)
 
-val add_remote_ixp :
-  t ->
-  via:string ->
-  name:string ->
-  ?calibration:Amsix.calibration ->
-  unit ->
-  Fabric.t
+val add_remote_ixp : t -> via:string -> name:string -> Fabric.t
 (** Remote peering (paper §3: "Hibernia Networks offered us virtualized
     layer 2 connectivity from our AMS-IX server to tens of IXPs around
     the world"): build a new IXP fabric and peer the existing [via]

@@ -135,11 +135,11 @@ type report = {
       (** all drills reconverged, zero routes lost, every SLO met *)
 }
 
-val run : ?seed:int -> ?drills:string list -> ?slos:slo list -> unit -> report
-(** Run the named drills (default: all of {!drills}) and judge the
-    SLOs. Each drill derives its seed from its position in the
-    canonical list, so subsets replay the same worlds the full
-    campaign uses. The caller owns {!Peering_obs.Metrics.reset} — the
+val run : ?seed:int -> ?drills:string list -> unit -> report
+(** Run the named drills (default: all of {!drills}) and judge them
+    against {!default_slos}. Each drill derives its seed from its
+    position in the canonical list, so subsets replay the same worlds
+    the full campaign uses. The caller owns {!Peering_obs.Metrics.reset} — the
     CLI resets the registry first so same-seed reports are
     byte-identical regardless of process history. *)
 

@@ -465,10 +465,10 @@ let index_table peers =
         }
   }
 
-let table_of_world ?(seed = 0) ?(peers = 8) ?(entries_per_prefix = 2)
-    world =
+let table_of_world ?(seed = 0) ?(peers = 8) world =
   let parr = peers_of_world ~n:peers world in
   let n_peers = Array.length parr in
+  let k = min 2 n_peers in  (* entries per prefix, from rotating peers *)
   let rng = Rng.create (0x6D72_7400 lxor seed) in
   let vias = Array.of_list world.Gen.tier1 in
   let seq = ref 0 in
@@ -479,7 +479,6 @@ let table_of_world ?(seed = 0) ?(peers = 8) ?(entries_per_prefix = 2)
     (fun asn ->
       List.iter
         (fun prefix ->
-          let k = min entries_per_prefix n_peers in
           let entries =
             List.init k (fun j ->
                 let i = (!seq + j) mod n_peers in
@@ -510,7 +509,6 @@ let table_of_world ?(seed = 0) ?(peers = 8) ?(entries_per_prefix = 2)
              0L)
           48
       in
-      let k = min entries_per_prefix n_peers in
       let entries =
         List.init k (fun j ->
             let pi = (i + j) mod n_peers in

@@ -152,11 +152,11 @@ val peers_of_world : ?n:int -> Gen.world -> peer array
     encoding. *)
 
 val table_of_world :
-  ?seed:int -> ?peers:int -> ?entries_per_prefix:int -> Gen.world -> t list
+  ?seed:int -> ?peers:int -> Gen.world -> t list
 (** A full RIB dump of the world: a peer index table, one
     [RIB_IPV4_UNICAST] record per prefix in the graph (ascending AS
     order), and one [RIB_IPV6_UNICAST] /48 per tier-1.  Each prefix
-    gets [entries_per_prefix] (default 2) entries from rotating peers
+    gets 2 entries from rotating peers
     with synthetic-but-plausible AS paths drawn from [seed]'s RNG
     stream. *)
 

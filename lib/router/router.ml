@@ -315,8 +315,7 @@ let add_neighbor t ~remote_asn ~remote_addr ~local_addr =
   t.nbrs <- t.nbrs @ [ nbr ];
   nbr
 
-let connect engine ?(latency = 0.01) ?(auto_restart = false) (r1, addr1)
-    (r2, addr2) =
+let connect engine ?(auto_restart = false) (r1, addr1) (r2, addr2) =
   let n1 =
     add_neighbor r1 ~remote_asn:r2.asn ~remote_addr:addr2 ~local_addr:addr1
   in
@@ -342,7 +341,7 @@ let connect engine ?(latency = 0.01) ?(auto_restart = false) (r1, addr1)
     | Some s -> Fsm.graceful_restart_time (side s).Session.fsm
   in
   let session =
-    Session.create engine ~latency
+    Session.create engine
       ~a:(cfg r1, addr1)
       ~b:(cfg r2, addr2)
       ~on_update_a:(fun u -> on_update r1 n1 u)

@@ -61,14 +61,14 @@ val set_export_policy : t -> Ipv4.t -> Policy.t -> unit
 
 val connect :
   Peering_sim.Engine.t ->
-  ?latency:float ->
   ?auto_restart:bool ->
   t * Ipv4.t ->
   t * Ipv4.t ->
   Session.t
 (** [connect engine (r1, addr1) (r2, addr2)] registers each router as
     the other's neighbor (eBGP if ASNs differ, iBGP otherwise), builds
-    the session, and starts it. Run the engine to establish; on
+    the session with {!Session.create}'s default latency, and starts
+    it. Run the engine to establish; on
     establishment each side sends its full table subject to export
     policy. [auto_restart] (default false) makes both FSMs reconnect
     after non-administrative closes with jittered exponential

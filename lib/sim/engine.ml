@@ -48,12 +48,14 @@ let capture_span f =
   else f
 
 let schedule_at t ~time f =
-  if time < t.clock then invalid_arg "Engine.schedule_at: time in the past";
+  if not (time >= t.clock) then
+    invalid_arg "Engine.schedule_at: time in the past or NaN";
   Event_queue.push t.queue ~time (capture_span f);
   note_scheduled t
 
 let schedule t ~delay f =
-  if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
+  if not (delay >= 0.0) then
+    invalid_arg "Engine.schedule: negative or NaN delay";
   Event_queue.push t.queue ~time:(t.clock +. delay) (capture_span f);
   note_scheduled t
 
@@ -83,6 +85,7 @@ let run ?until ?max_events t =
   done
 
 let run_for t d =
+  if Float.is_nan d then invalid_arg "Engine.run_for: NaN duration";
   let horizon = t.clock +. d in
   let wall_start = Sys.time () in
   run ~until:horizon t;

@@ -18,12 +18,13 @@ val rng : t -> Rng.t
 
 val schedule : t -> delay:float -> (unit -> unit) -> unit
 (** [schedule t ~delay f] runs [f] at [now t +. delay]. [delay] must be
-    non-negative. While causal tracing is on ({!Peering_obs.Span}),
-    the ambient span context at the call is captured and restored
-    around [f], so causality survives the trip through the queue. *)
+    non-negative and not NaN. While causal tracing is on
+    ({!Peering_obs.Span}), the ambient span context at the call is
+    captured and restored around [f], so causality survives the trip
+    through the queue. *)
 
 val schedule_at : t -> time:float -> (unit -> unit) -> unit
-(** Absolute-time variant. The time must not be in the past. *)
+(** Absolute-time variant. The time must not be in the past or NaN. *)
 
 val pending : t -> int
 (** Number of queued events. *)
@@ -39,4 +40,5 @@ val run : ?until:float -> ?max_events:int -> t -> unit
 
 val run_for : t -> float -> unit
 (** [run_for t d] is [run ~until:(now t +. d) t], then advances the
-    clock to exactly [now + d] even if the queue drained early. *)
+    clock to exactly [now + d] even if the queue drained early. A NaN
+    [d] raises [Invalid_argument]. *)

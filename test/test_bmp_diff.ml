@@ -222,7 +222,7 @@ let scenario_scheduler seed =
   arm_benign mon tb;
   ignore (feed_all tb);
   let sched =
-    Scheduler.create ~vet:Peering_check.Admission.vet ~quota:3
+    Scheduler.create ~quota:3
       ~round_interval:0.5
       ~extra_supply:[ Prefix.of_string_exn "184.164.192.0/19" ]
       tb

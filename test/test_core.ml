@@ -699,7 +699,7 @@ let test_remote_peering () =
   in
   let t = Testbed.build ~params () in
   let before = List.length (Testbed.peers_at t "amsterdam01") in
-  let fabric = Testbed.add_remote_ixp t ~via:"amsterdam01" ~name:"DE-CIX" () in
+  let fabric = Testbed.add_remote_ixp t ~via:"amsterdam01" ~name:"DE-CIX" in
   let after = List.length (Testbed.peers_at t "amsterdam01") in
   check Alcotest.bool "peers grew" true (after > before);
   check Alcotest.bool "no more than fabric RS users" true
@@ -796,7 +796,7 @@ let test_set_down_repair_matches_recompute () =
   matches_recompute "all restored" clear;
   check Alcotest.(list int) "reach back to baseline" baseline
     (List.map (Testbed.reach_count t) prefixes);
-  ignore (Testbed.add_remote_ixp t ~via:"amsterdam01" ~name:"DE-CIX" ());
+  ignore (Testbed.add_remote_ixp t ~via:"amsterdam01" ~name:"DE-CIX");
   matches_recompute "after remote peering" clear;
   Server.crash (mux "gatech01");
   Testbed.set_down t tier1 true;
@@ -1556,37 +1556,43 @@ let admit_ok sched p =
       (String.concat "; "
          (List.map (fun i -> i.Scheduler.issue_message) issues))
 
-let rejected_with sched p code =
+let rejected_codes sched p =
   match Scheduler.admit sched p with
   | Scheduler.Admitted _ ->
-    Alcotest.failf "%s admitted; expected %s" p.Scheduler.p_tenant code
-  | Scheduler.Rejected issues ->
-    check Alcotest.bool
-      (Printf.sprintf "%s rejected with %s" p.Scheduler.p_tenant code)
-      true
-      (List.exists (fun i -> i.Scheduler.issue_code = code) issues)
+    Alcotest.failf "%s admitted; expected a rejection" p.Scheduler.p_tenant
+  | Scheduler.Rejected issues -> List.map (fun i -> i.Scheduler.issue_code) issues
+
+let rejected_with sched p code =
+  check Alcotest.bool
+    (Printf.sprintf "%s rejected with %s" p.Scheduler.p_tenant code)
+    true
+    (List.mem code (rejected_codes sched p))
+
+let conflicts () = Peering_obs.Metrics.counter_value "core.sched.conflicts"
 
 let test_sched_admission () =
   let t = build () in
-  let sched =
-    Scheduler.create ~vet:Peering_check.Admission.vet ~quota:2
-      ~round_interval:0.5 t
-  in
+  let sched = Scheduler.create ~quota:2 ~round_interval:0.5 t in
   admit_ok sched (sched_proposal "ten-a");
   admit_ok sched (sched_proposal "ten-b");
   check Alcotest.(list string) "both running" [ "ten-a"; "ten-b" ]
     (Scheduler.tenants sched);
   (* duplicate tenant id *)
   rejected_with sched (sched_proposal "ten-a") "SCHED-DUP";
-  (* poisoning another live tenant's origin ASN is sabotage *)
+  (* poisoning another live tenant's origin ASN is sabotage, reported
+     and counted once *)
   let a_asns =
     match Scheduler.client sched "ten-a" with
     | Some c -> (Client.experiment c).Experiment.private_asns
     | None -> Alcotest.fail "ten-a has no client"
   in
-  rejected_with sched
-    (sched_proposal ~may_poison:true ~poison_targets:a_asns "ten-c")
-    "SCHED-XPOISON";
+  let before = conflicts () in
+  check
+    Alcotest.(list string)
+    "cross-poison codes" [ "SCHED-XPOISON" ]
+    (rejected_codes sched
+       (sched_proposal ~may_poison:true ~poison_targets:a_asns "ten-c"));
+  check Alcotest.int "one conflict counted" (before + 1) (conflicts ());
   (* public poison targets without board approval *)
   rejected_with sched
     (sched_proposal ~poison_targets:[ asn 3356 ] "ten-d")
@@ -1653,56 +1659,48 @@ let test_sched_lease_expiry () =
   check Alcotest.bool "renewed lease expires too" false
     (Scheduler.is_running sched "renewed")
 
-let test_sched_policy_composition () =
+(* A lease must be a positive duration: a NaN lease_until misorders the
+   engine's queue, and a negative renewal evicts at the next event. *)
+let test_sched_lease_rejected () =
+  let t = build () in
+  let ctl = Testbed.controller t in
+  let sched = Scheduler.create t in
+  let before = Controller.available_blocks ctl in
+  List.iter
+    (fun lease_s ->
+      check
+        Alcotest.(list string)
+        (Printf.sprintf "lease %g rejected" lease_s)
+        [ "SCHED-LEASE" ]
+        (rejected_codes sched (sched_proposal ~lease_s "bad-lease")))
+    [ Float.nan; 0.0; -5.0 ];
+  check Alcotest.int "no allocation taken" before
+    (Controller.available_blocks ctl);
+  (* with no NaN expiry queued, events still run in time order *)
+  let eng = Testbed.engine t in
+  let log = ref [] in
+  Engine.schedule eng ~delay:2.0 (fun () -> log := 2.0 :: !log);
+  Engine.schedule eng ~delay:1.0 (fun () -> log := 1.0 :: !log);
+  Engine.run_for eng 3.0;
+  check Alcotest.(list (float 0.0)) "probe events in order" [ 1.0; 2.0 ]
+    (List.rev !log)
+
+let test_sched_renew_rejected () =
   let t = build () in
   let sched = Scheduler.create t in
-  admit_ok sched (sched_proposal ~sites:[ "gatech01" ] "pol-a");
-  admit_ok sched (sched_proposal "pol-b");
-  let pa = List.hd (Scheduler.leased_prefixes sched "pol-a") in
-  let pb = List.hd (Scheduler.leased_prefixes sched "pol-b") in
-  (* in-scope policy on a connected site composes fine *)
-  (match
-     Scheduler.set_policy sched ~tenant:"pol-a"
-       [ { Scheduler.pol_dst = pa;
-           pol_action = Scheduler.Deliver_via "gatech01"
-         }
-       ]
-   with
-  | Ok () -> ()
-  | Error issues ->
-    Alcotest.failf "in-scope policy rejected: %s"
-      (String.concat "; "
-         (List.map (fun i -> i.Scheduler.issue_message) issues)));
-  check Alcotest.int "policy installed" 1
-    (List.length (Scheduler.policy sched "pol-a"));
-  let rejected_policy rules code =
-    match Scheduler.set_policy sched ~tenant:"pol-a" rules with
-    | Ok () -> Alcotest.failf "policy accepted; expected %s" code
-    | Error issues ->
-      check Alcotest.bool code true
-        (List.exists (fun i -> i.Scheduler.issue_code = code) issues)
-  in
-  (* matching another tenant's lease violates isolation *)
-  rejected_policy
-    [ { Scheduler.pol_dst = pb; pol_action = Scheduler.Drop_traffic } ]
-    "SCHED-POLICY-ISOLATION";
-  (* matching outside PEERING space entirely is out of scope *)
-  rejected_policy
-    [ { Scheduler.pol_dst = pfx "10.10.0.0/24";
-        pol_action = Scheduler.Drop_traffic
-      }
-    ]
-    "SCHED-POLICY-SCOPE";
-  (* delivering via a site the tenant is not connected to *)
-  rejected_policy
-    [ { Scheduler.pol_dst = pa;
-        pol_action = Scheduler.Deliver_via "amsterdam01"
-      }
-    ]
-    "SCHED-POLICY-SITE";
-  (* rejection installs nothing: the old policy survives *)
-  check Alcotest.int "rejected policy not installed" 1
-    (List.length (Scheduler.policy sched "pol-a"))
+  admit_ok sched (sched_proposal ~lease_s:30.0 "renew-me");
+  let until = Scheduler.lease_until sched "renew-me" in
+  List.iter
+    (fun lease_s ->
+      match Scheduler.renew sched ~tenant:"renew-me" ~lease_s with
+      | Ok u -> Alcotest.failf "renew by %g accepted (until %g)" lease_s u
+      | Error _ -> ())
+    [ -10.0; 0.0; Float.nan ];
+  check Alcotest.(option (float 0.0)) "lease unchanged" until
+    (Scheduler.lease_until sched "renew-me");
+  Engine.run_for (Testbed.engine t) 5.0;
+  check Alcotest.bool "still running" true
+    (Scheduler.is_running sched "renew-me")
 
 let () =
   Alcotest.run "core"
@@ -1728,7 +1726,8 @@ let () =
           tc "batcher interleaved FIFO" `Quick test_batcher_interleaved_fifo;
           tc "admission" `Quick test_sched_admission;
           tc "lease expiry" `Quick test_sched_lease_expiry;
-          tc "policy composition" `Quick test_sched_policy_composition
+          tc "lease rejected" `Quick test_sched_lease_rejected;
+          tc "renew rejected" `Quick test_sched_renew_rejected
         ] );
       ("capability", [ tc "table 1 claims" `Quick test_capability_claims ]);
       ( "testbed",

@@ -13,7 +13,7 @@
       oracle ([Testbed.reach_count]).
    3. Admission verdicts and the full schedule are byte-identical
       across two same-seed runs: the decision log and the
-      [peering-sched/1] JSON document are compared byte for byte.
+      [peering-sched/2] JSON document are compared byte for byte.
 
    Widen the sweep with SCHED_SEEDS=<n> (default 10). *)
 
@@ -70,9 +70,7 @@ let run_scenario seed =
   let tb = Testbed.build ~params:(params seed) () in
   let rng = Random.State.make [| 0x5ced; seed |] in
   let sched =
-    Scheduler.create ~vet:Peering_check.Admission.vet
-      ~quota:(2 + Random.State.int rng 3)
-      ~round_interval:0.5
+    Scheduler.create ~quota:(2 + Random.State.int rng 3) ~round_interval:0.5
       ~extra_supply:[ Prefix.of_string_exn "184.164.192.0/19" ]
       tb
   in

@@ -169,6 +169,33 @@ let test_engine_past_rejected () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "negative delay accepted"
 
+(* NaN compares false both ways, so a NaN event time would misorder the
+   heap and a NaN horizon would run every queued event. *)
+let test_engine_nan_rejected () =
+  let e = Engine.create () in
+  let log = ref [] in
+  List.iter
+    (fun d ->
+      match Engine.schedule e ~delay:d (fun () -> log := Engine.now e :: !log) with
+      | () -> ()
+      | exception Invalid_argument _ -> ())
+    [ 5.0; 1.0; Float.nan; 3.0; 2.0; 4.0; 0.5 ];
+  Engine.run e;
+  check Alcotest.(list (float 0.0)) "events run in time order"
+    [ 0.5; 1.0; 2.0; 3.0; 4.0; 5.0 ] (List.rev !log);
+  let rejects name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | () -> Alcotest.failf "%s accepted" name
+  in
+  rejects "NaN delay" (fun () -> Engine.schedule e ~delay:Float.nan ignore);
+  rejects "NaN time" (fun () -> Engine.schedule_at e ~time:Float.nan ignore);
+  let fired = ref false in
+  Engine.schedule e ~delay:10.0 (fun () -> fired := true);
+  rejects "NaN horizon" (fun () -> Engine.run_for e Float.nan);
+  check Alcotest.bool "NaN horizon runs nothing" false !fired;
+  check Alcotest.(float 0.0) "clock unchanged" 5.0 (Engine.now e)
+
 let test_engine_max_events () =
   let e = Engine.create () in
   let count = ref 0 in
@@ -216,6 +243,7 @@ let () =
           tc "until" `Quick test_engine_until;
           tc "run_for" `Quick test_engine_run_for;
           tc "past rejected" `Quick test_engine_past_rejected;
+          tc "NaN rejected" `Quick test_engine_nan_rejected;
           tc "max events" `Quick test_engine_max_events;
           tc "distributions" `Quick test_rng_distributions
         ] )
