@@ -23,6 +23,7 @@ module Memory = Peering_router.Memory
 module Rib = Peering_bgp.Rib
 module Reachability = Peering_measure.Reachability
 module Webworkload = Peering_measure.Webworkload
+module Stats = Peering_measure.Stats
 module Mininext = Peering_emu.Mininext
 module Forwarder = Peering_dataplane.Forwarder
 module Fib = Peering_dataplane.Fib
@@ -678,14 +679,13 @@ let chaos () =
         (List.length o.Campaign.blast.Campaign.reach_dips))
     r.Campaign.outcomes;
   List.iter
-    (fun (v : Campaign.slo_verdict) ->
+    (fun (v : Stats.slo) ->
       paper_vs_measured
-        ~label:(Printf.sprintf "p99 recovery (%s)" v.Campaign.verdict_class)
-        ~paper:(Printf.sprintf "<= %.0fs budget" v.Campaign.budget_s)
+        ~label:(Printf.sprintf "p99 recovery (%s)" v.slo_name)
+        ~paper:(Printf.sprintf "<= %.0fs budget" v.budget_s)
         ~measured:
-          (Printf.sprintf "%.2fs over %d samples%s" v.Campaign.p99_s
-             v.Campaign.samples
-             (if v.Campaign.met then "" else " (MISSED)")))
+          (Printf.sprintf "%.2fs over %d samples%s" v.p99_s v.samples
+             (if v.met then "" else " (MISSED)")))
     r.Campaign.slos;
   paper_vs_measured ~label:"campaign verdict" ~paper:"passed"
     ~measured:(if r.Campaign.passed then "passed" else "FAILED")
@@ -700,7 +700,6 @@ let chaos () =
    every row here is a seeded count. *)
 
 module Scheduler = Peering_core.Scheduler
-module Sched_stats = Peering_measure.Stats
 
 let sched () =
   section
@@ -800,7 +799,7 @@ let sched () =
     ~paper:"bounded by fair share"
     ~measured:
       (Printf.sprintf "%.2fs over %d grants"
-         (Sched_stats.percentile 99.0 convergence_samples)
+         (Stats.percentile 99.0 convergence_samples)
          (List.length convergence_samples));
   paper_vs_measured ~label:"isolation violations at full load" ~paper:"0"
     ~measured:(string_of_int (Scheduler.isolation_violations sched));

@@ -26,6 +26,7 @@ module Rng = Peering_sim.Rng
 module Engine = Peering_sim.Engine
 module Mininext = Peering_emu.Mininext
 module Forwarder = Peering_dataplane.Forwarder
+module Stats = Peering_measure.Stats
 open Peering_core
 
 let seed_arg =
@@ -824,10 +825,9 @@ let chaos_cmd =
         Printf.printf "\n%-13s %10s %10s %8s  %s\n" "slo class" "p99_s"
           "budget_s" "samples" "met";
         List.iter
-          (fun (v : Campaign.slo_verdict) ->
-            Printf.printf "%-13s %10.2f %10.2f %8d  %b\n"
-              v.Campaign.verdict_class v.Campaign.p99_s v.Campaign.budget_s
-              v.Campaign.samples v.Campaign.met)
+          (fun (v : Stats.slo) ->
+            Printf.printf "%-13s %10.2f %10.2f %8d  %b\n" v.slo_name v.p99_s
+              v.budget_s v.samples v.met)
           report.Campaign.slos
       end;
       if report.Campaign.sweep <> [] then begin
@@ -1023,7 +1023,7 @@ let monitor_cmd =
       (fun site ->
         let srv = Testbed.site_server site in
         Server.set_bmp_sink srv
-          (Some (Monitor.attach mon ~mux:(Server.name srv))))
+          (Some (Monitor.feed mon ~mux:(Server.name srv))))
       (Testbed.sites t);
     let fed =
       List.fold_left
@@ -1108,29 +1108,25 @@ let monitor_cmd =
     (* Windowed health: ingest rate over the last minute, SLO verdicts
        for mux recovery (chaos campaign budget) and feed cadence. *)
     let series = Monitor.series mon in
-    let rate = Window.Series.rate ~horizon_s:60.0 series in
+    let rate = Window.rate series in
     let downtime_samples = Metrics.histogram_samples "core.server.downtime_s" in
     let recovery_budget =
-      match
-        List.find_opt
-          (fun s -> s.Campaign.slo_class = "compound")
-          Campaign.default_slos
-      with
-      | Some s -> s.Campaign.p99_budget_s
-      | None -> 90.0
+      (List.find
+         (fun s -> s.Campaign.slo_class = "compound")
+         Campaign.default_slos)
+        .Campaign.p99_budget_s
     in
     let gaps =
       let rec go acc = function
         | (t1, _) :: ((t2, _) :: _ as rest) -> go ((t2 -. t1) :: acc) rest
         | _ -> List.rev acc
       in
-      go [] (Window.Series.to_list series)
+      go [] (Window.to_list series)
     in
     let slos =
-      [ Window.Slo.evaluate ~name:"mux_recovery" ~budget_s:recovery_budget
-          (Window.Quantiles.of_list downtime_samples);
-        Window.Slo.evaluate ~name:"feed_gap" ~budget_s:5.0
-          (Window.Quantiles.of_list gaps)
+      [ Stats.slo ~name:"mux_recovery" ~budget_s:recovery_budget
+          downtime_samples;
+        Stats.slo ~name:"feed_gap" ~budget_s:5.0 gaps
       ]
     in
     let alerts = Monitor.alerts mon in
@@ -1179,14 +1175,14 @@ let monitor_cmd =
             ( "slos",
               Json.List
                 (List.map
-                   (fun (v : Window.Slo.verdict) ->
+                   (fun (v : Stats.slo) ->
                      Json.Obj
-                       [ ("name", Json.String v.Window.Slo.slo_name);
-                         ("budget_s", Json.Float v.Window.Slo.budget_s);
-                         ("p99_s", Json.Float v.Window.Slo.p99_s);
-                         ("samples", Json.Int v.Window.Slo.samples);
-                         ("burn", Json.Float v.Window.Slo.burn);
-                         ("met", Json.Bool v.Window.Slo.met)
+                       [ ("name", Json.String v.slo_name);
+                         ("budget_s", Json.Float v.budget_s);
+                         ("p99_s", Json.Float v.p99_s);
+                         ("samples", Json.Int v.samples);
+                         ("burn", Json.Float v.burn);
+                         ("met", Json.Bool v.met)
                        ])
                    slos) )
           ]
@@ -1221,10 +1217,9 @@ let monitor_cmd =
       Printf.printf "\n%-14s %10s %10s %8s %8s  %s\n" "slo" "p99_s"
         "budget_s" "samples" "burn" "met";
       List.iter
-        (fun (v : Window.Slo.verdict) ->
-          Printf.printf "%-14s %10.3f %10.3f %8d %8.3f  %b\n"
-            v.Window.Slo.slo_name v.Window.Slo.p99_s v.Window.Slo.budget_s
-            v.Window.Slo.samples v.Window.Slo.burn v.Window.Slo.met)
+        (fun (v : Stats.slo) ->
+          Printf.printf "%-14s %10.3f %10.3f %8d %8.3f  %b\n" v.slo_name
+            v.p99_s v.budget_s v.samples v.burn v.met)
         slos
     end;
     if List.exists (fun (_, _, _, _, m) -> not m) mux_rows then exit 1

@@ -83,14 +83,6 @@ let default_slos =
     { slo_class = "partition"; p99_budget_s = 75.0 }
   ]
 
-type slo_verdict = {
-  verdict_class : string;
-  budget_s : float;
-  p99_s : float;
-  samples : int;
-  met : bool;
-}
-
 (* ------------------------------------------------------------------ *)
 (* Dampening parameter sweep *)
 
@@ -937,7 +929,7 @@ let drill_index name =
 type report = {
   seed : int;
   outcomes : outcome list;
-  slos : slo_verdict list;
+  slos : Stats.slo list;
   sweep : sweep_row list;
   zero_routes_lost : bool;
   passed : bool;
@@ -956,24 +948,13 @@ let run_drill ?on_world ~seed name =
     | Some d -> (wire_drill ~seed s d, [])
     | None -> invalid_arg (Printf.sprintf "Campaign: unknown drill %S" s))
 
-let slo_verdicts slos =
+let judge_slos slos =
   List.filter_map
     (fun { slo_class; p99_budget_s } ->
-      let samples =
-        Metrics.Histogram.samples
-          (recovery_hist slo_class)
-      in
-      match samples with
+      match Metrics.Histogram.samples (recovery_hist slo_class) with
       | [] -> None
-      | _ ->
-        let p99 = Stats.percentile 99.0 samples in
-        Some
-          { verdict_class = slo_class;
-            budget_s = p99_budget_s;
-            p99_s = p99;
-            samples = List.length samples;
-            met = p99 <= p99_budget_s
-          })
+      | samples ->
+        Some (Stats.slo ~name:slo_class ~budget_s:p99_budget_s samples))
     slos
 
 let run ?(seed = 42) ?(drills = drills) () =
@@ -987,14 +968,14 @@ let run ?(seed = 42) ?(drills = drills) () =
   in
   let outcomes = List.map fst results in
   let sweep = List.concat_map snd results in
-  let slos = slo_verdicts default_slos in
+  let slos = judge_slos default_slos in
   let zero_routes_lost =
     List.for_all (fun o -> o.routes_lost = 0) outcomes
   in
   let passed =
     zero_routes_lost
     && List.for_all (fun o -> o.reconverged) outcomes
-    && List.for_all (fun v -> v.met) slos
+    && List.for_all (fun (v : Stats.slo) -> v.met) slos
   in
   { seed; outcomes; slos; sweep; zero_routes_lost; passed }
 
@@ -1053,9 +1034,9 @@ let outcome_json o =
       ("detail", Json.String o.detail)
     ]
 
-let verdict_json v =
+let verdict_json (v : Stats.slo) =
   Json.Obj
-    [ ("class", Json.String v.verdict_class);
+    [ ("class", Json.String v.slo_name);
       ("p99_s", Json.Float v.p99_s);
       ("budget_s", Json.Float v.budget_s);
       ("samples", Json.Int v.samples);

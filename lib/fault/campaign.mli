@@ -77,14 +77,6 @@ val default_slos : slo list
 (** One budget per drill class; see EXPERIMENTS.md for the calibration
     rationale. *)
 
-type slo_verdict = {
-  verdict_class : string;
-  budget_s : float;
-  p99_s : float;
-  samples : int;
-  met : bool;
-}
-
 (** {1 Dampening parameter sweep} *)
 
 type sweep_row = {
@@ -128,7 +120,11 @@ val run_drill :
 type report = {
   seed : int;
   outcomes : outcome list;
-  slos : slo_verdict list;
+  slos : Peering_measure.Stats.slo list;
+      (** one {!Peering_measure.Stats.slo} verdict (p99 by linear
+          interpolation) per class of {!default_slos} that recorded a
+          recovery sample, in that order; classes with none are
+          dropped *)
   sweep : sweep_row list;
   zero_routes_lost : bool;
   passed : bool;

@@ -108,16 +108,22 @@ let announce t ~from (route : Route.t) =
   ann := Prefix.Map.add route.Route.prefix route !ann;
   let deliveries = ref [] in
   let filtered = ref 0 in
+  let key = (route.Route.prefix, Asn.to_int from) in
   Asn.Set.iter
     (fun m ->
-      if not (Asn.equal m from) then
+      if not (Asn.equal m from) then begin
+        let d = delivered_to t m in
         if allows_export t route m then begin
           let out = scrub t route in
-          let d = delivered_to t m in
-          d := Delivery.add (out.Route.prefix, Asn.to_int from) out !d;
+          d := Delivery.add key out !d;
           deliveries := (m, out) :: !deliveries
         end
-        else incr filtered)
+        else begin
+          (* a re-announcement that now blocks [m] retracts its copy *)
+          d := Delivery.remove key !d;
+          incr filtered
+        end
+      end)
     t.connected;
   let deliveries = List.rev !deliveries in
   Metrics.Counter.add m_delivered (List.length deliveries);

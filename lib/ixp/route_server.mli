@@ -38,8 +38,11 @@ val announce : t -> from:Asn.t -> Route.t -> (Asn.t * Route.t) list
 (** Redistribute a member's announcement; returns the deliveries the
     server performs ([(to_member, route)]), after community-based
     export control. The route-server control communities themselves are
-    scrubbed from redistributed routes. Raises [Invalid_argument] if
-    [from] is not connected. *)
+    scrubbed from redistributed routes. A re-announcement whose
+    communities now block a member retracts that member's earlier copy
+    of [from]'s route (no longer in {!routes_for}, and not sent a later
+    {!withdraw}); the return value still lists deliveries only. Raises
+    [Invalid_argument] if [from] is not connected. *)
 
 val withdraw : t -> from:Asn.t -> Prefix.t -> (Asn.t * Prefix.t) list
 (** Withdraw a member's route; returns the withdrawals delivered to

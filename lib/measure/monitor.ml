@@ -63,7 +63,7 @@ type t = {
   cones : (string * int, Prefix.t -> bool) Hashtbl.t;
   mutable alerts : alert list;  (* newest first *)
   alerted : (string, unit) Hashtbl.t;  (* dedup keys *)
-  series : Window.Series.t;
+  series : Window.t;
   mutable messages : int;
   mutable bytes_in : int;
   mutable parse_errors : int;
@@ -76,7 +76,7 @@ let create ?collector () =
     cones = Hashtbl.create 16;
     alerts = [];
     alerted = Hashtbl.create 8;
-    series = Window.Series.create ~capacity:8192 ();
+    series = Window.create ~capacity:8192;
     messages = 0;
     bytes_in = 0;
     parse_errors = 0
@@ -261,18 +261,18 @@ let process t ~mux mx msg =
   mx.mx_msgs <- mx.mx_msgs + 1;
   Metrics.Counter.inc m_msgs;
   (match Bmp.peer_of msg with
-  | Some hdr -> Window.Series.push t.series ~time:(Bmp.time hdr) 1.0
+  | Some hdr -> Window.push t.series ~time:(Bmp.time hdr) 1.0
   | None -> (
     (* session-scoped messages carry no timestamp; reuse the newest *)
-    match Window.Series.last t.series with
-    | Some (time, _) -> Window.Series.push t.series ~time 1.0
-    | None -> Window.Series.push t.series ~time:0.0 1.0));
+    match Window.last t.series with
+    | Some (time, _) -> Window.push t.series ~time 1.0
+    | None -> Window.push t.series ~time:0.0 1.0));
   match msg with
   | Bmp.Initiation _ -> mx.mx_up <- true
   | Bmp.Termination _ ->
     mx.mx_up <- false;
     let time =
-      match Window.Series.last t.series with Some (tm, _) -> tm | None -> 0.0
+      match Window.last t.series with Some (tm, _) -> tm | None -> 0.0
     in
     Hashtbl.iter (fun _ ps -> clear_peer t ~time ~mux ps) mx.peers
   | Bmp.Peer_up { peer = hdr; _ } ->
@@ -349,8 +349,6 @@ let feed t ~mux data =
     (* one large push leaves no large buffer behind *)
     if Bytes.length mx.pending > 65_536 then mx.pending <- Bytes.empty
   end
-
-let attach t ~mux data = feed t ~mux data
 
 (* ------------------------------------------------------------------ *)
 (* Reads *)

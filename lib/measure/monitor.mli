@@ -33,14 +33,11 @@ val create : ?collector:Collector.t -> unit -> t
 
 (** {1 Feeds} *)
 
-val attach : t -> mux:string -> bytes -> unit
-(** [attach t ~mux] used partially — [Server.set_bmp_sink srv (Some
-    (Monitor.attach t ~mux:(Server.name srv)))] — is the standard
+val feed : t -> mux:string -> bytes -> unit
+(** [feed t ~mux] used partially — [Server.set_bmp_sink srv (Some
+    (Monitor.feed t ~mux:(Server.name srv)))] — is the standard
     wiring.  Bytes may arrive in any fragmentation: partial frames are
     buffered until complete, concatenated frames are all processed. *)
-
-val feed : t -> mux:string -> bytes -> unit
-(** Same as {!attach} (explicit form). *)
 
 val muxes : t -> string list
 (** Muxes that have fed at least one byte, sorted. *)
@@ -57,10 +54,10 @@ val parse_errors : t -> int
 val buffered : t -> mux:string -> int
 (** Bytes held for [mux] awaiting the rest of a partial frame. *)
 
-val series : t -> Peering_obs.Window.Series.t
+val series : t -> Peering_obs.Window.t
 (** Ingestion time-series: one sample per ingested message at its
-    feed timestamp (virtual time) — rolling rates and sliding-window
-    quantiles for the health report come from here. *)
+    feed timestamp (virtual time) — the health report's rolling rate
+    and feed gaps come from here. *)
 
 (** {1 Reconstruction} *)
 

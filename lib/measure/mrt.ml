@@ -328,8 +328,6 @@ let fold buf ~init ~f =
   in
   go init 0
 
-let iter buf f = fold buf ~init:0 ~f:(fun n t -> f t; n + 1)
-
 let read_all buf =
   match fold buf ~init:[] ~f:(fun acc t -> t :: acc) with
   | Ok l -> Ok (List.rev l)

@@ -108,9 +108,6 @@ val fold : bytes -> init:'a -> f:('a -> t -> 'a) -> ('a, error) result
 (** Stream every record in the buffer through [f] without retaining
     them — the 1M-prefix bench path. *)
 
-val iter : bytes -> (t -> unit) -> (int, error) result
-(** [iter buf f] applies [f] to every record; returns the count. *)
-
 val read_all : bytes -> (t list, error) result
 (** Materialize every record in order. *)
 

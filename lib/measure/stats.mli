@@ -1,10 +1,5 @@
-(** Small descriptive-statistics helpers for experiment reporting. *)
-
-val mean : float list -> float
-(** 0 on the empty list. *)
-
-val stddev : float list -> float
-(** Population standard deviation; 0 for fewer than two samples. *)
+(** Small descriptive-statistics helpers for experiment reporting, and
+    the one p99 SLO judge. *)
 
 val percentile : float -> float list -> float
 (** [percentile p l] for [p] in [0, 100], by linear interpolation
@@ -13,11 +8,19 @@ val percentile : float -> float list -> float
 
 val median : float list -> float
 
-val histogram : bins:int -> float list -> (float * float * int) list
-(** Equal-width bins over the sample range:
-    [(lo, hi, count)] per bin, ascending. Raises on empty input or
-    [bins < 1]. The last bin is inclusive of the maximum. *)
+(** A p99 recovery-budget verdict: how much of the budget the observed
+    tail consumes. *)
+type slo = {
+  slo_name : string;  (** the budget's class, e.g. ["compound"] *)
+  budget_s : float;  (** the p99 budget, virtual seconds, > 0 *)
+  p99_s : float;  (** [percentile 99.0] of the samples; [0.] when none *)
+  samples : int;  (** samples the verdict is based on *)
+  burn : float;  (** [p99_s /. budget_s]; > 1 means the SLO burned *)
+  met : bool;  (** [p99_s <= budget_s] *)
+}
 
-val cdf_points : float list -> (float * float) list
-(** The empirical CDF as [(value, fraction <= value)] pairs, one per
-    distinct sorted sample — the form the paper's figures plot. *)
+val slo : name:string -> budget_s:float -> float list -> slo
+(** [slo ~name ~budget_s samples] judges one positive budget against
+    observed samples. No samples is vacuously met with zero burn (a
+    clean run reports exactly that). The chaos campaign and
+    [peering_cli monitor] both judge recovery with it. *)

@@ -14,8 +14,7 @@ type t = {
   s_ctx : context;
   s_name : string;
   s_started : float;
-  (* reversed: attrs are appended rarely, read once at finish *)
-  mutable s_attrs : (string * string) list;
+  s_attrs : (string * string) list;
   mutable s_open : bool;
 }
 
@@ -62,13 +61,11 @@ let start ?parent ?(attrs = []) ~time name =
     { s_ctx = ctx;
       s_name = name;
       s_started = time;
-      s_attrs = List.rev attrs;
+      s_attrs = attrs;
       s_open = true
     }
 
 let context t = t.s_ctx
-
-let add_attr t k v = if t.s_open then t.s_attrs <- (k, v) :: t.s_attrs
 
 let finish ?(attrs = []) ~time t =
   if t.s_open then begin
@@ -78,7 +75,7 @@ let finish ?(attrs = []) ~time t =
         name = t.s_name;
         started = t.s_started;
         ended = time;
-        attrs = List.rev_append t.s_attrs attrs
+        attrs = t.s_attrs @ attrs
       }
   end
 

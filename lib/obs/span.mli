@@ -73,9 +73,6 @@ val start :
 val context : t -> context
 (** The span's threadable context. *)
 
-val add_attr : t -> string -> string -> unit
-(** Append one structured attribute (kept in insertion order). *)
-
 val finish : ?attrs:(string * string) list -> time:float -> t -> unit
 (** Close the span at virtual time [time], appending [attrs], and push
     the {!completed} record to the recorder. Idempotent: only the

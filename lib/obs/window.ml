@@ -1,143 +1,65 @@
-module Series = struct
-  type t = {
-    capacity : int;
-    times : float array;
-    values : float array;
-    mutable head : int;  (* index of the oldest sample *)
-    mutable len : int;
-    mutable dropped : int;
+type t = {
+  capacity : int;
+  times : float array;
+  values : float array;
+  mutable head : int;  (* index of the oldest sample *)
+  mutable len : int;
+  mutable dropped : int;
+}
+
+let create ~capacity =
+  if capacity < 1 then invalid_arg "Window.create: capacity < 1";
+  { capacity;
+    times = Array.make capacity 0.0;
+    values = Array.make capacity 0.0;
+    head = 0;
+    len = 0;
+    dropped = 0
   }
 
-  let create ?(capacity = 4096) () =
-    if capacity < 1 then invalid_arg "Window.Series.create: capacity < 1";
-    { capacity;
-      times = Array.make capacity 0.0;
-      values = Array.make capacity 0.0;
-      head = 0;
-      len = 0;
-      dropped = 0
-    }
+let push t ~time v =
+  if t.len = t.capacity then begin
+    (* overwrite the oldest slot and advance the head *)
+    t.times.(t.head) <- time;
+    t.values.(t.head) <- v;
+    t.head <- (t.head + 1) mod t.capacity;
+    t.dropped <- t.dropped + 1
+  end
+  else begin
+    let i = (t.head + t.len) mod t.capacity in
+    t.times.(i) <- time;
+    t.values.(i) <- v;
+    t.len <- t.len + 1
+  end
 
-  let push t ~time v =
-    if t.len = t.capacity then begin
-      (* overwrite the oldest slot and advance the head *)
-      t.times.(t.head) <- time;
-      t.values.(t.head) <- v;
-      t.head <- (t.head + 1) mod t.capacity;
-      t.dropped <- t.dropped + 1
-    end
-    else begin
-      let i = (t.head + t.len) mod t.capacity in
-      t.times.(i) <- time;
-      t.values.(i) <- v;
-      t.len <- t.len + 1
-    end
+let length t = t.len
+let dropped t = t.dropped
 
-  let length t = t.len
-  let dropped t = t.dropped
-  let total t = t.len + t.dropped
+let nth t i =
+  let j = (t.head + i) mod t.capacity in
+  (t.times.(j), t.values.(j))
 
-  let nth t i =
-    let j = (t.head + i) mod t.capacity in
-    (t.times.(j), t.values.(j))
+let last t = if t.len = 0 then None else Some (nth t (t.len - 1))
 
-  let last t = if t.len = 0 then None else Some (nth t (t.len - 1))
+let fold t ~init ~f =
+  let acc = ref init in
+  for i = 0 to t.len - 1 do
+    let time, v = nth t i in
+    acc := f !acc ~time v
+  done;
+  !acc
 
-  let span_s t =
-    if t.len < 2 then 0.0
-    else fst (nth t (t.len - 1)) -. fst (nth t 0)
+let rate_horizon_s = 60.0
 
-  let fold t ~init ~f =
-    let acc = ref init in
-    for i = 0 to t.len - 1 do
-      let time, v = nth t i in
-      acc := f !acc ~time v
-    done;
-    !acc
-
-  let sum t = fold t ~init:0.0 ~f:(fun acc ~time:_ v -> acc +. v)
-
-  let rate ?(horizon_s = 60.0) t =
-    if t.len = 0 || horizon_s <= 0.0 then 0.0
-    else
-      let newest = fst (nth t (t.len - 1)) in
-      let floor = newest -. horizon_s in
-      let s =
-        fold t ~init:0.0 ~f:(fun acc ~time v ->
-            if time > floor then acc +. v else acc)
-      in
-      s /. horizon_s
-
-  let to_list t = List.rev (fold t ~init:[] ~f:(fun acc ~time v -> (time, v) :: acc))
-
-  let window t ~horizon_s =
-    if t.len = 0 then []
-    else
-      let newest = fst (nth t (t.len - 1)) in
-      let floor = newest -. horizon_s in
-      List.rev
-        (fold t ~init:[] ~f:(fun acc ~time v ->
-             if time > floor then v :: acc else acc))
-end
-
-module Quantiles = struct
-  (* A sorted list plus its length: exact, persistent, and with a
-     canonical representation, so [merge] is associative/commutative
-     by structural equality, not just up to reordering. *)
-  type t = { n : int; xs : float list }
-
-  let empty = { n = 0; xs = [] }
-
-  let add v t =
-    let rec ins = function
-      | [] -> [ v ]
-      | x :: rest -> if v <= x then v :: x :: rest else x :: ins rest
+let rate t =
+  if t.len = 0 then 0.0
+  else
+    let newest = fst (nth t (t.len - 1)) in
+    let floor = newest -. rate_horizon_s in
+    let s =
+      fold t ~init:0.0 ~f:(fun acc ~time v ->
+          if time > floor then acc +. v else acc)
     in
-    { n = t.n + 1; xs = ins t.xs }
+    s /. rate_horizon_s
 
-  let of_list vs =
-    { n = List.length vs; xs = List.sort compare vs }
-
-  let merge a b =
-    let rec go xs ys =
-      match (xs, ys) with
-      | [], r | r, [] -> r
-      | x :: xr, y :: yr ->
-        if x <= y then x :: go xr ys else y :: go xs yr
-    in
-    { n = a.n + b.n; xs = go a.xs b.xs }
-
-  let count t = t.n
-
-  let quantile t q =
-    if t.n = 0 then nan
-    else
-      let q = Float.max 0.0 (Float.min 1.0 q) in
-      (* nearest rank: the ceil(q*n)-th smallest, 1-indexed *)
-      let rank = int_of_float (Float.ceil (q *. float_of_int t.n)) in
-      let idx = max 0 (min (t.n - 1) (rank - 1)) in
-      List.nth t.xs idx
-
-  let min_value t = quantile t 0.0
-  let max_value t = quantile t 1.0
-  let to_sorted_list t = t.xs
-end
-
-module Slo = struct
-  type verdict = {
-    slo_name : string;
-    budget_s : float;
-    p99_s : float;
-    samples : int;
-    burn : float;
-    met : bool;
-  }
-
-  let evaluate ~name ~budget_s q =
-    let samples = Quantiles.count q in
-    let p99_s = if samples = 0 then 0.0 else Quantiles.quantile q 0.99 in
-    let burn = if budget_s > 0.0 then p99_s /. budget_s else 0.0 in
-    { slo_name = name; budget_s; p99_s; samples; burn;
-      met = samples = 0 || p99_s <= budget_s
-    }
-end
+let to_list t = List.rev (fold t ~init:[] ~f:(fun acc ~time v -> (time, v) :: acc))

@@ -1,115 +1,39 @@
-(** Windowed health tracking: bounded time-series, mergeable
-    sliding-window quantiles, and SLO burn-rate evaluation.
+(** A fixed-capacity ring buffer of [(time, value)] samples: the
+    monitoring station's ({!Peering_measure.Monitor}) ingestion
+    time-series, from which [peering_cli monitor] reads its rolling
+    ingest rate and feed gaps.  Pushing past capacity evicts the oldest
+    sample and counts it as dropped, so the window always holds the
+    newest [capacity] observations.
 
-    The monitoring station ({!Peering_measure.Monitor}) and the
-    [peering_cli monitor] report are built on these three small
-    structures.  Everything is driven by virtual timestamps supplied
-    by the caller — nothing here reads the wall clock — so two
-    identically-seeded runs produce byte-identical health reports. *)
+    Everything is driven by virtual timestamps supplied by the caller —
+    nothing here reads the wall clock — so two identically-seeded runs
+    produce byte-identical health reports.  SLO verdicts over the
+    samples are [Peering_measure.Stats.slo]'s job. *)
 
-(** A fixed-capacity ring buffer of [(time, value)] samples.  Pushing
-    past capacity evicts the oldest sample and counts it as dropped,
-    so the window always holds the newest [capacity] observations. *)
-module Series : sig
-  type t
-  (** A mutable bounded time-series. *)
+type t
+(** A mutable bounded time-series. *)
 
-  val create : ?capacity:int -> unit -> t
-  (** [create ()] is an empty series retaining the newest [capacity]
-      samples (default 4096).  Raises [Invalid_argument] when
-      [capacity < 1]. *)
+val create : capacity:int -> t
+(** [create ~capacity] is an empty series retaining the newest
+    [capacity] samples.  Raises [Invalid_argument] when
+    [capacity < 1]. *)
 
-  val push : t -> time:float -> float -> unit
-  (** Append a sample.  Times are expected non-decreasing (virtual
-      clock); this is not enforced, but {!rate} and {!window} assume
-      it. *)
+val push : t -> time:float -> float -> unit
+(** Append a sample.  Times are expected non-decreasing (virtual
+    clock); this is not enforced, but {!rate} assumes it. *)
 
-  val length : t -> int
-  (** Samples currently retained. *)
+val length : t -> int
+(** Samples currently retained. *)
 
-  val dropped : t -> int
-  (** Samples evicted because the ring was full. *)
+val dropped : t -> int
+(** Samples evicted because the ring was full. *)
 
-  val total : t -> int
-  (** Samples ever pushed, retained or not. *)
+val last : t -> (float * float) option
+(** Newest [(time, value)], if any. *)
 
-  val last : t -> (float * float) option
-  (** Newest [(time, value)], if any. *)
+val rate : t -> float
+(** The sum of values newer than [newest - 60 s], divided by 60 — a
+    rolling per-second rate over the last minute.  [0.] when empty. *)
 
-  val span_s : t -> float
-  (** Newest time minus oldest retained time; [0.] with < 2 samples. *)
-
-  val sum : t -> float
-  (** Sum of the retained values. *)
-
-  val rate : ?horizon_s:float -> t -> float
-  (** [rate ~horizon_s t] is the sum of values newer than
-      [newest - horizon_s], divided by [horizon_s] — a rolling
-      per-second rate (default horizon 60 s).  [0.] when empty. *)
-
-  val fold : t -> init:'a -> f:('a -> time:float -> float -> 'a) -> 'a
-  (** Left fold over retained samples, oldest first. *)
-
-  val to_list : t -> (float * float) list
-  (** Retained samples, oldest first. *)
-
-  val window : t -> horizon_s:float -> float list
-  (** Values of the samples newer than [newest - horizon_s], oldest
-      first — the input handed to {!Quantiles.of_list} for
-      sliding-window quantiles. *)
-end
-
-(** Exact mergeable quantiles: a persistent sorted multiset of
-    samples.  Kept exact (not a sketch) so the QCheck laws are crisp:
-    [quantile] is monotone in [q], and {!merge} is associative and
-    commutative on the nose. *)
-module Quantiles : sig
-  type t
-  (** A persistent multiset of float samples. *)
-
-  val empty : t
-
-  val add : float -> t -> t
-  (** Insert one sample. *)
-
-  val of_list : float list -> t
-  (** Build from unordered samples. *)
-
-  val merge : t -> t -> t
-  (** Union of two multisets; associative and commutative. *)
-
-  val count : t -> int
-  (** Number of samples. *)
-
-  val quantile : t -> float -> float
-  (** [quantile t q] is the nearest-rank [q]-quantile ([q] clamped to
-      [\[0, 1\]]); [nan] when empty.  Monotone in [q]. *)
-
-  val min_value : t -> float
-  (** Smallest sample; [nan] when empty. *)
-
-  val max_value : t -> float
-  (** Largest sample; [nan] when empty. *)
-
-  val to_sorted_list : t -> float list
-  (** All samples, ascending — the canonical form {!merge}'s
-      associativity law is stated over. *)
-end
-
-(** Burn-rate evaluation of a p99 SLO over a quantile window: how much
-    of the recovery budget the observed tail consumes. *)
-module Slo : sig
-  type verdict = {
-    slo_name : string;  (** the budget's class, e.g. ["mux_crash"] *)
-    budget_s : float;  (** the p99 budget, virtual seconds *)
-    p99_s : float;  (** observed p99; [0.] when no samples *)
-    samples : int;  (** samples the verdict is based on *)
-    burn : float;  (** [p99_s /. budget_s]; > 1 means the SLO burned *)
-    met : bool;  (** [true] iff no samples or [p99_s <= budget_s] *)
-  }
-
-  val evaluate : name:string -> budget_s:float -> Quantiles.t -> verdict
-  (** Judge one budget against a window of observed samples.  An empty
-      window is vacuously met with zero burn (a clean run reports
-      exactly that). *)
-end
+val to_list : t -> (float * float) list
+(** Retained samples, oldest first. *)

@@ -71,7 +71,7 @@ let attach mon tb =
     (fun site ->
       let srv = Testbed.site_server site in
       Server.set_bmp_sink srv
-        (Some (Monitor.attach mon ~mux:(Server.name srv))))
+        (Some (Monitor.feed mon ~mux:(Server.name srv))))
     (Testbed.sites tb)
 
 let check_digests ~ctx mon tb =

@@ -14,6 +14,7 @@
    sweep with CHAOS_CAMPAIGN_SEEDS=<n> (default 3). *)
 
 module Campaign = Peering_fault.Campaign
+module Stats = Peering_measure.Stats
 module Metrics = Peering_obs.Metrics
 module Json = Peering_obs.Json
 
@@ -58,11 +59,11 @@ let exercise seed =
         (Float.is_finite o.Campaign.recovery_s))
     r.Campaign.outcomes;
   List.iter
-    (fun (v : Campaign.slo_verdict) ->
+    (fun (v : Stats.slo) ->
       check
-        (label "SLO %s: p99 %.2fs within %.0fs" v.Campaign.verdict_class
-           v.Campaign.p99_s v.Campaign.budget_s)
-        v.Campaign.met)
+        (label "SLO %s: p99 %.2fs within %.0fs" v.slo_name v.p99_s
+           v.budget_s)
+        v.met)
     r.Campaign.slos;
   check (label "zero routes lost overall") r.Campaign.zero_routes_lost;
   check (label "campaign passed") r.Campaign.passed;
@@ -88,8 +89,7 @@ let exercise seed =
    check
      (label "multi_tenant recovery SLO judged")
      (List.exists
-        (fun (v : Campaign.slo_verdict) ->
-          v.Campaign.verdict_class = "multi_tenant")
+        (fun (v : Stats.slo) -> v.slo_name = "multi_tenant")
         r.Campaign.slos));
   (* Same seed, byte-identical report — blast radii and all. *)
   let _, json2 = run_report seed in

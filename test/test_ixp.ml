@@ -102,6 +102,23 @@ let test_rs_withdraw_keeps_others () =
   check Alcotest.(list int) "10 keeps 20's route" [ 20 ] (origins 10);
   check Alcotest.int "retained" 2 (Route_server.route_count rs)
 
+(* A re-announcement that now blocks a member retracts the copy that
+   member already holds, so its later withdraw skips that member. *)
+let test_rs_reannounce_blocks () =
+  let rs = rs_with_members [ 10; 20; 30 ] in
+  ignore (Route_server.announce rs ~from:(asn 10) (mk_route "10.1.0.0/16" 10));
+  let r = mk_route ~communities:[ Community.make 0 20 ] "10.1.0.0/16" 10 in
+  let deliveries = Route_server.announce rs ~from:(asn 10) r in
+  check Alcotest.(list int) "re-announced to 30 only" [ 30 ]
+    (List.map (fun (m, _) -> Asn.to_int m) deliveries);
+  check Alcotest.int "20 holds nothing" 0
+    (List.length (Route_server.routes_for rs (asn 20)));
+  check Alcotest.int "30 holds one" 1
+    (List.length (Route_server.routes_for rs (asn 30)));
+  let w = Route_server.withdraw rs ~from:(asn 10) (pfx "10.1.0.0/16") in
+  check Alcotest.(list int) "withdrawn at 30 only" [ 30 ]
+    (List.map (fun (m, _) -> Asn.to_int m) w)
+
 let test_rs_disconnect () =
   let rs = rs_with_members [ 10; 20 ] in
   ignore (Route_server.announce rs ~from:(asn 10) (mk_route "10.1.0.0/16" 10));
@@ -207,6 +224,8 @@ let () =
           tc "withdraw" `Quick test_rs_withdraw;
           tc "withdraw keeps other members' routes" `Quick
             test_rs_withdraw_keeps_others;
+          tc "re-announce retracts blocked copy" `Quick
+            test_rs_reannounce_blocks;
           tc "disconnect" `Quick test_rs_disconnect
         ] );
       ( "fabric",

@@ -174,34 +174,35 @@ let test_reachability_fraction () =
 
 let test_stats_basics () =
   let l = [ 1.0; 2.0; 3.0; 4.0; 5.0 ] in
-  check Alcotest.(float 1e-9) "mean" 3.0 (Stats.mean l);
   check Alcotest.(float 1e-9) "median" 3.0 (Stats.median l);
   check Alcotest.(float 1e-9) "p0" 1.0 (Stats.percentile 0.0 l);
   check Alcotest.(float 1e-9) "p100" 5.0 (Stats.percentile 100.0 l);
-  check Alcotest.(float 1e-9) "p25 interpolates" 2.0 (Stats.percentile 25.0 l);
-  check Alcotest.(float 1e-6) "stddev" (sqrt 2.0) (Stats.stddev l);
-  check Alcotest.(float 1e-9) "mean empty" 0.0 (Stats.mean [])
+  check Alcotest.(float 1e-9) "p25 interpolates" 2.0 (Stats.percentile 25.0 l)
 
-let test_stats_histogram () =
-  let l = [ 0.0; 0.1; 0.2; 5.0; 9.9; 10.0 ] in
-  let h = Stats.histogram ~bins:2 l in
-  check Alcotest.int "two bins" 2 (List.length h);
-  let total = List.fold_left (fun acc (_, _, c) -> acc + c) 0 h in
-  check Alcotest.int "all samples binned" 6 total;
-  match h with
-  | [ (_, _, c1); (_, _, c2) ] ->
-    (* bins are [0,5) and [5,10]: 5.0 lands in the upper bin *)
-    check Alcotest.int "low bin" 3 c1;
-    check Alcotest.int "high bin" 3 c2
-  | _ -> Alcotest.fail "bin shape"
+let test_stats_slo () =
+  let v = Stats.slo ~name:"x" ~budget_s:10.0 [ 1.0; 2.0 ] in
+  check Alcotest.string "name" "x" v.Stats.slo_name;
+  check Alcotest.int "samples" 2 v.Stats.samples;
+  check Alcotest.bool "slo met under budget" true v.Stats.met;
+  (* p99 of [1; 2] interpolates to 1.99 *)
+  check Alcotest.(float 1e-9) "p99" 1.99 v.Stats.p99_s;
+  check Alcotest.(float 1e-9) "burn = p99/budget" 0.199 v.Stats.burn;
+  (* no samples: vacuously met, burn 0 (not nan) *)
+  let v0 = Stats.slo ~name:"x" ~budget_s:10.0 [] in
+  check Alcotest.bool "vacuous slo met" true v0.Stats.met;
+  check Alcotest.(float 1e-9) "vacuous p99" 0.0 v0.Stats.p99_s;
+  check Alcotest.(float 1e-9) "vacuous burn" 0.0 v0.Stats.burn;
+  check Alcotest.int "vacuous samples" 0 v0.Stats.samples;
+  let burned = Stats.slo ~name:"x" ~budget_s:1.0 [ 1.0; 3.0 ] in
+  check Alcotest.bool "slo burned over budget" false burned.Stats.met
 
-let test_stats_cdf () =
-  let pts = Stats.cdf_points [ 3.0; 1.0; 2.0; 2.0 ] in
-  check
-    Alcotest.(list (pair (float 1e-9) (float 1e-9)))
-    "cdf"
-    [ (1.0, 0.25); (2.0, 0.75); (3.0, 1.0) ]
-    pts
+(* Nearest rank would take the 10th sample (10 s) and burn the budget;
+   linear interpolation gives 9.91 s, within it. *)
+let test_stats_slo_interpolates () =
+  let samples = List.init 10 (fun i -> float_of_int (i + 1)) in
+  let v = Stats.slo ~name:"x" ~budget_s:9.95 samples in
+  check Alcotest.(float 1e-9) "p99 interpolates" 9.91 v.Stats.p99_s;
+  check Alcotest.bool "met" true v.Stats.met
 
 let test_stats_edges () =
   (* single sample: every percentile is that sample *)
@@ -218,15 +219,9 @@ let test_stats_edges () =
   (match Stats.percentile (-1.0) [ 1.0 ] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "p < 0 accepted");
-  (* constant samples: the degenerate (zero-width) range still bins
-     every sample and keeps the moments sane *)
-  let h = Stats.histogram ~bins:3 [ 4.0; 4.0; 4.0 ] in
-  check Alcotest.int "constant samples all binned" 3
-    (List.fold_left (fun acc (_, _, c) -> acc + c) 0 h);
+  (* constant samples: the degenerate (zero-width) range stays sane *)
   check Alcotest.(float 1e-9) "constant median" 4.0
     (Stats.median [ 4.0; 4.0; 4.0 ]);
-  check Alcotest.(float 1e-9) "constant stddev" 0.0
-    (Stats.stddev [ 4.0; 4.0; 4.0 ]);
   check Alcotest.(float 1e-9) "constant p90" 4.0
     (Stats.percentile 90.0 [ 4.0; 4.0; 4.0 ])
 
@@ -593,8 +588,8 @@ let () =
         ] );
       ( "stats",
         [ tc "basics" `Quick test_stats_basics;
-          tc "histogram" `Quick test_stats_histogram;
-          tc "cdf" `Quick test_stats_cdf;
+          tc "slo" `Quick test_stats_slo;
+          tc "slo p99 interpolates" `Quick test_stats_slo_interpolates;
           tc "edge cases" `Quick test_stats_edges;
           QCheck_alcotest.to_alcotest prop_percentile_monotone
         ] )

@@ -648,94 +648,20 @@ let test_obs_report () =
   | None -> Alcotest.fail "hist json"
 
 (* ------------------------------------------------------------------ *)
-(* Window: the ring-buffer series and the sliding-window quantiles *)
+(* Window: the ring-buffer series *)
 
 let test_window_series () =
-  let s = Window.Series.create ~capacity:4 () in
+  let s = Window.create ~capacity:4 in
   for i = 0 to 9 do
-    Window.Series.push s ~time:(float_of_int i) 1.0
+    Window.push s ~time:(float_of_int i) 1.0
   done;
-  check Alcotest.int "ring bound holds" 4 (Window.Series.length s);
-  check Alcotest.int "evictions accounted" 6 (Window.Series.dropped s);
-  check Alcotest.int "total counts everything" 10 (Window.Series.total s);
-  (match Window.Series.last s with
+  check Alcotest.int "ring bound holds" 4 (Window.length s);
+  check Alcotest.int "evictions accounted" 6 (Window.dropped s);
+  (match Window.last s with
   | Some (9.0, 1.0) -> ()
   | _ -> Alcotest.fail "last sample");
-  check Alcotest.(float 1e-9) "span covers the retained tail" 3.0
-    (Window.Series.span_s s);
   (* 4 samples retained over the 60s horizon ending at t=9 *)
-  check Alcotest.(float 1e-9) "rate" (4.0 /. 60.0)
-    (Window.Series.rate ~horizon_s:60.0 s);
-  (* floor is exclusive: a 1.5s horizon from t=9 keeps t=8 and t=9 *)
-  check Alcotest.int "window slice" 2
-    (List.length (Window.Series.window s ~horizon_s:1.5))
-
-let test_window_quantiles () =
-  let q = Window.Quantiles.of_list [ 5.0; 1.0; 3.0; 2.0; 4.0 ] in
-  check Alcotest.int "count" 5 (Window.Quantiles.count q);
-  check Alcotest.(float 1e-9) "min" 1.0 (Window.Quantiles.quantile q 0.0);
-  check Alcotest.(float 1e-9) "median" 3.0 (Window.Quantiles.quantile q 0.5);
-  check Alcotest.(float 1e-9) "max" 5.0 (Window.Quantiles.quantile q 1.0);
-  check Alcotest.bool "empty quantile is nan" true
-    (Float.is_nan (Window.Quantiles.quantile Window.Quantiles.empty 0.5));
-  let v =
-    Window.Slo.evaluate ~name:"x" ~budget_s:10.0
-      (Window.Quantiles.of_list [ 1.0; 2.0 ])
-  in
-  check Alcotest.bool "slo met under budget" true v.Window.Slo.met;
-  check Alcotest.(float 1e-9) "burn = p99/budget" 0.2 v.Window.Slo.burn;
-  (* no samples: vacuously met, burn 0 (not nan) *)
-  let v0 =
-    Window.Slo.evaluate ~name:"x" ~budget_s:10.0 Window.Quantiles.empty
-  in
-  check Alcotest.bool "vacuous slo met" true v0.Window.Slo.met;
-  check Alcotest.(float 1e-9) "vacuous burn" 0.0 v0.Window.Slo.burn
-
-let qgen_samples =
-  QCheck.(list_of_size Gen.(0 -- 40) (float_bound_inclusive 1e6))
-
-(* Law: the quantile function is monotone in q. *)
-let prop_quantile_monotone =
-  QCheck.Test.make ~name:"quantiles: monotone in q" ~count:200
-    QCheck.(
-      pair qgen_samples
-        (pair (float_bound_inclusive 1.0) (float_bound_inclusive 1.0)))
-    (fun (xs, (qa, qb)) ->
-      QCheck.assume (xs <> []);
-      let q = Window.Quantiles.of_list xs in
-      let lo = Float.min qa qb and hi = Float.max qa qb in
-      Window.Quantiles.quantile q lo <= Window.Quantiles.quantile q hi)
-
-(* Law: merge is associative (and commutative) on the canonical
-   sorted-list form, so sharding a window over feeds and merging in
-   any order reports identical quantiles. *)
-let quantiles_repr q =
-  (Window.Quantiles.count q, Window.Quantiles.to_sorted_list q)
-
-let prop_merge_associative =
-  QCheck.Test.make ~name:"quantiles: merge associative" ~count:200
-    QCheck.(triple qgen_samples qgen_samples qgen_samples)
-    (fun (a, b, c) ->
-      let qa = Window.Quantiles.of_list a
-      and qb = Window.Quantiles.of_list b
-      and qc = Window.Quantiles.of_list c in
-      let open Window.Quantiles in
-      quantiles_repr (merge (merge qa qb) qc)
-      = quantiles_repr (merge qa (merge qb qc))
-      && quantiles_repr (merge qa qb) = quantiles_repr (merge qb qa))
-
-(* Law: adding a sample to the window never shrinks any quantile below
-   the old minimum nor above the new maximum, and count grows by 1. *)
-let prop_quantile_add_bounds =
-  QCheck.Test.make ~name:"quantiles: add stays bounded" ~count:200
-    QCheck.(pair qgen_samples (float_bound_inclusive 1e6))
-    (fun (xs, x) ->
-      QCheck.assume (xs <> []);
-      let q = Window.Quantiles.of_list xs in
-      let q' = Window.Quantiles.add x q in
-      Window.Quantiles.count q' = Window.Quantiles.count q + 1
-      && Window.Quantiles.min_value q' <= Window.Quantiles.min_value q
-      && Window.Quantiles.max_value q' >= Window.Quantiles.max_value q)
+  check Alcotest.(float 1e-9) "rate" (4.0 /. 60.0) (Window.rate s)
 
 (* ------------------------------------------------------------------ *)
 (* Capacity drops must surface as metric rows (the `stats` subcommand
@@ -793,13 +719,7 @@ let () =
           tc "start clears" `Quick test_start_clears;
           tc "start clock" `Quick test_start_clock
         ] );
-      ( "window",
-        [ tc "series ring" `Quick test_window_series;
-          tc "quantiles + slo" `Quick test_window_quantiles;
-          QCheck_alcotest.to_alcotest prop_quantile_monotone;
-          QCheck_alcotest.to_alcotest prop_merge_associative;
-          QCheck_alcotest.to_alcotest prop_quantile_add_bounds
-        ] );
+      ("window", [ tc "series ring" `Quick test_window_series ]);
       ( "report",
         [ tc "render and json" `Quick test_obs_report;
           tc "drop rows" `Quick test_drop_rows;
