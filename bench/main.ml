@@ -792,7 +792,7 @@ let sched () =
         done)
     tenants;
   Engine.run_for eng 30.0;
-  let convergence_samples =
+  let convergence_samples, _ =
     Peering_obs.Metrics.histogram_samples "core.sched.convergence_s"
   in
   paper_vs_measured ~label:"p99 convergence (virtual s, skewed load)"

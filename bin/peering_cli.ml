@@ -35,6 +35,10 @@ let seed_arg =
 
 let json_flag ~doc = Arg.(value & flag & info [ "json" ] ~doc)
 
+let print_slos slos =
+  Printf.printf "\n%s\n" Stats.slo_header;
+  List.iter (fun v -> print_endline (Stats.slo_row v)) slos
+
 (* The default testbed, built from the [--seed] value. *)
 let seeded_testbed seed =
   Testbed.build ~params:{ Testbed.default_params with Testbed.seed } ()
@@ -821,15 +825,7 @@ let chaos_cmd =
                       (d.Campaign.dip_until -. d.Campaign.dip_from))
                   b.Campaign.reach_dips)))
         report.Campaign.outcomes;
-      if report.Campaign.slos <> [] then begin
-        Printf.printf "\n%-13s %10s %10s %8s  %s\n" "slo class" "p99_s"
-          "budget_s" "samples" "met";
-        List.iter
-          (fun (v : Stats.slo) ->
-            Printf.printf "%-13s %10.2f %10.2f %8d  %b\n" v.slo_name v.p99_s
-              v.budget_s v.samples v.met)
-          report.Campaign.slos
-      end;
+      if report.Campaign.slos <> [] then print_slos report.Campaign.slos;
       if report.Campaign.sweep <> [] then begin
         Printf.printf "\n%-10s %-10s %-8s %8s %14s  %s\n" "half_life"
           "suppress" "reuse" "flaps" "suppressed_s" "released";
@@ -1004,7 +1000,6 @@ let monitor_cmd =
   in
   let module Metrics = Peering_obs.Metrics in
   let module Json = Peering_obs.Json in
-  let module Window = Peering_obs.Window in
   let module Monitor = Peering_measure.Monitor in
   let module Collector = Peering_measure.Collector in
   let module Campaign = Peering_fault.Campaign in
@@ -1105,35 +1100,30 @@ let monitor_cmd =
             live = rebuilt ))
         (Testbed.sites t)
     in
-    (* Windowed health: ingest rate over the last minute, SLO verdicts
-       for mux recovery (chaos campaign budget) and feed cadence. *)
-    let series = Monitor.series mon in
-    let rate = Window.rate series in
-    let downtime_samples = Metrics.histogram_samples "core.server.downtime_s" in
+    (* Feed health: ingest rate over the last minute, SLO verdicts for
+       mux recovery (chaos campaign budget) and feed cadence. *)
+    let rate = Monitor.ingest_rate mon in
+    let verdict name ~metric ~budget_s =
+      let samples, dropped = Metrics.histogram_samples metric in
+      Stats.slo ~name ~budget_s ~dropped samples
+    in
     let recovery_budget =
       (List.find
          (fun s -> s.Campaign.slo_class = "compound")
          Campaign.default_slos)
         .Campaign.p99_budget_s
     in
-    let gaps =
-      let rec go acc = function
-        | (t1, _) :: ((t2, _) :: _ as rest) -> go ((t2 -. t1) :: acc) rest
-        | _ -> List.rev acc
-      in
-      go [] (Window.to_list series)
-    in
     let slos =
-      [ Stats.slo ~name:"mux_recovery" ~budget_s:recovery_budget
-          downtime_samples;
-        Stats.slo ~name:"feed_gap" ~budget_s:5.0 gaps
+      [ verdict "mux_recovery" ~metric:"core.server.downtime_s"
+          ~budget_s:recovery_budget;
+        verdict "feed_gap" ~metric:"measure.monitor.feed_gap_s" ~budget_s:5.0
       ]
     in
     let alerts = Monitor.alerts mon in
     if json then begin
       let doc =
         Json.Obj
-          [ ("schema", Json.String "peering-monitor/1");
+          [ ("schema", Json.String "peering-monitor/2");
             ("seed", Json.Int seed);
             ( "ingest",
               Json.Obj
@@ -1172,19 +1162,7 @@ let monitor_cmd =
                          ("detail", Json.String a.Monitor.a_detail)
                        ])
                    alerts) );
-            ( "slos",
-              Json.List
-                (List.map
-                   (fun (v : Stats.slo) ->
-                     Json.Obj
-                       [ ("name", Json.String v.slo_name);
-                         ("budget_s", Json.Float v.budget_s);
-                         ("p99_s", Json.Float v.p99_s);
-                         ("samples", Json.Int v.samples);
-                         ("burn", Json.Float v.burn);
-                         ("met", Json.Bool v.met)
-                       ])
-                   slos) )
+            ("slos", Json.List (List.map Stats.slo_json slos))
           ]
       in
       print_endline (Json.to_string ~indent:2 doc)
@@ -1214,13 +1192,7 @@ let monitor_cmd =
             (Prefix.to_string a.Monitor.a_prefix)
             a.Monitor.a_detail)
         alerts;
-      Printf.printf "\n%-14s %10s %10s %8s %8s  %s\n" "slo" "p99_s"
-        "budget_s" "samples" "burn" "met";
-      List.iter
-        (fun (v : Stats.slo) ->
-          Printf.printf "%-14s %10.3f %10.3f %8d %8.3f  %b\n" v.slo_name
-            v.p99_s v.budget_s v.samples v.burn v.met)
-        slos
+      print_slos slos
     end;
     if List.exists (fun (_, _, _, _, m) -> not m) mux_rows then exit 1
   in

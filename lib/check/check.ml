@@ -1,77 +1,51 @@
-open Peering_router
+module Metrics = Peering_obs.Metrics
 
-let config_registry : Config.t Registry.t = Registry.create ()
+let m_passes =
+  Metrics.counter ~help:"Analyzer passes executed" "check.passes_run"
 
-let cross_config_registry : (string option * Config.t) list Registry.t =
-  Registry.create ()
+let m_diags =
+  Metrics.Family.counter ~help:"Diagnostics emitted by analyzer passes"
+    "check.diagnostics"
 
-let policy_registry : Policy_checks.input Registry.t = Registry.create ()
-let spec_registry : Spec.t Registry.t = Registry.create ()
-let world_registry : World.t Registry.t = Registry.create ()
+(* Run every pass in list order and concatenate the diagnostics,
+   counting passes and diagnostics by severity. *)
+let run passes x =
+  List.concat_map
+    (fun pass ->
+      Metrics.Counter.inc m_passes;
+      let ds = pass x in
+      List.iter
+        (fun (d : Diagnostic.t) ->
+          Metrics.Counter.inc
+            (Metrics.Family.get m_diags
+               [ ("severity", Diagnostic.severity_to_string d.severity) ]))
+        ds;
+      ds)
+    passes
 
-let cross_spec_registry : (string option * Spec.t) list Registry.t =
-  Registry.create ()
+let config_passes =
+  Config_checks.
+    [ no_bgp; undefined_route_maps; unused_route_maps; shadowed_map_entries;
+      undefined_prefix_lists; unused_prefix_lists; shadowed_prefix_rules;
+      impossible_bounds; duplicate_networks; neighbors_without_policy;
+      degenerate_timers
+    ]
 
-let () =
-  let r = Registry.register config_registry in
-  r ~name:"no-bgp" ~about:"configuration has a router bgp block"
-    Config_checks.no_bgp;
-  r ~name:"rtmap-undef" ~about:"neighbors reference defined route-maps"
-    Config_checks.undefined_route_maps;
-  r ~name:"rtmap-unused" ~about:"every route-map is attached somewhere"
-    Config_checks.unused_route_maps;
-  r ~name:"rtmap-shadow" ~about:"route-map entries are reachable"
-    Config_checks.shadowed_map_entries;
-  r ~name:"pfxlist-undef" ~about:"matches reference defined prefix-lists"
-    Config_checks.undefined_prefix_lists;
-  r ~name:"pfxlist-unused" ~about:"every prefix-list is matched somewhere"
-    Config_checks.unused_prefix_lists;
-  r ~name:"pfxlist-shadow" ~about:"prefix-list rules are reachable"
-    Config_checks.shadowed_prefix_rules;
-  r ~name:"pfxlist-bounds" ~about:"ge/le windows are satisfiable"
-    Config_checks.impossible_bounds;
-  r ~name:"net-dup" ~about:"networks are declared once"
-    Config_checks.duplicate_networks;
-  r ~name:"nbr-nopolicy" ~about:"neighbors have policy attached"
-    Config_checks.neighbors_without_policy;
-  r ~name:"timers" ~about:"BGP timers are not degenerate"
-    Config_checks.degenerate_timers;
-  Registry.register cross_config_registry ~name:"sessions"
-    ~about:"paired configs agree on remote-as and addresses"
-    Config_checks.sessions;
-  let p = Registry.register policy_registry in
-  p ~name:"unsat" ~about:"entry conditions are satisfiable"
-    Policy_checks.unsatisfiable_entries;
-  p ~name:"dead" ~about:"entries are not shadowed by earlier catch-alls"
-    Policy_checks.dead_entries;
-  p ~name:"leak" ~about:"no permit-all exports towards providers/peers"
-    Policy_checks.export_leaks;
-  let s = Registry.register spec_registry in
-  s ~name:"hijack" ~about:"announced prefixes are inside the allocation"
-    Experiment_checks.hijacks;
-  s ~name:"poison" ~about:"path suffixes respect poisoning approval"
+let policy_passes =
+  Policy_checks.[ unsatisfiable_entries; dead_entries; export_leaks ]
+
+let spec_passes =
+  [ Experiment_checks.hijacks;
     (fun spec -> Experiment_checks.poisonings spec);
-  s ~name:"dampen" ~about:"the schedule does not trip RFC 2439 dampening"
-    (fun spec -> Experiment_checks.dampening spec);
-  let w = Registry.register world_registry in
-  w ~name:"graph-partition" ~about:"the topology is connected"
-    Graph_checks.partition;
-  w ~name:"graph-relcycle" ~about:"customer-provider relations are acyclic"
-    Graph_checks.provider_cycle;
-  w ~name:"graph-moas" ~about:"each prefix has a single origin"
-    Graph_checks.moas;
-  w ~name:"leak-edges" ~about:"no export may violate Gao-Rexford discipline"
-    Leak_analysis.edges;
-  w ~name:"leak-reach"
-    ~about:"blast radius of each leak-prone edge (abstract fixpoint)"
-    Leak_analysis.reach;
-  w ~name:"stab-pref" ~about:"customer routes are strictly preferred"
-    Stability.prefer_non_customer;
-  w ~name:"stab-wheel" ~about:"no dispute wheel among risky sessions"
-    Stability.wheels;
-  Registry.register cross_spec_registry ~name:"conflicts"
-    ~about:"concurrent experiments do not collide"
-    Graph_checks.spec_conflicts
+    (fun spec -> Experiment_checks.dampening spec)
+  ]
+
+(* Topology structure, static leak analysis, stability. *)
+let world_passes =
+  [ Graph_checks.partition; Graph_checks.provider_cycle; Graph_checks.moas;
+    Leak_analysis.edges; Leak_analysis.reach;
+    Stability.prefer_non_customer; Stability.wheels
+  ]
 
 let stamp file diags =
   match file with
@@ -79,46 +53,38 @@ let stamp file diags =
   | Some f -> List.map (Diagnostic.with_file f) diags
 
 let check_config ?file cfg =
-  Diagnostic.sort (stamp file (Registry.run config_registry cfg))
+  Diagnostic.sort (stamp file (run config_passes cfg))
 
 let check_configs configs =
   let per =
     List.concat_map
-      (fun (file, cfg) -> stamp file (Registry.run config_registry cfg))
+      (fun (file, cfg) -> stamp file (run config_passes cfg))
       configs
   in
-  let cross = Registry.run cross_config_registry configs in
+  let cross = run [ Config_checks.sessions ] configs in
   Diagnostic.sort (per @ cross)
 
 let check_policy ?name ?relationship policy =
   Diagnostic.sort
-    (Registry.run policy_registry
-       (Policy_checks.input ?name ?relationship policy))
+    (run policy_passes (Policy_checks.input ?name ?relationship policy))
 
 let check_spec ?file spec =
-  Diagnostic.sort (stamp file (Registry.run spec_registry spec))
+  Diagnostic.sort (stamp file (run spec_passes spec))
 
 let check_experiment experiment events =
   check_spec (Spec.of_experiment experiment events)
 
+let per_spec specs =
+  List.concat_map (fun (file, spec) -> stamp file (run spec_passes spec)) specs
+
 let check_specs specs =
-  let per =
-    List.concat_map
-      (fun (file, spec) -> stamp file (Registry.run spec_registry spec))
-      specs
-  in
-  Diagnostic.sort (per @ Registry.run cross_spec_registry specs)
+  Diagnostic.sort (per_spec specs @ run [ Graph_checks.spec_conflicts ] specs)
 
 let check_world w =
-  let topo = Registry.run world_registry w in
+  let topo = run world_passes w in
   let specs = World.specs w in
-  let per_spec =
-    List.concat_map
-      (fun (file, spec) -> stamp file (Registry.run spec_registry spec))
-      specs
-  in
-  let cross = Registry.run cross_spec_registry specs in
-  Diagnostic.sort (topo @ per_spec @ cross)
+  let cross = run [ Graph_checks.spec_conflicts ] specs in
+  Diagnostic.sort (topo @ per_spec specs @ cross)
 
 let codes =
   [ ("RTR-NOBGP", Diagnostic.Error, "no router bgp block");

@@ -1,5 +1,4 @@
-(** The analyzer driver: default pass registries and one-call entry
-    points.
+(** The analyzer's front end: the pass lists and one-call entry points.
 
     [Peering_check] is an rcc-style static analyzer (Feamster &
     Balakrishnan, NSDI'05) for the PEERING testbed: it vets router
@@ -9,27 +8,13 @@
     by the runtime {!Peering_core.Safety} filters for a statically
     predictable reason.
 
-    The registries are pluggable: call {!Registry.register} on them to
-    add project-specific passes; every entry point below consults the
-    registry at call time. *)
+    Each entry point runs a fixed list of passes in order and counts
+    them in the ["check.passes_run"] metric and their diagnostics in
+    ["check.diagnostics"{severity}]. *)
 
 open Peering_bgp
 open Peering_router
 open Peering_topo
-
-val config_registry : Config.t Registry.t
-val cross_config_registry : (string option * Config.t) list Registry.t
-val policy_registry : Policy_checks.input Registry.t
-val spec_registry : Spec.t Registry.t
-
-val world_registry : World.t Registry.t
-(** Whole-world semantic passes: topology structure
-    ({!Graph_checks}), static leak analysis ({!Leak_analysis}) and
-    stability ({!Stability}). *)
-
-val cross_spec_registry : (string option * Spec.t) list Registry.t
-(** Passes over a batch of experiment specs
-    ({!Graph_checks.spec_conflicts}). *)
 
 val check_config : ?file:string -> Config.t -> Diagnostic.t list
 (** Run every per-config pass. [file] is stamped onto the
@@ -54,8 +39,9 @@ val check_specs : (string option * Spec.t) list -> Diagnostic.t list
     the whole batch. *)
 
 val check_world : World.t -> Diagnostic.t list
-(** The semantic verifier: every world pass (topology structure,
-    static leak reachability, stability) plus per-spec and cross-spec
+(** The semantic verifier: every world pass (topology structure
+    ({!Graph_checks}), static leak reachability ({!Leak_analysis}),
+    stability ({!Stability})) plus per-spec and cross-spec
     passes over the world's attached specs. Diagnostics are sorted
     with {!Diagnostic.sort}. *)
 

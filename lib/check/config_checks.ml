@@ -14,12 +14,6 @@ let c_nbr_nopolicy = "NBR-NOPOLICY"
 let c_timer_degen = "TIMER-DEGEN"
 let c_session_mismatch = "SESSION-MISMATCH"
 
-let codes =
-  [ c_no_bgp; c_rtmap_undef; c_rtmap_unused; c_rtmap_shadow;
-    c_pfxlist_undef; c_pfxlist_unused; c_pfxlist_shadow; c_pfxlist_bounds;
-    c_net_dup; c_nbr_nopolicy; c_timer_degen; c_session_mismatch
-  ]
-
 let neighbors cfg =
   match Config.bgp cfg with None -> [] | Some b -> b.Config.neighbors
 

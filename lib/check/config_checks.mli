@@ -23,9 +23,6 @@
 
 open Peering_router
 
-val codes : string list
-(** Diagnostic codes this module can emit. *)
-
 val no_bgp : Config.t -> Diagnostic.t list
 val undefined_route_maps : Config.t -> Diagnostic.t list
 val unused_route_maps : Config.t -> Diagnostic.t list

@@ -4,7 +4,6 @@ open Peering_bgp
 let c_hijack = "EXP-HIJACK"
 let c_poison = "EXP-POISON"
 let c_dampen = "EXP-DAMPEN"
-let codes = [ c_hijack; c_poison; c_dampen ]
 
 let default_peering_asn = Asn.of_int 47065
 

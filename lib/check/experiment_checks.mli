@@ -14,9 +14,6 @@
 open Peering_net
 open Peering_bgp
 
-val codes : string list
-(** Diagnostic codes this module can emit. *)
-
 val default_peering_asn : Asn.t
 (** AS 47065, the testbed's mux ASN ({!Peering_core.Testbed}). *)
 

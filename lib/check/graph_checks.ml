@@ -8,8 +8,6 @@ let c_overlap = "XEXP-OVERLAP"
 let c_asn = "XEXP-ASN"
 let c_poison = "XEXP-POISON"
 
-let codes = [ c_partition; c_relcycle; c_moas; c_overlap; c_asn; c_poison ]
-
 (* ------------------------------------------------------------------ *)
 (* Connectivity: a world whose topology splits into several components
    cannot carry any experiment across the split. One diagnostic naming

@@ -18,9 +18,6 @@
     - [XEXP-POISON] (warning): an experiment poisons an ASN allocated
       to another experiment in the batch. *)
 
-val codes : string list
-(** Diagnostic codes this module can emit. *)
-
 val partition : World.t -> Diagnostic.t list
 val provider_cycle : World.t -> Diagnostic.t list
 val moas : World.t -> Diagnostic.t list

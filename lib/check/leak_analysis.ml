@@ -4,7 +4,6 @@ module Metrics = Peering_obs.Metrics
 
 let c_edge = "LEAK-EDGE"
 let c_reach = "LEAK-REACH"
-let codes = [ c_edge; c_reach ]
 
 let m_iterations =
   Metrics.counter ~help:"Work-queue pops in the static leak fixpoint"

@@ -29,9 +29,6 @@
 open Peering_net
 open Peering_topo
 
-val codes : string list
-(** Diagnostic codes this module can emit. *)
-
 type verdict = {
   reachable : Asn.Set.t;
       (** ASes that may hold a route for the announcement *)

@@ -6,8 +6,6 @@ let c_unsat = "POLICY-UNSAT"
 let c_dead = "POLICY-DEAD"
 let c_leak = "POLICY-LEAK"
 
-let codes = [ c_unsat; c_dead; c_leak ]
-
 type af = V4 | V6
 
 let max_prefix_len = function V4 -> 32 | V6 -> 128

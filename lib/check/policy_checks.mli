@@ -22,9 +22,6 @@ type af = V4 | V6
 val max_prefix_len : af -> int
 (** 32 for {!V4}, 128 for {!V6}. *)
 
-val codes : string list
-(** Diagnostic codes this module can emit. *)
-
 type input = {
   pol_name : string option;  (** for messages, e.g. the route-map name *)
   pol_relationship : Relationship.t option;

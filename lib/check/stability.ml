@@ -3,7 +3,6 @@ open Peering_topo
 
 let c_pref = "STAB-PREF"
 let c_wheel = "STAB-WHEEL"
-let codes = [ c_pref; c_wheel ]
 
 (* Gao–Rexford's stability condition: every AS strictly prefers
    customer routes over peer/provider routes (plus no provider

@@ -19,9 +19,6 @@
 
 open Peering_net
 
-val codes : string list
-(** Diagnostic codes this module can emit. *)
-
 val risky_edges :
   World.t -> (Asn.t * Asn.t * Peering_topo.Relationship.t * int * int) list
 (** [(v, u, rel, pref, floor)]: [v] imports from non-customer [u]

@@ -951,10 +951,13 @@ let run_drill ?on_world ~seed name =
 let judge_slos slos =
   List.filter_map
     (fun { slo_class; p99_budget_s } ->
-      match Metrics.Histogram.samples (recovery_hist slo_class) with
+      let h = recovery_hist slo_class in
+      match Metrics.Histogram.samples h with
       | [] -> None
       | samples ->
-        Some (Stats.slo ~name:slo_class ~budget_s:p99_budget_s samples))
+        Some
+          (Stats.slo ~name:slo_class ~budget_s:p99_budget_s
+             ~dropped:(Metrics.Histogram.dropped h) samples))
     slos
 
 let run ?(seed = 42) ?(drills = drills) () =
@@ -1034,15 +1037,6 @@ let outcome_json o =
       ("detail", Json.String o.detail)
     ]
 
-let verdict_json (v : Stats.slo) =
-  Json.Obj
-    [ ("class", Json.String v.slo_name);
-      ("p99_s", Json.Float v.p99_s);
-      ("budget_s", Json.Float v.budget_s);
-      ("samples", Json.Int v.samples);
-      ("met", Json.Bool v.met)
-    ]
-
 let sweep_json r =
   Json.Obj
     [ ("half_life_s", Json.Float r.half_life);
@@ -1055,10 +1049,10 @@ let sweep_json r =
 
 let to_json report =
   Json.Obj
-    [ ("schema", Json.String "peering-chaos/2");
+    [ ("schema", Json.String "peering-chaos/3");
       ("seed", Json.Int report.seed);
       ("drills", Json.List (List.map outcome_json report.outcomes));
-      ("slos", Json.List (List.map verdict_json report.slos));
+      ("slos", Json.List (List.map Stats.slo_json report.slos));
       ("dampening_sweep", Json.List (List.map sweep_json report.sweep));
       ("zero_routes_lost", Json.Bool report.zero_routes_lost);
       ("passed", Json.Bool report.passed);

@@ -123,8 +123,8 @@ type report = {
   slos : Peering_measure.Stats.slo list;
       (** one {!Peering_measure.Stats.slo} verdict (p99 by linear
           interpolation) per class of {!default_slos} that recorded a
-          recovery sample, in that order; classes with none are
-          dropped *)
+          recovery sample, in that order, with the samples its
+          histogram did not retain; classes with none are omitted *)
   sweep : sweep_row list;
   zero_routes_lost : bool;
   passed : bool;
@@ -140,5 +140,6 @@ val run : ?seed:int -> ?drills:string list -> unit -> report
     byte-identical regardless of process history. *)
 
 val to_json : report -> Peering_obs.Json.t
-(** Schema ["peering-chaos/2"], embedding the metrics
-    snapshot. Deterministic for a given seed and drill list. *)
+(** Schema ["peering-chaos/3"]: each SLO verdict in the one
+    {!Peering_measure.Stats.slo_json} form, plus the metrics snapshot.
+    Deterministic for a given seed and drill list. *)

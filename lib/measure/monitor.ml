@@ -7,7 +7,6 @@ module Attrs = Peering_bgp.Attrs
 module Event = Peering_obs.Event
 module Sink = Peering_obs.Sink
 module Metrics = Peering_obs.Metrics
-module Window = Peering_obs.Window
 
 let fam_alerts =
   Metrics.Family.counter ~help:"monitoring-station detector alerts raised"
@@ -20,6 +19,14 @@ let m_msgs =
 let m_parse_errors =
   Metrics.counter ~help:"undecodable BMP frames dropped by the station"
     "measure.monitor.parse_errors"
+
+let m_feed_gap =
+  Metrics.histogram
+    ~help:"virtual seconds between consecutive ingested BMP messages"
+    "measure.monitor.feed_gap_s"
+
+(* The ingest rate's horizon, in one-second buckets of virtual time. *)
+let rate_horizon = 60
 
 type peer_state = {
   mutable p_up : bool;
@@ -63,7 +70,11 @@ type t = {
   cones : (string * int, Prefix.t -> bool) Hashtbl.t;
   mutable alerts : alert list;  (* newest first *)
   alerted : (string, unit) Hashtbl.t;  (* dedup keys *)
-  series : Window.t;
+  mutable newest : float;  (* feed time of the last ingested message *)
+  (* Bucket [s mod rate_horizon] counts the messages of virtual second
+     [s]; [bucket_sec] names the second a bucket holds now. *)
+  bucket_sec : int array;
+  bucket_msgs : int array;
   mutable messages : int;
   mutable bytes_in : int;
   mutable parse_errors : int;
@@ -76,7 +87,9 @@ let create ?collector () =
     cones = Hashtbl.create 16;
     alerts = [];
     alerted = Hashtbl.create 8;
-    series = Window.create ~capacity:8192;
+    newest = 0.0;
+    bucket_sec = Array.make rate_horizon min_int;
+    bucket_msgs = Array.make rate_horizon 0;
     messages = 0;
     bytes_in = 0;
     parse_errors = 0
@@ -256,24 +269,33 @@ let clear_peer t ~time ~mux ps =
       | None -> ())
     gone
 
+(* Count one message in the bucket of its virtual second. A bucket
+   still holding an older second is recycled; a message older than the
+   bucket's second lies outside every horizon that second is in. *)
+let count_second t time =
+  let s = int_of_float (Float.floor time) in
+  let i = ((s mod rate_horizon) + rate_horizon) mod rate_horizon in
+  if s > t.bucket_sec.(i) then begin
+    t.bucket_sec.(i) <- s;
+    t.bucket_msgs.(i) <- 0
+  end;
+  if s = t.bucket_sec.(i) then t.bucket_msgs.(i) <- t.bucket_msgs.(i) + 1
+
 let process t ~mux mx msg =
+  (* session-scoped messages carry no timestamp; reuse the newest *)
+  let time =
+    match Bmp.peer_of msg with Some hdr -> Bmp.time hdr | None -> t.newest
+  in
+  if t.messages > 0 then Metrics.Histogram.observe m_feed_gap (time -. t.newest);
+  t.newest <- time;
+  count_second t time;
   t.messages <- t.messages + 1;
   mx.mx_msgs <- mx.mx_msgs + 1;
   Metrics.Counter.inc m_msgs;
-  (match Bmp.peer_of msg with
-  | Some hdr -> Window.push t.series ~time:(Bmp.time hdr) 1.0
-  | None -> (
-    (* session-scoped messages carry no timestamp; reuse the newest *)
-    match Window.last t.series with
-    | Some (time, _) -> Window.push t.series ~time 1.0
-    | None -> Window.push t.series ~time:0.0 1.0));
   match msg with
   | Bmp.Initiation _ -> mx.mx_up <- true
   | Bmp.Termination _ ->
     mx.mx_up <- false;
-    let time =
-      match Window.last t.series with Some (tm, _) -> tm | None -> 0.0
-    in
     Hashtbl.iter (fun _ ps -> clear_peer t ~time ~mux ps) mx.peers
   | Bmp.Peer_up { peer = hdr; _ } ->
     mx.mx_up <- true;
@@ -365,7 +387,13 @@ let buffered t ~mux =
   | None -> 0
   | Some mx -> mx.p_end - mx.p_start
 
-let series t = t.series
+let ingest_rate t =
+  let top = Array.fold_left max min_int t.bucket_sec in
+  let n = ref 0 in
+  Array.iteri
+    (fun i s -> if s > top - rate_horizon then n := !n + t.bucket_msgs.(i))
+    t.bucket_sec;
+  float_of_int !n /. float_of_int rate_horizon
 
 let mux_up t ~mux =
   match Hashtbl.find_opt t.muxes mux with

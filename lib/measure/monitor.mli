@@ -18,7 +18,12 @@
     ({!watch_reach}).  Alerts are deduplicated (a given incident fires
     exactly once), recorded here, emitted as typed
     [Peering_obs.Event.Monitor_alert] trace events, and counted in the
-    ["measure.monitor.alerts"] metric family. *)
+    ["measure.monitor.alerts"] metric family.
+
+    Feed health: {!ingest_rate} is the exact per-second rate over the
+    last minute of virtual time, and every gap between two consecutive
+    ingested messages (across feeds) is observed into the
+    ["measure.monitor.feed_gap_s"] histogram as it arrives. *)
 
 open Peering_net
 module Bmp = Peering_bgp.Bmp
@@ -54,10 +59,12 @@ val parse_errors : t -> int
 val buffered : t -> mux:string -> int
 (** Bytes held for [mux] awaiting the rest of a partial frame. *)
 
-val series : t -> Peering_obs.Window.t
-(** Ingestion time-series: one sample per ingested message at its
-    feed timestamp (virtual time) — the health report's rolling rate
-    and feed gaps come from here. *)
+val ingest_rate : t -> float
+(** Messages whose virtual second lies in the 60 s ending at the newest
+    one, divided by 60: the exact rolling rate over the last minute,
+    kept in 60 per-second counters. A message with no timestamp of its
+    own (Initiation, Termination) counts at the newest feed time.
+    [0.] before any message. *)
 
 (** {1 Reconstruction} *)
 

@@ -43,14 +43,15 @@ let render ?include_volatile ?registry () =
         | Metrics.Counter_v n -> string_of_int n
         | Metrics.Gauge_v { value; hwm } ->
           Printf.sprintf "%g (hwm %g)" value hwm
-        | Metrics.Histogram_v { count; sum; samples; dropped = _ } ->
+        | Metrics.Histogram_v { count; sum; samples; dropped } ->
           let pct p =
             match percentile_opt p samples with
             | Some v -> Printf.sprintf "%g" v
             | None -> "-"
           in
-          Printf.sprintf "n=%d sum=%g p50=%s p90=%s p99=%s" count sum
+          Printf.sprintf "n=%d sum=%g p50=%s p90=%s p99=%s%s" count sum
             (pct 50.0) (pct 90.0) (pct 99.0)
+            (if dropped > 0 then Printf.sprintf " dropped=%d" dropped else "")
       in
       Buffer.add_string buf
         (Printf.sprintf "%-*s  %s\n" key_width (Metrics.row_name r) rendered))

@@ -1,3 +1,5 @@
+module Json = Peering_obs.Json
+
 let percentile p l =
   if l = [] then invalid_arg "Stats.percentile: empty sample";
   if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
@@ -20,13 +22,33 @@ type slo = {
   budget_s : float;
   p99_s : float;
   samples : int;
+  dropped : int;
   burn : float;
   met : bool;
 }
 
-let slo ~name ~budget_s l =
+let slo ~name ~budget_s ~dropped l =
   let p99_s = if l = [] then 0.0 else percentile 99.0 l in
-  { slo_name = name; budget_s; p99_s; samples = List.length l;
+  { slo_name = name; budget_s; p99_s; samples = List.length l; dropped;
     burn = p99_s /. budget_s;
     met = p99_s <= budget_s
   }
+
+let slo_json v =
+  Json.Obj
+    [ ("name", Json.String v.slo_name);
+      ("budget_s", Json.Float v.budget_s);
+      ("p99_s", Json.Float v.p99_s);
+      ("samples", Json.Int v.samples);
+      ("dropped", Json.Int v.dropped);
+      ("burn", Json.Float v.burn);
+      ("met", Json.Bool v.met)
+    ]
+
+let slo_header =
+  Printf.sprintf "%-14s %10s %10s %8s %8s %8s  %s" "slo" "p99_s" "budget_s"
+    "samples" "dropped" "burn" "met"
+
+let slo_row v =
+  Printf.sprintf "%-14s %10.3f %10.3f %8d %8d %8.3f  %b" v.slo_name v.p99_s
+    v.budget_s v.samples v.dropped v.burn v.met

@@ -8,19 +8,36 @@ val percentile : float -> float list -> float
 
 val median : float list -> float
 
-(** A p99 recovery-budget verdict: how much of the budget the observed
-    tail consumes. *)
+(** A p99 budget verdict: how much of the budget the observed tail
+    consumes, and how many samples it did not see. *)
 type slo = {
-  slo_name : string;  (** the budget's class, e.g. ["compound"] *)
+  slo_name : string;  (** the budget's name, e.g. ["compound"] *)
   budget_s : float;  (** the p99 budget, virtual seconds, > 0 *)
   p99_s : float;  (** [percentile 99.0] of the samples; [0.] when none *)
   samples : int;  (** samples the verdict is based on *)
+  dropped : int;
+      (** observations the sample store did not retain; when > 0 the
+          verdict judges only part of the data *)
   burn : float;  (** [p99_s /. budget_s]; > 1 means the SLO burned *)
-  met : bool;  (** [p99_s <= budget_s] *)
+  met : bool;  (** [p99_s <= budget_s] over the retained samples *)
 }
 
-val slo : name:string -> budget_s:float -> float list -> slo
-(** [slo ~name ~budget_s samples] judges one positive budget against
-    observed samples. No samples is vacuously met with zero burn (a
-    clean run reports exactly that). The chaos campaign and
-    [peering_cli monitor] both judge recovery with it. *)
+val slo : name:string -> budget_s:float -> dropped:int -> float list -> slo
+(** [slo ~name ~budget_s ~dropped samples] judges one positive budget
+    against observed samples; [dropped] is the count the store did not
+    retain, as {!Peering_obs.Metrics.histogram_samples} returns it. No
+    samples is vacuously met with zero burn (a clean run reports
+    exactly that). The chaos campaign and [peering_cli monitor] both
+    judge with it. *)
+
+val slo_json : slo -> Peering_obs.Json.t
+(** The one JSON form of a verdict:
+    [{"name", "budget_s", "p99_s", "samples", "dropped", "burn",
+    "met"}]. *)
+
+val slo_header : string
+(** The column header matching {!slo_row}. *)
+
+val slo_row : slo -> string
+(** The one text row of a verdict, [dropped] included, with no
+    trailing newline. *)

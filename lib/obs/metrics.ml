@@ -235,12 +235,16 @@ let counter_value ?(registry = default) ?(labels = []) name =
   | Some _ | None -> 0
 
 let histogram_samples ?registry name =
-  List.concat_map
-    (fun r ->
-      match r.value with
-      | Histogram_v { samples; _ } when r.name = name -> samples
-      | _ -> [])
-    (snapshot ~include_volatile:true ?registry ())
+  let rows =
+    List.filter_map
+      (fun r ->
+        match r.value with
+        | Histogram_v { samples; dropped; _ } when r.name = name ->
+          Some (samples, dropped)
+        | _ -> None)
+      (snapshot ~include_volatile:true ?registry ())
+  in
+  (List.concat_map fst rows, List.fold_left (fun n (_, d) -> n + d) 0 rows)
 
 let row_name r =
   match r.labels with

@@ -61,8 +61,10 @@ module Histogram : sig
   type t
 
   val observe : t -> float -> unit
-  (** Record one sample. Past the sample cap the summary fields keep
-      accumulating but the sample is not retained. *)
+  (** Record one sample. A histogram retains its first [sample_cap]
+      samples since creation or the last {!reset}, the one retention
+      rule for samples in this repository; past the cap the summary
+      fields keep accumulating and the sample counts as {!dropped}. *)
 
   val count : t -> int
   val sum : t -> float
@@ -184,10 +186,12 @@ val counter_value : ?registry:t -> ?labels:(string * string) list -> string -> i
     (a scenario that exercised nothing is indistinguishable from an
     unregistered metric, which is what reporting code wants). *)
 
-val histogram_samples : ?registry:t -> string -> float list
+val histogram_samples : ?registry:t -> string -> float list * int
 (** The retained samples of every histogram named [name], volatile
-    ones included, concatenated across label sets in snapshot order;
-    [[]] if none is registered. *)
+    ones included, concatenated across label sets in snapshot order,
+    and the total {!Histogram.dropped} across them; [([], 0)] if none
+    is registered. Pass both to [Peering_measure.Stats.slo], so a
+    verdict says how much of the data it did not see. *)
 
 val row_name : row -> string
 (** [name] with labels inlined, e.g. ["core.safety.rejected{site=ams}"]

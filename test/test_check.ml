@@ -38,7 +38,7 @@ route-map IMPORT permit 10
 |}
 
 (* ------------------------------------------------------------------ *)
-(* Diagnostic & registry plumbing *)
+(* Diagnostic plumbing *)
 
 let test_diagnostic_render () =
   let d =
@@ -57,26 +57,6 @@ let test_diagnostic_render () =
       ]
   in
   check Alcotest.(list string) "sorted by file" [ "A"; "B" ] (codes_of sorted)
-
-let test_registry_pluggable () =
-  let reg : int Registry.t = Registry.create () in
-  Registry.register reg ~name:"evens" ~about:"flag even inputs" (fun n ->
-      if n mod 2 = 0 then [ Diagnostic.warning ~code:"EVEN" "even" ] else []);
-  Registry.register reg ~name:"bigs" ~about:"flag big inputs" (fun n ->
-      if n > 10 then [ Diagnostic.error ~code:"BIG" "big" ] else []);
-  check Alcotest.(list string) "both passes run" [ "EVEN"; "BIG" ]
-    (codes_of (Registry.run reg 12));
-  check Alcotest.(list string) "only" [ "BIG" ]
-    (codes_of (Registry.run ~only:[ "bigs" ] reg 12));
-  check Alcotest.(list string) "exclude" [ "EVEN" ]
-    (codes_of (Registry.run ~exclude:[ "bigs" ] reg 12));
-  (* re-registering a name replaces the pass in place *)
-  Registry.register reg ~name:"evens" ~about:"flag odds instead" (fun n ->
-      if n mod 2 = 1 then [ Diagnostic.warning ~code:"ODD" "odd" ] else []);
-  check Alcotest.(list string) "override keeps order" [ "ODD" ]
-    (codes_of (Registry.run reg 9));
-  check Alcotest.int "no duplicate registration" 2
-    (List.length (Registry.passes reg))
 
 let test_codes_catalog () =
   let codes = List.map (fun (c, _, _) -> c) Check.codes in
@@ -487,7 +467,7 @@ let test_af_taut_unsat () =
          [ entry 10 Policy.Permit [ deep ]; entry 20 Policy.Permit [] ])
   in
   check Alcotest.bool "V6 input accepts a deep window" false
-    (fired "POLICY-UNSAT" (Registry.run Check.policy_registry i))
+    (fired "POLICY-UNSAT" (Policy_checks.unsatisfiable_entries i))
 
 (* ------------------------------------------------------------------ *)
 (* World parsing and the semantic passes *)
@@ -676,30 +656,8 @@ let test_spec_conflicts () =
     (codes_of (Check.check_specs [ (None, a); (None, c) ]))
 
 (* ------------------------------------------------------------------ *)
-(* Catalog integrity: the per-module code lists and the published
-   catalog must stay in lockstep, and every catalog code must be
-   demonstrated by a fixture under test/fixtures. *)
-
-let module_codes =
-  Peering_check.Config_checks.codes
-  @ Policy_checks.codes
-  @ Peering_check.Experiment_checks.codes
-  @ Peering_check.Graph_checks.codes
-  @ Leak_analysis.codes
-  @ Stability.codes
-  @ [ "PARSE" ]
-
-let test_catalog_drift () =
-  let catalog = List.map (fun (c, _, _) -> c) Check.codes in
-  let sorted l = List.sort String.compare l in
-  check Alcotest.int "no duplicate catalog entries"
-    (List.length catalog)
-    (List.length (List.sort_uniq String.compare catalog));
-  check Alcotest.int "no duplicate module codes"
-    (List.length module_codes)
-    (List.length (List.sort_uniq String.compare module_codes));
-  check Alcotest.(list string) "catalog = union of module code lists"
-    (sorted module_codes) (sorted catalog)
+(* Catalog integrity: the codes the fixtures under test/fixtures/bad
+   fire and the published catalog must stay in lockstep, both ways. *)
 
 let read_fixture file =
   let ic = open_in file in
@@ -708,7 +666,8 @@ let read_fixture file =
   close_in ic;
   text
 
-let test_fixture_coverage () =
+(* Every code some fixture fires, sorted and deduplicated. *)
+let fixture_codes () =
   (* cwd is test/ under `dune runtest`, the project root under
      `dune exec` — accept either *)
   let dir =
@@ -754,14 +713,22 @@ let test_fixture_coverage () =
     files;
   note (Check.check_configs (List.rev !configs));
   note (Check.check_specs (List.rev !specs));
-  let seen = List.sort_uniq String.compare !fired_codes in
-  let missing =
-    List.filter
-      (fun (code, _, _) -> not (List.mem code seen))
-      Check.codes
-  in
+  List.sort_uniq String.compare !fired_codes
+
+let catalog () = List.map (fun (c, _, _) -> c) Check.codes
+
+let test_catalog_drift () =
+  let catalog = catalog () in
+  check Alcotest.int "no duplicate catalog entries"
+    (List.length catalog)
+    (List.length (List.sort_uniq String.compare catalog));
+  check Alcotest.(list string) "every fired code is in the catalog" []
+    (List.filter (fun c -> not (List.mem c catalog)) (fixture_codes ()))
+
+let test_fixture_coverage () =
+  let seen = fixture_codes () in
   check Alcotest.(list string) "every catalog code has a fixture" []
-    (List.map (fun (c, _, _) -> c) missing)
+    (List.filter (fun c -> not (List.mem c seen)) (catalog ()))
 
 let test_check_experiment () =
   (* the programmatic path: vet an Experiment.t plus a schedule *)
@@ -789,7 +756,6 @@ let () =
   Alcotest.run "check"
     [ ( "plumbing",
         [ tc "diagnostic rendering" `Quick test_diagnostic_render;
-          tc "registry pluggable" `Quick test_registry_pluggable;
           tc "codes catalog" `Quick test_codes_catalog
         ] );
       ( "config",
@@ -835,7 +801,7 @@ let () =
           tc "cross-spec conflicts" `Quick test_spec_conflicts
         ] );
       ( "catalog",
-        [ tc "no drift vs module code lists" `Quick test_catalog_drift;
+        [ tc "no drift vs fixtures" `Quick test_catalog_drift;
           tc "every code has a fixture" `Quick test_fixture_coverage
         ] )
     ]

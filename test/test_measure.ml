@@ -180,7 +180,7 @@ let test_stats_basics () =
   check Alcotest.(float 1e-9) "p25 interpolates" 2.0 (Stats.percentile 25.0 l)
 
 let test_stats_slo () =
-  let v = Stats.slo ~name:"x" ~budget_s:10.0 [ 1.0; 2.0 ] in
+  let v = Stats.slo ~name:"x" ~budget_s:10.0 ~dropped:0 [ 1.0; 2.0 ] in
   check Alcotest.string "name" "x" v.Stats.slo_name;
   check Alcotest.int "samples" 2 v.Stats.samples;
   check Alcotest.bool "slo met under budget" true v.Stats.met;
@@ -188,19 +188,31 @@ let test_stats_slo () =
   check Alcotest.(float 1e-9) "p99" 1.99 v.Stats.p99_s;
   check Alcotest.(float 1e-9) "burn = p99/budget" 0.199 v.Stats.burn;
   (* no samples: vacuously met, burn 0 (not nan) *)
-  let v0 = Stats.slo ~name:"x" ~budget_s:10.0 [] in
+  let v0 = Stats.slo ~name:"x" ~budget_s:10.0 ~dropped:0 [] in
   check Alcotest.bool "vacuous slo met" true v0.Stats.met;
   check Alcotest.(float 1e-9) "vacuous p99" 0.0 v0.Stats.p99_s;
   check Alcotest.(float 1e-9) "vacuous burn" 0.0 v0.Stats.burn;
   check Alcotest.int "vacuous samples" 0 v0.Stats.samples;
-  let burned = Stats.slo ~name:"x" ~budget_s:1.0 [ 1.0; 3.0 ] in
-  check Alcotest.bool "slo burned over budget" false burned.Stats.met
+  let burned = Stats.slo ~name:"x" ~budget_s:1.0 ~dropped:0 [ 1.0; 3.0 ] in
+  check Alcotest.bool "slo burned over budget" false burned.Stats.met;
+  (* a verdict over a truncated sample carries its drop count in the
+     record, the JSON form and the text row *)
+  let partial = Stats.slo ~name:"x" ~budget_s:10.0 ~dropped:3 [ 1.0; 2.0 ] in
+  check Alcotest.int "dropped" 3 partial.Stats.dropped;
+  check Alcotest.int "samples are the retained ones" 2 partial.Stats.samples;
+  check Alcotest.int "no drop reported when none" 0 v.Stats.dropped;
+  let module Json = Peering_obs.Json in
+  check Alcotest.bool "json dropped" true
+    (Json.member "dropped" (Stats.slo_json partial) = Some (Json.Int 3));
+  check Alcotest.string "text row"
+    "x                   1.990     10.000        2        3    0.199  true"
+    (Stats.slo_row partial)
 
 (* Nearest rank would take the 10th sample (10 s) and burn the budget;
    linear interpolation gives 9.91 s, within it. *)
 let test_stats_slo_interpolates () =
   let samples = List.init 10 (fun i -> float_of_int (i + 1)) in
-  let v = Stats.slo ~name:"x" ~budget_s:9.95 samples in
+  let v = Stats.slo ~name:"x" ~budget_s:9.95 ~dropped:0 samples in
   check Alcotest.(float 1e-9) "p99 interpolates" 9.91 v.Stats.p99_s;
   check Alcotest.bool "met" true v.Stats.met
 
@@ -550,6 +562,61 @@ let test_monitor_collector_and_resync () =
   check Alcotest.int "feed resynced" 1 (Prefix.Map.cardinal (Monitor.adj_rib mon ~mux:"m" ~peer));
   check Alcotest.int "no residue" 0 (Monitor.buffered mon ~mux:"m")
 
+(* A stream of [n] Route Monitoring messages, message [i] stamped
+   [i * step] seconds, alternating between two muxes; returns the wire
+   timestamps in feed order. *)
+let feed_stamped mon ~n ~step =
+  let peer = asn 65010 and p = pfx "184.164.224.0/24" in
+  List.init n (fun i ->
+      let time = Bmp.canon_time (float_of_int i *. step) in
+      let mux = if i mod 2 = 0 then "m0" else "m1" in
+      Monitor.feed mon ~mux (Bmp.encode (bmp_announce ~time peer p));
+      time)
+
+(* 12,000 messages over 72 s: some 10,000 fall in the last minute, more
+   than any 8,192-sample ring holds. The rate is recounted here from
+   the known timestamps. *)
+let test_monitor_ingest_rate () =
+  let mon = Monitor.create () in
+  check Alcotest.(float 1e-9) "no messages, no rate" 0.0
+    (Monitor.ingest_rate mon);
+  let times = feed_stamped mon ~n:12_000 ~step:0.006 in
+  let second t = int_of_float (Float.floor t) in
+  let top = second (List.nth times (List.length times - 1)) in
+  let recent = List.filter (fun t -> second t > top - 60) times in
+  check Alcotest.bool "more than 8192 in the last minute" true
+    (List.length recent > 8192);
+  check Alcotest.int "all ingested" 12_000 (Monitor.messages mon);
+  check Alcotest.(float 1e-9) "rate = last-minute count / 60"
+    (float_of_int (List.length recent) /. 60.0)
+    (Monitor.ingest_rate mon)
+
+(* Every gap between consecutive messages, across feeds, reaches the
+   histogram: retained plus dropped is messages - 1, and the gaps sum
+   to the span of the stream. *)
+let test_monitor_every_gap () =
+  let module Metrics = Peering_obs.Metrics in
+  Metrics.reset ();
+  let mon = Monitor.create () in
+  let times = feed_stamped mon ~n:5_000 ~step:0.25 in
+  let name = "measure.monitor.feed_gap_s" in
+  let samples, dropped = Metrics.histogram_samples name in
+  check Alcotest.int "samples + dropped = messages - 1"
+    (Monitor.messages mon - 1)
+    (List.length samples + dropped);
+  check Alcotest.bool "past the cap, drops are counted" true (dropped > 0);
+  let gap_sum =
+    List.find_map
+      (fun (r : Metrics.row) ->
+        match r.Metrics.value with
+        | Metrics.Histogram_v { sum; _ } when r.Metrics.name = name -> Some sum
+        | _ -> None)
+      (Metrics.snapshot ())
+  in
+  check Alcotest.(option (float 1e-6)) "gaps sum to the stream's span"
+    (Some (List.nth times 4_999 -. List.hd times))
+    gap_sum
+
 let prop_percentile_monotone =
   QCheck.Test.make ~name:"percentile monotone in p" ~count:200
     QCheck.(pair (list_of_size (QCheck.Gen.int_range 1 30) (float_bound_exclusive 1000.0))
@@ -584,7 +651,9 @@ let () =
         [ tc "fragmentation" `Quick test_monitor_fragmentation;
           tc "byte-at-a-time is linear" `Quick test_monitor_bytewise_linear;
           tc "peer down clears" `Quick test_monitor_peer_down;
-          tc "collector + resync" `Quick test_monitor_collector_and_resync
+          tc "collector + resync" `Quick test_monitor_collector_and_resync;
+          tc "ingest rate is exact" `Quick test_monitor_ingest_rate;
+          tc "observes every gap" `Quick test_monitor_every_gap
         ] );
       ( "stats",
         [ tc "basics" `Quick test_stats_basics;

@@ -637,6 +637,12 @@ let test_obs_report () =
   List.iter (Metrics.Histogram.observe h) [ 1.0; 2.0; 3.0 ];
   let txt = Obs_report.render ~registry:r () in
   check Alcotest.bool "text mentions counter" true (contains txt "x.count");
+  check Alcotest.bool "no drop, no dropped= field" false
+    (contains txt "dropped=");
+  let capped = Metrics.histogram ~registry:r ~sample_cap:2 ~help:"h" "x.capped" in
+  List.iter (Metrics.Histogram.observe capped) [ 1.0; 2.0; 3.0; 4.0; 5.0 ];
+  check Alcotest.bool "text shows the histogram's drops" true
+    (contains (Obs_report.render ~registry:r ()) "n=5 sum=15 p50=1.5 p90=1.9 p99=1.99 dropped=3");
   let json = Obs_report.to_json ~registry:r () in
   (match Json.member "x.count" json with
   | Some (Json.Int 7) -> ()
@@ -646,22 +652,6 @@ let test_obs_report () =
     check Alcotest.(option (float 1e-9)) "p50" (Some 2.0)
       (Option.bind (Json.member "p50" hist) Json.number_value)
   | None -> Alcotest.fail "hist json"
-
-(* ------------------------------------------------------------------ *)
-(* Window: the ring-buffer series *)
-
-let test_window_series () =
-  let s = Window.create ~capacity:4 in
-  for i = 0 to 9 do
-    Window.push s ~time:(float_of_int i) 1.0
-  done;
-  check Alcotest.int "ring bound holds" 4 (Window.length s);
-  check Alcotest.int "evictions accounted" 6 (Window.dropped s);
-  (match Window.last s with
-  | Some (9.0, 1.0) -> ()
-  | _ -> Alcotest.fail "last sample");
-  (* 4 samples retained over the 60s horizon ending at t=9 *)
-  check Alcotest.(float 1e-9) "rate" (4.0 /. 60.0) (Window.rate s)
 
 (* ------------------------------------------------------------------ *)
 (* Capacity drops must surface as metric rows (the `stats` subcommand
@@ -719,7 +709,6 @@ let () =
           tc "start clears" `Quick test_start_clears;
           tc "start clock" `Quick test_start_clock
         ] );
-      ("window", [ tc "series ring" `Quick test_window_series ]);
       ( "report",
         [ tc "render and json" `Quick test_obs_report;
           tc "drop rows" `Quick test_drop_rows;
