@@ -129,6 +129,9 @@ type t = {
   mux : mux_mode;
   export : export_event -> unit;
   mutable peer_list : peer list;
+  (* the ASNs of [peer_list]: a full export's target set, shared by
+     every such export *)
+  mutable peer_set : Asn.Set.t;
   (* peer asn -> (prefix -> route as learned) *)
   learned : (int, Route.t Prefix.Map.t ref) Hashtbl.t;
   mutable conns : client_conn list;
@@ -156,6 +159,7 @@ let create engine ~name ~asn ~safety ?(mux = Per_peer_sessions) ~export () =
     mux;
     export;
     peer_list = [];
+    peer_set = Asn.Set.empty;
     learned = Hashtbl.create 64;
     conns = [];
     up = true;
@@ -248,11 +252,12 @@ let default_peer_addr asn =
     (a land 0xFF)
 
 let add_peer t ~kind ?addr peer_asn =
-  if List.exists (fun p -> Asn.equal p.peer_asn peer_asn) t.peer_list then
+  if Asn.Set.mem peer_asn t.peer_set then
     invalid_arg "Server.add_peer: duplicate peer";
   let addr = Option.value addr ~default:(default_peer_addr peer_asn) in
   let p = { peer_asn; kind; addr } in
   t.peer_list <- t.peer_list @ [ p ];
+  t.peer_set <- Asn.Set.add peer_asn t.peer_set;
   if t.up then bmp_peer_up t p
 
 let peers t = t.peer_list
@@ -355,11 +360,10 @@ let announce t ~client ?peers ?(path_suffix = []) prefix =
         let sanitized =
           Safety.sanitize_suffix t.safety conn.experiment path_suffix
         in
-        let all_peers = Asn.Set.of_list (peer_asns t) in
         let targets =
           match peers with
-          | None -> all_peers
-          | Some l -> Asn.Set.inter all_peers (Asn.Set.of_list l)
+          | None -> t.peer_set
+          | Some l -> Asn.Set.inter t.peer_set (Asn.Set.of_list l)
         in
         conn.announced <-
           Prefix.Map.add prefix (targets, sanitized) conn.announced;

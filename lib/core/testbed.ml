@@ -99,16 +99,23 @@ let perceived_origin t (ann : Propagation.announcement) =
     then peering_asn
     else ann.Propagation.origin
 
+(* Whether [ann]'s origin is [Invalid] under [rov]'s ROAs. *)
+let rov_invalid t rov (ann : Propagation.announcement) =
+  match rov with
+  | None -> false
+  | Some (roas, _) ->
+    Peering_bgp.Rpki.validate roas ~prefix:ann.Propagation.prefix
+      ~origin:(Some (perceived_origin t ann))
+    = Peering_bgp.Rpki.Invalid
+
+let rov_adopters = function None -> Asn.Set.empty | Some (_, a) -> a
+
 let rov_deny t =
   match t.rov with
   | None -> None
-  | Some (roas, adopters) ->
+  | Some (_, adopters) as rov ->
     Some
-      (fun asn (ann : Propagation.announcement) ->
-        Asn.Set.mem asn adopters
-        && Peering_bgp.Rpki.validate roas ~prefix:ann.Propagation.prefix
-             ~origin:(Some (perceived_origin t ann))
-           = Peering_bgp.Rpki.Invalid)
+      (fun asn ann -> Asn.Set.mem asn adopters && rov_invalid t rov ann)
 
 let leak_hook t =
   match t.leaks with
@@ -131,18 +138,19 @@ let repair t active result ~toggled =
     Propagation.repair ?deny:(rov_deny t) ?leak:(leak_hook t) ~down:t.down
       (graph t) (anns_of active) result ~toggled
 
-(* Rebuild the table of [prefix], whose active list is [active]: the
-   valley-free table, then re-selection from the ends of the leak
-   edges, the only ASes a leak hands a new offer. *)
-let repropagate t prefix active =
+(* A table built from scratch for [active]: the valley-free table,
+   then re-selection from the ends of the leak edges, the only ASes a
+   leak hands a new offer. *)
+let build_table t active =
   let result =
     Propagation.propagate ?deny:(rov_deny t) ~down:t.down (graph t)
       (anns_of active)
   in
   repair t active result ~toggled:(leak_ends t.leaks);
-  t.results <- Prefix.Map.add prefix result t.results
+  result
 
-let repropagate_all t = Prefix.Map.iter (repropagate t) t.active
+let rebuilt_for t prefix =
+  Option.map (build_table t) (Prefix.Map.find_opt prefix t.active)
 
 let repair_all t ~toggled =
   Prefix.Map.iter
@@ -209,7 +217,7 @@ let update_active t prefix before after =
   | Some result ->
     Propagation.update ?deny:(rov_deny t) ?leak:(leak_hook t) ~down:t.down
       (graph t) ~before:(anns_of before) ~after:(anns_of after) result
-  | None -> repropagate t prefix after
+  | None -> t.results <- Prefix.Map.add prefix (build_table t after) t.results
 
 let remove_active t prefix src =
   match Prefix.Map.find_opt prefix t.active with
@@ -228,7 +236,7 @@ let add_active t prefix src ann =
   match Prefix.Map.find_opt prefix t.active with
   | None ->
     t.active <- Prefix.Map.add prefix [ entry ] t.active;
-    repropagate t prefix [ entry ]
+    t.results <- Prefix.Map.add prefix (build_table t [ entry ]) t.results
   | Some before ->
     let after =
       if List.exists (fun a -> source_matches a.src src) before then
@@ -421,13 +429,29 @@ let inject_external t ~origin ?(path_suffix = []) prefix =
 let retract_external t ~origin prefix =
   remove_active t prefix (External origin)
 
-let set_rov t ~roas ~adopters =
-  t.rov <- Some (roas, adopters);
-  repropagate_all t
+(* ROV goes from [t.rov] to [rov]. A deny verdict changes only at the
+   old and new adopters, so each table re-selects those of them whose
+   verdict on one of its announcements flips. *)
+let change_rov t rov =
+  let before = t.rov in
+  t.rov <- rov;
+  let candidates = Asn.Set.union (rov_adopters before) (rov_adopters rov) in
+  Prefix.Map.iter
+    (fun prefix result ->
+      let active = Prefix.Map.find prefix t.active in
+      let verdicts rov = List.map (fun a -> rov_invalid t rov a.ann) active in
+      let was = verdicts before and now = verdicts rov in
+      let flips asn =
+        let adopts rov = Asn.Set.mem asn (rov_adopters rov) in
+        List.exists2
+          (fun w n -> (adopts before && w) <> (adopts rov && n))
+          was now
+      in
+      repair t active result ~toggled:(Asn.Set.filter flips candidates))
+    t.results
 
-let clear_rov t =
-  t.rov <- None;
-  repropagate_all t
+let set_rov t ~roas ~adopters = change_rov t (Some (roas, adopters))
+let clear_rov t = change_rov t None
 
 (* ------------------------------------------------------------------ *)
 (* Traffic questions *)
@@ -529,6 +553,7 @@ let add_remote_ixp t ~via ~name =
         ~policy:m.Fabric.policy m.Fabric.asn)
     (Fabric.members tmp);
   let existing = Asn.Set.of_list (Server.peer_asns s.s_server) in
+  let ends = ref Asn.Set.empty in
   List.iter
     (fun peer ->
       if
@@ -536,12 +561,14 @@ let add_remote_ixp t ~via ~name =
         && not (Asn.equal peer s.s_asn)
       then begin
         Server.add_peer s.s_server ~kind:Server.Route_server_peer peer;
-        As_graph.add_edge (graph t) s.s_asn Relationship.Peer peer
+        As_graph.add_edge (graph t) s.s_asn Relationship.Peer peer;
+        ends := Asn.Set.add peer !ends
       end)
     (Fabric.route_server_users fabric);
-  (* The new edges invalidate every table, and set_down repairs tables
-     rather than rebuilding them, so rebuild them here. *)
-  repropagate_all t;
+  (* A new edge hands new offers only to its two ends, so every table
+     re-selects from them (on the graph frozen again with the edges). *)
+  if not (Asn.Set.is_empty !ends) then
+    repair_all t ~toggled:(Asn.Set.add s.s_asn !ends);
   fabric
 
 (* ------------------------------------------------------------------ *)

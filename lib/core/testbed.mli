@@ -97,6 +97,14 @@ val result_for : t -> Prefix.t -> Propagation.result option
     {!Propagation.propagate} (then {!Propagation.repair} from the ends
     of any leak edges), and the last withdraw drops it. *)
 
+val rebuilt_for : t -> Prefix.t -> Propagation.result option
+(** The table a from-scratch build gives the prefix under the current
+    announcements, down set, leak edges and ROV: the phased
+    {!Propagation.propagate} table, then {!Propagation.repair} from the
+    ends of the leak edges, as the prefix's first announcement builds
+    it. The live table is left alone. With no leak active it equals the
+    repaired {!result_for}, which is what the tests hold it to. *)
+
 val announcements : t -> Prefix.t -> Propagation.announcement list
 (** The prefix's announcement list, one slot per source ([[]] when the
     prefix is not announced): a route's [ann_index] indexes it. *)
@@ -151,11 +159,15 @@ val leak_edges : t -> (Asn.t * Asn.t) list
 val set_rov :
   t -> roas:Peering_bgp.Rpki.t -> adopters:Asn.Set.t -> unit
 (** Enable RPKI route-origin validation at the [adopters]: they refuse
-    announcements whose origin is [Invalid] against the ROA table.
-    All active prefixes re-propagate — the substrate for the secure-
-    BGP partial-deployment study of §2. *)
+    announcements whose origin is [Invalid] against the ROA table —
+    the substrate for the secure-BGP partial-deployment study of §2.
+    It replaces any earlier ROA table and adopter set. Every active
+    prefix's table is repaired in place with {!Propagation.repair},
+    seeded with the old and new adopters whose verdict on one of its
+    announcements flips: no other AS's choices change. *)
 
 val clear_rov : t -> unit
+(** Turn ROV off, repairing every table as {!set_rov} does. *)
 
 val ingress_site : t -> from_asn:Asn.t -> Prefix.t -> string option
 (** Which PEERING site traffic from the AS enters for this prefix —
@@ -168,8 +180,11 @@ val add_remote_ixp : t -> via:string -> name:string -> Fabric.t
     the world"): build a new IXP fabric and peer the existing [via]
     site's server with its route-server users over the virtual L2 —
     more peers with no new physical deployment. Members already peered
-    with that server are skipped. The new edges change the graph, so
-    all active prefixes re-propagate. Returns the new fabric. *)
+    with that server are skipped. A new edge hands new offers only to
+    its two ends, so every active prefix's table is repaired in place
+    with {!Propagation.repair}, seeded with the site node and the new
+    peers, on the graph frozen again with the new edges. Returns the
+    new fabric. *)
 
 val feed_peer_routes : t -> site:string -> ?max_per_peer:int -> unit -> int
 

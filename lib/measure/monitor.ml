@@ -12,18 +12,29 @@ let fam_alerts =
   Metrics.Family.counter ~help:"monitoring-station detector alerts raised"
     "measure.monitor.alerts"
 
-let m_msgs =
-  Metrics.counter ~help:"BMP messages ingested by the monitoring station"
-    "measure.monitor.msgs"
+(* The station's instruments, registered by the first [create]: a
+   program that runs no station prints no [measure.monitor.*] rows. *)
+type instruments = {
+  m_msgs : Metrics.Counter.t;
+  m_parse_errors : Metrics.Counter.t;
+  m_feed_gap : Metrics.Histogram.t;
+}
 
-let m_parse_errors =
-  Metrics.counter ~help:"undecodable BMP frames dropped by the station"
-    "measure.monitor.parse_errors"
+let instruments =
+  lazy
+    { m_msgs =
+        Metrics.counter ~help:"BMP messages ingested by the monitoring station"
+          "measure.monitor.msgs";
+      m_parse_errors =
+        Metrics.counter ~help:"undecodable BMP frames dropped by the station"
+          "measure.monitor.parse_errors";
+      m_feed_gap =
+        Metrics.histogram
+          ~help:"virtual seconds between consecutive ingested BMP messages"
+          "measure.monitor.feed_gap_s"
+    }
 
-let m_feed_gap =
-  Metrics.histogram
-    ~help:"virtual seconds between consecutive ingested BMP messages"
-    "measure.monitor.feed_gap_s"
+let m () = Lazy.force instruments
 
 (* The ingest rate's horizon, in one-second buckets of virtual time. *)
 let rate_horizon = 60
@@ -81,6 +92,7 @@ type t = {
 }
 
 let create ?collector () =
+  ignore (m ());
   { collector;
     muxes = Hashtbl.create 8;
     watches = Hashtbl.create 8;
@@ -286,12 +298,13 @@ let process t ~mux mx msg =
   let time =
     match Bmp.peer_of msg with Some hdr -> Bmp.time hdr | None -> t.newest
   in
-  if t.messages > 0 then Metrics.Histogram.observe m_feed_gap (time -. t.newest);
+  if t.messages > 0 then
+    Metrics.Histogram.observe (m ()).m_feed_gap (time -. t.newest);
   t.newest <- time;
   count_second t time;
   t.messages <- t.messages + 1;
   mx.mx_msgs <- mx.mx_msgs + 1;
-  Metrics.Counter.inc m_msgs;
+  Metrics.Counter.inc (m ()).m_msgs;
   match msg with
   | Bmp.Initiation _ -> mx.mx_up <- true
   | Bmp.Termination _ ->
@@ -319,7 +332,7 @@ let process t ~mux mx msg =
       (* NLRI with no attributes cannot build a route; count it as a
          semantically bad frame rather than guessing. *)
       t.parse_errors <- t.parse_errors + 1;
-      Metrics.Counter.inc m_parse_errors)
+      Metrics.Counter.inc (m ()).m_parse_errors)
 
 (* ------------------------------------------------------------------ *)
 (* Feed reassembly *)
@@ -338,7 +351,7 @@ let rec drain t ~mux mx =
     | Error Bmp.Truncated -> ()
     | Error _ ->
       t.parse_errors <- t.parse_errors + 1;
-      Metrics.Counter.inc m_parse_errors;
+      Metrics.Counter.inc (m ()).m_parse_errors;
       mx.p_start <- mx.p_end
 
 (* Append [data] to [mx]'s pending bytes. The buffer is compacted

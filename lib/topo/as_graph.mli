@@ -1,5 +1,16 @@
 (** The AS-level Internet graph: ASes with metadata and
-    relationship-labelled edges, plus prefix origination. *)
+    relationship-labelled edges, plus prefix origination.
+
+    The graph is built by mutation ({!add_as}, {!add_edge}) and read
+    through a frozen {!dense} view: every AS gets an index, its
+    insertion order, and its neighbours sit in one CSR row. Adding an
+    AS or an edge marks the view stale, and the next read freezes the
+    graph again. Indices never move as the graph grows, so a table
+    addressed by index stays valid across a re-freeze; only the new
+    ASes lie past its end. A freeze moves every edge into the view's
+    arrays: a frozen graph keeps no other copy of its adjacency, and
+    the edges added since the last freeze wait in a small per-AS map
+    until the next one. *)
 
 open Peering_net
 
@@ -44,10 +55,14 @@ val node_exn : t -> Asn.t -> node
 
 val neighbors : t -> Asn.t -> (Asn.t * Relationship.t) list
 (** All neighbors with their relationship from this AS's perspective,
-    in ascending ASN order. *)
+    in ascending ASN order. Read from the {!dense} view's row, as are
+    {!customers}, {!providers} and {!peers_of}: each freezes a stale
+    graph first. *)
 
 val relationship : t -> Asn.t -> Asn.t -> Relationship.t option
-(** [relationship g a b] is [b]'s role from [a]'s perspective. *)
+(** [relationship g a b] is [b]'s role from [a]'s perspective: a
+    binary search of [a]'s row in the last view, or a lookup among the
+    edges added since. It never freezes the graph. *)
 
 val customers : t -> Asn.t -> Asn.t list
 val providers : t -> Asn.t -> Asn.t list
@@ -67,3 +82,41 @@ val n_edges : t -> int
 val n_prefixes : t -> int
 
 val iter_prefixes : (Asn.t -> Prefix.t -> unit) -> t -> unit
+
+(** {2 Dense view} *)
+
+type dense = private {
+  size : int;  (** ASes in the view, indexed [0 .. size - 1] *)
+  asns : Asn.t array;  (** index -> ASN *)
+  by_asn : int array;  (** every index, in ascending ASN order *)
+  sorted : Asn.t array;  (** [asns.(by_asn.(k))]: the ASNs, ascending *)
+  first : int array;
+      (** CSR row starts, [size + 1] of them: the row of index [i] is
+          [first.(i) .. first.(i + 1) - 1] *)
+  nbr : int array;
+      (** the neighbour indices of every row, each row in ascending
+          ASN order (the order {!neighbors} returns) *)
+  rel : Relationship.t array;
+      (** [rel.(k)] is [nbr.(k)]'s role from the row AS's perspective *)
+  graph_id : int;  (** the same for every view of one graph *)
+  mark : int array;
+      (** scratch for one traversal at a time: an AS is marked when its
+          entry equals the traversal's {!next_epoch} stamp, so a new
+          traversal starts with nothing marked and clears nothing *)
+  ring : int array;  (** scratch: a queue of at most [size] indices *)
+  mutable epoch : int;
+}
+(** A frozen, index-addressed snapshot of the graph's ASes and edges.
+    An AS's index is its insertion order, so it is the same in every
+    view of the graph. A view is never mutated after it is built,
+    except for its scratch arrays. *)
+
+val freeze : t -> dense
+(** The current view: the cached one, or, after an {!add_as} or
+    {!add_edge} marked it stale, a new one built in O(ASes + edges). *)
+
+val index : dense -> Asn.t -> int
+(** The AS's index in the view, [-1] if the view does not hold it. *)
+
+val next_epoch : dense -> int
+(** A fresh stamp for [mark], never used before on this view. *)

@@ -17,10 +17,64 @@ type route = {
   ann_index : int;
 }
 
-type result = { table : (int, route) Hashtbl.t; mutable settled : bool }
+(* "No route": the slot value of an AS that holds nothing. Compared
+   physically; [ann_index] -1 keeps it apart from every real route. *)
+let none = { learned_over = None; path = []; ann_index = -1 }
 
-let empty () = { table = Hashtbl.create 1024; settled = true }
+type result = {
+  mutable view : As_graph.dense;  (* the view [routes] is indexed by *)
+  mutable routes : route array;  (* by AS index; [none] where unreachable *)
+  mutable count : int;  (* slots that are not [none] *)
+  mutable settled : bool;
+}
+
+(* The view of a graph with no AS: what {!empty} starts from. *)
+let no_view = As_graph.freeze (As_graph.create ())
+
+let empty () = { view = no_view; routes = [||]; count = 0; settled = true }
 let settled r = r.settled
+
+(* Index [r] by [d], the graph's current view. Indices never move as a
+   graph grows, so the routes keep their slots and the array only
+   grows; a table that holds nothing may move to another graph. *)
+let bind r (d : As_graph.dense) =
+  if r.view != d then begin
+    if r.view.graph_id <> d.graph_id then begin
+      if r.count > 0 then
+        invalid_arg "Propagation: a table is repaired on another graph";
+      r.routes <- Array.make d.size none
+    end
+    else if d.size > Array.length r.routes then begin
+      let routes = Array.make d.size none in
+      Array.blit r.routes 0 routes 0 (Array.length r.routes);
+      r.routes <- routes
+    end;
+    r.view <- d
+  end
+
+let set r i rt =
+  let old = r.routes.(i) in
+  if old == none then (if rt != none then r.count <- r.count + 1)
+  else if rt == none then r.count <- r.count - 1;
+  r.routes.(i) <- rt
+
+(* One [Some rel] per class, shared by every imported route. *)
+let over_customer = Some Relationship.Customer
+let over_peer = Some Relationship.Peer
+let over_provider = Some Relationship.Provider
+
+let learned_over_of = function
+  | Relationship.Customer -> over_customer
+  | Relationship.Peer -> over_peer
+  | Relationship.Provider -> over_provider
+
+(* Route equality, field by field; an import shares its exporter's
+   path, so the physical test usually decides the path. *)
+let same_route a b =
+  a == b
+  || a.ann_index = b.ann_index
+     && Option.equal Relationship.equal a.learned_over b.learned_over
+     && (a.path == b.path || List.equal Asn.equal a.path b.path)
 
 (* Preference class: origin 3 > customer 2 > peer 1 > provider 0. *)
 let class_pref = function
@@ -76,25 +130,28 @@ let m_reselects =
 
 let denied deny asn ann = match deny with Some f -> f asn ann | None -> false
 
-(* The origin route [ann] (index [i]) gives its own origin AS, if
-   any: the origin must be in the graph and up, must not appear in its
-   own poisoned suffix, and must not deny the announcement. Shared by
-   both engines, so they apply the same rules. *)
-let origin_route ~deny ~down graph i (ann : announcement) =
+(* The origin route [ann] (index [i]) gives its own origin AS, or
+   [none]: the origin must be up, must not appear in its own poisoned
+   suffix, and must not deny the announcement. The caller checks that
+   the origin is in the graph. Shared by both engines, so they apply
+   the same rules. *)
+let origin_route ~deny ~down i (ann : announcement) =
   if
-    As_graph.mem graph ann.origin
-    && (not (Asn.Set.mem ann.origin down))
+    (not (Asn.Set.mem ann.origin down))
     && (not (List.exists (Asn.equal ann.origin) ann.path_suffix))
     && not (denied deny ann.origin ann)
-  then Some { learned_over = None; path = ann.path_suffix; ann_index = i }
-  else None
+  then { learned_over = None; path = ann.path_suffix; ann_index = i }
+  else none
 
-(* Table holders in ascending ASN order. Seeding work lists from a
-   sorted snapshot (rather than [Hashtbl.iter]) is what makes the visit
-   order independent of hash layout. *)
-let sorted_holders (table : (int, route) Hashtbl.t) =
-  Hashtbl.fold (fun asn _ acc -> asn :: acc) table []
-  |> List.sort Int.compare
+(* Selective announcement: an origin route goes only to the origin's
+   chosen neighbours. *)
+let withheld anns (r : route) va =
+  match r.learned_over with
+  | Some _ -> false
+  | None -> (
+    match (anns.(r.ann_index) : announcement).export_to with
+    | Some allowed -> not (Asn.Set.mem va allowed)
+    | None -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Re-selection. A stable table is one in which every AS holds the best
@@ -114,247 +171,272 @@ let sorted_holders (table : (int, route) Hashtbl.t) =
    need at most about three. *)
 let reselect_budget = 64
 
-(* The route [v] is offered when neighbour [u], holding [r], exports it
-   over the edge on which [v] plays [rel_uv] for [u]: both ends up,
-   Gao–Rexford or a [leak u v] edge, selective export, the loop check,
-   [export_filter] and then [v]'s [import_filter]. [deny] is left to
-   the caller. A route whose announcement index lies past the end of
-   [anns] belongs to a withdrawn announcement and is never offered. *)
-let offer ~down ~leak ~export_filter ~import_filter anns u (r : route) v rel_uv
-    =
+(* The route AS [v] is offered when neighbour [u], holding [r], exports
+   it over the edge on which [v] plays [rel_uv] for [u], or [none]:
+   both ends up, Gao–Rexford or a [leak u v] edge, selective export,
+   the loop check, [export_filter] and then [v]'s [import_filter].
+   [deny] is left to the caller. A route whose announcement index lies
+   past the end of [anns] belongs to a withdrawn announcement and is
+   never offered. *)
+let offer ~down ~leak ~export_filter ~import_filter anns
+    (d : As_graph.dense) u (r : route) v rel_uv =
+  let ua = d.asns.(u) and va = d.asns.(v) in
   if
     r.ann_index >= Array.length anns
-    || Asn.Set.mem u down || Asn.Set.mem v down
+    || Asn.Set.mem ua down || Asn.Set.mem va down
     || (not
           (Relationship.exports_to ~learned_from:r.learned_over rel_uv
-          || match leak with Some f -> f u v | None -> false))
-    || (r.learned_over = None
-       &&
-       match (anns.(r.ann_index) : announcement).export_to with
-       | Some allowed -> not (Asn.Set.mem v allowed)
-       | None -> false)
-    || List.exists (Asn.equal v) r.path
+          || match leak with Some f -> f ua va | None -> false))
+    || withheld anns r va
+    || List.exists (Asn.equal va) r.path
     || not
          (match export_filter with
-         | Some f -> f u v anns.(r.ann_index) r
+         | Some f -> f ua va anns.(r.ann_index) r
          | None -> true)
-  then None
+  then none
   else
     let cand =
-      { learned_over = Some (Relationship.invert rel_uv);
-        path = u :: r.path;
+      { learned_over = learned_over_of (Relationship.invert rel_uv);
+        path = ua :: r.path;
         ann_index = r.ann_index
       }
     in
     match import_filter with
-    | Some f when not (f v ~from:u cand) -> None
-    | Some _ | None -> Some cand
+    | Some f when not (f va ~from:ua cand) -> none
+    | Some _ | None -> cand
 
-let repair ?deny ?leak ?export_filter ?import_filter ~down graph announcements
-    prev ~toggled =
+(* Re-select from [seeds], indices in ascending ASN order, on [prev],
+   already bound to [d]. [outside] counts seeds the graph does not
+   hold: each is re-selected to nothing, so it is only counted. *)
+let reselect_from ?deny ?leak ?export_filter ?import_filter ~down
+    (d : As_graph.dense) anns prev ~seeds ~outside =
   Metrics.Counter.inc m_repairs;
-  let table = prev.table in
-  let anns = Array.of_list announcements in
+  let routes = prev.routes and asns = d.asns in
   let offer u r v rel_uv =
-    offer ~down ~leak ~export_filter ~import_filter anns u r v rel_uv
+    offer ~down ~leak ~export_filter ~import_filter anns d u r v rel_uv
   in
   (* [cand] would displace [cur] at [v]; [deny] is consulted last, and
      only for a candidate that would otherwise win. *)
   let beats v cand cur =
-    (match cur with Some c -> better cand c | None -> true)
-    && not (denied deny v anns.(cand.ann_index))
+    (cur == none || better cand cur)
+    && not (denied deny asns.(v) anns.(cand.ann_index))
   in
   let reselect v =
     Metrics.Counter.inc m_reselects;
-    if Asn.Set.mem v down || not (As_graph.mem graph v) then None
+    let va = asns.(v) in
+    if Asn.Set.mem va down then none
     else begin
-      let best = ref None in
-      let consider cand = if beats v cand !best then best := Some cand in
+      let best = ref none in
+      let consider cand =
+        if cand != none && beats v cand !best then best := cand
+      in
       Array.iteri
         (fun i (ann : announcement) ->
-          if Asn.equal ann.origin v then
-            Option.iter consider (origin_route ~deny ~down graph i ann))
+          if Asn.equal ann.origin va then
+            consider (origin_route ~deny ~down i ann))
         anns;
-      List.iter
-        (fun (u, rel_vu) ->
-          match Hashtbl.find_opt table (Asn.to_int u) with
-          | None -> ()
-          | Some r ->
-            Option.iter consider (offer u r v (Relationship.invert rel_vu)))
-        (As_graph.neighbors graph v);
+      for k = d.first.(v) to d.first.(v + 1) - 1 do
+        let u = d.nbr.(k) in
+        let r = routes.(u) in
+        if r != none then
+          consider (offer u r v (Relationship.invert d.rel.(k)))
+      done;
       !best
     end
   in
-  let queue = Queue.create () and queued = Hashtbl.create 64 in
+  (* The work list: a ring of at most [d.size] indices, with an AS
+     queued iff its mark is this call's epoch. *)
+  let epoch = As_graph.next_epoch d in
+  let mark = d.mark and ring = d.ring and cap = d.size in
+  let head = ref 0 and len = ref 0 in
   let enqueue v =
-    if not (Hashtbl.mem queued (Asn.to_int v)) then begin
-      Hashtbl.replace queued (Asn.to_int v) ();
-      Queue.push v queue
+    if mark.(v) <> epoch then begin
+      mark.(v) <- epoch;
+      let j = !head + !len in
+      ring.(if j >= cap then j - cap else j) <- v;
+      incr len
     end
+  in
+  let pop () =
+    let v = ring.(!head) in
+    head := if !head + 1 = cap then 0 else !head + 1;
+    decr len;
+    mark.(v) <- 0;
+    v
   in
   (* [u]'s route changed to [now]: a neighbour must re-select when its
      route was learned from [u] or [u]'s new offer beats it. Every
      other neighbour keeps a route that is still offered and still
      best. *)
   let notify u now =
-    List.iter
-      (fun (v, rel_uv) ->
-        if not (Hashtbl.mem queued (Asn.to_int v)) then begin
-          let cur = Hashtbl.find_opt table (Asn.to_int v) in
-          let via_u =
-            match cur with
-            | Some { learned_over = Some _; path = hop :: _; _ } ->
-              Asn.equal hop u
-            | Some _ | None -> false
-          in
-          let prefers () =
-            match now with
-            | None -> false
-            | Some r -> (
-              match offer u r v rel_uv with
-              | Some cand -> beats v cand cur
-              | None -> false)
-          in
-          if via_u || prefers () then enqueue v
-        end)
-      (As_graph.neighbors graph u)
+    let ua = asns.(u) in
+    for k = d.first.(u) to d.first.(u + 1) - 1 do
+      let v = d.nbr.(k) in
+      if mark.(v) <> epoch then begin
+        let cur = routes.(v) in
+        let via_u =
+          match cur with
+          | { learned_over = Some _; path = hop :: _; _ } -> Asn.equal hop ua
+          | _ -> false
+        in
+        if
+          via_u
+          || now != none
+             &&
+             let cand = offer u now v d.rel.(k) in
+             cand != none && beats v cand cur
+        then enqueue v
+      end
+    done
   in
   (* An unsettled table may hold unstable ASes anywhere. *)
-  if not prev.settled then List.iter enqueue (As_graph.ases graph);
-  Asn.Set.iter enqueue toggled;
-  let budget = ref (reselect_budget * (As_graph.n_ases graph + 1)) in
-  while (not (Queue.is_empty queue)) && !budget > 0 do
+  if not prev.settled then Array.iter enqueue d.by_asn;
+  List.iter enqueue seeds;
+  Metrics.Counter.add m_reselects outside;
+  let budget = ref ((reselect_budget * (d.size + 1)) - outside) in
+  while !len > 0 && !budget > 0 do
     decr budget;
-    let v = Queue.pop queue in
-    Hashtbl.remove queued (Asn.to_int v);
-    let before = Hashtbl.find_opt table (Asn.to_int v) in
+    let v = pop () in
+    let before = routes.(v) in
     let now = reselect v in
-    if now <> before then begin
-      (match now with
-      | Some r -> Hashtbl.replace table (Asn.to_int v) r
-      | None -> Hashtbl.remove table (Asn.to_int v));
+    if not (same_route now before) then begin
+      set prev v now;
       notify v now
     end
   done;
-  prev.settled <- Queue.is_empty queue
+  prev.settled <- !len = 0
+
+let repair ?deny ?leak ?export_filter ?import_filter ~down graph announcements
+    prev ~toggled =
+  let d = As_graph.freeze graph in
+  bind prev d;
+  let outside = ref 0 in
+  let seeds =
+    Asn.Set.fold
+      (fun a acc ->
+        match As_graph.index d a with
+        | -1 ->
+          incr outside;
+          acc
+        | v -> v :: acc)
+      toggled []
+  in
+  reselect_from ?deny ?leak ?export_filter ?import_filter ~down d
+    (Array.of_list announcements) prev ~seeds:(List.rev seeds)
+    ~outside:!outside
 
 (* ------------------------------------------------------------------ *)
 (* The valley-free engine: the classic three-phase work-queue fixpoint,
    with queues seeded in ascending ASN order. *)
 
 (* ASes whose imported route no longer extends its next hop's current
-   route. An import copies the exporter's path, so the physical test
-   almost always decides. *)
-let stale_imports (table : (int, route) Hashtbl.t) =
-  Hashtbl.fold
-    (fun asn (r : route) acc ->
-      match r with
+   route, as indices in ascending ASN order. An import copies the
+   exporter's path, so the physical test almost always decides. *)
+let stale_imports (d : As_graph.dense) routes =
+  Array.fold_right
+    (fun v acc ->
+      match routes.(v) with
       | { learned_over = Some _; path = hop :: tl; ann_index } -> (
-        match Hashtbl.find_opt table (Asn.to_int hop) with
-        | Some h
-          when h.ann_index = ann_index
-               && (tl == h.path || List.equal Asn.equal tl h.path) ->
-          acc
-        | Some _ | None -> Asn.Set.add (Asn.of_int asn) acc)
+        match As_graph.index d hop with
+        | -1 -> v :: acc
+        | u ->
+          let h = routes.(u) in
+          if
+            h != none && h.ann_index = ann_index
+            && (tl == h.path || List.equal Asn.equal tl h.path)
+          then acc
+          else v :: acc)
       | _ -> acc)
-    table Asn.Set.empty
+    d.by_asn []
 
 let propagate ?deny ?(down = Asn.Set.empty) ?domains:_ ?visit graph
     announcements =
-  let table : (int, route) Hashtbl.t = Hashtbl.create 1024 in
+  let d = As_graph.freeze graph in
+  let result =
+    { view = d; routes = Array.make d.size none; count = 0; settled = true }
+  in
+  let routes = result.routes and asns = d.asns in
   let anns = Array.of_list announcements in
-  let get asn = Hashtbl.find_opt table (Asn.to_int asn) in
-  let note u = match visit with Some f -> f u | None -> () in
+  let note u = match visit with Some f -> f asns.(u) | None -> () in
   List.iteri
     (fun i (ann : announcement) ->
-      match origin_route ~deny ~down graph i ann with
-      | None -> ()
-      | Some r -> (
-        match get ann.origin with
-        | Some cur when not (better r cur) -> ()
-        | Some _ | None -> Hashtbl.replace table (Asn.to_int ann.origin) r))
+      match As_graph.index d ann.origin with
+      | -1 -> ()
+      | o ->
+        let r = origin_route ~deny ~down i ann in
+        if r != none && (routes.(o) == none || better r routes.(o)) then
+          set result o r)
     announcements;
-  let is_down asn = Asn.Set.mem asn down in
-  (* Offer [r] to [asn]; return true if adopted. *)
-  let offer asn (r : route) =
-    if is_down asn then false
-    else if List.exists (Asn.equal asn) r.path then false (* loop *)
+  let is_down v = Asn.Set.mem asns.(v) down in
+  (* Offer [r] to [v]; return true if adopted. *)
+  let offer v (r : route) =
+    if is_down v then false
+    else if List.exists (Asn.equal asns.(v)) r.path then false (* loop *)
     else begin
       Metrics.Counter.inc m_offers;
-      if denied deny asn anns.(r.ann_index) then false
-      else
-        match get asn with
-        | Some cur when not (better r cur) -> false
-        | Some _ | None ->
-          Hashtbl.replace table (Asn.to_int asn) r;
-          Metrics.Counter.inc m_adoptions;
-          true
+      if denied deny asns.(v) anns.(r.ann_index) then false
+      else if routes.(v) != none && not (better r routes.(v)) then false
+      else begin
+        set result v r;
+        Metrics.Counter.inc m_adoptions;
+        true
+      end
     end
   in
   (* Export the route at [u] to neighbor [v] over [rel_uv] ([v]'s role
      from [u]'s perspective); import class at [v] is the inverse. *)
   let try_export u v rel_uv =
-    match get u with
-    | None -> false
-    | Some r ->
-      if is_down u then false
-      else if not (Relationship.exports_to ~learned_from:r.learned_over rel_uv)
-      then false
-      else if
-        (* Selective announcement: the origin only exports to its
-           chosen neighbor set. *)
-        r.learned_over = None
-        &&
-        match anns.(r.ann_index).export_to with
-        | Some allowed -> not (Asn.Set.mem v allowed)
-        | None -> false
-      then false
-      else
-        let import_rel = Relationship.invert rel_uv in
-        offer v { learned_over = Some import_rel; path = u :: r.path;
-                  ann_index = r.ann_index }
+    let r = routes.(u) in
+    r != none
+    && (not (is_down u))
+    && Relationship.exports_to ~learned_from:r.learned_over rel_uv
+    && (not (withheld anns r asns.(v)))
+    && offer v
+         { learned_over = learned_over_of (Relationship.invert rel_uv);
+           path = asns.(u) :: r.path;
+           ann_index = r.ann_index
+         }
   in
-  let seed_queue queue =
-    List.iter (fun asn -> Queue.push (Asn.of_int asn) queue)
-      (sorted_holders table)
+  (* Indices holding a route, in ascending ASN order. *)
+  let holders () =
+    Array.fold_right
+      (fun v acc -> if routes.(v) != none then v :: acc else acc)
+      d.by_asn []
+  in
+  (* Phases 1 and 3: push routes over [want] edges to a fixpoint. *)
+  let climb want =
+    let queue = Queue.create () in
+    List.iter (fun v -> Queue.push v queue) (holders ());
+    while not (Queue.is_empty queue) do
+      let u = Queue.pop queue in
+      note u;
+      for k = d.first.(u) to d.first.(u + 1) - 1 do
+        if Relationship.equal d.rel.(k) want && try_export u d.nbr.(k) want
+        then Queue.push d.nbr.(k) queue
+      done
+    done
   in
   (* Phase 1: customer routes climb provider edges to a fixpoint. *)
-  let queue = Queue.create () in
-  seed_queue queue;
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    note u;
-    List.iter
-      (fun p -> if try_export u p Relationship.Provider then Queue.push p queue)
-      (As_graph.providers graph u)
-  done;
+  climb Relationship.Provider;
   (* Phase 2: one hop across peer edges. Snapshot holders first so a
      freshly imported peer route is not re-exported to peers. *)
   List.iter
     (fun u ->
-      List.iter
-        (fun v -> ignore (try_export u v Relationship.Peer))
-        (As_graph.peers_of graph u))
-    (List.map Asn.of_int (sorted_holders table));
+      for k = d.first.(u) to d.first.(u + 1) - 1 do
+        if Relationship.equal d.rel.(k) Relationship.Peer then
+          ignore (try_export u d.nbr.(k) Relationship.Peer)
+      done)
+    (holders ());
   (* Phase 3: descend customer edges to a fixpoint. *)
-  let queue = Queue.create () in
-  seed_queue queue;
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    note u;
-    List.iter
-      (fun c -> if try_export u c Relationship.Customer then Queue.push c queue)
-      (As_graph.customers graph u)
-  done;
-  let result = { table; settled = true } in
+  climb Relationship.Customer;
   (* An importer that denies the announcement its neighbour switched to
      keeps the route the neighbour dropped; re-select those importers. *)
   (match deny with
   | None -> ()
-  | Some _ ->
-    let stale = stale_imports table in
-    if not (Asn.Set.is_empty stale) then
-      repair ?deny ~down graph announcements result ~toggled:stale);
+  | Some _ -> (
+    match stale_imports d routes with
+    | [] -> ()
+    | seeds -> reselect_from ?deny ~down d anns result ~seeds ~outside:0));
   result
 
 let propagate_seq = propagate
@@ -367,11 +449,17 @@ let propagate_seq = propagate
    [repair]'s notify cascade) and, when only the export set moved, the
    neighbours that gained or lost the origin's offer. *)
 
+(* [Testbed] shares untouched slots, and a full export's peer set,
+   physically, so the physical tests decide a no-op re-announcement
+   without walking a 604-peer set. *)
+let same_export = Option.equal (fun a b -> a == b || Asn.Set.equal a b)
+
 let same_announcement (a : announcement) (b : announcement) =
-  Asn.equal a.origin b.origin
-  && Prefix.equal a.prefix b.prefix
-  && List.equal Asn.equal a.path_suffix b.path_suffix
-  && Option.equal Asn.Set.equal a.export_to b.export_to
+  a == b
+  || Asn.equal a.origin b.origin
+     && Prefix.equal a.prefix b.prefix
+     && List.equal Asn.equal a.path_suffix b.path_suffix
+     && same_export a.export_to b.export_to
 
 (* The neighbours [ann]'s origin offers its origin route to, before
    Gao–Rexford: [None] means all of them. *)
@@ -387,7 +475,7 @@ let replaced_seeds graph (a : announcement) (b : announcement) =
   if not (Prefix.equal a.prefix b.prefix) then
     invalid_arg "Propagation.update: a replaced slot changed its prefix";
   let origins = Asn.Set.of_list [ a.origin; b.origin ] in
-  if Option.equal Asn.Set.equal a.export_to b.export_to then origins
+  if same_export a.export_to b.export_to then origins
   else
     let ea = export_set graph a and eb = export_set graph b in
     Asn.Set.union origins
@@ -428,12 +516,12 @@ let update ?deny ?leak ~down graph ~before ~after prev =
       if not (same_from k 1) then
         invalid_arg "Propagation.update: after is not before less one slot";
       if k < n - 1 then
-        Hashtbl.filter_map_inplace
-          (fun _ (r : route) ->
-            if r.ann_index < k then Some r
-            else if r.ann_index = k then Some { r with ann_index = n - 1 }
-            else Some { r with ann_index = r.ann_index - 1 })
-          prev.table;
+        Array.iteri
+          (fun v (r : route) ->
+            if r.ann_index = k then prev.routes.(v) <- { r with ann_index = n - 1 }
+            else if r.ann_index > k then
+              prev.routes.(v) <- { r with ann_index = r.ann_index - 1 })
+          prev.routes;
       Asn.Set.singleton old.(k).origin
     | _ ->
       invalid_arg
@@ -444,40 +532,47 @@ let update ?deny ?leak ~down graph ~before ~after prev =
 
 (* ------------------------------------------------------------------ *)
 
-let route_at r asn = Hashtbl.find_opt r.table (Asn.to_int asn)
+let route_at r asn =
+  match As_graph.index r.view asn with
+  | -1 -> None
+  | v -> if r.routes.(v) == none then None else Some r.routes.(v)
+
 let path_at r asn = Option.map (fun rt -> rt.path) (route_at r asn)
 
 let full_path r asn =
   Option.map (fun rt -> asn :: rt.path) (route_at r asn)
 
-let table r =
-  Hashtbl.fold (fun asn rt acc -> (Asn.of_int asn, rt) :: acc) r.table []
-  |> List.sort (fun (a, _) (b, _) -> Asn.compare a b)
+(* Fold [f asn route] over the holders in descending ASN order, so
+   consing builds an ascending list. *)
+let fold_holders f r acc =
+  let d = r.view in
+  let acc = ref acc in
+  for k = d.size - 1 downto 0 do
+    let v = d.by_asn.(k) in
+    if r.routes.(v) != none then acc := f d.asns.(v) r.routes.(v) !acc
+  done;
+  !acc
 
-let reachable r =
-  Hashtbl.fold (fun asn _ acc -> Asn.of_int asn :: acc) r.table []
-  |> List.sort Asn.compare
-
-let reachable_count r = Hashtbl.length r.table
+let table r = fold_holders (fun asn rt acc -> (asn, rt) :: acc) r []
+let reachable r = fold_holders (fun asn _ acc -> asn :: acc) r []
+let reachable_count r = r.count
 
 let catchment r =
-  let counts = Hashtbl.create 8 in
-  Hashtbl.iter
-    (fun _ (rt : route) ->
-      let c = Option.value (Hashtbl.find_opt counts rt.ann_index) ~default:0 in
-      Hashtbl.replace counts rt.ann_index (c + 1))
-    r.table;
-  Hashtbl.fold (fun i c acc -> (i, c) :: acc) counts []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  let top = Array.fold_left (fun m (rt : route) -> max m rt.ann_index) (-1) r.routes in
+  let counts = Array.make (top + 1) 0 in
+  Array.iter
+    (fun (rt : route) ->
+      if rt != none then counts.(rt.ann_index) <- counts.(rt.ann_index) + 1)
+    r.routes;
+  List.filter (fun (_, c) -> c > 0) (List.init (top + 1) (fun i -> (i, counts.(i))))
 
 let routes_via r via =
-  Hashtbl.fold
+  fold_holders
     (fun asn (rt : route) acc ->
-      if List.exists (Asn.equal via) rt.path && not (Asn.equal (Asn.of_int asn) via)
-      then Asn.of_int asn :: acc
+      if List.exists (Asn.equal via) rt.path && not (Asn.equal asn via) then
+        asn :: acc
       else acc)
-    r.table []
-  |> List.sort Asn.compare
+    r []
 
 (* Walking a selected full path from the selecting AS towards the
    origin, the import classes are c_i = relationship g a_i a_{i+1}
@@ -508,9 +603,7 @@ let polluted graph r =
     in
     walk None fp
   in
-  Hashtbl.fold
-    (fun asn (rt : route) acc ->
-      let self = Asn.of_int asn in
+  fold_holders
+    (fun self (rt : route) acc ->
       if path_violates (self :: rt.path) then self :: acc else acc)
-    r.table []
-  |> List.sort Asn.compare
+    r []

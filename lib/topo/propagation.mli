@@ -25,7 +25,18 @@
     This engine is what stands in for "the live Internet" reacting to
     PEERING announcements: route injection, selective announcements,
     AS-path poisoning (LIFEGUARD), prefix hijacks, and anycast
-    catchments are all expressed as [announcement]s. *)
+    catchments are all expressed as [announcement]s.
+
+    Both engines walk the graph's frozen {!As_graph.dense} view: CSR
+    rows of neighbour indices, in ascending ASN order, so every visit
+    order is that of {!As_graph.neighbors}. A table is a [route array]
+    addressed by AS index, with one shared sentinel standing for "no
+    route" and a maintained count of holders; it is tied to the graph
+    it was built on. Indices never move as the graph grows, so a table
+    built before {!As_graph.add_as} or {!As_graph.add_edge} keeps every
+    route, reads [None] for the ASes it does not know, and the next
+    {!repair} or {!update} extends it to the view the graph is frozen
+    into again. *)
 
 open Peering_net
 
@@ -125,7 +136,7 @@ val propagate_seq :
 
 val empty : unit -> result
 (** A fresh table in which no AS holds a route. {!repair} seeded with
-    the origins builds a table from it. *)
+    the origins builds a table from it, and ties it to that graph. *)
 
 val repair :
   ?deny:(Asn.t -> announcement -> bool) ->
@@ -162,7 +173,17 @@ val repair :
     order, re-selects each; when a route changes, only the neighbours
     that routed through it or prefer its new offer are re-selected. The
     cost is proportional to the routes that change and their
-    neighbourhoods, not to the table.
+    neighbourhoods, not to the table. The worklist is a ring of
+    indices, and its "queued" set the view's epoch-stamped mark array
+    ({!As_graph.next_epoch}), so a call allocates no set; two calls
+    must not run on one view at the same time (from a hook, or from
+    two domains). [toggled] may name ASes the graph does not hold:
+    each counts as one re-selection and changes nothing.
+
+    [repair] freezes [graph] if it is stale and first extends [prev] to
+    the new view: ASes added since [prev] was built hold no route. A
+    table that holds a route raises [Invalid_argument] when repaired
+    on another graph.
 
     With no [leak] the stable table is unique, it is the one
     {!propagate} builds, and re-selection reaches it from any starting
@@ -211,8 +232,11 @@ val update :
 
     Anything else raises [Invalid_argument], as does a replacement that
     changes a slot's prefix. Announcements compare field by field, and
-    [export_to] sets by content. [deny] must give the same verdict to
-    two announcements that differ only in [export_to].
+    [export_to] sets by content, each after a physical-equality test:
+    a caller that shares untouched slots and unchanged export sets (as
+    [Testbed] does) pays nothing per slot for a no-op re-announcement.
+    [deny] must give the same verdict to two announcements that differ
+    only in [export_to].
 
     It runs {!repair} seeded with the ASes the delta can unsettle: for
     a replaced slot, the old and new origins plus, when [export_to]
@@ -232,7 +256,9 @@ val update :
     table as {!repair} does. *)
 
 val route_at : result -> Asn.t -> route option
-(** The route the AS selected, [None] if unreachable. *)
+(** The route the AS selected, [None] if unreachable or unknown to the
+    table (an AS added to the graph after the table was last built or
+    repaired). *)
 
 val path_at : result -> Asn.t -> Asn.t list option
 

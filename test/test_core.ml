@@ -717,13 +717,28 @@ let test_remote_peering () =
   ignore (Client.announce client p);
   check Alcotest.bool "reaches internet" true (Testbed.reach_count t p > 0)
 
+(* The tables [get] gives for [prefixes]: [Testbed.result_for t] for
+   the live ones, [Testbed.rebuilt_for t] for what a from-scratch build
+   gives under the testbed's current state. *)
+let tables get prefixes =
+  List.map
+    (fun p ->
+      match get p with
+      | Some r -> Peering_topo.Propagation.table r
+      | None -> [])
+    prefixes
+
+let matches_rebuild t prefixes what =
+  check Alcotest.bool (what ^ ": repaired tables = rebuilt") true
+    (tables (Testbed.result_for t) prefixes
+    = tables (Testbed.rebuilt_for t) prefixes)
+
 (* Testbed.set_down repairs every table in place. Whatever sequence of
-   failures, restores and mux crashes led to a table, it must equal a
-   full recomputation: clear_rov / set_rov rebuild every table from
-   scratch (with the same import filter), so snapshots taken before
-   and after must agree. add_remote_ixp changes the graph under the
-   tables, so it must rebuild them too, or later repairs would start
-   from a stale base. *)
+   failures, restores, mux crashes, ROV changes and remote peerings led
+   to a table, it must equal a from-scratch build (Testbed.rebuilt_for)
+   under the same state. add_remote_ixp changes the graph under the
+   tables, so a later repair must start from a table that already
+   knows the new edges. *)
 let test_set_down_repair_matches_recompute () =
   let t = Testbed.build ~params:small_params () in
   let exp =
@@ -746,30 +761,16 @@ let test_set_down_repair_matches_recompute () =
     ~origin:(Testbed.site_asn (Testbed.site_exn t "amsterdam01"))
     unfiltered;
   let prefixes = unfiltered :: exp.Experiment.prefixes in
-  let snapshot () =
-    List.map
-      (fun p ->
-        match Testbed.result_for t p with
-        | Some r -> Peering_topo.Propagation.table r
-        | None -> [])
-      prefixes
-  in
-  let matches_recompute what recompute =
-    let repaired = snapshot () in
-    recompute ();
-    check Alcotest.bool (what ^ ": repaired tables = recomputed") true
-      (repaired = snapshot ())
-  in
-  let clear () = Testbed.clear_rov t in
+  let matches_rebuild = matches_rebuild t prefixes in
   let baseline = List.map (Testbed.reach_count t) prefixes in
   let mux name = Testbed.site_server (Testbed.site_exn t name) in
   let provider = List.hd (Testbed.peers_at t "gatech01") in
   let tier1 = List.hd w.Gen.tier1 in
   Testbed.set_down t provider true;
   Testbed.set_down t tier1 true;
-  matches_recompute "provider + tier-1 down" clear;
+  matches_rebuild "provider + tier-1 down";
   Server.crash (mux "amsterdam01");
-  matches_recompute "amsterdam mux crashed" clear;
+  matches_rebuild "amsterdam mux crashed";
   Testbed.set_down t tier1 false;
   Server.restart (mux "amsterdam01");
   (* ROV is unchanged across set_down, so the repair keeps its filter *)
@@ -783,27 +784,27 @@ let test_set_down_repair_matches_recompute () =
          (fun i _ -> i mod 2 = 0)
          (Peering_topo.As_graph.ases (Testbed.graph t)))
   in
-  let same_rov () = Testbed.set_rov t ~roas ~adopters in
   Testbed.set_down t provider false;
-  same_rov ();
+  Testbed.set_rov t ~roas ~adopters;
+  matches_rebuild "ROV on";
   Testbed.set_down t provider true;
   Testbed.set_down t attacker true;
-  matches_recompute "failures under ROV" same_rov;
+  matches_rebuild "failures under ROV";
   Testbed.set_down t provider false;
   Testbed.set_down t attacker false;
-  matches_recompute "restores under ROV" same_rov;
-  clear ();
-  matches_recompute "all restored" clear;
+  matches_rebuild "restores under ROV";
+  Testbed.clear_rov t;
+  matches_rebuild "all restored";
   check Alcotest.(list int) "reach back to baseline" baseline
     (List.map (Testbed.reach_count t) prefixes);
   ignore (Testbed.add_remote_ixp t ~via:"amsterdam01" ~name:"DE-CIX");
-  matches_recompute "after remote peering" clear;
+  matches_rebuild "after remote peering";
   Server.crash (mux "gatech01");
   Testbed.set_down t tier1 true;
-  matches_recompute "churn on the grown graph" clear;
+  matches_rebuild "churn on the grown graph";
   Server.restart (mux "gatech01");
   Testbed.set_down t tier1 false;
-  matches_recompute "grown graph restored" clear
+  matches_rebuild "grown graph restored"
 
 (* A mux restart re-exports every surviving announcement. Each source
    keeps its slot in the prefix's announcement list, so the restart
@@ -878,23 +879,14 @@ let test_withdraw_while_crashed () =
    injection and its retraction (also from an AS outside the graph),
    two clients of one experiment at one site — repairs the prefix's
    table in place. After each step every
-   table must equal a forced rebuild (clear_rov / set_rov rebuild them
-   all), with ROV on, with a site node down and with a transit AS
-   down. *)
+   table must equal a from-scratch build (Testbed.rebuilt_for), with
+   ROV on, with a site node down and with a transit AS down. *)
 let test_announce_repair_matches_rebuild () =
   let t = Testbed.build ~params:small_params () in
   let w = Testbed.world t in
   let g = Testbed.graph t in
   let sites = List.map Testbed.site_name (Testbed.sites t) in
   let prefixes = ref [] in
-  let snapshot () =
-    List.map
-      (fun p ->
-        match Testbed.result_for t p with
-        | Some r -> Peering_topo.Propagation.table r
-        | None -> [])
-      !prefixes
-  in
   let accepted what outcomes =
     List.iter
       (fun (site, r) ->
@@ -916,9 +908,7 @@ let test_announce_repair_matches_rebuild () =
     Asn.Set.of_list
       (List.filteri (fun i _ -> i mod 2 = 0) (Peering_topo.As_graph.ases g))
   in
-  let rov = ref None in
-  let rebuild () =
-    match !rov with
+  let set_rov = function
     | None -> Testbed.clear_rov t
     | Some roas -> Testbed.set_rov t ~roas ~adopters
   in
@@ -938,11 +928,7 @@ let test_announce_repair_matches_rebuild () =
     prefixes := p :: !prefixes;
     let step what f =
       f ();
-      let what = Printf.sprintf "%s: %s" name what in
-      let repaired = snapshot () in
-      rebuild ();
-      check Alcotest.bool (what ^ ": repaired tables = rebuilt") true
-        (repaired = snapshot ())
+      matches_rebuild t !prefixes (Printf.sprintf "%s: %s" name what)
     in
     step "announce everywhere" (fun () ->
         accepted "announce" (Client.announce c1 p));
@@ -978,14 +964,14 @@ let test_announce_repair_matches_rebuild () =
         accepted "again" (Client.announce c2 ~peers:(half 0) p))
   in
   run_script "plain";
-  rov :=
-    Some
-      (Peering_bgp.Rpki.add_roa Peering_bgp.Rpki.empty ~max_length:24
-         ~prefix:Testbed.peering_supply Testbed.peering_asn);
-  rebuild ();
+  set_rov
+    (Some
+       (Peering_bgp.Rpki.add_roa Peering_bgp.Rpki.empty ~max_length:24
+          ~prefix:Testbed.peering_supply Testbed.peering_asn));
+  matches_rebuild t !prefixes "ROV on";
   run_script "rov";
-  rov := None;
-  rebuild ();
+  set_rov None;
+  matches_rebuild t !prefixes "ROV off";
   let phoenix = Testbed.site_asn (Testbed.site_exn t "phoenix01") in
   Testbed.set_down t phoenix true;
   run_script "site-down";
@@ -994,16 +980,14 @@ let test_announce_repair_matches_rebuild () =
   Testbed.set_down t transit true;
   run_script "transit-down";
   Testbed.set_down t transit false;
-  let repaired = snapshot () in
-  rebuild ();
-  check Alcotest.bool "all restored: repaired tables = rebuilt" true
-    (repaired = snapshot ())
+  matches_rebuild t !prefixes "all restored"
 
 (* The ASes of [r] that are not stable: an up AS is stable when it
    holds the best, under [better], of its origin routes and of its
    neighbours' current exports to it (Gao–Rexford or a leak edge,
-   selective export, loop check); a down AS holds nothing. *)
-let unstable g ~down ~leaks anns r =
+   selective export, loop check) that it does not [deny]; a down AS
+   holds nothing. *)
+let unstable ?(deny = fun _ _ -> false) g ~down ~leaks anns r =
   let module P = Peering_topo.Propagation in
   let anns = Array.of_list anns in
   let leak u v =
@@ -1013,6 +997,7 @@ let unstable g ~down ~leaks anns r =
     let best = ref None in
     let consider (c : P.route) =
       match !best with
+      | _ when deny v anns.(c.P.ann_index) -> ()
       | Some b when not (P.better c b) -> ()
       | Some _ | None -> best := Some c
     in
@@ -1054,6 +1039,165 @@ let unstable g ~down ~leaks anns r =
       P.route_at r v <> if Asn.Set.mem v down then None else best v)
     (Peering_topo.As_graph.ases g)
 
+(* Leak edges for the leaky tests: the first four stubs with two or
+   more providers leak to every provider. *)
+let provider_leaks g (w : Gen.world) =
+  List.filteri (fun i _ -> i < 4)
+    (List.filter
+       (fun a -> List.length (Peering_topo.As_graph.providers g a) >= 2)
+       w.Gen.stubs)
+  |> List.concat_map (fun a ->
+         List.map (fun p -> (a, p)) (Peering_topo.As_graph.providers g a))
+
+(* Every table of [prefixes] is settled and stable under the testbed's
+   leaks and [deny]: re-selecting any AS changes nothing. *)
+let check_stable ?deny t ~down prefixes what =
+  List.iter
+    (fun p ->
+      match Testbed.result_for t p with
+      | None -> Alcotest.failf "%s: no table for %s" what (Prefix.to_string p)
+      | Some r ->
+        check Alcotest.bool (what ^ ": settled") true
+          (Peering_topo.Propagation.settled r);
+        check Alcotest.(list int) (what ^ ": stable") []
+          (List.map Asn.to_int
+             (unstable ?deny (Testbed.graph t) ~down
+                ~leaks:(Testbed.leak_edges t) (Testbed.announcements t p) r)))
+    prefixes
+
+(* Announce [n] prefixes of a new experiment [id] at every site. *)
+let announce_everywhere t ~id ~n =
+  let exp =
+    match Testbed.new_experiment t ~id ~n_prefixes:n () with
+    | Ok e -> e
+    | Error e -> Alcotest.fail e
+  in
+  let client = Client.create ~id:("c-" ^ id) ~experiment:exp () in
+  Testbed.connect_client t client
+    ~sites:(List.map Testbed.site_name (Testbed.sites t));
+  List.iter (fun p -> ignore (Client.announce client p)) exp.Experiment.prefixes;
+  exp.Experiment.prefixes
+
+(* set_rov and clear_rov repair every table from the adopters whose
+   verdict flips. On the valley-free testbed each repaired table must
+   equal a from-scratch build after every change: ROV at half the ASes
+   against a hijack, moved to the other half, widened to every AS, a
+   ROA that makes PEERING's own origin invalid instead, and ROV off.
+   Under leak edges the stable table need not be unique, so there the
+   same changes must leave every table settled and stable under the
+   new verdicts. *)
+let test_rov_repair_matches_rebuild () =
+  let module Rpki = Peering_bgp.Rpki in
+  let module P = Peering_topo.Propagation in
+  let t = Testbed.build ~params:small_params () in
+  let g = Testbed.graph t in
+  let w = Testbed.world t in
+  let prefixes = announce_everywhere t ~id:"rov-delta" ~n:2 in
+  let attacker = List.nth w.Gen.small_transit 2 in
+  Testbed.inject_external t ~origin:attacker (List.hd prefixes);
+  let ases = Peering_topo.As_graph.ases g in
+  let half k = Asn.Set.of_list (List.filteri (fun i _ -> i mod 2 = k) ases) in
+  let roa origin =
+    Rpki.add_roa Rpki.empty ~max_length:24 ~prefix:Testbed.peering_supply
+      origin
+  in
+  let rov = ref None in
+  (* The testbed's ROV filter, restated: site nodes announce as
+     PEERING's ASN, and no announcement here carries a suffix. *)
+  let deny asn (a : P.announcement) =
+    match !rov with
+    | None -> false
+    | Some (roas, adopters) ->
+      let origin =
+        if
+          List.exists
+            (fun s -> Asn.equal (Testbed.site_asn s) a.P.origin)
+            (Testbed.sites t)
+        then Testbed.peering_asn
+        else a.P.origin
+      in
+      Asn.Set.mem asn adopters
+      && Rpki.validate roas ~prefix:a.P.prefix ~origin:(Some origin)
+         = Rpki.Invalid
+  in
+  let changes =
+    [ ("ROV at half", Some (roa Testbed.peering_asn, half 0));
+      ("ROV moved to the other half", Some (roa Testbed.peering_asn, half 1));
+      ("ROV everywhere", Some (roa Testbed.peering_asn, Asn.Set.of_list ases));
+      ("ROA for the hijacker", Some (roa attacker, half 0));
+      ("ROV off", None)
+    ]
+  in
+  let apply (what, v) =
+    rov := v;
+    (match v with
+    | None -> Testbed.clear_rov t
+    | Some (roas, adopters) -> Testbed.set_rov t ~roas ~adopters);
+    check_stable ~deny t ~down:Asn.Set.empty prefixes what
+  in
+  let plain = tables (Testbed.result_for t) prefixes and changed = ref 0 in
+  List.iter
+    (fun ((what, _) as change) ->
+      apply change;
+      matches_rebuild t prefixes what;
+      if tables (Testbed.result_for t) prefixes <> plain then incr changed)
+    changes;
+  check Alcotest.int "every ROV change but off changed a table"
+    (List.length changes - 1) !changed;
+  Testbed.set_leak_edges t (provider_leaks g w);
+  List.iter
+    (fun (what, v) -> apply ("leaky: " ^ what, v))
+    changes;
+  Testbed.set_leak_edges t [];
+  matches_rebuild t prefixes "leaks off"
+
+(* add_remote_ixp repairs every table from the ends of the new edges,
+   on the graph frozen again with them. On the valley-free testbed each
+   repaired table must equal a from-scratch build, with a transit AS
+   down and once it is restored, and every new peer that is up takes
+   the Amsterdam node's own prefix straight from it: a one-hop peer
+   route beats any route it held before. Under leak edges a second
+   expansion must leave every table settled and stable. *)
+let test_remote_peering_repair_matches_rebuild () =
+  let module P = Peering_topo.Propagation in
+  let t = Testbed.build ~params:small_params () in
+  let g = Testbed.graph t in
+  let w = Testbed.world t in
+  let ams = Testbed.site_asn (Testbed.site_exn t "amsterdam01") in
+  let unfiltered = pfx "198.51.100.0/24" in
+  Testbed.inject_external t ~origin:ams unfiltered;
+  let prefixes = unfiltered :: announce_everywhere t ~id:"remote-delta" ~n:2 in
+  let transit = List.hd w.Gen.large_transit in
+  Testbed.set_down t transit true;
+  let neighbours () = List.map fst (Peering_topo.As_graph.neighbors g ams) in
+  let before = neighbours () in
+  ignore (Testbed.add_remote_ixp t ~via:"amsterdam01" ~name:"DE-CIX");
+  let added =
+    List.filter (fun a -> not (List.exists (Asn.equal a) before)) (neighbours ())
+  in
+  check Alcotest.bool "new edges" true (added <> []);
+  matches_rebuild t prefixes "after DE-CIX, transit down";
+  let r = Option.get (Testbed.result_for t unfiltered) in
+  List.iter
+    (fun a ->
+      if not (Asn.equal a transit) then
+        check
+          Alcotest.(option (list int))
+          (Printf.sprintf "%s takes the direct route" (Asn.to_string a))
+          (Some [ Asn.to_int ams ])
+          (Option.map (List.map Asn.to_int) (P.path_at r a)))
+    added;
+  Testbed.set_down t transit false;
+  matches_rebuild t prefixes "transit restored";
+  Testbed.set_leak_edges t (provider_leaks g w);
+  let before = List.length (neighbours ()) in
+  ignore (Testbed.add_remote_ixp t ~via:"amsterdam01" ~name:"LINX");
+  check Alcotest.bool "LINX adds edges" true
+    (List.length (neighbours ()) > before);
+  check_stable t ~down:Asn.Set.empty prefixes "leaky: after LINX";
+  Testbed.set_leak_edges t [];
+  matches_rebuild t prefixes "leaks off"
+
 (* Testbed under leaks: switching leak edges on, failing and restoring
    transit ASes, re-announcing to other peers and injecting an
    external origin all repair the live tables. After every step each
@@ -1094,15 +1238,7 @@ let test_leaky_tables_stable () =
               (P.table r = P.table (P.propagate ~down:!down g anns)))
       prefixes
   in
-  (* Stubs with two or more providers leak to every provider. *)
-  let leaks =
-    List.filteri (fun i _ -> i < 4)
-      (List.filter
-         (fun a -> List.length (Peering_topo.As_graph.providers g a) >= 2)
-         w.Gen.stubs)
-    |> List.concat_map (fun a ->
-           List.map (fun p -> (a, p)) (Peering_topo.As_graph.providers g a))
-  in
+  let leaks = provider_leaks g w in
   step "leaks on" (fun () -> Testbed.set_leak_edges t leaks);
   check Alcotest.bool "the leaks pollute" true (!polluted > 0);
   let rng = Random.State.make [| 19 |] in
@@ -1756,6 +1892,9 @@ let () =
           tc "announce repair = rebuild" `Quick
             test_announce_repair_matches_rebuild;
           tc "leaky tables stable" `Quick test_leaky_tables_stable;
+          tc "rov repair = rebuild" `Quick test_rov_repair_matches_rebuild;
+          tc "remote peering repair = rebuild" `Quick
+            test_remote_peering_repair_matches_rebuild;
           tc "route server to mux" `Quick test_route_server_to_mux_integration;
           tc "monitoring" `Quick test_monitoring;
           tc "periodic announce dampening" `Quick

@@ -339,6 +339,99 @@ let test_delta params () =
   List.iter (fun seed -> delta_one_world params seed) seeds
 
 (* ------------------------------------------------------------------ *)
+(* Growth: the graph gains edges and an AS after tables exist, as
+   [Testbed.add_remote_ixp] adds edges under live tables. First seeded
+   peer edges join existing ASes of the frozen graph; then a new stub
+   AS joins as the customer of two transit ASes. After each stage every
+   existing table must keep its routes (its indices do not move) and
+   answer [None] for the new AS without raising; repaired from the ends
+   of the new edges, it must equal the table [propagate] builds on a
+   twin graph that received the same additions before it was ever
+   frozen. *)
+
+let new_peer_edges = 3
+
+(* Stage 1: seeded peer edges between existing ASes, the first at the
+   scenarios' origin, so that the new edges move routes. Returns their
+   ends. *)
+let grow_edges seed (w : Gen.world) =
+  let g = w.Gen.graph in
+  let rng = Random.State.make [| seed; 7 |] in
+  let pool = Array.of_list (w.Gen.small_transit @ w.Gen.stubs) in
+  let ends = ref Asn.Set.empty and added = ref 0 in
+  while !added < new_peer_edges do
+    let a =
+      if !added = 0 then List.hd w.Gen.stubs
+      else pool.(Random.State.int rng (Array.length pool))
+    and b = pool.(Random.State.int rng (Array.length pool)) in
+    if (not (Asn.equal a b)) && As_graph.relationship g a b = None then begin
+      As_graph.add_edge g a Relationship.Peer b;
+      ends := Asn.Set.add a (Asn.Set.add b !ends);
+      incr added
+    end
+  done;
+  !ends
+
+(* Stage 2: a new stub AS under two transit ASes. Returns it and the
+   ends of its edges. *)
+let grow_stub seed (w : Gen.world) =
+  let g = w.Gen.graph in
+  let rng = Random.State.make [| seed; 8 |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let stub = Asn.of_int (4_100_000 + seed) in
+  As_graph.add_as g stub;
+  let p1 = pick w.Gen.small_transit and p2 = pick w.Gen.large_transit in
+  As_graph.add_edge g p1 Relationship.Customer stub;
+  As_graph.add_edge g p2 Relationship.Customer stub;
+  (stub, Asn.Set.of_list [ stub; p1; p2 ])
+
+let growth_one_world params seed =
+  let world () = Gen.generate { params with Gen.seed } in
+  let twin1 = world () and twin2 = world () in
+  ignore (grow_edges seed twin1);
+  ignore (grow_edges seed twin2);
+  ignore (grow_stub seed twin2);
+  let changed = ref 0 in
+  List.iter
+    (fun (name, deny, down, anns) ->
+      let w = world () in
+      let g = w.Gen.graph in
+      let r = Propagation.propagate ?deny ~down g anns in
+      let stage label grow (twin : Gen.world) =
+        let what = Printf.sprintf "seed %d %s %s" seed name label in
+        let before = Propagation.table r in
+        let stub, ends = grow () in
+        if Propagation.table r <> before then
+          Alcotest.failf "%s: growing the graph moved a route" what;
+        (match stub with
+        | Some a when Propagation.route_at r a <> None ->
+          Alcotest.failf "%s: the new AS has a route before any repair" what
+        | Some _ | None -> ());
+        Propagation.repair ?deny ~down g anns r ~toggled:ends;
+        let got = Propagation.table r in
+        check_tables ~engine:"repair after growth" ~what
+          (Propagation.table (Propagation.propagate ?deny ~down twin.Gen.graph anns))
+          got;
+        if got <> before then incr changed
+      in
+      stage "new edges" (fun () -> (None, grow_edges seed w)) twin1;
+      stage "new AS"
+        (fun () ->
+          let stub, ends = grow_stub seed w in
+          (Some stub, ends))
+        twin2)
+    (scenarios twin1);
+  (* Guard against a vacuous sweep: at least a quarter of the stages
+     must change the table. *)
+  let stages = 2 * List.length (scenarios twin1) in
+  if 4 * !changed < stages then
+    Alcotest.failf "seed %d: growth changed only %d of %d tables" seed !changed
+      stages
+
+let test_growth params () =
+  List.iter (fun seed -> growth_one_world params seed) seeds
+
+(* ------------------------------------------------------------------ *)
 (* Structural properties of every adopted table: valley-freeness,
    loop-freeness, origin-termination, catchment accounting, sorted
    accessor output. *)
@@ -590,6 +683,12 @@ let () =
           (fun (label, params) ->
             tc (Printf.sprintf "update = full propagation (%s)" label) `Quick
               (test_delta params))
+          sizes );
+      ( "growth",
+        List.map
+          (fun (label, params) ->
+            tc (Printf.sprintf "repair after growth = full propagation (%s)" label)
+              `Quick (test_growth params))
           sizes );
       ( "properties",
         [ tc "valley-free, loop-free, origin-terminated, accounted" `Quick

@@ -597,11 +597,94 @@ let test_zoo_abilene () =
   check Alcotest.int "11 pops" 11 (Topology_zoo.n_pops ab);
   check Alcotest.bool "connected" true (Topology_zoo.is_connected ab)
 
+(* ------------------------------------------------------------------ *)
+(* Dense view and table memory *)
+
+(* The ASNs of row [i] of view [d]. *)
+let dense_row (d : As_graph.dense) i =
+  List.init
+    (d.As_graph.first.(i + 1) - d.As_graph.first.(i))
+    (fun k -> Asn.to_int d.As_graph.asns.(d.As_graph.nbr.(d.As_graph.first.(i) + k)))
+
+(* Indices are insertion order and never move; rows list neighbours in
+   ascending ASN order; an added edge or AS makes the next read freeze
+   a new view, and the old view still answers for the ASes it holds. *)
+let test_dense_view () =
+  let g = As_graph.create () in
+  List.iter (fun a -> As_graph.add_as g (asn a)) [ 30; 10; 20 ];
+  As_graph.add_edge g (asn 30) Relationship.Customer (asn 20);
+  As_graph.add_edge g (asn 30) Relationship.Peer (asn 10);
+  let d = As_graph.freeze g in
+  check Alcotest.bool "cached while unchanged" true (As_graph.freeze g == d);
+  check Alcotest.(list int) "indices in insertion order" [ 0; 1; 2 ]
+    (List.map (fun a -> As_graph.index d (asn a)) [ 30; 10; 20 ]);
+  check Alcotest.int "unknown AS" (-1) (As_graph.index d (asn 99));
+  check Alcotest.(list int) "row in ASN order" [ 10; 20 ] (dense_row d 0);
+  (* A frozen graph keeps its edges in the view alone. *)
+  check Alcotest.bool "relationship read from the view" true
+    (As_graph.relationship g (asn 20) (asn 30) = Some Relationship.Provider);
+  check Alcotest.bool "duplicate of a frozen edge" true
+    (try
+       As_graph.add_edge g (asn 10) Relationship.Peer (asn 30);
+       false
+     with Invalid_argument _ -> true);
+  As_graph.add_as g (asn 5);
+  As_graph.add_edge g (asn 5) Relationship.Provider (asn 30);
+  check Alcotest.bool "relationship of an edge added since" true
+    (As_graph.relationship g (asn 30) (asn 5) = Some Relationship.Customer);
+  let d' = As_graph.freeze g in
+  check Alcotest.bool "frozen again" false (d' == d);
+  check Alcotest.(list int) "old indices kept, new AS last" [ 0; 1; 2; 3 ]
+    (List.map (fun a -> As_graph.index d' (asn a)) [ 30; 10; 20; 5 ]);
+  check Alcotest.int "the old view lacks the new AS" (-1)
+    (As_graph.index d (asn 5));
+  check Alcotest.(list int) "new edge in the row" [ 5; 10; 20 ] (dense_row d' 0);
+  check Alcotest.(list int) "accessors read the new view" [ 5; 20 ]
+    (List.map Asn.to_int (As_graph.customers g (asn 30)))
+
+(* Memory per prefix has a stated bound. One table of the default
+   testbed (one /24 announced at all five sites) costs at most
+   [words_per_reachable] words per reachable AS, counting its route
+   array and its routes but not the graph's dense view, which every
+   table shares. A route is a 4-word record plus the one cons cell it
+   adds to its next hop's path (3 words), and its array slot holds 1:
+   8 words. The hash table of routes it replaced cost 13.6. *)
+let words_per_reachable = 9
+
+let test_table_memory_bound () =
+  let open Peering_core in
+  let t = Testbed.build () in
+  let e =
+    match Testbed.new_experiment t ~id:"memory" () with
+    | Ok e -> e
+    | Error s -> Alcotest.fail s
+  in
+  let c = Client.create ~id:"c-memory" ~experiment:e () in
+  Testbed.connect_client t c
+    ~sites:(List.map Testbed.site_name (Testbed.sites t));
+  let p = List.hd e.Experiment.prefixes in
+  ignore (Client.announce c p);
+  let r = Option.get (Testbed.result_for t p) in
+  let view = As_graph.freeze (Testbed.graph t) in
+  let words =
+    Obj.reachable_words (Obj.repr (r, view))
+    - Obj.reachable_words (Obj.repr view)
+  in
+  let reach = Propagation.reachable_count r in
+  check Alcotest.bool "most ASes reachable" true
+    (2 * reach > As_graph.n_ases (Testbed.graph t));
+  if words > words_per_reachable * reach then
+    Alcotest.failf "table costs %d words for %d reachable ASes (%.2f each, bound %d)"
+      words reach
+      (float_of_int words /. float_of_int reach)
+      words_per_reachable
+
 let () =
   Alcotest.run "topo"
     [ ( "graph",
         [ tc "edges" `Quick test_graph_edges;
-          tc "validation" `Quick test_graph_validation
+          tc "validation" `Quick test_graph_validation;
+          tc "dense view" `Quick test_dense_view
         ] );
       ("gao-rexford", [ tc "export rules" `Quick test_export_rules ]);
       ( "propagation",
@@ -616,6 +699,7 @@ let () =
           tc "no stale route (five ASes)" `Quick test_repair_drops_stale_route;
           tc "no stale route under deny" `Quick
             test_propagate_deny_no_stale_route;
+          tc "table memory bound" `Quick test_table_memory_bound;
           QCheck_alcotest.to_alcotest prop_valley_free;
           QCheck_alcotest.to_alcotest prop_selective_export_shrinks_reach;
           QCheck_alcotest.to_alcotest prop_down_as_monotone
