@@ -38,12 +38,17 @@ module Ptbl = Hashtbl.Make (struct
     h lxor (h lsr 31)
 end)
 
-(* One neighbour's share of the Adj-RIB-In. [held] indexes the
-   prefixes it has at least one route for, so [drop_peer] and the
-   graceful-restart helpers touch only its own routes. *)
+(* One neighbour's share of the Adj-RIB-In. [held.(0 .. n_held - 1)]
+   lists every prefix it has at least one route for, in no order; it
+   may repeat a prefix or keep one the peer has since lost, and
+   [held_prefixes] sorts and filters it. [prefixes] counts the prefixes
+   it does hold, so a full array with no repeat or loss in it grows by
+   copying, without that sort. *)
 type peer = {
   key : string;
-  held : unit Ptbl.t;
+  mutable held : Prefix.t array;
+  mutable n_held : int;
+  mutable prefixes : int;
   mutable routes : int;
   mutable stale : int;  (* RFC 4724 marks among [routes] *)
 }
@@ -53,27 +58,25 @@ type peer = {
    candidate, which clears it. *)
 type cand = { owner : peer; route : Route.t; mutable stale : bool }
 
-(* [adj_in] maps a prefix to its candidates, highest peer key first and
-   each peer's paths oldest first: the order Decision resolves exact
-   ties by. *)
+(* A prefix's candidates, highest peer key first and each peer's paths
+   oldest first (the order Decision resolves exact ties by), beside
+   its Loc-RIB best. A slot is in [adj_in] exactly while it has a
+   candidate. *)
+type slot = { mutable cands : cand list; mutable best : Route.t option }
+
+(* [by_len.(l)] counts the Loc-RIB prefixes of length [l], so [lookup]
+   probes only lengths that have one. *)
 type t = {
-  adj_in : cand list Ptbl.t;
+  adj_in : slot Ptbl.t;
   peers : (string, peer) Hashtbl.t;
-  mutable loc : Route.t Prefix_trie.t;
+  by_len : int array;
 }
 
 let create () =
   { adj_in = Ptbl.create 64;
     peers = Hashtbl.create 16;
-    loc = Prefix_trie.empty
+    by_len = Array.make 33 0
   }
-
-let candidates_of t prefix =
-  Option.value (Ptbl.find_opt t.adj_in prefix) ~default:[]
-
-let set_candidates t prefix = function
-  | [] -> Ptbl.remove t.adj_in prefix
-  | cands -> Ptbl.replace t.adj_in prefix cands
 
 let find_path p path_id =
   List.find_opt (fun c -> c.owner == p && c.route.Route.path_id = path_id)
@@ -92,9 +95,43 @@ let rec insert c = function
 
 let routes_of cands = List.map (fun c -> c.route) cands
 
-let recompute t prefix cands =
-  let previous = Prefix_trie.find prefix t.loc in
-  let current = Decision.best (routes_of cands) in
+(* The prefixes [p] holds, once each and in address order, with their
+   slots. *)
+let held_prefixes t p =
+  Array.sub p.held 0 p.n_held
+  |> Array.to_list
+  |> List.sort_uniq Prefix.compare
+  |> List.filter_map (fun prefix ->
+         match Ptbl.find_opt t.adj_in prefix with
+         | Some slot when holds p slot.cands -> Some (prefix, slot)
+         | Some _ | None -> None)
+
+(* Record that [p] now holds [prefix]. A full index is rebuilt from
+   the [n] prefixes [p] holds, at length [2n + 16]; with no repeat or
+   loss in it, that is a copy. *)
+let add_held t p prefix =
+  if p.n_held = Array.length p.held then begin
+    let live =
+      if p.prefixes = p.n_held then p.held
+      else Array.of_list (List.map fst (held_prefixes t p))
+    in
+    let n = p.prefixes in
+    let held = Array.make ((2 * n) + 16) prefix in
+    Array.blit live 0 held 0 n;
+    p.held <- held;
+    p.n_held <- n
+  end;
+  p.held.(p.n_held) <- prefix;
+  p.n_held <- p.n_held + 1;
+  p.prefixes <- p.prefixes + 1
+
+let count_len t prefix d =
+  let l = Prefix.len prefix in
+  t.by_len.(l) <- t.by_len.(l) + d
+
+let recompute t prefix slot =
+  let previous = slot.best in
+  let current = Decision.best (routes_of slot.cands) in
   let changed =
     match (previous, current) with
     | None, None -> false
@@ -103,24 +140,30 @@ let recompute t prefix cands =
   in
   if changed then begin
     Metrics.Counter.inc m_loc_changes;
-    (match current with
-    | Some r -> t.loc <- Prefix_trie.add prefix r t.loc
-    | None -> t.loc <- Prefix_trie.remove prefix t.loc);
+    slot.best <- current;
+    (match (previous, current) with
+    | None, Some _ -> count_len t prefix 1
+    | Some _, None -> count_len t prefix (-1)
+    | None, None | Some _, Some _ -> ());
     Some { prefix; previous; current }
   end
   else None
 
-(* [p]'s candidates [gone] leave [prefix], whose set becomes [rest]. A
-   peer with no routes left is forgotten. *)
-let retire t p prefix gone rest =
+(* [p]'s candidates [gone] leave [slot], whose set becomes [rest];
+   then [prefix]'s best is recomputed. A peer with no routes left is
+   forgotten, and a slot with no candidates left is dropped. *)
+let retire t p prefix slot gone rest =
   List.iter
     (fun c ->
       p.routes <- p.routes - 1;
       if c.stale then p.stale <- p.stale - 1)
     gone;
   if p.routes = 0 then Hashtbl.remove t.peers p.key;
-  if not (holds p rest) then Ptbl.remove p.held prefix;
-  set_candidates t prefix rest
+  if not (holds p rest) then p.prefixes <- p.prefixes - 1;
+  slot.cands <- rest;
+  let change = recompute t prefix slot in
+  if rest = [] then Ptbl.remove t.adj_in prefix;
+  change
 
 let announce t ~peer (route : Route.t) =
   Metrics.Counter.inc m_announces;
@@ -128,53 +171,50 @@ let announce t ~peer (route : Route.t) =
     match Hashtbl.find_opt t.peers peer with
     | Some p -> p
     | None ->
-      let p = { key = peer; held = Ptbl.create 16; routes = 0; stale = 0 } in
+      let p =
+        { key = peer; held = [||]; n_held = 0; prefixes = 0; routes = 0;
+          stale = 0 }
+      in
       Hashtbl.replace t.peers peer p;
       p
   in
   let prefix = route.Route.prefix in
-  let cands = candidates_of t prefix in
-  (match find_path p route.Route.path_id cands with
+  let slot =
+    match Ptbl.find_opt t.adj_in prefix with
+    | Some slot -> slot
+    | None ->
+      let slot = { cands = []; best = None } in
+      Ptbl.add t.adj_in prefix slot;
+      slot
+  in
+  (match find_path p route.Route.path_id slot.cands with
   | Some old -> if old.stale then p.stale <- p.stale - 1
   | None ->
-    p.routes <- p.routes + 1;
-    Ptbl.replace p.held prefix ());
-  let cands = insert { owner = p; route; stale = false } cands in
-  Ptbl.replace t.adj_in prefix cands;
-  recompute t prefix cands
+    if not (holds p slot.cands) then add_held t p prefix;
+    p.routes <- p.routes + 1);
+  slot.cands <- insert { owner = p; route; stale = false } slot.cands;
+  recompute t prefix slot
 
 let withdraw t ~peer ?(path_id = 0) prefix =
   Metrics.Counter.inc m_withdraws;
-  match Hashtbl.find_opt t.peers peer with
-  | Some p when Ptbl.mem p.held prefix ->
-    let cands = candidates_of t prefix in
-    let cands =
-      match find_path p path_id cands with
-      | None -> cands
-      | Some old ->
-        let rest = List.filter (fun c -> c != old) cands in
-        retire t p prefix [ old ] rest;
-        rest
-    in
-    recompute t prefix cands
-  | Some _ | None -> None
+  match (Hashtbl.find_opt t.peers peer, Ptbl.find_opt t.adj_in prefix) with
+  | Some p, Some slot when holds p slot.cands -> (
+    match find_path p path_id slot.cands with
+    | None -> recompute t prefix slot
+    | Some old ->
+      let rest = List.filter (fun c -> c != old) slot.cands in
+      retire t p prefix slot [ old ] rest)
+  | _ -> None
 
 (* Remove [p]'s candidates that satisfy [doomed], then recompute each
    prefix that lost one, in address order. *)
 let remove_where t p doomed =
-  Ptbl.fold (fun prefix () acc -> prefix :: acc) p.held []
-  |> List.sort Prefix.compare
-  |> List.filter_map (fun prefix ->
+  held_prefixes t p
+  |> List.filter_map (fun (prefix, slot) ->
          let gone, rest =
-           List.partition
-             (fun c -> c.owner == p && doomed c)
-             (candidates_of t prefix)
+           List.partition (fun c -> c.owner == p && doomed c) slot.cands
          in
-         if gone = [] then None
-         else begin
-           retire t p prefix gone rest;
-           recompute t prefix rest
-         end)
+         if gone = [] then None else retire t p prefix slot gone rest)
 
 let drop_peer t ~peer =
   match Hashtbl.find_opt t.peers peer with
@@ -185,12 +225,10 @@ let mark_stale t ~peer =
   match Hashtbl.find_opt t.peers peer with
   | None -> 0
   | Some p ->
-    Ptbl.iter
-      (fun prefix () ->
-        List.iter
-          (fun c -> if c.owner == p then c.stale <- true)
-          (candidates_of t prefix))
-      p.held;
+    List.iter
+      (fun (_, slot) ->
+        List.iter (fun c -> if c.owner == p then c.stale <- true) slot.cands)
+      (held_prefixes t p);
     p.stale <- p.routes;
     Metrics.Counter.add m_stale_marked p.routes;
     p.routes
@@ -210,13 +248,38 @@ let peers t =
   Hashtbl.fold (fun key _ acc -> key :: acc) t.peers []
   |> List.sort String.compare
 
-let best t prefix = Prefix_trie.find prefix t.loc
-let candidates t prefix = Decision.sort (routes_of (candidates_of t prefix))
+let best t prefix =
+  match Ptbl.find_opt t.adj_in prefix with
+  | Some slot -> slot.best
+  | None -> None
 
+let candidates t prefix =
+  match Ptbl.find_opt t.adj_in prefix with
+  | Some slot -> Decision.sort (routes_of slot.cands)
+  | None -> []
+
+(* Probe the slots from /32 down, skipping lengths with no Loc-RIB
+   prefix. *)
 let lookup t addr =
-  Option.map snd (Prefix_trie.longest_match addr t.loc)
+  let rec probe len =
+    if len < 0 then None
+    else if t.by_len.(len) = 0 then probe (len - 1)
+    else
+      match Ptbl.find_opt t.adj_in (Prefix.make addr len) with
+      | Some { best = Some _ as best; _ } -> best
+      | Some { best = None; _ } | None -> probe (len - 1)
+  in
+  probe 32
 
-let fold_best f t acc = Prefix_trie.fold f t.loc acc
-let best_routes t = Prefix_trie.to_list t.loc
-let prefix_count t = Prefix_trie.cardinal t.loc
+let best_routes t =
+  Ptbl.fold
+    (fun prefix slot acc ->
+      match slot.best with Some r -> (prefix, r) :: acc | None -> acc)
+    t.adj_in []
+  |> List.sort (fun (p, _) (q, _) -> Prefix.compare p q)
+
+let fold_best f t acc =
+  List.fold_left (fun acc (prefix, r) -> f prefix r acc) acc (best_routes t)
+
+let prefix_count t = Array.fold_left ( + ) 0 t.by_len
 let route_count t = Hashtbl.fold (fun _ p n -> n + p.routes) t.peers 0

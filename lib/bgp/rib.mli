@@ -7,19 +7,32 @@
     the owner (a router uses peer addresses; the PEERING mux uses
     "client/peer" composite keys, one logical table per upstream).
 
-    The Adj-RIB-In is stored prefix-major: one hash table maps each
-    prefix to its candidate routes, so an {!announce} or {!withdraw}
-    costs O(candidates for that prefix), not O(peers). Each peer keeps
-    an index of the prefixes it holds, which {!drop_peer},
-    {!mark_stale} and {!sweep_stale} walk; they report changes in
-    address order. RFC 4724 stale marks are a flag on the candidate.
-    A prefix's candidates are kept highest peer key first, and each
-    peer's paths oldest first. {!Decision.best} keeps the first of
-    equally preferred routes, so an exact tie across peers (same
-    source, attributes and path-id) goes to the highest peer key, and
-    {!candidates} lists such ties in that order. The Loc-RIB is a
-    {!Peering_net.Prefix_trie}; it keeps its entry while the new best
-    route is {!Route.equal} to it. *)
+    The RIB is stored prefix-major: one hash table maps each prefix to
+    a slot holding its candidate routes beside its Loc-RIB best, so an
+    {!announce} or {!withdraw} finds one slot and costs O(candidates
+    for that prefix), not O(peers). The Loc-RIB is the slots' bests: a
+    slot keeps its best while the new best route is {!Route.equal} to
+    it. {!lookup} probes the slots from /32 down to /0, skipping every
+    length at which the Loc-RIB has no prefix. {!prefix_count} is
+    O(1); {!fold_best} and {!best_routes} sort the Loc-RIB on demand,
+    so each call costs O(n log n).
+
+    RFC 4724 stale marks are a flag on the candidate. A prefix's
+    candidates are kept highest peer key first, and each peer's paths
+    oldest first. {!Decision.best} keeps the first of equally preferred
+    routes, so an exact tie across peers (same source, attributes and
+    path-id) goes to the highest peer key, and {!candidates} lists such
+    ties in that order.
+
+    Each peer keeps an append-only index of the prefixes it holds,
+    which {!drop_peer}, {!mark_stale} and {!sweep_stale} sort and
+    deduplicate; they report changes in address order. The index may
+    repeat a prefix or keep one the peer no longer holds, but it is
+    bounded: when full it is rebuilt from the [L] prefixes the peer
+    then holds, at [2L + 16] entries. So it never holds more than
+    [2 * live + 16] entries, [live] counted at its last rebuild, and a
+    peer that flaps one prefix forever keeps a constant-size index. A
+    peer with no routes left is forgotten with its index. *)
 
 open Peering_net
 
@@ -75,12 +88,13 @@ val lookup : t -> Ipv4.t -> Route.t option
 (** Longest-prefix match against the Loc-RIB. *)
 
 val fold_best : (Prefix.t -> Route.t -> 'a -> 'a) -> t -> 'a -> 'a
-(** Fold over the Loc-RIB in address order. *)
+(** Fold over the Loc-RIB in address order (sorted on each call). *)
 
 val best_routes : t -> (Prefix.t * Route.t) list
+(** The Loc-RIB in address order (sorted on each call). *)
 
 val prefix_count : t -> int
-(** Number of prefixes in the Loc-RIB. *)
+(** Number of prefixes in the Loc-RIB, in O(1). *)
 
 val route_count : t -> int
 (** Total routes across all Adj-RIBs-In. *)

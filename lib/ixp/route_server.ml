@@ -4,26 +4,43 @@ module Metrics = Peering_obs.Metrics
 module Sink = Peering_obs.Sink
 module Span = Peering_obs.Span
 
-let m_announces =
-  Metrics.counter ~help:"member announcements processed by the route server"
-    "ixp.route_server.announces"
+(* The route server's instruments, registered by the first route one
+   processes: a program that passes no route through a route server
+   prints no [ixp.route_server.*] rows. Creating one is not enough,
+   because every testbed's AMS-IX fabric creates one as its member
+   directory. *)
+type instruments = {
+  m_announces : Metrics.Counter.t;
+  m_withdraws : Metrics.Counter.t;
+  m_delivered : Metrics.Counter.t;
+  m_filtered : Metrics.Counter.t;
+  m_fanout : Metrics.Histogram.t;
+}
 
-let m_withdraws =
-  Metrics.counter ~help:"member withdrawals processed by the route server"
-    "ixp.route_server.withdraws"
+let instruments =
+  lazy
+    { m_announces =
+        Metrics.counter
+          ~help:"member announcements processed by the route server"
+          "ixp.route_server.announces";
+      m_withdraws =
+        Metrics.counter ~help:"member withdrawals processed by the route server"
+          "ixp.route_server.withdraws";
+      m_delivered =
+        Metrics.counter
+          ~help:"routes delivered to members after export filtering"
+          "ixp.route_server.delivered";
+      m_filtered =
+        Metrics.counter
+          ~help:"deliveries blocked by BGP-community export policy"
+          "ixp.route_server.filtered";
+      m_fanout =
+        Metrics.histogram
+          ~help:"members reached per announcement after export filtering"
+          "ixp.route_server.fanout"
+    }
 
-let m_delivered =
-  Metrics.counter ~help:"routes delivered to members after export filtering"
-    "ixp.route_server.delivered"
-
-let m_filtered =
-  Metrics.counter ~help:"deliveries blocked by BGP-community export policy"
-    "ixp.route_server.filtered"
-
-let m_fanout =
-  Metrics.histogram
-    ~help:"members reached per announcement after export filtering"
-    "ixp.route_server.fanout"
+let m () = Lazy.force instruments
 
 (* A delivered route's key: several members may announce one prefix,
    and each member's withdraw retracts only its own route. *)
@@ -103,7 +120,7 @@ let announce t ~from (route : Route.t) =
       [ ("member", Asn.to_string from);
         ("prefix", Prefix.to_string route.Route.prefix) ]
   @@ fun () ->
-  Metrics.Counter.inc m_announces;
+  Metrics.Counter.inc (m ()).m_announces;
   let ann = announced_by t from in
   ann := Prefix.Map.add route.Route.prefix route !ann;
   let deliveries = ref [] in
@@ -126,9 +143,10 @@ let announce t ~from (route : Route.t) =
       end)
     t.connected;
   let deliveries = List.rev !deliveries in
-  Metrics.Counter.add m_delivered (List.length deliveries);
-  Metrics.Counter.add m_filtered !filtered;
-  Metrics.Histogram.observe m_fanout (float_of_int (List.length deliveries));
+  Metrics.Counter.add (m ()).m_delivered (List.length deliveries);
+  Metrics.Counter.add (m ()).m_filtered !filtered;
+  Metrics.Histogram.observe (m ()).m_fanout
+    (float_of_int (List.length deliveries));
   if Sink.active () then
     Sink.emit ~subsystem:"ixp.route_server"
       (Peering_obs.Event.Route_server_pass
@@ -146,7 +164,7 @@ let withdraw t ~from prefix =
   match Prefix.Map.find_opt prefix !ann with
   | None -> []
   | Some _route ->
-    Metrics.Counter.inc m_withdraws;
+    Metrics.Counter.inc (m ()).m_withdraws;
     ann := Prefix.Map.remove prefix !ann;
     let withdrawals = ref [] in
     Asn.Set.iter

@@ -211,10 +211,9 @@ let decode_peer_index c =
   let peers = Array.init n (fun _ -> read_peer c) in
   Peer_index_table { collector_id; view_name; peers }
 
-(* Scan a raw attribute section for the abbreviated MP_REACH next hop
-   of a RIB_IPV6 entry. *)
-let scan_mp_next_hop araw =
-  let c = Cursor.of_bytes araw in
+(* Scan an attribute section for the abbreviated MP_REACH next hop of
+   a RIB_IPV6 entry. *)
+let scan_mp_next_hop c =
   let found = ref None in
   while Cursor.remaining c > 0 do
     let flags = Cursor.u8 c in
@@ -230,37 +229,43 @@ let scan_mp_next_hop araw =
   done;
   !found
 
-let read_rib_entry ~v6 c =
+(* [c] reads the record body in [buf]. The attributes are decoded in
+   place; a RIB_IPV6 entry's next hop is scanned from a second cursor
+   over the same bytes. *)
+let read_rib_entry ~v6 buf c =
   let peer_index = Cursor.u16 c in
   let originated = Cursor.u32 c in
   let alen = Cursor.u16 c in
-  let araw = Cursor.rest (Cursor.slice c alen) in
+  let start = Cursor.pos c in
   let attrs =
     match
       Wire.decode_attrs ~require_next_hop:(not v6) attr_opts
-        (Cursor.of_bytes araw)
+        (Cursor.slice c alen)
     with
     | Result.Error e -> raise (Error (Bad_message e))
     | Ok None -> raise (Error (Bad_record "RIB entry without attributes"))
     | Ok (Some a) -> a
   in
-  let next_hop6 = if v6 then scan_mp_next_hop araw else None in
+  let next_hop6 =
+    if v6 then scan_mp_next_hop (Cursor.of_bytes ~pos:start ~len:alen buf)
+    else None
+  in
   if v6 && next_hop6 = None then
     raise (Error (Bad_record "RIB_IPV6 entry without MP_REACH next hop"));
   { peer_index; originated; attrs; next_hop6 }
 
-let decode_rib ~v6 c =
+let decode_rib ~v6 buf c =
   let seq = Cursor.u32 c in
   if v6 then begin
     let prefix = Mp.read_prefix6 c in
     let n = Cursor.u16 c in
-    let entries = List.init n (fun _ -> read_rib_entry ~v6 c) in
+    let entries = List.init n (fun _ -> read_rib_entry ~v6 buf c) in
     Rib_v6 { seq; prefix; entries }
   end
   else begin
     let prefix = Wire.read_prefix c in
     let n = Cursor.u16 c in
-    let entries = List.init n (fun _ -> read_rib_entry ~v6 c) in
+    let entries = List.init n (fun _ -> read_rib_entry ~v6 buf c) in
     Rib_v4 { seq; prefix; entries }
   end
 
@@ -298,8 +303,9 @@ let decode buf ~pos =
     let record =
       if ty = type_table_dump_v2 then
         if sub = subtype_peer_index_table then decode_peer_index body
-        else if sub = subtype_rib_ipv4_unicast then decode_rib ~v6:false body
-        else if sub = subtype_rib_ipv6_unicast then decode_rib ~v6:true body
+        else if sub = subtype_rib_ipv4_unicast then
+          decode_rib ~v6:false buf body
+        else if sub = subtype_rib_ipv6_unicast then decode_rib ~v6:true buf body
         else
           raise
             (Error (Bad_record (Printf.sprintf "TABLE_DUMP_V2 subtype %d" sub)))

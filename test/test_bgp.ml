@@ -672,6 +672,38 @@ let test_rib_add_path () =
   check Alcotest.int "one left" 1
     (List.length (Rib.candidates rib (pfx "10.0.0.0/8")))
 
+(* A peer that flaps one prefix forever costs a bounded index (at most
+   2 x live + 16 entries): after 100,000 announce/withdraw cycles among
+   a few steady routes the whole Rib is still a few hundred words, and
+   a drop reports each of the peer's prefixes once, in address order. *)
+let test_rib_flap_bound () =
+  let rib = Rib.create () in
+  List.iter
+    (fun p ->
+      ignore
+        (Rib.announce rib ~peer:"flappy" (route ~source:(src 1) ~path:[ 1 ] p)))
+    [ "10.2.0.0/16"; "10.0.0.0/16"; "10.1.0.0/16" ];
+  ignore
+    (Rib.announce rib ~peer:"steady"
+       (route ~source:(src 2) ~path:[ 2; 3 ] "10.9.0.0/16"));
+  let flap = route ~source:(src 1) ~path:[ 1 ] "10.9.0.0/16" in
+  for _ = 1 to 100_000 do
+    ignore (Rib.announce rib ~peer:"flappy" flap);
+    ignore (Rib.withdraw rib ~peer:"flappy" (pfx "10.9.0.0/16"))
+  done;
+  ignore (Rib.announce rib ~peer:"flappy" flap);
+  let words = Obj.reachable_words (Obj.repr rib) in
+  check Alcotest.bool
+    (Printf.sprintf "%d reachable words < 1000" words)
+    true (words < 1000);
+  check
+    Alcotest.(list string)
+    "each prefix once, in address order"
+    [ "10.0.0.0/16"; "10.1.0.0/16"; "10.2.0.0/16"; "10.9.0.0/16" ]
+    (List.map
+       (fun c -> Prefix.to_string c.Rib.prefix)
+       (Rib.drop_peer rib ~peer:"flappy"))
+
 (* ------------------------------------------------------------------ *)
 (* Policy *)
 
@@ -1246,7 +1278,8 @@ let () =
         [ tc "basic" `Quick test_rib_basic;
           tc "drop peer" `Quick test_rib_drop_peer;
           tc "lpm" `Quick test_rib_lpm;
-          tc "add-path" `Quick test_rib_add_path
+          tc "add-path" `Quick test_rib_add_path;
+          tc "flap bound" `Quick test_rib_flap_bound
         ] );
       ( "policy",
         [ tc "prefix filter" `Quick test_policy_prefix_filter;

@@ -8,8 +8,10 @@
    paths oldest first. Seeded random sequences of announce, withdraw,
    drop_peer, mark_stale and sweep_stale run against both; after every
    step the returned changes (in order), [best], [candidates] (in
-   order), the counts, [peers], [stale_count] and the decision, Loc-RIB
-   and graceful-restart counters must agree.
+   order), [lookup] at fixed probe addresses, [best_routes] (in
+   address order), the counts, [peers], [stale_count] and the
+   decision, Loc-RIB and graceful-restart counters must agree. The
+   reference's lookup is a longest match over its Loc-RIB.
 
    Every announced route carries its step number in [learned_at], which
    neither [Route.equal] nor the decision process reads. Exact ties
@@ -39,6 +41,19 @@ let prefixes =
   Array.map Prefix.of_string_exn
     [| "10.0.0.0/8"; "10.0.0.0/24"; "10.1.0.0/16"; "192.168.0.0/24";
        "0.0.0.0/0" |]
+
+(* The first and last address of each pool prefix, one inside each,
+   and one outside every pool prefix but 0.0.0.0/0. The pool nests
+   0.0.0.0/0, 10.0.0.0/8, 10.1.0.0/16 and 10.0.0.0/24, so a lookup
+   that stops at the wrong length answers some of these wrongly. *)
+let probes =
+  Array.to_list prefixes
+  |> List.concat_map (fun p ->
+         let first = Prefix.first p in
+         [ first; Prefix.last p;
+           Ipv4.of_int (Ipv4.to_int first + (Prefix.size p / 2) + 1) ])
+  |> List.cons (Ipv4.of_string_exn "203.0.113.7")
+  |> List.sort_uniq Ipv4.compare
 
 let source i =
   let ip = Ipv4.of_int (0x0A00_0000 + i) in
@@ -200,6 +215,8 @@ type view = {
   marked : int;  (* mark_stale's result; 0 for the other ops *)
   best : Route.t option list;  (* per pool prefix *)
   candidates : Route.t list list;  (* per pool prefix *)
+  lookups : Route.t option list;  (* per probe address *)
+  best_routes : (Prefix.t * Route.t) list;  (* address order *)
   route_count : int;
   prefix_count : int;
   peers : string list;
@@ -221,13 +238,17 @@ let pp_view ppf v =
   let ints = list Format.pp_print_int in
   Format.fprintf ppf
     "@[<v>changes: @[%a@]@,marked: %d@,best: @[%a@]@,candidates: @[<v>%a@]@,\
-     routes %d, prefixes %d@,peers: @[%a@]@,stale: @[%a@]@,counters: @[%a@]@]"
+     lookups: @[%a@]@,best_routes: @[%a@]@,routes %d, prefixes %d@,\
+     peers: @[%a@]@,stale: @[%a@]@,counters: @[%a@]@]"
     (list (fun ppf (c : Rib.change) ->
        Format.fprintf ppf "%a: %a -> %a" Prefix.pp c.Rib.prefix pp_route_opt
          c.Rib.previous pp_route_opt c.Rib.current))
     v.changes v.marked (list pp_route_opt) v.best
     (list (fun ppf l -> Format.fprintf ppf "[@[%a@]]" (list pp_route) l))
-    v.candidates v.route_count v.prefix_count
+    v.candidates (list pp_route_opt) v.lookups
+    (list (fun ppf (p, r) ->
+       Format.fprintf ppf "%a: %a" Prefix.pp p pp_route r))
+    v.best_routes v.route_count v.prefix_count
     (list Format.pp_print_string) v.peers ints v.stale ints v.counters
 
 let view_t = Alcotest.testable pp_view ( = )
@@ -237,6 +258,8 @@ let rib_view rib ~changes ~marked ~counters =
     marked;
     best = Array.to_list (Array.map (Rib.best rib) prefixes);
     candidates = Array.to_list (Array.map (Rib.candidates rib) prefixes);
+    lookups = List.map (Rib.lookup rib) probes;
+    best_routes = Rib.best_routes rib;
     route_count = Rib.route_count rib;
     prefix_count = Rib.prefix_count rib;
     peers = Rib.peers rib;
@@ -245,12 +268,24 @@ let rib_view rib ~changes ~marked ~counters =
     counters
   }
 
+(* Longest match over the reference's Loc-RIB. *)
+let ref_lookup r addr =
+  List.fold_left
+    (fun acc (p, route) ->
+      match acc with
+      | Some (q, _) when Prefix.len q >= Prefix.len p -> acc
+      | Some _ | None -> if Prefix.mem addr p then Some (p, route) else acc)
+    None r.loc
+  |> Option.map snd
+
 let ref_view r ~changes ~marked =
   let per_prefix f = Array.to_list (Array.map f prefixes) in
   { changes;
     marked;
     best = per_prefix (fun p -> List.assoc_opt p r.loc);
     candidates = per_prefix (fun p -> Decision.sort (ref_candidates r p));
+    lookups = List.map (ref_lookup r) probes;
+    best_routes = List.sort (fun (p, _) (q, _) -> Prefix.compare p q) r.loc;
     route_count = List.length r.entries;
     prefix_count = List.length r.loc;
     peers =
