@@ -433,8 +433,7 @@ let a2 () =
             ~mux ~export:(fun _ -> ()) ()
         in
         for i = 1 to n_peers do
-          Server.add_peer s ~kind:Server.Route_server_peer
-            (Asn.of_int (1000 + i))
+          Server.add_peer s (Asn.of_int (1000 + i))
         done;
         for i = 1 to n_clients do
           let experiment =

@@ -1001,7 +1001,6 @@ let monitor_cmd =
   let module Metrics = Peering_obs.Metrics in
   let module Json = Peering_obs.Json in
   let module Monitor = Peering_measure.Monitor in
-  let module Collector = Peering_measure.Collector in
   let module Campaign = Peering_fault.Campaign in
   (* A deterministic scenario that exercises the whole telemetry
      plane: every mux streams BMP to one station; routes are fed, one
@@ -1012,8 +1011,7 @@ let monitor_cmd =
     Metrics.reset ();
     let t = seeded_testbed seed in
     let engine = Testbed.engine t in
-    let collector = Collector.create () in
-    let mon = Monitor.create ~collector () in
+    let mon = Monitor.create () in
     List.iter
       (fun site ->
         let srv = Testbed.site_server site in

@@ -89,12 +89,13 @@ let site_metrics site =
 
 type mux_mode = Per_peer_sessions | Add_path_mux
 
-type peer_kind = Transit | Ixp_peer | Route_server_peer
-
+(* One record per upstream peer: its session address and its
+   Adj-RIB-In, with the table's live route count for Stats Reports. *)
 type peer = {
   peer_asn : Asn.t;
-  kind : peer_kind;
   addr : Ipv4.t;
+  mutable table : Route.t Prefix.Map.t;
+  mutable n_routes : int;
 }
 
 type export_event =
@@ -128,12 +129,13 @@ type t = {
   safety : Safety.t;
   mux : mux_mode;
   export : export_event -> unit;
-  mutable peer_list : peer list;
-  (* the ASNs of [peer_list]: a full export's target set, shared by
-     every such export *)
+  (* every peer by ASN, and newest first ([iter_peers] walks them in
+     the order they were added) *)
+  by_asn : (int, peer) Hashtbl.t;
+  mutable peers_rev : peer list;
+  (* the peers' ASNs: a full export's target set, shared by every such
+     export *)
   mutable peer_set : Asn.Set.t;
-  (* peer asn -> (prefix -> route as learned) *)
-  learned : (int, Route.t Prefix.Map.t ref) Hashtbl.t;
   mutable conns : client_conn list;
   mutable up : bool;
   mutable crashed_at : float option;
@@ -158,9 +160,9 @@ let create engine ~name ~asn ~safety ?(mux = Per_peer_sessions) ~export () =
     safety;
     mux;
     export;
-    peer_list = [];
+    by_asn = Hashtbl.create 64;
+    peers_rev = [];
     peer_set = Asn.Set.empty;
-    learned = Hashtbl.create 64;
     conns = [];
     up = true;
     crashed_at = None;
@@ -251,18 +253,19 @@ let default_peer_addr asn =
   Ipv4.of_octets 172 (16 + (a lsr 16 land 0x0F)) (a lsr 8 land 0xFF)
     (a land 0xFF)
 
-let add_peer t ~kind ?addr peer_asn =
-  if Asn.Set.mem peer_asn t.peer_set then
+let add_peer t ?addr peer_asn =
+  if Hashtbl.mem t.by_asn (Asn.to_int peer_asn) then
     invalid_arg "Server.add_peer: duplicate peer";
   let addr = Option.value addr ~default:(default_peer_addr peer_asn) in
-  let p = { peer_asn; kind; addr } in
-  t.peer_list <- t.peer_list @ [ p ];
+  let p = { peer_asn; addr; table = Prefix.Map.empty; n_routes = 0 } in
+  Hashtbl.replace t.by_asn (Asn.to_int peer_asn) p;
+  t.peers_rev <- p :: t.peers_rev;
   t.peer_set <- Asn.Set.add peer_asn t.peer_set;
   if t.up then bmp_peer_up t p
 
-let peers t = t.peer_list
-let peer_asns t = List.map (fun p -> p.peer_asn) t.peer_list
-let n_peers t = List.length t.peer_list
+let iter_peers t f = List.iter f (List.rev t.peers_rev)
+let peer_asns t = List.rev_map (fun p -> p.peer_asn) t.peers_rev
+let n_peers t = Hashtbl.length t.by_asn
 
 let find_conn t id = List.find_opt (fun c -> c.id = id) t.conns
 
@@ -271,25 +274,17 @@ let find_conn_exn t id =
   | Some c -> c
   | None -> invalid_arg (Printf.sprintf "Server %s: unknown client %s" t.server_name id)
 
-let peer_table t peer_asn =
-  match Hashtbl.find_opt t.learned (Asn.to_int peer_asn) with
-  | Some r -> r
-  | None ->
-    let r = ref Prefix.Map.empty in
-    Hashtbl.replace t.learned (Asn.to_int peer_asn) r;
-    r
-
 let bmp_stats_peer t p =
-  let n = Prefix.Map.cardinal !(peer_table t p.peer_asn) in
   bmp_emit t
     (Bmp.Stats_report
        { peer = bmp_peer_hdr t p;
          stats =
-           [ { Bmp.stat_type = Bmp.stat_routes_adj_rib_in; stat_value = n } ]
+           [ { Bmp.stat_type = Bmp.stat_routes_adj_rib_in;
+               stat_value = p.n_routes
+             } ]
        })
 
-let emit_bmp_stats t =
-  if t.up then List.iter (fun p -> bmp_stats_peer t p) t.peer_list
+let emit_bmp_stats t = if t.up then iter_peers t (bmp_stats_peer t)
 
 (* State-sync on attach, mirroring what a BMP speaker sends a station
    that connects mid-flight (RFC 7854 §3.3): Initiation, a Peer Up per
@@ -300,12 +295,10 @@ let emit_bmp_stats t =
 let bmp_sync t =
   bmp_emit t
     (Bmp.Initiation { info = [ (1, "peering mux"); (2, t.server_name) ] });
-  List.iter
-    (fun p ->
+  iter_peers t (fun p ->
       bmp_peer_up t p;
-      Prefix.Map.iter (fun _ route -> bmp_route t p route) !(peer_table t p.peer_asn);
+      Prefix.Map.iter (fun _ route -> bmp_route t p route) p.table;
       bmp_stats_peer t p)
-    t.peer_list
 
 let set_bmp_sink t sink =
   t.bmp_sink <- sink;
@@ -315,13 +308,10 @@ let replay_to conn t =
   match conn.callbacks with
   | None -> ()
   | Some cb ->
-    List.iter
-      (fun p ->
-        let table = peer_table t p.peer_asn in
+    iter_peers t (fun p ->
         Prefix.Map.iter
           (fun _ route -> cb.route_update ~peer:p.peer_asn route)
-          !table)
-      t.peer_list
+          p.table)
 
 let connect_client t ~experiment ?callbacks id =
   if find_conn t id <> None then
@@ -421,11 +411,14 @@ let disconnect_client t id =
       (Prefix.Map.bindings conn.announced);
     t.conns <- List.filter (fun c -> c.id <> id) t.conns
 
-let peer_of_asn t peer_asn =
-  List.find_opt (fun p -> Asn.equal p.peer_asn peer_asn) t.peer_list
+(* Every 100th Adj-RIB-In change also reports the changing peer's
+   table size. *)
+let note_bmp_change t p =
+  t.bmp_changes <- t.bmp_changes + 1;
+  if t.bmp_changes mod 100 = 0 then bmp_stats_peer t p
 
 let learn_route t ~peer ~path prefix =
-  match peer_of_asn t peer with
+  match Hashtbl.find_opt t.by_asn (Asn.to_int peer) with
   | None -> invalid_arg "Server.learn_route: unknown peer"
   | Some _ when not t.up -> ()  (* crashed mux hears nothing *)
   | Some p ->
@@ -439,12 +432,11 @@ let learn_route t ~peer ~path prefix =
     let route =
       Route.make ~source ~learned_at:(Engine.now t.engine) prefix attrs
     in
-    let table = peer_table t peer in
-    table := Prefix.Map.add prefix route !table;
+    if not (Prefix.Map.mem prefix p.table) then p.n_routes <- p.n_routes + 1;
+    p.table <- Prefix.Map.add prefix route p.table;
     Metrics.Counter.inc t.m.m_routes_learned;
     bmp_route t p route;
-    t.bmp_changes <- t.bmp_changes + 1;
-    if t.bmp_changes mod 100 = 0 then bmp_stats_peer t p;
+    note_bmp_change t p;
     List.iter
       (fun conn ->
         match conn.callbacks with
@@ -455,22 +447,19 @@ let learn_route t ~peer ~path prefix =
       t.conns
 
 let withdraw_learned t ~peer prefix =
-  let table = peer_table t peer in
-  if t.up && Prefix.Map.mem prefix !table then begin
-    table := Prefix.Map.remove prefix !table;
-    (match peer_of_asn t peer with
-    | Some p ->
-      bmp_withdraw t p prefix;
-      t.bmp_changes <- t.bmp_changes + 1;
-      if t.bmp_changes mod 100 = 0 then bmp_stats_peer t p
-    | None -> ());
+  match Hashtbl.find_opt t.by_asn (Asn.to_int peer) with
+  | Some p when t.up && Prefix.Map.mem prefix p.table ->
+    p.table <- Prefix.Map.remove prefix p.table;
+    p.n_routes <- p.n_routes - 1;
+    bmp_withdraw t p prefix;
+    note_bmp_change t p;
     List.iter
       (fun conn ->
         match conn.callbacks with
         | Some cb -> cb.route_withdraw ~peer prefix
         | None -> ())
       t.conns
-  end
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Crash / restart (fault injection) *)
@@ -484,11 +473,15 @@ let crash t =
     (* The BGP process dies with its Adj-RIBs-In; upstream routes must
        be re-learned after restart. Client registrations (and the
        safety registry) live in the controller and survive. *)
-    Hashtbl.reset t.learned;
+    Hashtbl.iter
+      (fun _ p ->
+        p.table <- Prefix.Map.empty;
+        p.n_routes <- 0)
+      t.by_asn;
     Metrics.Counter.inc t.m.m_crashes;
     (* Every monitored session dies with the process: Peer Down per
        peer (reason 2, local system closed), then Termination. *)
-    List.iter (fun p -> bmp_peer_down t p ~reason:2) t.peer_list;
+    iter_peers t (fun p -> bmp_peer_down t p ~reason:2);
     bmp_emit t (Bmp.Termination { info = [ (0, "bgp process down") ] });
     match t.status_hook with Some f -> f false | None -> ()
   end
@@ -508,7 +501,7 @@ let restart t =
       bmp_emit t
         (Bmp.Initiation { info = [ (1, "peering mux"); (2, t.server_name) ] })
     end;
-    List.iter (fun p -> bmp_peer_up t p) t.peer_list;
+    iter_peers t (bmp_peer_up t);
     (match t.status_hook with Some f -> f true | None -> ());
     (* Failover: re-issue every client's surviving announcements so
        Adj-RIBs-Out resynchronize without client involvement. Each
@@ -534,11 +527,11 @@ let restart t =
   end
 
 let learned_route_count t =
-  Hashtbl.fold (fun _ r acc -> acc + Prefix.Map.cardinal !r) t.learned 0
+  Hashtbl.fold (fun _ p acc -> acc + p.n_routes) t.by_asn 0
 
 let adj_rib_dump t =
   Bmp.adj_rib_dump
-    (Hashtbl.fold (fun asn table acc -> (asn, !table) :: acc) t.learned [])
+    (Hashtbl.fold (fun asn p acc -> (asn, p.table) :: acc) t.by_asn [])
 
 let rib_digest t = Bmp.rib_digest (adj_rib_dump t)
 

@@ -20,17 +20,6 @@ open Peering_bgp
 
 type mux_mode = Per_peer_sessions | Add_path_mux
 
-type peer_kind =
-  | Transit  (** a university-site upstream provider *)
-  | Ixp_peer  (** bilateral peer at an IXP *)
-  | Route_server_peer  (** reached via an IXP route server *)
-
-type peer = {
-  peer_asn : Asn.t;
-  kind : peer_kind;
-  addr : Ipv4.t;
-}
-
 (** What the server asks the outside world to do — the testbed wires
     this into the simulated Internet. *)
 type export_event =
@@ -63,12 +52,13 @@ val name : t -> string
 val asn : t -> Asn.t
 val mux_mode : t -> mux_mode
 
-val add_peer : t -> kind:peer_kind -> ?addr:Ipv4.t -> Asn.t -> unit
+val add_peer : t -> ?addr:Ipv4.t -> Asn.t -> unit
 (** Register an upstream peer (default address derived from the ASN).
     Duplicates raise [Invalid_argument]. *)
 
-val peers : t -> peer list
 val peer_asns : t -> Asn.t list
+(** In the order the peers were added. *)
+
 val n_peers : t -> int
 
 val connect_client :
@@ -107,6 +97,8 @@ val learn_route : t -> peer:Asn.t -> path:Asn.t list -> Prefix.t -> unit
 val withdraw_learned : t -> peer:Asn.t -> Prefix.t -> unit
 
 val learned_route_count : t -> int
+(** Routes held across every peer's table, from per-peer live counts
+    (O(peers), not O(routes)). *)
 
 val is_up : t -> bool
 (** False between {!crash} and {!restart}. *)

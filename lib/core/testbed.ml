@@ -252,16 +252,11 @@ let handle_export t site_name site_asn event =
       Propagation.announce ~path_suffix ~export_to:peers site_asn prefix
     in
     add_active t prefix (From_site { site = site_name; client }) ann;
-    Asn.Set.iter
-      (fun peer ->
-        Collector.record t.col ~time:(Engine.now t.eng) ~peer ~prefix
-          ~path:(peering_asn :: path_suffix)
-          Collector.Announce)
-      peers
+    Collector.record t.col ~pairs:(Asn.Set.cardinal peers) ~prefix
+      ~path:(peering_asn :: path_suffix) Collector.Announce
   | Server.Export_withdraw { client; prefix } ->
     remove_active t prefix (From_site { site = site_name; client });
-    Collector.record t.col ~time:(Engine.now t.eng) ~peer:peering_asn ~prefix
-      ~path:[] Collector.Withdraw
+    Collector.record t.col ~pairs:1 ~prefix ~path:[] Collector.Withdraw
 
 (* ------------------------------------------------------------------ *)
 (* Build *)
@@ -336,7 +331,7 @@ let build ?(params = default_params) () =
            (* Multilateral peers via the route server. *)
            List.iter
              (fun m ->
-               Server.add_peer site.s_server ~kind:Server.Route_server_peer m;
+               Server.add_peer site.s_server m;
                As_graph.add_edge g site.s_asn Relationship.Peer m)
              (Fabric.route_server_users fabric);
            (* Bilateral requests to the non-RS members. *)
@@ -345,8 +340,7 @@ let build ?(params = default_params) () =
                (fun (m : Fabric.member) ->
                  match Fabric.request_peering fabric ~target:m.Fabric.asn with
                  | Fabric.Accepted ->
-                   Server.add_peer site.s_server ~kind:Server.Ixp_peer
-                     m.Fabric.asn;
+                   Server.add_peer site.s_server m.Fabric.asn;
                    As_graph.add_edge g site.s_asn Relationship.Peer
                      m.Fabric.asn
                  | Fabric.Declined | Fabric.No_response
@@ -368,7 +362,7 @@ let build ?(params = default_params) () =
              done;
              Hashtbl.iter
                (fun _ p ->
-                 Server.add_peer site.s_server ~kind:Server.Transit p;
+                 Server.add_peer site.s_server p;
                  (* The university upstream is PEERING's provider. *)
                  As_graph.add_edge g p Relationship.Customer site.s_asn)
                chosen)))
@@ -384,7 +378,7 @@ let build ?(params = default_params) () =
              (fun m ->
                if not (List.exists (Asn.equal m) (Server.peer_asns site.s_server))
                then begin
-                 Server.add_peer site.s_server ~kind:Server.Route_server_peer m;
+                 Server.add_peer site.s_server m;
                  As_graph.add_edge g site.s_asn Relationship.Peer m
                end)
              (Fabric.route_server_users fabric)))
@@ -507,11 +501,11 @@ let start_monitoring t ?vantages ~interval ~rounds () =
             (fun vantage ->
               match Propagation.full_path result vantage with
               | Some path ->
-                Collector.record t.col ~time:(Engine.now t.eng) ~peer:vantage
-                  ~prefix ~path:(canonical_path t path) Collector.Announce
+                Collector.record t.col ~pairs:1 ~prefix
+                  ~path:(canonical_path t path) Collector.Announce
               | None ->
-                Collector.record t.col ~time:(Engine.now t.eng) ~peer:vantage
-                  ~prefix ~path:[] Collector.Withdraw)
+                Collector.record t.col ~pairs:1 ~prefix ~path:[]
+                  Collector.Withdraw)
             vantages)
         t.results;
       t.monitor_rounds <- t.monitor_rounds + 1;
@@ -560,7 +554,7 @@ let add_remote_ixp t ~via ~name =
         (not (Asn.Set.mem peer existing))
         && not (Asn.equal peer s.s_asn)
       then begin
-        Server.add_peer s.s_server ~kind:Server.Route_server_peer peer;
+        Server.add_peer s.s_server peer;
         As_graph.add_edge (graph t) s.s_asn Relationship.Peer peer;
         ends := Asn.Set.add peer !ends
       end)
@@ -578,8 +572,7 @@ let feed_peer_routes t ~site:name ?(max_per_peer = 200) () =
   let s = site_exn t name in
   let fed = ref 0 in
   List.iter
-    (fun (p : Server.peer) ->
-      let peer = p.Server.peer_asn in
+    (fun peer ->
       let cone = Customer_cone.cone (graph t) peer in
       let budget = ref max_per_peer in
       (try
@@ -597,5 +590,5 @@ let feed_peer_routes t ~site:name ?(max_per_peer = 200) () =
                (As_graph.prefixes_of (graph t) origin))
            cone
        with Exit -> ()))
-    (Server.peers s.s_server);
+    (Server.peer_asns s.s_server);
   !fed

@@ -54,6 +54,9 @@ val graph : t -> As_graph.t
 val controller : t -> Controller.t
 val safety : t -> Safety.t
 val collector : t -> Peering_measure.Collector.t
+(** Every export (one call per export, counting its target peers as
+    pairs) and every monitoring round land here. *)
+
 val sites : t -> site list
 val site : t -> string -> site option
 val site_exn : t -> string -> site
@@ -199,8 +202,12 @@ val start_monitoring :
     collect regular control and data plane measurements towards
     PEERING prefixes"): every [interval] virtual seconds, for [rounds]
     rounds, record the AS path each vantage AS currently uses toward
-    every active prefix into the {!collector}. Default vantages: 16
-    stubs sampled deterministically. Drive the engine to execute. *)
+    every active prefix into the {!collector}: one (vantage, event)
+    pair per vantage and prefix, a withdrawal where the vantage has no
+    path. The collector keeps each prefix's count and newest path, so
+    rounds add no memory once every prefix has been seen. Default
+    vantages: 16 stubs sampled deterministically. Drive the engine to
+    execute. *)
 
 val monitoring_rounds_completed : t -> int
 (** Make the site's server "learn" its peers' routes (each peer

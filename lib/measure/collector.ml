@@ -2,39 +2,33 @@ open Peering_net
 
 type kind = Announce | Withdraw
 
-type entry = {
-  time : float;
-  peer : Asn.t;
-  prefix : Prefix.t;
-  path : Asn.t list;
-  kind : kind;
-}
+(* One slot per prefix: its (peer, event) pairs and the path of its
+   newest event ([None] once withdrawn). *)
+type summary = { mutable events : int; mutable last : Asn.t list option }
 
-type t = { mutable log : entry list (* newest first *) }
+type t = { prefixes : (Prefix.t, summary) Hashtbl.t; mutable pairs : int }
 
-let create () = { log = [] }
+let create () = { prefixes = Hashtbl.create 64; pairs = 0 }
 
-let record t ~time ~peer ~prefix ~path kind =
-  t.log <- { time; peer; prefix; path; kind } :: t.log
+let record t ~pairs ~prefix ~path kind =
+  if pairs > 0 then begin
+    let last = match kind with Announce -> Some path | Withdraw -> None in
+    (match Hashtbl.find_opt t.prefixes prefix with
+    | Some s ->
+      s.events <- s.events + pairs;
+      s.last <- last
+    | None -> Hashtbl.add t.prefixes prefix { events = pairs; last });
+    t.pairs <- t.pairs + pairs
+  end
 
-let entries t = List.rev t.log
-
-let for_prefix t prefix =
-  List.filter (fun e -> Prefix.equal e.prefix prefix) (entries t)
-
-let churn t prefix = List.length (for_prefix t prefix)
+let churn t prefix =
+  match Hashtbl.find_opt t.prefixes prefix with Some s -> s.events | None -> 0
 
 let last_path t prefix =
-  let rec find = function
-    | [] -> None
-    | e :: rest ->
-      if Prefix.equal e.prefix prefix then
-        match e.kind with
-        | Announce -> Some e.path
-        | Withdraw -> None
-      else find rest
-  in
-  find t.log
+  match Hashtbl.find_opt t.prefixes prefix with Some s -> s.last | None -> None
 
-let n_entries t = List.length t.log
-let clear t = t.log <- []
+let n_entries t = t.pairs
+
+let clear t =
+  Hashtbl.reset t.prefixes;
+  t.pairs <- 0

@@ -74,7 +74,6 @@ type alert = {
 }
 
 type t = {
-  collector : Collector.t option;
   muxes : (string, mux_state) Hashtbl.t;
   watches : (Prefix.t, watch) Hashtbl.t;
   (* (mux, peer asn) -> allowed-export predicate *)
@@ -91,10 +90,9 @@ type t = {
   mutable parse_errors : int;
 }
 
-let create ?collector () =
+let create () =
   ignore (m ());
-  { collector;
-    muxes = Hashtbl.create 8;
+  { muxes = Hashtbl.create 8;
     watches = Hashtbl.create 8;
     cones = Hashtbl.create 16;
     alerts = [];
@@ -213,11 +211,6 @@ let note_churn t ~time ~mux prefix =
 (* ------------------------------------------------------------------ *)
 (* Message processing *)
 
-let collect t ~time ~peer ~prefix ~path kind =
-  match t.collector with
-  | None -> ()
-  | Some c -> Collector.record c ~time ~peer ~prefix ~path kind
-
 let on_announce t ~mux mx (hdr : Bmp.peer_header) attrs (path_id, prefix) =
   let time = Bmp.time hdr in
   let ps = peer_state mx hdr.Bmp.peer_asn in
@@ -230,8 +223,6 @@ let on_announce t ~mux mx (hdr : Bmp.peer_header) attrs (path_id, prefix) =
   in
   let route = Route.make ~source ~path_id ~learned_at:time prefix attrs in
   ps.p_table <- Prefix.Map.add prefix route ps.p_table;
-  let path = As_path.to_asns attrs.Attrs.as_path in
-  collect t ~time ~peer:hdr.Bmp.peer_asn ~prefix ~path Collector.Announce;
   (* MOAS: watched prefix announced from an unexpected origin *)
   (match Hashtbl.find_opt t.watches prefix with
   | Some { w_origin = Some expect; _ } -> (
@@ -264,7 +255,6 @@ let on_withdraw t ~mux mx (hdr : Bmp.peer_header) (_path_id, prefix) =
   let time = Bmp.time hdr in
   let ps = peer_state mx hdr.Bmp.peer_asn in
   ps.p_table <- Prefix.Map.remove prefix ps.p_table;
-  collect t ~time ~peer:hdr.Bmp.peer_asn ~prefix ~path:[] Collector.Withdraw;
   note_churn t ~time ~mux prefix
 
 let clear_peer t ~time ~mux ps =

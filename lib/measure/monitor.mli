@@ -7,9 +7,9 @@
     peer) Adj-RIB-In mirror that must stay {e byte-identical} (Marshal
     digest over the canonical dump) to the live mux table — the
     [@bmp-diff] harness holds that across propagation, scheduler churn
-    and chaos drills.  Every Route Monitoring message also lands in an
-    optional {!Collector}, so the passive archive fills from the
-    stream instead of ad-hoc call sites.
+    and chaos drills.  The station keeps only what it rebuilds and
+    what its detectors need; the testbed's passive archive is
+    [Peering_core.Testbed.collector], filled from the exports.
 
     On top of reconstruction the station runs four live detectors,
     each armed explicitly so clean runs stay alert-free: MOAS
@@ -32,9 +32,8 @@ module Route = Peering_bgp.Route
 type t
 (** A monitoring station. *)
 
-val create : ?collector:Collector.t -> unit -> t
-(** A station with no feeds; [collector] receives every announce and
-    withdraw reconstructed from Route Monitoring messages. *)
+val create : unit -> t
+(** A station with no feeds. *)
 
 (** {1 Feeds} *)
 

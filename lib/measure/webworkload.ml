@@ -32,26 +32,30 @@ let default_params =
     site_cdn_share = 0.18
   }
 
+(* The ASes hosts are drawn from, built once per [generate]. *)
+type pools = {
+  content : Asn.t array;
+  content_rank : Rng.t -> int;  (* Zipf rank in [1, |content|] *)
+  others : Asn.t array;
+}
+
+let pools (world : Gen.world) =
+  let content = Array.of_list world.Gen.content in
+  { content;
+    content_rank = Rng.zipf_sampler ~n:(Array.length content) ~s:1.0;
+    others = Array.of_list (world.Gen.stubs @ world.Gen.small_transit)
+  }
+
 (* Pick a host address: an AS of the wanted kind, one of its prefixes,
    a host inside it. Content ASes are picked Zipf-style so a few CDNs
    dominate, mirroring real traffic concentration. *)
-let pick_host rng (world : Gen.world) ~prefer_cdn =
-  let graph = world.Gen.graph in
-  let from_pool pool_arr zipf =
-    let n = Array.length pool_arr in
-    let idx = if zipf then Rng.zipf rng ~n ~s:1.0 - 1 else Rng.int rng n in
-    pool_arr.(idx)
-  in
-  let content_arr = Array.of_list world.Gen.content in
-  let other_arr =
-    Array.of_list (world.Gen.stubs @ world.Gen.small_transit)
-  in
+let pick_host rng (world : Gen.world) pools ~prefer_cdn =
   let asn =
-    if prefer_cdn && Array.length content_arr > 0 then
-      from_pool content_arr true
-    else from_pool other_arr false
+    if prefer_cdn && Array.length pools.content > 0 then
+      pools.content.(pools.content_rank rng - 1)
+    else pools.others.(Rng.int rng (Array.length pools.others))
   in
-  match As_graph.prefixes_of graph asn with
+  match As_graph.prefixes_of world.Gen.graph asn with
   | [] -> None
   | prefixes ->
     let parr = Array.of_list prefixes in
@@ -60,6 +64,7 @@ let pick_host rng (world : Gen.world) ~prefer_cdn =
     Some (asn, Ipv4.add (Prefix.addr p) host_offset)
 
 let generate ?(params = default_params) ~rng (world : Gen.world) =
+  let pools = pools world in
   let dns = Dns.create () in
   let hosted_by = Hashtbl.create 1024 in
   (* CDN frontends serve many names from one address: FQDNs landing on
@@ -90,7 +95,7 @@ let generate ?(params = default_params) ~rng (world : Gen.world) =
     Array.init params.n_resource_fqdns (fun i ->
         let fqdn = Printf.sprintf "r%d.cdn-host.example" i in
         let prefer_cdn = Rng.bernoulli rng params.cdn_share in
-        match pick_host rng world ~prefer_cdn with
+        match pick_host rng world pools ~prefer_cdn with
         | Some (asn, addr) ->
           let addr = host_address asn addr in
           Dns.add_a dns fqdn addr;
@@ -106,7 +111,7 @@ let generate ?(params = default_params) ~rng (world : Gen.world) =
         let fqdn = Printf.sprintf "site%d.example" rank in
         let prefer_cdn = Rng.bernoulli rng params.site_cdn_share in
         let asn, addr =
-          match pick_host rng world ~prefer_cdn with
+          match pick_host rng world pools ~prefer_cdn with
           | Some x -> x
           | None -> (List.hd world.Gen.tier1, Ipv4.of_octets 192 0 2 1)
         in

@@ -562,6 +562,76 @@ let test_server_session_stats () =
     (stats.Server.n_clients * stats.Server.n_peers)
     stats.Server.client_sessions
 
+(* The mux's BMP stream walks its peers in the order they were added
+   (attach sync, crash, restart), and its Stats Reports read the live
+   per-peer route counts. *)
+let test_server_bmp_peer_order () =
+  let module Bmp = Peering_bgp.Bmp in
+  let e = Engine.create () in
+  let safety =
+    Safety.create ~peering_asn:(asn 47065) ~owns:(fun _ -> true) ()
+  in
+  let server =
+    Server.create e ~name:"m" ~asn:(asn 47065) ~safety ~export:(fun _ -> ()) ()
+  in
+  let order = [ 300; 100; 200 ] in
+  List.iter (fun a -> Server.add_peer server (asn a)) order;
+  check Alcotest.(list int) "peer_asns in add order" order
+    (List.map Asn.to_int (Server.peer_asns server));
+  let learn peer path p = Server.learn_route server ~peer:(asn peer) ~path p in
+  learn 100 [ asn 100 ] (pfx "10.0.0.0/24");
+  learn 100 [ asn 100; asn 7 ] (pfx "10.0.0.0/24");
+  learn 100 [ asn 100 ] (pfx "10.0.1.0/24");
+  learn 200 [ asn 200 ] (pfx "10.0.2.0/24");
+  Server.withdraw_learned server ~peer:(asn 100) (pfx "10.0.1.0/24");
+  Server.withdraw_learned server ~peer:(asn 200) (pfx "10.9.0.0/24");
+  Server.withdraw_learned server ~peer:(asn 999) (pfx "10.0.2.0/24");
+  check Alcotest.int "replace, withdraw and no-ops counted" 2
+    (Server.learned_route_count server);
+  let msgs = ref [] in
+  Server.set_bmp_sink server
+    (Some
+       (fun b ->
+         match Bmp.decode b ~pos:0 with
+         | Ok (m, _) -> msgs := m :: !msgs
+         | Error _ -> Alcotest.fail "undecodable BMP message"));
+  let take () =
+    let l = List.rev !msgs in
+    msgs := [];
+    l
+  in
+  let peers_of f l =
+    List.filter_map (fun m -> Option.map Asn.to_int (f m)) l
+  in
+  let ups = function Bmp.Peer_up { peer; _ } -> Some peer.Bmp.peer_asn | _ -> None
+  and downs = function
+    | Bmp.Peer_down { peer; _ } -> Some peer.Bmp.peer_asn
+    | _ -> None
+  and stats = function
+    | Bmp.Stats_report { peer; stats = [ s ] } ->
+      Some (Asn.to_int peer.Bmp.peer_asn, s.Bmp.stat_value)
+    | _ -> None
+  in
+  let sync = take () in
+  check Alcotest.(list int) "sync: Peer Ups in add order" order
+    (peers_of ups sync);
+  check Alcotest.(list (pair int int)) "sync: live counts in add order"
+    [ (300, 0); (100, 1); (200, 1) ]
+    (List.filter_map stats sync);
+  Server.crash server;
+  check Alcotest.(list int) "crash: Peer Downs in add order" order
+    (peers_of downs (take ()));
+  check Alcotest.int "crash: tables empty" 0 (Server.learned_route_count server);
+  Server.restart server;
+  check Alcotest.(list int) "restart: Peer Ups in add order" order
+    (peers_of ups (take ()));
+  learn 200 [ asn 200 ] (pfx "10.0.3.0/24");
+  ignore (take ());
+  Server.emit_bmp_stats server;
+  check Alcotest.(list (pair int int)) "stats: counts from zero after crash"
+    [ (300, 0); (100, 0); (200, 1) ]
+    (List.filter_map stats (take ()))
+
 let test_client_ignore_peer () =
   let t = Lazy.force testbed in
   let exp =
@@ -1288,7 +1358,7 @@ let test_route_server_to_mux_integration () =
   List.iter
     (fun m ->
       Peering_ixp.Route_server.connect rs m;
-      Server.add_peer server ~kind:Server.Route_server_peer m)
+      Server.add_peer server m)
     members;
   Peering_ixp.Route_server.connect rs (asn 47065);
   let exp =
@@ -1355,12 +1425,11 @@ let test_monitoring () =
   check Alcotest.int "measurements recorded" 48
     (Peering_measure.Collector.n_entries col);
   (* measurement paths end at PEERING *)
-  match Peering_measure.Collector.entries col with
-  | e :: _ ->
+  match Peering_measure.Collector.last_path col p with
+  | Some path ->
     check Alcotest.int "path reaches PEERING" 47065
-      (Asn.to_int (List.nth e.Peering_measure.Collector.path
-                     (List.length e.Peering_measure.Collector.path - 1)))
-  | [] -> Alcotest.fail "no entries"
+      (Asn.to_int (List.nth path (List.length path - 1)))
+  | None -> Alcotest.fail "no path recorded"
 
 let test_sdx_policy_composition () =
   let e = Engine.create () in
@@ -1876,6 +1945,7 @@ let () =
           tc "MOAS hijack study" `Quick test_testbed_moas_hijack_study;
           tc "client receives routes" `Quick test_testbed_client_receives_routes;
           tc "session stats" `Quick test_server_session_stats;
+          tc "bmp peer order" `Quick test_server_bmp_peer_order;
           tc "ignore peer" `Quick test_client_ignore_peer
         ] );
       ( "portal",

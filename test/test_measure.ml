@@ -103,20 +103,48 @@ let test_workload_cdn_concentration () =
 
 let test_collector () =
   let c = Collector.create () in
-  let p = pfx "184.164.224.0/24" in
-  Collector.record c ~time:1.0 ~peer:(asn 3356) ~prefix:p
-    ~path:[ asn 3356; asn 47065 ] Collector.Announce;
-  Collector.record c ~time:2.0 ~peer:(asn 3356) ~prefix:(pfx "10.0.0.0/8")
-    ~path:[ asn 3356 ] Collector.Announce;
-  Collector.record c ~time:3.0 ~peer:(asn 3356) ~prefix:p ~path:[]
-    Collector.Withdraw;
-  check Alcotest.int "entries" 3 (Collector.n_entries c);
-  check Alcotest.int "per prefix" 2 (Collector.churn c p);
-  check Alcotest.bool "withdrawn: no last path" true (Collector.last_path c p = None);
-  Collector.record c ~time:4.0 ~peer:(asn 3356) ~prefix:p
-    ~path:[ asn 3356; asn 47065 ] Collector.Announce;
-  check Alcotest.(option (list int)) "last path" (Some [ 3356; 47065 ])
-    (Option.map (List.map Asn.to_int) (Collector.last_path c p))
+  let p = pfx "184.164.224.0/24" and q = pfx "10.0.0.0/8" in
+  let last prefix =
+    Option.map (List.map Asn.to_int) (Collector.last_path c prefix)
+  in
+  check Alcotest.(option (list int)) "unseen: no last path" None (last p);
+  check Alcotest.int "unseen: no churn" 0 (Collector.churn c p);
+  (* one export heard by three peers *)
+  Collector.record c ~pairs:3 ~prefix:p ~path:[ asn 3356; asn 47065 ]
+    Collector.Announce;
+  Collector.record c ~pairs:1 ~prefix:q ~path:[ asn 3356 ] Collector.Announce;
+  (* an export to no peer is no event *)
+  Collector.record c ~pairs:0 ~prefix:q ~path:[] Collector.Withdraw;
+  check Alcotest.(option (list int)) "other prefix" (Some [ 3356 ]) (last q);
+  Collector.record c ~pairs:1 ~prefix:p ~path:[] Collector.Withdraw;
+  check Alcotest.int "pairs" 5 (Collector.n_entries c);
+  check Alcotest.int "per prefix" 4 (Collector.churn c p);
+  check Alcotest.int "other prefix churn" 1 (Collector.churn c q);
+  check Alcotest.(option (list int)) "withdrawn: no last path" None (last p);
+  Collector.record c ~pairs:2 ~prefix:p ~path:[ asn 174; asn 47065 ]
+    Collector.Announce;
+  check Alcotest.(option (list int)) "last path" (Some [ 174; 47065 ]) (last p);
+  Collector.clear c;
+  check Alcotest.int "cleared" 0 (Collector.n_entries c);
+  check Alcotest.int "cleared churn" 0 (Collector.churn c p);
+  check Alcotest.(option (list int)) "cleared path" None (last p)
+
+(* The collector is bounded by prefixes, not by events: once a prefix
+   has a slot, recording it again adds no word. *)
+let test_collector_bound () =
+  let c = Collector.create () in
+  let p = pfx "184.164.224.0/24" and path = [ asn 3356; asn 47065 ] in
+  let export () =
+    Collector.record c ~pairs:547 ~prefix:p ~path Collector.Announce
+  in
+  export ();
+  let words = Obj.reachable_words (Obj.repr c) in
+  for _ = 2 to 10_000 do
+    export ()
+  done;
+  check Alcotest.int "no growth after the first export" words
+    (Obj.reachable_words (Obj.repr c));
+  check Alcotest.int "every pair counted" (547 * 10_000) (Collector.n_entries c)
 
 (* ------------------------------------------------------------------ *)
 (* Reachability *)
@@ -535,23 +563,15 @@ let test_monitor_peer_down () =
   check Alcotest.bool "mux down" false (Monitor.mux_up mon ~mux:"m");
   check Alcotest.int "all tables cleared" 0 (Monitor.route_count mon ~mux:"m")
 
-(* Route Monitoring messages also fill the collector archive, and a
-   garbled frame is counted + resynced away without poisoning later
+(* A garbled frame is counted + resynced away without poisoning later
    valid frames. *)
-let test_monitor_collector_and_resync () =
-  let c = Collector.create () in
-  let mon = Monitor.create ~collector:c () in
+let test_monitor_parse_error_and_resync () =
+  let mon = Monitor.create () in
   let peer = asn 65010 and p = pfx "184.164.224.0/24" in
   Monitor.feed mon ~mux:"m" (Bmp.encode (bmp_announce ~time:1.0 peer p));
   Monitor.feed mon ~mux:"m" (Bmp.encode (bmp_withdraw ~time:2.0 peer p));
-  (match Collector.entries c with
-  | [ e1; e2 ] ->
-    check Alcotest.bool "announce entry" true (e1.Collector.kind = Collector.Announce);
-    check Alcotest.(list int) "announce path" [ 3356; 65010 ]
-      (List.map Asn.to_int e1.Collector.path);
-    check Alcotest.bool "withdraw entry" true (e2.Collector.kind = Collector.Withdraw);
-    check Alcotest.bool "prefix" true (Prefix.compare e2.Collector.prefix p = 0)
-  | l -> Alcotest.failf "expected 2 collector entries, got %d" (List.length l));
+  check Alcotest.int "withdrawn" 0
+    (Prefix.Map.cardinal (Monitor.adj_rib mon ~mux:"m" ~peer));
   (* a frame with a bad version byte is dropped and counted *)
   let bad = Bmp.encode (bmp_announce ~time:3.0 peer p) in
   Bytes.set bad 0 '\x09';
@@ -634,7 +654,9 @@ let () =
           tc "resolvable" `Quick test_workload_resolvable;
           tc "cdn concentration" `Quick test_workload_cdn_concentration
         ] );
-      ("collector", [ tc "log" `Quick test_collector ]);
+      ( "collector",
+        [ tc "summary" `Quick test_collector;
+          tc "bound" `Quick test_collector_bound ] );
       ( "reachability",
         [ tc "cones" `Quick test_reachability_cones;
           tc "fraction" `Quick test_reachability_fraction
@@ -651,7 +673,7 @@ let () =
         [ tc "fragmentation" `Quick test_monitor_fragmentation;
           tc "byte-at-a-time is linear" `Quick test_monitor_bytewise_linear;
           tc "peer down clears" `Quick test_monitor_peer_down;
-          tc "collector + resync" `Quick test_monitor_collector_and_resync;
+          tc "parse error + resync" `Quick test_monitor_parse_error_and_resync;
           tc "ingest rate is exact" `Quick test_monitor_ingest_rate;
           tc "observes every gap" `Quick test_monitor_every_gap
         ] );
