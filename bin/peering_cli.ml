@@ -213,7 +213,7 @@ let config_cmd =
   let run file =
     match Peering_router.Config.parse (read_file file) with
     | Error e ->
-      Printf.eprintf "parse error: %s\n" e;
+      Printf.eprintf "parse error: %s\n" (Lines.error_to_string e);
       exit 1
     | Ok c ->
       (match Peering_router.Config.bgp c with
@@ -232,6 +232,11 @@ let config_cmd =
   in
   Cmd.v (Cmd.info "config" ~doc:"Parse and check a router configuration")
     Term.(const run $ file_arg)
+
+(* Shared by [check] and [verify]: an unparsable file is a PARSE error
+   on the line the parser stopped at. *)
+let parse_diag file (e : Lines.error) =
+  Peering_check.Diagnostic.error ~file ?line:e.line ~code:"PARSE" e.msg
 
 (* Shared by [check --json] and [verify --json]: one diagnostic as a
    JSON object with a fixed key set, [null] standing in for missing
@@ -328,18 +333,14 @@ let check_cmd =
     List.iter
       (fun file ->
         let text = read_file file in
+        let parsed parse into =
+          match parse text with
+          | Ok v -> into := (Some file, v) :: !into
+          | Error e -> parse_failures := parse_diag file e :: !parse_failures
+        in
         if Filename.check_suffix file ".exp" then
-          match Peering_check.Spec.parse text with
-          | Ok s -> specs := (Some file, s) :: !specs
-          | Error e ->
-            parse_failures :=
-              Diagnostic.error ~file ~code:"PARSE" e :: !parse_failures
-        else
-          match Peering_router.Config.parse text with
-          | Ok c -> configs := (Some file, c) :: !configs
-          | Error e ->
-            parse_failures :=
-              Diagnostic.error ~file ~code:"PARSE" e :: !parse_failures)
+          parsed Peering_check.Spec.parse specs
+        else parsed Peering_router.Config.parse configs)
       files;
     let n_files = List.length files in
     report_and_exit ~json ~schema:"peering-check/1"
@@ -366,7 +367,6 @@ let verify_cmd =
   in
   let module Check = Peering_check.Check in
   let module World = Peering_check.World in
-  let module Diagnostic = Peering_check.Diagnostic in
   let module Json = Peering_obs.Json in
   let module As_graph = Peering_topo.As_graph in
   let run json files =
@@ -393,7 +393,7 @@ let verify_cmd =
       match World.parse (read_file world_file) with
       | Ok w -> w
       | Error e ->
-        Printf.eprintf "%s: %s\n" world_file e;
+        Printf.eprintf "%s: %s\n" world_file (Lines.error_to_string e);
         exit 2
     in
     let spec_failures = ref [] in
@@ -401,9 +401,7 @@ let verify_cmd =
       (fun file ->
         match Peering_check.Spec.parse (read_file file) with
         | Ok s -> World.add_spec ~file w s
-        | Error e ->
-          spec_failures :=
-            Diagnostic.error ~file ~code:"PARSE" e :: !spec_failures)
+        | Error e -> spec_failures := parse_diag file e :: !spec_failures)
       exps;
     let diags = List.rev !spec_failures @ Check.check_world w in
     let g = World.graph w in
@@ -457,7 +455,7 @@ module Scenario = struct
      also exercises the static verifier's check.* metrics. *)
   let verified_world () =
     let w =
-      Peering_check.World.parse_exn
+      Result.get_ok @@ Peering_check.World.parse
         "as 10 tier1\n\
          as 20 small-transit\n\
          as 30 small-transit\n\

@@ -19,25 +19,6 @@ type t = {
   events : event list;
 }
 
-exception Parse_error of int * string
-
-let fail line msg = raise (Parse_error (line, msg))
-
-let parse_prefix line s =
-  match Prefix.of_string s with
-  | Some p -> p
-  | None -> fail line (Printf.sprintf "bad prefix %S" s)
-
-let parse_float line s =
-  match float_of_string_opt s with
-  | Some f -> f
-  | None -> fail line (Printf.sprintf "bad time %S" s)
-
-let parse_asn line s =
-  match int_of_string_opt s with
-  | Some n when n >= 0 -> Asn.of_int n
-  | _ -> fail line (Printf.sprintf "bad asn %S" s)
-
 type builder = {
   mutable b_id : string option;
   mutable b_prefixes : Prefix.t list;  (* reversed *)
@@ -48,43 +29,40 @@ type builder = {
 
 let parse_schedule_tail b lineno prefix kind_of = function
   | "at" :: t :: rest ->
-    let ev_time = parse_float lineno t in
+    let ev_time = Lines.float t in
     let kind = kind_of rest in
     b.b_events <-
       { ev_time; ev_line = lineno; ev_prefix = prefix; ev_kind = kind }
       :: b.b_events
-  | _ -> fail lineno "expected 'at <time>'"
+  | _ -> Lines.fail "expected 'at <time>'"
 
-let handle_line b lineno toks =
-  match toks with
-  | [ "experiment"; id ] ->
-    if b.b_id <> None then fail lineno "second experiment statement";
-    b.b_id <- Some id
-  | [ "prefix"; p ] ->
-    b.b_prefixes <- parse_prefix lineno p :: b.b_prefixes
-  | [ "asn"; a ] -> b.b_asns <- parse_asn lineno a :: b.b_asns
-  | [ "may-poison" ] -> b.b_may_poison <- true
-  | "announce" :: p :: rest ->
-    let prefix = parse_prefix lineno p in
-    parse_schedule_tail b lineno prefix
-      (function
-        | [] -> Announce []
-        | "path" :: asns when asns <> [] ->
-          Announce (List.map (parse_asn lineno) asns)
-        | _ -> fail lineno "expected 'path <asn> ...' after the time")
-      rest
-  | "withdraw" :: p :: rest ->
-    let prefix = parse_prefix lineno p in
-    parse_schedule_tail b lineno prefix
-      (function
-        | [] -> Withdraw
-        | _ -> fail lineno "unexpected tokens after withdraw time")
-      rest
-  | [] -> ()
-  | kw :: _ -> fail lineno (Printf.sprintf "unknown statement %S" kw)
-
-let tokens line =
-  String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
+let handle_line b lineno = function
+  | Lines.Separator -> ()
+  | Lines.Stmt { toks; _ } -> (
+    match toks with
+    | [ "experiment"; id ] ->
+      if b.b_id <> None then Lines.fail "second experiment statement";
+      b.b_id <- Some id
+    | [ "prefix"; p ] -> b.b_prefixes <- Lines.prefix p :: b.b_prefixes
+    | [ "asn"; a ] -> b.b_asns <- Lines.asn a :: b.b_asns
+    | [ "may-poison" ] -> b.b_may_poison <- true
+    | "announce" :: p :: rest ->
+      let prefix = Lines.prefix p in
+      parse_schedule_tail b lineno prefix
+        (function
+          | [] -> Announce []
+          | "path" :: asns when asns <> [] -> Announce (List.map Lines.asn asns)
+          | _ -> Lines.fail "expected 'path <asn> ...' after the time")
+        rest
+    | "withdraw" :: p :: rest ->
+      let prefix = Lines.prefix p in
+      parse_schedule_tail b lineno prefix
+        (function
+          | [] -> Withdraw
+          | _ -> Lines.fail "unexpected tokens after withdraw time")
+        rest
+    | [] -> ()
+    | kw :: _ -> Lines.fail (Printf.sprintf "unknown statement %S" kw))
 
 let parse text =
   let b =
@@ -95,36 +73,18 @@ let parse text =
       b_events = []
     }
   in
-  try
-    List.iteri
-      (fun i line ->
-        let lineno = i + 1 in
-        let line =
-          match String.index_opt line '#' with
-          | Some j -> String.sub line 0 j
-          | None -> line
-        in
-        let trimmed = String.trim line in
-        if trimmed = "" || trimmed.[0] = '!' then ()
-        else handle_line b lineno (tokens trimmed))
-      (String.split_on_char '\n' text);
-    match b.b_id with
-    | None -> Error "missing 'experiment <id>' statement"
-    | Some id ->
-      Ok
+  Lines.read (handle_line b)
+    (fun () ->
+      match b.b_id with
+      | None -> Lines.fail "missing 'experiment <id>' statement"
+      | Some id ->
         { id;
           prefixes = List.rev b.b_prefixes;
           asns = List.rev b.b_asns;
           may_poison = b.b_may_poison;
           events = List.rev b.b_events
-        }
-  with Parse_error (line, msg) ->
-    Error (Printf.sprintf "line %d: %s" line msg)
-
-let parse_exn text =
-  match parse text with
-  | Ok t -> t
-  | Error e -> invalid_arg ("Spec.parse_exn: " ^ e)
+        })
+    text
 
 let make ~id ?(prefixes = []) ?(asns = []) ?(may_poison = false) events =
   { id; prefixes; asns; may_poison; events }

@@ -2,7 +2,8 @@
     experiment's allocation and its announcement schedule, so the whole
     experiment can be vetted statically before it touches the testbed.
 
-    Format (one statement per line, [#] and [!] start comments):
+    Format (one statement per line; comments, separators and tokens
+    follow {!Peering_net.Lines}):
 
     {v
 experiment <id>
@@ -13,7 +14,7 @@ announce <cidr> at <t> [path <asn> ...]
 withdraw <cidr> at <t>
     v}
 
-    Times are seconds (floats) from experiment start; [path] is the
+    Times are finite seconds (floats) from experiment start; [path] is the
     AS-path suffix appended behind the PEERING mux ASN, as in
     {!Peering_core.Safety.check_announce}. *)
 
@@ -38,10 +39,8 @@ type t = {
   events : event list;  (** in declaration order *)
 }
 
-val parse : string -> (t, string) result
-(** The error includes a line number. *)
-
-val parse_exn : string -> t
+val parse : string -> (t, Lines.error) result
+(** A missing [experiment] statement is an error with no line. *)
 
 val make :
   id:string ->

@@ -240,137 +240,104 @@ let dynamic_import w v ~from (r : Propagation.route) =
 (* ------------------------------------------------------------------ *)
 (* The .world file format (see the .mli for the grammar). *)
 
-exception Parse_error of int * string
-
-let fail line msg = raise (Parse_error (line, msg))
-
-let parse_asn line s =
-  match int_of_string_opt s with
-  | Some n when n >= 0 -> Asn.of_int n
-  | _ -> fail line (Printf.sprintf "bad asn %S" s)
-
-let parse_prefix line s =
-  match Prefix.of_string s with
-  | Some p -> p
-  | None -> fail line (Printf.sprintf "bad prefix %S" s)
-
-let parse_int line s =
-  match int_of_string_opt s with
-  | Some n -> n
-  | None -> fail line (Printf.sprintf "bad integer %S" s)
-
-let parse_kind line = function
+let kind = function
   | "tier1" -> As_graph.Tier1
   | "large-transit" -> As_graph.Large_transit
   | "small-transit" -> As_graph.Small_transit
   | "stub" -> As_graph.Stub
   | "content" -> As_graph.Content
   | "enterprise" -> As_graph.Enterprise
-  | s -> fail line (Printf.sprintf "unknown kind %S" s)
+  | s -> Lines.fail (Printf.sprintf "unknown kind %S" s)
 
-let parse_rel line = function
+let rel = function
   | "customer" -> Relationship.Customer
   | "provider" -> Relationship.Provider
   | "peer" -> Relationship.Peer
-  | s -> fail line (Printf.sprintf "unknown relationship %S" s)
+  | s -> Lines.fail (Printf.sprintf "unknown relationship %S" s)
 
-let known w line asn =
+let known w a =
+  let asn = Lines.asn a in
   if not (As_graph.mem w.graph asn) then
-    fail line (Printf.sprintf "undeclared %s" (Asn.to_string asn));
+    Lines.fail (Printf.sprintf "undeclared %s" (Asn.to_string asn));
   asn
 
-let adjacent w line u v =
-  match As_graph.relationship w.graph u v with
-  | Some _ -> ()
-  | None ->
-    fail line
+let adjacent w u v =
+  if As_graph.relationship w.graph u v = None then
+    Lines.fail
       (Printf.sprintf "no edge between %s and %s" (Asn.to_string u)
          (Asn.to_string v))
 
-let handle_line w lineno toks =
-  match toks with
-  | "as" :: a :: rest ->
-    let asn = parse_asn lineno a in
-    if As_graph.mem w.graph asn then
-      fail lineno (Printf.sprintf "duplicate %s" (Asn.to_string asn));
-    let kind =
-      match rest with
-      | [] -> As_graph.Stub
-      | [ k ] -> parse_kind lineno k
-      | _ -> fail lineno "expected 'as <asn> [kind]'"
-    in
-    As_graph.add_as w.graph ~kind asn
-  | [ "edge"; a; rel; b ] ->
-    let a = known w lineno (parse_asn lineno a) in
-    let b = known w lineno (parse_asn lineno b) in
-    if Asn.equal a b then fail lineno "self edge";
-    if As_graph.relationship w.graph a b <> None then
-      fail lineno "duplicate edge";
-    As_graph.add_edge w.graph a (parse_rel lineno rel) b
-  | [ "originate"; a; p ] ->
-    let asn = known w lineno (parse_asn lineno a) in
-    As_graph.originate w.graph asn (parse_prefix lineno p)
-  | "export" :: u :: v :: rest -> (
-    let u = known w lineno (parse_asn lineno u) in
-    let v = known w lineno (parse_asn lineno v) in
-    adjacent w lineno u v;
-    match rest with
-    | [ "permit-all" ] -> set_export w ~from:u ~to_:v permit_all_export
-    | [ "none" ] ->
-      set_export w ~from:u ~to_:v
-        { (export_at w u v) with prefixes = No_prefix }
-    | [ "prefix"; p ] ->
-      let p = parse_prefix lineno p in
-      add_export_window w ~from:u ~to_:v (p, Prefix.len p, Prefix.len p)
-    | [ "prefix"; p; ge; le ] ->
-      let p = parse_prefix lineno p in
-      add_export_window w ~from:u ~to_:v
-        (p, parse_int lineno ge, parse_int lineno le)
-    | _ ->
-      fail lineno
-        "expected 'permit-all', 'none' or 'prefix <cidr> [<ge> <le>]'")
-  | [ "leak"; u; v ] ->
-    let u = known w lineno (parse_asn lineno u) in
-    let v = known w lineno (parse_asn lineno v) in
-    adjacent w lineno u v;
-    inject_leak w ~from:u ~to_:v
-  | [ "local-pref"; at; from; n ] ->
-    let at = known w lineno (parse_asn lineno at) in
-    let from = known w lineno (parse_asn lineno from) in
-    adjacent w lineno at from;
-    set_local_pref w ~at ~from (parse_int lineno n)
-  | [ "peerlock"; at; t ] ->
-    let at = known w lineno (parse_asn lineno at) in
-    let t = known w lineno (parse_asn lineno t) in
-    add_peerlock w ~at ~protect:t
-  | [ "peerlock-lite"; at ] ->
-    add_peerlock_lite w (known w lineno (parse_asn lineno at))
-  | [] -> ()
-  | kw :: _ -> fail lineno (Printf.sprintf "unknown statement %S" kw)
+(* A window must lie in the address family and be non-empty. *)
+let window w p ge le =
+  let p = Lines.prefix p in
+  let ge = Lines.int ge and le = Lines.int le in
+  let max = Policy_checks.max_prefix_len w.af in
+  if ge < 0 || ge > le || le > max then
+    Lines.fail
+      (Printf.sprintf "bad prefix window %d..%d (need 0 <= ge <= le <= %d)"
+         ge le max);
+  (p, ge, le)
 
-let tokens line =
-  String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
+let handle_line w _ = function
+  | Lines.Separator -> ()
+  | Lines.Stmt { toks; _ } -> (
+    match toks with
+    | "as" :: a :: rest ->
+      let asn = Lines.asn a in
+      if As_graph.mem w.graph asn then
+        Lines.fail (Printf.sprintf "duplicate %s" (Asn.to_string asn));
+      let kind =
+        match rest with
+        | [] -> As_graph.Stub
+        | [ k ] -> kind k
+        | _ -> Lines.fail "expected 'as <asn> [kind]'"
+      in
+      As_graph.add_as w.graph ~kind asn
+    | [ "edge"; a; r; b ] ->
+      let a = known w a in
+      let b = known w b in
+      if Asn.equal a b then Lines.fail "self edge";
+      if As_graph.relationship w.graph a b <> None then
+        Lines.fail "duplicate edge";
+      As_graph.add_edge w.graph a (rel r) b
+    | [ "originate"; a; p ] ->
+      let asn = known w a in
+      As_graph.originate w.graph asn (Lines.prefix p)
+    | "export" :: u :: v :: rest -> (
+      let u = known w u in
+      let v = known w v in
+      adjacent w u v;
+      match rest with
+      | [ "permit-all" ] -> set_export w ~from:u ~to_:v permit_all_export
+      | [ "none" ] ->
+        set_export w ~from:u ~to_:v
+          { (export_at w u v) with prefixes = No_prefix }
+      | [ "prefix"; p ] ->
+        let p = Lines.prefix p in
+        add_export_window w ~from:u ~to_:v (p, Prefix.len p, Prefix.len p)
+      | [ "prefix"; p; ge; le ] ->
+        add_export_window w ~from:u ~to_:v (window w p ge le)
+      | _ ->
+        Lines.fail
+          "expected 'permit-all', 'none' or 'prefix <cidr> [<ge> <le>]'")
+    | [ "leak"; u; v ] ->
+      let u = known w u in
+      let v = known w v in
+      adjacent w u v;
+      inject_leak w ~from:u ~to_:v
+    | [ "local-pref"; at; from; n ] ->
+      let at = known w at in
+      let from = known w from in
+      adjacent w at from;
+      set_local_pref w ~at ~from (Lines.int n)
+    | [ "peerlock"; at; t ] ->
+      let at = known w at in
+      let t = known w t in
+      add_peerlock w ~at ~protect:t
+    | [ "peerlock-lite"; at ] -> add_peerlock_lite w (known w at)
+    | [] -> ()
+    | kw :: _ -> Lines.fail (Printf.sprintf "unknown statement %S" kw))
 
 let parse ?af text =
   let w = of_graph ?af (As_graph.create ()) in
-  try
-    List.iteri
-      (fun i line ->
-        let lineno = i + 1 in
-        let line =
-          match String.index_opt line '#' with
-          | Some j -> String.sub line 0 j
-          | None -> line
-        in
-        let trimmed = String.trim line in
-        if trimmed = "" || trimmed.[0] = '!' then ()
-        else handle_line w lineno (tokens trimmed))
-      (String.split_on_char '\n' text);
-    Ok w
-  with Parse_error (line, msg) ->
-    Error (Printf.sprintf "line %d: %s" line msg)
-
-let parse_exn ?af text =
-  match parse ?af text with
-  | Ok w -> w
-  | Error e -> invalid_arg ("World.parse_exn: " ^ e)
+  Lines.read (handle_line w) (fun () -> w) text

@@ -23,7 +23,8 @@
 
     {2 The .world file format}
 
-    One statement per line; [#] and [!] start comments:
+    One statement per line; comments, separators and tokens follow
+    {!Peering_net.Lines}:
 
     {v
 as <asn> [kind]               # kind: tier1|large-transit|small-transit|
@@ -32,7 +33,8 @@ edge <a> <rel> <b>            # <b> is <a>'s customer|provider|peer
 originate <asn> <cidr>
 export <u> <v> permit-all     # u exports everything to v (leak-prone)
 export <u> <v> none           # u exports nothing to v
-export <u> <v> prefix <cidr> [<ge> <le>]   # window; repeatable (union)
+export <u> <v> prefix <cidr> [<ge> <le>]   # window; repeatable (union);
+                              # needs 0 <= ge <= le <= the family's width
 leak <u> <v>                  # u ignores export discipline towards v
 local-pref <v> <u> <n>        # v's import preference for routes from u
 peerlock <v> <t>              # v drops routes carrying t unless from t
@@ -153,7 +155,5 @@ val dynamic_leak : t -> Asn.t -> Asn.t -> bool
 val dynamic_export : t -> Asn.t -> Asn.t -> Propagation.announcement -> Propagation.route -> bool
 val dynamic_import : t -> Asn.t -> from:Asn.t -> Propagation.route -> bool
 
-val parse : ?af:Policy_checks.af -> string -> (t, string) result
-(** Parse a [.world] file. The error includes a line number. *)
-
-val parse_exn : ?af:Policy_checks.af -> string -> t
+val parse : ?af:Policy_checks.af -> string -> (t, Lines.error) result
+(** Parse a [.world] file. *)

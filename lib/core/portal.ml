@@ -194,7 +194,10 @@ let provision t ~experiment_id =
     let client_config = render_client_config e sites in
     (* The kit must be valid: round-trip through our own parser. *)
     (match Peering_router.Config.parse client_config with
-    | Error msg -> Error ("internal error: generated config invalid: " ^ msg)
+    | Error e ->
+      Error
+        ("internal error: generated config invalid: "
+        ^ Lines.error_to_string e)
     | Ok parsed -> (
       match Peering_router.Config.compile_route_map parsed "EXPORT" with
       | Error msg -> Error ("internal error: generated route-map: " ^ msg)

@@ -6,6 +6,11 @@ let of_int n =
   if n < 0 || n > max_asn then invalid_arg "Asn.of_int: out of range";
   n
 
+let of_string s =
+  match int_of_string_opt s with
+  | Some n when n >= 0 && n <= max_asn -> Some n
+  | _ -> None
+
 let to_int a = a
 
 let is_private a =

@@ -10,6 +10,10 @@ val of_int : int -> t
 (** [of_int n] is ASN [n]. Raises [Invalid_argument] if [n] is negative
     or exceeds the 32-bit ASN space. *)
 
+val of_string : string -> t option
+(** [of_string s] reads an ASN written as an integer; [None] if [s]
+    is not one or lies outside the 32-bit ASN space. *)
+
 val to_int : t -> int
 
 val is_private : t -> bool

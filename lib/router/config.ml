@@ -56,40 +56,12 @@ type t = {
   route_maps : (string, map_entry list) Hashtbl.t;
 }
 
-exception Parse_error of int * string
-
-let fail line msg = raise (Parse_error (line, msg))
-
-let tokens line =
-  String.split_on_char ' ' line
-  |> List.filter (fun s -> s <> "")
-
-let parse_prefix line s =
-  match Prefix.of_string s with
-  | Some p -> p
-  | None -> fail line (Printf.sprintf "bad prefix %S" s)
-
-let parse_ip line s =
-  match Ipv4.of_string s with
-  | Some a -> a
-  | None -> fail line (Printf.sprintf "bad address %S" s)
-
-let parse_int line s =
-  match int_of_string_opt s with
-  | Some n -> n
-  | None -> fail line (Printf.sprintf "bad number %S" s)
-
-let parse_asn line s = Asn.of_int (parse_int line s)
-
-let parse_community line s =
-  match Community.of_string s with
-  | Some c -> c
-  | None -> fail line (Printf.sprintf "bad community %S" s)
+let community = Lines.token "community" Community.of_string
 
 type context =
   | Top
   | In_bgp
-  | In_route_map of string * map_entry
+  | In_route_map of map_entry
 
 (* Lists in the builder are accumulated newest-first (cons) and
    reversed once at the end of the parse, keeping the builder O(n). *)
@@ -103,7 +75,7 @@ type builder = {
   b_route_maps : (string, map_entry list) Hashtbl.t;  (* reversed *)
 }
 
-let update_neighbor b line addr f =
+let update_neighbor b addr f =
   let found = ref false in
   b.b_neighbors <-
     List.map
@@ -114,20 +86,20 @@ let update_neighbor b line addr f =
         end
         else n)
       b.b_neighbors;
-  if not !found then fail line "neighbor not declared with remote-as"
+  if not !found then Lines.fail "neighbor not declared with remote-as"
 
 let handle_bgp_line b lineno toks =
   match toks with
-  | [ "bgp"; "router-id"; ip ] -> b.b_router_id <- Some (parse_ip lineno ip)
+  | [ "bgp"; "router-id"; ip ] -> b.b_router_id <- Some (Lines.ipv4 ip)
   | [ "network"; pfx ] ->
-    b.b_networks <- (parse_prefix lineno pfx, lineno) :: b.b_networks
+    b.b_networks <- (Lines.prefix pfx, lineno) :: b.b_networks
   | [ "neighbor"; ip; "remote-as"; asn ] ->
-    let addr = parse_ip lineno ip in
+    let addr = Lines.ipv4 ip in
     if List.exists (fun n -> Ipv4.equal n.addr addr) b.b_neighbors then
-      fail lineno "duplicate neighbor";
+      Lines.fail "duplicate neighbor";
     b.b_neighbors <-
       { addr;
-        remote_as = parse_asn lineno asn;
+        remote_as = Lines.asn asn;
         route_map_in = None;
         route_map_out = None;
         keepalive = None;
@@ -138,76 +110,74 @@ let handle_bgp_line b lineno toks =
       }
       :: b.b_neighbors
   | [ "neighbor"; ip; "timers"; "connect"; n ] ->
-    let addr = parse_ip lineno ip in
-    let v = parse_int lineno n in
-    if v < 0 then fail lineno "connect-retry must be non-negative";
-    update_neighbor b lineno addr (fun nb ->
+    let addr = Lines.ipv4 ip in
+    let v = Lines.int n in
+    if v < 0 then Lines.fail "connect-retry must be non-negative";
+    update_neighbor b addr (fun nb ->
         { nb with connect_retry_s = Some v; timers_line = Some lineno })
   | [ "neighbor"; ip; "timers"; k; h ] ->
-    let addr = parse_ip lineno ip in
-    let k = parse_int lineno k and h = parse_int lineno h in
-    if k < 0 || h < 0 then fail lineno "timers must be non-negative";
-    update_neighbor b lineno addr (fun nb ->
+    let addr = Lines.ipv4 ip in
+    let k = Lines.int k and h = Lines.int h in
+    if k < 0 || h < 0 then Lines.fail "timers must be non-negative";
+    update_neighbor b addr (fun nb ->
         { nb with keepalive = Some k; holdtime = Some h;
           timers_line = Some lineno })
   | [ "neighbor"; ip; "route-map"; name; dir ] ->
-    let addr = parse_ip lineno ip in
+    let addr = Lines.ipv4 ip in
     (match dir with
     | "in" ->
-      update_neighbor b lineno addr (fun n -> { n with route_map_in = Some name })
+      update_neighbor b addr (fun n -> { n with route_map_in = Some name })
     | "out" ->
-      update_neighbor b lineno addr (fun n -> { n with route_map_out = Some name })
-    | _ -> fail lineno "route-map direction must be in|out")
-  | _ -> fail lineno "unknown statement in router bgp block"
+      update_neighbor b addr (fun n -> { n with route_map_out = Some name })
+    | _ -> Lines.fail "route-map direction must be in|out")
+  | _ -> Lines.fail "unknown statement in router bgp block"
 
-let handle_map_line entry lineno toks =
+let handle_map_line entry toks =
   match toks with
   | [ "match"; "ip"; "address"; "prefix-list"; name ] ->
     entry.rm_matches <- M_prefix_list name :: entry.rm_matches
   | [ "match"; "community"; c ] ->
-    entry.rm_matches <- M_community (parse_community lineno c) :: entry.rm_matches
+    entry.rm_matches <- M_community (community c) :: entry.rm_matches
   | [ "match"; "as-path-contains"; a ] ->
-    entry.rm_matches <-
-      M_as_path_contains (parse_asn lineno a) :: entry.rm_matches
+    entry.rm_matches <- M_as_path_contains (Lines.asn a) :: entry.rm_matches
   | [ "set"; "local-preference"; n ] ->
-    entry.rm_sets <- S_local_pref (parse_int lineno n) :: entry.rm_sets
+    entry.rm_sets <- S_local_pref (Lines.int n) :: entry.rm_sets
   | [ "set"; "metric"; n ] ->
-    entry.rm_sets <- S_metric (parse_int lineno n) :: entry.rm_sets
+    entry.rm_sets <- S_metric (Lines.int n) :: entry.rm_sets
   | [ "set"; "community"; c ] ->
-    entry.rm_sets <- S_community (parse_community lineno c, false) :: entry.rm_sets
+    entry.rm_sets <- S_community (community c, false) :: entry.rm_sets
   | [ "set"; "community"; c; "additive" ] ->
-    entry.rm_sets <- S_community (parse_community lineno c, true) :: entry.rm_sets
+    entry.rm_sets <- S_community (community c, true) :: entry.rm_sets
   | [ "set"; "as-path"; "prepend"; a; n ] ->
-    entry.rm_sets <-
-      S_prepend (parse_asn lineno a, parse_int lineno n) :: entry.rm_sets
+    entry.rm_sets <- S_prepend (Lines.asn a, Lines.int n) :: entry.rm_sets
   | [ "set"; "next-hop"; ip ] ->
-    entry.rm_sets <- S_next_hop (parse_ip lineno ip) :: entry.rm_sets
-  | _ -> fail lineno "unknown statement in route-map block"
+    entry.rm_sets <- S_next_hop (Lines.ipv4 ip) :: entry.rm_sets
+  | _ -> Lines.fail "unknown statement in route-map block"
 
 let handle_top_line b lineno toks =
   match toks with
   | "router" :: "bgp" :: asn :: [] ->
-    if b.b_asn <> None then fail lineno "second router bgp block";
-    b.b_asn <- Some (parse_asn lineno asn);
+    if b.b_asn <> None then Lines.fail "second router bgp block";
+    b.b_asn <- Some (Lines.asn asn);
     b.ctx <- In_bgp
   | "ip" :: "prefix-list" :: name :: "seq" :: seq :: action :: pfx :: rest ->
     let pl_permit =
       match action with
       | "permit" -> true
       | "deny" -> false
-      | _ -> fail lineno "prefix-list action must be permit|deny"
+      | _ -> Lines.fail "prefix-list action must be permit|deny"
     in
     let rec opts ge le = function
       | [] -> (ge, le)
-      | "ge" :: n :: rest -> opts (Some (parse_int lineno n)) le rest
-      | "le" :: n :: rest -> opts ge (Some (parse_int lineno n)) rest
-      | _ -> fail lineno "bad prefix-list options"
+      | "ge" :: n :: rest -> opts (Some (Lines.int n)) le rest
+      | "le" :: n :: rest -> opts ge (Some (Lines.int n)) rest
+      | _ -> Lines.fail "bad prefix-list options"
     in
     let pl_ge, pl_le = opts None None rest in
     let rule =
-      { pl_seq = parse_int lineno seq;
+      { pl_seq = Lines.int seq;
         pl_permit;
-        pl_prefix = parse_prefix lineno pfx;
+        pl_prefix = Lines.prefix pfx;
         pl_ge;
         pl_le;
         pl_line = lineno
@@ -222,10 +192,10 @@ let handle_top_line b lineno toks =
       match action with
       | "permit" -> true
       | "deny" -> false
-      | _ -> fail lineno "route-map action must be permit|deny"
+      | _ -> Lines.fail "route-map action must be permit|deny"
     in
     let entry =
-      { rm_seq = parse_int lineno seq;
+      { rm_seq = Lines.int seq;
         rm_permit;
         rm_line = lineno;
         rm_matches = [];
@@ -236,10 +206,50 @@ let handle_top_line b lineno toks =
       Option.value (Hashtbl.find_opt b.b_route_maps name) ~default:[]
     in
     if List.exists (fun e -> e.rm_seq = entry.rm_seq) existing then
-      fail lineno "duplicate route-map sequence";
+      Lines.fail "duplicate route-map sequence";
     Hashtbl.replace b.b_route_maps name (entry :: existing);
-    b.ctx <- In_route_map (name, entry)
-  | _ -> fail lineno "unknown top-level statement"
+    b.ctx <- In_route_map entry
+  | _ -> Lines.fail "unknown top-level statement"
+
+(* A [!] line ends the open block; an unindented line ends it too and
+   is read as a top-level statement. *)
+let handle_line b lineno = function
+  | Lines.Separator -> b.ctx <- Top
+  | Lines.Stmt { indented; toks } -> (
+    match b.ctx with
+    | In_bgp when indented -> handle_bgp_line b lineno toks
+    | In_route_map entry when indented -> handle_map_line entry toks
+    | Top | In_bgp | In_route_map _ ->
+      b.ctx <- Top;
+      handle_top_line b lineno toks)
+
+(* Un-reverse every accumulated list back into source order. *)
+let finish b () =
+  Hashtbl.filter_map_inplace
+    (fun _ rules -> Some (List.rev rules))
+    b.b_prefix_lists;
+  Hashtbl.filter_map_inplace
+    (fun _ entries ->
+      List.iter
+        (fun e ->
+          e.rm_matches <- List.rev e.rm_matches;
+          e.rm_sets <- List.rev e.rm_sets)
+        entries;
+      Some (List.rev entries))
+    b.b_route_maps;
+  let bgp =
+    Option.map
+      (fun asn ->
+        let network_lines = List.rev b.b_networks in
+        { asn;
+          router_id = b.b_router_id;
+          networks = List.map fst network_lines;
+          network_lines;
+          neighbors = List.rev b.b_neighbors
+        })
+      b.b_asn
+  in
+  { bgp; prefix_lists = b.b_prefix_lists; route_maps = b.b_route_maps }
 
 let parse text =
   let b =
@@ -252,64 +262,7 @@ let parse text =
       b_route_maps = Hashtbl.create 8
     }
   in
-  try
-    List.iteri
-      (fun i line ->
-        let lineno = i + 1 in
-        let line =
-          match String.index_opt line '#' with
-          | Some j -> String.sub line 0 j
-          | None -> line
-        in
-        let trimmed = String.trim line in
-        if trimmed = "" then ()
-        else if trimmed.[0] = '!' then b.ctx <- Top
-        else
-          let indented =
-            String.length line > 0 && (line.[0] = ' ' || line.[0] = '\t')
-          in
-          let toks = tokens trimmed in
-          match b.ctx with
-          | In_bgp when indented -> handle_bgp_line b lineno toks
-          | In_route_map (_, entry) when indented ->
-            handle_map_line entry lineno toks
-          | Top | In_bgp | In_route_map _ ->
-            b.ctx <- Top;
-            handle_top_line b lineno toks)
-      (String.split_on_char '\n' text);
-    (* Un-reverse every accumulated list back into source order. *)
-    Hashtbl.filter_map_inplace
-      (fun _ rules -> Some (List.rev rules))
-      b.b_prefix_lists;
-    Hashtbl.filter_map_inplace
-      (fun _ entries ->
-        List.iter
-          (fun e ->
-            e.rm_matches <- List.rev e.rm_matches;
-            e.rm_sets <- List.rev e.rm_sets)
-          entries;
-        Some (List.rev entries))
-      b.b_route_maps;
-    let bgp =
-      Option.map
-        (fun asn ->
-          let network_lines = List.rev b.b_networks in
-          { asn;
-            router_id = b.b_router_id;
-            networks = List.map fst network_lines;
-            network_lines;
-            neighbors = List.rev b.b_neighbors
-          })
-        b.b_asn
-    in
-    Ok { bgp; prefix_lists = b.b_prefix_lists; route_maps = b.b_route_maps }
-  with Parse_error (line, msg) ->
-    Error (Printf.sprintf "line %d: %s" line msg)
-
-let parse_exn text =
-  match parse text with
-  | Ok t -> t
-  | Error e -> invalid_arg ("Config.parse_exn: " ^ e)
+  Lines.read (handle_line b) (finish b) text
 
 let bgp t = t.bgp
 

@@ -1,9 +1,11 @@
 (** A Quagga-flavoured configuration language.
 
     PEERING ships clients a bgpd configuration; this module parses the
-    dialect we support and instantiates routers from it. Supported
-    statements (one per line, two-space indentation optional, [!] and
-    [#] start comments):
+    dialect we support and instantiates routers from it. Comments,
+    separators, tokens and line numbers follow {!Peering_net.Lines}.
+    Supported statements, one per line; an indented line belongs to
+    the [router bgp] or [route-map] block above it, and a [!] line or
+    an unindented one closes that block:
 
     {v
 router bgp <asn>
@@ -86,10 +88,8 @@ type map_entry = {
 
 type t
 
-val parse : string -> (t, string) result
-(** Parse a configuration text. The error includes a line number. *)
-
-val parse_exn : string -> t
+val parse : string -> (t, Lines.error) result
+(** Parse a configuration text. *)
 
 val bgp : t -> bgp_config option
 

@@ -25,7 +25,8 @@ let () =
   end;
   let configs = ref [] and specs = ref [] and worlds = ref [] in
   let parse_fail file e =
-    Printf.eprintf "check_selfhost: %s: parse error: %s\n" file e;
+    Printf.eprintf "check_selfhost: %s: parse error: %s\n" file
+      (Peering_net.Lines.error_to_string e);
     exit 2
   in
   List.iter

@@ -9,10 +9,14 @@ let check = Alcotest.check
 let tc = Alcotest.test_case
 let pfx = Prefix.of_string_exn
 
+let parsed = function
+  | Ok v -> v
+  | Error e -> Alcotest.fail (Lines.error_to_string e)
+
 let codes_of diags = List.map (fun (d : Diagnostic.t) -> d.Diagnostic.code) diags
 let fired code diags = List.mem code (codes_of diags)
 
-let check_text text = Check.check_config (Config.parse_exn text)
+let check_text text = Check.check_config (parsed @@ Config.parse text)
 
 let assert_fires name code text =
   check Alcotest.bool name true (fired code (check_text text))
@@ -75,7 +79,7 @@ let test_clean_config_quiet () =
 let test_clean_config_instantiates () =
   (* The analyzer's contract: a config with no error-severity
      diagnostics instantiates and applies its policies without error. *)
-  let c = Config.parse_exn clean_config in
+  let c = parsed @@ Config.parse clean_config in
   check Alcotest.bool "no errors" false
     (Diagnostic.has_errors (Check.check_config c));
   let e = Engine.create () in
@@ -213,7 +217,7 @@ let test_session_mismatch () =
   let run texts =
     Check.check_configs
       (List.mapi
-         (fun i t -> (Some (Printf.sprintf "r%d.conf" i), Config.parse_exn t))
+         (fun i t -> (Some (Printf.sprintf "r%d.conf" i), parsed @@ Config.parse t))
          texts)
   in
   check Alcotest.bool "mutual pair is consistent" false
@@ -336,7 +340,7 @@ announce 184.164.224.0/24 at 7200
 |}
 
 let test_spec_parse () =
-  let s = Spec.parse_exn spec_text in
+  let s = parsed @@ Spec.parse spec_text in
   check Alcotest.string "id" "anycast-demo" s.Spec.id;
   check Alcotest.(list string) "allocation" [ "184.164.224.0/24" ]
     (List.map Prefix.to_string s.Spec.prefixes);
@@ -362,13 +366,13 @@ let test_spec_parse () =
 
 let test_exp_hijack () =
   let hijack =
-    Spec.parse_exn
+    parsed @@ Spec.parse
       "experiment evil\nprefix 184.164.224.0/24\nannounce 8.8.8.0/24 at 0"
   in
   check Alcotest.bool "foreign prefix" true
     (fired "EXP-HIJACK" (Check.check_spec hijack));
   let sub =
-    Spec.parse_exn
+    parsed @@ Spec.parse
       "experiment fine\nprefix 184.164.224.0/24\nannounce 184.164.224.128/25 at 0"
   in
   check Alcotest.bool "subprefix of allocation" false
@@ -376,21 +380,21 @@ let test_exp_hijack () =
 
 let test_exp_poison () =
   let poison =
-    Spec.parse_exn
+    parsed @@ Spec.parse
       "experiment sneaky\nprefix 184.164.224.0/24\n\
        announce 184.164.224.0/24 at 0 path 3356"
   in
   check Alcotest.bool "public ASN unvetted" true
     (fired "EXP-POISON" (Check.check_spec poison));
   let vetted =
-    Spec.parse_exn
+    parsed @@ Spec.parse
       "experiment lifeguard\nprefix 184.164.224.0/24\nmay-poison\n\
        announce 184.164.224.0/24 at 0 path 3356"
   in
   check Alcotest.bool "vetted poisoning" false
     (fired "EXP-POISON" (Check.check_spec vetted));
   let own =
-    Spec.parse_exn
+    parsed @@ Spec.parse
       "experiment own\nprefix 184.164.224.0/24\nasn 61574\n\
        announce 184.164.224.0/24 at 0 path 61574 64512 47065"
   in
@@ -399,7 +403,7 @@ let test_exp_poison () =
 
 let test_exp_dampen () =
   let flappy =
-    Spec.parse_exn
+    parsed @@ Spec.parse
       {|experiment flappy
 prefix 184.164.224.0/24
 announce 184.164.224.0/24 at 0
@@ -417,7 +421,7 @@ announce 184.164.224.0/24 at 3
   check Alcotest.int "only the suppressed announcement is flagged" 1
     (List.length (List.filter (fun (d : Diagnostic.t) -> d.Diagnostic.code = "EXP-DAMPEN") diags));
   let calm =
-    Spec.parse_exn
+    parsed @@ Spec.parse
       {|experiment calm
 prefix 184.164.224.0/24
 announce 184.164.224.0/24 at 0
@@ -489,7 +493,7 @@ leak 20 10
 |}
 
 let test_world_parse () =
-  let w = World.parse_exn leaky_world_text in
+  let w = parsed @@ World.parse leaky_world_text in
   let g = World.graph w in
   check Alcotest.int "ases" 4 (Peering_topo.As_graph.n_ases g);
   check Alcotest.int "edges" 4 (Peering_topo.As_graph.n_edges g);
@@ -509,7 +513,7 @@ let test_world_parse () =
   check Alcotest.bool "unknown statement" true (bad "frobnicate")
 
 let test_world_local_pref () =
-  let w = World.parse_exn leaky_world_text in
+  let w = parsed @@ World.parse leaky_world_text in
   check Alcotest.(option int) "customer default" (Some 300)
     (World.local_pref w ~at:(Asn.of_int 10) ~from:(Asn.of_int 20));
   check Alcotest.(option int) "peer default" (Some 200)
@@ -543,7 +547,7 @@ let test_abstract_of_policy () =
   | _ -> Alcotest.fail "deny-all lowers to No_prefix"
 
 let test_leak_analysis () =
-  let w = World.parse_exn leaky_world_text in
+  let w = parsed @@ World.parse leaky_world_text in
   let ann =
     Peering_topo.Propagation.announce (Asn.of_int 30) (pfx "198.51.100.0/24")
   in
@@ -559,7 +563,7 @@ let test_leak_analysis () =
     (v.Leak_analysis.iterations > 0);
   (* without the leak nothing is tainted *)
   let clean =
-    World.parse_exn
+    parsed @@ World.parse
       (String.concat "\n"
          (List.filter
             (fun l -> not (String.length l >= 4 && String.sub l 0 4 = "leak"))
@@ -578,7 +582,7 @@ let test_leak_peerlock () =
   (* Peerlock at the receiving provider: 10 protects 30, and the
      leaked path 30 -> 20 -> 10 always carries 30 (must-information),
      so the static analysis can soundly block the leak at 10. *)
-  let w = World.parse_exn leaky_world_text in
+  let w = parsed @@ World.parse leaky_world_text in
   World.add_peerlock w ~at:(Asn.of_int 10) ~protect:(Asn.of_int 30);
   let ann =
     Peering_topo.Propagation.announce (Asn.of_int 30) (pfx "198.51.100.0/24")
@@ -588,7 +592,7 @@ let test_leak_peerlock () =
     (Asn.Set.mem (Asn.of_int 10) v.Leak_analysis.tainted)
 
 let test_stability () =
-  let w = World.parse_exn leaky_world_text in
+  let w = parsed @@ World.parse leaky_world_text in
   check Alcotest.int "default prefs: no risky edges" 0
     (List.length (Stability.risky_edges w));
   (* one risky session: 20 imports its provider at customer level *)
@@ -606,7 +610,7 @@ let test_stability () =
     (fired "STAB-WHEEL" (Check.check_world w));
   (* a peer triangle of customer-level imports is a dispute wheel *)
   let tri =
-    World.parse_exn
+    parsed @@ World.parse
       "as 1\nas 2\nas 3\nedge 1 peer 2\nedge 2 peer 3\nedge 3 peer 1\n\
        local-pref 1 2 300\nlocal-pref 2 3 300\nlocal-pref 3 1 300"
   in
@@ -616,17 +620,17 @@ let test_stability () =
     (List.length (Stability.risky_edges tri))
 
 let test_graph_structure () =
-  let split = World.parse_exn "as 1\nas 2\nas 3\nedge 1 peer 2" in
+  let split = parsed @@ World.parse "as 1\nas 2\nas 3\nedge 1 peer 2" in
   check Alcotest.bool "partition fires" true
     (fired "GRAPH-PARTITION" (Check.check_world split));
   let cyc =
-    World.parse_exn
+    parsed @@ World.parse
       "as 1\nas 2\nas 3\nedge 1 provider 2\nedge 2 provider 3\nedge 3 provider 1"
   in
   check Alcotest.bool "relationship cycle fires" true
     (fired "GRAPH-RELCYCLE" (Check.check_world cyc));
   let moas =
-    World.parse_exn
+    parsed @@ World.parse
       "as 1\nas 2\nedge 1 peer 2\noriginate 1 10.0.0.0/8\noriginate 2 10.0.0.0/8"
   in
   check Alcotest.bool "MOAS fires" true
@@ -634,12 +638,12 @@ let test_graph_structure () =
 
 let test_spec_conflicts () =
   let a =
-    Spec.parse_exn
+    parsed @@ Spec.parse
       "experiment a\nprefix 184.164.224.0/24\nasn 64512\nasn 64513\n\
        announce 184.164.224.0/24 at 0"
   in
   let b =
-    Spec.parse_exn
+    parsed @@ Spec.parse
       "experiment b\nprefix 184.164.224.128/25\nasn 64512\nmay-poison\n\
        announce 184.164.224.128/25 at 0 path 64513"
   in
@@ -648,7 +652,7 @@ let test_spec_conflicts () =
   check Alcotest.bool "shared asn" true (fired "XEXP-ASN" diags);
   check Alcotest.bool "cross poison" true (fired "XEXP-POISON" diags);
   let c =
-    Spec.parse_exn
+    parsed @@ Spec.parse
       "experiment c\nprefix 184.164.230.0/24\nasn 64600\n\
        announce 184.164.230.0/24 at 0"
   in
@@ -752,6 +756,60 @@ let test_check_experiment () =
   check Alcotest.(list string) "clean programmatic schedule" []
     (codes_of good)
 
+(* Event times must be finite: flap.exp with every time set to nan or
+   inf is a parse error, where a nan schedule used to pass every check
+   (nan compares false, so the dampening replay never fired). *)
+let test_spec_finite_times () =
+  let dir =
+    if Sys.file_exists "fixtures/bad" then "fixtures/bad"
+    else "test/fixtures/bad"
+  in
+  let flap = read_fixture (Filename.concat dir "flap.exp") in
+  check Alcotest.bool "flap.exp fires EXP-DAMPEN" true
+    (fired "EXP-DAMPEN" (Check.check_spec (parsed @@ Spec.parse flap)));
+  let retimed t =
+    String.split_on_char '\n' flap
+    |> List.map (fun line ->
+           match String.split_on_char ' ' line with
+           | kw :: p :: "at" :: _ :: rest ->
+             String.concat " " (kw :: p :: "at" :: t :: rest)
+           | _ -> line)
+    |> String.concat "\n"
+  in
+  let err t =
+    match Spec.parse (retimed t) with
+    | Error e -> Lines.error_to_string e
+    | Ok _ -> "parsed"
+  in
+  List.iter
+    (fun t ->
+      check Alcotest.string t (Printf.sprintf "line 6: bad number %S" t)
+        (err t))
+    [ "nan"; "inf"; "-inf"; "1e309" ];
+  check Alcotest.string "finite times parse" "parsed" (err "1e308")
+
+(* An export window must be non-empty and inside the address family:
+   before, such a window parsed and silently exported nothing. *)
+let test_world_windows () =
+  let export ?af line =
+    match World.parse ?af ("as 1\nas 2\nedge 1 peer 2\n" ^ line) with
+    | Error e -> Lines.error_to_string e
+    | Ok _ -> "parsed"
+  in
+  check Alcotest.string "ge > le"
+    "line 4: bad prefix window 40..99 (need 0 <= ge <= le <= 32)"
+    (export "export 1 2 prefix 10.0.0.0/8 40 99");
+  check Alcotest.string "negative bounds"
+    "line 4: bad prefix window -1..-5 (need 0 <= ge <= le <= 32)"
+    (export "export 1 2 prefix 10.0.0.0/8 -1 -5");
+  check Alcotest.string "empty in range"
+    "line 4: bad prefix window 24..16 (need 0 <= ge <= le <= 32)"
+    (export "export 1 2 prefix 10.0.0.0/8 24 16");
+  check Alcotest.string "v4 window" "parsed"
+    (export "export 1 2 prefix 10.0.0.0/8 8 32");
+  check Alcotest.string "v6 width" "parsed"
+    (export ~af:Policy_checks.V6 "export 1 2 prefix 10.0.0.0/8 8 64")
+
 let () =
   Alcotest.run "check"
     [ ( "plumbing",
@@ -784,6 +842,7 @@ let () =
           tc "EXP-HIJACK" `Quick test_exp_hijack;
           tc "EXP-POISON" `Quick test_exp_poison;
           tc "EXP-DAMPEN" `Quick test_exp_dampen;
+          tc "finite event times" `Quick test_spec_finite_times;
           tc "programmatic experiment" `Quick test_check_experiment
         ] );
       ( "address-family",
@@ -792,6 +851,7 @@ let () =
         ] );
       ( "world",
         [ tc "parser" `Quick test_world_parse;
+          tc "export windows" `Quick test_world_windows;
           tc "local-pref defaults" `Quick test_world_local_pref;
           tc "policy lowering" `Quick test_abstract_of_policy;
           tc "leak fixpoint" `Quick test_leak_analysis;

@@ -742,7 +742,11 @@ let test_portal_provisioning () =
   | Ok kit ->
     check Alcotest.int "one endpoint per site" 3 (List.length kit.Portal.sites);
     (* the generated config parses and compiles with our own tools *)
-    let parsed = Peering_router.Config.parse_exn kit.Portal.client_config in
+    let parsed =
+      match Peering_router.Config.parse kit.Portal.client_config with
+      | Ok c -> c
+      | Error e -> Alcotest.fail (Lines.error_to_string e)
+    in
     (match Peering_router.Config.bgp parsed with
     | Some bgp ->
       check Alcotest.int "asn 47065" 47065

@@ -9,6 +9,10 @@ let asn = Asn.of_int
 let ip = Ipv4.of_string_exn
 let pfx = Prefix.of_string_exn
 
+let parsed = function
+  | Ok v -> v
+  | Error e -> Alcotest.fail (Lines.error_to_string e)
+
 let mk engine a rid = Router.create engine ~asn:(asn a) ~router_id:(ip rid) ()
 
 (* ------------------------------------------------------------------ *)
@@ -234,7 +238,7 @@ route-map EXPORT deny 20
 |}
 
 let test_config_parse () =
-  let c = Config.parse_exn sample_config in
+  let c = parsed @@ Config.parse sample_config in
   match Config.bgp c with
   | None -> Alcotest.fail "no bgp block"
   | Some bgp ->
@@ -252,7 +256,7 @@ let test_config_parse () =
       (Config.route_map_names c)
 
 let test_config_compile_route_map () =
-  let c = Config.parse_exn sample_config in
+  let c = parsed @@ Config.parse sample_config in
   match Config.compile_route_map c "EXPORT" with
   | Error e -> Alcotest.fail e
   | Ok policy ->
@@ -288,7 +292,7 @@ let test_config_errors () =
   check Alcotest.bool "undefined route map reference" true
     (match
        Config.compile_route_map
-         (Config.parse_exn "router bgp 1")
+         (parsed @@ Config.parse "router bgp 1")
          "NOPE"
      with
     | Error _ -> true
@@ -297,7 +301,7 @@ let test_config_errors () =
 let test_config_parse_errors () =
   let err text =
     match Config.parse text with
-    | Error e -> e
+    | Error e -> Lines.error_to_string e
     | Ok _ -> Alcotest.failf "expected a parse error for %S" text
   in
   check Alcotest.string "duplicate neighbor" "line 3: duplicate neighbor"
@@ -342,7 +346,7 @@ let mk_route communities =
 
 let test_config_set_community_semantics () =
   let compile text =
-    match Config.compile_route_map (Config.parse_exn text) "SET" with
+    match Config.compile_route_map (parsed @@ Config.parse text) "SET" with
     | Ok p -> p
     | Error e -> Alcotest.fail e
   in
@@ -370,7 +374,7 @@ let test_config_set_community_semantics () =
 
 let test_config_instantiate () =
   let e = Engine.create () in
-  let c = Config.parse_exn sample_config in
+  let c = parsed @@ Config.parse sample_config in
   match Config.instantiate e c with
   | Error err -> Alcotest.fail err
   | Ok r ->
