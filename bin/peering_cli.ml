@@ -300,7 +300,9 @@ let check_cmd =
   let files_arg =
     let doc =
       "Files to analyze. Files ending in .exp are parsed as experiment \
-       specs; everything else as Quagga-style router configurations. \
+       specs; everything else as Quagga-style router configurations, \
+       except .world topologies, which $(b,verify) reads: a .world \
+       file is refused with exit status 2 before any file is read. \
        Configurations are also checked against each other (session \
        consistency), and specs against each other (prefix overlap, ASN \
        collisions, cross-experiment poisoning)."
@@ -328,6 +330,15 @@ let check_cmd =
       prerr_endline "check: no files given (try --codes)";
       exit 2
     end;
+    List.iter
+      (fun file ->
+        if Filename.check_suffix file ".world" then begin
+          Printf.eprintf
+            "check: %s is a .world topology; run `peering_cli verify %s`\n"
+            file file;
+          exit 2
+        end)
+      files;
     let parse_failures = ref [] in
     let configs = ref [] and specs = ref [] in
     List.iter

@@ -9,12 +9,13 @@
     IPv4 peers with a zero distinguisher; embedded PDUs always use
     4-octet ASNs and no ADD-PATH ({!pdu_opts}).
 
-    The codec has one canonical encoder and two independent readers of
-    the BMP framing — {!decode} on {!Wire.Cursor} and the reference
-    {!decode_eager} on direct byte indexing, both handing embedded
-    PDUs to [Wire.decode] — that must agree on every input, including
-    the [error] value for corrupt frames; the [@mrt-roundtrip] alias's
-    BMP corruption corpus enforces this. *)
+    The codec has one canonical encoder and one decoder, {!decode},
+    which reads the BMP framing through {!Wire.Cursor} and hands
+    embedded PDUs to {!Wire.decode}.  An independent reference reader
+    of the framing, with its own copy of every check, lives in test
+    code ([test/bmp_reference.ml]); the [@mrt-roundtrip] alias's BMP
+    corruption corpus requires the two to agree on every input,
+    including the [error] value for corrupt frames. *)
 
 open Peering_net
 
@@ -106,7 +107,7 @@ val msg_type_name : int -> string
 val peer_of : msg -> peer_header option
 (** The per-peer header, for the four peer-scoped message types. *)
 
-(** Decode errors, mirrored exactly by both decode paths. *)
+(** Decode errors. *)
 type error =
   | Truncated  (** buffer ends before the header-declared length *)
   | Bad_version of int  (** first byte is not 3 *)
@@ -129,14 +130,9 @@ val encode_all : msg list -> bytes
 
 val decode : ?stop:int -> bytes -> pos:int -> (msg * int, error) result
 (** [decode buf ~pos] parses one message starting at [pos]; returns
-    the message and the position one past its end.  This is the
-    {!Wire.Cursor}-based path.  [Error Truncated] is returned both for
-    a short common header and for a body the buffer cannot satisfy, so
-    feed reassembly can treat it as "wait for more bytes".  The buffer
+    the message and the position one past its end.  [Error Truncated]
+    is returned both for a short common header and for a body the
+    buffer cannot satisfy, so feed reassembly can treat it as "wait for more bytes".  The buffer
     is taken to end at [stop] (default: its length): a frame whose
     common header or declared length runs past [stop] is [Truncated],
     so a reassembly buffer with spare room past [stop] needs no copy. *)
-
-val decode_eager : bytes -> pos:int -> (msg * int, error) result
-(** The independent direct-indexing reference decoder; same contract
-    as {!decode}, and must agree with it on every input. *)

@@ -14,18 +14,14 @@ let mp_reach_code = 14
 let mp_unreach_code = 15
 
 (* ------------------------------------------------------------------ *)
-(* Byte helpers.  Reads go through the shared Wire.Cursor; the Buffer
-   writers stay local (the v4 codec keeps its own too). *)
+(* IPv6 byte helpers, on Wire's byte layer: its writers and its
+   Cursor. *)
 
-let put_u8 b v = Buffer.add_char b (Char.chr (v land 0xFF))
-
-let put_u16 b v =
-  put_u8 b (v lsr 8);
-  put_u8 b v
+module Cursor = Wire.Cursor
 
 let put_u64 b v =
   for i = 7 downto 0 do
-    put_u8 b (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xFF)
+    Wire.put_u8 b (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xFF)
   done
 
 let put_ipv6 b (a : Ipv6.t) =
@@ -35,7 +31,7 @@ let put_ipv6 b (a : Ipv6.t) =
 let prefix6_wire_bytes p = (Prefix6.len p + 7) / 8
 
 let put_prefix6 b p =
-  put_u8 b (Prefix6.len p);
+  Wire.put_u8 b (Prefix6.len p);
   let a = Prefix6.addr p in
   let nbytes = prefix6_wire_bytes p in
   for i = 0 to nbytes - 1 do
@@ -47,10 +43,8 @@ let put_prefix6 b p =
         Int64.to_int (Int64.shift_right_logical a.Ipv6.lo (56 - (8 * (i - 8))))
         land 0xFF
     in
-    put_u8 b byte
+    Wire.put_u8 b byte
   done
-
-module Cursor = Wire.Cursor
 
 let u64 c =
   let v = ref 0L in
@@ -78,77 +72,59 @@ let read_prefix6 c =
   Prefix6.make (Ipv6.make !hi !lo) len
 
 (* ------------------------------------------------------------------ *)
-(* Encode: build the MP attribute body, wrap it with the shared
-   attributes through the v4 codec's machinery. *)
+(* Encode: the shared attributes come from [Wire.encode_attrs], the MP
+   attribute follows them, and the UPDATE carries no v4 withdrawn
+   routes or NLRI. *)
 
-let mp_reach_body reach =
-  let b = Buffer.create 64 in
-  put_u16 b afi_ipv6;
-  put_u8 b safi_unicast;
-  put_u8 b 16 (* next-hop length *);
-  put_ipv6 b reach.next_hop;
-  put_u8 b 0 (* reserved / SNPA count *);
-  List.iter (put_prefix6 b) reach.nlri;
-  b
-
-let mp_unreach_body prefixes =
-  let b = Buffer.create 32 in
-  put_u16 b afi_ipv6;
-  put_u8 b safi_unicast;
-  List.iter (put_prefix6 b) prefixes;
-  b
-
-(* Splice an extra optional attribute into an encoded UPDATE: we
-   re-encode from scratch instead, building the full attribute section
-   by hand so the message stays canonical. *)
-let put_attribute b ~flags ~code body =
-  let len = Buffer.length body in
-  let flags = if len > 255 then flags lor 0x10 else flags in
-  put_u8 b flags;
-  put_u8 b code;
-  if flags land 0x10 <> 0 then put_u16 b len else put_u8 b len;
-  Buffer.add_buffer b body
+let mp_attribute b = function
+  | Reach r ->
+    let body = Buffer.create 64 in
+    Wire.put_u16 body afi_ipv6;
+    Wire.put_u8 body safi_unicast;
+    Wire.put_u8 body 16 (* next-hop length *);
+    put_ipv6 body r.next_hop;
+    Wire.put_u8 body 0 (* reserved / SNPA count *);
+    List.iter (put_prefix6 body) r.nlri;
+    Wire.put_attribute b ~flags:0x80 ~code:mp_reach_code body
+  | Unreach prefixes ->
+    let body = Buffer.create 32 in
+    Wire.put_u16 body afi_ipv6;
+    Wire.put_u8 body safi_unicast;
+    List.iter (put_prefix6 body) prefixes;
+    Wire.put_attribute b ~flags:0x80 ~code:mp_unreach_code body
 
 let encode opts update =
-  (* Serialise the shared attributes by encoding an empty v4 UPDATE
-     with them, then stripping its framing. *)
-  let shared_attrs =
-    match update with
-    | Reach r -> Some r.attrs
-    | Unreach _ -> None
-  in
-  let base =
-    Wire.encode opts
-      (Message.Update { withdrawn = []; attrs = shared_attrs; nlri = [] })
-  in
-  (* layout of [base]: 16 marker + 2 len + 1 type + 2 withdrawn-len(0)
-     + 2 attr-len + attrs *)
-  let base_attrs_len =
-    (Char.code (Bytes.get base 21) lsl 8) lor Char.code (Bytes.get base 22)
-  in
-  let shared = Bytes.sub base 23 base_attrs_len in
-  let attrs_buf = Buffer.create 128 in
-  Buffer.add_bytes attrs_buf shared;
+  let attrs = Buffer.create 128 in
   (match update with
-  | Reach r -> put_attribute attrs_buf ~flags:0x80 ~code:mp_reach_code
-      (mp_reach_body r)
-  | Unreach ps ->
-    put_attribute attrs_buf ~flags:0x80 ~code:mp_unreach_code
-      (mp_unreach_body ps));
-  let out = Buffer.create 256 in
+  | Reach r -> Buffer.add_bytes attrs (Wire.encode_attrs opts r.attrs)
+  | Unreach _ -> ());
+  mp_attribute attrs update;
+  let out = Buffer.create (23 + Buffer.length attrs) in
   for _ = 1 to 16 do
     Buffer.add_char out '\xFF'
   done;
-  let total = 19 + 2 + 2 + Buffer.length attrs_buf in
-  put_u16 out total;
-  put_u8 out 2 (* UPDATE *);
-  put_u16 out 0 (* no withdrawn routes *);
-  put_u16 out (Buffer.length attrs_buf);
-  Buffer.add_buffer out attrs_buf;
+  Wire.put_u16 out (23 + Buffer.length attrs);
+  Wire.put_u8 out 2 (* UPDATE *);
+  Wire.put_u16 out 0 (* no withdrawn routes *);
+  Wire.put_u16 out (Buffer.length attrs);
+  Buffer.add_buffer out attrs;
   Buffer.to_bytes out
 
 (* ------------------------------------------------------------------ *)
 (* Decode *)
+
+let afi_safi sub =
+  let afi = Cursor.u16 sub in
+  let safi = Cursor.u8 sub in
+  if afi <> afi_ipv6 || safi <> safi_unicast then
+    raise (Wire.Error (Wire.Bad_attribute "unsupported AFI/SAFI"))
+
+let prefixes6 sub =
+  let acc = ref [] in
+  while Cursor.remaining sub > 0 do
+    acc := read_prefix6 sub :: !acc
+  done;
+  List.rev !acc
 
 let decode opts buf =
   (* First pass: the v4 codec validates framing and recovers the
@@ -159,18 +135,13 @@ let decode opts buf =
   | Ok (Message.Open _, _) | Ok (Message.Keepalive, _)
   | Ok (Message.Notification _, _) ->
     Error (Wire.Bad_attribute "not an UPDATE")
-  | Ok (Message.Update u, _) -> (
-    (* Second pass: scan the raw attribute section for MP attributes. *)
+  | Ok (Message.Update u, stop) -> (
+    (* Second pass: the UPDATE body past its withdrawn routes, scanned
+       for MP attributes. *)
     try
-      let wlen =
-        (Char.code (Bytes.get buf 19) lsl 8) lor Char.code (Bytes.get buf 20)
-      in
-      let attrs_at = 21 + wlen in
-      let attrs_len =
-        (Char.code (Bytes.get buf attrs_at) lsl 8)
-        lor Char.code (Bytes.get buf (attrs_at + 1))
-      in
-      let r = Cursor.of_bytes ~pos:(attrs_at + 2) ~len:attrs_len buf in
+      let body = Cursor.of_bytes ~pos:19 ~len:(stop - 19) buf in
+      Cursor.skip body (Cursor.u16 body);
+      let r = Cursor.slice body (Cursor.u16 body) in
       let found = ref None in
       while Cursor.remaining r > 0 do
         let flags = Cursor.u8 r in
@@ -178,35 +149,21 @@ let decode opts buf =
         let len = if flags land 0x10 <> 0 then Cursor.u16 r else Cursor.u8 r in
         let sub = Cursor.slice r len in
         if code = mp_reach_code then begin
-          let afi = Cursor.u16 sub in
-          let safi = Cursor.u8 sub in
-          if afi <> afi_ipv6 || safi <> safi_unicast then
-            raise (Wire.Error (Wire.Bad_attribute "unsupported AFI/SAFI"));
-          let nh_len = Cursor.u8 sub in
-          if nh_len <> 16 then
+          afi_safi sub;
+          if Cursor.u8 sub <> 16 then
             raise (Wire.Error (Wire.Bad_attribute "bad v6 next-hop length"));
           let next_hop = read_ipv6 sub in
           let _reserved = Cursor.u8 sub in
-          let nlri = ref [] in
-          while Cursor.remaining sub > 0 do
-            nlri := read_prefix6 sub :: !nlri
-          done;
+          let nlri = prefixes6 sub in
           let attrs =
             Option.value u.Message.attrs
               ~default:(Attrs.make ~next_hop:(Ipv4.of_int 0) ())
           in
-          found := Some (Reach { attrs; next_hop; nlri = List.rev !nlri })
+          found := Some (Reach { attrs; next_hop; nlri })
         end
         else if code = mp_unreach_code then begin
-          let afi = Cursor.u16 sub in
-          let safi = Cursor.u8 sub in
-          if afi <> afi_ipv6 || safi <> safi_unicast then
-            raise (Wire.Error (Wire.Bad_attribute "unsupported AFI/SAFI"));
-          let prefixes = ref [] in
-          while Cursor.remaining sub > 0 do
-            prefixes := read_prefix6 sub :: !prefixes
-          done;
-          found := Some (Unreach (List.rev !prefixes))
+          afi_safi sub;
+          found := Some (Unreach (prefixes6 sub))
         end
       done;
       match !found with

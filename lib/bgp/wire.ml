@@ -70,7 +70,6 @@ let put_as_path opts b path =
       List.iter (put_asn opts b) asns)
     path
 
-(* flags, type code, and body writer *)
 let put_attribute b ~flags ~code body =
   let len = Buffer.length body in
   let flags = if len > 255 then flags lor 0x10 else flags in
@@ -460,10 +459,10 @@ let decode_update opts c =
 let check_header buf ~pos =
   let total = Bytes.length buf in
   if pos + 19 > total then raise (Error Truncated);
-  for i = pos to pos + 15 do
-    if Bytes.get buf i <> '\xFF' then raise (Error Bad_marker)
+  let hdr = Cursor.of_bytes ~pos ~len:19 buf in
+  for _ = 1 to 16 do
+    if Cursor.u8 hdr <> 0xFF then raise (Error Bad_marker)
   done;
-  let hdr = Cursor.of_bytes ~pos:(pos + 16) buf in
   let len = Cursor.u16 hdr in
   if len < 19 || len > 4096 then raise (Error (Bad_length len));
   if pos + len > total then raise (Error Truncated);

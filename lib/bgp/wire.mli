@@ -42,11 +42,34 @@ exception Error of error
     internal parsers; caught at every public [result]-returning
     boundary. *)
 
+(** {1 Byte layer}
+
+    The one byte layer of the binary codecs: this module, [Mp], [Bmp]
+    and the MRT codec.  Every encoder writes integers through the
+    big-endian writers below, and every decoder reads bytes only
+    through a {!Cursor}, so no malformed frame can read past its
+    window. *)
+
+val put_u8 : Buffer.t -> int -> unit
+(** Append the low 8 bits of an integer as one byte. *)
+
+val put_u16 : Buffer.t -> int -> unit
+(** Append the low 16 bits, big-endian (network order, like every
+    field of the four codecs). *)
+
+val put_u32 : Buffer.t -> int -> unit
+(** Append the low 32 bits, big-endian. *)
+
+val put_attribute : Buffer.t -> flags:int -> code:int -> Buffer.t -> unit
+(** [put_attribute b ~flags ~code body] appends one path attribute:
+    flags byte, type code, length, then [body].  A body longer than
+    255 bytes sets the Extended Length flag (0x10) and takes a 2-byte
+    length; otherwise the length is one byte. *)
+
 (** Bounds-checked read window over a shared byte buffer.  A cursor
     never copies: slices alias the parent buffer, and every read is
     checked against the window's limit, raising {!Error}[ Truncated]
-    on overrun.  Every decoder in this module reads bytes only through
-    a cursor, so no malformed frame can read past its window. *)
+    on overrun. *)
 module Cursor : sig
   type t
   (** A mutable position within a fixed window of a byte buffer. *)

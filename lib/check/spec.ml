@@ -30,6 +30,10 @@ type builder = {
 let parse_schedule_tail b lineno prefix kind_of = function
   | "at" :: t :: rest ->
     let ev_time = Lines.float t in
+    if ev_time < 0.0 then
+      Lines.fail
+        (Printf.sprintf "bad time %S (seconds from experiment start, need >= 0)"
+           t);
     let kind = kind_of rest in
     b.b_events <-
       { ev_time; ev_line = lineno; ev_prefix = prefix; ev_kind = kind }

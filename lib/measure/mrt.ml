@@ -74,74 +74,63 @@ let attr_opts = Wire.{ four_octet_asn = true; add_path = false }
 let session_opts_of_as4 as4 = Wire.{ four_octet_asn = as4; add_path = false }
 
 (* ------------------------------------------------------------------ *)
-(* Writer.  Output is canonical: peers and BGP4MP records always use
-   4-byte ASN forms, attribute sections come from [Wire.encode_attrs]
-   (ascending code order), so encode ∘ decode is the identity on our
-   own dumps. *)
+(* Writer, on Wire's writers.  Output is canonical: peers and BGP4MP
+   records always use 4-byte ASN forms, attribute sections come from
+   [Wire.encode_attrs] (ascending code order), so encode ∘ decode is
+   the identity on our own dumps. *)
 
-let put_u8 b v = Buffer.add_char b (Char.chr (v land 0xFF))
-
-let put_u16 b v =
-  put_u8 b (v lsr 8);
-  put_u8 b v
-
-let put_u32 b v =
-  put_u16 b (v lsr 16);
-  put_u16 b (v land 0xFFFF)
-
-let put_ipv4 b a = put_u32 b (Ipv4.to_int a)
-
-let put_peer b p =
-  let ty = (match p.addr with V4 _ -> 0 | V6 _ -> 1) lor 2 in
-  put_u8 b ty;
-  put_ipv4 b p.bgp_id;
-  (match p.addr with V4 a -> put_ipv4 b a | V6 a -> Mp.put_ipv6 b a);
-  put_u32 b (Asn.to_int p.asn)
-
-(* RFC 6396 §4.3.4: inside a RIB_IPV6 entry the MP_REACH_NLRI
-   attribute is abbreviated to next-hop length + next-hop address. *)
-let put_mp_reach_next_hop b nh =
-  put_u8 b 0x80 (* optional *);
-  put_u8 b 14 (* MP_REACH_NLRI *);
-  put_u8 b 17 (* 1 length byte + 16 address bytes *);
-  put_u8 b 16;
-  Mp.put_ipv6 b nh
-
-let put_rib_entry ~v6 b e =
-  put_u16 b e.peer_index;
-  put_u32 b e.originated;
-  let attrs = Wire.encode_attrs ~with_next_hop:(not v6) attr_opts e.attrs in
-  if v6 then begin
-    put_u16 b (Bytes.length attrs + 20);
-    Buffer.add_bytes b attrs;
-    let nh = Option.value e.next_hop6 ~default:(Ipv6.make 0L 0L) in
-    put_mp_reach_next_hop b nh
-  end
-  else begin
-    put_u16 b (Bytes.length attrs);
-    Buffer.add_bytes b attrs
-  end
+let put_ipv4 b a = Wire.put_u32 b (Ipv4.to_int a)
 
 let put_peer_addr b = function
   | V4 a -> put_ipv4 b a
   | V6 a -> Mp.put_ipv6 b a
 
+let put_peer b p =
+  let ty = (match p.addr with V4 _ -> 0 | V6 _ -> 1) lor 2 in
+  Wire.put_u8 b ty;
+  put_ipv4 b p.bgp_id;
+  put_peer_addr b p.addr;
+  Wire.put_u32 b (Asn.to_int p.asn)
+
+(* RFC 6396 §4.3.4: inside a RIB_IPV6 entry the MP_REACH_NLRI
+   attribute is abbreviated to next-hop length + next-hop address. *)
+let put_mp_reach_next_hop b nh =
+  let body = Buffer.create 17 in
+  Wire.put_u8 body 16;
+  Mp.put_ipv6 body nh;
+  Wire.put_attribute b ~flags:0x80 ~code:14 body
+
+let put_rib_entry ~v6 b e =
+  Wire.put_u16 b e.peer_index;
+  Wire.put_u32 b e.originated;
+  let attrs = Wire.encode_attrs ~with_next_hop:(not v6) attr_opts e.attrs in
+  if v6 then begin
+    Wire.put_u16 b (Bytes.length attrs + 20);
+    Buffer.add_bytes b attrs;
+    let nh = Option.value e.next_hop6 ~default:(Ipv6.make 0L 0L) in
+    put_mp_reach_next_hop b nh
+  end
+  else begin
+    Wire.put_u16 b (Bytes.length attrs);
+    Buffer.add_bytes b attrs
+  end
+
 let body_of_record b = function
   | Peer_index_table { collector_id; view_name; peers } ->
     put_ipv4 b collector_id;
-    put_u16 b (String.length view_name);
+    Wire.put_u16 b (String.length view_name);
     Buffer.add_string b view_name;
-    put_u16 b (Array.length peers);
+    Wire.put_u16 b (Array.length peers);
     Array.iter (put_peer b) peers
   | Rib_v4 { seq; prefix; entries } ->
-    put_u32 b seq;
+    Wire.put_u32 b seq;
     Wire.encode_prefix b prefix;
-    put_u16 b (List.length entries);
+    Wire.put_u16 b (List.length entries);
     List.iter (put_rib_entry ~v6:false b) entries
   | Rib_v6 { seq; prefix; entries } ->
-    put_u32 b seq;
+    Wire.put_u32 b seq;
     Mp.put_prefix6 b prefix;
-    put_u16 b (List.length entries);
+    Wire.put_u16 b (List.length entries);
     List.iter (put_rib_entry ~v6:true b) entries
   | Bgp4mp { peer_asn; local_asn; ifindex; peer_ip; local_ip; as4; payload }
     ->
@@ -152,15 +141,15 @@ let body_of_record b = function
       | _ -> invalid_arg "Mrt: BGP4MP peer/local address families differ"
     in
     if as4 then begin
-      put_u32 b (Asn.to_int peer_asn);
-      put_u32 b (Asn.to_int local_asn)
+      Wire.put_u32 b (Asn.to_int peer_asn);
+      Wire.put_u32 b (Asn.to_int local_asn)
     end
     else begin
-      put_u16 b (Asn.to_int peer_asn);
-      put_u16 b (Asn.to_int local_asn)
+      Wire.put_u16 b (Asn.to_int peer_asn);
+      Wire.put_u16 b (Asn.to_int local_asn)
     end;
-    put_u16 b ifindex;
-    put_u16 b afi;
+    Wire.put_u16 b ifindex;
+    Wire.put_u16 b afi;
     put_peer_addr b peer_ip;
     put_peer_addr b local_ip;
     Buffer.add_bytes b payload
@@ -177,10 +166,10 @@ let encode_record b t =
   let body = Buffer.create 64 in
   body_of_record body t.record;
   let ty, sub = type_subtype t.record in
-  put_u32 b t.timestamp;
-  put_u16 b ty;
-  put_u16 b sub;
-  put_u32 b (Buffer.length body);
+  Wire.put_u32 b t.timestamp;
+  Wire.put_u16 b ty;
+  Wire.put_u16 b sub;
+  Wire.put_u32 b (Buffer.length body);
   Buffer.add_buffer b body
 
 let encode records =

@@ -19,7 +19,6 @@ let m_dropped =
 
 let default_capacity = 100_000
 
-let recording = ref false
 let event_clock = ref (fun () -> 0.0)
 let bound = ref default_capacity
 let buf : entry Queue.t = Queue.create ()
@@ -33,16 +32,16 @@ let push e =
     Metrics.Counter.inc m_dropped
   end
 
-let active () = !recording
+let active = Span.enabled
 
 let emit ?time ?(level = Event.Info) ?span ~subsystem ev =
-  if !recording then begin
+  if Span.enabled () then begin
     let span = match span with Some _ as s -> s | None -> Span.current () in
     let time = match time with Some t -> t | None -> !event_clock () in
     push (Ev { time; level; subsystem; span; ev })
   end
 
-let () = Span.set_recorder (fun sp -> if !recording then push (Sp sp))
+let () = Span.set_recorder (fun sp -> if Span.enabled () then push (Sp sp))
 
 let clear () =
   Queue.clear buf;
@@ -54,12 +53,9 @@ let start ?(capacity = default_capacity) ?(clock = fun () -> 0.0) () =
   event_clock := clock;
   Span.set_clock clock;
   Span.reset ();
-  recording := true;
   Span.set_enabled true
 
-let stop () =
-  recording := false;
-  Span.set_enabled false
+let stop () = Span.set_enabled false
 
 let events () =
   Queue.fold (fun acc -> function Ev e -> e :: acc | Sp _ -> acc) [] buf

@@ -45,8 +45,10 @@ val stop : unit -> unit
     until the next {!start} or {!clear}. *)
 
 val active : unit -> bool
-(** Whether the recorder is on. Hot paths that must build an event
-    payload guard on this to skip the allocation entirely. *)
+(** Whether the recorder is on. It reads the one flag {!start} and
+    {!stop} set, so it always equals {!Span.enabled}. Hot paths
+    that must build an event payload guard on this to skip the
+    allocation entirely. *)
 
 val emit :
   ?time:float ->

@@ -210,7 +210,7 @@ let expect_decode name opts buf expect =
   | None, Error e ->
     Alcotest.failf "%s: expected Ok, got %s" name (Wire.error_to_string e)
 
-let test_wire_cursor_eager_errors () =
+let test_wire_decode_errors () =
   let opts = Wire.default_opts in
   let upd =
     Wire.encode opts (Message.update_of_announce (pfx "10.1.0.0/16") sample_attrs)
@@ -1139,17 +1139,17 @@ let bmp_corpus =
   ]
 
 (* Every message type: encode → decode returns the message, consumes
-   exactly the frame, re-encodes byte-identically — and the eager
-   reference decoder agrees on all of it. *)
+   exactly the frame, re-encodes byte-identically — and the reference
+   reader agrees on all of it. *)
 let test_bmp_roundtrip () =
   List.iter
     (fun msg ->
       let b = Bmp.encode msg in
       let name = Bmp.msg_type_name (Bmp.msg_type msg) in
-      match (Bmp.decode b ~pos:0, Bmp.decode_eager b ~pos:0) with
+      match (Bmp.decode b ~pos:0, Bmp_reference.decode b ~pos:0) with
       | Ok (m, n), Ok (m', n') ->
         check Alcotest.int (name ^ ": consumed") (Bytes.length b) n;
-        check Alcotest.int (name ^ ": eager consumed") n n';
+        check Alcotest.int (name ^ ": reference consumed") n n';
         check Alcotest.bool (name ^ ": decoders agree") true (m = m');
         check Alcotest.int (name ^ ": type preserved") (Bmp.msg_type msg)
           (Bmp.msg_type m);
@@ -1186,29 +1186,29 @@ let test_bmp_canon_time () =
   check Alcotest.bool "peer_of initiation" true
     (Bmp.peer_of (Bmp.Initiation { info = [] }) = None)
 
-(* Truncations and single-byte corruptions of valid frames: both
-   decoders must return the same verdict — identical messages or the
+(* Truncations and single-byte corruptions of valid frames: [Bmp.decode]
+   and the reference reader must return the same verdict — identical messages or the
    identical [error] — and never raise. *)
-let prop_bmp_cursor_eager_agree =
-  QCheck.Test.make ~name:"bmp: cursor = eager on corrupted frames" ~count:500
+let prop_bmp_reference_agree =
+  QCheck.Test.make ~name:"bmp: decode = reference, corrupted" ~count:500
     QCheck.(triple (int_bound 5) (int_bound 300) (int_bound 255))
     (fun (which, pos_seed, byte) ->
       let b = Bytes.copy (Bmp.encode (List.nth bmp_corpus which)) in
       let pos = pos_seed mod Bytes.length b in
       Bytes.set b pos (Char.chr byte);
-      match (Bmp.decode b ~pos:0, Bmp.decode_eager b ~pos:0) with
+      match (Bmp.decode b ~pos:0, Bmp_reference.decode b ~pos:0) with
       | Ok (m, n), Ok (m', n') -> m = m' && n = n'
       | Error e, Error e' -> e = e'
       | _ -> false)
 
 let prop_bmp_truncation_agree =
-  QCheck.Test.make ~name:"bmp: cursor = eager on truncations" ~count:300
+  QCheck.Test.make ~name:"bmp: decode = reference, truncated" ~count:300
     QCheck.(pair (int_bound 5) (int_bound 300))
     (fun (which, len_seed) ->
       let full = Bmp.encode (List.nth bmp_corpus which) in
       let len = len_seed mod Bytes.length full in
       let b = Bytes.sub full 0 len in
-      match (Bmp.decode b ~pos:0, Bmp.decode_eager b ~pos:0) with
+      match (Bmp.decode b ~pos:0, Bmp_reference.decode b ~pos:0) with
       | Error Bmp.Truncated, Error Bmp.Truncated -> true
       | Error e, Error e' -> e = e'
       | _ -> false)
@@ -1218,7 +1218,7 @@ let prop_bmp_garbage_total =
     QCheck.(string_of_size (QCheck.Gen.int_range 0 120))
     (fun s ->
       let b = Bytes.of_string s in
-      match (Bmp.decode b ~pos:0, Bmp.decode_eager b ~pos:0) with
+      match (Bmp.decode b ~pos:0, Bmp_reference.decode b ~pos:0) with
       | Ok (m, n), Ok (m', n') -> m = m' && n = n'
       | Error e, Error e' -> e = e'
       | _ -> false)
@@ -1246,7 +1246,7 @@ let () =
           tc "truncated" `Quick test_wire_truncated;
           tc "bad marker" `Quick test_wire_bad_marker;
           tc "stream" `Quick test_wire_stream;
-          tc "cursor = eager on errors" `Quick test_wire_cursor_eager_errors;
+          tc "decode error values" `Quick test_wire_decode_errors;
           tc "encode_attrs next-hop modes" `Quick
             test_wire_encode_attrs_next_hop;
           QCheck_alcotest.to_alcotest prop_update_roundtrip;
@@ -1313,7 +1313,7 @@ let () =
       ( "bmp",
         [ tc "roundtrip" `Quick test_bmp_roundtrip;
           tc "canon time + peer_of" `Quick test_bmp_canon_time;
-          QCheck_alcotest.to_alcotest prop_bmp_cursor_eager_agree;
+          QCheck_alcotest.to_alcotest prop_bmp_reference_agree;
           QCheck_alcotest.to_alcotest prop_bmp_truncation_agree;
           QCheck_alcotest.to_alcotest prop_bmp_garbage_total
         ] )

@@ -786,7 +786,17 @@ let test_spec_finite_times () =
       check Alcotest.string t (Printf.sprintf "line 6: bad number %S" t)
         (err t))
     [ "nan"; "inf"; "-inf"; "1e309" ];
-  check Alcotest.string "finite times parse" "parsed" (err "1e308")
+  check Alcotest.string "finite times parse" "parsed" (err "1e308");
+  (* Times count seconds from experiment start: negative ones are a
+     diagnostic on their line, zero is the start itself. *)
+  List.iter
+    (fun t ->
+      check Alcotest.string t
+        (Printf.sprintf
+           "line 6: bad time %S (seconds from experiment start, need >= 0)" t)
+        (err t))
+    [ "-5"; "-0.5" ];
+  check Alcotest.string "time 0 parses" "parsed" (err "0")
 
 (* An export window must be non-empty and inside the address family:
    before, such a window parsed and silently exported nothing. *)

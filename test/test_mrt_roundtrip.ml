@@ -15,9 +15,11 @@
       per-attribute length overruns, corrupted marker/length/type
       header bytes, seeded random byte flips, and a seeded QCheck
       sweep of random byte strings and single-byte mutations of the
-      handcrafted frames.  The BMP framing keeps two
-      readers, [Bmp.decode] and the reference [Bmp.decode_eager],
-      which must agree on every BMP corpus frame.
+      handcrafted frames.  [Mp.decode] never raises either, on
+      intact, truncated and byte-flipped MP frames, and intact ones
+      re-encode byte-identically.  [Bmp.decode] agrees with the
+      test-side reference reader ([Bmp_reference]) on every BMP
+      corpus frame.
 
    Run alone with `dune build @mrt-roundtrip`; widen the sweep with
    MRT_ROUNDTRIP_SEEDS=<n> (default 5). *)
@@ -191,6 +193,12 @@ let corpus_truncated () =
       done)
     (full_corpus ())
 
+(* A copy of [b] with the byte at [off] inverted. *)
+let flipped b off =
+  let c = Bytes.copy b in
+  Bytes.set c off (Char.chr (Char.code (Bytes.get c off) lxor 0xFF));
+  c
+
 (* Every header byte corrupted in turn: marker bytes (0..15) break the
    marker, length bytes (16..17) produce out-of-range or lying lengths,
    the type byte (18) an unknown type. *)
@@ -198,9 +206,8 @@ let corpus_bad_header () =
   List.iteri
     (fun i (opts, b) ->
       for off = 0 to 18 do
-        let c = Bytes.copy b in
-        Bytes.set c off (Char.chr (Char.code (Bytes.get c off) lxor 0xFF));
-        in_bounds (Printf.sprintf "frame %d header^%d" i off) opts c ~pos:0
+        in_bounds (Printf.sprintf "frame %d header^%d" i off) opts
+          (flipped b off) ~pos:0
       done)
     (full_corpus ())
 
@@ -319,21 +326,86 @@ let qcheck_total () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* BMP corruption corpus: [Bmp.decode] and the reference
-   [Bmp.decode_eager] read the BMP framing independently, so they must
-   agree — message and [Bmp.error] alike — on every intact, truncated
-   and corrupted frame. *)
+(* MP corpus: reach and unreach UPDATEs under both ASN widths. *)
+
+let mp_corpus =
+  let module Ipv6 = Peering_net.Ipv6 in
+  let module Prefix6 = Peering_net.Prefix6 in
+  let asn = Peering_net.Asn.of_int in
+  let p6 hi len = Prefix6.make (Ipv6.make hi 0L) len in
+  let attrs =
+    Attrs.make
+      ~as_path:(As_path.of_asns [ asn 3356; asn 4_200_000_001 ])
+      ~med:10
+      ~communities:[ Community.make 47065 100 ]
+      ~next_hop:(Peering_net.Ipv4.of_int 0) ()
+  in
+  let reach =
+    Mp.announce ~attrs
+      ~next_hop:(Ipv6.make 0x2001_0db8_0000_0000L 1L)
+      [ p6 0x2001_0db8_0001_0000L 48; p6 0x2804_0269_0000_0000L 32;
+        p6 0L 0; Prefix6.make (Ipv6.make 0x2001_0db8_0002_0000L 5L) 128 ]
+  in
+  let unreach = Mp.withdraw [ p6 0x2001_0db8_0001_0000L 48; p6 0L 0 ] in
+  List.concat_map
+    (fun opts -> [ (opts, Mp.encode opts reach); (opts, Mp.encode opts unreach) ])
+    [ Wire.default_opts; { Wire.four_octet_asn = true; add_path = false } ]
+
+(* [Mp.decode]'s result, failing the test if it raises. *)
+let mp_total name opts b =
+  try Mp.decode opts b
+  with e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e)
+
+let mp_intact () =
+  List.iteri
+    (fun i (opts, b) ->
+      match mp_total (Printf.sprintf "mp frame %d" i) opts b with
+      | Ok u ->
+        if not (Bytes.equal (Mp.encode opts u) b) then
+          Alcotest.failf "mp frame %d re-encodes differently" i
+      | Error e ->
+        Alcotest.failf "mp frame %d: %s" i (Wire.error_to_string e))
+    mp_corpus
+
+let mp_truncated () =
+  List.iteri
+    (fun i (opts, b) ->
+      for len = 0 to Bytes.length b - 1 do
+        let name = Printf.sprintf "mp frame %d cut at %d" i len in
+        match mp_total name opts (Bytes.sub b 0 len) with
+        | Error Wire.Truncated -> ()
+        | Error e ->
+          Alcotest.failf "%s: %s, not Truncated" name (Wire.error_to_string e)
+        | Ok _ -> Alcotest.failf "%s: decoded" name
+      done)
+    mp_corpus
+
+let mp_flips () =
+  List.iteri
+    (fun i (opts, b) ->
+      for off = 0 to Bytes.length b - 1 do
+        ignore
+          (mp_total (Printf.sprintf "mp frame %d byte^%d" i off) opts
+             (flipped b off))
+      done)
+    mp_corpus
+
+(* ------------------------------------------------------------------ *)
+(* BMP corruption corpus: [Bmp.decode] and [Bmp_reference.decode] read
+   the BMP framing independently, each with its own checks, so they
+   must agree — message and [Bmp.error] alike — on every intact,
+   truncated and corrupted frame. *)
 
 let bmp_show = function
   | Ok (m, n) -> Printf.sprintf "Ok(%s, %d)" (Bmp.msg_type_name (Bmp.msg_type m)) n
   | Error e -> Printf.sprintf "Error(%s)" (Bmp.error_to_string e)
 
 let bmp_agree name buf ~pos =
-  let cursor = Bmp.decode buf ~pos in
-  let eager = Bmp.decode_eager buf ~pos in
-  if cursor <> eager then
-    Alcotest.failf "%s: cursor %s / eager %s" name (bmp_show cursor)
-      (bmp_show eager)
+  let got = Bmp.decode buf ~pos in
+  let want = Bmp_reference.decode buf ~pos in
+  if got <> want then
+    Alcotest.failf "%s: decode %s / reference %s" name (bmp_show got)
+      (bmp_show want)
 
 let bmp_corpus =
   let pfx s = Peering_net.Prefix.of_string_exn s in
@@ -403,17 +475,15 @@ let bmp_truncated () =
       done)
     bmp_corpus
 
-(* The 6-byte common header (version, length, type) and — on
-   peer-scoped frames — the whole 42-byte per-peer header, each byte
-   corrupted in turn. *)
-let bmp_bad_headers () =
+(* Every byte of every frame corrupted in turn: the common header
+   (version, length, type), the 42-byte per-peer header and each body
+   field, so every framing check of either reader is exercised. *)
+let bmp_each_byte () =
   List.iteri
     (fun i b ->
-      let span = min (Bytes.length b - 1) (6 + 42 - 1) in
-      for off = 0 to span do
-        let c = Bytes.copy b in
-        Bytes.set c off (Char.chr (Char.code (Bytes.get c off) lxor 0xFF));
-        bmp_agree (Printf.sprintf "bmp frame %d header^%d" i off) c ~pos:0
+      for off = 0 to Bytes.length b - 1 do
+        bmp_agree (Printf.sprintf "bmp frame %d byte^%d" i off) (flipped b off)
+          ~pos:0
       done)
     bmp_corpus
 
@@ -442,7 +512,7 @@ let () =
         [ Alcotest.test_case "dump-parse-redump identity" `Quick
             roundtrip_identity
         ] );
-      ( "cursor-vs-eager",
+      ( "wire-corpus",
         [ Alcotest.test_case "intact frames" `Quick corpus_intact;
           Alcotest.test_case "truncated at every offset" `Quick
             corpus_truncated;
@@ -456,11 +526,15 @@ let () =
         [ Alcotest.test_case "qcheck garbage + mutated frames" `Quick
             qcheck_total
         ] );
-      ( "bmp-cursor-vs-eager",
+      ( "mp-corpus",
+        [ Alcotest.test_case "intact frames" `Quick mp_intact;
+          Alcotest.test_case "truncated at every offset" `Quick mp_truncated;
+          Alcotest.test_case "each byte flipped" `Quick mp_flips
+        ] );
+      ( "bmp-reference-agree",
         [ Alcotest.test_case "intact frames" `Quick bmp_intact;
           Alcotest.test_case "truncated at every offset" `Quick bmp_truncated;
-          Alcotest.test_case "corrupt common + peer headers" `Quick
-            bmp_bad_headers;
+          Alcotest.test_case "each byte flipped" `Quick bmp_each_byte;
           Alcotest.test_case "random byte flips" `Quick bmp_random_flips
         ] )
     ]
