@@ -68,7 +68,6 @@ let segment_compare s1 s2 =
   | Set _, Seq _ -> 1
 
 let compare = List.compare segment_compare
-let equal p q = compare p q = 0
 
 let to_string p =
   let seg = function

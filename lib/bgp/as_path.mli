@@ -58,7 +58,5 @@ val aggregate : t -> t -> t
     longest common leading sequence, then an AS_SET of the remaining
     ASNs (deduplicated, sorted). *)
 
-val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

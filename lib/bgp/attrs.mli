@@ -10,8 +10,6 @@ val origin_rank : origin -> int
 (** Decision-process rank: IGP (0) < EGP (1) < INCOMPLETE (2), lower
     preferred. *)
 
-val origin_to_string : origin -> string
-
 type t = {
   origin : origin;
   as_path : As_path.t;
@@ -61,9 +59,6 @@ val with_med : int option -> t -> t
 
 val equal : t -> t -> bool
 (** Structural equality over every field. *)
-
-val compare : t -> t -> int
-(** Total order (used for deterministic RIB iteration). *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line human rendering. *)

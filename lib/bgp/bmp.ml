@@ -84,15 +84,6 @@ let msg_type = function
   | Initiation _ -> 4
   | Termination _ -> 5
 
-let msg_type_name = function
-  | 0 -> "route_monitoring"
-  | 1 -> "stats_report"
-  | 2 -> "peer_down"
-  | 3 -> "peer_up"
-  | 4 -> "initiation"
-  | 5 -> "termination"
-  | _ -> "unknown"
-
 let peer_of = function
   | Route_monitoring { peer; _ }
   | Stats_report { peer; _ }
@@ -197,11 +188,6 @@ let encode m =
   Wire.put_u8 out (msg_type m);
   Buffer.add_buffer out body;
   Buffer.to_bytes out
-
-let encode_all msgs =
-  let b = Buffer.create 256 in
-  List.iter (fun m -> Buffer.add_bytes b (encode m)) msgs;
-  Buffer.to_bytes b
 
 (* ------------------------------------------------------------------ *)
 (* Decoder, on Wire's Cursor *)

@@ -19,13 +19,6 @@
 
 open Peering_net
 
-val version : int
-(** BMP version 3 (RFC 7854). *)
-
-val pdu_opts : Wire.session_opts
-(** Session options for embedded BGP PDUs: 4-octet ASNs, no
-    ADD-PATH. *)
-
 (** The 42-byte per-peer header carried by peer-scoped messages.
     Timestamps are seconds + microseconds on the wire, so arbitrary
     virtual-clock floats are truncated to µs precision; {!canon_time}
@@ -100,10 +93,6 @@ type msg =
 val msg_type : msg -> int
 (** The wire type code, 0–5. *)
 
-val msg_type_name : int -> string
-(** Stable lowercase name for a type code (["route_monitoring"], …);
-    ["unknown"] for codes outside 0–5. *)
-
 val peer_of : msg -> peer_header option
 (** The per-peer header, for the four peer-scoped message types. *)
 
@@ -124,9 +113,6 @@ val encode : msg -> bytes
 (** Serialise one message, 6-byte common header included.  Output is
     canonical: [decode] of an [encode] returns the same [msg], and
     re-encoding is byte-identical. *)
-
-val encode_all : msg list -> bytes
-(** Concatenated {!encode}s — a feed fragment. *)
 
 val decode : ?stop:int -> bytes -> pos:int -> (msg * int, error) result
 (** [decode buf ~pos] parses one message starting at [pos]; returns

@@ -6,12 +6,6 @@ type t =
   | Route_refresh
   | Graceful_restart of int
 
-let code = function
-  | Route_refresh -> 2
-  | Graceful_restart _ -> 64
-  | Four_octet_asn _ -> 65
-  | Add_path _ -> 69
-
 let can_send = function Send | Send_receive -> true | Receive -> false
 let can_receive = function Receive | Send_receive -> true | Send -> false
 
@@ -35,15 +29,6 @@ let negotiated_graceful_restart local remote =
       (function Graceful_restart t -> Some t | _ -> None)
       remote
   else None
-
-let equal a b =
-  match (a, b) with
-  | Four_octet_asn x, Four_octet_asn y -> x = y
-  | Add_path x, Add_path y -> x = y
-  | Route_refresh, Route_refresh -> true
-  | Graceful_restart x, Graceful_restart y -> x = y
-  | (Four_octet_asn _ | Add_path _ | Route_refresh | Graceful_restart _), _ ->
-    false
 
 let pp ppf = function
   | Four_octet_asn a -> Format.fprintf ppf "4-octet-asn(%d)" a

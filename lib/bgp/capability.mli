@@ -12,9 +12,6 @@ type t =
   | Route_refresh  (** RFC 2918 *)
   | Graceful_restart of int  (** RFC 4724, restart time seconds *)
 
-val code : t -> int
-(** IANA capability code. *)
-
 val negotiated_add_path : t list -> t list -> bool
 (** [negotiated_add_path local remote] is [true] when both sides'
     capability lists allow ADD-PATH in compatible directions (local can
@@ -29,5 +26,4 @@ val negotiated_graceful_restart : t list -> t list -> int option
     peer's routes that long after the session drops. [None] if either
     side lacks the capability. *)
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -14,9 +14,6 @@ let no_export = 0xFFFFFF01
 let no_advertise = 0xFFFFFF02
 let no_export_subconfed = 0xFFFFFF03
 
-let is_well_known c =
-  c = no_export || c = no_advertise || c = no_export_subconfed
-
 let of_string s =
   match String.index_opt s ':' with
   | None -> None
@@ -36,7 +33,6 @@ let to_string c =
 
 let compare = Int.compare
 let equal = Int.equal
-let pp ppf c = Format.pp_print_string ppf (to_string c)
 
 let mem c l = List.exists (equal c) l
 

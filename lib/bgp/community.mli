@@ -18,7 +18,6 @@ val of_int32 : int -> t
 val to_int32 : t -> int
 
 val asn_part : t -> int
-val value_part : t -> int
 
 val no_export : t
 (** 0xFFFFFF01: do not export beyond the neighboring AS. *)
@@ -26,18 +25,11 @@ val no_export : t
 val no_advertise : t
 (** 0xFFFFFF02: do not advertise to any peer. *)
 
-val no_export_subconfed : t
-(** 0xFFFFFF03. *)
-
-val is_well_known : t -> bool
-
 val of_string : string -> t option
 (** Parses ["asn:value"]. *)
 
 val to_string : t -> string
 val compare : t -> t -> int
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 val mem : t -> t list -> bool
 val add : t -> t list -> t list

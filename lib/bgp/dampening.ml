@@ -131,10 +131,3 @@ let reuse_time t ~now ~peer prefix =
              *. (Float.log (p /. t.params.reuse_threshold) /. Float.log 2.0)
       in
       Some (min decay_t (since +. t.params.max_suppress)))
-
-let suppressed_count t ~now =
-  Hashtbl.fold
-    (fun _ e acc ->
-      refresh t e ~now;
-      if e.suppressed_since <> None then acc + 1 else acc)
-    t.table 0

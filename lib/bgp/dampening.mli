@@ -45,7 +45,4 @@ val reuse_time : t -> now:float -> peer:string -> Prefix.t -> float option
 (** If suppressed, the virtual time at which the route becomes usable
     again. *)
 
-val suppressed_count : t -> now:float -> int
-(** Number of currently-suppressed (peer, prefix) entries. *)
-
 val params : t -> params

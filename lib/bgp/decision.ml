@@ -103,23 +103,3 @@ let best = function
     else Some (pick r rest)
 
 let sort l = List.stable_sort compare l
-
-let step_name = function
-  | Local_origin -> "locally originated"
-  | Local_pref -> "higher local-pref"
-  | Path_length -> "shorter AS path"
-  | Origin -> "lower origin"
-  | Med -> "lower MED"
-  | Ebgp -> "eBGP over iBGP"
-  | Router_id -> "lower router-id"
-  | Peer_addr -> "lower peer address"
-  | Path_id -> "lower path-id"
-  | Tie -> "tie"
-
-let explain a b =
-  let step, c = deciding_step a b in
-  if c = 0 then "routes are equally preferred"
-  else
-    let winner, loser = if c < 0 then (a, b) else (b, a) in
-    Format.asprintf "%a beats %a: %s" Route.pp winner Route.pp loser
-      (step_name step)

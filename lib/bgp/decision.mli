@@ -7,9 +7,6 @@
     emulated routers, and the simulated Internet's ASes all use this
     module. *)
 
-val default_local_pref : int
-(** 100 — applied when LOCAL_PREF is absent. *)
-
 val compare : Route.t -> Route.t -> int
 (** [compare a b < 0] iff [a] is preferred over [b]. Steps, in order:
     highest local-pref; shortest AS path; lowest origin; lowest MED
@@ -28,7 +25,3 @@ val best : Route.t list -> Route.t option
 
 val sort : Route.t list -> Route.t list
 (** Candidates ordered best-first. *)
-
-val explain : Route.t -> Route.t -> string
-(** Human-readable reason why the preferred of the two wins — used by
-    PoiRoot-style root-cause experiments. *)

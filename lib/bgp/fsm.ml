@@ -120,7 +120,6 @@ let create engine config cb =
 
 let state t = t.state
 let negotiated t = t.negotiated
-let peer_open t = t.peer_open
 let established_count t = t.established_count
 let graceful_restart_time t = t.gr_time
 

@@ -9,8 +9,6 @@ open Peering_net
 
 type state = Idle | Connect | Active | Open_sent | Open_confirm | Established
 
-val state_to_string : state -> string
-
 type config = {
   local_asn : Asn.t;
   router_id : Ipv4.t;
@@ -65,9 +63,6 @@ val handle : t -> Message.t -> unit
 val state : t -> state
 val negotiated : t -> Wire.session_opts option
 (** Session options once Established. *)
-
-val peer_open : t -> Message.open_msg option
-(** The peer's OPEN, once received. *)
 
 val peer_label : t -> string
 (** The remote peer's ASN as a string once its OPEN has arrived,

@@ -34,8 +34,6 @@ type entry = {
 
 type t = entry list (* sorted by seq *)
 
-let empty = []
-
 let permit_all =
   [ { seq = 10; decision = Permit; conds = []; actions = [] } ]
 
@@ -51,7 +49,6 @@ let of_entries l =
   sorted
 
 let entries t = t
-let add e t = of_entries (e :: t)
 
 let rec eval_cond cond (r : Route.t) =
   let path = r.attrs.Attrs.as_path in
@@ -108,8 +105,3 @@ let apply t r =
     match e.decision with
     | Deny -> None
     | Permit -> Some (List.fold_left apply_action r e.actions))
-
-let chain maps r =
-  List.fold_left
-    (fun acc m -> match acc with None -> None | Some r -> apply m r)
-    (Some r) maps

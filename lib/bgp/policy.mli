@@ -45,9 +45,6 @@ type t
 (** A route-map: entries evaluated in [seq] order; first matching entry
     decides. A route matching no entry is denied (BGP convention). *)
 
-val empty : t
-(** Denies everything. *)
-
 val permit_all : t
 (** A single catch-all permit. *)
 
@@ -57,13 +54,8 @@ val of_entries : entry list -> t
 
 val entries : t -> entry list
 
-val add : entry -> t -> t
-
 val eval_cond : cond -> Route.t -> bool
 
 val apply : t -> Route.t -> Route.t option
 (** [apply t r] is [Some r'] if some entry permits [r] ([r'] includes
     that entry's actions), [None] if denied. *)
-
-val chain : t list -> Route.t -> Route.t option
-(** Apply maps in order, stopping at the first denial. *)

@@ -23,8 +23,6 @@ let add_roa t ?max_length ~prefix origin =
       | None -> Some [ roa ])
     t
 
-let roa_count t = Prefix_trie.fold (fun _ roas n -> n + List.length roas) t 0
-
 let covering t prefix =
   Prefix_trie.matches (Prefix.addr prefix) t
   |> List.concat_map (fun (covering_prefix, roas) ->

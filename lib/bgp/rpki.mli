@@ -30,8 +30,6 @@ val add_roa : t -> ?max_length:int -> prefix:Prefix.t -> Asn.t -> t
     (the recommended practice). Raises [Invalid_argument] if
     [max_length] is shorter than the prefix or longer than 32. *)
 
-val roa_count : t -> int
-
 val covering : t -> Prefix.t -> roa list
 (** All ROAs whose prefix covers the announcement. *)
 

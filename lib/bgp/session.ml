@@ -256,7 +256,6 @@ let send_from_b t msg =
     ~receiver:(fun () -> t.a.fsm)
     msg
 
-let bytes_on_wire t = t.bytes
 let drop t ~reason = Fsm.stop t.a.fsm ~reason
 
 let reset t ~reason =

@@ -63,10 +63,6 @@ val send_from_a : t -> Message.t -> unit
 
 val send_from_b : t -> Message.t -> unit
 
-val bytes_on_wire : t -> int
-(** Total encoded bytes that have crossed the wire in both
-    directions — used by the session-multiplexing ablation. *)
-
 val drop : t -> reason:string -> unit
 (** Tear the session down from side [a]. *)
 

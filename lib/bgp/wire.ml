@@ -485,9 +485,3 @@ let decode opts buf ~pos =
     in
     Ok (msg, pos + len)
   with Error e -> Result.Error e
-
-let decode_exn opts buf =
-  match decode opts buf ~pos:0 with
-  | Ok (msg, n) when n = Bytes.length buf -> msg
-  | Ok _ -> failwith "Wire.decode_exn: trailing bytes"
-  | Result.Error e -> failwith ("Wire.decode_exn: " ^ error_to_string e)

@@ -44,8 +44,8 @@ exception Error of error
 
 (** {1 Byte layer}
 
-    The one byte layer of the binary codecs: this module, [Mp], [Bmp]
-    and the MRT codec.  Every encoder writes integers through the
+    The one byte layer of the binary codecs: this module, [Bmp] and
+    the MRT codec.  Every encoder writes integers through the
     big-endian writers below, and every decoder reads bytes only
     through a {!Cursor}, so no malformed frame can read past its
     window. *)
@@ -55,7 +55,7 @@ val put_u8 : Buffer.t -> int -> unit
 
 val put_u16 : Buffer.t -> int -> unit
 (** Append the low 16 bits, big-endian (network order, like every
-    field of the four codecs). *)
+    field of the three codecs). *)
 
 val put_u32 : Buffer.t -> int -> unit
 (** Append the low 32 bits, big-endian. *)
@@ -131,10 +131,6 @@ val decode : session_opts -> bytes -> pos:int -> (Message.t * int, error) result
     returns the message and the position one past its end.  For
     [0 <= pos <= Bytes.length buf] it never raises: a corrupt or
     truncated frame is an [Error]. *)
-
-val decode_exn : session_opts -> bytes -> Message.t
-(** Decode a buffer holding exactly one message; raises [Failure] on
-    any error or trailing bytes. Convenience for tests. *)
 
 val decode_attrs :
   ?require_next_hop:bool ->

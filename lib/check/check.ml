@@ -1,4 +1,6 @@
 module Metrics = Peering_obs.Metrics
+module Config = Peering_router.Config
+module Relationship = Peering_topo.Relationship
 
 let m_passes =
   Metrics.counter ~help:"Analyzer passes executed" "check.passes_run"
@@ -52,27 +54,44 @@ let stamp file diags =
   | None -> diags
   | Some f -> List.map (Diagnostic.with_file f) diags
 
-let check_config ?file cfg =
-  Diagnostic.sort (stamp file (run config_passes cfg))
+(* Every route-map of a config, compiled and vetted as a policy. A
+   route-map applied outbound towards PEERING's AS exports to the
+   experiment's provider, the mux, so a permit-all there is a
+   POLICY-LEAK. A route-map that does not compile is left to
+   RTMAP-UNDEF and PFXLIST-UNDEF. *)
+let route_map_inputs cfg =
+  let neighbors =
+    match Config.bgp cfg with Some b -> b.Config.neighbors | None -> []
+  in
+  let towards_peering name =
+    List.exists
+      (fun (n : Config.neighbor_config) ->
+        n.route_map_out = Some name
+        && Peering_net.Asn.equal n.remote_as
+             Experiment_checks.default_peering_asn)
+      neighbors
+  in
+  List.filter_map
+    (fun name ->
+      match Config.compile_route_map cfg name with
+      | Error _ -> None
+      | Ok policy ->
+        let relationship =
+          if towards_peering name then Some Relationship.Provider else None
+        in
+        Some (Policy_checks.input ~name ?relationship policy))
+    (Config.route_map_names cfg)
+
+let per_config cfg =
+  run config_passes cfg
+  @ List.concat_map (run policy_passes) (route_map_inputs cfg)
 
 let check_configs configs =
   let per =
-    List.concat_map
-      (fun (file, cfg) -> stamp file (run config_passes cfg))
-      configs
+    List.concat_map (fun (file, cfg) -> stamp file (per_config cfg)) configs
   in
   let cross = run [ Config_checks.sessions ] configs in
   Diagnostic.sort (per @ cross)
-
-let check_policy ?name ?relationship policy =
-  Diagnostic.sort
-    (run policy_passes (Policy_checks.input ?name ?relationship policy))
-
-let check_spec ?file spec =
-  Diagnostic.sort (stamp file (run spec_passes spec))
-
-let check_experiment experiment events =
-  check_spec (Spec.of_experiment experiment events)
 
 let per_spec specs =
   List.concat_map (fun (file, spec) -> stamp file (run spec_passes spec)) specs

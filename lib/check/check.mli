@@ -12,26 +12,13 @@
     them in the ["check.passes_run"] metric and their diagnostics in
     ["check.diagnostics"{severity}]. *)
 
-open Peering_bgp
 open Peering_router
-open Peering_topo
-
-val check_config : ?file:string -> Config.t -> Diagnostic.t list
-(** Run every per-config pass. [file] is stamped onto the
-    diagnostics. *)
 
 val check_configs : (string option * Config.t) list -> Diagnostic.t list
-(** Per-config passes on each input plus cross-config passes (session
-    consistency) over the whole set. *)
-
-val check_policy :
-  ?name:string -> ?relationship:Relationship.t -> Policy.t -> Diagnostic.t list
-
-val check_spec : ?file:string -> Spec.t -> Diagnostic.t list
-
-val check_experiment :
-  Peering_core.Experiment.t -> Spec.event list -> Diagnostic.t list
-(** Vet a programmatic experiment plus its planned schedule. *)
+(** Per-config passes on each input, the policy passes on each of its
+    compiled route-maps (one applied outbound towards PEERING's AS is
+    vetted as an export to a provider), and cross-config passes
+    (session consistency) over the whole set. *)
 
 val check_specs : (string option * Spec.t) list -> Diagnostic.t list
 (** Per-spec passes on each input plus cross-spec conflict passes

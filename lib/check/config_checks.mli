@@ -2,7 +2,7 @@
     style: catch misconfigurations before they reach a router).
 
     Per-config passes return diagnostics whose [file] field is unset;
-    the driver ({!Check.check_config}) fills it in. The cross-config
+    the driver ({!Check.check_configs}) fills it in. The cross-config
     pass ({!sessions}) sets files itself since it spans inputs.
 
     Codes emitted here:
@@ -39,8 +39,3 @@ val sessions : (string option * Config.t) list -> Diagnostic.t list
 (** Cross-config consistency: for every pair of configs whose ASNs
     name each other as neighbors, the session must be mutual and the
     neighbor addresses must agree with the remote router-id. *)
-
-val effective_bounds : Config.prefix_rule -> int * int
-(** The [lo, hi] prefix-length window a rule can match, after applying
-    defaults (no ge/le: exact; ge alone: [ge, 32]; le alone:
-    [len, le]) and clamping to [len p, 32]. Empty iff [lo > hi]. *)

@@ -25,9 +25,6 @@ let error ?file ?line ?hint ~code message =
 let warning ?file ?line ?hint ~code message =
   make Warning ?file ?line ?hint ~code message
 
-let info ?file ?line ?hint ~code message =
-  make Info ?file ?line ?hint ~code message
-
 let with_file file t =
   match t.file with Some _ -> t | None -> { t with file = Some file }
 
@@ -62,5 +59,3 @@ let to_string t =
   Printf.sprintf "%s%s: [%s] %s%s" loc
     (severity_to_string t.severity)
     t.code t.message hint
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -21,13 +21,9 @@ type t = {
 
 val error : ?file:string -> ?line:int -> ?hint:string -> code:string -> string -> t
 val warning : ?file:string -> ?line:int -> ?hint:string -> code:string -> string -> t
-val info : ?file:string -> ?line:int -> ?hint:string -> code:string -> string -> t
 
 val with_file : string -> t -> t
 (** Set [file] if the diagnostic does not already carry one. *)
-
-val compare : t -> t -> int
-(** Order by file, then line, then severity (errors first), then code. *)
 
 val sort : t list -> t list
 
@@ -35,4 +31,3 @@ val has_errors : t list -> bool
 val count : severity -> t list -> int
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

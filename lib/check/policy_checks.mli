@@ -17,7 +17,7 @@ open Peering_topo
 type af = V4 | V6
 (** Address family of the routes a policy is vetted against. The
     family bounds the prefix lengths a ge/le window can match: 32 for
-    IPv4, 128 for the MP-BGP IPv6 routes of {!Peering_bgp.Mp}. *)
+    IPv4, 128 for IPv6. *)
 
 val max_prefix_len : af -> int
 (** 32 for {!V4}, 128 for {!V6}. *)
@@ -53,14 +53,6 @@ val cond_taut : ?af:af -> Policy.cond -> bool
 
 val conds_unsat : ?af:af -> Policy.cond list -> bool
 (** The conjunction of the conditions is unsatisfiable. *)
-
-val conds_taut : ?af:af -> Policy.cond list -> bool
-(** Every condition in the conjunction is a tautology. *)
-
-val permits_all : ?af:af -> Policy.t -> bool
-(** The policy provably permits every route: after dropping
-    unsatisfiable entries, the first entry is a tautological
-    [Permit]. *)
 
 val unsatisfiable_entries : input -> Diagnostic.t list
 val dead_entries : input -> Diagnostic.t list

@@ -90,9 +90,6 @@ let parse text =
         })
     text
 
-let make ~id ?(prefixes = []) ?(asns = []) ?(may_poison = false) events =
-  { id; prefixes; asns; may_poison; events }
-
 let of_experiment (e : Peering_core.Experiment.t) events =
   { id = e.Peering_core.Experiment.id;
     prefixes = e.Peering_core.Experiment.prefixes;

@@ -42,14 +42,6 @@ type t = {
 val parse : string -> (t, Lines.error) result
 (** A missing [experiment] statement is an error with no line. *)
 
-val make :
-  id:string ->
-  ?prefixes:Prefix.t list ->
-  ?asns:Asn.t list ->
-  ?may_poison:bool ->
-  event list ->
-  t
-
 val of_experiment : Peering_core.Experiment.t -> event list -> t
 (** Vet a programmatic {!Peering_core.Experiment} plus a planned
     schedule with the same passes that vet spec files. *)

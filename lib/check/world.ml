@@ -35,7 +35,6 @@ let of_graph ?(af = Policy_checks.V4) graph =
   }
 
 let graph w = w.graph
-let af w = w.af
 
 (* ------------------------------------------------------------------ *)
 (* Export abstractions. *)
@@ -117,10 +116,6 @@ let abstract_of_policy ?(af = Policy_checks.V4) policy =
   in
   { classes = Any_class; prefixes }
 
-let set_export_policy ?af w ~from ~to_ policy =
-  let af = Option.value af ~default:w.af in
-  set_export w ~from ~to_ (abstract_of_policy ~af policy)
-
 (* Does the prefix component admit a route carrying exactly [p]? *)
 let admits w abs p =
   match abs.prefixes with
@@ -150,32 +145,6 @@ let set_local_pref w ~at ~from pref =
     Option.value (Asn.Map.find_opt at w.local_prefs) ~default:Asn.Map.empty
   in
   w.local_prefs <- Asn.Map.add at (Asn.Map.add from pref m) w.local_prefs
-
-(* The highest local-pref the policy may assign an imported route:
-   the default for the session class, or any [Set_local_pref] a permit
-   entry applies, whichever is larger (over-approximation). *)
-let set_import_policy ?af w ~at ~from policy =
-  let af = Option.value af ~default:w.af in
-  let base =
-    match As_graph.relationship w.graph at from with
-    | Some rel -> default_local_pref rel
-    | None -> invalid_arg "World.set_import_policy: not adjacent"
-  in
-  let lp =
-    List.fold_left
-      (fun acc (e : Policy.entry) ->
-        if
-          e.Policy.decision = Policy.Permit
-          && not (Policy_checks.conds_unsat ~af e.Policy.conds)
-        then
-          List.fold_left
-            (fun acc a ->
-              match a with Policy.Set_local_pref n -> max acc n | _ -> acc)
-            acc e.Policy.actions
-        else acc)
-      base (Policy.entries policy)
-  in
-  set_local_pref w ~at ~from lp
 
 (* ------------------------------------------------------------------ *)
 (* Peerlock. *)

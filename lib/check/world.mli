@@ -64,8 +64,6 @@ val default_export : export_abs
 (** [{ classes = Gr_only; prefixes = Any_prefix }] — plain
     Gao–Rexford. *)
 
-val permit_all_export : export_abs
-
 type t
 
 val of_graph : ?af:Policy_checks.af -> As_graph.t -> t
@@ -74,13 +72,11 @@ val of_graph : ?af:Policy_checks.af -> As_graph.t -> t
     and matching prefix windows. *)
 
 val graph : t -> As_graph.t
-val af : t -> Policy_checks.af
 
 val export_at : t -> Asn.t -> Asn.t -> export_abs
 (** The abstraction on the directed edge [u -> v];
     {!default_export} when never overridden. *)
 
-val set_export : t -> from:Asn.t -> to_:Asn.t -> export_abs -> unit
 val inject_leak : t -> from:Asn.t -> to_:Asn.t -> unit
 (** Mark the directed edge as leaking: classes become {!Any_class},
     the prefix component is kept. *)
@@ -99,8 +95,6 @@ val abstract_of_policy : ?af:Policy_checks.af -> Policy.t -> export_abs
     prefixes union each live permit entry's provable prefix
     constraint, with an unconstrained entry forcing {!Any_prefix}. *)
 
-val set_export_policy : ?af:Policy_checks.af -> t -> from:Asn.t -> to_:Asn.t -> Policy.t -> unit
-
 val admits : t -> export_abs -> Prefix.t -> bool
 (** Does the prefix component admit a route carrying exactly this
     prefix? *)
@@ -114,11 +108,6 @@ val local_pref : t -> at:Asn.t -> from:Asn.t -> int option
     learned from [from]; [None] if not adjacent. *)
 
 val set_local_pref : t -> at:Asn.t -> from:Asn.t -> int -> unit
-
-val set_import_policy : ?af:Policy_checks.af -> t -> at:Asn.t -> from:Asn.t -> Policy.t -> unit
-(** Record the highest local-pref the session's import policy may
-    assign (its [Set_local_pref] actions, or the class default) —
-    an over-approximation for the stability analysis. *)
 
 val add_peerlock : t -> at:Asn.t -> protect:Asn.t -> unit
 (** [at] filters routes whose path carries [protect] unless learned

@@ -12,11 +12,6 @@ type goal =
   | Intradomain  (** control of intradomain topology and routing *)
   | Open_simultaneous  (** openness / simultaneous experiments *)
 
-val goals : goal list
-(** Table row order. *)
-
-val goal_to_string : goal -> string
-
 type testbed =
   | Planetlab
   | Vini
@@ -33,9 +28,6 @@ val testbeds : testbed list
 val testbed_abbrev : testbed -> string
 
 type support = Full | Limited | None_
-
-val support_symbol : support -> string
-(** ["yes"], ["~"], ["no"]. *)
 
 val support : testbed -> goal -> support
 (** The Table 1 cell. *)

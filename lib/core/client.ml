@@ -64,19 +64,12 @@ let disconnect t server =
       (Server.peer_asns link.server);
     t.links <- List.filter (fun l -> l != link) t.links
 
-let servers t = List.map (fun l -> Server.name l.server) t.links
-
 let ignore_peer t ~server ~peer =
   match find_link t server with
   | None -> invalid_arg "Client.ignore_peer: not connected to server"
   | Some link ->
     link.ignored <- Asn.Set.add peer link.ignored;
     ignore (Rib.drop_peer t.rib ~peer:(rib_key link peer))
-
-let unignore_peer t ~server ~peer =
-  match find_link t server with
-  | None -> invalid_arg "Client.unignore_peer: not connected to server"
-  | Some link -> link.ignored <- Asn.Set.remove peer link.ignored
 
 let selected_links t = function
   | None -> t.links
@@ -99,4 +92,3 @@ let rib t = t.rib
 let candidates t prefix = Rib.candidates t.rib prefix
 let best t prefix = Rib.best t.rib prefix
 let route_count t = Rib.route_count t.rib
-let prefix_count t = Rib.prefix_count t.rib

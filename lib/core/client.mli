@@ -23,13 +23,10 @@ val connect : t -> Server.t -> unit
     client RIB keyed by (server, peer). *)
 
 val disconnect : t -> Server.t -> unit
-val servers : t -> string list
 
 val ignore_peer : t -> server:string -> peer:Asn.t -> unit
 (** Drop current and future routes from this peer — topology
     emulation by peer selection. *)
-
-val unignore_peer : t -> server:string -> peer:Asn.t -> unit
 
 val announce :
   t ->
@@ -49,4 +46,3 @@ val candidates : t -> Prefix.t -> Route.t list
 
 val best : t -> Prefix.t -> Route.t option
 val route_count : t -> int
-val prefix_count : t -> int

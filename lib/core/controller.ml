@@ -4,21 +4,16 @@ module Engine = Peering_sim.Engine
 type t = {
   engine : Engine.t;
   mutable pool : Prefix_pool.t;
-  mutable v6_pool : Prefix6.Pool.pool;
   max_prefixes : int;
   mutable experiments : Experiment.t list;
   mutable next_private_asn : int;
   mutable pending : int;
 }
 
-(* The paper's planned IPv6 space, leased as /48 experiment blocks. *)
-let v6_supply = Prefix6.of_string_exn "2804:269c::/32"
-
 let create engine ~supply ?(alloc_len = 24)
     ?(max_prefixes_per_experiment = 4) () =
   { engine;
     pool = Prefix_pool.create ~alloc_len supply;
-    v6_pool = Prefix6.Pool.create ~alloc_len:48 v6_supply;
     max_prefixes = max_prefixes_per_experiment;
     experiments = [];
     next_private_asn = 64512;
@@ -46,15 +41,7 @@ let alloc_asns t n =
       t.next_private_asn <- t.next_private_asn + 1;
       Asn.of_int a)
 
-let alloc_v6 t n =
-  List.init n (fun _ ->
-      match Prefix6.Pool.alloc t.v6_pool with
-      | Some (p, pool) ->
-        t.v6_pool <- pool;
-        p
-      | None -> invalid_arg "Controller: v6 pool exhausted")
-
-let propose t ~id ~owner ~description ?(n_prefixes = 1) ?(n_v6_prefixes = 0)
+let propose t ~id ~owner ~description ?(n_prefixes = 1)
     ?(n_private_asns = 1) ?(may_poison = false) ?(may_spoof = false) () =
   if find_experiment t id <> None then Error "duplicate experiment id"
   else if String.length (String.trim description) < 20 then
@@ -71,8 +58,6 @@ let propose t ~id ~owner ~description ?(n_prefixes = 1) ?(n_v6_prefixes = 0)
     (match alloc_prefixes t n_prefixes with
     | Some ps -> e.Experiment.prefixes <- ps
     | None -> assert false (* availability checked above *));
-    if n_v6_prefixes > 0 then
-      e.Experiment.v6_prefixes <- alloc_v6 t n_v6_prefixes;
     e.Experiment.private_asns <- alloc_asns t n_private_asns;
     e.Experiment.status <- Experiment.Approved;
     t.experiments <- t.experiments @ [ e ];
@@ -95,16 +80,8 @@ let stop t e =
         | Ok pool -> t.pool <- pool
         | Error `Not_allocated -> ())
       e.Experiment.prefixes;
-    e.Experiment.prefixes <- [];
-    List.iter
-      (fun p ->
-        match Prefix6.Pool.free p t.v6_pool with
-        | Ok pool -> t.v6_pool <- pool
-        | Error `Not_allocated -> ())
-      e.Experiment.v6_prefixes;
-    e.Experiment.v6_prefixes <- [])
+    e.Experiment.prefixes <- [])
 
-let experiments t = t.experiments
 let owns t p = Prefix_pool.mem_supply p t.pool
 let available_blocks t = Prefix_pool.available t.pool
 let donate_supply t p = t.pool <- Prefix_pool.add_supply p t.pool

@@ -17,8 +17,7 @@ val create :
   t
 (** [supply] is PEERING's address space (the paper's /19);
     [alloc_len] the per-experiment block size (default 24, "a client
-    per /24"). IPv6 experiment blocks are /48s out of
-    [2804:269c::/32] — the paper's planned IPv6 support. *)
+    per /24"). *)
 
 val propose :
   t ->
@@ -26,7 +25,6 @@ val propose :
   owner:string ->
   description:string ->
   ?n_prefixes:int ->
-  ?n_v6_prefixes:int ->
   ?n_private_asns:int ->
   ?may_poison:bool ->
   ?may_spoof:bool ->
@@ -45,7 +43,6 @@ val activate : t -> Experiment.t -> unit
 val stop : t -> Experiment.t -> unit
 (** Stop and return its prefixes to the pool. *)
 
-val experiments : t -> Experiment.t list
 val find_experiment : t -> string -> Experiment.t option
 
 val owns : t -> Prefix.t -> bool

@@ -19,7 +19,6 @@ type t = {
   owner : string;
   description : string;
   mutable prefixes : Prefix.t list;
-  mutable v6_prefixes : Prefix6.t list;
   mutable private_asns : Asn.t list;
   may_poison : bool;
   may_spoof : bool;
@@ -31,7 +30,6 @@ let make ~id ~owner ~description ?(may_poison = false) ?(may_spoof = false) () =
     owner;
     description;
     prefixes = [];
-    v6_prefixes = [];
     private_asns = [];
     may_poison;
     may_spoof;
@@ -40,8 +38,6 @@ let make ~id ~owner ~description ?(may_poison = false) ?(may_spoof = false) () =
 
 let owns_prefix t p = List.exists (fun q -> Prefix.subsumes q p) t.prefixes
 
-let owns_v6_prefix t p =
-  List.exists (fun q -> Prefix6.subsumes q p) t.v6_prefixes
 let owns_asn t a = List.exists (Asn.equal a) t.private_asns
 let is_active t = t.status = Active
 

@@ -16,15 +16,11 @@ type status =
   | Stopped
   | Rejected of string
 
-val status_to_string : status -> string
-
 type t = {
   id : string;
   owner : string;  (** researcher account *)
   description : string;
   mutable prefixes : Prefix.t list;  (** allocated out of PEERING's pool *)
-  mutable v6_prefixes : Prefix6.t list;
-      (** IPv6 allocations (/48s out of PEERING's v6 supply) *)
   mutable private_asns : Asn.t list;  (** for emulated client domains *)
   may_poison : bool;
       (** whether the vetting allowed AS-path poisoning (LIFEGUARD-
@@ -47,8 +43,6 @@ val make :
 val owns_prefix : t -> Prefix.t -> bool
 (** Is the prefix equal to or inside one of the experiment's
     allocations? *)
-
-val owns_v6_prefix : t -> Prefix6.t -> bool
 
 val owns_asn : t -> Asn.t -> bool
 (** Is the ASN one of the experiment's private ASNs? *)

@@ -32,12 +32,6 @@ type review = Approve | Reject of string
 
 type reviewer = proposal -> review
 
-val default_board : reviewer list
-(** Three reviewers: one checks the science (description length), one
-    the safety (poisoning/spoofing must be justified by mentioning the
-    words "poison"/"spoof" in the description), one the resources
-    (≤ 2 prefixes unless justified with "anycast" or "multiple"). *)
-
 type provision_kit = {
   experiment : Experiment.t;
   sites : (string * Ipv4.t) list;  (** site name, server endpoint *)

@@ -124,10 +124,6 @@ type verdict =
       (** refused; every issue is a reason *)
       (** The admission decision for one proposal. *)
 
-val verdict_to_string : verdict -> string
-(** One-line rendering, stable across runs ("admitted until t=…" or
-    "rejected: CODE, …"). *)
-
 (** {1 The scheduler} *)
 
 type t
@@ -182,10 +178,6 @@ val evict : t -> tenant:string -> reason:string -> bool
     Returns false if the tenant is not running. Counted in
     [core.sched.evicted]. *)
 
-val complete : t -> tenant:string -> bool
-(** Voluntary teardown: same cleanup as {!evict} but counted in
-    [core.sched.completed]. *)
-
 (** {1 Update requests and batching rounds} *)
 
 val request_announce :
@@ -204,9 +196,6 @@ val request_announce :
 val request_withdraw :
   t -> tenant:string -> ?sites:string list -> Prefix.t -> (unit, string) result
 (** Queue a withdrawal. *)
-
-val pending : t -> int
-(** Update requests queued and not yet granted. *)
 
 val pump : t -> int
 (** Drain all queues synchronously (no virtual-time delay between

@@ -174,8 +174,6 @@ let create engine ~name ~asn ~safety ?(mux = Per_peer_sessions) ~export () =
 let set_status_hook t hook = t.status_hook <- hook
 
 let name t = t.server_name
-let asn t = t.asn
-let mux_mode t = t.mux
 
 (* ------------------------------------------------------------------ *)
 (* BMP export (RFC 7854).  Every session and Adj-RIB-In change is
@@ -321,7 +319,6 @@ let connect_client t ~experiment ?callbacks id =
   Metrics.Counter.inc t.m.m_client_connects;
   replay_to conn t
 
-let clients t = List.map (fun c -> c.id) t.conns
 let n_clients t = List.length t.conns
 
 let engine_clock t () = Engine.now t.engine

@@ -49,8 +49,6 @@ val create :
   t
 
 val name : t -> string
-val asn : t -> Asn.t
-val mux_mode : t -> mux_mode
 
 val add_peer : t -> ?addr:Ipv4.t -> Asn.t -> unit
 (** Register an upstream peer (default address derived from the ASN).
@@ -59,8 +57,6 @@ val add_peer : t -> ?addr:Ipv4.t -> Asn.t -> unit
 val peer_asns : t -> Asn.t list
 (** In the order the peers were added. *)
 
-val n_peers : t -> int
-
 val connect_client :
   t -> experiment:Experiment.t -> ?callbacks:client_callbacks -> string -> unit
 (** Attach a client by id. Current peer-learned routes are replayed to
@@ -68,9 +64,6 @@ val connect_client :
 
 val disconnect_client : t -> string -> unit
 (** Withdraw everything the client announced and drop it. *)
-
-val clients : t -> string list
-val n_clients : t -> int
 
 val announce :
   t ->
@@ -143,16 +136,12 @@ val emit_bmp_stats : t -> unit
 (** Push one Stats Report per peer (stat 7, routes in Adj-RIB-In) to
     the BMP sink now.  No-op while crashed or with no sink. *)
 
-val adj_rib_dump : t -> (int * (Prefix.t * Peering_bgp.Route.t) list) list
-(** Canonical Adj-RIB-In snapshot ({!Peering_bgp.Bmp.adj_rib_dump}):
-    [(peer ASN, sorted bindings)] sorted by ASN, empty per-peer tables
-    dropped, [learned_at] truncated to the microsecond precision the
-    BMP wire carries.  {!Peering_measure.Monitor} dumps the tables it
-    rebuilds from the feed alone through the same function. *)
-
 val rib_digest : t -> string
-(** {!Peering_bgp.Bmp.rib_digest} of {!adj_rib_dump} — the live side
-    of the [@bmp-diff] byte-identity check. *)
+(** {!Peering_bgp.Bmp.rib_digest} of the canonical Adj-RIB-In snapshot
+    ({!Peering_bgp.Bmp.adj_rib_dump}: peers sorted by ASN, empty
+    tables dropped, [learned_at] truncated to the microsecond the BMP
+    wire carries) — the live side of the [@bmp-diff] byte-identity
+    check. *)
 
 type session_stats = {
   mode : mux_mode;

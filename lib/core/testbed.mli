@@ -4,9 +4,9 @@
 
     Each site is modelled as its own node in the AS graph (muxes are
     topologically distinct even though they share AS 47065), so
-    anycast catchments and per-site announcements behave correctly;
-    {!canonical_path} folds the per-site ASNs back into the public
-    one for display. *)
+    anycast catchments and per-site announcements behave correctly.
+    {!path_from} and the route collector fold the per-site ASNs back
+    into the public one. *)
 
 open Peering_net
 open Peering_topo
@@ -114,9 +114,6 @@ val announcements : t -> Prefix.t -> Propagation.announcement list
 
 val route_from : t -> Asn.t -> Prefix.t -> Propagation.route option
 val reach_count : t -> Prefix.t -> int
-
-val canonical_path : t -> Asn.t list -> Asn.t list
-(** Fold per-site ASNs into the public PEERING ASN. *)
 
 val path_from : t -> Asn.t -> Prefix.t -> Asn.t list option
 (** Canonicalised full AS path from the given AS to the prefix. *)

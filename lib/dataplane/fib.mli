@@ -15,6 +15,3 @@ val empty : 'a t
 val add : Prefix.t -> 'a action -> 'a t -> 'a t
 val lookup : Ipv4.t -> 'a t -> 'a action option
 (** Longest-prefix match; [None] when no route covers the address. *)
-
-val cardinal : 'a t -> int
-val to_list : 'a t -> (Prefix.t * 'a action) list

@@ -70,8 +70,6 @@ let add_address t id addr =
 let node_of_address t addr =
   Prefix.Map.find_opt (Prefix.make addr 32) t.addr_index
 
-let addresses t id = (node_exn t id).addresses
-
 let primary_address_of_node n =
   match n.addresses with a :: _ -> Some a | [] -> None
 
@@ -89,8 +87,6 @@ let latency t a b =
 let set_route t id prefix action =
   let n = node_exn t id in
   n.fib <- Fib.add prefix action n.fib
-
-let fib t id = (node_exn t id).fib
 
 let set_ingress_filter t id f = (node_exn t id).ingress <- Some f
 let on_deliver t id f = (node_exn t id).deliver <- Some f

@@ -23,9 +23,6 @@ val add_address : t -> node_id -> Ipv4.t -> unit
 
 val node_of_address : t -> Ipv4.t -> node_id option
 
-val addresses : t -> node_id -> Ipv4.t list
-(** Addresses attached to a node, in attachment order. *)
-
 val primary_address : t -> node_id -> Ipv4.t option
 (** First attached address, if any. *)
 
@@ -37,7 +34,6 @@ val set_link_latency : t -> node_id -> node_id -> float -> unit
 (** Per-hop latency for this ordered pair (default 0.005 s). *)
 
 val set_route : t -> node_id -> Prefix.t -> node_id Fib.action -> unit
-val fib : t -> node_id -> node_id Fib.t
 
 val set_ingress_filter : t -> node_id -> (Packet.t -> bool) -> unit
 (** Packets failing the filter are dropped on arrival (spoofing

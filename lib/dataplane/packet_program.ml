@@ -135,5 +135,4 @@ let hits t name =
     0 t.rules
 
 let dropped t = t.n_dropped
-let diverted t = t.n_diverted
 let rewritten t = t.n_rewritten

@@ -21,8 +21,6 @@ type match_spec = {
 
 val match_any : match_spec
 
-val matches : match_spec -> Packet.t -> bool
-
 type action =
   | Allow  (** continue to the FIB *)
   | Drop
@@ -58,5 +56,4 @@ val hits : t -> string -> int
 (** Packets matched by the named rule so far. *)
 
 val dropped : t -> int
-val diverted : t -> int
 val rewritten : t -> int

@@ -100,18 +100,6 @@ let establish fwd engine ?(latency = 0.02) ~a ~b () =
   make_entrance via_b a;
   t
 
-let a t = t.a
-let b t = t.b
-
-let send t ~from pkt =
-  if not t.up then invalid_arg "Tunnel.send: tunnel is down";
-  let entrance =
-    if from = t.a then t.via_a
-    else if from = t.b then t.via_b
-    else invalid_arg "Tunnel.send: not an endpoint"
-  in
-  Forwarder.inject t.fwd ~at:entrance pkt
-
 let route_via t ~at prefix =
   let entrance =
     if at = t.a then t.via_a

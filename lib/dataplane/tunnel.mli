@@ -21,15 +21,6 @@ val establish :
 (** Create a tunnel between nodes [a] and [b] (default latency
     0.02 s). Use {!route_via} to steer prefixes into it. *)
 
-val a : t -> Forwarder.node_id
-val b : t -> Forwarder.node_id
-
-val send : t -> from:Forwarder.node_id -> Packet.t -> unit
-(** Encapsulate a packet at one end; it is re-processed by the
-    forwarder at the far end after the tunnel latency. Raises
-    [Invalid_argument] if [from] is neither endpoint, or the tunnel is
-    down. *)
-
 val route_via : t -> at:Forwarder.node_id -> Prefix.t -> unit
 (** Install a FIB entry at endpoint [at] that sends the prefix into
     the tunnel. (Implemented with a per-tunnel virtual node, so the

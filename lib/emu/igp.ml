@@ -26,8 +26,6 @@ let remove_link t a b =
   unlink a b;
   unlink b a
 
-let nodes t = List.map fst (Smap.bindings t.adj)
-
 (* Dijkstra with deterministic tie-breaking: prefer the
    lexicographically smaller first hop on equal distance. *)
 let spf t root =

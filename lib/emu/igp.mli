@@ -14,8 +14,6 @@ val add_link : t -> string -> string -> weight:int -> unit
 
 val remove_link : t -> string -> string -> unit
 
-val nodes : t -> string list
-
 val distances : t -> string -> (string * int) list
 (** Shortest distances from the given node to every reachable node
     (including itself at 0), sorted by node name. *)
@@ -26,6 +24,3 @@ val next_hop : t -> src:string -> dst:string -> string option
 
 val path : t -> src:string -> dst:string -> string list option
 (** Full shortest path including both endpoints. *)
-
-val spf : t -> string -> (string, int * string option) Hashtbl.t
-(** Raw SPF result from a root: node -> (distance, first hop). *)

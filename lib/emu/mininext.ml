@@ -130,8 +130,6 @@ let start t =
     mesh ps
   end
 
-let started t = t.is_started
-
 let originate_at t name prefix =
   let p = pop_exn t name in
   Router.originate p.router prefix;

@@ -48,9 +48,6 @@ val start : t -> unit
     Drive the engine afterwards to let sessions establish and routes
     propagate, then call {!sync_fibs}. Idempotent. *)
 
-val started : t -> bool
-
-val pop : t -> string -> pop option
 val pop_exn : t -> string -> pop
 val pops : t -> pop list
 val pop_name : pop -> string

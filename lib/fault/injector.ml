@@ -203,5 +203,3 @@ let arm t plan =
     (fun { Plan.at; fault } ->
       Engine.schedule t.engine ~delay:at (fun () -> apply t fault))
     plan
-
-let rng t = t.rng

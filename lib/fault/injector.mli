@@ -41,7 +41,3 @@ val arm : t -> Plan.t -> unit
     time. Overlapping impairments on one link — and overlapping
     blackhole windows on one tunnel — supersede each other: the newest
     hook wins and the superseded expiry is cancelled. *)
-
-val rng : t -> Peering_sim.Rng.t
-(** The injector's private RNG stream (exposed so harnesses can make
-    auxiliary seeded choices that do not disturb the engine). *)

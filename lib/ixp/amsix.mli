@@ -21,8 +21,6 @@ type calibration = {
   n_unlisted : int;  (** 15 *)
 }
 
-val paper_calibration : calibration
-
 val build :
   ?calibration:calibration ->
   rng:Peering_sim.Rng.t ->

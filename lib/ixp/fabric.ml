@@ -27,10 +27,6 @@ let create ~name ~country ~rng () =
     responses = Asn.Map.empty
   }
 
-let name t = t.name
-let country t = t.country
-let route_server t = t.rs
-
 let add_member t ?(uses_route_server = false) ~policy asn =
   if Asn.Map.mem asn t.directory then
     invalid_arg "Fabric.add_member: duplicate member";

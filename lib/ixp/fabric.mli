@@ -25,10 +25,6 @@ val create :
 (** The fabric starts with a route server (AS 6777 convention) and no
     members. *)
 
-val name : t -> string
-val country : t -> Country.t
-val route_server : t -> Route_server.t
-
 val add_member :
   t -> ?uses_route_server:bool -> policy:Peering_policy.t -> Asn.t -> unit
 (** Register a member; joins the route server when

@@ -7,7 +7,6 @@ let to_string = function
   | Closed -> "closed"
   | Unlisted -> "unlisted"
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
 let equal a b = a = b
 let all = [ Open; Selective; Case_by_case; Closed; Unlisted ]
 

@@ -11,7 +11,6 @@ type t =
   | Unlisted  (** no published policy *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
 val all : t list
 

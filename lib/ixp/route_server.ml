@@ -68,8 +68,6 @@ let create ?(asn = Asn.of_int 6777) () =
     announced = Hashtbl.create 64
   }
 
-let asn t = t.asn
-
 let table tbl key ~empty =
   match Hashtbl.find_opt tbl key with
   | Some r -> r
@@ -83,7 +81,6 @@ let delivered_to t m = table t.delivered (Asn.to_int m) ~empty:Delivery.empty
 
 let connect t m = t.connected <- Asn.Set.add m t.connected
 
-let members t = Asn.Set.elements t.connected
 let n_members t = Asn.Set.cardinal t.connected
 
 (* Does the announcing member's community set allow export to [target]? *)

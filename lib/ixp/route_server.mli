@@ -22,8 +22,6 @@ val create : ?asn:Asn.t -> unit -> t
 (** [asn] is the server's own AS number, used in whitelist communities
     (default 6777 — AMS-IX's). *)
 
-val asn : t -> Asn.t
-
 val connect : t -> Asn.t -> unit
 (** Attach a member. Idempotent. *)
 
@@ -31,7 +29,6 @@ val disconnect : t -> Asn.t -> (Asn.t * Prefix.t) list
 (** Detach a member; returns the withdrawals the server sends to the
     other members ([(to_member, prefix)]). *)
 
-val members : t -> Asn.t list
 val n_members : t -> int
 
 val announce : t -> from:Asn.t -> Route.t -> (Asn.t * Route.t) list

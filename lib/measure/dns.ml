@@ -19,9 +19,3 @@ let resolve t name =
 
 let resolve_one t name =
   match resolve t name with a :: _ -> Some a | [] -> None
-
-let names t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t.zones [] |> List.sort String.compare
-
-let n_records t =
-  Hashtbl.fold (fun _ l acc -> acc + List.length !l) t.zones 0

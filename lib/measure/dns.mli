@@ -17,8 +17,3 @@ val resolve : t -> string -> Ipv4.t list
 
 val resolve_one : t -> string -> Ipv4.t option
 (** First A record. *)
-
-val names : t -> string list
-(** All names with records, sorted. *)
-
-val n_records : t -> int

@@ -86,7 +86,7 @@ val reported_routes : t -> mux:string -> peer:Asn.t -> int option
 
 val adj_rib_dump : t -> mux:string -> (int * (Prefix.t * Route.t) list) list
 (** The rebuilt tables of [mux] through {!Bmp.adj_rib_dump}, the dump
-    [Peering_core.Server.adj_rib_dump] uses too. *)
+    the live mux's [Server.rib_digest] hashes too. *)
 
 val rib_digest : t -> mux:string -> string
 (** {!Bmp.rib_digest} of {!adj_rib_dump} — must equal the live mux's

@@ -1,7 +1,6 @@
 open Peering_net
 module Wire = Peering_bgp.Wire
 module Cursor = Peering_bgp.Wire.Cursor
-module Mp = Peering_bgp.Mp
 module Attrs = Peering_bgp.Attrs
 module As_path = Peering_bgp.As_path
 module Community = Peering_bgp.Community
@@ -81,9 +80,35 @@ let session_opts_of_as4 as4 = Wire.{ four_octet_asn = as4; add_path = false }
 
 let put_ipv4 b a = Wire.put_u32 b (Ipv4.to_int a)
 
+let put_u64 b v =
+  for i = 7 downto 0 do
+    Wire.put_u8 b (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xFF)
+  done
+
+let put_ipv6 b (a : Ipv6.t) =
+  put_u64 b a.Ipv6.hi;
+  put_u64 b a.Ipv6.lo
+
+(* A v6 prefix in NLRI form: length byte, then the minimal address
+   bytes. *)
+let put_prefix6 b p =
+  Wire.put_u8 b (Prefix6.len p);
+  let a = Prefix6.addr p in
+  for i = 0 to ((Prefix6.len p + 7) / 8) - 1 do
+    let byte =
+      if i < 8 then
+        Int64.to_int (Int64.shift_right_logical a.Ipv6.hi (56 - (8 * i)))
+        land 0xFF
+      else
+        Int64.to_int (Int64.shift_right_logical a.Ipv6.lo (56 - (8 * (i - 8))))
+        land 0xFF
+    in
+    Wire.put_u8 b byte
+  done
+
 let put_peer_addr b = function
   | V4 a -> put_ipv4 b a
-  | V6 a -> Mp.put_ipv6 b a
+  | V6 a -> put_ipv6 b a
 
 let put_peer b p =
   let ty = (match p.addr with V4 _ -> 0 | V6 _ -> 1) lor 2 in
@@ -97,7 +122,7 @@ let put_peer b p =
 let put_mp_reach_next_hop b nh =
   let body = Buffer.create 17 in
   Wire.put_u8 body 16;
-  Mp.put_ipv6 body nh;
+  put_ipv6 body nh;
   Wire.put_attribute b ~flags:0x80 ~code:14 body
 
 let put_rib_entry ~v6 b e =
@@ -129,7 +154,7 @@ let body_of_record b = function
     List.iter (put_rib_entry ~v6:false b) entries
   | Rib_v6 { seq; prefix; entries } ->
     Wire.put_u32 b seq;
-    Mp.put_prefix6 b prefix;
+    put_prefix6 b prefix;
     Wire.put_u16 b (List.length entries);
     List.iter (put_rib_entry ~v6:true b) entries
   | Bgp4mp { peer_asn; local_asn; ifindex; peer_ip; local_ip; as4; payload }
@@ -182,12 +207,38 @@ let encode records =
    peers, BGP4MP_MESSAGE vs _AS4), strict about structure: every
    record body must parse exactly to its header length. *)
 
+let u64 c =
+  let v = ref 0L in
+  for _ = 1 to 8 do
+    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Cursor.u8 c))
+  done;
+  !v
+
+let read_ipv6 c =
+  let hi = u64 c in
+  let lo = u64 c in
+  Ipv6.make hi lo
+
+(* The inverse of [put_prefix6]; raises [Wire.Error] on a length over
+   128. *)
+let read_prefix6 c =
+  let len = Cursor.u8 c in
+  if len > 128 then
+    raise (Wire.Error (Wire.Bad_attribute "v6 prefix length > 128"));
+  let hi = ref 0L and lo = ref 0L in
+  for i = 0 to ((len + 7) / 8) - 1 do
+    let byte = Int64.of_int (Cursor.u8 c) in
+    if i < 8 then hi := Int64.logor !hi (Int64.shift_left byte (56 - (8 * i)))
+    else lo := Int64.logor !lo (Int64.shift_left byte (56 - (8 * (i - 8))))
+  done;
+  Prefix6.make (Ipv6.make !hi !lo) len
+
 let read_peer c =
   let ty = Cursor.u8 c in
   let bgp_id = Ipv4.of_int (Cursor.u32 c) in
   let addr =
     if ty land 1 = 0 then V4 (Ipv4.of_int (Cursor.u32 c))
-    else V6 (Mp.read_ipv6 c)
+    else V6 (read_ipv6 c)
   in
   let asn = if ty land 2 <> 0 then Cursor.u32 c else Cursor.u16 c in
   { bgp_id; addr; asn = Asn.of_int asn }
@@ -213,7 +264,7 @@ let scan_mp_next_hop c =
       let nh_len = Cursor.u8 sub in
       if nh_len <> 16 && nh_len <> 32 then
         raise (Error (Bad_record "bad MP_REACH next-hop length"));
-      found := Some (Mp.read_ipv6 sub)
+      found := Some (read_ipv6 sub)
     end
   done;
   !found
@@ -246,7 +297,7 @@ let read_rib_entry ~v6 buf c =
 let decode_rib ~v6 buf c =
   let seq = Cursor.u32 c in
   if v6 then begin
-    let prefix = Mp.read_prefix6 c in
+    let prefix = read_prefix6 c in
     let n = Cursor.u16 c in
     let entries = List.init n (fun _ -> read_rib_entry ~v6 buf c) in
     Rib_v6 { seq; prefix; entries }
@@ -261,7 +312,7 @@ let decode_rib ~v6 buf c =
 let read_addr ~afi c =
   match afi with
   | 1 -> V4 (Ipv4.of_int (Cursor.u32 c))
-  | 2 -> V6 (Mp.read_ipv6 c)
+  | 2 -> V6 (read_ipv6 c)
   | n -> raise (Error (Bad_record (Printf.sprintf "BGP4MP AFI %d" n)))
 
 let decode_bgp4mp ~as4 c =

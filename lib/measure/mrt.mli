@@ -143,11 +143,6 @@ val make_peers : n:int -> peer array
     without a world: perfbench's [table_load] workload builds its
     dump over them. *)
 
-val peers_of_world : ?n:int -> Gen.world -> peer array
-(** The first [n] (default 8) transit ASes of the world as collector
-    peers; the last one is v6-addressed so dumps exercise that peer
-    encoding. *)
-
 val table_of_world :
   ?seed:int -> ?peers:int -> Gen.world -> t list
 (** A full RIB dump of the world: a peer index table, one

@@ -26,7 +26,3 @@ val to_json :
     [{"count", "sum", "p50", "p90", "p99", "dropped_samples"}]
     (percentiles [null] when no samples were retained). Deterministic for a seeded run when
     volatile rows are excluded (the default). *)
-
-val row_json : Peering_obs.Metrics.row -> Peering_obs.Json.t
-(** The JSON value for a single snapshot row, as embedded by
-    {!to_json}. *)

@@ -34,8 +34,6 @@ type params = {
           infrastructure more often than embedded resources do *)
 }
 
-val default_params : params
-
 val generate :
   ?params:params ->
   rng:Peering_sim.Rng.t ->

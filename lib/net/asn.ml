@@ -20,7 +20,6 @@ let is_reserved a = a = 0 || a = 23456 || a = 65535 || a = max_asn
 
 let compare = Int.compare
 let equal = Int.equal
-let hash a = a
 let to_string a = Printf.sprintf "AS%d" a
 let pp ppf a = Format.pp_print_string ppf (to_string a)
 

@@ -29,7 +29,5 @@ let pool =
      "MN"; "NP"; "KH"; "LA"; "MM"; "BN" |]
 
 let compare = String.compare
-let equal = String.equal
-let pp ppf c = Format.pp_print_string ppf c
 
 module Set = Set.Make (String)

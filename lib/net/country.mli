@@ -18,7 +18,5 @@ val pool : t array
     IXP-member generator. Index 0 is [nl]. *)
 
 val compare : t -> t -> int
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 module Set : Set.S with type elt = t

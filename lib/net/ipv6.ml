@@ -146,5 +146,3 @@ let add a n =
   (* unsigned carry detection *)
   let carry = Int64.unsigned_compare lo a.lo < 0 in
   { hi = (if carry then Int64.add a.hi 1L else a.hi); lo }
-
-let pp ppf a = Format.pp_print_string ppf (to_string a)

@@ -28,5 +28,3 @@ val bit : t -> int -> bool
 
 val add : t -> int64 -> t
 (** Add to the low 64 bits with carry into the high bits. *)
-
-val pp : Format.formatter -> t -> unit

@@ -22,10 +22,6 @@ val to_string : t -> string
 val addr : t -> Ipv4.t
 val len : t -> int
 
-val network_mask : int -> int
-(** [network_mask len] is the 32-bit netmask for a prefix of length
-    [len], as an integer. *)
-
 val mem : Ipv4.t -> t -> bool
 (** [mem a p] is [true] iff address [a] falls inside prefix [p]. *)
 

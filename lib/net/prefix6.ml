@@ -57,7 +57,6 @@ let compare p q =
   | c -> c
 
 let equal p q = compare p q = 0
-let pp ppf p = Format.pp_print_string ppf (to_string p)
 
 module Ord = struct
   type nonrec t = t
@@ -66,49 +65,3 @@ module Ord = struct
 end
 
 module Set = Set.Make (Ord)
-
-module Pool = struct
-  type nonrec prefix = t
-
-  type pool = {
-    supply : prefix;
-    alloc_len : int;
-    mutable cursor : int;
-    mutable freed : Set.t;
-    mutable used : Set.t;
-  }
-
-  let create ~alloc_len supply =
-    if alloc_len < supply.len || alloc_len > 126 then
-      invalid_arg "Prefix6.Pool.create";
-    { supply; alloc_len; cursor = 0; freed = Set.empty; used = Set.empty }
-
-  let capacity_bits pool = pool.alloc_len - pool.supply.len
-
-  let alloc pool =
-    match Set.min_elt_opt pool.freed with
-    | Some p ->
-      pool.freed <- Set.remove p pool.freed;
-      pool.used <- Set.add p pool.used;
-      Some (p, pool)
-    | None ->
-      let bits = capacity_bits pool in
-      if bits < 62 && pool.cursor >= 1 lsl bits then None
-      else begin
-        let p = nth_subprefix pool.supply pool.alloc_len pool.cursor in
-        pool.cursor <- pool.cursor + 1;
-        pool.used <- Set.add p pool.used;
-        Some (p, pool)
-      end
-
-  let free p pool =
-    if Set.mem p pool.used then begin
-      pool.used <- Set.remove p pool.used;
-      pool.freed <- Set.add p pool.freed;
-      Ok pool
-    end
-    else Error `Not_allocated
-
-  let allocated pool = Set.elements pool.used
-  let mem_supply p pool = subsumes pool.supply p
-end

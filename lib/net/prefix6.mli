@@ -5,9 +5,6 @@ type t = private { addr : Ipv6.t; len : int }
 val make : Ipv6.t -> int -> t
 (** Host bits cleared; [0 <= len <= 128]. *)
 
-val of_string : string -> t option
-(** ["2804:269c::/32"]; a bare address is a /128. *)
-
 val of_string_exn : string -> t
 val to_string : t -> string
 val addr : t -> Ipv6.t
@@ -18,24 +15,6 @@ val nth_subprefix : t -> int -> int -> t
 (** [nth_subprefix p l i]: the [i]-th length-[l] subprefix, [i] within
     the low 62 bits of range. *)
 
-val compare : t -> t -> int
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 module Set : Set.S with type elt = t
-
-(** Allocation of fixed-length blocks (e.g. /48 experiment slices out
-    of PEERING's /32), the v6 counterpart of {!Prefix_pool}. *)
-module Pool : sig
-  type pool
-
-  val create : alloc_len:int -> t -> pool
-  (** One supply prefix; allocations are length [alloc_len]. The
-      supply may cover an astronomic number of blocks; allocation is
-      a cursor, and [free] returns blocks for reuse. *)
-
-  val alloc : pool -> (t * pool) option
-  val free : t -> pool -> (pool, [ `Not_allocated ]) result
-  val allocated : pool -> t list
-  val mem_supply : t -> pool -> bool
-end

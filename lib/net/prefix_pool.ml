@@ -33,10 +33,8 @@ let create ~alloc_len supply =
   { alloc_len; supply = List.sort Prefix.compare supply; free;
     used = Prefix.Set.empty }
 
-let alloc_len t = t.alloc_len
 let capacity t = Prefix.Set.cardinal t.free + Prefix.Set.cardinal t.used
 let available t = Prefix.Set.cardinal t.free
-let allocated t = Prefix.Set.elements t.used
 
 let alloc t =
   match Prefix.Set.min_elt_opt t.free with

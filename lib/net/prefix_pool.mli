@@ -13,16 +13,11 @@ val create : alloc_len:int -> Prefix.t list -> t
     [Invalid_argument] if any supply prefix is longer than
     [alloc_len], or if supply prefixes overlap. *)
 
-val alloc_len : t -> int
-
 val capacity : t -> int
 (** Total number of blocks the pool can ever hand out. *)
 
 val available : t -> int
 (** Blocks currently free. *)
-
-val allocated : t -> Prefix.t list
-(** Currently outstanding blocks, in address order. *)
 
 val alloc : t -> (Prefix.t * t) option
 (** [alloc t] hands out the lowest free block, or [None] if exhausted. *)

@@ -121,22 +121,6 @@ let rec fold f t acc =
     let acc = fold f n.left acc in
     fold f n.right acc
 
-let iter f t = fold (fun p v () -> f p v) t ()
-
-let rec map f t =
-  match t with
-  | Empty -> Empty
-  | Node n ->
-    Node
-      { prefix = n.prefix;
-        value = Option.map f n.value;
-        left = map f n.left;
-        right = map f n.right
-      }
-
-let filter keep t =
-  fold (fun p v acc -> if keep p v then add p v acc else acc) t Empty
-
 let covered p t =
   let rec go t acc =
     match t with

@@ -35,14 +35,6 @@ val covered : Prefix.t -> 'a t -> (Prefix.t * 'a) list
 val cardinal : 'a t -> int
 val mem : Prefix.t -> 'a t -> bool
 
-val fold : (Prefix.t -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
-(** In-order fold over all bindings. *)
-
-val iter : (Prefix.t -> 'a -> unit) -> 'a t -> unit
-val map : ('a -> 'b) -> 'a t -> 'b t
-
-val filter : (Prefix.t -> 'a -> bool) -> 'a t -> 'a t
-
 val to_list : 'a t -> (Prefix.t * 'a) list
 (** Bindings in address order. *)
 

@@ -45,20 +45,6 @@ type t =
     }
   | Ad_hoc of string
 
-let label = function
-  | Session_transition _ -> "session_transition"
-  | Update_rx _ -> "update_rx"
-  | Update_tx _ -> "update_tx"
-  | Decision_run _ -> "decision_run"
-  | Safety_verdict _ -> "safety_verdict"
-  | Route_server_pass _ -> "route_server_pass"
-  | Dampening_penalty _ -> "dampening_penalty"
-  | Tunnel_forward _ -> "tunnel_forward"
-  | Fault_injected _ -> "fault_injected"
-  | Recovered _ -> "recovered"
-  | Monitor_alert _ -> "monitor_alert"
-  | Ad_hoc _ -> "ad_hoc"
-
 let to_string = function
   | Session_transition { peer; from_state; to_state } ->
     Printf.sprintf "session %s: %s -> %s" peer from_state to_state
@@ -102,5 +88,3 @@ let level_to_string = function
   | Debug -> "debug"
   | Info -> "info"
   | Warn -> "warn"
-
-let pp ppf e = Format.pp_print_string ppf (to_string e)

@@ -75,12 +75,5 @@ val to_string : t -> string
 (** A stable one-line rendering (used by substring search over traces
     and by {!Sink.message}). *)
 
-val label : t -> string
-(** The constructor's short name, e.g. ["session_transition"]; handy
-    for grouping events without matching payloads. *)
-
 val level_to_string : level -> string
 (** ["debug"], ["info"] or ["warn"]. *)
-
-val pp : Format.formatter -> t -> unit
-(** Formatter equivalent of {!to_string}. *)

@@ -25,9 +25,6 @@ type registry = t
 
 val create : unit -> t
 
-val default : t
-(** The process-wide registry all built-in instrumentation uses. *)
-
 val reset : ?registry:t -> unit -> unit
 (** Zero every registered metric in place (registrations and the
     instruments callers hold remain valid). Use between measurement

@@ -94,7 +94,6 @@ val parse : string -> (t, Lines.error) result
 val bgp : t -> bgp_config option
 
 val route_map_names : t -> string list
-val prefix_list_names : t -> string list
 
 val route_map : t -> string -> map_entry list option
 (** Entries in source order. *)

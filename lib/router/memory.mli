@@ -29,8 +29,6 @@ type model_params = {
   attr_bytes : int;  (** per path share of attribute storage, default 72 *)
 }
 
-val quagga_params : model_params
-
 val model_bytes :
   ?params:model_params -> peers:int -> prefixes_per_peer:int -> unit -> int
 (** Modelled resident bytes for a router holding full feeds of

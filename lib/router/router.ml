@@ -58,10 +58,8 @@ let create engine ~asn ~router_id ?(hold_time = 90) ?(mrai = 0.0)
   }
 
 let asn t = t.asn
-let router_id t = t.router_id
 let rib t = t.rib
 
-let neighbor_asn n = n.remote_asn
 let neighbors t = t.nbrs
 
 let find_neighbor t addr =
@@ -364,7 +362,6 @@ let connect engine ?(auto_restart = false) (r1, addr1) (r2, addr2) =
 (* Queries *)
 
 let best_route t prefix = Rib.best t.rib prefix
-let lookup t addr = Rib.lookup t.rib addr
 let table_size t = Rib.prefix_count t.rib
 
 let advertised_to t addr =

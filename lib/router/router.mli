@@ -36,7 +36,6 @@ val create :
     and resynchronize in time. *)
 
 val asn : t -> Asn.t
-val router_id : t -> Ipv4.t
 val rib : t -> Rib.t
 
 val originate : t -> ?communities:Community.t list -> Prefix.t -> unit
@@ -48,8 +47,6 @@ val withdraw_network : t -> Prefix.t -> unit
 val networks : t -> Prefix.t list
 
 type neighbor
-
-val neighbor_asn : neighbor -> Asn.t
 
 val neighbors : t -> neighbor list
 
@@ -75,7 +72,6 @@ val connect :
     backoff. *)
 
 val best_route : t -> Prefix.t -> Route.t option
-val lookup : t -> Ipv4.t -> Route.t option
 val table_size : t -> int
 (** Loc-RIB prefix count. *)
 

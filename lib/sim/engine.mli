@@ -29,10 +29,6 @@ val schedule_at : t -> time:float -> (unit -> unit) -> unit
 val pending : t -> int
 (** Number of queued events. *)
 
-val step : t -> bool
-(** Execute the earliest event. Returns [false] if the queue was
-    empty. *)
-
 val run : ?until:float -> ?max_events:int -> t -> unit
 (** Drain the queue, advancing the clock, until it is empty, the clock
     would pass [until], or [max_events] events have run. Events later

@@ -69,7 +69,3 @@ let pop t =
   end
 
 let peek_time t = if t.size = 0 then None else Some t.heap.(0).time
-
-let clear t =
-  t.size <- 0;
-  t.heap <- [||]

@@ -17,5 +17,3 @@ val pop : 'a t -> (float * 'a) option
 
 val peek_time : 'a t -> float option
 (** Time of the earliest event without removing it. *)
-
-val clear : 'a t -> unit

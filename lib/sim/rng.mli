@@ -15,9 +15,6 @@ val split : t -> t
 (** [split t] derives a new generator whose stream is independent of
     subsequent draws from [t]. Advances [t]. *)
 
-val bits64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int t n] is uniform in [0, n-1]. Raises [Invalid_argument] if
     [n <= 0]. *)

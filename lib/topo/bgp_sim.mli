@@ -36,10 +36,6 @@ val start : t -> unit
 val originate : t -> Asn.t -> Prefix.t -> unit
 val withdraw : t -> Asn.t -> Prefix.t -> unit
 
-val router : t -> Asn.t -> Peering_router.Router.t
-
-val route_at : t -> Asn.t -> Prefix.t -> Peering_bgp.Route.t option
-
 val as_path_at : t -> Asn.t -> Prefix.t -> Asn.t list option
 (** The AS path the router selected (most recent hop first). *)
 

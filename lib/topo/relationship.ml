@@ -10,7 +10,6 @@ let to_string = function
   | Provider -> "provider"
   | Peer -> "peer"
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
 let equal a b = a = b
 
 let import_preference = function Customer -> 2 | Peer -> 1 | Provider -> 0

@@ -13,7 +13,6 @@ val invert : t -> t
 (** The same edge seen from the other end. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
 
 val import_preference : t -> int

@@ -16,7 +16,8 @@ let parsed = function
 let codes_of diags = List.map (fun (d : Diagnostic.t) -> d.Diagnostic.code) diags
 let fired code diags = List.mem code (codes_of diags)
 
-let check_text text = Check.check_config (parsed @@ Config.parse text)
+let check_text text =
+  Check.check_configs [ (None, parsed @@ Config.parse text) ]
 
 let assert_fires name code text =
   check Alcotest.bool name true (fired code (check_text text))
@@ -81,7 +82,7 @@ let test_clean_config_instantiates () =
      diagnostics instantiates and applies its policies without error. *)
   let c = parsed @@ Config.parse clean_config in
   check Alcotest.bool "no errors" false
-    (Diagnostic.has_errors (Check.check_config c));
+    (Diagnostic.has_errors (Check.check_configs [ (None, c) ]));
   let e = Engine.create () in
   match Config.instantiate e c with
   | Error err -> Alcotest.fail err
@@ -243,6 +244,12 @@ let test_session_mismatch () =
 (* ------------------------------------------------------------------ *)
 (* Policy passes *)
 
+(* The three policy passes, as [check] runs them on a compiled
+   route-map. *)
+let check_policy ?relationship policy =
+  let i = Policy_checks.input ?relationship policy in
+  Policy_checks.(unsatisfiable_entries i @ dead_entries i @ export_leaks i)
+
 let entry seq decision conds =
   { Policy.seq; decision; conds; actions = [] }
 
@@ -255,7 +262,7 @@ let test_policy_unsat () =
       ]
   in
   check Alcotest.bool "All [c; Not c]" true
-    (fired "POLICY-UNSAT" (Check.check_policy contradictory));
+    (fired "POLICY-UNSAT" (check_policy contradictory));
   let disjoint =
     Policy.of_entries
       [ entry 10 Policy.Permit
@@ -266,7 +273,7 @@ let test_policy_unsat () =
       ]
   in
   check Alcotest.bool "disjoint prefix ranges" true
-    (fired "POLICY-UNSAT" (Check.check_policy disjoint));
+    (fired "POLICY-UNSAT" (check_policy disjoint));
   let empty_window =
     Policy.of_entries
       [ entry 10 Policy.Permit [ Policy.Prefix_in [ (pfx "10.0.0.0/8", 24, 16) ] ];
@@ -274,7 +281,7 @@ let test_policy_unsat () =
       ]
   in
   check Alcotest.bool "empty length window" true
-    (fired "POLICY-UNSAT" (Check.check_policy empty_window));
+    (fired "POLICY-UNSAT" (check_policy empty_window));
   let fine =
     Policy.of_entries
       [ entry 10 Policy.Permit
@@ -285,7 +292,7 @@ let test_policy_unsat () =
       ]
   in
   check Alcotest.bool "overlapping ranges are fine" false
-    (fired "POLICY-UNSAT" (Check.check_policy fine))
+    (fired "POLICY-UNSAT" (check_policy fine))
 
 let test_policy_dead () =
   let dead =
@@ -295,7 +302,7 @@ let test_policy_dead () =
       ]
   in
   check Alcotest.bool "entry after catch-all" true
-    (fired "POLICY-DEAD" (Check.check_policy dead));
+    (fired "POLICY-DEAD" (check_policy dead));
   let alive =
     Policy.of_entries
       [ entry 10 Policy.Deny [ Policy.Has_private_asn ];
@@ -303,10 +310,10 @@ let test_policy_dead () =
       ]
   in
   check Alcotest.bool "guard then catch-all" false
-    (fired "POLICY-DEAD" (Check.check_policy alive))
+    (fired "POLICY-DEAD" (check_policy alive))
 
 let test_policy_leak () =
-  let leak rel = Check.check_policy ~relationship:rel Policy.permit_all in
+  let leak rel = check_policy ~relationship:rel Policy.permit_all in
   check Alcotest.bool "permit-all to provider" true
     (fired "POLICY-LEAK" (leak Relationship.Provider));
   check Alcotest.bool "permit-all to peer" true
@@ -321,7 +328,8 @@ let test_policy_leak () =
       ]
   in
   check Alcotest.bool "guarded export to provider is fine" false
-    (fired "POLICY-LEAK" (Check.check_policy ~relationship:Relationship.Provider guarded));
+    (fired "POLICY-LEAK"
+       (check_policy ~relationship:Relationship.Provider guarded));
   (* leak severity is error *)
   check Alcotest.bool "leak is an error" true
     (Diagnostic.has_errors (leak Relationship.Provider))
@@ -362,7 +370,7 @@ let test_spec_parse () =
     (bad "experiment x\nannounce 10.0.0.0/8");
   check Alcotest.bool "unknown statement" true (bad "experiment x\nfrobnicate");
   check Alcotest.bool "clean spec is quiet" true
-    (Check.check_spec s = [])
+    (Check.check_specs [ (None, s) ] = [])
 
 let test_exp_hijack () =
   let hijack =
@@ -370,13 +378,13 @@ let test_exp_hijack () =
       "experiment evil\nprefix 184.164.224.0/24\nannounce 8.8.8.0/24 at 0"
   in
   check Alcotest.bool "foreign prefix" true
-    (fired "EXP-HIJACK" (Check.check_spec hijack));
+    (fired "EXP-HIJACK" (Check.check_specs [ (None, hijack) ]));
   let sub =
     parsed @@ Spec.parse
       "experiment fine\nprefix 184.164.224.0/24\nannounce 184.164.224.128/25 at 0"
   in
   check Alcotest.bool "subprefix of allocation" false
-    (fired "EXP-HIJACK" (Check.check_spec sub))
+    (fired "EXP-HIJACK" (Check.check_specs [ (None, sub) ]))
 
 let test_exp_poison () =
   let poison =
@@ -385,21 +393,21 @@ let test_exp_poison () =
        announce 184.164.224.0/24 at 0 path 3356"
   in
   check Alcotest.bool "public ASN unvetted" true
-    (fired "EXP-POISON" (Check.check_spec poison));
+    (fired "EXP-POISON" (Check.check_specs [ (None, poison) ]));
   let vetted =
     parsed @@ Spec.parse
       "experiment lifeguard\nprefix 184.164.224.0/24\nmay-poison\n\
        announce 184.164.224.0/24 at 0 path 3356"
   in
   check Alcotest.bool "vetted poisoning" false
-    (fired "EXP-POISON" (Check.check_spec vetted));
+    (fired "EXP-POISON" (Check.check_specs [ (None, vetted) ]));
   let own =
     parsed @@ Spec.parse
       "experiment own\nprefix 184.164.224.0/24\nasn 61574\n\
        announce 184.164.224.0/24 at 0 path 61574 64512 47065"
   in
   check Alcotest.bool "own, private and mux ASNs allowed" false
-    (fired "EXP-POISON" (Check.check_spec own))
+    (fired "EXP-POISON" (Check.check_specs [ (None, own) ]))
 
 let test_exp_dampen () =
   let flappy =
@@ -415,7 +423,7 @@ withdraw 184.164.224.0/24 at 2.5
 announce 184.164.224.0/24 at 3
 |}
   in
-  let diags = Check.check_spec flappy in
+  let diags = Check.check_specs [ (None, flappy) ] in
   check Alcotest.bool "rapid flapping trips dampening" true
     (fired "EXP-DAMPEN" diags);
   check Alcotest.int "only the suppressed announcement is flagged" 1
@@ -431,7 +439,7 @@ withdraw 184.164.224.0/24 at 10800
 |}
   in
   check Alcotest.bool "spaced beacon schedule is fine" false
-    (fired "EXP-DAMPEN" (Check.check_spec calm))
+    (fired "EXP-DAMPEN" (Check.check_specs [ (None, calm) ]))
 
 (* ------------------------------------------------------------------ *)
 (* Address-family threading in the policy condition algebra *)
@@ -701,18 +709,7 @@ let fixture_codes () =
       else
         match Config.parse text with
         | Ok c ->
-          configs := (Some file, c) :: !configs;
-          (* compiled route-maps double as policy-pass fixtures,
-             vetted as exports towards a provider *)
-          List.iter
-            (fun name ->
-              match Config.compile_route_map c name with
-              | Ok p ->
-                note
-                  (Check.check_policy ~name
-                     ~relationship:Relationship.Provider p)
-              | Error _ -> ())
-            (Config.route_map_names c)
+          configs := (Some file, c) :: !configs
         | Error _ -> fired_codes := "PARSE" :: !fired_codes)
     files;
   note (Check.check_configs (List.rev !configs));
@@ -745,13 +742,20 @@ let test_check_experiment () =
     { Spec.ev_time = time; ev_line = 0; ev_prefix = prefix; ev_kind = kind }
   in
   let bad =
-    Check.check_experiment exp [ ev 0.0 (pfx "8.8.8.0/24") (Spec.Announce []) ]
+    Check.check_specs
+      [ ( None,
+          Spec.of_experiment exp
+            [ ev 0.0 (pfx "8.8.8.0/24") (Spec.Announce []) ] )
+      ]
   in
   check Alcotest.bool "hijack caught programmatically" true
     (fired "EXP-HIJACK" bad);
   let good =
-    Check.check_experiment exp
-      [ ev 0.0 (pfx "184.164.230.0/24") (Spec.Announce []) ]
+    Check.check_specs
+      [ ( None,
+          Spec.of_experiment exp
+            [ ev 0.0 (pfx "184.164.230.0/24") (Spec.Announce []) ] )
+      ]
   in
   check Alcotest.(list string) "clean programmatic schedule" []
     (codes_of good)
@@ -766,7 +770,8 @@ let test_spec_finite_times () =
   in
   let flap = read_fixture (Filename.concat dir "flap.exp") in
   check Alcotest.bool "flap.exp fires EXP-DAMPEN" true
-    (fired "EXP-DAMPEN" (Check.check_spec (parsed @@ Spec.parse flap)));
+    (fired "EXP-DAMPEN"
+       (Check.check_specs [ (None, parsed @@ Spec.parse flap) ]));
   let retimed t =
     String.split_on_char '\n' flap
     |> List.map (fun line ->

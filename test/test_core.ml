@@ -1589,41 +1589,6 @@ let test_periodic_announce_dampening () =
   Engine.run ~until:(1800.0 *. 8.0 +. 500.0) (Testbed.engine t);
   check Alcotest.bool "fast cadence suppressed" true (!fast_suppressed > 0)
 
-let test_controller_v6 () =
-  let e = Engine.create () in
-  let ctl = Controller.create e ~supply:[ pfx "184.164.224.0/19" ] () in
-  match
-    Controller.propose ctl ~id:"v6" ~owner:"o"
-      ~description:"dual stack experiment over PEERING v6 space"
-      ~n_v6_prefixes:2 ()
-  with
-  | Error err -> Alcotest.fail err
-  | Ok exp ->
-    check Alcotest.int "two v6 blocks" 2
-      (List.length exp.Experiment.v6_prefixes);
-    List.iter
-      (fun p ->
-        check Alcotest.int "/48" 48 (Prefix6.len p);
-        check Alcotest.bool "inside supply" true
-          (Prefix6.subsumes (Prefix6.of_string_exn "2804:269c::/32") p))
-      exp.Experiment.v6_prefixes;
-    check Alcotest.bool "ownership test" true
-      (Experiment.owns_v6_prefix exp
-         (Prefix6.of_string_exn "2804:269c::/56"));
-    let first = List.hd exp.Experiment.v6_prefixes in
-    Controller.activate ctl exp;
-    Controller.stop ctl exp;
-    (* freed block is reused by the next experiment *)
-    (match
-       Controller.propose ctl ~id:"v6b" ~owner:"o"
-         ~description:"a second v6 experiment reusing freed blocks"
-         ~n_v6_prefixes:1 ()
-     with
-    | Ok exp2 ->
-      check Alcotest.bool "block reused" true
-        (Prefix6.equal first (List.hd exp2.Experiment.v6_prefixes))
-    | Error err -> Alcotest.fail err)
-
 (* ------------------------------------------------------------------ *)
 (* Safety.release outcomes (ISSUE 9 regression): releases are
    claim-keyed per (client, prefix); double releases and releases of
@@ -1974,7 +1939,6 @@ let () =
           tc "periodic announce dampening" `Quick
             test_periodic_announce_dampening;
           tc "sdx policy composition" `Quick test_sdx_policy_composition;
-          tc "rov containment" `Quick test_rov_containment;
-          tc "ipv6 allocation" `Quick test_controller_v6
+          tc "rov containment" `Quick test_rov_containment
         ] )
     ]

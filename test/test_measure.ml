@@ -5,6 +5,10 @@ module Gen = Peering_topo.Gen
 
 let check = Alcotest.check
 let tc = Alcotest.test_case
+
+(* Concatenated BMP encodings: a feed fragment. *)
+let bmp_feed msgs =
+  Bytes.concat Bytes.empty (List.map Peering_bgp.Bmp.encode msgs)
 let asn = Asn.of_int
 let ip = Ipv4.of_string_exn
 let pfx = Prefix.of_string_exn
@@ -21,8 +25,7 @@ let test_dns_basic () =
   check Alcotest.(option string) "first" (Some "93.184.216.34")
     (Option.map Ipv4.to_string (Dns.resolve_one d "www.Example.Com"));
   check Alcotest.(list string) "unknown" []
-    (List.map Ipv4.to_string (Dns.resolve d "nope.example"));
-  check Alcotest.int "records" 2 (Dns.n_records d)
+    (List.map Ipv4.to_string (Dns.resolve d "nope.example"))
 
 (* ------------------------------------------------------------------ *)
 (* Webworkload *)
@@ -447,7 +450,7 @@ let bmp_peer_up ?time a =
 let test_monitor_fragmentation () =
   let peer = asn 65010 in
   let stream =
-    Bmp.encode_all
+    bmp_feed
       [ Bmp.Initiation { info = [ (2, "mux0") ] };
         bmp_peer_up peer;
         bmp_announce ~time:1.0 peer (pfx "184.164.224.0/24");
@@ -508,11 +511,11 @@ let test_monitor_bytewise_linear () =
             { Message.withdrawn = []; attrs = Some (bmp_attrs ()); nlri } }
   in
   let rec frames i acc =
-    if Bytes.length (Bmp.encode_all (List.rev acc)) >= 65_536 then List.rev acc
+    if Bytes.length (bmp_feed (List.rev acc)) >= 65_536 then List.rev acc
     else frames (i + 1) (frame i :: acc)
   in
   let stream =
-    Bmp.encode_all
+    bmp_feed
       (Bmp.Initiation { info = [ (2, "mux0") ] }
        :: List.map bmp_peer_up peers
        @ frames 0 [])

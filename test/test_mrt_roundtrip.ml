@@ -15,9 +15,10 @@
       per-attribute length overruns, corrupted marker/length/type
       header bytes, seeded random byte flips, and a seeded QCheck
       sweep of random byte strings and single-byte mutations of the
-      handcrafted frames.  [Mp.decode] never raises either, on
-      intact, truncated and byte-flipped MP frames, and intact ones
-      re-encode byte-identically.  [Bmp.decode] agrees with the
+      handcrafted frames.  [Mrt.decode] never raises either, on the
+      peer-index table, a RIB_IPV4, every RIB_IPV6 and a BGP4MP record
+      of a seeded dump, cut at every offset and with each byte
+      flipped.  [Bmp.decode] agrees with the
       test-side reference reader ([Bmp_reference]) on every BMP
       corpus frame.
 
@@ -326,69 +327,87 @@ let qcheck_total () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* MP corpus: reach and unreach UPDATEs under both ASN widths. *)
+(* MRT record corpus: [Mrt.decode] is total on cut and corrupted
+   records of every kind a dump carries. *)
 
-let mp_corpus =
-  let module Ipv6 = Peering_net.Ipv6 in
-  let module Prefix6 = Peering_net.Prefix6 in
-  let asn = Peering_net.Asn.of_int in
-  let p6 hi len = Prefix6.make (Ipv6.make hi 0L) len in
-  let attrs =
-    Attrs.make
-      ~as_path:(As_path.of_asns [ asn 3356; asn 4_200_000_001 ])
-      ~med:10
-      ~communities:[ Community.make 47065 100 ]
-      ~next_hop:(Peering_net.Ipv4.of_int 0) ()
-  in
-  let reach =
-    Mp.announce ~attrs
-      ~next_hop:(Ipv6.make 0x2001_0db8_0000_0000L 1L)
-      [ p6 0x2001_0db8_0001_0000L 48; p6 0x2804_0269_0000_0000L 32;
-        p6 0L 0; Prefix6.make (Ipv6.make 0x2001_0db8_0002_0000L 5L) 128 ]
-  in
-  let unreach = Mp.withdraw [ p6 0x2001_0db8_0001_0000L 48; p6 0L 0 ] in
-  List.concat_map
-    (fun opts -> [ (opts, Mp.encode opts reach); (opts, Mp.encode opts unreach) ])
-    [ Wire.default_opts; { Wire.four_octet_asn = true; add_path = false } ]
-
-(* [Mp.decode]'s result, failing the test if it raises. *)
-let mp_total name opts b =
-  try Mp.decode opts b
-  with e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e)
-
-let mp_intact () =
-  List.iteri
-    (fun i (opts, b) ->
-      match mp_total (Printf.sprintf "mp frame %d" i) opts b with
-      | Ok u ->
-        if not (Bytes.equal (Mp.encode opts u) b) then
-          Alcotest.failf "mp frame %d re-encodes differently" i
+(* The raw bytes of the peer-index table, the first RIB_IPV4 record,
+   every RIB_IPV6 record and the first BGP4MP record of a seeded tiny
+   dump. *)
+let mrt_corpus =
+  let dump = dump_of ~seed:1 (List.assoc "tiny" sizes) in
+  let rec go pos ~v4 ~mp acc =
+    if pos >= Bytes.length dump then List.rev acc
+    else
+      match Mrt.decode dump ~pos with
       | Error e ->
-        Alcotest.failf "mp frame %d: %s" i (Wire.error_to_string e))
-    mp_corpus
+        Alcotest.failf "corpus dump unreadable: %s" (Mrt.error_to_string e)
+      | Ok (r, next) ->
+        let raw = Bytes.sub dump pos (next - pos) in
+        let keep, v4, mp =
+          match r.Mrt.record with
+          | Mrt.Peer_index_table _ | Mrt.Rib_v6 _ -> (true, v4, mp)
+          | Mrt.Rib_v4 _ -> (not v4, true, mp)
+          | Mrt.Bgp4mp _ -> (not mp, v4, true)
+        in
+        go next ~v4 ~mp (if keep then (r.Mrt.record, raw) :: acc else acc)
+  in
+  go 0 ~v4:false ~mp:false []
 
-let mp_truncated () =
+(* [Mrt.decode]'s result, failing the test if it raises or returns an
+   end position outside the buffer. *)
+let mrt_total name b =
+  match Mrt.decode b ~pos:0 with
+  | Ok (_, next) when next <= 0 || next > Bytes.length b ->
+    Alcotest.failf "%s: end %d outside %d bytes" name next (Bytes.length b)
+  | r -> r
+  | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e)
+
+let is_rib_v6 (r, _) = match r with Mrt.Rib_v6 _ -> true | _ -> false
+
+let mrt_intact () =
+  let v6 = List.length (List.filter is_rib_v6 mrt_corpus) in
+  if v6 = 0 || List.length mrt_corpus < v6 + 3 then
+    Alcotest.failf "corpus lacks a record kind (%d records, %d RIB_IPV6)"
+      (List.length mrt_corpus) v6;
   List.iteri
-    (fun i (opts, b) ->
+    (fun i (_, b) ->
+      match mrt_total (Printf.sprintf "record %d" i) b with
+      | Ok (_, next) when next = Bytes.length b -> ()
+      | Ok _ -> Alcotest.failf "record %d: decoded short" i
+      | Error e -> Alcotest.failf "record %d: %s" i (Mrt.error_to_string e))
+    mrt_corpus
+
+let mrt_truncated () =
+  List.iteri
+    (fun i (_, b) ->
       for len = 0 to Bytes.length b - 1 do
-        let name = Printf.sprintf "mp frame %d cut at %d" i len in
-        match mp_total name opts (Bytes.sub b 0 len) with
-        | Error Wire.Truncated -> ()
-        | Error e ->
-          Alcotest.failf "%s: %s, not Truncated" name (Wire.error_to_string e)
-        | Ok _ -> Alcotest.failf "%s: decoded" name
+        let name = Printf.sprintf "record %d cut at %d" i len in
+        ignore (mrt_total name (Bytes.sub b 0 len))
       done)
-    mp_corpus
+    mrt_corpus
 
-let mp_flips () =
+let mrt_flips () =
   List.iteri
-    (fun i (opts, b) ->
+    (fun i (_, b) ->
       for off = 0 to Bytes.length b - 1 do
-        ignore
-          (mp_total (Printf.sprintf "mp frame %d byte^%d" i off) opts
-             (flipped b off))
+        let name = Printf.sprintf "record %d byte^%d" i off in
+        ignore (mrt_total name (flipped b off))
       done)
-    mp_corpus
+    mrt_corpus
+
+(* A RIB_IPV6 prefix length byte (after the 12-byte record header and
+   the 4-byte sequence number) of 129 is a typed error. *)
+let mrt_v6_prefix_129 () =
+  match List.find_opt is_rib_v6 mrt_corpus with
+  | None -> Alcotest.fail "no RIB_IPV6 record in the corpus"
+  | Some (_, b) -> (
+    let c = Bytes.copy b in
+    Bytes.set c 16 (Char.chr 129);
+    match mrt_total "prefix length 129" c with
+    | Error (Mrt.Bad_message (Wire.Bad_attribute "v6 prefix length > 128"))
+      -> ()
+    | Ok _ -> Alcotest.fail "prefix length 129 decoded"
+    | Error e -> Alcotest.failf "wrong error: %s" (Mrt.error_to_string e))
 
 (* ------------------------------------------------------------------ *)
 (* BMP corruption corpus: [Bmp.decode] and [Bmp_reference.decode] read
@@ -397,7 +416,7 @@ let mp_flips () =
    truncated and corrupted frame. *)
 
 let bmp_show = function
-  | Ok (m, n) -> Printf.sprintf "Ok(%s, %d)" (Bmp.msg_type_name (Bmp.msg_type m)) n
+  | Ok (m, n) -> Printf.sprintf "Ok(%s, %d)" (string_of_int (Bmp.msg_type m)) n
   | Error e -> Printf.sprintf "Error(%s)" (Bmp.error_to_string e)
 
 let bmp_agree name buf ~pos =
@@ -526,10 +545,11 @@ let () =
         [ Alcotest.test_case "qcheck garbage + mutated frames" `Quick
             qcheck_total
         ] );
-      ( "mp-corpus",
-        [ Alcotest.test_case "intact frames" `Quick mp_intact;
-          Alcotest.test_case "truncated at every offset" `Quick mp_truncated;
-          Alcotest.test_case "each byte flipped" `Quick mp_flips
+      ( "mrt-corpus",
+        [ Alcotest.test_case "intact records" `Quick mrt_intact;
+          Alcotest.test_case "truncated at every offset" `Quick mrt_truncated;
+          Alcotest.test_case "each byte flipped" `Quick mrt_flips;
+          Alcotest.test_case "v6 prefix length 129" `Quick mrt_v6_prefix_129
         ] );
       ( "bmp-reference-agree",
         [ Alcotest.test_case "intact frames" `Quick bmp_intact;

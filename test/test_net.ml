@@ -371,31 +371,6 @@ let test_prefix6_ops () =
   check Alcotest.string "nth /48" "2804:269c:5::/48"
     (Prefix6.to_string (Prefix6.nth_subprefix p 48 5))
 
-let test_prefix6_pool () =
-  let supply = Prefix6.of_string_exn "2804:269c::/32" in
-  let pool = Prefix6.Pool.create ~alloc_len:48 supply in
-  match Prefix6.Pool.alloc pool with
-  | None -> Alcotest.fail "alloc failed"
-  | Some (p1, pool) -> (
-    check Alcotest.string "first block" "2804:269c::/48" (Prefix6.to_string p1);
-    match Prefix6.Pool.alloc pool with
-    | None -> Alcotest.fail "second alloc failed"
-    | Some (p2, pool) ->
-      check Alcotest.string "second block" "2804:269c:1::/48"
-        (Prefix6.to_string p2);
-      check Alcotest.bool "disjoint" false
-        (Prefix6.subsumes p1 p2 || Prefix6.subsumes p2 p1);
-      (* free and re-alloc reuses the freed block *)
-      (match Prefix6.Pool.free p1 pool with
-      | Ok pool -> (
-        match Prefix6.Pool.alloc pool with
-        | Some (p3, _) ->
-          check Alcotest.bool "freed block reused" true (Prefix6.equal p1 p3)
-        | None -> Alcotest.fail "realloc failed")
-      | Error `Not_allocated -> Alcotest.fail "free failed");
-      check Alcotest.bool "supply ownership" true
-        (Prefix6.Pool.mem_supply p2 pool))
-
 let () =
   Alcotest.run "net"
     [ ( "ipv4",
@@ -440,7 +415,6 @@ let () =
           tc "bit order" `Quick test_ipv6_bits_order;
           tc "add carry" `Quick test_ipv6_add_carry;
           QCheck_alcotest.to_alcotest prop_ipv6_roundtrip;
-          tc "prefix ops" `Quick test_prefix6_ops;
-          tc "pool" `Quick test_prefix6_pool
+          tc "prefix ops" `Quick test_prefix6_ops
         ] )
     ]
