@@ -47,20 +47,6 @@ let strip_private p =
       | Set l -> ( match keep l with [] -> None | l' -> Some (Set l')))
     p
 
-let aggregate p q =
-  let pa = to_asns p and qa = to_asns q in
-  let rec common acc = function
-    | x :: xs, y :: ys when Asn.equal x y -> common (x :: acc) (xs, ys)
-    | rest -> (List.rev acc, rest)
-  in
-  let head, (ptail, qtail) = common [] (pa, qa) in
-  let tail = List.sort_uniq Asn.compare (ptail @ qtail) in
-  match (head, tail) with
-  | [], [] -> []
-  | h, [] -> [ Seq h ]
-  | [], t -> [ Set t ]
-  | h, t -> [ Seq h; Set t ]
-
 let segment_compare s1 s2 =
   match (s1, s2) with
   | Seq a, Seq b | Set a, Set b -> List.compare Asn.compare a b

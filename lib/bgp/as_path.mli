@@ -53,10 +53,5 @@ val strip_private : t -> t
     become empty. This is the mux's "present only the public PEERING
     ASN" operation. *)
 
-val aggregate : t -> t -> t
-(** [aggregate p q] merges two paths as route aggregation would: the
-    longest common leading sequence, then an AS_SET of the remaining
-    ASNs (deduplicated, sorted). *)
-
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit

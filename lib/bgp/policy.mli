@@ -54,8 +54,6 @@ val of_entries : entry list -> t
 
 val entries : t -> entry list
 
-val eval_cond : cond -> Route.t -> bool
-
 val apply : t -> Route.t -> Route.t option
 (** [apply t r] is [Some r'] if some entry permits [r] ([r'] includes
     that entry's actions), [None] if denied. *)

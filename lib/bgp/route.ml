@@ -20,8 +20,6 @@ let make ?source ?(path_id = 0) ?(learned_at = 0.0) prefix attrs =
 
 let local prefix attrs = make prefix attrs
 
-let origin_asn t = As_path.origin_asn t.attrs.Attrs.as_path
-
 let is_ebgp t =
   match t.source with Some s -> s.ebgp | None -> false
 

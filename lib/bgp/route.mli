@@ -25,9 +25,6 @@ val make :
 val local : Prefix.t -> Attrs.t -> t
 (** Locally originated route (no source). *)
 
-val origin_asn : t -> Asn.t option
-(** Originating AS per the AS path. *)
-
 val is_ebgp : t -> bool
 (** [true] for eBGP-learned routes; locally originated routes count as
     not-eBGP. *)

@@ -42,6 +42,3 @@ let validate t ~prefix ~origin =
           roas
       then Valid
       else Invalid)
-
-let validate_route t (r : Route.t) =
-  validate t ~prefix:r.Route.prefix ~origin:(Route.origin_asn r)

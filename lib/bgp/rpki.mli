@@ -30,14 +30,8 @@ val add_roa : t -> ?max_length:int -> prefix:Prefix.t -> Asn.t -> t
     (the recommended practice). Raises [Invalid_argument] if
     [max_length] is shorter than the prefix or longer than 32. *)
 
-val covering : t -> Prefix.t -> roa list
-(** All ROAs whose prefix covers the announcement. *)
-
 val validate : t -> prefix:Prefix.t -> origin:Asn.t option -> validity
 (** RFC 6811: [Valid] if some covering ROA matches the origin and the
     announced length is within [max_length]; [Invalid] if covering
     ROAs exist but none matches; [Not_found] otherwise. [origin =
     None] (an AS_SET origin) is never [Valid]. *)
-
-val validate_route : t -> Route.t -> validity
-(** Validate a route by its prefix and AS-path origin. *)

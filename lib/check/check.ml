@@ -34,7 +34,7 @@ let config_passes =
     ]
 
 let policy_passes =
-  Policy_checks.[ unsatisfiable_entries; dead_entries; export_leaks ]
+  Policy_checks.[ unsatisfiable_entries; export_leaks ]
 
 let spec_passes =
   [ Experiment_checks.hijacks;
@@ -133,9 +133,6 @@ let codes =
     ( "POLICY-UNSAT",
       Diagnostic.Warning,
       "policy entry with unsatisfiable conditions" );
-    ( "POLICY-DEAD",
-      Diagnostic.Warning,
-      "policy entry shadowed by an earlier catch-all" );
     ( "POLICY-LEAK",
       Diagnostic.Error,
       "permit-all export towards a provider or peer (route leak)" );

@@ -1,5 +1,6 @@
 open Peering_net
 open Peering_router
+module Policy = Peering_bgp.Policy
 
 let c_no_bgp = "RTR-NOBGP"
 let c_rtmap_undef = "RTMAP-UNDEF"
@@ -130,47 +131,58 @@ let unused_prefix_lists cfg =
 
 (* ------------------------------------------------------------------ *)
 (* Route-map entry shadowing: entries are evaluated in seq order and
-   the first whose matches all hold decides. An entry whose match set
-   is a superset of an earlier entry's match set can never fire. *)
+   the first whose matches all hold decides, so an entry is
+   unreachable when an earlier entry matches every route it matches:
+   the earlier entry's compiled conditions hold for every route (no
+   match at all, or a prefix-list such as 0.0.0.0/0 le 32), or they
+   are a subset of this entry's. An entry whose conditions are
+   unsatisfiable matches nothing, so it shadows nothing and is
+   POLICY-UNSAT's to report. A route-map that does not compile is left
+   to RTMAP-UNDEF and PFXLIST-UNDEF. *)
 
-let match_subset a b =
-  List.for_all (fun m -> List.mem m b) a
+let shadows (prev : Policy.entry) (e : Policy.entry) =
+  Policy_checks.conds_taut prev.conds
+  || List.for_all (fun c -> List.mem c e.conds) prev.conds
 
 let shadowed_map_entries cfg =
   List.concat_map
     (fun (name, entries) ->
-      let sorted =
-        List.sort
-          (fun (a : Config.map_entry) b -> Int.compare a.Config.rm_seq b.rm_seq)
-          entries
-      in
-      let rec go earlier acc = function
-        | [] -> List.rev acc
-        | (e : Config.map_entry) :: rest ->
-          let shadow =
-            List.find_opt
-              (fun (prev : Config.map_entry) ->
-                match_subset prev.Config.rm_matches e.Config.rm_matches)
-              (List.rev earlier)
-          in
-          let acc =
-            match shadow with
-            | None -> acc
-            | Some prev ->
-              Diagnostic.warning ~code:c_rtmap_shadow ~line:e.Config.rm_line
-                ~hint:
+      match Config.compile_route_map cfg name with
+      | Error _ -> []
+      | Ok policy ->
+        let line seq =
+          List.find_map
+            (fun (e : Config.map_entry) ->
+              if e.Config.rm_seq = seq then Some e.Config.rm_line else None)
+            entries
+        in
+        let live =
+          List.filter
+            (fun (e : Policy.entry) ->
+              not (Policy_checks.conds_unsat e.conds))
+            (Policy.entries policy)
+        in
+        let rec go earlier acc = function
+          | [] -> List.rev acc
+          | (e : Policy.entry) :: rest ->
+            let acc =
+              match List.find_opt (fun p -> shadows p e) (List.rev earlier) with
+              | None -> acc
+              | Some prev ->
+                Diagnostic.warning ~code:c_rtmap_shadow ?line:(line e.seq)
+                  ~hint:
+                    (Printf.sprintf
+                       "reorder the entries or tighten seq %d's matches"
+                       prev.seq)
                   (Printf.sprintf
-                     "reorder the entries or tighten seq %d's matches"
-                     prev.Config.rm_seq)
-                (Printf.sprintf
-                   "route-map %s seq %d is unreachable: every route it \
-                    matches is already matched by seq %d"
-                   name e.Config.rm_seq prev.Config.rm_seq)
-              :: acc
-          in
-          go (e :: earlier) acc rest
-      in
-      go [] [] sorted)
+                     "route-map %s seq %d is unreachable: every route it \
+                      matches is already matched by seq %d"
+                     name e.seq prev.seq)
+                :: acc
+            in
+            go (e :: earlier) acc rest
+        in
+        go [] [] live)
     (Config.route_maps cfg)
 
 (* ------------------------------------------------------------------ *)

@@ -42,7 +42,6 @@ let compare a b =
 
 let sort l = List.sort compare l
 
-let has_errors l = List.exists (fun d -> d.severity = Error) l
 let count sev l = List.length (List.filter (fun d -> d.severity = sev) l)
 
 let to_string t =

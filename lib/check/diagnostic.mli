@@ -27,7 +27,6 @@ val with_file : string -> t -> t
 
 val sort : t list -> t list
 
-val has_errors : t list -> bool
 val count : severity -> t list -> int
 
 val to_string : t -> string

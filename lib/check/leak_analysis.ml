@@ -95,7 +95,7 @@ let analyze w (ann : Propagation.announcement) =
       List.iter
         (fun (v, rel_uv) ->
           let abs = World.export_at w u v in
-          if World.admits w abs ann.Propagation.prefix then begin
+          if World.admits abs ann.Propagation.prefix then begin
             let sv = state v in
             let first = sv.classes = 0 in
             let changed = ref false in
@@ -197,7 +197,7 @@ let leak_prone w =
               if
                 !witness = None
                 && (not (Asn.Set.mem o cone))
-                && World.admits w abs p
+                && World.admits abs p
               then witness := Some (o, p))
             g;
           (match !witness with

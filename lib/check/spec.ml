@@ -89,11 +89,3 @@ let parse text =
           events = List.rev b.b_events
         })
     text
-
-let of_experiment (e : Peering_core.Experiment.t) events =
-  { id = e.Peering_core.Experiment.id;
-    prefixes = e.Peering_core.Experiment.prefixes;
-    asns = e.Peering_core.Experiment.private_asns;
-    may_poison = e.Peering_core.Experiment.may_poison;
-    events
-  }

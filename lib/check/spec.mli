@@ -41,7 +41,3 @@ type t = {
 
 val parse : string -> (t, Lines.error) result
 (** A missing [experiment] statement is an error with no line. *)
-
-val of_experiment : Peering_core.Experiment.t -> event list -> t
-(** Vet a programmatic {!Peering_core.Experiment} plus a planned
-    schedule with the same passes that vet spec files. *)

@@ -1,5 +1,4 @@
 open Peering_net
-open Peering_bgp
 open Peering_topo
 
 type export_classes = Gr_only | Any_class
@@ -16,7 +15,6 @@ let permit_all_export = { classes = Any_class; prefixes = Any_prefix }
 
 type t = {
   graph : As_graph.t;
-  af : Policy_checks.af;
   mutable exports : export_abs Asn.Map.t Asn.Map.t;  (* u -> v -> abs *)
   mutable local_prefs : int Asn.Map.t Asn.Map.t;  (* at -> from -> pref *)
   mutable peerlock : Asn.Set.t Asn.Map.t;  (* at -> protected ASes *)
@@ -24,9 +22,8 @@ type t = {
   mutable specs : (string option * Spec.t) list;  (* reversed *)
 }
 
-let of_graph ?(af = Policy_checks.V4) graph =
+let of_graph graph =
   { graph;
-    af;
     exports = Asn.Map.empty;
     local_prefs = Asn.Map.empty;
     peerlock = Asn.Map.empty;
@@ -66,63 +63,12 @@ let fold_exports f w acc =
     (fun u m acc -> Asn.Map.fold (fun v abs acc -> f u v abs acc) m acc)
     w.exports acc
 
-(* Lower a compiled export policy into the abstract domain, soundly:
-   the abstraction must admit every route the policy can permit.
-   Classes are always [Any_class] — a route-map does not test the
-   Gao–Rexford class, and entries guarded only by communities, paths
-   or neighbors may pass any route. The prefix component unions, per
-   live permit entry, the prefix constraint its conjunction provably
-   imposes; an entry with no prefix constraint forces [Any_prefix]. *)
-let abstract_of_policy ?(af = Policy_checks.V4) policy =
-  let live =
-    List.filter
-      (fun (e : Policy.entry) ->
-        e.Policy.decision = Policy.Permit
-        && not (Policy_checks.conds_unsat ~af e.Policy.conds))
-      (Policy.entries policy)
-  in
-  let entry_windows (e : Policy.entry) =
-    (* The windows of the first prefix constraint in the (flattened)
-       conjunction, if any: the matched set is contained in it. *)
-    let rec flatten acc = function
-      | Policy.All cs :: rest -> flatten (flatten acc cs) rest
-      | c :: rest -> flatten (c :: acc) rest
-      | [] -> acc
-    in
-    let members = flatten [] e.Policy.conds in
-    let rec first = function
-      | [] -> None
-      | Policy.Prefix_in l :: _ -> Some l
-      | Policy.Prefix_exact l :: _ ->
-        Some (List.map (fun p -> (p, Prefix.len p, Prefix.len p)) l)
-      | _ :: rest -> first rest
-    in
-    first (List.rev members)
-  in
-  let prefixes =
-    List.fold_left
-      (fun acc e ->
-        match acc with
-        | Any_prefix -> Any_prefix
-        | _ -> (
-          match entry_windows e with
-          | None -> Any_prefix
-          | Some ws -> (
-            match acc with
-            | No_prefix -> Windows ws
-            | Windows cur -> Windows (cur @ ws)
-            | Any_prefix -> Any_prefix)))
-      No_prefix live
-  in
-  { classes = Any_class; prefixes }
-
 (* Does the prefix component admit a route carrying exactly [p]? *)
-let admits w abs p =
+let admits abs p =
   match abs.prefixes with
   | Any_prefix -> true
   | No_prefix -> false
-  | Windows ws ->
-    List.exists (fun t -> Policy_checks.exact_in_triple ~af:w.af p t) ws
+  | Windows ws -> List.exists (fun t -> Policy_checks.exact_in_triple p t) ws
 
 (* ------------------------------------------------------------------ *)
 (* Import preferences (stability analysis input). *)
@@ -186,7 +132,7 @@ let dynamic_leak w u v = (export_at w u v).classes = Any_class
 
 let dynamic_export w u v (ann : Propagation.announcement)
     (_ : Propagation.route) =
-  admits w (export_at w u v) ann.Propagation.prefix
+  admits (export_at w u v) ann.Propagation.prefix
 
 let dynamic_import w v ~from (r : Propagation.route) =
   let path = r.Propagation.path in
@@ -236,15 +182,14 @@ let adjacent w u v =
       (Printf.sprintf "no edge between %s and %s" (Asn.to_string u)
          (Asn.to_string v))
 
-(* A window must lie in the address family and be non-empty. *)
-let window w p ge le =
+(* A window must be non-empty and lie within /32. *)
+let window p ge le =
   let p = Lines.prefix p in
   let ge = Lines.int ge and le = Lines.int le in
-  let max = Policy_checks.max_prefix_len w.af in
-  if ge < 0 || ge > le || le > max then
+  if ge < 0 || ge > le || le > 32 then
     Lines.fail
-      (Printf.sprintf "bad prefix window %d..%d (need 0 <= ge <= le <= %d)"
-         ge le max);
+      (Printf.sprintf "bad prefix window %d..%d (need 0 <= ge <= le <= 32)"
+         ge le);
   (p, ge, le)
 
 let handle_line w _ = function
@@ -285,7 +230,7 @@ let handle_line w _ = function
         let p = Lines.prefix p in
         add_export_window w ~from:u ~to_:v (p, Prefix.len p, Prefix.len p)
       | [ "prefix"; p; ge; le ] ->
-        add_export_window w ~from:u ~to_:v (window w p ge le)
+        add_export_window w ~from:u ~to_:v (window p ge le)
       | _ ->
         Lines.fail
           "expected 'permit-all', 'none' or 'prefix <cidr> [<ge> <le>]'")
@@ -307,6 +252,6 @@ let handle_line w _ = function
     | [] -> ()
     | kw :: _ -> Lines.fail (Printf.sprintf "unknown statement %S" kw))
 
-let parse ?af text =
-  let w = of_graph ?af (As_graph.create ()) in
+let parse text =
+  let w = of_graph (As_graph.create ()) in
   Lines.read (handle_line w) (fun () -> w) text

@@ -13,13 +13,11 @@
 
     Every directed edge [u -> v] carries an {!export_abs} describing
     what [u] may export to [v]. The default — no override — is
-    Gao–Rexford discipline over all prefixes. Overrides come from
-    three places: an explicit [export]/[leak] statement in a [.world]
-    file, {!set_export}/{!inject_leak}, or a compiled per-session
-    {!Peering_bgp.Policy} lowered through {!abstract_of_policy}. The
-    abstraction always {e over}-approximates the concrete export
-    behaviour, which is what makes the leak analysis sound (DESIGN.md
-    §11).
+    Gao–Rexford discipline over all prefixes. Overrides come from an
+    explicit [export]/[leak] statement in a [.world] file or from
+    {!inject_leak}/{!add_export_window}. The abstraction always
+    {e over}-approximates the concrete export behaviour, which is what
+    makes the leak analysis sound (DESIGN.md §11).
 
     {2 The .world file format}
 
@@ -34,7 +32,7 @@ originate <asn> <cidr>
 export <u> <v> permit-all     # u exports everything to v (leak-prone)
 export <u> <v> none           # u exports nothing to v
 export <u> <v> prefix <cidr> [<ge> <le>]   # window; repeatable (union);
-                              # needs 0 <= ge <= le <= the family's width
+                              # needs 0 <= ge <= le <= 32
 leak <u> <v>                  # u ignores export discipline towards v
 local-pref <v> <u> <n>        # v's import preference for routes from u
 peerlock <v> <t>              # v drops routes carrying t unless from t
@@ -43,7 +41,6 @@ peerlock-lite <v>             # v drops customer/peer routes carrying
     v} *)
 
 open Peering_net
-open Peering_bgp
 open Peering_topo
 
 type export_classes =
@@ -66,10 +63,8 @@ val default_export : export_abs
 
 type t
 
-val of_graph : ?af:Policy_checks.af -> As_graph.t -> t
-(** Wrap an existing topology (shared, not copied) with no overrides.
-    [af] (default {!Policy_checks.V4}) is used when lowering policies
-    and matching prefix windows. *)
+val of_graph : As_graph.t -> t
+(** Wrap an existing topology (shared, not copied) with no overrides. *)
 
 val graph : t -> As_graph.t
 
@@ -89,13 +84,7 @@ val fold_exports : (Asn.t -> Asn.t -> export_abs -> 'a -> 'a) -> t -> 'a -> 'a
 (** Fold over every overridden directed edge, ascending by (from,
     to). *)
 
-val abstract_of_policy : ?af:Policy_checks.af -> Policy.t -> export_abs
-(** Soundly lower a compiled export policy: classes are always
-    {!Any_class} (a route-map does not test the Gao–Rexford class);
-    prefixes union each live permit entry's provable prefix
-    constraint, with an unconstrained entry forcing {!Any_prefix}. *)
-
-val admits : t -> export_abs -> Prefix.t -> bool
+val admits : export_abs -> Prefix.t -> bool
 (** Does the prefix component admit a route carrying exactly this
     prefix? *)
 
@@ -106,8 +95,6 @@ val default_local_pref : Relationship.t -> int
 val local_pref : t -> at:Asn.t -> from:Asn.t -> int option
 (** The (possibly overridden) import preference [at] assigns routes
     learned from [from]; [None] if not adjacent. *)
-
-val set_local_pref : t -> at:Asn.t -> from:Asn.t -> int -> unit
 
 val add_peerlock : t -> at:Asn.t -> protect:Asn.t -> unit
 (** [at] filters routes whose path carries [protect] unless learned
@@ -144,5 +131,5 @@ val dynamic_leak : t -> Asn.t -> Asn.t -> bool
 val dynamic_export : t -> Asn.t -> Asn.t -> Propagation.announcement -> Propagation.route -> bool
 val dynamic_import : t -> Asn.t -> from:Asn.t -> Propagation.route -> bool
 
-val parse : ?af:Policy_checks.af -> string -> (t, Lines.error) result
+val parse : string -> (t, Lines.error) result
 (** Parse a [.world] file. *)

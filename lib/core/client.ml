@@ -3,11 +3,7 @@ open Peering_bgp
 
 (* [keys] memoises the Rib peer key of each upstream peer of [server],
    so route callbacks do not format it again per route. *)
-type link = {
-  server : Server.t;
-  mutable ignored : Asn.Set.t;
-  keys : (int, string) Hashtbl.t;
-}
+type link = { server : Server.t; keys : (int, string) Hashtbl.t }
 
 type t = {
   id : string;
@@ -39,13 +35,12 @@ let find_link t name =
 let connect t server =
   if find_link t (Server.name server) <> None then
     invalid_arg "Client.connect: already connected to this server";
-  let link = { server; ignored = Asn.Set.empty; keys = Hashtbl.create 16 } in
+  let link = { server; keys = Hashtbl.create 16 } in
   t.links <- t.links @ [ link ];
   let callbacks =
     { Server.route_update =
         (fun ~peer route ->
-          if not (Asn.Set.mem peer link.ignored) then
-            ignore (Rib.announce t.rib ~peer:(rib_key link peer) route));
+          ignore (Rib.announce t.rib ~peer:(rib_key link peer) route));
       route_withdraw =
         (fun ~peer prefix ->
           ignore (Rib.withdraw t.rib ~peer:(rib_key link peer) prefix))
@@ -63,13 +58,6 @@ let disconnect t server =
         ignore (Rib.drop_peer t.rib ~peer:(rib_key link peer)))
       (Server.peer_asns link.server);
     t.links <- List.filter (fun l -> l != link) t.links
-
-let ignore_peer t ~server ~peer =
-  match find_link t server with
-  | None -> invalid_arg "Client.ignore_peer: not connected to server"
-  | Some link ->
-    link.ignored <- Asn.Set.add peer link.ignored;
-    ignore (Rib.drop_peer t.rib ~peer:(rib_key link peer))
 
 let selected_links t = function
   | None -> t.links

@@ -24,10 +24,6 @@ val connect : t -> Server.t -> unit
 
 val disconnect : t -> Server.t -> unit
 
-val ignore_peer : t -> server:string -> peer:Asn.t -> unit
-(** Drop current and future routes from this peer — topology
-    emulation by peer selection. *)
-
 val announce :
   t ->
   ?servers:string list ->

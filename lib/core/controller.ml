@@ -1,23 +1,17 @@
 open Peering_net
-module Engine = Peering_sim.Engine
 
 type t = {
-  engine : Engine.t;
   mutable pool : Prefix_pool.t;
   max_prefixes : int;
   mutable experiments : Experiment.t list;
   mutable next_private_asn : int;
-  mutable pending : int;
 }
 
-let create engine ~supply ?(alloc_len = 24)
-    ?(max_prefixes_per_experiment = 4) () =
-  { engine;
-    pool = Prefix_pool.create ~alloc_len supply;
+let create ~supply ?(alloc_len = 24) ?(max_prefixes_per_experiment = 4) () =
+  { pool = Prefix_pool.create ~alloc_len supply;
     max_prefixes = max_prefixes_per_experiment;
     experiments = [];
-    next_private_asn = 64512;
-    pending = 0
+    next_private_asn = 64512
   }
 
 let find_experiment t id =
@@ -85,14 +79,3 @@ let stop t e =
 let owns t p = Prefix_pool.mem_supply p t.pool
 let available_blocks t = Prefix_pool.available t.pool
 let donate_supply t p = t.pool <- Prefix_pool.add_supply p t.pool
-
-let schedule_announcement t ~at ~action ?notify () =
-  t.pending <- t.pending + 1;
-  Engine.schedule_at t.engine ~time:at (fun () ->
-      t.pending <- t.pending - 1;
-      action ();
-      match notify with
-      | Some f -> f (Engine.now t.engine)
-      | None -> ())
-
-let scheduled_count t = t.pending

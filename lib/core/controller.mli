@@ -1,15 +1,14 @@
 (** The PEERING controller: the management plane the paper describes
     as "a prototype web service" plus the operational automation —
     experiment vetting (advisory board), prefix and private-ASN
-    allocation, scheduled announcements with researcher notification,
-    and supply donations. *)
+    allocation, and supply donations. Announcements on a schedule go
+    through {!Scheduler}'s batching rounds. *)
 
 open Peering_net
 
 type t
 
 val create :
-  Peering_sim.Engine.t ->
   supply:Prefix.t list ->
   ?alloc_len:int ->
   ?max_prefixes_per_experiment:int ->
@@ -52,18 +51,3 @@ val available_blocks : t -> int
 
 val donate_supply : t -> Prefix.t -> unit
 (** Researchers have offered to donate IPv4 prefixes (paper §3). *)
-
-val schedule_announcement :
-  t ->
-  at:float ->
-  action:(unit -> unit) ->
-  ?notify:(float -> unit) ->
-  unit ->
-  unit
-(** Schedule an action (announce/withdraw closure) at an absolute
-    virtual time; [notify] is invoked with the execution time so the
-    researcher can line up measurements — the paper's scheduling web
-    service. *)
-
-val scheduled_count : t -> int
-(** Actions scheduled and not yet executed. *)

@@ -207,8 +207,7 @@ type tenant_state = {
   ten_client : Client.t;
   ten_sites : string list;
   ten_poison : Asn.t list;  (* declared poison targets *)
-  mutable ten_lease_until : float;
-  mutable ten_lease_gen : int;  (* renewal invalidates scheduled expiry *)
+  ten_lease_until : float;
   mutable ten_granted : int;  (* update slots granted so far *)
 }
 
@@ -257,9 +256,6 @@ let leased_prefixes t id =
   match find_tenant t id with
   | Some s -> s.ten_experiment.Experiment.prefixes
   | None -> []
-
-let lease_until t id =
-  match find_tenant t id with Some s -> Some s.ten_lease_until | None -> None
 
 let client t id =
   match find_tenant t id with Some s -> Some s.ten_client | None -> None
@@ -450,26 +446,12 @@ let evict t ~tenant ~reason =
     true
 
 let schedule_expiry t s =
-  let gen = s.ten_lease_gen in
   let delay = s.ten_lease_until -. now t in
   Engine.schedule t.eng ~delay:(Float.max 0.0 delay) (fun () ->
       match find_tenant t s.ten_id with
-      | Some s' when s' == s && s.ten_lease_gen = gen ->
+      | Some s' when s' == s ->
         ignore (evict t ~tenant:s.ten_id ~reason:"lease expired")
       | Some _ | None -> ())
-
-let renew t ~tenant ~lease_s =
-  match find_tenant t tenant with
-  | None -> Error (Printf.sprintf "tenant %s is not running" tenant)
-  | Some _ when not (lease_s > 0.0) ->
-    Error (Printf.sprintf "lease %g s is not positive" lease_s)
-  | Some s ->
-    s.ten_lease_until <- now t +. lease_s;
-    s.ten_lease_gen <- s.ten_lease_gen + 1;
-    schedule_expiry t s;
-    logf t "t=%.1f renew %s: lease until t=%.1f" (now t) tenant
-      s.ten_lease_until;
-    Ok s.ten_lease_until
 
 let admit_inner t p =
   let lease_s = Option.value p.p_lease_s ~default:default_lease_s in
@@ -512,7 +494,6 @@ let admit_inner t p =
             ten_sites = sites;
             ten_poison = p.p_poison_targets;
             ten_lease_until = now t +. lease_s;
-            ten_lease_gen = 0;
             ten_granted = 0
           }
         in

@@ -10,7 +10,7 @@
       prefixes on a lease drawn from the controller's pool. Leases
       expire on the virtual clock (revoking the tenant: announcements
       withdrawn, safety claims released, prefixes returned to the
-      pool) and can be renewed or revoked early.
+      pool) and can be revoked early.
     - {b Static admission control}: before a tenant touches a mux,
       its allocation and declared poison targets are checked against
       every running tenant — overlapping prefixes and cross-tenant
@@ -161,16 +161,8 @@ val is_running : t -> string -> bool
 val leased_prefixes : t -> string -> Prefix.t list
 (** The tenant's leased blocks ([[]] if not running). *)
 
-val lease_until : t -> string -> float option
-(** Lease expiry time for a running tenant. *)
-
 val client : t -> string -> Client.t option
 (** The tenant's client handle, for direct RIB inspection. *)
-
-val renew : t -> tenant:string -> lease_s:float -> (float, string) result
-(** Extend a running tenant's lease by [lease_s] from now, returning
-    the new expiry. [Error] if the tenant is not running or [lease_s]
-    is not positive. *)
 
 val evict : t -> tenant:string -> reason:string -> bool
 (** Revoke the lease now: pending requests are dropped, announcements
@@ -219,7 +211,7 @@ val isolation_violations : t -> int
 
 val log : t -> string list
 (** The append-only decision log (admissions, rejections, rounds,
-    renewals, evictions) in chronological order. Deterministic
+    evictions) in chronological order. Deterministic
     for a given seed: the [@sched-isolation] harness compares two
     same-seed runs byte for byte. *)
 

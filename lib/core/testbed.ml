@@ -61,7 +61,6 @@ type t = {
   mutable down : Asn.Set.t;
   mutable leaks : (Asn.t * Asn.t) list;
   mutable rov : (Peering_bgp.Rpki.t * Asn.Set.t) option;
-  mutable monitor_rounds : int;
 }
 
 let engine t = t.eng
@@ -276,7 +275,7 @@ let build ?(params = default_params) () =
   let w = Gen.generate { params.world with Gen.seed = params.seed } in
   let g = w.Gen.graph in
   let ctl =
-    Controller.create eng ~supply:[ peering_supply ] ~alloc_len:24 ()
+    Controller.create ~supply:[ peering_supply ] ~alloc_len:24 ()
   in
   let saf =
     Safety.create ~peering_asn ~owns:(fun p -> Controller.owns ctl p) ()
@@ -293,8 +292,7 @@ let build ?(params = default_params) () =
       results = Prefix.Map.empty;
       down = Asn.Set.empty;
       leaks = [];
-      rov = None;
-      monitor_rounds = 0
+      rov = None
     }
   in
   let next_site_idx = ref 0 in
@@ -481,40 +479,6 @@ let ingress_info t ~from_asn prefix =
 
 let ingress_site t ~from_asn prefix =
   Option.map (fun (s, _) -> s.s_name) (ingress_info t ~from_asn prefix)
-
-(* ------------------------------------------------------------------ *)
-(* Automatic measurement collection *)
-
-let default_vantages t =
-  let stubs = Array.of_list t.w.Gen.stubs in
-  let n = Array.length stubs in
-  if n = 0 then []
-  else List.init (min 16 n) (fun i -> stubs.(i * (n / min 16 n)))
-
-let start_monitoring t ?vantages ~interval ~rounds () =
-  let vantages = Option.value vantages ~default:(default_vantages t) in
-  let rec round remaining () =
-    if remaining > 0 then begin
-      Prefix.Map.iter
-        (fun prefix result ->
-          List.iter
-            (fun vantage ->
-              match Propagation.full_path result vantage with
-              | Some path ->
-                Collector.record t.col ~pairs:1 ~prefix
-                  ~path:(canonical_path t path) Collector.Announce
-              | None ->
-                Collector.record t.col ~pairs:1 ~prefix ~path:[]
-                  Collector.Withdraw)
-            vantages)
-        t.results;
-      t.monitor_rounds <- t.monitor_rounds + 1;
-      Engine.schedule t.eng ~delay:interval (round (remaining - 1))
-    end
-  in
-  Engine.schedule t.eng ~delay:interval (round rounds)
-
-let monitoring_rounds_completed t = t.monitor_rounds
 
 (* ------------------------------------------------------------------ *)
 (* Remote peering *)

@@ -54,8 +54,8 @@ val graph : t -> As_graph.t
 val controller : t -> Controller.t
 val safety : t -> Safety.t
 val collector : t -> Peering_measure.Collector.t
-(** Every export (one call per export, counting its target peers as
-    pairs) and every monitoring round land here. *)
+(** Every export lands here: one call per export, counting its target
+    peers as pairs. *)
 
 val sites : t -> site list
 val site : t -> string -> site option
@@ -187,26 +187,6 @@ val add_remote_ixp : t -> via:string -> name:string -> Fabric.t
     new fabric. *)
 
 val feed_peer_routes : t -> site:string -> ?max_per_peer:int -> unit -> int
-
-val start_monitoring :
-  t ->
-  ?vantages:Asn.t list ->
-  interval:float ->
-  rounds:int ->
-  unit ->
-  unit
-(** Automatic measurement collection (§3: "we also automatically
-    collect regular control and data plane measurements towards
-    PEERING prefixes"): every [interval] virtual seconds, for [rounds]
-    rounds, record the AS path each vantage AS currently uses toward
-    every active prefix into the {!collector}: one (vantage, event)
-    pair per vantage and prefix, a withdrawal where the vantage has no
-    path. The collector keeps each prefix's count and newest path, so
-    rounds add no memory once every prefix has been seen. Default
-    vantages: 16 stubs sampled deterministically. Drive the engine to
-    execute. *)
-
-val monitoring_rounds_completed : t -> int
 (** Make the site's server "learn" its peers' routes (each peer
     exports its customer cone, truncated to [max_per_peer], default
     200) and relay them to connected clients. Returns the number of

@@ -1,13 +1,4 @@
-open Peering_net
 module Engine = Peering_sim.Engine
-
-let anti_spoof ~allowed (pkt : Packet.t) =
-  List.exists (fun p -> Prefix.mem pkt.Packet.src p) allowed
-
-let experiment_traffic_only ~experiment (pkt : Packet.t) =
-  List.exists
-    (fun p -> Prefix.mem pkt.Packet.src p || Prefix.mem pkt.Packet.dst p)
-    experiment
 
 type rate_limiter = {
   engine : Engine.t;

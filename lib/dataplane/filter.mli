@@ -1,20 +1,5 @@
-(** Dataplane safety filters.
-
-    PEERING "only carries traffic coming from or destined to an
-    experiment" and permits "only carefully controlled source address
-    spoofing" (paper §2–3). These combinators build the ingress
-    predicates its servers install. *)
-
-open Peering_net
-
-val anti_spoof : allowed:Prefix.t list -> Packet.t -> bool
-(** Accept only packets whose source lies inside one of the allowed
-    prefixes. *)
-
-val experiment_traffic_only : experiment:Prefix.t list -> Packet.t -> bool
-(** Accept packets whose source {e or} destination is inside the
-    experiment's prefixes — PEERING's "no transit for non-PEERING
-    destinations" rule. *)
+(** Dataplane rate limiting: the token bucket behind
+    {!Packet_program}'s rate-limit action. *)
 
 type rate_limiter
 

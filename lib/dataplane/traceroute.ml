@@ -103,5 +103,3 @@ let pp ppf r =
       | _ -> Format.fprintf ppf "%2d  *@." h.ttl)
     r.hops;
   if r.reached then Format.fprintf ppf "reached@."
-
-let path_addresses r = List.filter_map (fun h -> h.responder) r.hops

@@ -31,6 +31,3 @@ val run :
     all probes resolve or time out (2 s virtual per probe). *)
 
 val pp : Format.formatter -> result -> unit
-
-val path_addresses : result -> Ipv4.t list
-(** The responding hop addresses, in order. *)

@@ -30,7 +30,6 @@ type t = {
   b : Forwarder.node_id;
   via_a : Forwarder.node_id;  (* virtual node: entrance at [a] *)
   via_b : Forwarder.node_id;
-  mutable up : bool;
   mutable blackhole : bool;
   mutable bytes : int;
   mutable packets : int;
@@ -44,7 +43,7 @@ let establish fwd engine ?(latency = 0.02) ~a ~b () =
   let via_a = Printf.sprintf "%s@%s" tag a in
   let via_b = Printf.sprintf "%s@%s" tag b in
   let t =
-    { fwd; engine; latency; a; b; via_a; via_b; up = true; blackhole = false;
+    { fwd; engine; latency; a; b; via_a; via_b; blackhole = false;
       bytes = 0; packets = 0 }
   in
   (* The virtual entrance nodes deliver everything locally, then we
@@ -58,7 +57,7 @@ let establish fwd engine ?(latency = 0.02) ~a ~b () =
              packets keep arriving — and vanish. That silent loss is
              exactly what the fault models. *)
           Metrics.Counter.inc m_blackholed
-        else if t.up then begin
+        else begin
           let entered = Engine.now engine in
           t.bytes <- t.bytes + pkt.Packet.size;
           t.packets <- t.packets + 1;
@@ -110,8 +109,6 @@ let route_via t ~at prefix =
   (* Tunnel entry is instantaneous (same host). *)
   Forwarder.set_link_latency t.fwd at entrance 0.0
 
-let tear_down t = t.up <- false
-let is_up t = t.up
 let set_blackhole t on = t.blackhole <- on
 let blackholed t = t.blackhole
 let bytes_carried t = t.bytes

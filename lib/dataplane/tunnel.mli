@@ -26,8 +26,6 @@ val route_via : t -> at:Forwarder.node_id -> Prefix.t -> unit
     the tunnel. (Implemented with a per-tunnel virtual node, so the
     forwarding path stays uniform.) *)
 
-val tear_down : t -> unit
-
 val set_blackhole : t -> bool -> unit
 (** Fault injection: while set, packets entering the tunnel are
     silently dropped (and counted) instead of delivered — the FIB
@@ -35,6 +33,5 @@ val set_blackhole : t -> bool -> unit
 
 val blackholed : t -> bool
 
-val is_up : t -> bool
 val bytes_carried : t -> int
 val packets_carried : t -> int

@@ -17,15 +17,6 @@ let add_link t a b ~weight =
   link a b;
   link b a
 
-let remove_link t a b =
-  let unlink x y =
-    match Smap.find_opt x t.adj with
-    | Some m -> t.adj <- Smap.add x (Smap.remove y m) t.adj
-    | None -> ()
-  in
-  unlink a b;
-  unlink b a
-
 (* Dijkstra with deterministic tie-breaking: prefer the
    lexicographically smaller first hop on equal distance. *)
 let spf t root =

@@ -12,8 +12,6 @@ val add_node : t -> string -> unit
 val add_link : t -> string -> string -> weight:int -> unit
 (** Undirected link. Re-adding replaces the weight. *)
 
-val remove_link : t -> string -> string -> unit
-
 val distances : t -> string -> (string * int) list
 (** Shortest distances from the given node to every reachable node
     (including itself at 0), sorted by node name. *)

@@ -22,7 +22,6 @@ type t = {
   emu_id : int;
   mutable pop_list : pop list;  (* reverse order of addition *)
   igp : Igp.t;
-  mutable links : (string * string * float) list;
   mutable gateways : (string * Ipv4.t * Forwarder.node_id) list;
   mutable sessions : int;
   mutable session_list : (string * string * Session.t) list;
@@ -40,7 +39,6 @@ let create engine fwd ~name ~asn () =
     emu_id = !emu_counter;
     pop_list = [];
     igp = Igp.create ();
-    links = [];
     gateways = [];
     sessions = 0;
     session_list = [];
@@ -78,7 +76,6 @@ let add_pop t ?(country = Country.nl) name =
 let link t a b ?(weight = 1) ?(latency = 0.005) () =
   let pa = pop_exn t a and pb = pop_exn t b in
   Igp.add_link t.igp a b ~weight;
-  t.links <- (a, b, latency) :: t.links;
   Forwarder.set_link_latency t.fwd pa.node pb.node latency
 
 let of_topology engine fwd ~asn (zoo : Topology_zoo.t) =
@@ -138,8 +135,6 @@ let originate_at t name prefix =
 let external_gateway t ~pop:name ~peer_addr ~node =
   let _ = pop_exn t name in
   t.gateways <- (name, peer_addr, node) :: t.gateways
-
-let igp t = t.igp
 
 let find_pop_by_loopback t addr =
   List.find_opt (fun p -> Ipv4.equal p.loopback addr) t.pop_list

@@ -32,7 +32,8 @@ val add_pop : t -> ?country:Country.t -> string -> pop
 
 val link : t -> string -> string -> ?weight:int -> ?latency:float -> unit -> unit
 (** Connect two PoPs with an intradomain link (default IGP weight 1,
-    latency 5 ms). *)
+    latency 5 ms). Linking them again replaces the weight and the
+    latency. *)
 
 val of_topology :
   Peering_sim.Engine.t ->
@@ -73,8 +74,6 @@ val sync_fibs : t -> unit
     BGP Loc-RIBs (best routes, next hops resolved through the IGP or
     external gateways). Call after the control plane settles or after
     topology changes. *)
-
-val igp : t -> Igp.t
 
 val n_pops : t -> int
 val n_ibgp_sessions : t -> int

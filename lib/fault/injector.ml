@@ -199,6 +199,10 @@ let apply t fault =
     (fun () -> apply_fault t fault)
 
 let arm t plan =
+  (match Plan.errors (Plan.validate ~targets:(targets t) plan) with
+  | [] -> ()
+  | { Plan.at; message; _ } :: _ ->
+    invalid_arg (Printf.sprintf "Injector.arm: step at %gs: %s" at message));
   List.iter
     (fun { Plan.at; fault } ->
       Engine.schedule t.engine ~delay:at (fun () -> apply t fault))

@@ -25,11 +25,6 @@ val add_mux : t -> name:string -> Peering_core.Server.t -> unit
 val add_tunnel : t -> name:string -> Peering_dataplane.Tunnel.t -> unit
 (** Register a tunnel as a blackhole target. *)
 
-val targets : t -> Plan.targets
-(** Everything registered so far, each list sorted by name — feed it
-    to {!Plan.validate} to vet a plan against this injector before
-    arming. *)
-
 val apply : t -> Plan.fault -> unit
 (** Apply one fault right now (timed expiry still scheduled on the
     engine). Unknown target names raise [Invalid_argument], as does a
@@ -37,7 +32,11 @@ val apply : t -> Plan.fault -> unit
     the current instant under one [fault.inject] span. *)
 
 val arm : t -> Plan.t -> unit
-(** Schedule every step of the plan relative to the current virtual
-    time. Overlapping impairments on one link — and overlapping
-    blackhole windows on one tunnel — supersede each other: the newest
-    hook wins and the superseded expiry is cancelled. *)
+(** Vet the plan with {!Plan.validate} against every target registered
+    so far, then schedule every step relative to the current virtual
+    time. Raises [Invalid_argument] on the first [Error] issue (an
+    unknown target, a rate outside [0,1], a non-positive window, a
+    nested or empty fate group) before anything is scheduled.
+    Overlapping impairments on one link — and overlapping blackhole
+    windows on one tunnel — supersede each other: the newest hook wins
+    and the superseded expiry is cancelled. *)

@@ -6,14 +6,6 @@ type link_profile = {
   reorder_max_delay : float;
 }
 
-let pristine =
-  { loss = 0.0;
-    duplicate = 0.0;
-    corrupt = 0.0;
-    reorder = 0.0;
-    reorder_max_delay = 0.0
-  }
-
 let lossy ?(loss = 0.0) ?(duplicate = 0.0) ?(corrupt = 0.0) ?(reorder = 0.0)
     ?(reorder_max_delay = 0.2) () =
   let check name p =

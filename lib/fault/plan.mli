@@ -17,9 +17,6 @@ type link_profile = {
   reorder_max_delay : float;  (** max extra seconds for a reordered message *)
 }
 
-val pristine : link_profile
-(** All rates zero. *)
-
 val lossy :
   ?loss:float ->
   ?duplicate:float ->

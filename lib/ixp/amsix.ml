@@ -122,13 +122,6 @@ let build ?(calibration = paper_calibration) ~rng (world : Gen.world) =
     members;
   fabric
 
-let top_rank_members fabric (world : Gen.world) n =
-  let topn = Asn.Set.of_list (Customer_cone.top world.graph n) in
-  List.filter_map
-    (fun (m : Fabric.member) ->
-      if Asn.Set.mem m.asn topn then Some m.asn else None)
-    (Fabric.members fabric)
-
 let member_countries fabric (world : Gen.world) =
   List.fold_left
     (fun acc (m : Fabric.member) ->

@@ -32,8 +32,5 @@ val build :
     Raises [Invalid_argument] if the world has fewer ASes than
     [n_members]. *)
 
-val top_rank_members : Fabric.t -> Peering_topo.Gen.world -> int -> Asn.t list
-(** Members that are among the [n] largest ASes by customer cone. *)
-
 val member_countries : Fabric.t -> Peering_topo.Gen.world -> Country.Set.t
 (** Distinct countries of all members. *)

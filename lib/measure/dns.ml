@@ -16,6 +16,3 @@ let resolve t name =
   match Hashtbl.find_opt t.zones (canon name) with
   | Some l -> !l
   | None -> []
-
-let resolve_one t name =
-  match resolve t name with a :: _ -> Some a | [] -> None

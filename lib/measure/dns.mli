@@ -14,6 +14,3 @@ val add_a : t -> string -> Ipv4.t -> unit
 
 val resolve : t -> string -> Ipv4.t list
 (** All A records for the name, in insertion order; [] if unknown. *)
-
-val resolve_one : t -> string -> Ipv4.t option
-(** First A record. *)

@@ -62,11 +62,6 @@ let peer_routes ?selective (world : Gen.world) ~peers =
 let n_prefixes t = t.count
 let covers_addr t addr = Prefix_trie.longest_match addr t.table <> None
 
-let covers_prefix t p =
-  Prefix_trie.mem p t.table
-  || Prefix_trie.matches (Prefix.addr p) t.table
-     |> List.exists (fun (q, ()) -> Prefix.subsumes q p)
-
 let fraction_of_internet t (world : Gen.world) =
   float_of_int t.count /. float_of_int (As_graph.n_prefixes world.Gen.graph)
 

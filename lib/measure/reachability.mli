@@ -30,9 +30,6 @@ val covers_addr : t -> Ipv4.t -> bool
 (** Longest-prefix-match test: is there a peer route for this
     address? *)
 
-val covers_prefix : t -> Prefix.t -> bool
-(** Exact or covering match for a whole prefix. *)
-
 val fraction_of_internet : t -> Peering_topo.Gen.world -> float
 (** Peer-route prefixes over all prefixes in the world. *)
 

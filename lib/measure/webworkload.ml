@@ -10,11 +10,7 @@ type site = {
   resources : string list;
 }
 
-type t = {
-  sites : site list;
-  dns : Dns.t;
-  hosted_by : (string, Asn.t) Hashtbl.t;
-}
+type t = { sites : site list; dns : Dns.t }
 
 type params = {
   n_sites : int;
@@ -66,7 +62,6 @@ let pick_host rng (world : Gen.world) pools ~prefer_cdn =
 let generate ?(params = default_params) ~rng (world : Gen.world) =
   let pools = pools world in
   let dns = Dns.create () in
-  let hosted_by = Hashtbl.create 1024 in
   (* CDN frontends serve many names from one address: FQDNs landing on
      the same hosting AS reuse one of its existing server addresses
      with some probability, so distinct IPs < distinct FQDNs (the paper
@@ -99,7 +94,6 @@ let generate ?(params = default_params) ~rng (world : Gen.world) =
         | Some (asn, addr) ->
           let addr = host_address asn addr in
           Dns.add_a dns fqdn addr;
-          Hashtbl.replace hosted_by fqdn asn;
           fqdn
         | None -> fqdn)
   in
@@ -110,13 +104,12 @@ let generate ?(params = default_params) ~rng (world : Gen.world) =
         let rank = i + 1 in
         let fqdn = Printf.sprintf "site%d.example" rank in
         let prefer_cdn = Rng.bernoulli rng params.site_cdn_share in
-        let asn, addr =
+        let addr =
           match pick_host rng world pools ~prefer_cdn with
-          | Some x -> x
-          | None -> (List.hd world.Gen.tier1, Ipv4.of_octets 192 0 2 1)
+          | Some (_, addr) -> addr
+          | None -> Ipv4.of_octets 192 0 2 1
         in
         Dns.add_a dns fqdn addr;
-        Hashtbl.replace hosted_by fqdn asn;
         (* Resource count: exponential around the mean, at least 5. *)
         let n_res =
           max 5 (int_of_float (Rng.exponential rng ~mean:params.mean_resources))
@@ -126,7 +119,7 @@ let generate ?(params = default_params) ~rng (world : Gen.world) =
         in
         { rank; fqdn; addr; resources })
   in
-  { sites; dns; hosted_by }
+  { sites; dns }
 
 let total_resources t =
   List.fold_left (fun acc s -> acc + List.length s.resources) 0 t.sites
@@ -147,5 +140,3 @@ let distinct_resource_addrs t =
         (Dns.resolve t.dns fqdn))
     (distinct_resource_fqdns t);
   Hashtbl.fold (fun _ a acc -> a :: acc) set [] |> List.sort Ipv4.compare
-
-let hosting_asn t fqdn = Hashtbl.find_opt t.hosted_by fqdn

@@ -17,11 +17,7 @@ type site = {
   resources : string list;  (** embedded-resource FQDNs (with repeats) *)
 }
 
-type t = {
-  sites : site list;
-  dns : Dns.t;
-  hosted_by : (string, Asn.t) Hashtbl.t;  (** FQDN -> hosting AS *)
-}
+type t = { sites : site list; dns : Dns.t }
 
 type params = {
   n_sites : int;  (** 500 *)
@@ -45,4 +41,3 @@ val generate :
 val total_resources : t -> int
 val distinct_resource_fqdns : t -> string list
 val distinct_resource_addrs : t -> Ipv4.t list
-val hosting_asn : t -> string -> Asn.t option

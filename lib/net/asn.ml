@@ -16,7 +16,6 @@ let to_int a = a
 let is_private a =
   (a >= 64512 && a <= 65534) || (a >= 4200000000 && a <= 4294967294)
 
-let is_reserved a = a = 0 || a = 23456 || a = 65535 || a = max_asn
 
 let compare = Int.compare
 let equal = Int.equal

@@ -20,9 +20,6 @@ val is_private : t -> bool
 (** [is_private a] is [true] for 64512–65534 (RFC 6996 16-bit range)
     and 4200000000–4294967294 (32-bit range). *)
 
-val is_reserved : t -> bool
-(** AS 0, AS 23456 (AS_TRANS), 65535 and 4294967295. *)
-
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

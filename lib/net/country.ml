@@ -13,7 +13,6 @@ let of_string_exn s =
   | Some c -> c
   | None -> invalid_arg (Printf.sprintf "Country.of_string_exn: %S" s)
 
-let to_string c = c
 let nl = "NL"
 
 let pool =
@@ -27,7 +26,5 @@ let pool =
      "CA"; "PA"; "CR"; "GT"; "DO"; "JM"; "TT"; "IS"; "EE"; "LV";
      "LT"; "LU"; "MT"; "CY"; "MD"; "GE"; "AM"; "AZ"; "KZ"; "UZ";
      "MN"; "NP"; "KH"; "LA"; "MM"; "BN" |]
-
-let compare = String.compare
 
 module Set = Set.Make (String)

@@ -4,11 +4,9 @@
 type t = private string
 (** An ISO 3166-1 alpha-2 code, uppercase. *)
 
-val of_string : string -> t option
-(** Accepts any two-letter code (case-insensitive); [None] otherwise. *)
-
 val of_string_exn : string -> t
-val to_string : t -> string
+(** Accepts any two-letter code (case-insensitive); raises
+    [Invalid_argument] otherwise. *)
 
 val nl : t
 (** The Netherlands — AMS-IX's home, the modal peer country. *)
@@ -16,7 +14,5 @@ val nl : t
 val pool : t array
 (** A fixed pool of 96 distinct country codes used by the synthetic
     IXP-member generator. Index 0 is [nl]. *)
-
-val compare : t -> t -> int
 
 module Set : Set.S with type elt = t

@@ -50,7 +50,6 @@ let to_string a =
 
 let compare = Int.compare
 let equal = Int.equal
-let succ a = (a + 1) land mask32
 let add a n = (a + n) land mask32
 
 let bit a i =

@@ -18,10 +18,6 @@ val of_octets : int -> int -> int -> int -> t
 (** [of_octets a b c d] is the address [a.b.c.d]. Each octet is masked
     to 8 bits. *)
 
-val to_octets : t -> int * int * int * int
-(** [to_octets a] splits [a] into its four octets, most significant
-    first. *)
-
 val of_string : string -> t option
 (** [of_string s] parses dotted-quad notation ["a.b.c.d"]. Returns
     [None] on malformed input or octets outside [0, 255]. *)
@@ -36,9 +32,6 @@ val compare : t -> t -> int
 (** Total order on addresses (numeric). *)
 
 val equal : t -> t -> bool
-
-val succ : t -> t
-(** [succ a] is the next address, wrapping at the end of the space. *)
 
 val add : t -> int -> t
 (** [add a n] offsets [a] by [n] addresses, wrapping modulo 2^32. *)

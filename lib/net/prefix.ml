@@ -40,13 +40,6 @@ let last p =
 
 let size p = 1 lsl (32 - p.len)
 
-let split p =
-  if p.len = 32 then None
-  else
-    let l = p.len + 1 in
-    let lo = make p.addr l in
-    let hi = make (Ipv4.add p.addr (1 lsl (32 - l))) l in
-    Some (lo, hi)
 
 let nth_subprefix p l i =
   if l < p.len || l > 32 then invalid_arg "Prefix.nth_subprefix";

@@ -41,10 +41,6 @@ val last : t -> Ipv4.t
 val size : t -> int
 (** Number of addresses covered: [2^(32-len)]. *)
 
-val split : t -> (t * t) option
-(** [split p] divides [p] into its two halves of length [len p + 1].
-    [None] if [p] is a /32. *)
-
 val subprefixes : t -> int -> t list
 (** [subprefixes p l] enumerates all subprefixes of [p] of length [l],
     in address order. Raises [Invalid_argument] if [l < len p] or

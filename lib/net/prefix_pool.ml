@@ -33,7 +33,6 @@ let create ~alloc_len supply =
   { alloc_len; supply = List.sort Prefix.compare supply; free;
     used = Prefix.Set.empty }
 
-let capacity t = Prefix.Set.cardinal t.free + Prefix.Set.cardinal t.used
 let available t = Prefix.Set.cardinal t.free
 
 let alloc t =

@@ -13,9 +13,6 @@ val create : alloc_len:int -> Prefix.t list -> t
     [Invalid_argument] if any supply prefix is longer than
     [alloc_len], or if supply prefixes overlap. *)
 
-val capacity : t -> int
-(** Total number of blocks the pool can ever hand out. *)
-
 val available : t -> int
 (** Blocks currently free. *)
 

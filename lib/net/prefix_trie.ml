@@ -10,7 +10,6 @@ type 'a t =
   | Node of { prefix : Prefix.t; value : 'a option; left : 'a t; right : 'a t }
 
 let empty = Empty
-let is_empty t = t = Empty
 
 (* Length of the common prefix of [a] and [b], capped at [limit]. *)
 let common_len a b limit =
@@ -121,24 +120,4 @@ let rec fold f t acc =
     let acc = fold f n.left acc in
     fold f n.right acc
 
-let covered p t =
-  let rec go t acc =
-    match t with
-    | Empty -> acc
-    | Node n ->
-      if Prefix.subsumes p n.prefix then
-        (* Everything below is covered; fold the whole subtree. *)
-        List.rev_append (List.rev (fold (fun q v l -> (q, v) :: l) t [])) acc
-      else if Prefix.subsumes n.prefix p then
-        if Prefix.len n.prefix = 32 then acc
-        else
-          go (if goes_right n.prefix (Prefix.addr p) then n.right else n.left)
-            acc
-      else acc
-  in
-  List.rev (go t [])
-
 let cardinal t = fold (fun _ _ n -> n + 1) t 0
-let mem p t = find p t <> None
-let to_list t = List.rev (fold (fun p v acc -> (p, v) :: acc) t [])
-let of_list l = List.fold_left (fun t (p, v) -> add p v t) Empty l

@@ -7,15 +7,9 @@
 type 'a t
 
 val empty : 'a t
-val is_empty : 'a t -> bool
 
 val add : Prefix.t -> 'a -> 'a t -> 'a t
 (** [add p v t] binds [p] to [v], replacing any previous binding. *)
-
-val remove : Prefix.t -> 'a t -> 'a t
-
-val find : Prefix.t -> 'a t -> 'a option
-(** Exact-match lookup. *)
 
 val update : Prefix.t -> ('a option -> 'a option) -> 'a t -> 'a t
 (** [update p f t] adjusts the binding at [p] through [f]; [f None]
@@ -28,14 +22,4 @@ val longest_match : Ipv4.t -> 'a t -> (Prefix.t * 'a) option
 val matches : Ipv4.t -> 'a t -> (Prefix.t * 'a) list
 (** All prefixes containing [a], most specific first. *)
 
-val covered : Prefix.t -> 'a t -> (Prefix.t * 'a) list
-(** [covered p t] lists bindings whose prefix is contained in [p]
-    (equal or more specific), in address order. *)
-
 val cardinal : 'a t -> int
-val mem : Prefix.t -> 'a t -> bool
-
-val to_list : 'a t -> (Prefix.t * 'a) list
-(** Bindings in address order. *)
-
-val of_list : (Prefix.t * 'a) list -> 'a t

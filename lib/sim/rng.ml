@@ -23,10 +23,6 @@ let int t n =
   let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
   r mod n
 
-let int_in t lo hi =
-  if hi < lo then invalid_arg "Rng.int_in";
-  lo + int t (hi - lo + 1)
-
 let float t x =
   let r = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   x *. (r /. 9007199254740992.0 (* 2^53 *))
@@ -84,7 +80,3 @@ let zipf_sampler ~n ~s =
 let exponential t ~mean =
   let u = 1.0 -. float t 1.0 in
   -.mean *. log u
-
-let pareto t ~shape ~scale =
-  let u = 1.0 -. float t 1.0 in
-  scale /. Float.pow u (1.0 /. shape)

@@ -19,9 +19,6 @@ val int : t -> int -> int
 (** [int t n] is uniform in [0, n-1]. Raises [Invalid_argument] if
     [n <= 0]. *)
 
-val int_in : t -> int -> int -> int
-(** [int_in t lo hi] is uniform in [lo, hi] inclusive. *)
-
 val float : t -> float -> float
 (** [float t x] is uniform in [0, x). *)
 
@@ -51,6 +48,3 @@ val zipf_sampler : n:int -> s:float -> t -> int
 
 val exponential : t -> mean:float -> float
 (** Exponentially distributed draw with the given mean. *)
-
-val pareto : t -> shape:float -> scale:float -> float
-(** Pareto-distributed draw (heavy tail), minimum value [scale]. *)

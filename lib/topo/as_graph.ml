@@ -250,10 +250,8 @@ let filter_rel t asn want =
 
 let customers t asn = filter_rel t asn Relationship.Customer
 let providers t asn = filter_rel t asn Relationship.Provider
-let peers_of t asn = filter_rel t asn Relationship.Peer
 
 let prefixes_of t asn = Prefix.Set.elements (entry_exn t asn).prefixes
-let origin_of t p = Prefix.Map.find_opt p t.origin_index
 
 let ases t =
   Hashtbl.fold (fun k _ acc -> Asn.of_int k :: acc) t.nodes []

@@ -56,8 +56,7 @@ val node_exn : t -> Asn.t -> node
 val neighbors : t -> Asn.t -> (Asn.t * Relationship.t) list
 (** All neighbors with their relationship from this AS's perspective,
     in ascending ASN order. Read from the {!dense} view's row, as are
-    {!customers}, {!providers} and {!peers_of}: each freezes a stale
-    graph first. *)
+    {!customers} and {!providers}: each freezes a stale graph first. *)
 
 val relationship : t -> Asn.t -> Asn.t -> Relationship.t option
 (** [relationship g a b] is [b]'s role from [a]'s perspective: a
@@ -66,13 +65,9 @@ val relationship : t -> Asn.t -> Asn.t -> Relationship.t option
 
 val customers : t -> Asn.t -> Asn.t list
 val providers : t -> Asn.t -> Asn.t list
-val peers_of : t -> Asn.t -> Asn.t list
 
 val prefixes_of : t -> Asn.t -> Prefix.t list
 (** Prefixes originated by this AS, in address order. *)
-
-val origin_of : t -> Prefix.t -> Asn.t option
-(** The AS originating exactly this prefix, if any. *)
 
 val ases : t -> Asn.t list
 (** All ASNs, ascending. *)

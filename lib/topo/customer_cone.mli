@@ -11,8 +11,6 @@ open Peering_net
 val cone : As_graph.t -> Asn.t -> Asn.Set.t
 (** The AS's customer cone, including itself. *)
 
-val cone_size : As_graph.t -> Asn.t -> int
-
 val cone_prefixes : As_graph.t -> Asn.t -> Prefix.Set.t
 (** All prefixes originated inside the cone — what the AS exports to
     settlement-free peers. *)

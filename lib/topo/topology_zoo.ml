@@ -45,31 +45,5 @@ let abilene =
         (5, 8); (6, 7); (6, 10); (7, 8); (8, 9); (9, 10) ]
   }
 
-let find_pop t city =
-  let lc = String.lowercase_ascii city in
-  Array.find_opt (fun p -> String.lowercase_ascii p.city = lc) t.pops
-
-let neighbors t id =
-  List.filter_map
-    (fun (a, b) ->
-      if a = id then Some b else if b = id then Some a else None)
-    t.links
-  |> List.sort Int.compare
-
 let n_pops t = Array.length t.pops
 let n_links t = List.length t.links
-
-let is_connected t =
-  let n = n_pops t in
-  if n = 0 then true
-  else begin
-    let seen = Array.make n false in
-    let rec visit i =
-      if not seen.(i) then begin
-        seen.(i) <- true;
-        List.iter visit (neighbors t i)
-      end
-    in
-    visit 0;
-    Array.for_all Fun.id seen
-  end

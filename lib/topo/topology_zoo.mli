@@ -29,14 +29,5 @@ val abilene : t
 (** The 11-PoP Abilene/Internet2 research backbone — a second,
     smaller topology for tests and examples. *)
 
-val find_pop : t -> string -> pop option
-(** Look up a PoP by (case-insensitive) city name. *)
-
-val neighbors : t -> int -> int list
-(** Adjacent PoP ids, ascending. *)
-
 val n_pops : t -> int
 val n_links : t -> int
-
-val is_connected : t -> bool
-(** Sanity: the link set spans all PoPs. *)

@@ -1,13 +1,15 @@
 (* Export linter: every top-level [val] of a library interface must have
    a caller outside its own module.
 
-   Usage: export_lint ALLOWLIST FILE...
+   Usage: export_lint ALLOWLIST FILE... -- TEST_FILE...
 
    The FILEs are every [lib/**/*.mli] and every [.ml] of lib, bin,
-   bench, perfbench and examples. Each top-level [val] (one starting at
-   column 0) of a lib interface needs a reference from some [.ml] other
-   than its own implementation, or an ALLOWLIST line
-   [Module.value  reason] saying which harness needs it.
+   bench, perfbench and examples; the TEST_FILEs are the [.ml] files
+   of the test suite. Each top-level [val] (one starting at column 0)
+   of a lib interface needs a reference from some FILE other than its
+   own implementation, or an ALLOWLIST line [Module.value  reason]
+   saying which test needs it. An entry that no TEST_FILE refers to is
+   stale and fails too: it would hide a value nothing calls.
 
    References are found on a token stream (comments, strings and
    character literals removed), and are resolved generously:
@@ -283,9 +285,15 @@ let allowlist file =
 let () =
   match List.tl (Array.to_list Sys.argv) with
   | [] | [ _ ] ->
-    prerr_endline "usage: export_lint ALLOWLIST FILE...";
+    prerr_endline "usage: export_lint ALLOWLIST FILE... -- TEST_FILE...";
     exit 2
-  | allow_file :: files ->
+  | allow_file :: args ->
+    let rec split acc = function
+      | "--" :: tests -> (List.rev acc, tests)
+      | f :: rest -> split (f :: acc) rest
+      | [] -> (List.rev acc, [])
+    in
+    let files, tests = split [] args in
     let mlis = List.filter (ends_with ".mli") files in
     let mls = List.filter (ends_with ".ml") files in
     let all = List.concat_map exports mlis in
@@ -299,6 +307,12 @@ let () =
         references ~has (tokens (read_file ml)) (fun m v ->
             if has m v then Hashtbl.add used (m, v) ml))
       mls;
+    let tested = Hashtbl.create 256 in
+    List.iter
+      (fun ml ->
+        references ~has (tokens (read_file ml)) (fun m v ->
+            Hashtbl.replace tested (m ^ "." ^ v) ()))
+      tests;
     (* A reference counts unless it comes from the value's own .ml. *)
     let called e =
       let own = Filename.remove_extension e.file ^ ".ml" in
@@ -318,7 +332,10 @@ let () =
         if reason = "" then fail "%s: entry gives no reason\n" where;
         if named = [] then fail "%s: no such lib export\n" where
         else if List.exists called named then
-          fail "%s: has a caller; drop the entry\n" where)
+          fail "%s: has a caller; drop the entry\n" where
+        else if not (Hashtbl.mem tested key) then
+          fail "%s: no test refers to it; delete the value and the entry\n"
+            where)
       allowed;
     let is_allowed e =
       List.exists (fun (_, key, _) -> key = qualified e) allowed

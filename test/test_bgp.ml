@@ -38,15 +38,6 @@ let test_path_strip_private () =
   let q = [ As_path.Seq [ asn 64512; asn 64513 ] ] in
   check Alcotest.bool "empty after strip" true (As_path.strip_private q = [])
 
-let test_path_aggregate () =
-  let p = As_path.of_asns [ asn 1; asn 2; asn 3 ] in
-  let q = As_path.of_asns [ asn 1; asn 2; asn 4 ] in
-  match As_path.aggregate p q with
-  | [ As_path.Seq common; As_path.Set tail ] ->
-    check Alcotest.(list int) "common" [ 1; 2 ] (List.map Asn.to_int common);
-    check Alcotest.(list int) "tail set" [ 3; 4 ] (List.map Asn.to_int tail)
-  | _ -> Alcotest.fail "unexpected aggregate shape"
-
 (* ------------------------------------------------------------------ *)
 (* Community *)
 
@@ -750,16 +741,23 @@ let test_policy_default_deny () =
 
 let test_policy_conds () =
   let r = route ~source:(src 1) ~path:[ 1; 64512; 3356 ] "10.0.0.0/8" in
+  (* a condition holds iff a one-entry permit map guarded by it
+     accepts the route *)
+  let holds c r =
+    Policy.apply
+      (Policy.of_entries
+         [ { Policy.seq = 10; decision = Policy.Permit; conds = [ c ]; actions = [] } ])
+      r
+    <> None
+  in
   check Alcotest.bool "path contains" true
-    (Policy.eval_cond (Policy.Path_contains (asn 3356)) r);
-  check Alcotest.bool "has private" true
-    (Policy.eval_cond Policy.Has_private_asn r);
-  check Alcotest.bool "neighbor" true
-    (Policy.eval_cond (Policy.Neighbor_is (asn 1)) r);
+    (holds (Policy.Path_contains (asn 3356)) r);
+  check Alcotest.bool "has private" true (holds Policy.Has_private_asn r);
+  check Alcotest.bool "neighbor" true (holds (Policy.Neighbor_is (asn 1)) r);
   check Alcotest.bool "not" false
-    (Policy.eval_cond (Policy.Not (Policy.Neighbor_is (asn 1))) r);
+    (holds (Policy.Not (Policy.Neighbor_is (asn 1))) r);
   check Alcotest.bool "all/any" true
-    (Policy.eval_cond
+    (holds
        (Policy.All
           [ Policy.Path_length_le 3;
             Policy.Any [ Policy.Originated_by (asn 3356); Policy.Has_community Community.no_export ]
@@ -816,21 +814,9 @@ let test_rpki_multiple_roas () =
   check Alcotest.bool "second origin" true
     (Rpki.validate t ~prefix:(pfx "10.0.0.0/8") ~origin:(Some (asn 200))
     = Rpki.Valid);
-  check Alcotest.int "two ROAs cover 10/8" 2
-    (List.length (Rpki.covering t (pfx "10.0.0.0/8")));
-  check Alcotest.int "one ROA covers the /24" 1
-    (List.length (Rpki.covering t (pfx "184.164.224.0/24")))
-
-let test_rpki_validate_route () =
-  let r =
-    Route.make
-      (pfx "184.164.224.0/24")
-      (Attrs.make
-         ~as_path:(As_path.of_asns [ asn 3356; asn 47065 ])
-         ~next_hop:(ip "10.0.0.1") ())
-  in
-  check Alcotest.bool "route valid" true
-    (Rpki.validate_route roa_table r = Rpki.Valid)
+  check Alcotest.bool "a third origin" true
+    (Rpki.validate t ~prefix:(pfx "10.0.0.0/8") ~origin:(Some (asn 300))
+    = Rpki.Invalid)
 
 (* ------------------------------------------------------------------ *)
 (* Dampening *)
@@ -1194,8 +1180,7 @@ let () =
     [ ( "as-path",
         [ tc "prepend" `Quick test_path_prepend;
           tc "set length" `Quick test_path_set_length;
-          tc "strip private" `Quick test_path_strip_private;
-          tc "aggregate" `Quick test_path_aggregate
+          tc "strip private" `Quick test_path_strip_private
         ] );
       ( "community",
         [ tc "parts" `Quick test_community_parts;
@@ -1254,8 +1239,7 @@ let () =
         [ tc "valid" `Quick test_rpki_valid;
           tc "invalid" `Quick test_rpki_invalid;
           tc "not found" `Quick test_rpki_not_found;
-          tc "multiple roas" `Quick test_rpki_multiple_roas;
-          tc "validate route" `Quick test_rpki_validate_route
+          tc "multiple roas" `Quick test_rpki_multiple_roas
         ] );
       ( "dampening",
         [ tc "suppression" `Quick test_dampening_suppression;

@@ -15,6 +15,7 @@ let parsed = function
 
 let codes_of diags = List.map (fun (d : Diagnostic.t) -> d.Diagnostic.code) diags
 let fired code diags = List.mem code (codes_of diags)
+let has_errors diags = Diagnostic.count Diagnostic.Error diags > 0
 
 let check_text text =
   Check.check_configs [ (None, parsed @@ Config.parse text) ]
@@ -52,9 +53,9 @@ let test_diagnostic_render () =
   in
   check Alcotest.string "rendering" "r.conf:3: error: [X-TEST] something broke\n  hint: fix it"
     (Diagnostic.to_string d);
-  check Alcotest.bool "has_errors" true (Diagnostic.has_errors [ d ]);
-  check Alcotest.bool "warning is not an error" false
-    (Diagnostic.has_errors [ Diagnostic.warning ~code:"Y" "meh" ]);
+  check Alcotest.int "one error" 1 (Diagnostic.count Diagnostic.Error [ d ]);
+  check Alcotest.int "warning is not an error" 0
+    (Diagnostic.count Diagnostic.Error [ Diagnostic.warning ~code:"Y" "meh" ]);
   let sorted =
     Diagnostic.sort
       [ Diagnostic.warning ~file:"b" ~line:1 ~code:"B" "late";
@@ -82,7 +83,7 @@ let test_clean_config_instantiates () =
      diagnostics instantiates and applies its policies without error. *)
   let c = parsed @@ Config.parse clean_config in
   check Alcotest.bool "no errors" false
-    (Diagnostic.has_errors (Check.check_configs [ (None, c) ]));
+    (has_errors (Check.check_configs [ (None, c) ]));
   let e = Engine.create () in
   match Config.instantiate e c with
   | Error err -> Alcotest.fail err
@@ -124,6 +125,36 @@ route-map M permit 10
 route-map M permit 20
  match community 1:100
 |};
+  (* an earlier entry whose matches are a subset of a later entry's *)
+  assert_fires "subset of matches shadows" "RTMAP-SHADOW"
+    {|router bgp 1
+ neighbor 10.0.0.1 remote-as 2
+ neighbor 10.0.0.1 route-map M out
+ip prefix-list P seq 5 permit 10.0.0.0/8 le 24
+route-map M permit 10
+ match community 1:100
+route-map M deny 20
+ match community 1:100
+ match ip address prefix-list P
+|};
+  (* a prefix-list matching every route is a catch-all too; the one
+     finding cites the shadowed entry's line *)
+  let shadowed =
+    List.filter
+      (fun (d : Diagnostic.t) -> d.code = "RTMAP-SHADOW")
+      (check_text
+         {|router bgp 1
+ neighbor 10.0.0.1 remote-as 2
+ neighbor 10.0.0.1 route-map M out
+ip prefix-list ANY seq 5 permit 0.0.0.0/0 le 32
+route-map M permit 10
+ match ip address prefix-list ANY
+route-map M deny 20
+ match community 1:100
+|})
+  in
+  check Alcotest.(list (option int)) "one finding, on seq 20's line" [ Some 7 ]
+    (List.map (fun (d : Diagnostic.t) -> d.line) shadowed);
   (* a guarded entry followed by a catch-all deny is the idiomatic
      allow-list shape and must not be flagged *)
   assert_quiet "guard then deny-all" "RTMAP-SHADOW" clean_config
@@ -244,11 +275,11 @@ let test_session_mismatch () =
 (* ------------------------------------------------------------------ *)
 (* Policy passes *)
 
-(* The three policy passes, as [check] runs them on a compiled
+(* The two policy passes, as [check] runs them on a compiled
    route-map. *)
 let check_policy ?relationship policy =
   let i = Policy_checks.input ?relationship policy in
-  Policy_checks.(unsatisfiable_entries i @ dead_entries i @ export_leaks i)
+  Policy_checks.(unsatisfiable_entries i @ export_leaks i)
 
 let entry seq decision conds =
   { Policy.seq; decision; conds; actions = [] }
@@ -294,24 +325,6 @@ let test_policy_unsat () =
   check Alcotest.bool "overlapping ranges are fine" false
     (fired "POLICY-UNSAT" (check_policy fine))
 
-let test_policy_dead () =
-  let dead =
-    Policy.of_entries
-      [ entry 10 Policy.Permit [];
-        entry 20 Policy.Deny [ Policy.Has_private_asn ]
-      ]
-  in
-  check Alcotest.bool "entry after catch-all" true
-    (fired "POLICY-DEAD" (check_policy dead));
-  let alive =
-    Policy.of_entries
-      [ entry 10 Policy.Deny [ Policy.Has_private_asn ];
-        entry 20 Policy.Permit []
-      ]
-  in
-  check Alcotest.bool "guard then catch-all" false
-    (fired "POLICY-DEAD" (check_policy alive))
-
 let test_policy_leak () =
   let leak rel = check_policy ~relationship:rel Policy.permit_all in
   check Alcotest.bool "permit-all to provider" true
@@ -332,7 +345,7 @@ let test_policy_leak () =
        (check_policy ~relationship:Relationship.Provider guarded));
   (* leak severity is error *)
   check Alcotest.bool "leak is an error" true
-    (Diagnostic.has_errors (leak Relationship.Provider))
+    (has_errors (leak Relationship.Provider))
 
 (* ------------------------------------------------------------------ *)
 (* Experiment spec passes *)
@@ -442,44 +455,33 @@ withdraw 184.164.224.0/24 at 10800
     (fired "EXP-DAMPEN" (Check.check_specs [ (None, calm) ]))
 
 (* ------------------------------------------------------------------ *)
-(* Address-family threading in the policy condition algebra *)
+(* The address family: routes carry IPv4 prefixes, so a ge/le window is
+   judged against /32. *)
+
+let window_map ge le =
+  Policy.of_entries
+    [ entry 10 Policy.Permit [ Policy.Prefix_in [ (pfx "10.0.0.0/8", ge, le) ] ];
+      entry 20 Policy.Permit []
+    ]
 
 let test_af_windows () =
-  (* IPv4 clamps length windows at /32; IPv6 at /128. The hardcoded
-     `min le 32` this replaces silently emptied v6-style windows. *)
-  let t = (pfx "10.0.0.0/8", 8, 64) in
-  check Alcotest.(pair int int) "v4 clamps to 32" (8, 32)
-    (Policy_checks.triple_window t);
-  check Alcotest.(pair int int) "v6 keeps 64" (8, 64)
-    (Policy_checks.triple_window ~af:Policy_checks.V6 t);
-  check Alcotest.int "max_prefix_len v4" 32
-    (Policy_checks.max_prefix_len Policy_checks.V4);
-  check Alcotest.int "max_prefix_len v6" 128
-    (Policy_checks.max_prefix_len Policy_checks.V6)
+  check Alcotest.bool "a window past /32 is empty" true
+    (fired "POLICY-UNSAT" (check_policy (window_map 48 64)));
+  check Alcotest.bool "le 64 clamps to /32, not empty" false
+    (fired "POLICY-UNSAT" (check_policy (window_map 8 64)))
 
 let test_af_taut_unsat () =
-  let any32 = Policy.Prefix_in [ (pfx "0.0.0.0/0", 0, 32) ] in
-  let any128 = Policy.Prefix_in [ (pfx "0.0.0.0/0", 0, 128) ] in
-  check Alcotest.bool "0/0 le 32 is taut under v4" true
-    (Policy_checks.cond_taut any32);
-  check Alcotest.bool "0/0 le 32 is NOT taut under v6" false
-    (Policy_checks.cond_taut ~af:Policy_checks.V6 any32);
-  check Alcotest.bool "0/0 le 128 is taut under v6" true
-    (Policy_checks.cond_taut ~af:Policy_checks.V6 any128);
-  (* a window beyond /32 is empty for v4 but satisfiable for v6 *)
-  let deep = Policy.Prefix_in [ (pfx "10.0.0.0/8", 48, 64) ] in
-  check Alcotest.bool "ge 48 unsat under v4" true
-    (Policy_checks.cond_unsat deep);
-  check Alcotest.bool "ge 48 satisfiable under v6" false
-    (Policy_checks.cond_unsat ~af:Policy_checks.V6 deep);
-  (* the af default keeps the old per-file behaviour *)
-  let i =
-    Policy_checks.input ~af:Policy_checks.V6
+  let towards_provider window =
+    check_policy ~relationship:Relationship.Provider
       (Policy.of_entries
-         [ entry 10 Policy.Permit [ deep ]; entry 20 Policy.Permit [] ])
+         [ entry 10 Policy.Permit [ Policy.Prefix_in [ window ] ] ])
   in
-  check Alcotest.bool "V6 input accepts a deep window" false
-    (fired "POLICY-UNSAT" (Policy_checks.unsatisfiable_entries i))
+  check Alcotest.bool "0/0 le 32 matches every route" true
+    (fired "POLICY-LEAK" (towards_provider (pfx "0.0.0.0/0", 0, 32)));
+  check Alcotest.bool "0/0 le 24 does not" false
+    (fired "POLICY-LEAK" (towards_provider (pfx "0.0.0.0/0", 0, 24)));
+  check Alcotest.bool "ge 33 matches no route" true
+    (fired "POLICY-UNSAT" (towards_provider (pfx "0.0.0.0/0", 33, 40)))
 
 (* ------------------------------------------------------------------ *)
 (* World parsing and the semantic passes *)
@@ -530,29 +532,28 @@ let test_world_local_pref () =
     (World.local_pref w ~at:(Asn.of_int 20) ~from:(Asn.of_int 10));
   check Alcotest.(option int) "not adjacent" None
     (World.local_pref w ~at:(Asn.of_int 40) ~from:(Asn.of_int 10));
-  World.set_local_pref w ~at:(Asn.of_int 20) ~from:(Asn.of_int 10) 350;
+  let w = parsed @@ World.parse (leaky_world_text ^ "local-pref 20 10 350\n") in
   check Alcotest.(option int) "override" (Some 350)
     (World.local_pref w ~at:(Asn.of_int 20) ~from:(Asn.of_int 10))
 
-let test_abstract_of_policy () =
-  let guarded =
-    Policy.of_entries
-      [ entry 10 Policy.Permit
-          [ Policy.Prefix_in [ (pfx "184.164.224.0/19", 19, 24) ] ];
-        entry 20 Policy.Deny []
-      ]
+(* A .world export statement lowers to the edge's abstraction: a prefix
+   window to its window, permit-all to any class and prefix, none to no
+   prefix. *)
+let test_world_policy_lowering () =
+  let lowered stmt =
+    let w = parsed @@ World.parse ("as 1\nas 2\nedge 1 peer 2\n" ^ stmt) in
+    World.export_at w (Asn.of_int 1) (Asn.of_int 2)
   in
-  (match World.abstract_of_policy guarded with
-  | { World.classes = World.Any_class; prefixes = World.Windows [ w ] } ->
+  (match lowered "export 1 2 prefix 184.164.224.0/19 19 24" with
+  | { World.classes = World.Gr_only; prefixes = World.Windows [ w ] } ->
     check Alcotest.bool "window kept" true (w = (pfx "184.164.224.0/19", 19, 24))
-  | _ -> Alcotest.fail "guarded policy should lower to one window");
-  (match World.abstract_of_policy Policy.permit_all with
+  | _ -> Alcotest.fail "a prefix window should lower to one window");
+  (match lowered "export 1 2 permit-all" with
   | { World.classes = World.Any_class; prefixes = World.Any_prefix } -> ()
-  | _ -> Alcotest.fail "permit-all lowers to Any_prefix");
-  let deny_all = Policy.of_entries [ entry 10 Policy.Deny [] ] in
-  match World.abstract_of_policy deny_all with
+  | _ -> Alcotest.fail "permit-all lowers to Any_class, Any_prefix");
+  match lowered "export 1 2 none" with
   | { World.prefixes = World.No_prefix; _ } -> ()
-  | _ -> Alcotest.fail "deny-all lowers to No_prefix"
+  | _ -> Alcotest.fail "none lowers to No_prefix"
 
 let test_leak_analysis () =
   let w = parsed @@ World.parse leaky_world_text in
@@ -604,7 +605,7 @@ let test_stability () =
   check Alcotest.int "default prefs: no risky edges" 0
     (List.length (Stability.risky_edges w));
   (* one risky session: 20 imports its provider at customer level *)
-  World.set_local_pref w ~at:(Asn.of_int 20) ~from:(Asn.of_int 10) 300;
+  let w = parsed @@ World.parse (leaky_world_text ^ "local-pref 20 10 300\n") in
   (match Stability.risky_edges w with
   | [ (v, u, rel, pref, floor) ] ->
     check Alcotest.int "risky at" 20 (Asn.to_int v);
@@ -732,31 +733,21 @@ let test_fixture_coverage () =
     (List.filter (fun c -> not (List.mem c seen)) (catalog ()))
 
 let test_check_experiment () =
-  (* the programmatic path: vet an Experiment.t plus a schedule *)
-  let exp =
-    Peering_core.Experiment.make ~id:"prog" ~owner:"o"
-      ~description:"a programmatic experiment used by the analyzer tests" ()
+  (* the programmatic path: vet a spec built in code, not parsed *)
+  let spec prefix =
+    { Spec.id = "prog";
+      prefixes = [ pfx "184.164.230.0/24" ];
+      asns = [];
+      may_poison = false;
+      events =
+        [ { Spec.ev_time = 0.0; ev_line = 0; ev_prefix = pfx prefix;
+            ev_kind = Spec.Announce [] } ]
+    }
   in
-  exp.Peering_core.Experiment.prefixes <- [ pfx "184.164.230.0/24" ];
-  let ev time prefix kind =
-    { Spec.ev_time = time; ev_line = 0; ev_prefix = prefix; ev_kind = kind }
-  in
-  let bad =
-    Check.check_specs
-      [ ( None,
-          Spec.of_experiment exp
-            [ ev 0.0 (pfx "8.8.8.0/24") (Spec.Announce []) ] )
-      ]
-  in
+  let bad = Check.check_specs [ (None, spec "8.8.8.0/24") ] in
   check Alcotest.bool "hijack caught programmatically" true
     (fired "EXP-HIJACK" bad);
-  let good =
-    Check.check_specs
-      [ ( None,
-          Spec.of_experiment exp
-            [ ev 0.0 (pfx "184.164.230.0/24") (Spec.Announce []) ] )
-      ]
-  in
+  let good = Check.check_specs [ (None, spec "184.164.230.0/24") ] in
   check Alcotest.(list string) "clean programmatic schedule" []
     (codes_of good)
 
@@ -803,11 +794,11 @@ let test_spec_finite_times () =
     [ "-5"; "-0.5" ];
   check Alcotest.string "time 0 parses" "parsed" (err "0")
 
-(* An export window must be non-empty and inside the address family:
-   before, such a window parsed and silently exported nothing. *)
+(* An export window must be non-empty and within /32: before, such a
+   window parsed and silently exported nothing. *)
 let test_world_windows () =
-  let export ?af line =
-    match World.parse ?af ("as 1\nas 2\nedge 1 peer 2\n" ^ line) with
+  let export line =
+    match World.parse ("as 1\nas 2\nedge 1 peer 2\n" ^ line) with
     | Error e -> Lines.error_to_string e
     | Ok _ -> "parsed"
   in
@@ -822,8 +813,9 @@ let test_world_windows () =
     (export "export 1 2 prefix 10.0.0.0/8 24 16");
   check Alcotest.string "v4 window" "parsed"
     (export "export 1 2 prefix 10.0.0.0/8 8 32");
-  check Alcotest.string "v6 width" "parsed"
-    (export ~af:Policy_checks.V6 "export 1 2 prefix 10.0.0.0/8 8 64")
+  check Alcotest.string "beyond /32"
+    "line 4: bad prefix window 8..64 (need 0 <= ge <= le <= 32)"
+    (export "export 1 2 prefix 10.0.0.0/8 8 64")
 
 let () =
   Alcotest.run "check"
@@ -849,7 +841,6 @@ let () =
         ] );
       ( "policy",
         [ tc "POLICY-UNSAT" `Quick test_policy_unsat;
-          tc "POLICY-DEAD" `Quick test_policy_dead;
           tc "POLICY-LEAK" `Quick test_policy_leak
         ] );
       ( "experiment",
@@ -868,7 +859,7 @@ let () =
         [ tc "parser" `Quick test_world_parse;
           tc "export windows" `Quick test_world_windows;
           tc "local-pref defaults" `Quick test_world_local_pref;
-          tc "policy lowering" `Quick test_abstract_of_policy;
+          tc "policy lowering" `Quick test_world_policy_lowering;
           tc "leak fixpoint" `Quick test_leak_analysis;
           tc "peerlock blocks taint" `Quick test_leak_peerlock;
           tc "stability" `Quick test_stability;

@@ -12,10 +12,7 @@ let pfx = Prefix.of_string_exn
 (* Experiment + Controller *)
 
 let test_controller_vetting () =
-  let e = Engine.create () in
-  let ctl =
-    Controller.create e ~supply:[ pfx "184.164.224.0/19" ] ()
-  in
+  let ctl = Controller.create ~supply:[ pfx "184.164.224.0/19" ] () in
   (* too-short description rejected *)
   (match Controller.propose ctl ~id:"x" ~owner:"eve" ~description:"short" () with
   | Error _ -> ()
@@ -53,9 +50,8 @@ let test_controller_vetting () =
       (Controller.available_blocks ctl)
 
 let test_controller_pool_exhaustion () =
-  let e = Engine.create () in
   let ctl =
-    Controller.create e ~supply:[ pfx "184.164.224.0/22" ]
+    Controller.create ~supply:[ pfx "184.164.224.0/22" ]
       ~max_prefixes_per_experiment:4 ()
   in
   (* /22 = 4 blocks of /24 *)
@@ -73,26 +69,8 @@ let test_controller_pool_exhaustion () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "allocated from empty pool"
 
-let test_controller_scheduling () =
-  let e = Engine.create () in
-  let ctl = Controller.create e ~supply:[ pfx "184.164.224.0/22" ] () in
-  let fired = ref None and notified = ref None in
-  Controller.schedule_announcement ctl ~at:100.0
-    ~action:(fun () -> fired := Some (Engine.now e))
-    ~notify:(fun t -> notified := Some t)
-    ();
-  check Alcotest.int "pending" 1 (Controller.scheduled_count ctl);
-  Engine.run ~until:50.0 e;
-  check Alcotest.bool "not yet" true (!fired = None);
-  Engine.run ~until:200.0 e;
-  check Alcotest.(option (float 1e-9)) "fired on time" (Some 100.0) !fired;
-  check Alcotest.(option (float 1e-9)) "researcher notified" (Some 100.0)
-    !notified;
-  check Alcotest.int "drained" 0 (Controller.scheduled_count ctl)
-
 let test_controller_donation () =
-  let e = Engine.create () in
-  let ctl = Controller.create e ~supply:[ pfx "184.164.224.0/24" ] () in
+  let ctl = Controller.create ~supply:[ pfx "184.164.224.0/24" ] () in
   check Alcotest.int "one block" 1 (Controller.available_blocks ctl);
   Controller.donate_supply ctl (pfx "198.51.100.0/23");
   check Alcotest.int "donated blocks" 3 (Controller.available_blocks ctl);
@@ -631,22 +609,6 @@ let test_server_bmp_peer_order () =
   check Alcotest.(list (pair int int)) "stats: counts from zero after crash"
     [ (300, 0); (100, 0); (200, 1) ]
     (List.filter_map stats (take ()))
-
-let test_client_ignore_peer () =
-  let t = Lazy.force testbed in
-  let exp =
-    match Testbed.new_experiment t ~id:"ignore" () with
-    | Ok e -> e
-    | Error e -> Alcotest.fail e
-  in
-  let client = Client.create ~id:"c-ign" ~experiment:exp () in
-  Testbed.connect_client t client ~sites:[ "gatech01" ];
-  ignore (Testbed.feed_peer_routes t ~site:"gatech01" ~max_per_peer:50 ());
-  let before = Client.route_count client in
-  let peer = List.hd (Testbed.peers_at t "gatech01") in
-  Client.ignore_peer client ~server:"gatech01" ~peer;
-  check Alcotest.bool "ignored peer's routes dropped" true
-    (Client.route_count client < before)
 
 (* ------------------------------------------------------------------ *)
 (* Portal *)
@@ -1399,41 +1361,10 @@ let test_route_server_to_mux_integration () =
   match Client.best client (pfx "10.100.0.0/16") with
   | Some r ->
     check Alcotest.(option int) "origin preserved" (Some 100)
-      (Option.map Asn.to_int (Peering_bgp.Route.origin_asn r))
+      (Option.map Asn.to_int
+         (Peering_bgp.As_path.origin_asn
+            r.Peering_bgp.Route.attrs.Peering_bgp.Attrs.as_path))
   | None -> Alcotest.fail "route missing"
-
-let test_monitoring () =
-  let params =
-    { Testbed.default_params with
-      Testbed.world = small_world;
-      university_sites = [ ("gatech01", 2) ];
-      with_phoenix = false
-    }
-  in
-  let t = Testbed.build ~params () in
-  let exp =
-    match Testbed.new_experiment t ~id:"monitor" () with
-    | Ok e -> e
-    | Error e -> Alcotest.fail e
-  in
-  let client = Client.create ~id:"c-mon" ~experiment:exp () in
-  Testbed.connect_client t client ~sites:[ "amsterdam01" ];
-  let p = List.hd exp.Experiment.prefixes in
-  ignore (Client.announce client p);
-  let col = Testbed.collector t in
-  Peering_measure.Collector.clear col;
-  Testbed.start_monitoring t ~interval:60.0 ~rounds:3 ();
-  Engine.run ~until:500.0 (Testbed.engine t);
-  check Alcotest.int "three rounds" 3 (Testbed.monitoring_rounds_completed t);
-  (* 16 vantages x 3 rounds x 1 prefix *)
-  check Alcotest.int "measurements recorded" 48
-    (Peering_measure.Collector.n_entries col);
-  (* measurement paths end at PEERING *)
-  match Peering_measure.Collector.last_path col p with
-  | Some path ->
-    check Alcotest.int "path reaches PEERING" 47065
-      (Asn.to_int (List.nth path (List.length path - 1)))
-  | None -> Alcotest.fail "no path recorded"
 
 let test_sdx_policy_composition () =
   let e = Engine.create () in
@@ -1549,7 +1480,7 @@ let test_periodic_announce_dampening () =
     }
   in
   let t = Testbed.build ~params () in
-  let ctl = Testbed.controller t in
+  let eng = Testbed.engine t in
   let cycle id ~period ~rounds =
     let exp =
       match Testbed.new_experiment t ~id () with
@@ -1563,17 +1494,13 @@ let test_periodic_announce_dampening () =
     let start = Engine.now (Testbed.engine t) in
     for round = 0 to rounds - 1 do
       let announce_at = start +. (float_of_int (2 * round) +. 1.0) *. period in
-      Controller.schedule_announcement ctl ~at:announce_at
-        ~action:(fun () ->
+      Engine.schedule_at eng ~time:announce_at (fun () ->
           if List.exists (fun (_, r) -> Result.is_ok r) (Client.announce client p)
           then log := `Announce :: !log
-          else incr suppressed)
-        ();
-      Controller.schedule_announcement ctl ~at:(announce_at +. period)
-        ~action:(fun () ->
+          else incr suppressed);
+      Engine.schedule_at eng ~time:(announce_at +. period) (fun () ->
           Client.withdraw client p;
           log := `Withdraw :: !log)
-        ()
     done;
     (p, log, suppressed)
   in
@@ -1810,7 +1737,7 @@ let test_sched_lease_expiry () =
   let eng = Testbed.engine t in
   let sched = Scheduler.create ~quota:4 ~round_interval:0.5 t in
   admit_ok sched (sched_proposal ~lease_s:20.0 "short-lease");
-  admit_ok sched (sched_proposal ~lease_s:20.0 "renewed");
+  admit_ok sched (sched_proposal ~lease_s:60.0 "long-lease");
   let p = List.hd (Scheduler.leased_prefixes sched "short-lease") in
   (match Scheduler.request_announce sched ~tenant:"short-lease" p with
   | Ok () -> ()
@@ -1818,23 +1745,19 @@ let test_sched_lease_expiry () =
   Engine.run_for eng 5.0;
   check Alcotest.bool "announced via engine-scheduled round" true
     (Testbed.reach_count t p > 0);
-  (* a renewal pushes the second tenant past the first's expiry *)
-  (match Scheduler.renew sched ~tenant:"renewed" ~lease_s:60.0 with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
-  Engine.run_for eng 20.0;  (* past t=20, before t=65 *)
+  Engine.run_for eng 20.0;  (* past t=20, before t=60 *)
   check Alcotest.bool "expired lease evicts the tenant" false
     (Scheduler.is_running sched "short-lease");
-  check Alcotest.bool "renewed tenant survives its old expiry" true
-    (Scheduler.is_running sched "renewed");
+  check Alcotest.bool "longer lease still running" true
+    (Scheduler.is_running sched "long-lease");
   check Alcotest.int "expired tenant's routes withdrawn" 0
     (Testbed.reach_count t p);
   Engine.run_for eng 50.0;
-  check Alcotest.bool "renewed lease expires too" false
-    (Scheduler.is_running sched "renewed")
+  check Alcotest.bool "longer lease expires too" false
+    (Scheduler.is_running sched "long-lease")
 
 (* A lease must be a positive duration: a NaN lease_until misorders the
-   engine's queue, and a negative renewal evicts at the next event. *)
+   engine's queue, and a negative lease evicts at the next event. *)
 let test_sched_lease_rejected () =
   let t = build () in
   let ctl = Testbed.controller t in
@@ -1859,29 +1782,11 @@ let test_sched_lease_rejected () =
   check Alcotest.(list (float 0.0)) "probe events in order" [ 1.0; 2.0 ]
     (List.rev !log)
 
-let test_sched_renew_rejected () =
-  let t = build () in
-  let sched = Scheduler.create t in
-  admit_ok sched (sched_proposal ~lease_s:30.0 "renew-me");
-  let until = Scheduler.lease_until sched "renew-me" in
-  List.iter
-    (fun lease_s ->
-      match Scheduler.renew sched ~tenant:"renew-me" ~lease_s with
-      | Ok u -> Alcotest.failf "renew by %g accepted (until %g)" lease_s u
-      | Error _ -> ())
-    [ -10.0; 0.0; Float.nan ];
-  check Alcotest.(option (float 0.0)) "lease unchanged" until
-    (Scheduler.lease_until sched "renew-me");
-  Engine.run_for (Testbed.engine t) 5.0;
-  check Alcotest.bool "still running" true
-    (Scheduler.is_running sched "renew-me")
-
 let () =
   Alcotest.run "core"
     [ ( "controller",
         [ tc "vetting" `Quick test_controller_vetting;
           tc "pool exhaustion" `Quick test_controller_pool_exhaustion;
-          tc "scheduling" `Quick test_controller_scheduling;
           tc "donation" `Quick test_controller_donation
         ] );
       ( "safety",
@@ -1900,8 +1805,7 @@ let () =
           tc "batcher interleaved FIFO" `Quick test_batcher_interleaved_fifo;
           tc "admission" `Quick test_sched_admission;
           tc "lease expiry" `Quick test_sched_lease_expiry;
-          tc "lease rejected" `Quick test_sched_lease_rejected;
-          tc "renew rejected" `Quick test_sched_renew_rejected
+          tc "lease rejected" `Quick test_sched_lease_rejected
         ] );
       ("capability", [ tc "table 1 claims" `Quick test_capability_claims ]);
       ( "testbed",
@@ -1914,8 +1818,7 @@ let () =
           tc "MOAS hijack study" `Quick test_testbed_moas_hijack_study;
           tc "client receives routes" `Quick test_testbed_client_receives_routes;
           tc "session stats" `Quick test_server_session_stats;
-          tc "bmp peer order" `Quick test_server_bmp_peer_order;
-          tc "ignore peer" `Quick test_client_ignore_peer
+          tc "bmp peer order" `Quick test_server_bmp_peer_order
         ] );
       ( "portal",
         [ tc "accounts" `Quick test_portal_accounts;
@@ -1935,7 +1838,6 @@ let () =
           tc "remote peering repair = rebuild" `Quick
             test_remote_peering_repair_matches_rebuild;
           tc "route server to mux" `Quick test_route_server_to_mux_integration;
-          tc "monitoring" `Quick test_monitoring;
           tc "periodic announce dampening" `Quick
             test_periodic_announce_dampening;
           tc "sdx policy composition" `Quick test_sdx_policy_composition;

@@ -34,12 +34,13 @@ let test_igp_shortest () =
 
 let test_igp_reroute_on_failure () =
   let g = square () in
-  Igp.remove_link g "b" "d";
+  (* re-adding a link replaces its weight: b-d costed out *)
+  Igp.add_link g "b" "d" ~weight:10;
   check Alcotest.(option string) "a->d now via c" (Some "c")
     (Igp.next_hop g ~src:"a" ~dst:"d");
-  Igp.remove_link g "c" "d";
+  Igp.add_node g "e";
   check Alcotest.(option string) "unreachable" None
-    (Igp.next_hop g ~src:"a" ~dst:"d")
+    (Igp.next_hop g ~src:"a" ~dst:"e")
 
 let test_igp_self () =
   let g = square () in
@@ -150,8 +151,8 @@ let test_mininext_igp_reroute_resync () =
   send ();
   check Alcotest.int "delivered via beta (weight 2 < 10)" 1 !got;
   check Alcotest.bool "crossed beta" true (!via_beta > 0);
-  (* fail the alpha-beta link; IGP falls back to the direct link *)
-  Igp.remove_link (Mininext.igp emu) "alpha" "beta";
+  (* cost out the alpha-beta link; IGP falls back to the direct link *)
+  Mininext.link emu "alpha" "beta" ~weight:20 ();
   Mininext.sync_fibs emu;
   let beta_before = !via_beta in
   send ();

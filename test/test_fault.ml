@@ -60,7 +60,7 @@ let test_plan_validation () =
 let test_fault_classes () =
   let classes =
     List.map Plan.fault_class
-      [ Plan.Impair { link = "l"; profile = Plan.pristine; duration = 1.0 };
+      [ Plan.Impair { link = "l"; profile = Plan.lossy (); duration = 1.0 };
         Plan.Partition { link = "l"; duration = 1.0 };
         Plan.Session_reset { link = "l" };
         Plan.Mux_crash { mux = "m"; downtime = 1.0 };
@@ -78,6 +78,24 @@ let test_injector_unknown_target () =
   Alcotest.(check bool) "unknown link rejected" true
     (raises_invalid (fun () ->
          Injector.apply inj (Plan.Session_reset { link = "nope" })))
+
+(* Arming vets the plan against the registry first: a typo raises at
+   [arm], before the engine runs or anything is scheduled, not when
+   its step would fire. *)
+let test_arm_validates () =
+  let engine = Engine.create ~seed:1 () in
+  let fwd = Forwarder.create engine in
+  Forwarder.add_node fwd "a";
+  Forwarder.add_node fwd "b";
+  let inj = Injector.create engine in
+  Injector.add_tunnel inj ~name:"tun0" (Tunnel.establish fwd engine ~a:"a" ~b:"b" ());
+  let plan fault = Plan.of_steps [ { Plan.at = 5.0; fault } ] in
+  Alcotest.(check bool) "unknown link refused at arm" true
+    (raises_invalid (fun () ->
+         Injector.arm inj (plan (Plan.Partition { link = "nope"; duration = 1.0 }))));
+  Alcotest.(check int) "nothing scheduled" 0 (Engine.pending engine);
+  Injector.arm inj (plan (Plan.Tunnel_blackhole { tunnel = "tun0"; duration = 1.0 }));
+  Alcotest.(check int) "a clean plan is scheduled" 1 (Engine.pending engine)
 
 (* Static validation: a plan is vetted against the injector's registry
    before arming, so typos and malformed windows fail fast. *)
@@ -99,7 +117,7 @@ let test_plan_validate_issues () =
     (List.length (Plan.errors (Plan.validate ~targets typo)));
   Alcotest.(check int) "no registry means no target check" 0
     (List.length (Plan.validate typo));
-  let hot = { Plan.pristine with Plan.loss = 1.5 } in
+  let hot = { (Plan.lossy ()) with Plan.loss = 1.5 } in
   let bad_rate =
     Plan.of_steps
       [ step 1.0 (Plan.Impair { link = "l"; profile = hot; duration = 1.0 }) ]
@@ -409,12 +427,6 @@ let test_fate_group_application () =
   let inj = Injector.create engine in
   Injector.add_link inj ~name:"z-link" session;
   Injector.add_tunnel inj ~name:"tun0" tun;
-  (* The registry accessor feeds Plan.validate. *)
-  let tgts = Injector.targets inj in
-  Alcotest.(check (list string)) "links registered" [ "z-link" ] tgts.Plan.links;
-  Alcotest.(check (list string)) "tunnels registered" [ "tun0" ]
-    tgts.Plan.tunnels;
-  Alcotest.(check (list string)) "no muxes here" [] tgts.Plan.muxes;
   let groups0 = Metrics.counter_value "fault.fate_groups" in
   let resets0 = Metrics.counter_value "fault.session_resets" in
   Injector.apply inj
@@ -475,6 +487,7 @@ let () =
           tc "validates" `Quick test_plan_validation;
           tc "fault classes" `Quick test_fault_classes;
           tc "unknown target" `Quick test_injector_unknown_target;
+          tc "arm refuses an unknown target" `Quick test_arm_validates;
           tc "static validation issues" `Quick test_plan_validate_issues;
           tc "overlap warnings" `Quick test_plan_validate_overlap_warning
         ] );

@@ -211,8 +211,15 @@ let test_amsix_member_quality () =
   check Alcotest.bool "tens of countries" true
     (Country.Set.cardinal countries >= 30);
   (* a decent share of the top-100 cone ASes are members *)
-  let top100 = Amsix.top_rank_members f w 100 in
-  check Alcotest.bool "top-100 represented" true (List.length top100 >= 15)
+  let top100 =
+    Asn.Set.of_list (Peering_topo.Customer_cone.top w.Gen.graph 100)
+  in
+  let members_in_top100 =
+    List.filter (fun (m : Fabric.member) -> Asn.Set.mem m.asn top100)
+      (Fabric.members f)
+  in
+  check Alcotest.bool "top-100 represented" true
+    (List.length members_in_top100 >= 15)
 
 let () =
   Alcotest.run "ixp"

@@ -20,8 +20,6 @@ let test_rng_bounds () =
   for _ = 1 to 1000 do
     let v = Rng.int rng 7 in
     if v < 0 || v >= 7 then Alcotest.failf "int out of bounds: %d" v;
-    let w = Rng.int_in rng 5 9 in
-    if w < 5 || w > 9 then Alcotest.failf "int_in out of bounds: %d" w;
     let f = Rng.float rng 2.5 in
     if f < 0.0 || f >= 2.5 then Alcotest.failf "float out of bounds: %f" f
   done
@@ -215,11 +213,7 @@ let test_rng_distributions () =
   let mean = List.fold_left ( +. ) 0.0 samples /. 5000.0 in
   check Alcotest.bool "exponential mean" true (mean > 9.0 && mean < 11.0);
   check Alcotest.bool "exponential nonneg" true
-    (List.for_all (fun x -> x >= 0.0) samples);
-  (* pareto: no sample below scale, heavy tail exists *)
-  let ps = List.init 5000 (fun _ -> Rng.pareto rng ~shape:1.5 ~scale:2.0) in
-  check Alcotest.bool "pareto floor" true (List.for_all (fun x -> x >= 2.0) ps);
-  check Alcotest.bool "pareto tail" true (List.exists (fun x -> x > 20.0) ps)
+    (List.for_all (fun x -> x >= 0.0) samples)
 
 let () =
   Alcotest.run "sim"
