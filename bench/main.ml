@@ -87,7 +87,7 @@ let reach_ctx : Reachability.t Lazy.t =
   lazy
     (let c = Lazy.force world_ctx in
      let t0 = Sys.time () in
-     let r = Reachability.peer_routes ~selective:77 c.world ~peers:c.peers in
+     let r = Reachability.peer_routes c.world ~peers:c.peers in
      Printf.printf "[reach] peer-route table built (%.1fs)\n%!"
        (Sys.time () -. t0);
      r)
@@ -163,7 +163,7 @@ let e2 () =
   paper_vs_measured ~label:"countries of peers" ~paper:"59"
     ~measured:(string_of_int (Country.Set.cardinal countries));
   (* per-peer route-count distribution (quoted in §4.2's discussion) *)
-  let per_peer = Reachability.routes_per_peer ~selective:77 c.world ~peers:c.peers in
+  let per_peer = Reachability.routes_per_peer c.world ~peers:c.peers in
   let over_10k = List.length (List.filter (fun (_, n) -> n > 10_000) per_peer) in
   let under_100 = List.length (List.filter (fun (_, n) -> n < 100) per_peer) in
   paper_vs_measured ~label:"peers exporting >10K routes" ~paper:"5"
@@ -241,7 +241,7 @@ let f2 () =
       row "  %10d" x;
       List.iter
         (fun n ->
-          let b = Memory.model_bytes ~peers:n ~prefixes_per_peer:x () in
+          let b = Memory.model_bytes ~peers:n ~prefixes_per_peer:x in
           row " %9.0f" (float_of_int b /. 1048576.0))
         ns;
       row "\n")
@@ -398,7 +398,7 @@ let a1 () =
   section "A1  Ablation: route server vs bilateral-only peering";
   let c = Lazy.force world_ctx in
   let coverage peers =
-    let r = Reachability.peer_routes ~selective:77 c.world ~peers in
+    let r = Reachability.peer_routes c.world ~peers in
     (List.length peers, Reachability.n_prefixes r)
   in
   let n_all, cov_all = coverage c.peers in
@@ -575,7 +575,7 @@ let a5 () =
   let t = Testbed.build () in
   let report label =
     let peers = Testbed.peers_at t "amsterdam01" in
-    let r = Reachability.peer_routes ~selective:77 (Testbed.world t) ~peers in
+    let r = Reachability.peer_routes (Testbed.world t) ~peers in
     row "  %-26s %6d peers %10d prefixes (%.1f%%)\n" label (List.length peers)
       (Reachability.n_prefixes r)
       (100.0 *. Reachability.fraction_of_internet r (Testbed.world t))
@@ -709,8 +709,7 @@ let sched () =
   let eng = Testbed.engine tb in
   let rng = Rng.create 0x5ced in
   let sched =
-    Scheduler.create ~quota:4
-      ~round_interval:0.5
+    Scheduler.create ~round_interval:0.5
       ~extra_supply:
         [ Prefix.of_string_exn "184.164.192.0/19";
           Prefix.of_string_exn "184.164.128.0/18";

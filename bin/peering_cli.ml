@@ -607,7 +607,7 @@ let stats_cmd =
         (fun (subsystem, n) -> Printf.printf "  %-24s %d\n" subsystem n)
         (Sink.count_by_subsystem ());
       print_newline ();
-      print_string (Obs_report.render ~include_volatile:true ())
+      print_string (Obs_report.render ())
     end
   in
   Cmd.v
@@ -892,8 +892,7 @@ let sched_cmd =
     let t = seeded_testbed seed in
     let rng = Rng.create (seed + 7919) in
     let sched =
-      Scheduler.create ~quota:4
-        ~extra_supply:
+      Scheduler.create ~extra_supply:
           [ Prefix.of_string_exn "184.164.192.0/19";
             Prefix.of_string_exn "184.164.128.0/18"
           ]
@@ -1031,8 +1030,7 @@ let monitor_cmd =
       List.fold_left
         (fun acc site ->
           acc
-          + Testbed.feed_peer_routes t ~site:(Testbed.site_name site)
-              ~max_per_peer:20 ())
+          + Testbed.feed_peer_routes t ~site:(Testbed.site_name site))
         0 (Testbed.sites t)
     in
     Engine.run_for engine 1.0;
@@ -1052,7 +1050,7 @@ let monitor_cmd =
     Monitor.watch_moas mon moas_pfx ~origin:(Asn.of_int 65010);
     Monitor.allow_export mon ~mux:mux1 ~peer:p1 (fun pfx ->
         Prefix.compare pfx leak_pfx <> 0);
-    Monitor.watch_flaps mon ~window_s:60.0 ~limit:6 flap_pfx;
+    Monitor.watch_flaps mon flap_pfx;
     Monitor.watch_reach mon dip_pfx ~floor:2;
     (* MOAS: the legitimate origin, then a second origin. *)
     Server.learn_route srv1 ~peer:p1 ~path:[ p1; Asn.of_int 65010 ] moas_pfx;
@@ -1075,7 +1073,7 @@ let monitor_cmd =
     Server.crash srv1;
     Engine.run_for engine 5.0;
     Server.restart srv1;
-    ignore (Testbed.feed_peer_routes t ~site:mux1 ~max_per_peer:20 ());
+    ignore (Testbed.feed_peer_routes t ~site:mux1);
     Engine.run_for engine 1.0;
     (* Stats Reports for the reported-vs-reconstructed cross-check. *)
     List.iter
@@ -1228,7 +1226,6 @@ let portal_cmd =
        Portal.submit portal ~username:"demo" ~id:"cli-portal"
          ~description:
            "demonstration proposal exercising the provisioning pipeline"
-         ()
      with
     | Ok () -> ()
     | Error e -> failwith e);

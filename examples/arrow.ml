@@ -76,6 +76,6 @@ let () =
 
   (* The data path is visible to traceroute: src -> (tunnel) -> peering
      -> transitB -> dst. *)
-  let tr = Traceroute.run fwd engine ~src_node:"src" ~target:(ip "198.51.100.80") () in
+  let tr = Traceroute.run fwd engine ~src_node:"src" ~target:(ip "198.51.100.80") in
   Format.printf "%a" Traceroute.pp tr;
   print_endline "done."

@@ -94,7 +94,6 @@ let () =
     Traceroute.run fwd engine
       ~src_node:(Mininext.node_id seattle)
       ~target:(Mininext.loopback (Mininext.pop_exn emu "Amsterdam"))
-      ()
   in
   Format.printf "%a" Traceroute.pp tr;
 

@@ -36,8 +36,8 @@ end
 let update_of_announce ?(path_id = 0) prefix attrs =
   Update { withdrawn = []; attrs = Some attrs; nlri = [ (path_id, prefix) ] }
 
-let update_of_withdraw ?(path_id = 0) prefix =
-  Update { withdrawn = [ (path_id, prefix) ]; attrs = None; nlri = [] }
+let update_of_withdraw prefix =
+  Update { withdrawn = [ (0, prefix) ]; attrs = None; nlri = [] }
 
 let pp ppf = function
   | Open o ->

@@ -48,8 +48,9 @@ end
 val update_of_announce : ?path_id:path_id -> Prefix.t -> Attrs.t -> t
 (** A single-prefix announcement UPDATE. *)
 
-val update_of_withdraw : ?path_id:path_id -> Prefix.t -> t
-(** A single-prefix withdrawal UPDATE (no attributes). *)
+val update_of_withdraw : Prefix.t -> t
+(** A single-prefix withdrawal UPDATE (no attributes), under path id
+    0. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line human rendering for logs and test failures. *)

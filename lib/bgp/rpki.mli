@@ -10,12 +10,6 @@
 
 open Peering_net
 
-type roa = {
-  prefix : Prefix.t;
-  max_length : int;  (** longest announcement the ROA authorises *)
-  origin : Asn.t;
-}
-
 type validity =
   | Valid
   | Invalid  (** covered by ROAs, none of which authorises it *)
@@ -25,13 +19,13 @@ type t
 
 val empty : t
 
-val add_roa : t -> ?max_length:int -> prefix:Prefix.t -> Asn.t -> t
-(** Register a ROA; [max_length] defaults to the prefix's own length
-    (the recommended practice). Raises [Invalid_argument] if
-    [max_length] is shorter than the prefix or longer than 32. *)
+val add_roa : t -> prefix:Prefix.t -> Asn.t -> t
+(** Register a ROA whose maxLength is the prefix's own length (the
+    recommended practice): it authorises [prefix] itself and no
+    more-specific. *)
 
 val validate : t -> prefix:Prefix.t -> origin:Asn.t option -> validity
-(** RFC 6811: [Valid] if some covering ROA matches the origin and the
-    announced length is within [max_length]; [Invalid] if covering
-    ROAs exist but none matches; [Not_found] otherwise. [origin =
-    None] (an AS_SET origin) is never [Valid]. *)
+(** RFC 6811: [Valid] if a ROA for exactly [prefix] matches the origin;
+    [Invalid] if covering ROAs exist but none authorises it;
+    [Not_found] otherwise. [origin = None] (an AS_SET origin) is never
+    [Valid]. *)

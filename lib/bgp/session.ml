@@ -30,9 +30,11 @@ type lane = {
   mutable stalled : bool;
 }
 
+(* One-way wire latency, in seconds. *)
+let latency = 0.01
+
 type t = {
   engine : Engine.t;
-  latency : float;
   mutable a : endpoint;
   mutable b : endpoint;
   mutable bytes : int;
@@ -114,7 +116,7 @@ let transmit t ~lane ~(sender : unit -> Fsm.t) ~(receiver : unit -> Fsm.t)
   | Message.Open _ | Message.Keepalive | Message.Notification _ -> ());
   let deliver ?(extra = 0.0) bytes =
     let schedule () =
-      Engine.schedule t.engine ~delay:(t.latency +. extra) (fun () ->
+      Engine.schedule t.engine ~delay:(latency +. extra) (fun () ->
           let rx = receiver () in
           let opts =
             Option.value (Fsm.negotiated rx) ~default:Wire.default_opts
@@ -169,7 +171,7 @@ let nop_established (_ : Wire.session_opts) = ()
 let nop_update (_ : Message.update) = ()
 let nop_close (_ : string) = ()
 
-let create engine ?(latency = 0.01) ~a:(cfg_a, addr_a) ~b:(cfg_b, addr_b)
+let create engine ~a:(cfg_a, addr_a) ~b:(cfg_b, addr_b)
     ?(on_update_a = nop_update) ?(on_update_b = nop_update)
     ?(on_established_a = nop_established) ?(on_established_b = nop_established)
     ?(on_close_a = nop_close) ?(on_close_b = nop_close) () =
@@ -186,7 +188,6 @@ let create engine ?(latency = 0.01) ~a:(cfg_a, addr_a) ~b:(cfg_b, addr_b)
   in
   let session =
     { engine;
-      latency;
       a = { fsm = placeholder; addr = addr_a };
       b = { fsm = placeholder; addr = addr_b };
       bytes = 0;

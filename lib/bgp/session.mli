@@ -32,7 +32,6 @@ type t
 
 val create :
   Peering_sim.Engine.t ->
-  ?latency:float ->
   a:Fsm.config * Ipv4.t ->
   b:Fsm.config * Ipv4.t ->
   ?on_update_a:(Message.update -> unit) ->
@@ -43,8 +42,8 @@ val create :
   ?on_close_b:(string -> unit) ->
   unit ->
   t
-(** Build both FSMs and wire them together with the given latency
-    (default 0.01 s). Side [a] is active, side [b] passive (the
+(** Build both FSMs and wire them together with a one-way latency of
+    0.01 s. Side [a] is active, side [b] passive (the
     [passive] flag in the supplied configs is overridden accordingly).
     [on_update_a] fires when side [a] {e receives} an update. Call
     {!start} then run the engine to establish. *)

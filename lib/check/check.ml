@@ -27,19 +27,18 @@ let run passes x =
 
 let config_passes =
   Config_checks.
-    [ no_bgp; undefined_route_maps; unused_route_maps; shadowed_map_entries;
-      undefined_prefix_lists; unused_prefix_lists; shadowed_prefix_rules;
+    [ no_bgp; undefined_route_maps; unused_route_maps; undefined_prefix_lists; unused_prefix_lists; shadowed_prefix_rules;
       impossible_bounds; duplicate_networks; neighbors_without_policy;
       degenerate_timers
     ]
 
 let policy_passes =
-  Policy_checks.[ unsatisfiable_entries; export_leaks ]
+  Policy_checks.[ unsatisfiable_entries; export_leaks; shadowed_entries ]
 
 let spec_passes =
   [ Experiment_checks.hijacks;
-    (fun spec -> Experiment_checks.poisonings spec);
-    (fun spec -> Experiment_checks.dampening spec)
+    Experiment_checks.poisonings;
+    Experiment_checks.dampening
   ]
 
 (* Topology structure, static leak analysis, stability. *)
@@ -54,33 +53,45 @@ let stamp file diags =
   | None -> diags
   | Some f -> List.map (Diagnostic.with_file f) diags
 
-(* Every route-map of a config, compiled and vetted as a policy. A
-   route-map applied outbound towards PEERING's AS exports to the
-   experiment's provider, the mux, so a permit-all there is a
-   POLICY-LEAK. A route-map that does not compile is left to
-   RTMAP-UNDEF and PFXLIST-UNDEF. *)
+(* Every route-map of a config, compiled once and vetted as a policy
+   whose entries carry their lines. A route-map applied outbound
+   towards PEERING's AS exports to the experiment's provider, the mux,
+   so a permit-all there is a POLICY-LEAK at that statement's line. A
+   route-map that does not compile is left to RTMAP-UNDEF and
+   PFXLIST-UNDEF. *)
 let route_map_inputs cfg =
   let neighbors =
     match Config.bgp cfg with Some b -> b.Config.neighbors | None -> []
   in
   let towards_peering name =
-    List.exists
+    List.find_map
       (fun (n : Config.neighbor_config) ->
-        n.route_map_out = Some name
-        && Peering_net.Asn.equal n.remote_as
-             Experiment_checks.default_peering_asn)
+        if
+          n.route_map_out = Some name
+          && Peering_net.Asn.equal n.remote_as
+               Experiment_checks.default_peering_asn
+        then n.route_map_out_line
+        else None)
       neighbors
   in
   List.filter_map
-    (fun name ->
+    (fun (name, entries) ->
       match Config.compile_route_map cfg name with
       | Error _ -> None
       | Ok policy ->
+        let export_line = towards_peering name in
         let relationship =
-          if towards_peering name then Some Relationship.Provider else None
+          Option.map (fun _ -> Relationship.Provider) export_line
         in
-        Some (Policy_checks.input ~name ?relationship policy))
-    (Config.route_map_names cfg)
+        Some
+          { (Policy_checks.input ~name ?relationship policy) with
+            pol_line = export_line;
+            pol_entry_lines =
+              List.map
+                (fun (e : Config.map_entry) -> (e.Config.rm_seq, e.Config.rm_line))
+                entries
+          })
+    (Config.route_maps cfg)
 
 let per_config cfg =
   run config_passes cfg

@@ -5,7 +5,6 @@ module Policy = Peering_bgp.Policy
 let c_no_bgp = "RTR-NOBGP"
 let c_rtmap_undef = "RTMAP-UNDEF"
 let c_rtmap_unused = "RTMAP-UNUSED"
-let c_rtmap_shadow = "RTMAP-SHADOW"
 let c_pfxlist_undef = "PFXLIST-UNDEF"
 let c_pfxlist_unused = "PFXLIST-UNUSED"
 let c_pfxlist_shadow = "PFXLIST-SHADOW"
@@ -128,62 +127,6 @@ let unused_prefix_lists cfg =
                   name)
              (Printf.sprintf "prefix-list %s is defined but never used" name)))
     (Config.prefix_lists cfg)
-
-(* ------------------------------------------------------------------ *)
-(* Route-map entry shadowing: entries are evaluated in seq order and
-   the first whose matches all hold decides, so an entry is
-   unreachable when an earlier entry matches every route it matches:
-   the earlier entry's compiled conditions hold for every route (no
-   match at all, or a prefix-list such as 0.0.0.0/0 le 32), or they
-   are a subset of this entry's. An entry whose conditions are
-   unsatisfiable matches nothing, so it shadows nothing and is
-   POLICY-UNSAT's to report. A route-map that does not compile is left
-   to RTMAP-UNDEF and PFXLIST-UNDEF. *)
-
-let shadows (prev : Policy.entry) (e : Policy.entry) =
-  Policy_checks.conds_taut prev.conds
-  || List.for_all (fun c -> List.mem c e.conds) prev.conds
-
-let shadowed_map_entries cfg =
-  List.concat_map
-    (fun (name, entries) ->
-      match Config.compile_route_map cfg name with
-      | Error _ -> []
-      | Ok policy ->
-        let line seq =
-          List.find_map
-            (fun (e : Config.map_entry) ->
-              if e.Config.rm_seq = seq then Some e.Config.rm_line else None)
-            entries
-        in
-        let live =
-          List.filter
-            (fun (e : Policy.entry) ->
-              not (Policy_checks.conds_unsat e.conds))
-            (Policy.entries policy)
-        in
-        let rec go earlier acc = function
-          | [] -> List.rev acc
-          | (e : Policy.entry) :: rest ->
-            let acc =
-              match List.find_opt (fun p -> shadows p e) (List.rev earlier) with
-              | None -> acc
-              | Some prev ->
-                Diagnostic.warning ~code:c_rtmap_shadow ?line:(line e.seq)
-                  ~hint:
-                    (Printf.sprintf
-                       "reorder the entries or tighten seq %d's matches"
-                       prev.seq)
-                  (Printf.sprintf
-                     "route-map %s seq %d is unreachable: every route it \
-                      matches is already matched by seq %d"
-                     name e.seq prev.seq)
-                :: acc
-            in
-            go (e :: earlier) acc rest
-        in
-        go [] [] live)
-    (Config.route_maps cfg)
 
 (* ------------------------------------------------------------------ *)
 (* Prefix-list rule analysis. *)

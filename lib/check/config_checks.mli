@@ -9,7 +9,6 @@
     - [RTR-NOBGP] (error): no [router bgp] block, cannot instantiate
     - [RTMAP-UNDEF] (error): neighbor references an undefined route-map
     - [RTMAP-UNUSED] (warning): route-map defined but never attached
-    - [RTMAP-SHADOW] (warning): route-map entry unreachable
     - [PFXLIST-UNDEF] (error): match references an undefined prefix-list
     - [PFXLIST-UNUSED] (warning): prefix-list defined but never matched
     - [PFXLIST-SHADOW] (warning): prefix-list rule unreachable
@@ -26,7 +25,6 @@ open Peering_router
 val no_bgp : Config.t -> Diagnostic.t list
 val undefined_route_maps : Config.t -> Diagnostic.t list
 val unused_route_maps : Config.t -> Diagnostic.t list
-val shadowed_map_entries : Config.t -> Diagnostic.t list
 val undefined_prefix_lists : Config.t -> Diagnostic.t list
 val unused_prefix_lists : Config.t -> Diagnostic.t list
 val shadowed_prefix_rules : Config.t -> Diagnostic.t list

@@ -36,7 +36,7 @@ let hijacks (spec : Spec.t) =
                 spec.Spec.id)))
     (announces spec)
 
-let poisonings ?(peering_asn = default_peering_asn) (spec : Spec.t) =
+let poisonings (spec : Spec.t) =
   if spec.Spec.may_poison then []
   else
     List.concat_map
@@ -45,7 +45,7 @@ let poisonings ?(peering_asn = default_peering_asn) (spec : Spec.t) =
           (fun a ->
             if
               Asn.is_private a
-              || Asn.equal a peering_asn
+              || Asn.equal a default_peering_asn
               || List.exists (Asn.equal a) spec.Spec.asns
             then None
             else
@@ -62,8 +62,8 @@ let poisonings ?(peering_asn = default_peering_asn) (spec : Spec.t) =
           path)
       (announces spec)
 
-let dampening ?params (spec : Spec.t) =
-  let d = Dampening.create ?params () in
+let dampening (spec : Spec.t) =
+  let d = Dampening.create () in
   let peer = spec.Spec.id in
   let ordered =
     List.stable_sort

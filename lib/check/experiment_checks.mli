@@ -12,18 +12,18 @@
       refused *)
 
 open Peering_net
-open Peering_bgp
 
 val default_peering_asn : Asn.t
 (** AS 47065, the testbed's mux ASN ({!Peering_core.Testbed}). *)
 
 val hijacks : Spec.t -> Diagnostic.t list
 
-val poisonings : ?peering_asn:Asn.t -> Spec.t -> Diagnostic.t list
-(** Private ASNs, allocated ASNs and [peering_asn] are always allowed
-    in a path suffix; any other ASN requires [may_poison]. *)
+val poisonings : Spec.t -> Diagnostic.t list
+(** Private ASNs, allocated ASNs and {!default_peering_asn} are always
+    allowed in a path suffix; any other ASN requires [may_poison]. *)
 
-val dampening : ?params:Dampening.params -> Spec.t -> Diagnostic.t list
-(** Replays the schedule through an RFC 2439 penalty model (withdrawals
+val dampening : Spec.t -> Diagnostic.t list
+(** Replays the schedule through an RFC 2439 penalty model with the
+    default parameters of {!Peering_bgp.Dampening.create} (withdrawals
     flap, exactly as {!Peering_core.Safety.note_withdraw} records them)
     and flags announcements that would arrive while suppressed. *)

@@ -4,15 +4,25 @@ open Peering_topo
 
 let c_unsat = "POLICY-UNSAT"
 let c_leak = "POLICY-LEAK"
+let c_rtmap_shadow = "RTMAP-SHADOW"
 
 type input = {
   pol_name : string option;
   pol_relationship : Relationship.t option;
+  pol_line : int option;
+  pol_entry_lines : (int * int) list;
   policy : Policy.t;
 }
 
 let input ?name ?relationship policy =
-  { pol_name = name; pol_relationship = relationship; policy }
+  { pol_name = name;
+    pol_relationship = relationship;
+    pol_line = None;
+    pol_entry_lines = [];
+    policy
+  }
+
+let entry_line i seq = List.assoc_opt seq i.pol_entry_lines
 
 let label i =
   match i.pol_name with None -> "policy" | Some n -> "policy " ^ n
@@ -123,7 +133,7 @@ let unsatisfiable_entries i =
     (fun (e : Policy.entry) ->
       if conds_unsat e.Policy.conds then
         Some
-          (Diagnostic.warning ~code:c_unsat
+          (Diagnostic.warning ~code:c_unsat ?line:(entry_line i e.Policy.seq)
              ~hint:"delete the entry or fix the contradictory conditions"
              (Printf.sprintf
                 "%s entry seq %d can never match: its condition set is \
@@ -132,16 +142,17 @@ let unsatisfiable_entries i =
       else None)
     (Policy.entries i.policy)
 
+(* The entries whose conditions some route satisfies. *)
+let live policy =
+  List.filter
+    (fun (e : Policy.entry) -> not (conds_unsat e.Policy.conds))
+    (Policy.entries policy)
+
 (* A policy "permits all" when, after dropping unsatisfiable entries,
    the first entry is a Permit whose conditions hold for every
    route. *)
 let permits_all policy =
-  let live =
-    List.filter
-      (fun (e : Policy.entry) -> not (conds_unsat e.Policy.conds))
-      (Policy.entries policy)
-  in
-  match live with
+  match live policy with
   | (e : Policy.entry) :: _ ->
     e.Policy.decision = Policy.Permit && conds_taut e.Policy.conds
   | [] -> false
@@ -155,7 +166,7 @@ let export_leaks i =
       | Some r -> Relationship.to_string r
       | None -> assert false
     in
-    [ Diagnostic.error ~code:c_leak
+    [ Diagnostic.error ~code:c_leak ?line:i.pol_line
         ~hint:
           "export only own and customer routes on provider/peer sessions \
            (match on a prefix-list or community)"
@@ -165,3 +176,38 @@ let export_leaks i =
            (label i) rel)
     ]
   | _ -> []
+
+(* ------------------------------------------------------------------ *)
+(* Entry shadowing: entries are evaluated in seq order and the first
+   whose matches all hold decides, so an entry is unreachable when an
+   earlier entry matches every route it matches: the earlier entry's
+   conditions hold for every route (no match at all, or a prefix-list
+   such as 0.0.0.0/0 le 32), or they are a subset of this entry's. An
+   entry whose conditions are unsatisfiable matches nothing, so it
+   shadows nothing and is POLICY-UNSAT's to report. *)
+
+let shadows (prev : Policy.entry) (e : Policy.entry) =
+  conds_taut prev.conds || List.for_all (fun c -> List.mem c e.conds) prev.conds
+
+let shadowed_entries i =
+  let name = Option.value i.pol_name ~default:"" in
+  let rec go earlier acc = function
+    | [] -> List.rev acc
+    | (e : Policy.entry) :: rest ->
+      let acc =
+        match List.find_opt (fun p -> shadows p e) (List.rev earlier) with
+        | None -> acc
+        | Some prev ->
+          Diagnostic.warning ~code:c_rtmap_shadow ?line:(entry_line i e.seq)
+            ~hint:
+              (Printf.sprintf "reorder the entries or tighten seq %d's matches"
+                 prev.seq)
+            (Printf.sprintf
+               "route-map %s seq %d is unreachable: every route it matches \
+                is already matched by seq %d"
+               name e.seq prev.seq)
+          :: acc
+      in
+      go (e :: earlier) acc rest
+  in
+  go [] [] (live i.policy)

@@ -1,15 +1,16 @@
 open Peering_net
 
+(* The most prefixes one experiment may hold. *)
+let max_prefixes = 4
+
 type t = {
   mutable pool : Prefix_pool.t;
-  max_prefixes : int;
   mutable experiments : Experiment.t list;
   mutable next_private_asn : int;
 }
 
-let create ~supply ?(alloc_len = 24) ?(max_prefixes_per_experiment = 4) () =
-  { pool = Prefix_pool.create ~alloc_len supply;
-    max_prefixes = max_prefixes_per_experiment;
+let create ~supply =
+  { pool = Prefix_pool.create ~alloc_len:24 supply;
     experiments = [];
     next_private_asn = 64512
   }
@@ -29,30 +30,26 @@ let alloc_prefixes t n =
   in
   go [] n
 
-let alloc_asns t n =
-  List.init n (fun _ ->
-      let a = t.next_private_asn in
-      t.next_private_asn <- t.next_private_asn + 1;
-      Asn.of_int a)
+let alloc_asn t =
+  let a = t.next_private_asn in
+  t.next_private_asn <- t.next_private_asn + 1;
+  Asn.of_int a
 
-let propose t ~id ~owner ~description ?(n_prefixes = 1)
-    ?(n_private_asns = 1) ?(may_poison = false) ?(may_spoof = false) () =
+let propose t ~id ~owner ~description ?(n_prefixes = 1) ?(may_poison = false)
+    () =
   if find_experiment t id <> None then Error "duplicate experiment id"
   else if String.length (String.trim description) < 20 then
     Error "description too short for vetting"
-  else if n_prefixes < 1 || n_prefixes > t.max_prefixes then
-    Error
-      (Printf.sprintf "experiments may hold 1-%d prefixes" t.max_prefixes)
+  else if n_prefixes < 1 || n_prefixes > max_prefixes then
+    Error (Printf.sprintf "experiments may hold 1-%d prefixes" max_prefixes)
   else if Prefix_pool.available t.pool < n_prefixes then
     Error "prefix pool exhausted"
   else begin
-    let e =
-      Experiment.make ~id ~owner ~description ~may_poison ~may_spoof ()
-    in
+    let e = Experiment.make ~id ~owner ~description ~may_poison () in
     (match alloc_prefixes t n_prefixes with
     | Some ps -> e.Experiment.prefixes <- ps
     | None -> assert false (* availability checked above *));
-    e.Experiment.private_asns <- alloc_asns t n_private_asns;
+    e.Experiment.private_asns <- [ alloc_asn t ];
     e.Experiment.status <- Experiment.Approved;
     t.experiments <- t.experiments @ [ e ];
     Ok e

@@ -8,15 +8,9 @@ open Peering_net
 
 type t
 
-val create :
-  supply:Prefix.t list ->
-  ?alloc_len:int ->
-  ?max_prefixes_per_experiment:int ->
-  unit ->
-  t
-(** [supply] is PEERING's address space (the paper's /19);
-    [alloc_len] the per-experiment block size (default 24, "a client
-    per /24"). *)
+val create : supply:Prefix.t list -> t
+(** [supply] is PEERING's address space (the paper's /19), handed out
+    in /24 blocks ("a client per /24"). *)
 
 val propose :
   t ->
@@ -24,16 +18,13 @@ val propose :
   owner:string ->
   description:string ->
   ?n_prefixes:int ->
-  ?n_private_asns:int ->
   ?may_poison:bool ->
-  ?may_spoof:bool ->
   unit ->
   (Experiment.t, string) result
 (** Submit a proposal. Vetting rules (the advisory board): a
-    non-trivial description (≥ 20 chars), within the per-experiment
-    prefix cap, pool not exhausted, unique id. On success the
-    experiment is [Approved] with prefixes and private ASNs
-    allocated. *)
+    non-trivial description (≥ 20 chars), 1 to 4 prefixes, pool not
+    exhausted, unique id. On success the experiment is [Approved] with
+    its prefixes and one private ASN allocated. *)
 
 val activate : t -> Experiment.t -> unit
 (** Move an approved experiment to [Active]. Raises

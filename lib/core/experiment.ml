@@ -21,18 +21,16 @@ type t = {
   mutable prefixes : Prefix.t list;
   mutable private_asns : Asn.t list;
   may_poison : bool;
-  may_spoof : bool;
   mutable status : status;
 }
 
-let make ~id ~owner ~description ?(may_poison = false) ?(may_spoof = false) () =
+let make ~id ~owner ~description ?(may_poison = false) () =
   { id;
     owner;
     description;
     prefixes = [];
     private_asns = [];
     may_poison;
-    may_spoof;
     status = Proposed
   }
 

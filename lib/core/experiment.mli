@@ -25,8 +25,6 @@ type t = {
   may_poison : bool;
       (** whether the vetting allowed AS-path poisoning (LIFEGUARD-
           style announcements insert real ASNs into the path) *)
-  may_spoof : bool;
-      (** whether carefully-controlled source spoofing was approved *)
   mutable status : status;
 }
 
@@ -35,7 +33,6 @@ val make :
   owner:string ->
   description:string ->
   ?may_poison:bool ->
-  ?may_spoof:bool ->
   unit ->
   t
 (** A fresh proposal with no resources. *)

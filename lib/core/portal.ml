@@ -11,42 +11,7 @@ type proposal = {
   proposal_id : string;
   username_of : string;
   description : string;
-  n_prefixes : int;
-  wants_poison : bool;
-  wants_spoof : bool;
 }
-
-type review = Approve | Reject of string
-
-type reviewer = proposal -> review
-
-let contains_word haystack needle =
-  let h = String.lowercase_ascii haystack in
-  let n = String.lowercase_ascii needle in
-  let hl = String.length h and nl = String.length n in
-  let rec at i = i + nl <= hl && (String.sub h i nl = n || at (i + 1)) in
-  nl > 0 && at 0
-
-let science_reviewer p =
-  if String.length (String.trim p.description) >= 30 then Approve
-  else Reject "proposal lacks a substantive description"
-
-let safety_reviewer p =
-  if p.wants_poison && not (contains_word p.description "poison") then
-    Reject "AS-path poisoning requested without justification"
-  else if p.wants_spoof && not (contains_word p.description "spoof") then
-    Reject "source spoofing requested without justification"
-  else Approve
-
-let resource_reviewer p =
-  if
-    p.n_prefixes <= 2
-    || contains_word p.description "anycast"
-    || contains_word p.description "multiple"
-  then Approve
-  else Reject "prefix request exceeds need stated in the proposal"
-
-let default_board = [ science_reviewer; safety_reviewer; resource_reviewer ]
 
 type provision_kit = {
   experiment : Experiment.t;
@@ -57,13 +22,11 @@ type provision_kit = {
 
 type t = {
   testbed : Testbed.t;
-  board : reviewer list;
   accounts : (string, account) Hashtbl.t;
   mutable queue : proposal list;
 }
 
-let create ?(board = default_board) testbed =
-  { testbed; board; accounts = Hashtbl.create 16; queue = [] }
+let create testbed = { testbed; accounts = Hashtbl.create 16; queue = [] }
 
 let register t ~username ~email ~affiliation =
   if Hashtbl.mem t.accounts username then Error "username taken"
@@ -79,8 +42,7 @@ let register t ~username ~email ~affiliation =
 
 let account t username = Hashtbl.find_opt t.accounts username
 
-let submit t ~username ~id ~description ?(n_prefixes = 1)
-    ?(wants_poison = false) ?(wants_spoof = false) () =
+let submit t ~username ~id ~description =
   match account t username with
   | None -> Error "no such account"
   | Some a when not a.approved -> Error "account not approved"
@@ -89,14 +51,7 @@ let submit t ~username ~id ~description ?(n_prefixes = 1)
       Error "proposal id already queued"
     else begin
       t.queue <-
-        t.queue
-        @ [ { proposal_id = id;
-              username_of = username;
-              description;
-              n_prefixes;
-              wants_poison;
-              wants_spoof
-            } ];
+        t.queue @ [ { proposal_id = id; username_of = username; description } ];
       Ok ()
     end
 
@@ -107,36 +62,15 @@ let run_board t =
   let outcomes =
     List.map
       (fun p ->
-        let reviews = List.map (fun r -> r p) t.board in
-        let approvals =
-          List.length (List.filter (fun r -> r = Approve) reviews)
-        in
-        (* Majority approves; dangerous capabilities (poisoning,
-           spoofing) additionally need unanimity — one safety
-           objection vetoes. *)
-        let passed =
-          if p.wants_poison || p.wants_spoof then
-            approvals = List.length t.board
-          else 2 * approvals > List.length t.board
-        in
         let outcome =
-          if passed then
-            match
-              Controller.propose ctl ~id:p.proposal_id ~owner:p.username_of
-                ~description:p.description ~n_prefixes:p.n_prefixes
-                ~may_poison:p.wants_poison ~may_spoof:p.wants_spoof ()
-            with
-            | Ok e ->
-              Controller.activate ctl e;
-              Ok e
-            | Error msg -> Error ("controller: " ^ msg)
-          else
-            let reasons =
-              List.filter_map
-                (function Reject r -> Some r | Approve -> None)
-                reviews
-            in
-            Error ("rejected by the board: " ^ String.concat "; " reasons)
+          match
+            Controller.propose ctl ~id:p.proposal_id ~owner:p.username_of
+              ~description:p.description ()
+          with
+          | Ok e ->
+            Controller.activate ctl e;
+            Ok e
+          | Error msg -> Error ("controller: " ^ msg)
         in
         (p.proposal_id, outcome))
       t.queue

@@ -4,11 +4,10 @@
     emits the exact Quagga-style client configuration a researcher
     needs, validated by our own parser.
 
-    The advisory board is a list of reviewer functions; a proposal
-    needs a strict majority of approvals — and unanimity when it
-    requests dangerous capabilities (poisoning, spoofing). The default
-    board applies the paper's safety instincts: poisoning and spoofing
-    need explicit justification in the proposal text. *)
+    The advisory board's vetting is the controller's
+    ({!Controller.propose}): a proposal asks for one prefix and no
+    dangerous capability, and the board approves it when the
+    controller does. *)
 
 open Peering_net
 
@@ -23,14 +22,7 @@ type proposal = {
   proposal_id : string;
   username_of : string;
   description : string;
-  n_prefixes : int;
-  wants_poison : bool;
-  wants_spoof : bool;
 }
-
-type review = Approve | Reject of string
-
-type reviewer = proposal -> review
 
 type provision_kit = {
   experiment : Experiment.t;
@@ -44,7 +36,7 @@ type provision_kit = {
 
 type t
 
-val create : ?board:reviewer list -> Testbed.t -> t
+val create : Testbed.t -> t
 
 val register :
   t -> username:string -> email:string -> affiliation:string ->
@@ -59,20 +51,16 @@ val submit :
   username:string ->
   id:string ->
   description:string ->
-  ?n_prefixes:int ->
-  ?wants_poison:bool ->
-  ?wants_spoof:bool ->
-  unit ->
   (unit, string) result
 (** Queue a proposal for review. Requires an approved account. *)
 
 val pending : t -> proposal list
 
 val run_board : t -> (string * (Experiment.t, string) result) list
-(** Review every pending proposal: majority approval provisions the
-    experiment through the controller (allocation + activation);
-    rejection reports the reviewers' reasons. Returns per-proposal
-    outcomes and clears the queue. *)
+(** Review every pending proposal: one the controller approves is
+    provisioned (allocation + activation); a rejection reports the
+    controller's reason. Returns per-proposal outcomes and clears the
+    queue. *)
 
 val provision : t -> experiment_id:string -> (provision_kit, string) result
 (** Produce the provisioning kit for an approved experiment: the

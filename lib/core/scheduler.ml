@@ -144,32 +144,19 @@ end
 
 type proposal = {
   p_tenant : string;
-  p_owner : string;
-  p_description : string;
   p_n_prefixes : int;
   p_may_poison : bool;
   p_poison_targets : Asn.t list;
   p_sites : string list;
-  p_lease_s : float option;
 }
 
-let proposal ?(owner = "scheduler") ?description ?(n_prefixes = 1)
-    ?(may_poison = false) ?(poison_targets = []) ?(sites = []) ?lease_s tenant =
-  let description =
-    match description with
-    | Some d -> d
-    | None ->
-      Printf.sprintf "scheduled multi-tenant experiment %s (admission test)"
-        tenant
-  in
+let proposal ?(n_prefixes = 1) ?(may_poison = false) ?(poison_targets = [])
+    ?(sites = []) tenant =
   { p_tenant = tenant;
-    p_owner = owner;
-    p_description = description;
     p_n_prefixes = n_prefixes;
     p_may_poison = may_poison;
     p_poison_targets = poison_targets;
-    p_sites = sites;
-    p_lease_s = lease_s
+    p_sites = sites
   }
 
 type issue = { issue_code : string; issue_message : string }
@@ -231,15 +218,16 @@ let logf t fmt =
 
 let now t = Engine.now t.eng
 
-let default_lease_s = 3600.0
+(* Every lease runs this many virtual seconds. *)
+let lease_s = 3600.0
 
-let create ?(quota = 4) ?(round_interval = 1.0) ?(extra_supply = []) tb =
+let create ?(round_interval = 1.0) ?(extra_supply = []) tb =
   let ctl = Testbed.controller tb in
   List.iter (Controller.donate_supply ctl) extra_supply;
   { tb;
     eng = Testbed.engine tb;
     round_interval;
-    batcher = Batcher.create ~quota;
+    batcher = Batcher.create ~quota:4;
     running = [];
     finished = [];
     round_scheduled = false;
@@ -454,7 +442,6 @@ let schedule_expiry t s =
       | Some _ | None -> ())
 
 let admit_inner t p =
-  let lease_s = Option.value p.p_lease_s ~default:default_lease_s in
   let sites = if p.p_sites = [] then all_site_names t.tb else p.p_sites in
   let unknown =
     List.filter (fun s -> Testbed.site t.tb s = None) sites
@@ -464,12 +451,14 @@ let admit_inner t p =
       [ error "SCHED-SITE" "unknown site(s): %s" (String.concat ", " unknown) ]
   else if is_running t p.p_tenant then
     Rejected [ error "SCHED-DUP" "tenant %s is already running" p.p_tenant ]
-  else if not (lease_s > 0.0) then
-    Rejected [ error "SCHED-LEASE" "lease %g s is not positive" lease_s ]
   else
     match
-      Testbed.new_experiment t.tb ~id:p.p_tenant ~owner:p.p_owner
-        ~description:p.p_description ~n_prefixes:p.p_n_prefixes
+      Testbed.new_experiment t.tb ~id:p.p_tenant ~owner:"scheduler"
+        ~description:
+          (Printf.sprintf
+             "scheduled multi-tenant experiment %s (admission test)"
+             p.p_tenant)
+        ~n_prefixes:p.p_n_prefixes
         ~may_poison:p.p_may_poison ()
     with
     | Error msg -> Rejected [ error "SCHED-PROPOSE" "%s" msg ]

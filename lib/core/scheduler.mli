@@ -81,38 +81,32 @@ end
 
 type proposal = {
   p_tenant : string;  (** tenant id: experiment id and client id *)
-  p_owner : string;  (** researcher account, as on the portal *)
-  p_description : string;  (** vetted by the controller (≥ 20 chars) *)
   p_n_prefixes : int;  (** prefix blocks to lease from the pool *)
   p_may_poison : bool;  (** AS-path poisoning approved by the board *)
   p_poison_targets : Asn.t list;
       (** public ASNs the experiment plans to poison; checked against
           every other tenant's origin ASNs at admission *)
   p_sites : string list;  (** sites to connect to; [[]] = all sites *)
-  p_lease_s : float option;
-      (** lease duration in virtual seconds, which must be positive;
-          [None] = 3600 *)
 }
-(** A portal-approved experiment proposal, ready for admission. *)
+(** A portal-approved experiment proposal, ready for admission. Its
+    experiment is owned by the ["scheduler"] account and described so
+    that it passes the controller's vetting; an admitted tenant holds
+    a 3600 s lease. *)
 
 val proposal :
-  ?owner:string ->
-  ?description:string ->
   ?n_prefixes:int ->
   ?may_poison:bool ->
   ?poison_targets:Asn.t list ->
   ?sites:string list ->
-  ?lease_s:float ->
   string ->
   proposal
 (** [proposal tenant] with sensible defaults: 1 prefix, no poisoning,
-    all sites, a 3600 s lease, a description that passes vetting. *)
+    all sites. *)
 
 type issue = {
   issue_code : string;
-      (** stable code: ["SCHED-SITE"], ["SCHED-DUP"], ["SCHED-LEASE"],
-          ["SCHED-PROPOSE"], ["SCHED-POISON"], ["SCHED-XOVERLAP"] or
-          ["SCHED-XPOISON"] *)
+      (** stable code: ["SCHED-SITE"], ["SCHED-DUP"], ["SCHED-PROPOSE"],
+          ["SCHED-POISON"], ["SCHED-XOVERLAP"] or ["SCHED-XPOISON"] *)
   issue_message : string;  (** human-readable explanation *)
 }
 (** One admission-control finding; every finding rejects. *)
@@ -130,13 +124,9 @@ type t
 (** A scheduler bound to one testbed. *)
 
 val create :
-  ?quota:int ->
-  ?round_interval:float ->
-  ?extra_supply:Prefix.t list ->
-  Testbed.t ->
-  t
-(** [create tb] binds a scheduler to the testbed. [quota] (default 4)
-    is the per-tenant per-round update-slot grant; [round_interval]
+  ?round_interval:float -> ?extra_supply:Prefix.t list -> Testbed.t -> t
+(** [create tb] binds a scheduler to the testbed, granting each tenant
+    at most 4 update slots per round. [round_interval]
     (default 1.0) the virtual seconds between batching rounds when
     requests are pending; [extra_supply] donates additional address
     blocks to the controller's pool first (the paper's §3 donated
@@ -146,9 +136,8 @@ val create :
 val admit : t -> proposal -> verdict
 (** Run admission control and, on success, start the tenant: allocate
     its lease from the pool, connect its client to the proposal's
-    sites, and schedule lease expiry. A lease that is not positive
-    (NaN included) is rejected as [SCHED-LEASE] before any
-    allocation. Span-traced as [core.sched.admit]; counted in
+    sites, and schedule lease expiry 3600 virtual seconds later.
+    Span-traced as [core.sched.admit]; counted in
     [core.sched.admitted] / [core.sched.rejected]. A rejected proposal
     leaves no allocation behind. *)
 

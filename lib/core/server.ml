@@ -251,10 +251,10 @@ let default_peer_addr asn =
   Ipv4.of_octets 172 (16 + (a lsr 16 land 0x0F)) (a lsr 8 land 0xFF)
     (a land 0xFF)
 
-let add_peer t ?addr peer_asn =
+let add_peer t peer_asn =
   if Hashtbl.mem t.by_asn (Asn.to_int peer_asn) then
     invalid_arg "Server.add_peer: duplicate peer";
-  let addr = Option.value addr ~default:(default_peer_addr peer_asn) in
+  let addr = default_peer_addr peer_asn in
   let p = { peer_asn; addr; table = Prefix.Map.empty; n_routes = 0 } in
   Hashtbl.replace t.by_asn (Asn.to_int peer_asn) p;
   t.peers_rev <- p :: t.peers_rev;

@@ -50,8 +50,8 @@ val create :
 
 val name : t -> string
 
-val add_peer : t -> ?addr:Ipv4.t -> Asn.t -> unit
-(** Register an upstream peer (default address derived from the ASN).
+val add_peer : t -> Asn.t -> unit
+(** Register an upstream peer, at an address derived from the ASN.
     Duplicates raise [Invalid_argument]. *)
 
 val peer_asns : t -> Asn.t list

@@ -275,7 +275,7 @@ let build ?(params = default_params) () =
   let w = Gen.generate { params.world with Gen.seed = params.seed } in
   let g = w.Gen.graph in
   let ctl =
-    Controller.create ~supply:[ peering_supply ] ~alloc_len:24 ()
+    Controller.create ~supply:[ peering_supply ]
   in
   let saf =
     Safety.create ~peering_asn ~owns:(fun p -> Controller.owns ctl p) ()
@@ -532,13 +532,13 @@ let add_remote_ixp t ~via ~name =
 (* ------------------------------------------------------------------ *)
 (* Feeding peer routes to clients *)
 
-let feed_peer_routes t ~site:name ?(max_per_peer = 200) () =
+let feed_peer_routes t ~site:name =
   let s = site_exn t name in
   let fed = ref 0 in
   List.iter
     (fun peer ->
       let cone = Customer_cone.cone (graph t) peer in
-      let budget = ref max_per_peer in
+      let budget = ref 20 in
       (try
          Asn.Set.iter
            (fun origin ->

@@ -15,9 +15,6 @@ open Peering_ixp
 val peering_asn : Asn.t
 (** AS 47065. *)
 
-val peering_supply : Prefix.t
-(** 184.164.224.0/19 — the testbed's address space. *)
-
 type params = {
   world : Gen.params;
   seed : int;
@@ -186,8 +183,7 @@ val add_remote_ixp : t -> via:string -> name:string -> Fabric.t
     peers, on the graph frozen again with the new edges. Returns the
     new fabric. *)
 
-val feed_peer_routes : t -> site:string -> ?max_per_peer:int -> unit -> int
+val feed_peer_routes : t -> site:string -> int
 (** Make the site's server "learn" its peers' routes (each peer
-    exports its customer cone, truncated to [max_per_peer], default
-    200) and relay them to connected clients. Returns the number of
-    routes fed. *)
+    exports the first 20 prefixes of its customer cone) and relay them
+    to connected clients. Returns the number of routes fed. *)

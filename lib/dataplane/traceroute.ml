@@ -69,7 +69,9 @@ let probe fwd engine ~src_node ~src_addr ~target ~ttl =
   | None -> ());
   !answer
 
-let run fwd engine ~src_node ~target ?(max_ttl = 30) () =
+let max_ttl = 30
+
+let run fwd engine ~src_node ~target =
   let src_addr =
     match Forwarder.primary_address fwd src_node with
     | Some a -> a

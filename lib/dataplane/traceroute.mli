@@ -24,10 +24,9 @@ val run :
   Peering_sim.Engine.t ->
   src_node:Forwarder.node_id ->
   target:Ipv4.t ->
-  ?max_ttl:int ->
-  unit ->
   result
-(** Run a complete traceroute. The engine is driven internally until
-    all probes resolve or time out (2 s virtual per probe). *)
+(** Run a complete traceroute of up to 30 hops. The engine is driven
+    internally until all probes resolve or time out (2 s virtual per
+    probe). *)
 
 val pp : Format.formatter -> result -> unit

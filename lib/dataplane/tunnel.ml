@@ -22,10 +22,12 @@ let m_rtt =
   Metrics.histogram ~help:"tunnel round-trip time estimate (virtual s)"
     "dataplane.tunnel.rtt_s"
 
+(* One-way tunnel latency, in seconds. *)
+let latency = 0.02
+
 type t = {
   fwd : Forwarder.t;
   engine : Engine.t;
-  latency : float;
   a : Forwarder.node_id;
   b : Forwarder.node_id;
   via_a : Forwarder.node_id;  (* virtual node: entrance at [a] *)
@@ -37,13 +39,13 @@ type t = {
 
 let counter = ref 0
 
-let establish fwd engine ?(latency = 0.02) ~a ~b () =
+let establish fwd engine ~a ~b () =
   incr counter;
   let tag = Printf.sprintf "tun%d" !counter in
   let via_a = Printf.sprintf "%s@%s" tag a in
   let via_b = Printf.sprintf "%s@%s" tag b in
   let t =
-    { fwd; engine; latency; a; b; via_a; via_b; blackhole = false;
+    { fwd; engine; a; b; via_a; via_b; blackhole = false;
       bytes = 0; packets = 0 }
   in
   (* The virtual entrance nodes deliver everything locally, then we
@@ -82,7 +84,7 @@ let establish fwd engine ?(latency = 0.02) ~a ~b () =
               (Peering_obs.Event.Tunnel_forward
                  { tunnel = tag; bytes = pkt.Packet.size });
           let deliver () =
-            Engine.schedule engine ~delay:t.latency (fun () ->
+            Engine.schedule engine ~delay:latency (fun () ->
                 Forwarder.inject fwd ~at:far pkt;
                 let now = Engine.now engine in
                 Metrics.Histogram.observe m_rtt ((now -. entered) *. 2.0);

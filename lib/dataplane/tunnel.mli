@@ -13,13 +13,12 @@ type t
 val establish :
   Forwarder.t ->
   Peering_sim.Engine.t ->
-  ?latency:float ->
   a:Forwarder.node_id ->
   b:Forwarder.node_id ->
   unit ->
   t
-(** Create a tunnel between nodes [a] and [b] (default latency
-    0.02 s). Use {!route_via} to steer prefixes into it. *)
+(** Create a tunnel between nodes [a] and [b], with a one-way
+    latency of 0.02 s. Use {!route_via} to steer prefixes into it. *)
 
 val route_via : t -> at:Forwarder.node_id -> Prefix.t -> unit
 (** Install a FIB entry at endpoint [at] that sends the prefix into

@@ -73,10 +73,10 @@ let add_pop t ?(country = Country.nl) name =
   t.pop_list <- p :: t.pop_list;
   p
 
-let link t a b ?(weight = 1) ?(latency = 0.005) () =
+let link t a b =
   let pa = pop_exn t a and pb = pop_exn t b in
-  Igp.add_link t.igp a b ~weight;
-  Forwarder.set_link_latency t.fwd pa.node pb.node latency
+  Igp.add_link t.igp a b ~weight:1;
+  Forwarder.set_link_latency t.fwd pa.node pb.node 0.005
 
 let of_topology engine fwd ~asn (zoo : Topology_zoo.t) =
   let t = create engine fwd ~name:zoo.Topology_zoo.name ~asn () in
@@ -87,7 +87,7 @@ let of_topology engine fwd ~asn (zoo : Topology_zoo.t) =
   List.iter
     (fun (i, j) ->
       link t zoo.Topology_zoo.pops.(i).Topology_zoo.city
-        zoo.Topology_zoo.pops.(j).Topology_zoo.city ())
+        zoo.Topology_zoo.pops.(j).Topology_zoo.city)
     zoo.Topology_zoo.links;
   t
 
@@ -205,6 +205,5 @@ let container_model_bytes t =
       acc
       + Memory.model_bytes
           ~peers:(List.length (Router.neighbors p.router))
-          ~prefixes_per_peer:(Router.table_size p.router)
-          ())
+          ~prefixes_per_peer:(Router.table_size p.router))
     0 t.pop_list

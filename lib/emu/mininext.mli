@@ -30,10 +30,9 @@ val add_pop : t -> ?country:Country.t -> string -> pop
     and its forwarder node. Raises [Invalid_argument] on duplicate
     names or after {!start}. *)
 
-val link : t -> string -> string -> ?weight:int -> ?latency:float -> unit -> unit
-(** Connect two PoPs with an intradomain link (default IGP weight 1,
-    latency 5 ms). Linking them again replaces the weight and the
-    latency. *)
+val link : t -> string -> string -> unit
+(** Connect two PoPs with an intradomain link of IGP weight 1 and
+    latency 5 ms. *)
 
 val of_topology :
   Peering_sim.Engine.t ->

@@ -122,9 +122,11 @@ type report = {
   outcomes : outcome list;
   slos : Peering_measure.Stats.slo list;
       (** one {!Peering_measure.Stats.slo} verdict (p99 by linear
-          interpolation) per class of {!default_slos} that recorded a
-          recovery sample, in that order, with the samples its
-          histogram did not retain; classes with none are omitted *)
+          interpolation) per class of {!default_slos} that some drill
+          of the run belongs to, in that order, with the samples its
+          histogram did not retain. A class whose drills never
+          recovered has no sample and misses its budget; classes with
+          no drill in the run are omitted *)
   sweep : sweep_row list;
   zero_routes_lost : bool;
   passed : bool;

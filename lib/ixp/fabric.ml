@@ -13,7 +13,6 @@ type t = {
   name : string;
   country : Country.t;
   rng : Rng.t;
-  rs : Route_server.t;
   mutable directory : member Asn.Map.t;
   mutable responses : response Asn.Map.t;
 }
@@ -22,7 +21,6 @@ let create ~name ~country ~rng () =
   { name;
     country;
     rng;
-    rs = Route_server.create ();
     directory = Asn.Map.empty;
     responses = Asn.Map.empty
   }
@@ -30,8 +28,7 @@ let create ~name ~country ~rng () =
 let add_member t ?(uses_route_server = false) ~policy asn =
   if Asn.Map.mem asn t.directory then
     invalid_arg "Fabric.add_member: duplicate member";
-  t.directory <- Asn.Map.add asn { asn; policy; uses_route_server } t.directory;
-  if uses_route_server then Route_server.connect t.rs asn
+  t.directory <- Asn.Map.add asn { asn; policy; uses_route_server } t.directory
 
 let member t asn = Asn.Map.find_opt asn t.directory
 let members t = List.map snd (Asn.Map.bindings t.directory)

@@ -1,6 +1,6 @@
 (** An Internet exchange point: a member directory over a shared L2
-    fabric, an optional route server, and the social workflow of
-    bilateral peering requests. *)
+    fabric, which members use its route server, and the social
+    workflow of bilateral peering requests. *)
 
 open Peering_net
 
@@ -22,21 +22,19 @@ type t
 
 val create :
   name:string -> country:Country.t -> rng:Peering_sim.Rng.t -> unit -> t
-(** The fabric starts with a route server (AS 6777 convention) and no
-    members. *)
+(** The fabric starts with no members. *)
 
 val add_member :
   t -> ?uses_route_server:bool -> policy:Peering_policy.t -> Asn.t -> unit
-(** Register a member; joins the route server when
+(** Register a member, marked as a route-server user when
     [uses_route_server] (default false). Duplicate ASNs raise
     [Invalid_argument]. *)
 
-val member : t -> Asn.t -> member option
 val members : t -> member list
 val n_members : t -> int
 
 val route_server_users : t -> Asn.t list
-(** Members connected to the route server, ascending. *)
+(** Members that use the route server, ascending. *)
 
 val non_route_server_members : t -> member list
 

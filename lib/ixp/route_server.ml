@@ -5,10 +5,10 @@ module Sink = Peering_obs.Sink
 module Span = Peering_obs.Span
 
 (* The route server's instruments, registered by the first route one
-   processes: a program that passes no route through a route server
-   prints no [ixp.route_server.*] rows. Creating one is not enough,
-   because every testbed's AMS-IX fabric creates one as its member
-   directory. *)
+   processes: a program that links this library but passes no route
+   through a route server (all but [peering_cli stats]) prints no
+   [ixp.route_server.*] rows, as registering them at module
+   initialisation would. *)
 type instruments = {
   m_announces : Metrics.Counter.t;
   m_withdraws : Metrics.Counter.t;
@@ -51,8 +51,11 @@ module Delivery = Map.Make (struct
     match Prefix.compare p q with 0 -> Int.compare a b | c -> c
 end)
 
+(* The server's own AS number (AMS-IX's), as whitelist communities
+   carry it. *)
+let rs_asn = 6777
+
 type t = {
-  asn : Asn.t;
   mutable connected : Asn.Set.t;
   (* member -> (prefix, origin member) -> route: what each member has
      been sent and still holds *)
@@ -61,9 +64,8 @@ type t = {
   announced : (int, Route.t Prefix.Map.t ref) Hashtbl.t;
 }
 
-let create ?(asn = Asn.of_int 6777) () =
-  { asn;
-    connected = Asn.Set.empty;
+let create () =
+  { connected = Asn.Set.empty;
     delivered = Hashtbl.create 64;
     announced = Hashtbl.create 64
   }
@@ -84,20 +86,17 @@ let connect t m = t.connected <- Asn.Set.add m t.connected
 let n_members t = Asn.Set.cardinal t.connected
 
 (* Does the announcing member's community set allow export to [target]? *)
-let allows_export t (r : Route.t) target =
+let allows_export (r : Route.t) target =
   let cs = r.attrs.Attrs.communities in
   let tgt = Asn.to_int target land 0xFFFF in
   let blocked_all = Community.mem (Community.make 0 0) cs in
   let blocked = Community.mem (Community.make 0 tgt) cs in
-  let whitelisted =
-    Community.mem (Community.make (Asn.to_int t.asn land 0xFFFF) tgt) cs
-  in
+  let whitelisted = Community.mem (Community.make rs_asn tgt) cs in
   if blocked then false
   else if blocked_all then whitelisted
   else true
 
-let scrub t (r : Route.t) =
-  let rs_asn = Asn.to_int t.asn land 0xFFFF in
+let scrub (r : Route.t) =
   let keep c = Community.asn_part c <> 0 && Community.asn_part c <> rs_asn in
   let attrs =
     Attrs.with_communities
@@ -120,21 +119,24 @@ let announce t ~from (route : Route.t) =
   Metrics.Counter.inc (m ()).m_announces;
   let ann = announced_by t from in
   ann := Prefix.Map.add route.Route.prefix route !ann;
-  let deliveries = ref [] in
+  let deliveries = ref [] and withdrawals = ref [] in
   let filtered = ref 0 in
   let key = (route.Route.prefix, Asn.to_int from) in
   Asn.Set.iter
     (fun m ->
       if not (Asn.equal m from) then begin
         let d = delivered_to t m in
-        if allows_export t route m then begin
-          let out = scrub t route in
+        if allows_export route m then begin
+          let out = scrub route in
           d := Delivery.add key out !d;
           deliveries := (m, out) :: !deliveries
         end
         else begin
           (* a re-announcement that now blocks [m] retracts its copy *)
-          d := Delivery.remove key !d;
+          if Delivery.mem key !d then begin
+            d := Delivery.remove key !d;
+            withdrawals := (m, route.Route.prefix) :: !withdrawals
+          end;
           incr filtered
         end
       end)
@@ -152,7 +154,7 @@ let announce t ~from (route : Route.t) =
            delivered = List.length deliveries;
            filtered = !filtered
          });
-  deliveries
+  (deliveries, List.rev !withdrawals)
 
 let withdraw t ~from prefix =
   if not (Asn.Set.mem from t.connected) then

@@ -18,9 +18,9 @@ open Peering_bgp
 
 type t
 
-val create : ?asn:Asn.t -> unit -> t
-(** [asn] is the server's own AS number, used in whitelist communities
-    (default 6777 — AMS-IX's). *)
+val create : unit -> t
+(** A server with no members. Its own AS number, which whitelist
+    communities carry, is 6777 (AMS-IX's). *)
 
 val connect : t -> Asn.t -> unit
 (** Attach a member. Idempotent. *)
@@ -31,14 +31,15 @@ val disconnect : t -> Asn.t -> (Asn.t * Prefix.t) list
 
 val n_members : t -> int
 
-val announce : t -> from:Asn.t -> Route.t -> (Asn.t * Route.t) list
+val announce :
+  t -> from:Asn.t -> Route.t -> (Asn.t * Route.t) list * (Asn.t * Prefix.t) list
 (** Redistribute a member's announcement; returns the deliveries the
     server performs ([(to_member, route)]), after community-based
-    export control. The route-server control communities themselves are
-    scrubbed from redistributed routes. A re-announcement whose
-    communities now block a member retracts that member's earlier copy
-    of [from]'s route (no longer in {!routes_for}, and not sent a later
-    {!withdraw}); the return value still lists deliveries only. Raises
+    export control, and the withdrawals it sends
+    ([(to_member, prefix)]). The route-server control communities
+    themselves are scrubbed from redistributed routes. A
+    re-announcement whose communities now block a member that holds
+    [from]'s earlier copy withdraws that copy. Raises
     [Invalid_argument] if [from] is not connected. *)
 
 val withdraw : t -> from:Asn.t -> Prefix.t -> (Asn.t * Prefix.t) list

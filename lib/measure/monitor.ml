@@ -58,8 +58,7 @@ type mux_state = {
 
 type watch = {
   mutable w_origin : Asn.t option;  (* expected origin; MOAS otherwise *)
-  mutable w_flap_window : float;
-  mutable w_flap_limit : int;  (* 0 = flap detector off *)
+  mutable w_flaps : bool;  (* flap detector on *)
   mutable w_events : float list;  (* recent event times, newest first *)
   mutable w_floor : int;  (* 0 = reach detector off *)
   mutable w_armed : bool;  (* reach ever hit the floor *)
@@ -134,8 +133,8 @@ let watch t prefix =
   | Some w -> w
   | None ->
     let w =
-      { w_origin = None; w_flap_window = 60.0; w_flap_limit = 0;
-        w_events = []; w_floor = 0; w_armed = false
+      { w_origin = None; w_flaps = false; w_events = []; w_floor = 0;
+        w_armed = false
       }
     in
     Hashtbl.replace t.watches prefix w;
@@ -143,10 +142,12 @@ let watch t prefix =
 
 let watch_moas t prefix ~origin = (watch t prefix).w_origin <- Some origin
 
-let watch_flaps t ?(window_s = 60.0) ?(limit = 8) prefix =
-  let w = watch t prefix in
-  w.w_flap_window <- window_s;
-  w.w_flap_limit <- max 1 limit
+(* The flap detector fires at this many announce/withdraw events
+   within this many virtual seconds. *)
+let flap_limit = 6
+let flap_window_s = 60.0
+
+let watch_flaps t prefix = (watch t prefix).w_flaps <- true
 
 let watch_reach t prefix ~floor = (watch t prefix).w_floor <- max 1 floor
 
@@ -194,17 +195,17 @@ let note_churn t ~time ~mux prefix =
   match Hashtbl.find_opt t.watches prefix with
   | None -> ()
   | Some w ->
-    if w.w_flap_limit > 0 then begin
-      let floor_t = time -. w.w_flap_window in
+    if w.w_flaps then begin
+      let floor_t = time -. flap_window_s in
       w.w_events <- time :: List.filter (fun e -> e > floor_t) w.w_events;
       let n = List.length w.w_events in
-      if n >= w.w_flap_limit then
+      if n >= flap_limit then
         raise_alert t
           ~key:(Printf.sprintf "flap|%s" (Prefix.to_string prefix))
           ~time ~kind:Event.Flap_churn ~mux ~prefix
           ~detail:
-            (Printf.sprintf "%d events in %.0fs (limit %d)" n w.w_flap_window
-               w.w_flap_limit)
+            (Printf.sprintf "%d events in %.0fs (limit %d)" n flap_window_s
+               flap_limit)
     end;
     check_reach t ~time ~mux prefix w
 

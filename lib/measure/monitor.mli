@@ -107,10 +107,9 @@ val allow_export : t -> mux:string -> peer:Asn.t -> (Prefix.t -> bool) -> unit
     prefix outside the predicate raises [Out_of_cone_leak] (once per
     (mux, peer, prefix)). *)
 
-val watch_flaps : t -> ?window_s:float -> ?limit:int -> Prefix.t -> unit
-(** Alert ([Flap_churn]) when the prefix sees [limit] or more
-    announce/withdraw events within [window_s] virtual seconds
-    (defaults: 8 events in 60 s). *)
+val watch_flaps : t -> Prefix.t -> unit
+(** Alert ([Flap_churn]) when the prefix sees 6 or more
+    announce/withdraw events within 60 virtual seconds. *)
 
 val watch_reach : t -> Prefix.t -> floor:int -> unit
 (** Alert ([Reach_dip]) when the number of (mux, peer) tables holding

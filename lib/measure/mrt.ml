@@ -575,9 +575,8 @@ let table_of_world ?(seed = 0) ?(peers = 8) world =
 
 let collector_asn = Asn.of_int 47065 (* the real PEERING ASN *)
 
-let updates_of_world ?(seed = 0) ?(peer = 0) ?limit world =
-  let parr = peers_of_world world in
-  let p = parr.(peer mod Array.length parr) in
+let updates_of_world ?(seed = 0) ?limit world =
+  let p = (peers_of_world world).(0) in
   let rng = Rng.create (0x6D72_7475 lxor seed) in
   let vias = Array.of_list world.Gen.tier1 in
   let local_ip = V4 (Ipv4.of_int 0x0A01_00FE) in

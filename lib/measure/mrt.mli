@@ -152,8 +152,8 @@ val table_of_world :
     with synthetic-but-plausible AS paths drawn from [seed]'s RNG
     stream. *)
 
-val updates_of_world : ?seed:int -> ?peer:int -> ?limit:int -> Gen.world -> t list
-(** A BGP4MP update stream from one collector peer: an announcement
+val updates_of_world : ?seed:int -> ?limit:int -> Gen.world -> t list
+(** A BGP4MP update stream from the first collector peer: an announcement
     per prefix, with every 16th prefix flapping (announce then
     withdraw).  [limit] caps the prefix count. *)
 

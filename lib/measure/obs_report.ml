@@ -24,12 +24,12 @@ let row_json (r : Metrics.row) =
         ("dropped_samples", Json.Int dropped)
       ]
 
-let to_json ?include_volatile ?registry () =
-  let rows = Metrics.snapshot ?include_volatile ?registry () in
+let to_json () =
+  let rows = Metrics.snapshot () in
   Json.Obj (List.map (fun r -> (Metrics.row_name r, row_json r)) rows)
 
-let render ?include_volatile ?registry () =
-  let rows = Metrics.snapshot ?include_volatile ?registry () in
+let render () =
+  let rows = Metrics.snapshot ~include_volatile:true () in
   let key_width =
     List.fold_left
       (fun acc r -> max acc (String.length (Metrics.row_name r)))

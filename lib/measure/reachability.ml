@@ -5,8 +5,9 @@ module Customer_cone = Peering_topo.Customer_cone
 
 type t = { table : unit Prefix_trie.t; count : int }
 
-(* Deterministic per-(seed, peer, prefix) coin flip in [0, 1). *)
-let hash01 seed peer prefix =
+(* Deterministic per-(peer, prefix) coin flip in [0, 1). *)
+let hash01 peer prefix =
+  let seed = 77 in
   let h =
     (seed * 0x9E3779B1)
     lxor (Asn.to_int peer * 0x85EBCA77)
@@ -28,32 +29,26 @@ let export_fraction kind ~cone_size =
   | As_graph.Stub | As_graph.Content | As_graph.Enterprise -> 1.0
 
 (* The prefixes [peer] exports over settlement-free peering: its
-   customer cone, thinned by the selective-export model when
-   requested. Own prefixes always go out. *)
-let exported_prefixes ?selective (world : Gen.world) peer =
+   customer cone, thinned by the selective-export model. Own prefixes
+   always go out. *)
+let exported_prefixes (world : Gen.world) peer =
   let cone = Customer_cone.cone_prefixes world.Gen.graph peer in
-  match selective with
-  | None -> cone
-  | Some seed ->
-    let own =
-      Prefix.Set.of_list (As_graph.prefixes_of world.Gen.graph peer)
-    in
-    let fraction =
-      export_fraction (As_graph.node_exn world.Gen.graph peer).As_graph.kind
-        ~cone_size:(Prefix.Set.cardinal cone)
-    in
-    Prefix.Set.filter
-      (fun p ->
-        Prefix.Set.mem p own || hash01 seed peer p < fraction)
-      cone
+  let own = Prefix.Set.of_list (As_graph.prefixes_of world.Gen.graph peer) in
+  let fraction =
+    export_fraction (As_graph.node_exn world.Gen.graph peer).As_graph.kind
+      ~cone_size:(Prefix.Set.cardinal cone)
+  in
+  Prefix.Set.filter
+    (fun p -> Prefix.Set.mem p own || hash01 peer p < fraction)
+    cone
 
-let peer_routes ?selective (world : Gen.world) ~peers =
+let peer_routes (world : Gen.world) ~peers =
   let table =
     List.fold_left
       (fun acc peer ->
         Prefix.Set.fold
           (fun p acc -> Prefix_trie.add p () acc)
-          (exported_prefixes ?selective world peer)
+          (exported_prefixes world peer)
           acc)
       Prefix_trie.empty peers
   in
@@ -75,10 +70,9 @@ let peer_countries (world : Gen.world) ~peers =
       Country.Set.add (As_graph.node_exn world.Gen.graph p).As_graph.country acc)
     Country.Set.empty peers
 
-let routes_per_peer ?selective (world : Gen.world) ~peers =
+let routes_per_peer (world : Gen.world) ~peers =
   List.map
-    (fun p ->
-      (p, Prefix.Set.cardinal (exported_prefixes ?selective world p)))
+    (fun p -> (p, Prefix.Set.cardinal (exported_prefixes world p)))
     peers
   |> List.sort (fun (a1, n1) (a2, n2) ->
          match Int.compare n2 n1 with 0 -> Asn.compare a1 a2 | c -> c)

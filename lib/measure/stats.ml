@@ -31,7 +31,7 @@ let slo ~name ~budget_s ~dropped l =
   let p99_s = if l = [] then 0.0 else percentile 99.0 l in
   { slo_name = name; budget_s; p99_s; samples = List.length l; dropped;
     burn = p99_s /. budget_s;
-    met = p99_s <= budget_s
+    met = l <> [] && p99_s <= budget_s
   }
 
 let slo_json v =

@@ -19,16 +19,18 @@ type slo = {
       (** observations the sample store did not retain; when > 0 the
           verdict judges only part of the data *)
   burn : float;  (** [p99_s /. budget_s]; > 1 means the SLO burned *)
-  met : bool;  (** [p99_s <= budget_s] over the retained samples *)
+  met : bool;
+      (** [p99_s <= budget_s] over the retained samples; never with
+          none *)
 }
 
 val slo : name:string -> budget_s:float -> dropped:int -> float list -> slo
 (** [slo ~name ~budget_s ~dropped samples] judges one positive budget
     against observed samples; [dropped] is the count the store did not
     retain, as {!Peering_obs.Metrics.histogram_samples} returns it. No
-    samples is vacuously met with zero burn (a clean run reports
-    exactly that). The chaos campaign and [peering_cli monitor] both
-    judge with it. *)
+    samples is a miss with zero burn: a budget with nothing to judge
+    it by is not met. The chaos campaign and [peering_cli monitor]
+    both judge with it. *)
 
 val slo_json : slo -> Peering_obs.Json.t
 (** The one JSON form of a verdict:

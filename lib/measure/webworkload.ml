@@ -12,21 +12,15 @@ type site = {
 
 type t = { sites : site list; dns : Dns.t }
 
-type params = {
-  n_sites : int;
-  mean_resources : float;
-  n_resource_fqdns : int;
-  cdn_share : float;
-  site_cdn_share : float;
-}
-
-let default_params =
-  { n_sites = 500;
-    mean_resources = 99.5;
-    n_resource_fqdns = 4_200;
-    cdn_share = 0.5;
-    site_cdn_share = 0.18
-  }
+(* The workload's shape: sites, mean embedded resources per page, the
+   pool of distinct resource hosts, and the probability that a
+   resource FQDN or a homepage sits on a Content-kind AS (homepages
+   sit on origin infrastructure more often than resources do). *)
+let n_sites = 500
+let mean_resources = 99.5
+let n_resource_fqdns = 4_200
+let cdn_share = 0.5
+let site_cdn_share = 0.18
 
 (* The ASes hosts are drawn from, built once per [generate]. *)
 type pools = {
@@ -59,7 +53,7 @@ let pick_host rng (world : Gen.world) pools ~prefer_cdn =
     let host_offset = 1 + Rng.int rng (max 1 (Prefix.size p - 2)) in
     Some (asn, Ipv4.add (Prefix.addr p) host_offset)
 
-let generate ?(params = default_params) ~rng (world : Gen.world) =
+let generate ~rng (world : Gen.world) =
   let pools = pools world in
   let dns = Dns.create () in
   (* CDN frontends serve many names from one address: FQDNs landing on
@@ -87,9 +81,9 @@ let generate ?(params = default_params) ~rng (world : Gen.world) =
   in
   (* Resource FQDN pool: pre-assign each a hosting AS and address. *)
   let pool =
-    Array.init params.n_resource_fqdns (fun i ->
+    Array.init n_resource_fqdns (fun i ->
         let fqdn = Printf.sprintf "r%d.cdn-host.example" i in
-        let prefer_cdn = Rng.bernoulli rng params.cdn_share in
+        let prefer_cdn = Rng.bernoulli rng cdn_share in
         match pick_host rng world pools ~prefer_cdn with
         | Some (asn, addr) ->
           let addr = host_address asn addr in
@@ -98,12 +92,12 @@ let generate ?(params = default_params) ~rng (world : Gen.world) =
         | None -> fqdn)
   in
   (* Zipf sampler over the pool: popular CDNs host many resources. *)
-  let sample_fqdn = Rng.zipf_sampler ~n:params.n_resource_fqdns ~s:0.9 in
+  let sample_fqdn = Rng.zipf_sampler ~n:n_resource_fqdns ~s:0.9 in
   let sites =
-    List.init params.n_sites (fun i ->
+    List.init n_sites (fun i ->
         let rank = i + 1 in
         let fqdn = Printf.sprintf "site%d.example" rank in
-        let prefer_cdn = Rng.bernoulli rng params.site_cdn_share in
+        let prefer_cdn = Rng.bernoulli rng site_cdn_share in
         let addr =
           match pick_host rng world pools ~prefer_cdn with
           | Some (_, addr) -> addr
@@ -112,7 +106,7 @@ let generate ?(params = default_params) ~rng (world : Gen.world) =
         Dns.add_a dns fqdn addr;
         (* Resource count: exponential around the mean, at least 5. *)
         let n_res =
-          max 5 (int_of_float (Rng.exponential rng ~mean:params.mean_resources))
+          max 5 (int_of_float (Rng.exponential rng ~mean:mean_resources))
         in
         let resources =
           List.init n_res (fun _ -> pool.(sample_fqdn rng - 1))

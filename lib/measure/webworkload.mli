@@ -19,24 +19,14 @@ type site = {
 
 type t = { sites : site list; dns : Dns.t }
 
-type params = {
-  n_sites : int;  (** 500 *)
-  mean_resources : float;  (** ~100 per page *)
-  n_resource_fqdns : int;  (** pool of distinct resource hosts, ~4200 *)
-  cdn_share : float;
-      (** probability a resource FQDN is hosted on a Content-kind AS *)
-  site_cdn_share : float;
-      (** same for site homepages — lower: homepages sit on origin
-          infrastructure more often than embedded resources do *)
-}
-
-val generate :
-  ?params:params ->
-  rng:Peering_sim.Rng.t ->
-  Peering_topo.Gen.world ->
-  t
-(** Build the workload over a generated Internet. Every FQDN resolves
-    in [dns] to an address inside a prefix its hosting AS originates. *)
+val generate : rng:Peering_sim.Rng.t -> Peering_topo.Gen.world -> t
+(** Build the workload over a generated Internet: 500 sites with ~100
+    embedded resources per page, drawn from a pool of 4,200 resource
+    FQDNs. Half of the resource FQDNs and 18% of the homepages are
+    hosted on Content-kind ASes (homepages sit on origin
+    infrastructure more often than embedded resources do). Every FQDN
+    resolves in [dns] to an address inside a prefix its hosting AS
+    originates. *)
 
 val total_resources : t -> int
 val distinct_resource_fqdns : t -> string list

@@ -53,14 +53,11 @@ type entry = {
   e_instrument : instrument;
 }
 
-type t = { table : (string * (string * string) list, entry) Hashtbl.t }
+(* The one registry: (name, canonical labels) -> entry. *)
+let table : (string * (string * string) list, entry) Hashtbl.t =
+  Hashtbl.create 64
 
-type registry = t
-
-let create () = { table = Hashtbl.create 64 }
-let default = create ()
-
-let reset ?(registry = default) () =
+let reset () =
   Hashtbl.iter
     (fun _ e ->
       match e.e_instrument with
@@ -73,7 +70,7 @@ let reset ?(registry = default) () =
         h.Histogram.total <- 0.0;
         h.Histogram.kept <- [];
         h.Histogram.n_kept <- 0)
-    registry.table
+    table
 
 let canonical_labels labels =
   let sorted = List.sort (fun (a, _) (b, _) -> String.compare a b) labels in
@@ -93,10 +90,10 @@ let kind_name = function
   | G _ -> "gauge"
   | H _ -> "histogram"
 
-let register registry ~labels ~volatile ~help name fresh matching =
+let register ~labels ~volatile ~help name fresh matching =
   let labels = canonical_labels labels in
   let key = (name, labels) in
-  match Hashtbl.find_opt registry.table key with
+  match Hashtbl.find_opt table key with
   | Some e -> (
     match matching e.e_instrument with
     | Some i -> i
@@ -106,7 +103,7 @@ let register registry ~labels ~volatile ~help name fresh matching =
            (kind_name e.e_instrument)))
   | None ->
     let instrument, witness = fresh () in
-    Hashtbl.replace registry.table key
+    Hashtbl.replace table key
       { e_name = name;
         e_labels = labels;
         e_help = help;
@@ -115,24 +112,23 @@ let register registry ~labels ~volatile ~help name fresh matching =
       };
     witness
 
-let counter ?(registry = default) ?(labels = []) ?(volatile = false) ~help name
-    =
-  register registry ~labels ~volatile ~help name
+let counter ?(labels = []) ?(volatile = false) ~help name =
+  register ~labels ~volatile ~help name
     (fun () ->
       let c = { Counter.count = 0 } in
       (C c, c))
     (function C c -> Some c | G _ | H _ -> None)
 
-let gauge ?(registry = default) ?(labels = []) ?(volatile = false) ~help name =
-  register registry ~labels ~volatile ~help name
+let gauge ?(labels = []) ?(volatile = false) ~help name =
+  register ~labels ~volatile ~help name
     (fun () ->
       let g = { Gauge.level = 0.0; high = 0.0 } in
       (G g, g))
     (function G g -> Some g | C _ | H _ -> None)
 
-let histogram ?(registry = default) ?(labels = []) ?(volatile = false)
-    ?(sample_cap = 4096) ~help name =
-  register registry ~labels ~volatile ~help name
+let histogram ?(labels = []) ?(volatile = false) ?(sample_cap = 4096) ~help
+    name =
+  register ~labels ~volatile ~help name
     (fun () ->
       let h =
         { Histogram.cap = max 1 sample_cap;
@@ -158,15 +154,14 @@ module Family = struct
 
   let make f = { f_get = f; f_cache = Hashtbl.create 8 }
 
-  let counter ?registry ?volatile ~help name =
-    make (fun labels -> counter ?registry ~labels ?volatile ~help name)
+  let counter ?volatile ~help name =
+    make (fun labels -> counter ~labels ?volatile ~help name)
 
-  let gauge ?registry ?volatile ~help name =
-    make (fun labels -> gauge ?registry ~labels ?volatile ~help name)
+  let gauge ?volatile ~help name =
+    make (fun labels -> gauge ~labels ?volatile ~help name)
 
-  let histogram ?registry ?volatile ?sample_cap ~help name =
-    make (fun labels ->
-        histogram ?registry ~labels ?volatile ?sample_cap ~help name)
+  let histogram ?volatile ?sample_cap ~help name =
+    make (fun labels -> histogram ~labels ?volatile ?sample_cap ~help name)
 
   let get fam labels =
     let labels = canonical_labels labels in
@@ -221,20 +216,20 @@ let compare_rows a b =
   | 0 -> compare a.labels b.labels
   | c -> c
 
-let snapshot ?(include_volatile = false) ?(registry = default) () =
+let snapshot ?(include_volatile = false) () =
   Hashtbl.fold
     (fun _ e acc ->
       if e.e_volatile && not include_volatile then acc
       else row_of_entry e :: acc)
-    registry.table []
+    table []
   |> List.sort compare_rows
 
-let counter_value ?(registry = default) ?(labels = []) name =
-  match Hashtbl.find_opt registry.table (name, canonical_labels labels) with
+let counter_value ?(labels = []) name =
+  match Hashtbl.find_opt table (name, canonical_labels labels) with
   | Some { e_instrument = C c; _ } -> Counter.value c
   | Some _ | None -> 0
 
-let histogram_samples ?registry name =
+let histogram_samples name =
   let rows =
     List.filter_map
       (fun r ->
@@ -242,7 +237,7 @@ let histogram_samples ?registry name =
         | Histogram_v { samples; dropped; _ } when r.name = name ->
           Some (samples, dropped)
         | _ -> None)
-      (snapshot ~include_volatile:true ?registry ())
+      (snapshot ~include_volatile:true ())
   in
   (List.concat_map fst rows, List.fold_left (fun n (_, d) -> n + d) 0 rows)
 

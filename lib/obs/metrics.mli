@@ -16,19 +16,10 @@
     excluded from snapshots by default, which is what keeps two
     identically-seeded runs byte-identical (see DESIGN.md §7). *)
 
-type t
-(** A registry. *)
-
-type registry = t
-(** Alias so {!Family} can name the registry type alongside its own
-    [t]. *)
-
-val create : unit -> t
-
-val reset : ?registry:t -> unit -> unit
+val reset : unit -> unit
 (** Zero every registered metric in place (registrations and the
     instruments callers hold remain valid). Use between measurement
-    runs; [registry] defaults to {!default}. *)
+    runs. *)
 
 (** {1 Instruments} *)
 
@@ -79,20 +70,17 @@ end
 (** {1 Registration} *)
 
 val counter :
-  ?registry:t ->
   ?labels:(string * string) list ->
   ?volatile:bool ->
   help:string ->
   string ->
   Counter.t
-(** [counter ~help name] finds or creates the counter [name] in
-    [registry] (default {!default}). Raises [Invalid_argument] if the
+(** [counter ~help name] finds or creates the counter [name]. Raises [Invalid_argument] if the
     name is already registered as a different instrument kind, or if
     [labels] repeats a key (a silent duplicate would make {!row_name}
     ambiguous and snapshots unstable). *)
 
 val gauge :
-  ?registry:t ->
   ?labels:(string * string) list ->
   ?volatile:bool ->
   help:string ->
@@ -100,7 +88,6 @@ val gauge :
   Gauge.t
 
 val histogram :
-  ?registry:t ->
   ?labels:(string * string) list ->
   ?volatile:bool ->
   ?sample_cap:int ->
@@ -125,23 +112,16 @@ module Family : sig
   (** A named metric family whose members differ only in labels;
       ['a] is the instrument type. *)
 
-  val counter :
-    ?registry:registry -> ?volatile:bool -> help:string -> string -> Counter.t t
+  val counter : ?volatile:bool -> help:string -> string -> Counter.t t
   (** Declare a counter family. No instrument is registered until
       {!get} sees a label set, so a family with no members leaves no
       row in snapshots. *)
 
-  val gauge :
-    ?registry:registry -> ?volatile:bool -> help:string -> string -> Gauge.t t
+  val gauge : ?volatile:bool -> help:string -> string -> Gauge.t t
   (** Gauge variant of {!counter}. *)
 
   val histogram :
-    ?registry:registry ->
-    ?volatile:bool ->
-    ?sample_cap:int ->
-    help:string ->
-    string ->
-    Histogram.t t
+    ?volatile:bool -> ?sample_cap:int -> help:string -> string -> Histogram.t t
   (** Histogram variant of {!counter}; [sample_cap] as in
       {!histogram}. *)
 
@@ -173,17 +153,17 @@ type row = {
 }
 (** One registered metric as read by {!snapshot}. *)
 
-val snapshot : ?include_volatile:bool -> ?registry:t -> unit -> row list
+val snapshot : ?include_volatile:bool -> unit -> row list
 (** All registered metrics, sorted by (name, labels). Volatile rows
     (host-time dependent) are excluded unless [include_volatile] is
     true, so the default snapshot of a seeded run is deterministic. *)
 
-val counter_value : ?registry:t -> ?labels:(string * string) list -> string -> int
+val counter_value : ?labels:(string * string) list -> string -> int
 (** The current value of a registered counter; 0 if never registered
     (a scenario that exercised nothing is indistinguishable from an
     unregistered metric, which is what reporting code wants). *)
 
-val histogram_samples : ?registry:t -> string -> float list * int
+val histogram_samples : string -> float list * int
 (** The retained samples of every histogram named [name], volatile
     ones included, concatenated across label sets in snapshot order,
     and the total {!Histogram.dropped} across them; [([], 0)] if none

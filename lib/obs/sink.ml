@@ -17,16 +17,15 @@ let m_dropped =
     ~help:"recorder entries (events and spans) dropped at capacity"
     "obs.recorder.dropped"
 
-let default_capacity = 100_000
+let capacity = 100_000
 
 let event_clock = ref (fun () -> 0.0)
-let bound = ref default_capacity
 let buf : entry Queue.t = Queue.create ()
 let n_dropped = ref 0
 
 let push e =
   Queue.push e buf;
-  if Queue.length buf > !bound then begin
+  if Queue.length buf > capacity then begin
     ignore (Queue.pop buf);
     incr n_dropped;
     Metrics.Counter.inc m_dropped
@@ -47,8 +46,7 @@ let clear () =
   Queue.clear buf;
   n_dropped := 0
 
-let start ?(capacity = default_capacity) ?(clock = fun () -> 0.0) () =
-  bound := max 1 capacity;
+let start ?(clock = fun () -> 0.0) () =
   clear ();
   event_clock := clock;
   Span.set_clock clock;

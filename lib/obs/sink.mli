@@ -30,11 +30,11 @@ type event = {
 }
 (** One recorded occurrence; render with {!message}. *)
 
-val start : ?capacity:int -> ?clock:(unit -> float) -> unit -> unit
+val start : ?clock:(unit -> float) -> unit -> unit
 (** Begin recording: drop the previous run's entries, zero the drop
     count, rewind span ids ({!Span.reset}), and turn on both event
-    capture and {!Span.enabled}. [capacity] (default 100000) bounds
-    the retained events and spans together. [clock] (normally the
+    capture and {!Span.enabled}. At most 100,000 events and spans
+    together are retained. [clock] (normally the
     engine's virtual clock) stamps events emitted without a time and
     is installed with {!Span.set_clock} for spans opened without one;
     it is installed on every call, and the default reads 0, so no

@@ -48,13 +48,12 @@ let null_span =
 
 let current () = !ambient
 
-let start ?parent ?(attrs = []) ~time name =
+let start ?(attrs = []) ~time name =
   if not !collecting then null_span
   else
-    let parent = match parent with Some p -> p | None -> !ambient in
     let span = mint () in
     let ctx =
-      match parent with
+      match !ambient with
       | Some p -> { trace = p.trace; span; parent = Some p.span }
       | None -> { trace = span; span; parent = None }
     in

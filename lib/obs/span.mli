@@ -58,15 +58,10 @@ val reset : unit -> unit
     {!Sink.start} calls it, so span ids — and therefore rendered trace
     artifacts — are identical across identically-seeded runs. *)
 
-val start :
-  ?parent:context option ->
-  ?attrs:(string * string) list ->
-  time:float ->
-  string ->
-  t
-(** [start ~time name] opens a span beginning at virtual time [time].
-    [parent] defaults to the ambient {!current} context: with a parent
-    the span joins that trace; without one it roots a new trace.
+val start : ?attrs:(string * string) list -> time:float -> string -> t
+(** [start ~time name] opens a span beginning at virtual time [time],
+    parented on the ambient {!current} context: with a parent the span
+    joins that trace; without one it roots a new trace.
     Returns a dummy that {!finish} ignores when collection is
     disabled. *)
 
@@ -81,7 +76,7 @@ val finish : ?attrs:(string * string) list -> time:float -> t -> unit
 
 val current : unit -> context option
 (** The ambient context — what {!Sink.emit} stamps onto events and
-    what {!start} adopts as the default parent. Always [None] while
+    what {!start} adopts as the parent. Always [None] while
     collection is disabled. *)
 
 val with_current : context option -> (unit -> 'a) -> 'a

@@ -6,6 +6,7 @@ type neighbor_config = {
   remote_as : Asn.t;
   route_map_in : string option;
   route_map_out : string option;
+  route_map_out_line : int option;
   keepalive : int option;
   holdtime : int option;
   connect_retry_s : int option;
@@ -102,6 +103,7 @@ let handle_bgp_line b lineno toks =
         remote_as = Lines.asn asn;
         route_map_in = None;
         route_map_out = None;
+        route_map_out_line = None;
         keepalive = None;
         holdtime = None;
         connect_retry_s = None;
@@ -128,7 +130,8 @@ let handle_bgp_line b lineno toks =
     | "in" ->
       update_neighbor b addr (fun n -> { n with route_map_in = Some name })
     | "out" ->
-      update_neighbor b addr (fun n -> { n with route_map_out = Some name })
+      update_neighbor b addr (fun n ->
+          { n with route_map_out = Some name; route_map_out_line = Some lineno })
     | _ -> Lines.fail "route-map direction must be in|out")
   | _ -> Lines.fail "unknown statement in router bgp block"
 

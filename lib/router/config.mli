@@ -38,6 +38,8 @@ type neighbor_config = {
   remote_as : Asn.t;
   route_map_in : string option;
   route_map_out : string option;
+  route_map_out_line : int option;
+      (** line of the [route-map … out] statement, for diagnostics *)
   keepalive : int option;  (** [timers <k> <h>]: keepalive interval, s *)
   holdtime : int option;  (** [timers <k> <h>]: hold time, s *)
   connect_retry_s : int option;  (** [timers connect <n>]: retry base, s *)

@@ -4,24 +4,17 @@ open Peering_bgp
 let measured_words rib = Obj.reachable_words (Obj.repr rib)
 let measured_bytes rib = measured_words rib * (Sys.word_size / 8)
 
-type model_params = {
-  base_bytes : int;
-  node_bytes : int;
-  path_bytes : int;
-  attr_bytes : int;
-}
+(* Quagga's costs: the process baseline, a [bgp_node] per prefix, a
+   [bgp_info] per (prefix, peer) path and its share of the [attr]s. *)
+let base_bytes = 6 * 1024 * 1024
+let node_bytes = 96
+let path_bytes = 136
+let attr_bytes = 72
 
-let quagga_params =
-  { base_bytes = 6 * 1024 * 1024;
-    node_bytes = 96;
-    path_bytes = 136;
-    attr_bytes = 72
-  }
-
-let model_bytes ?(params = quagga_params) ~peers ~prefixes_per_peer () =
-  params.base_bytes
-  + (prefixes_per_peer * params.node_bytes)
-  + (peers * prefixes_per_peer * (params.path_bytes + params.attr_bytes))
+let model_bytes ~peers ~prefixes_per_peer =
+  base_bytes
+  + (prefixes_per_peer * node_bytes)
+  + (peers * prefixes_per_peer * (path_bytes + attr_bytes))
 
 let fill_rib ~peers ~prefixes_per_peer =
   let rib = Rib.create () in

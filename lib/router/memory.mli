@@ -22,18 +22,13 @@ val measured_words : Rib.t -> int
 val measured_bytes : Rib.t -> int
 (** [measured_words * Sys.word_size / 8]. *)
 
-type model_params = {
-  base_bytes : int;  (** process baseline, default 6 MiB *)
-  node_bytes : int;  (** per distinct prefix, default 96 *)
-  path_bytes : int;  (** per (prefix, peer) path, default 136 *)
-  attr_bytes : int;  (** per path share of attribute storage, default 72 *)
-}
-
-val model_bytes :
-  ?params:model_params -> peers:int -> prefixes_per_peer:int -> unit -> int
+val model_bytes : peers:int -> prefixes_per_peer:int -> int
 (** Modelled resident bytes for a router holding full feeds of
     [prefixes_per_peer] routes from each of [peers] peers (all peers
-    advertising the same prefix set, as in the Fig. 2 experiment). *)
+    advertising the same prefix set, as in the Fig. 2 experiment): a
+    6 MiB process baseline, 96 bytes per distinct prefix, and 136 + 72
+    bytes per (prefix, peer) path and its share of attribute
+    storage. *)
 
 val fill_rib : peers:int -> prefixes_per_peer:int -> Rib.t
 (** Build a RIB in the Fig. 2 configuration: [peers] synthetic peers

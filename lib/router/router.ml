@@ -270,10 +270,8 @@ let on_close t (nbr : neighbor) (_reason : string) =
 (* ------------------------------------------------------------------ *)
 (* Origination *)
 
-let originate t ?(communities = []) prefix =
-  let attrs =
-    Attrs.make ~origin:Attrs.IGP ~next_hop:t.router_id ~communities ()
-  in
+let originate t prefix =
+  let attrs = Attrs.make ~origin:Attrs.IGP ~next_hop:t.router_id () in
   t.networks <- (prefix, attrs) :: t.networks;
   let route = Route.local prefix attrs in
   match Rib.announce t.rib ~peer:local_peer_key route with

@@ -38,7 +38,7 @@ val create :
 val asn : t -> Asn.t
 val rib : t -> Rib.t
 
-val originate : t -> ?communities:Community.t list -> Prefix.t -> unit
+val originate : t -> Prefix.t -> unit
 (** Originate a network: install a local route and advertise it to all
     established neighbors. The next hop is the router id. *)
 

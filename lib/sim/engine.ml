@@ -70,18 +70,15 @@ let step t =
     f ();
     true
 
-let run ?until ?max_events t =
-  let budget = ref (Option.value max_events ~default:max_int) in
+let run ?until t =
   let continue = ref true in
-  while !continue && !budget > 0 do
+  while !continue do
     match Event_queue.peek_time t.queue with
     | None -> continue := false
     | Some time -> (
       match until with
       | Some horizon when time > horizon -> continue := false
-      | _ ->
-        ignore (step t);
-        decr budget)
+      | _ -> ignore (step t))
   done
 
 let run_for t d =

@@ -29,10 +29,10 @@ val schedule_at : t -> time:float -> (unit -> unit) -> unit
 val pending : t -> int
 (** Number of queued events. *)
 
-val run : ?until:float -> ?max_events:int -> t -> unit
-(** Drain the queue, advancing the clock, until it is empty, the clock
-    would pass [until], or [max_events] events have run. Events later
-    than [until] remain queued. *)
+val run : ?until:float -> t -> unit
+(** Drain the queue, advancing the clock, until it is empty or the
+    clock would pass [until]. Events later than [until] remain
+    queued. *)
 
 val run_for : t -> float -> unit
 (** [run_for t d] is [run ~until:(now t +. d) t], then advances the

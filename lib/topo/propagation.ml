@@ -439,7 +439,7 @@ let propagate ?deny ?(down = Asn.Set.empty) ?domains:_ ?visit graph
     | seeds -> reselect_from ?deny ~down d anns result ~seeds ~outside:0));
   result
 
-let propagate_seq = propagate
+let propagate_seq graph announcements = propagate graph announcements
 
 (* ------------------------------------------------------------------ *)
 (* Announcement deltas. Every stable route chains back through its

@@ -124,15 +124,8 @@ val propagate :
     counters); the result is the unique stable table. Without [deny],
     or with no such AS, there is no repair. *)
 
-val propagate_seq :
-  ?deny:(Asn.t -> announcement -> bool) ->
-  ?down:Asn.Set.t ->
-  ?domains:int ->
-  ?visit:(Asn.t -> unit) ->
-  As_graph.t ->
-  announcement list ->
-  result
-(** An alias of {!propagate}, kept for callers of the old name. *)
+val propagate_seq : As_graph.t -> announcement list -> result
+(** [propagate] with no option, kept for callers of the old name. *)
 
 val empty : unit -> result
 (** A fresh table in which no AS holds a route. {!repair} seeded with

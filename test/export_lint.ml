@@ -1,5 +1,6 @@
 (* Export linter: every top-level [val] of a library interface must have
-   a caller outside its own module.
+   a caller outside its own module, and each of its optional
+   parameters two production values.
 
    Usage: export_lint ALLOWLIST FILE... -- TEST_FILE...
 
@@ -11,6 +12,23 @@
    saying which test needs it. An entry that no TEST_FILE refers to is
    stale and fails too: it would hide a value nothing calls.
 
+   Each [?lab:] parameter of such a [val]'s signature needs some
+   production call (in any FILE, the value's own module included) that
+   passes it, and either a call that omits it or two calls that pass
+   different values. A call passes the [~lab]/[?lab] arguments found
+   after the reference at bracket depth 0, up to a closing bracket,
+   [;], [in], [let], [then], [else], [with], [and], [do], [done],
+   [end], [->] or an operator starting with [|]. An integer, float,
+   string or character literal, [true]/[false] and a constant
+   constructor are literals; any other value (a variable, an
+   expression, [?lab] forwarding, [~lab] punning) counts as distinct
+   from every other. A reference whose arguments cannot be seen —
+   bound to a name, passed as an argument, or inside a local open —
+   passes every option with distinct values. An option that fails
+   needs an ALLOWLIST line [Module.value ?lab  reason]; such an entry
+   is stale once production passes a second value, or when no
+   TEST_FILE call passes the option.
+
    References are found on a token stream (comments, strings and
    character literals removed), and are resolved generously:
    - a qualified path [A.M.v] refers to [v] of every lib module named
@@ -21,7 +39,7 @@
    - after [open M], [let open M in] or [include M], a bare [v] refers
      to [M]'s [v] for the rest of the file.
    Each rule can only add references, so resolving too much may hide an
-   unused value but never reports a used one. *)
+   unused value or a one-value option but never reports a used one. *)
 
 let read_file file =
   let ic = open_in_bin file in
@@ -38,7 +56,7 @@ let ends_with suffix s =
   n >= m && String.sub s (n - m) m = suffix
 
 (* ------------------------------------------------------------------ *)
-(* Lexer: identifiers and brackets; everything else is dropped. *)
+(* Lexer: identifiers, labels, literals, brackets and operators. *)
 
 type tok =
   | Uid of string
@@ -47,7 +65,10 @@ type tok =
   | Open of char  (** '(' '[' or '{' *)
   | Close
   | Eq  (** a lone '=' *)
-  | Sym  (** any other operator, punctuation, number or literal *)
+  | Label of char * string * bool
+      (** ['~'] or ['?'], the label, and whether a [':'] follows it *)
+  | Lit of string  (** a number, string or character literal *)
+  | Sym of string  (** any other operator or punctuation *)
 
 let is_op_char c = String.contains "!$%&*+-/:<=>?@^|~#" c
 
@@ -106,12 +127,13 @@ let tokens s =
       match s.[i] with
       | '(' when i + 1 < n && s.[i + 1] = '*' -> go (skip_comment (i + 2) 1)
       | '"' ->
-        push Sym;
-        go (skip_string (i + 1))
+        let j = skip_string (i + 1) in
+        push (Lit (String.sub s i (j - i)));
+        go j
       | '{' -> (
         match quoted_string i with
         | Some j ->
-          push Sym;
+          push (Lit (String.sub s i (j - i)));
           go j
         | None ->
           push (Open '{');
@@ -122,11 +144,34 @@ let tokens s =
         while !j < n && s.[!j] <> '\'' do
           incr j
         done;
-        push Sym;
+        push (Lit (String.sub s i (min n (!j + 1) - i)));
         go (!j + 1)
       | '\'' when i + 2 < n && s.[i + 2] = '\'' ->
-        push Sym;
+        push (Lit (String.sub s i 3));
         go (i + 3)
+      | ('~' | '?') as c
+        when i + 1 < n && (match s.[i + 1] with 'a' .. 'z' | '_' -> true | _ -> false) ->
+        let j = ref (i + 2) in
+        while !j < n && is_ident_char s.[!j] do
+          incr j
+        done;
+        let colon = !j < n && s.[!j] = ':' in
+        push (Label (c, String.sub s (i + 1) (!j - i - 1), colon));
+        go (if colon then !j + 1 else !j)
+      | '0' .. '9' ->
+        (* A number, with its fraction, exponent and suffix. *)
+        let j = ref (i + 1) in
+        while
+          !j < n
+          && (is_ident_char s.[!j]
+             || s.[!j] = '.'
+             || ((s.[!j] = '+' || s.[!j] = '-')
+                && (s.[!j - 1] = 'e' || s.[!j - 1] = 'E')))
+        do
+          incr j
+        done;
+        push (Lit (String.sub s i (!j - i)));
+        go !j
       | ('(' | '[') as c ->
         push (Open c);
         go (i + 1)
@@ -137,26 +182,24 @@ let tokens s =
         push Dot;
         go (i + 1)
       | ' ' | '\t' | '\n' | '\r' -> go (i + 1)
-      | 'a' .. 'z' | 'A' .. 'Z' | '_' | '0' .. '9' ->
+      | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
         let j = ref (i + 1) in
         while !j < n && is_ident_char s.[!j] do
           incr j
         done;
         let id = String.sub s i (!j - i) in
-        (match id.[0] with
-        | 'A' .. 'Z' -> push (Uid id)
-        | 'a' .. 'z' | '_' -> push (Lid id)
-        | _ -> push Sym);
+        push (match id.[0] with 'A' .. 'Z' -> Uid id | _ -> Lid id);
         go !j
       | c when is_op_char c ->
         let j = ref (i + 1) in
         while !j < n && is_op_char s.[!j] do
           incr j
         done;
-        push (if !j = i + 1 && c = '=' then Eq else Sym);
+        let op = String.sub s i (!j - i) in
+        push (if op = "=" then Eq else Sym op);
         go !j
-      | _ ->
-        push Sym;
+      | c ->
+        push (Sym (String.make 1 c));
         go (i + 1)
   in
   go 0;
@@ -170,6 +213,7 @@ type export = {
   line : int;
   modname : string;
   value : string;
+  options : string list;  (** the [?lab:] parameters of its signature *)
 }
 
 let qualified e = e.modname ^ "." ^ e.value
@@ -177,12 +221,32 @@ let qualified e = e.modname ^ "." ^ e.value
 let module_name file =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename file))
 
-(* The top-level [val]s of an interface, with their lines. *)
+(* The [?lab:] parameters outside brackets in a signature's tokens. *)
+let options_of toks =
+  let depth = ref 0 in
+  Array.fold_left
+    (fun acc t ->
+      match t with
+      | Open _ ->
+        incr depth;
+        acc
+      | Close ->
+        decr depth;
+        acc
+      | Label ('?', lab, true) when !depth = 0 -> lab :: acc
+      | _ -> acc)
+    [] toks
+  |> List.rev
+
+(* The top-level [val]s of an interface, with their lines. A
+   signature runs on to the next line starting at column 0. *)
 let exports mli =
   let modname = module_name mli in
-  String.split_on_char '\n' (read_file mli)
-  |> List.mapi (fun i line -> (i + 1, line))
-  |> List.filter_map (fun (line, text) ->
+  let lines = Array.of_list (String.split_on_char '\n' (read_file mli)) in
+  let n = Array.length lines in
+  List.init n Fun.id
+  |> List.filter_map (fun i ->
+         let text = lines.(i) in
          if not (starts_with "val " text) then None
          else
            let rest = String.sub text 4 (String.length text - 4) in
@@ -190,14 +254,38 @@ let exports mli =
            while !len < String.length rest && is_ident_char rest.[!len] do
              incr len
            done;
-           Some { file = mli; line; modname; value = String.sub rest 0 !len })
+           let j = ref (i + 1) in
+           while
+             !j < n && (lines.(!j) = "" || lines.(!j).[0] = ' ')
+           do
+             incr j
+           done;
+           let signature =
+             String.concat "\n" (Array.to_list (Array.sub lines i (!j - i)))
+           in
+           Some
+             {
+               file = mli;
+               line = i + 1;
+               modname;
+               value = String.sub rest 0 !len;
+               options = options_of (tokens signature);
+             })
 
 (* ------------------------------------------------------------------ *)
 (* References *)
 
-(* Calls [f modname value] for every reference in one .ml. [has m v]
-   says whether some lib module named [m] exports [v]. *)
-let references ~has toks f =
+(* How a reference was resolved. *)
+type via =
+  | Path  (** a qualified path, or a bare name after [open] *)
+  | Local_open  (** a bare name inside [M.( … )] *)
+  | Own  (** a bare name in the module's own implementation *)
+
+(* Calls [f modname value ~start ~at via] for every reference in one
+   .ml of module [own]: [start] is the index of the reference's first
+   token and [at] that of the value's name. [has m v] says whether
+   some lib module named [m] exports [v]. *)
+let references ~has ~own toks f =
   let n = Array.length toks in
   let aliases = Hashtbl.create 8 in
   let resolve m = Option.value (Hashtbl.find_opt aliases m) ~default:m in
@@ -209,7 +297,7 @@ let references ~has toks f =
      just past it. *)
   let path i =
     let rec go i acc =
-      match if i < n then toks.(i) else Sym with
+      match if i < n then toks.(i) else Sym "" with
       | Uid m when i + 2 < n && toks.(i + 1) = Dot -> (
         match toks.(i + 2) with
         | Uid _ -> go (i + 2) (m :: acc)
@@ -221,11 +309,21 @@ let references ~has toks f =
   in
   let last l = List.nth l (List.length l - 1) in
   let target = function [ m ] -> resolve m | l -> last l in
+  (* A bare name, or a label that may pun one. *)
+  let bare i v =
+    List.iter
+      (function Some m when has m v -> f m v ~start:i ~at:i Local_open | _ -> ())
+      !brackets;
+    List.iter (fun m -> if has m v then f m v ~start:i ~at:i Path) !file_opens;
+    if has own v then f own v ~start:i ~at:i Own
+  in
   let rec go i =
     if i < n then
       match toks.(i) with
       | Lid ("open" | "include") ->
-        let j = if i + 1 < n && toks.(i + 1) = Sym then i + 2 else i + 1 in
+        let j =
+          match toks.(min (i + 1) (n - 1)) with Sym _ -> i + 2 | _ -> i + 1
+        in
         let p, k = path j in
         if p <> [] then file_opens := target p :: !file_opens;
         go k
@@ -242,7 +340,7 @@ let references ~has toks f =
         if k + 1 < n && toks.(k) = Dot then
           match toks.(k + 1) with
           | Lid v ->
-            f m v;
+            f m v ~start:i ~at:(k + 1) Path;
             go (k + 2)
           | Open _ ->
             brackets := Some m :: !brackets;
@@ -260,27 +358,142 @@ let references ~has toks f =
         match toks.(min (i + 1) (n - 1)) with
         | Lid _ -> go (i + 2)
         | _ -> go (i + 1))
-      | Lid v ->
-        let scope = List.filter_map Fun.id !brackets @ !file_opens in
-        List.iter (fun m -> if has m v then f m v) scope;
+      | Lid v | Label (_, v, _) ->
+        bare i v;
         go (i + 1)
-      | Eq | Sym -> go (i + 1)
+      | Eq | Lit _ | Sym _ -> go (i + 1)
   in
   go 0
 
 (* ------------------------------------------------------------------ *)
-(* Allowlist: [Module.value  reason] per line; [#] starts a comment. *)
+(* Applications *)
+
+(* What a call passes for an option: a literal (its text), or
+   anything else, which may differ from call to call. *)
+type value = Literal of string | Other
+
+(* The labelled arguments of one call: [None] when the lint cannot see
+   them, which counts as passing every option with distinct values. *)
+type call = (string * value) list option
+
+(* Keywords after which an expression starts, so a value there is
+   applied rather than passed as an argument. *)
+let expression_start = function
+  | "in" | "then" | "else" | "do" | "begin" | "when" | "try" | "match"
+  | "if" | "while" | "to" | "downto" | "lazy" | "assert" | "with" | "mod"
+  | "land" | "lor" | "lxor" | "lsl" | "lsr" | "asr" | "or" ->
+    true
+  | _ -> false
+
+(* Tokens that end an application at bracket depth 0. *)
+let ends_application = function
+  | Close | Sym (";" | ";;" | "->") -> true
+  | Sym s -> s.[0] = '|'
+  | Lid ("in" | "let" | "then" | "else" | "with" | "and" | "do" | "done" | "end")
+    ->
+    true
+  | _ -> false
+
+(* The call whose function is the reference from [start] to [at]. *)
+let application toks ~start ~at : call =
+  let n = Array.length toks in
+  let passed =
+    start > 0
+    &&
+    match toks.(start - 1) with
+    | Lid w -> not (expression_start w)
+    | Uid _ | Close | Lit _ | Label _ -> true
+    | Dot | Open _ | Eq | Sym _ -> false
+  in
+  (* The value after [~lab:] at [j], and where the scan goes on. *)
+  let value j =
+    match if j < n then toks.(j) else Sym "" with
+    | Lit s | Lid (("true" | "false") as s) -> (Literal s, j + 1)
+    | Uid c ->
+      (* A constant constructor, maybe qualified. *)
+      let rec constr j text =
+        if j + 2 < n && toks.(j + 1) = Dot then
+          match toks.(j + 2) with
+          | Uid c -> constr (j + 2) (text ^ "." ^ c)
+          | _ -> (Other, j + 1)
+        else (Literal text, j + 1)
+      in
+      constr j c
+    | _ -> (Other, j)
+  in
+  let rec scan j depth args =
+    if j >= n then args
+    else
+      match toks.(j) with
+      | t when depth = 0 && ends_application t -> args
+      | Open _ -> scan (j + 1) (depth + 1) args
+      | Close -> scan (j + 1) (depth - 1) args
+      | Label (_, lab, colon) when depth = 0 ->
+        let v, next = if colon then value (j + 1) else (Other, j + 1) in
+        scan next depth ((lab, v) :: args)
+      | _ -> scan (j + 1) depth args
+  in
+  let empty = at + 1 >= n || ends_application toks.(at + 1) in
+  if passed || empty then None else Some (scan (at + 1) 0 [])
+
+(* A name in [let v], [and v], [type v] or after [:] is a definition
+   or a type, not a use of the value. *)
+let not_a_use toks start =
+  start > 0
+  &&
+  match toks.(start - 1) with
+  | Lid ("let" | "and" | "rec" | "type") | Sym (":" | ":>") -> true
+  | _ -> false
+
+(* [Some reason] when [calls] give option [lab] fewer than two values:
+   none passes it, or every one passes the same literal. *)
+let one_value calls lab =
+  let passes =
+    List.concat_map
+      (function
+        | None -> [ Other ]
+        | Some args ->
+          List.filter_map (fun (l, v) -> if l = lab then Some v else None) args)
+      calls
+  in
+  let omitted =
+    List.exists
+      (function Some args -> not (List.mem_assoc lab args) | None -> false)
+      calls
+  in
+  match List.sort_uniq compare passes with
+  | [] -> Some "no production call passes it"
+  | [ Literal l ] when not omitted ->
+    Some (Printf.sprintf "every production call passes ~%s:%s" lab l)
+  | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* Allowlist: [Module.value  reason] or [Module.value ?lab  reason] per
+   line; [#] starts a comment. *)
+
+type entry = {
+  lineno : int;
+  key : string;
+  option : string option;
+  reason : string;
+}
 
 let allowlist file =
+  let word s =
+    match String.index_opt s ' ' with
+    | Some k -> (String.sub s 0 k, String.trim (String.sub s k (String.length s - k)))
+    | None -> (s, "")
+  in
   String.split_on_char '\n' (read_file file)
   |> List.mapi (fun i line -> (i + 1, String.trim line))
   |> List.filter (fun (_, line) -> line <> "" && line.[0] <> '#')
   |> List.map (fun (lineno, line) ->
-         match String.index_opt line ' ' with
-         | Some k ->
-           let reason = String.sub line k (String.length line - k) in
-           (lineno, String.sub line 0 k, String.trim reason)
-         | None -> (lineno, line, ""))
+         let key, rest = word line in
+         if starts_with "?" rest then
+           let opt, reason = word rest in
+           let lab = String.sub opt 1 (String.length opt - 1) in
+           { lineno; key; option = Some lab; reason }
+         else { lineno; key; option = None; reason = rest })
 
 let () =
   match List.tl (Array.to_list Sys.argv) with
@@ -300,24 +513,39 @@ let () =
     let table = Hashtbl.create 1024 in
     List.iter (fun e -> Hashtbl.replace table (e.modname, e.value) ()) all;
     let has m v = Hashtbl.mem table (m, v) in
-    (* (module, value) -> the .ml files referring to it. *)
-    let used = Hashtbl.create 1024 in
-    List.iter
-      (fun ml ->
-        references ~has (tokens (read_file ml)) (fun m v ->
-            if has m v then Hashtbl.add used (m, v) ml))
-      mls;
-    let tested = Hashtbl.create 256 in
-    List.iter
-      (fun ml ->
-        references ~has (tokens (read_file ml)) (fun m v ->
-            Hashtbl.replace tested (m ^ "." ^ v) ()))
-      tests;
+    (* Walks every reference of [files], with the file and its call. *)
+    let scan files f =
+      List.iter
+        (fun ml ->
+          let toks = tokens (read_file ml) in
+          references ~has ~own:(module_name ml) toks
+            (fun m v ~start ~at via ->
+              if has m v && not (not_a_use toks start) then
+                let call =
+                  if via = Local_open then None
+                  else application toks ~start ~at
+                in
+                f ml (m, v) via call))
+        files
+    in
+    (* (module, value) -> the .ml files referring to it from outside,
+       and the calls of it anywhere in production. *)
+    let used = Hashtbl.create 1024 and calls = Hashtbl.create 1024 in
+    scan mls (fun ml key via call ->
+        if via <> Own then Hashtbl.add used key ml;
+        Hashtbl.add calls key call);
+    let tested = Hashtbl.create 256 and test_calls = Hashtbl.create 256 in
+    scan tests (fun _ (m, v) _ call ->
+        Hashtbl.replace tested (m ^ "." ^ v) ();
+        Hashtbl.add test_calls (m, v) call);
     (* A reference counts unless it comes from the value's own .ml. *)
     let called e =
       let own = Filename.remove_extension e.file ^ ".ml" in
       List.exists (fun ml -> ml <> own)
         (Hashtbl.find_all used (e.modname, e.value))
+    in
+    let one_value e lab =
+      one_value (Hashtbl.find_all calls (e.modname, e.value)) lab
     in
     let allowed = allowlist allow_file in
     let failures = ref 0 in
@@ -326,35 +554,66 @@ let () =
       Printf.eprintf fmt
     in
     List.iter
-      (fun (lineno, key, reason) ->
+      (fun { lineno; key; option; reason } ->
         let named = List.filter (fun e -> qualified e = key) all in
         let where = Printf.sprintf "%s:%d: %s" allow_file lineno key in
         if reason = "" then fail "%s: entry gives no reason\n" where;
-        if named = [] then fail "%s: no such lib export\n" where
-        else if List.exists called named then
-          fail "%s: has a caller; drop the entry\n" where
-        else if not (Hashtbl.mem tested key) then
-          fail "%s: no test refers to it; delete the value and the entry\n"
-            where)
+        match option with
+        | None ->
+          if named = [] then fail "%s: no such lib export\n" where
+          else if List.exists called named then
+            fail "%s: has a caller; drop the entry\n" where
+          else if not (Hashtbl.mem tested key) then
+            fail "%s: no test refers to it; delete the value and the entry\n"
+              where
+        | Some lab -> (
+          let where = where ^ " ?" ^ lab in
+          match List.filter (fun e -> List.mem lab e.options) named with
+          | [] -> fail "%s: no such optional parameter\n" where
+          | e :: _ ->
+            let passes = function
+              | Some args -> List.mem_assoc lab args
+              | None -> false
+            in
+            if one_value e lab = None then
+              fail "%s: has two production values; drop the entry\n" where
+            else if
+              not
+                (List.exists passes
+                   (Hashtbl.find_all test_calls (e.modname, e.value)))
+            then
+              fail "%s: no test passes it; delete the option and the entry\n"
+                where))
       allowed;
-    let is_allowed e =
-      List.exists (fun (_, key, _) -> key = qualified e) allowed
+    let is_allowed e option =
+      List.exists (fun a -> a.key = qualified e && a.option = option) allowed
     in
     List.iter
       (fun e ->
-        if not (called e || is_allowed e) then
+        if not (called e || is_allowed e None) then
           fail "%s:%d: %s has no caller outside its module\n" e.file e.line
-            (qualified e))
+            (qualified e);
+        List.iter
+          (fun lab ->
+            match one_value e lab with
+            | Some why when not (is_allowed e (Some lab)) ->
+              fail "%s:%d: %s ?%s: %s\n" e.file e.line (qualified e) lab why
+            | _ -> ())
+          e.options)
       all;
     if !failures > 0 then begin
       Printf.eprintf
-        "export_lint: %d failure%s; un-export or delete the value, or \
-         allowlist it with a reason in %s\n"
+        "export_lint: %d failure%s; un-export or delete the value, make the \
+         option a constant, or allowlist it with a reason in %s\n"
         !failures
         (if !failures = 1 then "" else "s")
         allow_file;
       exit 1
     end
     else
-      Printf.printf "export_lint: %d exports in %d interfaces, %d allowlisted\n"
-        (List.length all) (List.length mlis) (List.length allowed)
+      Printf.printf
+        "export_lint: %d exports in %d interfaces, %d optional parameters, %d \
+         allowlisted\n"
+        (List.length all) (List.length mlis)
+        (List.fold_left (fun n e -> n + List.length e.options) 0 all)
+        (List.length allowed)

@@ -106,8 +106,7 @@ let arm_benign mon tb =
   Monitor.watch_moas mon
     (Prefix.of_string_exn "203.0.113.0/24")
     ~origin:(Asn.of_int 64999);
-  Monitor.watch_flaps mon ~window_s:30.0 ~limit:1000
-    (Prefix.of_string_exn "192.0.2.0/24");
+  Monitor.watch_flaps mon (Prefix.of_string_exn "192.0.2.0/24");
   List.iter
     (fun site ->
       let name = Testbed.site_name site in
@@ -140,8 +139,7 @@ let feed_all tb =
   List.fold_left
     (fun acc site ->
       acc
-      + Testbed.feed_peer_routes tb ~site:(Testbed.site_name site)
-          ~max_per_peer:25 ())
+      + Testbed.feed_peer_routes tb ~site:(Testbed.site_name site))
     0 (Testbed.sites tb)
 
 let check_stats_reports ~ctx mon tb =
@@ -199,7 +197,7 @@ let scenario_propagation seed =
   (match session_gauge srv peer with
   | Some 5.0 -> ()
   | _ -> fail "%s: gauge did not return to 5 on restart" ctx);
-  ignore (Testbed.feed_peer_routes tb ~site:name ~max_per_peer:25 ());
+  ignore (Testbed.feed_peer_routes tb ~site:name);
   Engine.run_for engine 1.0;
   check_digests ~ctx mon tb;
   (* Stats Reports against the reconstruction. *)
@@ -222,8 +220,7 @@ let scenario_scheduler seed =
   arm_benign mon tb;
   ignore (feed_all tb);
   let sched =
-    Scheduler.create ~quota:3
-      ~round_interval:0.5
+    Scheduler.create ~round_interval:0.5
       ~extra_supply:[ Prefix.of_string_exn "184.164.192.0/19" ]
       tb
   in
@@ -311,7 +308,7 @@ let scenario_detectors seed =
   Monitor.watch_moas mon moas ~origin:(Asn.of_int 65010);
   Monitor.allow_export mon ~mux:name ~peer:p1 (fun p ->
       Prefix.compare p leak <> 0);
-  Monitor.watch_flaps mon ~window_s:60.0 ~limit:4 flap;
+  Monitor.watch_flaps mon flap;
   Monitor.watch_reach mon dip ~floor:2;
   (* MOAS: injected twice, alerted once (dedup). *)
   Server.learn_route srv ~peer:p1 ~path:[ p1; Asn.of_int 65010 ] moas;
@@ -334,7 +331,7 @@ let scenario_detectors seed =
   Server.crash srv;
   Engine.run_for engine 1.0;
   Server.restart srv;
-  ignore (Testbed.feed_peer_routes tb ~site:name ~max_per_peer:25 ());
+  ignore (Testbed.feed_peer_routes tb ~site:name);
   Engine.run_for engine 0.5;
   List.iter
     (fun (kind, label) ->

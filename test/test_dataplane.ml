@@ -164,7 +164,7 @@ let test_rate_limiter () =
 
 let test_traceroute_path () =
   let e, f = line () in
-  let r = Traceroute.run f e ~src_node:"A" ~target:(ip "10.3.0.1") () in
+  let r = Traceroute.run f e ~src_node:"A" ~target:(ip "10.3.0.1") in
   check Alcotest.bool "reached" true r.Traceroute.reached;
   check Alcotest.(list string) "hops"
     [ "10.2.0.1"; "10.3.0.1" ]
@@ -174,11 +174,9 @@ let test_traceroute_path () =
 
 let test_traceroute_unreachable () =
   let e, f = line () in
-  let r =
-    Traceroute.run f e ~src_node:"A" ~target:(ip "99.0.0.1") ~max_ttl:4 ()
-  in
+  let r = Traceroute.run f e ~src_node:"A" ~target:(ip "99.0.0.1") in
   check Alcotest.bool "not reached" false r.Traceroute.reached;
-  check Alcotest.int "all stars" 4
+  check Alcotest.int "all stars, up to 30 hops" 30
     (List.length
        (List.filter (fun h -> h.Traceroute.responder = None) r.Traceroute.hops))
 

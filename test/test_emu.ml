@@ -56,8 +56,8 @@ let build_simple () =
   let _a = Mininext.add_pop emu "alpha" in
   let _b = Mininext.add_pop emu "beta" in
   let _c = Mininext.add_pop emu "gamma" in
-  Mininext.link emu "alpha" "beta" ();
-  Mininext.link emu "beta" "gamma" ();
+  Mininext.link emu "alpha" "beta";
+  Mininext.link emu "beta" "gamma";
   (e, f, emu)
 
 let test_mininext_ibgp_mesh () =
@@ -127,7 +127,6 @@ let test_mininext_he_backbone () =
 let test_mininext_igp_reroute_resync () =
   (* after an intradomain link change, sync_fibs re-steers traffic *)
   let e, f, emu = build_simple () in
-  Mininext.link emu "alpha" "gamma" ~weight:10 () (* backup path *);
   Mininext.start emu;
   Engine.run ~until:10.0 e;
   Mininext.originate_at emu "gamma" (pfx "184.164.230.0/24");
@@ -149,10 +148,10 @@ let test_mininext_igp_reroute_resync () =
     Engine.run_for e 5.0
   in
   send ();
-  check Alcotest.int "delivered via beta (weight 2 < 10)" 1 !got;
+  check Alcotest.int "delivered via beta (the only path)" 1 !got;
   check Alcotest.bool "crossed beta" true (!via_beta > 0);
-  (* cost out the alpha-beta link; IGP falls back to the direct link *)
-  Mininext.link emu "alpha" "beta" ~weight:20 ();
+  (* a direct alpha-gamma link (cost 1 < 2) takes over *)
+  Mininext.link emu "alpha" "gamma";
   Mininext.sync_fibs emu;
   let beta_before = !via_beta in
   send ();

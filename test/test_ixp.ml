@@ -27,7 +27,9 @@ let rs_with_members members =
 
 let test_rs_redistribution () =
   let rs = rs_with_members [ 10; 20; 30 ] in
-  let deliveries = Route_server.announce rs ~from:(asn 10) (mk_route "10.1.0.0/16" 10) in
+  let deliveries, _ =
+    Route_server.announce rs ~from:(asn 10) (mk_route "10.1.0.0/16" 10)
+  in
   check Alcotest.(list int) "everyone but sender"
     [ 20; 30 ]
     (List.map (fun (m, _) -> Asn.to_int m) deliveries);
@@ -39,7 +41,7 @@ let test_rs_transparent () =
   (* the server must not insert its own ASN in the path *)
   let rs = rs_with_members [ 10; 20 ] in
   match Route_server.announce rs ~from:(asn 10) (mk_route "10.1.0.0/16" 10) with
-  | [ (_, r) ] ->
+  | [ (_, r) ], [] ->
     check Alcotest.(list int) "path untouched" [ 10 ]
       (List.map Asn.to_int (As_path.to_asns r.Route.attrs.Attrs.as_path))
   | _ -> Alcotest.fail "expected one delivery"
@@ -48,7 +50,7 @@ let test_rs_block_community () =
   let rs = rs_with_members [ 10; 20; 30 ] in
   (* 0:20 = don't send to member 20 *)
   let r = mk_route ~communities:[ Community.make 0 20 ] "10.1.0.0/16" 10 in
-  let deliveries = Route_server.announce rs ~from:(asn 10) r in
+  let deliveries, _ = Route_server.announce rs ~from:(asn 10) r in
   check Alcotest.(list int) "20 excluded" [ 30 ]
     (List.map (fun (m, _) -> Asn.to_int m) deliveries)
 
@@ -60,7 +62,7 @@ let test_rs_whitelist_community () =
       ~communities:[ Community.make 0 0; Community.make 6777 30 ]
       "10.1.0.0/16" 10
   in
-  let deliveries = Route_server.announce rs ~from:(asn 10) r in
+  let deliveries, _ = Route_server.announce rs ~from:(asn 10) r in
   check Alcotest.(list int) "only 30" [ 30 ]
     (List.map (fun (m, _) -> Asn.to_int m) deliveries);
   (* control communities scrubbed before redistribution *)
@@ -102,15 +104,17 @@ let test_rs_withdraw_keeps_others () =
   check Alcotest.(list int) "10 keeps 20's route" [ 20 ] (origins 10);
   check Alcotest.int "retained" 2 (Route_server.route_count rs)
 
-(* A re-announcement that now blocks a member retracts the copy that
+(* A re-announcement that now blocks a member withdraws the copy that
    member already holds, so its later withdraw skips that member. *)
 let test_rs_reannounce_blocks () =
   let rs = rs_with_members [ 10; 20; 30 ] in
   ignore (Route_server.announce rs ~from:(asn 10) (mk_route "10.1.0.0/16" 10));
   let r = mk_route ~communities:[ Community.make 0 20 ] "10.1.0.0/16" 10 in
-  let deliveries = Route_server.announce rs ~from:(asn 10) r in
+  let deliveries, withdrawals = Route_server.announce rs ~from:(asn 10) r in
   check Alcotest.(list int) "re-announced to 30 only" [ 30 ]
     (List.map (fun (m, _) -> Asn.to_int m) deliveries);
+  check Alcotest.(list int) "withdrawn at 20" [ 20 ]
+    (List.map (fun (m, _) -> Asn.to_int m) withdrawals);
   check Alcotest.int "20 holds nothing" 0
     (List.length (Route_server.routes_for rs (asn 20)));
   check Alcotest.int "30 holds one" 1
@@ -118,6 +122,62 @@ let test_rs_reannounce_blocks () =
   let w = Route_server.withdraw rs ~from:(asn 10) (pfx "10.1.0.0/16") in
   check Alcotest.(list int) "withdrawn at 30 only" [ 30 ]
     (List.map (fun (m, _) -> Asn.to_int m) w)
+
+(* Each member's view, folded from what the server returns, equals
+   {!Route_server.routes_for} after every step, including
+   re-announcements whose communities block and then unblock a
+   member. *)
+let test_rs_member_views () =
+  let members = [ 10; 20; 30 ] in
+  let rs = rs_with_members members in
+  let p = "10.1.0.0/16" in
+  (* member -> (prefix, origin) pairs it holds *)
+  let views = Hashtbl.create 4 in
+  let view m = Option.value (Hashtbl.find_opt views m) ~default:[] in
+  let key from prefix = (Prefix.to_string prefix, from) in
+  let deliver from (m, (r : Route.t)) =
+    let k = key from r.Route.prefix in
+    Hashtbl.replace views (Asn.to_int m)
+      (k :: List.filter (( <> ) k) (view (Asn.to_int m)))
+  in
+  let retract from (m, prefix) =
+    Hashtbl.replace views (Asn.to_int m)
+      (List.filter (( <> ) (key from prefix)) (view (Asn.to_int m)))
+  in
+  let held m =
+    List.sort compare
+      (List.map
+         (fun (r : Route.t) ->
+           match As_path.to_asns r.Route.attrs.Attrs.as_path with
+           | o :: _ -> key (Asn.to_int o) r.Route.prefix
+           | [] -> Alcotest.fail "empty path")
+         (Route_server.routes_for rs (asn m)))
+  in
+  let agree step =
+    List.iter
+      (fun m ->
+        check
+          Alcotest.(list (pair string int))
+          (Printf.sprintf "%s: member %d" step m)
+          (held m)
+          (List.sort compare (view m)))
+      members
+  in
+  let announce from communities step =
+    let deliveries, withdrawals =
+      Route_server.announce rs ~from:(asn from) (mk_route ~communities p from)
+    in
+    List.iter (deliver from) deliveries;
+    List.iter (retract from) withdrawals;
+    agree step
+  in
+  announce 10 [] "announce";
+  announce 10 [ Community.make 0 20 ] "block 20";
+  announce 20 [] "second origin";
+  announce 10 [ Community.make 0 20; Community.make 0 30 ] "block 20 and 30";
+  announce 10 [] "unblock";
+  List.iter (retract 10) (Route_server.withdraw rs ~from:(asn 10) (pfx p));
+  agree "withdraw"
 
 let test_rs_disconnect () =
   let rs = rs_with_members [ 10; 20 ] in
@@ -233,6 +293,8 @@ let () =
             test_rs_withdraw_keeps_others;
           tc "re-announce retracts blocked copy" `Quick
             test_rs_reannounce_blocks;
+          tc "member views follow the returned updates" `Quick
+            test_rs_member_views;
           tc "disconnect" `Quick test_rs_disconnect
         ] );
       ( "fabric",

@@ -43,24 +43,16 @@ let world =
 let workload =
   lazy
     (let rng = Rng.create 123 in
-     Webworkload.generate
-       ~params:
-         { Webworkload.n_sites = 100;
-           mean_resources = 50.0;
-           n_resource_fqdns = 800;
-           cdn_share = 0.45;
-           site_cdn_share = 0.3
-         }
-       ~rng (Lazy.force world))
+     Webworkload.generate ~rng (Lazy.force world))
 
 let test_workload_shape () =
   let wl = Lazy.force workload in
-  check Alcotest.int "sites" 100 (List.length wl.Webworkload.sites);
+  check Alcotest.int "sites" 500 (List.length wl.Webworkload.sites);
   let total = Webworkload.total_resources wl in
   check Alcotest.bool "resources scale with mean" true
-    (total > 2000 && total < 12_000);
+    (total > 25_000 && total < 100_000);
   let fqdns = Webworkload.distinct_resource_fqdns wl in
-  check Alcotest.bool "fqdns below pool size" true (List.length fqdns <= 800);
+  check Alcotest.bool "fqdns below pool size" true (List.length fqdns <= 4_200);
   check Alcotest.bool "fqdn reuse happens" true (List.length fqdns < total)
 
 (* The AS originating the most specific prefix that holds [a]. *)
@@ -193,10 +185,11 @@ let test_reachability_cones () =
 
 let test_reachability_fraction () =
   let w = Lazy.force world in
-  (* peering with every tier-1 covers (almost) the whole Internet *)
+  (* each tier-1 exports only part of its cone, but the overlapping
+     cones of all of them still cover most of the Internet *)
   let t = Reachability.peer_routes w ~peers:w.Gen.tier1 in
   let frac = Reachability.fraction_of_internet t w in
-  check Alcotest.bool "tier1 cones cover most" true (frac > 0.9);
+  check Alcotest.bool "tier1 exports cover most" true (frac > 0.8 && frac < 1.0);
   (* peering with a handful of stubs covers almost nothing *)
   let stubs = List.filteri (fun i _ -> i < 5) w.Gen.stubs in
   let t2 = Reachability.peer_routes w ~peers:stubs in
@@ -221,12 +214,6 @@ let test_stats_slo () =
   (* p99 of [1; 2] interpolates to 1.99 *)
   check Alcotest.(float 1e-9) "p99" 1.99 v.Stats.p99_s;
   check Alcotest.(float 1e-9) "burn = p99/budget" 0.199 v.Stats.burn;
-  (* no samples: vacuously met, burn 0 (not nan) *)
-  let v0 = Stats.slo ~name:"x" ~budget_s:10.0 ~dropped:0 [] in
-  check Alcotest.bool "vacuous slo met" true v0.Stats.met;
-  check Alcotest.(float 1e-9) "vacuous p99" 0.0 v0.Stats.p99_s;
-  check Alcotest.(float 1e-9) "vacuous burn" 0.0 v0.Stats.burn;
-  check Alcotest.int "vacuous samples" 0 v0.Stats.samples;
   let burned = Stats.slo ~name:"x" ~budget_s:1.0 ~dropped:0 [ 1.0; 3.0 ] in
   check Alcotest.bool "slo burned over budget" false burned.Stats.met;
   (* a verdict over a truncated sample carries its drop count in the
@@ -241,6 +228,16 @@ let test_stats_slo () =
   check Alcotest.string "text row"
     "x                   1.990     10.000        2        3    0.199  true"
     (Stats.slo_row partial)
+
+(* No sample is a miss: a drill that ran but never recovered leaves
+   nothing to judge, and that must not read as a met budget. The p99
+   and burn stay 0, not nan. *)
+let test_stats_slo_empty () =
+  let v = Stats.slo ~name:"x" ~budget_s:10.0 ~dropped:0 [] in
+  check Alcotest.int "no samples" 0 v.Stats.samples;
+  check Alcotest.bool "not met" false v.Stats.met;
+  check Alcotest.(float 1e-9) "p99" 0.0 v.Stats.p99_s;
+  check Alcotest.(float 1e-9) "burn" 0.0 v.Stats.burn
 
 (* Nearest rank would take the 10th sample (10 s) and burn the budget;
    linear interpolation gives 9.91 s, within it. *)
@@ -686,6 +683,7 @@ let () =
       ( "stats",
         [ tc "basics" `Quick test_stats_basics;
           tc "slo" `Quick test_stats_slo;
+          tc "slo with no samples is a miss" `Quick test_stats_slo_empty;
           tc "slo p99 interpolates" `Quick test_stats_slo_interpolates;
           tc "edge cases" `Quick test_stats_edges;
           QCheck_alcotest.to_alcotest prop_percentile_monotone

@@ -197,29 +197,29 @@ let test_json_indented_bytes () =
 (* Metrics *)
 
 let test_metrics_basics () =
-  let r = Metrics.create () in
-  let c = Metrics.counter ~registry:r ~help:"test counter" "t.count" in
+  Metrics.reset ();
+  let c = Metrics.counter ~help:"test counter" "t.count" in
   Metrics.Counter.inc c;
   Metrics.Counter.add c 4;
   check Alcotest.int "counter" 5 (Metrics.Counter.value c);
   (* registration is memoised: same name, same instrument *)
-  let c' = Metrics.counter ~registry:r ~help:"test counter" "t.count" in
+  let c' = Metrics.counter ~help:"test counter" "t.count" in
   Metrics.Counter.inc c';
   check Alcotest.int "memoised" 6 (Metrics.Counter.value c);
-  let g = Metrics.gauge ~registry:r ~help:"test gauge" "t.gauge" in
+  let g = Metrics.gauge ~help:"test gauge" "t.gauge" in
   Metrics.Gauge.set g 3.0;
   Metrics.Gauge.set g 1.0;
   check Alcotest.(float 1e-9) "gauge level" 1.0 (Metrics.Gauge.value g);
   check Alcotest.(float 1e-9) "gauge hwm" 3.0 (Metrics.Gauge.hwm g);
   (* a name cannot change kind *)
-  match Metrics.gauge ~registry:r ~help:"oops" "t.count" with
+  match Metrics.gauge ~help:"oops" "t.count" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "kind mismatch accepted"
 
 let test_metrics_histogram_cap () =
-  let r = Metrics.create () in
+  Metrics.reset ();
   let h =
-    Metrics.histogram ~registry:r ~sample_cap:5 ~help:"capped" "t.hist"
+    Metrics.histogram ~sample_cap:5 ~help:"capped" "t.hist"
   in
   for i = 1 to 8 do
     Metrics.Histogram.observe h (float_of_int i)
@@ -232,47 +232,52 @@ let test_metrics_histogram_cap () =
   check Alcotest.int "dropped accounted" 3 (Metrics.Histogram.dropped h)
 
 let test_metrics_reset_and_snapshot () =
-  let r = Metrics.create () in
-  let c = Metrics.counter ~registry:r ~help:"c" "b.count" in
-  let g = Metrics.gauge ~registry:r ~help:"g" "a.gauge" in
-  let v = Metrics.counter ~registry:r ~volatile:true ~help:"v" "c.volatile" in
+  Metrics.reset ();
+  let c = Metrics.counter ~help:"c" "snap.b.count" in
+  let g = Metrics.gauge ~help:"g" "snap.a.gauge" in
+  let v = Metrics.counter ~volatile:true ~help:"v" "snap.c.volatile" in
   Metrics.Counter.inc c;
   Metrics.Gauge.set g 2.0;
   Metrics.Counter.inc v;
   (* snapshot is sorted by name and hides volatile rows by default *)
-  let names rows = List.map Metrics.row_name rows in
+  let names rows =
+    List.filter_map
+      (fun r ->
+        let n = Metrics.row_name r in
+        if String.starts_with ~prefix:"snap." n then Some n else None)
+      rows
+  in
   check
     Alcotest.(list string)
-    "sorted, volatile hidden" [ "a.gauge"; "b.count" ]
-    (names (Metrics.snapshot ~registry:r ()));
+    "sorted, volatile hidden" [ "snap.a.gauge"; "snap.b.count" ]
+    (names (Metrics.snapshot ()));
   check
     Alcotest.(list string)
     "volatile on demand"
-    [ "a.gauge"; "b.count"; "c.volatile" ]
-    (names (Metrics.snapshot ~include_volatile:true ~registry:r ()));
+    [ "snap.a.gauge"; "snap.b.count"; "snap.c.volatile" ]
+    (names (Metrics.snapshot ~include_volatile:true ()));
   (* reset zeroes in place; instruments already held stay live *)
-  Metrics.reset ~registry:r ();
+  Metrics.reset ();
   check Alcotest.int "counter zeroed" 0 (Metrics.Counter.value c);
   check Alcotest.(float 1e-9) "hwm zeroed" 0.0 (Metrics.Gauge.hwm g);
   Metrics.Counter.inc c;
   check Alcotest.int "instrument survives reset" 1 (Metrics.Counter.value c);
   check Alcotest.int "counter_value reads registry" 1
-    (Metrics.counter_value ~registry:r "b.count");
+    (Metrics.counter_value "snap.b.count");
   check Alcotest.int "unregistered reads zero" 0
-    (Metrics.counter_value ~registry:r "no.such.metric")
+    (Metrics.counter_value "no.such.metric")
 
 (* ------------------------------------------------------------------ *)
 (* Labeled metrics: duplicate keys, the label-set family cache, and
    the hot-path cost of an increment *)
 
 let test_duplicate_label_keys () =
-  let r = Metrics.create () in
+  Metrics.reset ();
   Alcotest.check_raises "adjacent duplicates rejected"
     (Invalid_argument "Metrics: duplicate label key \"site\" in label set")
     (fun () ->
       ignore
-        (Metrics.counter ~registry:r
-           ~labels:[ ("site", "ams"); ("site", "gru") ]
+        (Metrics.counter ~labels:[ ("site", "ams"); ("site", "gru") ]
            ~help:"dup" "dup.count"));
   (* Detection happens after canonical sorting, so non-adjacent
      duplicates are caught too. *)
@@ -280,13 +285,12 @@ let test_duplicate_label_keys () =
     (Invalid_argument "Metrics: duplicate label key \"a\" in label set")
     (fun () ->
       ignore
-        (Metrics.counter ~registry:r
-           ~labels:[ ("a", "1"); ("b", "2"); ("a", "3") ]
+        (Metrics.counter ~labels:[ ("a", "1"); ("b", "2"); ("a", "3") ]
            ~help:"dup" "dup2.count"))
 
 let test_family_cache () =
-  let r = Metrics.create () in
-  let fam = Metrics.Family.counter ~registry:r ~help:"f" "fam.count" in
+  Metrics.reset ();
+  let fam = Metrics.Family.counter ~help:"f" "fam.count" in
   let a = Metrics.Family.get fam [ ("site", "ams"); ("kind", "x") ] in
   let b = Metrics.Family.get fam [ ("kind", "x"); ("site", "ams") ] in
   check Alcotest.bool "same label set, same instrument" true (a == b);
@@ -296,13 +300,13 @@ let test_family_cache () =
   Metrics.Counter.inc a;
   Metrics.Counter.add b 2;
   check Alcotest.int "both handles hit one counter" 3
-    (Metrics.counter_value ~registry:r
-       ~labels:[ ("kind", "x"); ("site", "ams") ]
+    (Metrics.counter_value 
+           ~labels:[ ("kind", "x"); ("site", "ams") ]
        "fam.count")
 
 let test_family_hot_path_allocation () =
-  let r = Metrics.create () in
-  let fam = Metrics.Family.counter ~registry:r ~help:"f" "hot.count" in
+  Metrics.reset ();
+  let fam = Metrics.Family.counter ~help:"f" "hot.count" in
   let c = Metrics.Family.get fam [ ("site", "ams") ] in
   for _ = 1 to 100 do
     Metrics.Counter.inc c
@@ -317,7 +321,7 @@ let test_family_hot_path_allocation () =
   check Alcotest.bool "increment hot path is allocation-free" true
     (after -. before < 64.0);
   check Alcotest.int "increments landed" 10_100
-    (Metrics.counter_value ~registry:r ~labels:[ ("site", "ams") ] "hot.count")
+    (Metrics.counter_value ~labels:[ ("site", "ams") ] "hot.count")
 
 (* ------------------------------------------------------------------ *)
 (* Causal spans: contexts, the recorder, ambient stamping,
@@ -350,8 +354,17 @@ let test_span_contexts () =
   Sink.stop ();
   Sink.clear ()
 
+(* The recorder's bound on retained events and spans (sink.mli). *)
+let capacity = 100_000
+
+(* [n] filler events. *)
+let fill n =
+  for i = 1 to n do
+    Sink.emit ~time:0.0 ~subsystem:"fill" (Event.Ad_hoc (string_of_int i))
+  done
+
 let test_flight_recorder_drops () =
-  Sink.start ~capacity:2 ();
+  Sink.start ();
   List.iter
     (fun name ->
       let sp = Span.start ~time:0.0 name in
@@ -359,7 +372,9 @@ let test_flight_recorder_drops () =
       (* finishing again is a no-op, not a duplicate record *)
       Span.finish sp ~time:9.0)
     [ "a"; "b"; "c" ];
-  check Alcotest.int "capacity bound holds" 2 (List.length (Sink.spans ()));
+  fill (capacity - 2);
+  check Alcotest.int "capacity bound holds" capacity
+    (List.length (Sink.spans ()) + List.length (Sink.events ()));
   check Alcotest.int "drop accounted" 1 (Sink.dropped ());
   (match Sink.spans () with
   | [ b; c ] ->
@@ -516,13 +531,13 @@ let test_trace_roundtrip () =
     (where ~subsystem:"bgp" ~needle:"hijack" ())
 
 let test_trace_capacity () =
-  Sink.start ~capacity:10 ();
-  for i = 1 to 25 do
+  Sink.start ();
+  for i = 1 to capacity + 15 do
     ad_hoc ~time:(float_of_int i) ~level:Event.Debug ~subsystem:"x"
       (string_of_int i)
   done;
   Sink.stop ();
-  check Alcotest.int "bounded" 10 (List.length (Sink.events ()));
+  check Alcotest.int "bounded" capacity (List.length (Sink.events ()));
   check Alcotest.int "dropped" 15 (Sink.dropped ());
   match Sink.events () with
   | e :: _ -> check Alcotest.string "oldest retained" "16" (Sink.message e)
@@ -532,16 +547,20 @@ let test_trace_capacity () =
    both kinds and each eviction is counted once. *)
 let test_shared_capacity () =
   Metrics.reset ();
-  Sink.start ~capacity:3 ();
+  Sink.start ();
   let span name = Span.finish (Span.start ~time:0.0 name) ~time:1.0 in
   ad_hoc ~time:0.0 ~subsystem:"t" "e1";
   span "a";
   ad_hoc ~time:0.0 ~subsystem:"t" "e2";
   span "b";
   ad_hoc ~time:0.0 ~subsystem:"t" "e3";
+  fill (capacity - 3);
   Sink.stop ();
   check Alcotest.(list string) "oldest events evicted" [ "e2"; "e3" ]
-    (List.map Sink.message (Sink.events ()));
+    (List.filter_map
+       (fun (e : Sink.event) ->
+         if e.Sink.subsystem = "t" then Some (Sink.message e) else None)
+       (Sink.events ()));
   check Alcotest.(list string) "oldest span evicted" [ "b" ]
     (List.map (fun (sp : Span.completed) -> sp.Span.name) (Sink.spans ()));
   check Alcotest.int "dropped counted once" 2 (Sink.dropped ());
@@ -560,8 +579,8 @@ let test_off_after_stop () =
   check Alcotest.int "no spans after stop" 0 (List.length (Sink.spans ()))
 
 let test_start_clears () =
-  Sink.start ~capacity:1 ();
-  ad_hoc ~time:0.0 ~subsystem:"t" "old";
+  Sink.start ();
+  fill capacity;
   Span.with_span "old" (fun () -> ());
   check Alcotest.int "previous run dropped one" 1 (Sink.dropped ());
   Sink.start ();
@@ -630,20 +649,22 @@ let test_snapshot_determinism () =
 (* Obs_report rendering *)
 
 let test_obs_report () =
-  let r = Metrics.create () in
-  let c = Metrics.counter ~registry:r ~help:"c" "x.count" in
-  let h = Metrics.histogram ~registry:r ~help:"h" "x.hist" in
+  Metrics.reset ();
+  let c = Metrics.counter ~help:"c" "x.count" in
+  let h = Metrics.histogram ~help:"h" "x.hist" in
   Metrics.Counter.add c 7;
   List.iter (Metrics.Histogram.observe h) [ 1.0; 2.0; 3.0 ];
-  let txt = Obs_report.render ~registry:r () in
+  let txt = Obs_report.render () in
   check Alcotest.bool "text mentions counter" true (contains txt "x.count");
   check Alcotest.bool "no drop, no dropped= field" false
     (contains txt "dropped=");
-  let capped = Metrics.histogram ~registry:r ~sample_cap:2 ~help:"h" "x.capped" in
+  let capped =
+    Metrics.histogram ~sample_cap:2 ~help:"h" "x.capped"
+  in
   List.iter (Metrics.Histogram.observe capped) [ 1.0; 2.0; 3.0; 4.0; 5.0 ];
   check Alcotest.bool "text shows the histogram's drops" true
-    (contains (Obs_report.render ~registry:r ()) "n=5 sum=15 p50=1.5 p90=1.9 p99=1.99 dropped=3");
-  let json = Obs_report.to_json ~registry:r () in
+    (contains (Obs_report.render ()) "n=5 sum=15 p50=1.5 p90=1.9 p99=1.99 dropped=3");
+  let json = Obs_report.to_json () in
   (match Json.member "x.count" json with
   | Some (Json.Int 7) -> ()
   | _ -> Alcotest.fail "counter json");
@@ -659,17 +680,15 @@ let test_obs_report () =
 
 let test_drop_rows () =
   Metrics.reset ();
-  (* capacity 2, three events and two spans -> three drops *)
-  Sink.start ~capacity:2 ();
-  for i = 1 to 3 do
-    ad_hoc ~time:(float_of_int i) ~subsystem:"t" (Printf.sprintf "ev %d" i)
-  done;
+  (* a full recorder, one more event and two spans -> three drops *)
+  Sink.start ();
+  fill (capacity + 1);
   List.iter (fun name -> Span.with_span name (fun () -> ())) [ "a"; "b" ];
   Sink.stop ();
   Sink.clear ();
   check Alcotest.int "obs.recorder.dropped row" 3
     (Metrics.counter_value "obs.recorder.dropped");
-  let txt = Obs_report.render ~include_volatile:true () in
+  let txt = Obs_report.render () in
   check Alcotest.bool "stats text carries the recorder drop row" true
     (contains txt "obs.recorder.dropped")
 

@@ -109,11 +109,19 @@ let test_no_export_community () =
   ignore (Router.connect e (r1, ip "10.0.12.1") (r2, ip "10.0.12.2"));
   ignore (Router.connect e (r2, ip "10.0.23.2") (r3, ip "10.0.23.3"));
   Engine.run ~until:5.0 e;
-  Router.originate r1 ~communities:[ Community.no_export ] (pfx "10.1.0.0/16");
+  (* r2 tags what it hears from r1 with NO_EXPORT *)
+  Router.set_import_policy r2 (ip "10.0.12.1")
+    (Policy.of_entries
+       [ { Policy.seq = 10;
+           decision = Policy.Permit;
+           conds = [];
+           actions = [ Policy.Add_community Community.no_export ]
+         }
+       ]);
+  Router.originate r1 (pfx "10.1.0.0/16");
   Engine.run ~until:10.0 e;
-  check Alcotest.bool "neighbor hears it" false
-    (Router.best_route r2 (pfx "10.1.0.0/16") <> None
-     && false (* r1->r2 is eBGP: no-export blocks even the first hop *));
+  check Alcotest.bool "neighbor hears it" true
+    (Router.best_route r2 (pfx "10.1.0.0/16") <> None);
   check Alcotest.bool "not beyond" true
     (Router.best_route r3 (pfx "10.1.0.0/16") = None)
 
@@ -191,7 +199,7 @@ let test_mrai_withdraw_not_lost () =
 
 let test_memory_model_linear () =
   let m peers prefixes =
-    Memory.model_bytes ~peers ~prefixes_per_peer:prefixes ()
+    Memory.model_bytes ~peers ~prefixes_per_peer:prefixes
   in
   (* linear in prefixes *)
   let base = m 5 0 in

@@ -70,7 +70,7 @@ let run_scenario seed =
   let tb = Testbed.build ~params:(params seed) () in
   let rng = Random.State.make [| 0x5ced; seed |] in
   let sched =
-    Scheduler.create ~quota:(2 + Random.State.int rng 3) ~round_interval:0.5
+    Scheduler.create ~round_interval:0.5
       ~extra_supply:[ Prefix.of_string_exn "184.164.192.0/19" ]
       tb
   in

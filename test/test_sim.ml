@@ -194,18 +194,6 @@ let test_engine_nan_rejected () =
   check Alcotest.bool "NaN horizon runs nothing" false !fired;
   check Alcotest.(float 0.0) "clock unchanged" 5.0 (Engine.now e)
 
-let test_engine_max_events () =
-  let e = Engine.create () in
-  let count = ref 0 in
-  let rec reschedule () =
-    incr count;
-    Engine.schedule e ~delay:1.0 reschedule
-  in
-  Engine.schedule e ~delay:1.0 reschedule;
-  (* a self-rescheduling event would run forever; max_events bounds it *)
-  Engine.run ~max_events:25 e;
-  check Alcotest.int "bounded" 25 !count
-
 let test_rng_distributions () =
   let rng = Rng.create 23 in
   (* exponential: mean close to parameter *)
@@ -238,7 +226,6 @@ let () =
           tc "run_for" `Quick test_engine_run_for;
           tc "past rejected" `Quick test_engine_past_rejected;
           tc "NaN rejected" `Quick test_engine_nan_rejected;
-          tc "max events" `Quick test_engine_max_events;
           tc "distributions" `Quick test_rng_distributions
         ] )
     ]
