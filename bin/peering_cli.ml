@@ -1232,9 +1232,9 @@ let portal_cmd =
     List.iter
       (fun (id, outcome) ->
         match outcome with
-        | Ok _ -> Printf.printf "proposal %s: approved by the board\n" id
+        | Ok _ -> Printf.printf "proposal %s: approved and activated\n" id
         | Error e -> Printf.printf "proposal %s: %s\n" id e)
-      (Portal.run_board portal);
+      (Portal.forward_queued portal);
     match Portal.provision portal ~experiment_id:"cli-portal" with
     | Ok kit ->
       Printf.printf "\n--- generated client configuration ---\n%s"

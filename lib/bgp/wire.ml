@@ -57,71 +57,76 @@ let put_prefix opts b (path_id, p) =
 
 let encode_prefix b p = put_prefix default_opts b (0, p)
 
-let put_as_path opts b path =
-  List.iter
-    (fun seg ->
-      let ty, asns =
-        match seg with
-        | As_path.Set l -> (1, l)
-        | As_path.Seq l -> (2, l)
-      in
-      put_u8 b ty;
-      put_u8 b (List.length asns);
-      List.iter (put_asn opts b) asns)
-    path
-
-let put_attribute b ~flags ~code body =
-  let len = Buffer.length body in
+let put_attr_header b ~flags ~code len =
   let flags = if len > 255 then flags lor 0x10 else flags in
   put_u8 b flags;
   put_u8 b code;
-  if flags land 0x10 <> 0 then put_u16 b len else put_u8 b len;
+  if flags land 0x10 <> 0 then put_u16 b len else put_u8 b len
+
+let put_attribute b ~flags ~code body =
+  put_attr_header b ~flags ~code (Buffer.length body);
   Buffer.add_buffer b body
 
+(* A 4-octet session takes the stored bytes as they are; a 2-octet one
+   transcodes each segment, with AS_TRANS for an ASN above 65,535. *)
+let put_as_path opts b path =
+  if opts.four_octet_asn then begin
+    let body = As_path.to_wire path in
+    put_attr_header b ~flags:0x40 ~code:2 (String.length body);
+    Buffer.add_string b body
+  end
+  else begin
+    let segs =
+      List.map
+        (function As_path.Set l -> (1, l) | As_path.Seq l -> (2, l))
+        (As_path.segments path)
+    in
+    put_attr_header b ~flags:0x40 ~code:2
+      (List.fold_left (fun acc (_, l) -> acc + 2 + (2 * List.length l)) 0 segs);
+    List.iter
+      (fun (ty, asns) ->
+        put_u8 b ty;
+        put_u8 b (List.length asns);
+        List.iter (put_asn opts b) asns)
+      segs
+  end
+
+(* Every attribute's length is known before its body is written, so
+   each header goes straight into the one buffer. *)
 let attrs_buffer ?(with_next_hop = true) opts (a : Attrs.t) =
   let b = Buffer.create 64 in
   (* ORIGIN, well-known mandatory *)
-  let body = Buffer.create 1 in
-  put_u8 body (Attrs.origin_rank a.origin);
-  put_attribute b ~flags:0x40 ~code:1 body;
-  (* AS_PATH *)
-  let body = Buffer.create 16 in
-  put_as_path opts body a.as_path;
-  put_attribute b ~flags:0x40 ~code:2 body;
+  put_attr_header b ~flags:0x40 ~code:1 1;
+  put_u8 b (Attrs.origin_rank a.origin);
+  put_as_path opts b a.as_path;
   (* NEXT_HOP — omitted for MRT RIB_IPV6 entries, where reachability
      lives in an abbreviated MP_REACH_NLRI instead (RFC 6396 §4.3.4) *)
   if with_next_hop then begin
-    let body = Buffer.create 4 in
-    put_u32 body (Ipv4.to_int a.next_hop);
-    put_attribute b ~flags:0x40 ~code:3 body
+    put_attr_header b ~flags:0x40 ~code:3 4;
+    put_u32 b (Ipv4.to_int a.next_hop)
   end;
   (* MED, optional non-transitive *)
   Option.iter
     (fun med ->
-      let body = Buffer.create 4 in
-      put_u32 body med;
-      put_attribute b ~flags:0x80 ~code:4 body)
+      put_attr_header b ~flags:0x80 ~code:4 4;
+      put_u32 b med)
     a.med;
   (* LOCAL_PREF *)
   Option.iter
     (fun lp ->
-      let body = Buffer.create 4 in
-      put_u32 body lp;
-      put_attribute b ~flags:0x40 ~code:5 body)
+      put_attr_header b ~flags:0x40 ~code:5 4;
+      put_u32 b lp)
     a.local_pref;
-  if a.atomic_aggregate then
-    put_attribute b ~flags:0x40 ~code:6 (Buffer.create 0);
+  if a.atomic_aggregate then put_attr_header b ~flags:0x40 ~code:6 0;
   Option.iter
     (fun (asn, addr) ->
-      let body = Buffer.create 8 in
-      put_asn opts body asn;
-      put_u32 body (Ipv4.to_int addr);
-      put_attribute b ~flags:0xC0 ~code:7 body)
+      put_attr_header b ~flags:0xC0 ~code:7 (if opts.four_octet_asn then 8 else 6);
+      put_asn opts b asn;
+      put_u32 b (Ipv4.to_int addr))
     a.aggregator;
   if a.communities <> [] then begin
-    let body = Buffer.create (4 * List.length a.communities) in
-    List.iter (fun c -> put_u32 body (Community.to_int32 c)) a.communities;
-    put_attribute b ~flags:0xC0 ~code:8 body
+    put_attr_header b ~flags:0xC0 ~code:8 (4 * List.length a.communities);
+    List.iter (fun c -> put_u32 b (Community.to_int32 c)) a.communities
   end;
   b
 
@@ -286,20 +291,29 @@ let get_prefixes opts c =
   List.rev !acc
 
 let get_as_path opts c =
-  let segs = ref [] in
-  while Cursor.remaining c > 0 do
-    let ty = Cursor.u8 c in
-    let n = Cursor.u8 c in
-    let asns = List.init n (fun _ -> get_asn opts c) in
-    let seg =
-      match ty with
-      | 1 -> As_path.Set asns
-      | 2 -> As_path.Seq asns
-      | t -> raise (Error (Bad_attribute (Printf.sprintf "segment type %d" t)))
-    in
-    segs := seg :: !segs
-  done;
-  List.rev !segs
+  if opts.four_octet_asn then begin
+    match As_path.of_wire c.Cursor.buf ~pos:c.pos ~len:(Cursor.remaining c) with
+    | Ok p -> p
+    | Error `Truncated -> raise (Error Truncated)
+    | Error (`Segment_type t) ->
+      raise (Error (Bad_attribute (Printf.sprintf "segment type %d" t)))
+  end
+  else begin
+    let segs = ref [] in
+    while Cursor.remaining c > 0 do
+      let ty = Cursor.u8 c in
+      let n = Cursor.u8 c in
+      let asns = List.init n (fun _ -> get_asn opts c) in
+      let seg =
+        match ty with
+        | 1 -> As_path.Set asns
+        | 2 -> As_path.Seq asns
+        | t -> raise (Error (Bad_attribute (Printf.sprintf "segment type %d" t)))
+      in
+      segs := seg :: !segs
+    done;
+    As_path.of_segments (List.rev !segs)
+  end
 
 type partial_attrs = {
   mutable p_origin : Attrs.origin option;

@@ -57,7 +57,7 @@ let submit t ~username ~id ~description =
 
 let pending t = t.queue
 
-let run_board t =
+let forward_queued t =
   let ctl = Testbed.controller t.testbed in
   let outcomes =
     List.map

@@ -6,8 +6,7 @@
 
     The advisory board's vetting is the controller's
     ({!Controller.propose}): a proposal asks for one prefix and no
-    dangerous capability, and the board approves it when the
-    controller does. *)
+    dangerous capability, and the portal only forwards it there. *)
 
 open Peering_net
 
@@ -56,11 +55,11 @@ val submit :
 
 val pending : t -> proposal list
 
-val run_board : t -> (string * (Experiment.t, string) result) list
-(** Review every pending proposal: one the controller approves is
-    provisioned (allocation + activation); a rejection reports the
-    controller's reason. Returns per-proposal outcomes and clears the
-    queue. *)
+val forward_queued : t -> (string * (Experiment.t, string) result) list
+(** Forward every pending proposal to {!Controller.propose}, in queue
+    order: one the controller approves is activated; a rejection
+    reports the controller's reason. Returns per-proposal outcomes and
+    clears the queue. *)
 
 val provision : t -> experiment_id:string -> (provision_kit, string) result
 (** Produce the provisioning kit for an approved experiment: the

@@ -93,7 +93,8 @@ type mux_mode = Per_peer_sessions | Add_path_mux
    Adj-RIB-In, with the table's live route count for Stats Reports. *)
 type peer = {
   peer_asn : Asn.t;
-  addr : Ipv4.t;
+  (* built at the peer's first learned route and shared by all of them *)
+  mutable source : Route.source option;
   mutable table : Route.t Prefix.Map.t;
   mutable n_routes : int;
 }
@@ -200,8 +201,17 @@ let bmp_open ~asn ~router_id =
     capabilities = [ Capability.Four_octet_asn (Asn.to_int asn) ]
   }
 
+let default_peer_addr asn =
+  (* A stable synthetic session address per peer ASN. *)
+  let a = Asn.to_int asn in
+  Ipv4.of_octets 172 (16 + (a lsr 16 land 0x0F)) (a lsr 8 land 0xFF)
+    (a land 0xFF)
+
+let peer_addr p = default_peer_addr p.peer_asn
+
 let bmp_peer_hdr ?time t p =
-  Bmp.make_peer_header ~addr:p.addr ~asn:p.peer_asn ~bgp_id:p.addr
+  let addr = peer_addr p in
+  Bmp.make_peer_header ~addr ~asn:p.peer_asn ~bgp_id:addr
     ~time:(Option.value time ~default:(Engine.now t.engine))
     ()
 
@@ -218,7 +228,7 @@ let bmp_peer_up t p =
          local_port = 179;
          remote_port = 179;
          sent_open = bmp_open ~asn:t.asn ~router_id:bmp_local_addr;
-         recv_open = bmp_open ~asn:p.peer_asn ~router_id:p.addr
+         recv_open = bmp_open ~asn:p.peer_asn ~router_id:(peer_addr p)
        })
 
 let bmp_peer_down t p ~reason =
@@ -245,17 +255,10 @@ let bmp_withdraw t p prefix =
   in
   bmp_emit t (Bmp.Route_monitoring { peer = bmp_peer_hdr t p; update })
 
-let default_peer_addr asn =
-  (* A stable synthetic session address per peer ASN. *)
-  let a = Asn.to_int asn in
-  Ipv4.of_octets 172 (16 + (a lsr 16 land 0x0F)) (a lsr 8 land 0xFF)
-    (a land 0xFF)
-
 let add_peer t peer_asn =
   if Hashtbl.mem t.by_asn (Asn.to_int peer_asn) then
     invalid_arg "Server.add_peer: duplicate peer";
-  let addr = default_peer_addr peer_asn in
-  let p = { peer_asn; addr; table = Prefix.Map.empty; n_routes = 0 } in
+  let p = { peer_asn; source = None; table = Prefix.Map.empty; n_routes = 0 } in
   Hashtbl.replace t.by_asn (Asn.to_int peer_asn) p;
   t.peers_rev <- p :: t.peers_rev;
   t.peer_set <- Asn.Set.add peer_asn t.peer_set;
@@ -414,20 +417,29 @@ let note_bmp_change t p =
   t.bmp_changes <- t.bmp_changes + 1;
   if t.bmp_changes mod 100 = 0 then bmp_stats_peer t p
 
+let peer_source p =
+  match p.source with
+  | Some _ as source -> source
+  | None ->
+    let addr = peer_addr p in
+    let source =
+      Some
+        { Route.peer_asn = p.peer_asn; peer_addr = addr; peer_router_id = addr;
+          ebgp = true }
+    in
+    p.source <- source;
+    source
+
 let learn_route t ~peer ~path prefix =
   match Hashtbl.find_opt t.by_asn (Asn.to_int peer) with
   | None -> invalid_arg "Server.learn_route: unknown peer"
   | Some _ when not t.up -> ()  (* crashed mux hears nothing *)
   | Some p ->
     let attrs =
-      Attrs.make ~as_path:(As_path.of_asns path) ~next_hop:p.addr ()
-    in
-    let source =
-      { Route.peer_asn = peer; peer_addr = p.addr; peer_router_id = p.addr;
-        ebgp = true }
+      Attrs.make ~as_path:(As_path.of_asns path) ~next_hop:(peer_addr p) ()
     in
     let route =
-      Route.make ~source ~learned_at:(Engine.now t.engine) prefix attrs
+      Route.make ?source:(peer_source p) ~learned_at:(Engine.now t.engine) prefix attrs
     in
     if not (Prefix.Map.mem prefix p.table) then p.n_routes <- p.n_routes + 1;
     p.table <- Prefix.Map.add prefix route p.table;

@@ -43,6 +43,9 @@ type peer_state = {
   mutable p_up : bool;
   mutable p_table : Route.t Prefix.Map.t;
   mutable p_reported : int option;
+  (* the source of the peer's last announce, shared by its routes while
+     the header's address and BGP id stay the same *)
+  mutable p_source : Route.source option;
 }
 
 type mux_state = {
@@ -121,7 +124,10 @@ let peer_state mx asn =
   match Hashtbl.find_opt mx.peers key with
   | Some p -> p
   | None ->
-    let p = { p_up = false; p_table = Prefix.Map.empty; p_reported = None } in
+    let p =
+      { p_up = false; p_table = Prefix.Map.empty; p_reported = None;
+        p_source = None }
+    in
     Hashtbl.replace mx.peers key p;
     p
 
@@ -216,13 +222,24 @@ let on_announce t ~mux mx (hdr : Bmp.peer_header) attrs (path_id, prefix) =
   let time = Bmp.time hdr in
   let ps = peer_state mx hdr.Bmp.peer_asn in
   let source =
-    { Route.peer_asn = hdr.Bmp.peer_asn;
-      peer_addr = hdr.Bmp.peer_addr;
-      peer_router_id = hdr.Bmp.peer_bgp_id;
-      ebgp = true
-    }
+    match ps.p_source with
+    | Some s as source
+      when Ipv4.equal s.Route.peer_addr hdr.Bmp.peer_addr
+           && Ipv4.equal s.Route.peer_router_id hdr.Bmp.peer_bgp_id ->
+      source
+    | _ ->
+      let source =
+        Some
+          { Route.peer_asn = hdr.Bmp.peer_asn;
+            peer_addr = hdr.Bmp.peer_addr;
+            peer_router_id = hdr.Bmp.peer_bgp_id;
+            ebgp = true
+          }
+      in
+      ps.p_source <- source;
+      source
   in
-  let route = Route.make ~source ~path_id ~learned_at:time prefix attrs in
+  let route = Route.make ?source ~path_id ~learned_at:time prefix attrs in
   ps.p_table <- Prefix.Map.add prefix route ps.p_table;
   (* MOAS: watched prefix announced from an unexpected origin *)
   (match Hashtbl.find_opt t.watches prefix with

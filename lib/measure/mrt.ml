@@ -488,9 +488,7 @@ let peer_v6_addr i p =
    [peer]: peer AS, a transit hop drawn from the RNG, the origin. *)
 let entry_attrs rng ~vias ~peer ~origin ~next_hop =
   let via = Rng.choice rng vias in
-  let as_path =
-    [ As_path.Seq (dedup_adjacent [ peer.asn; via; origin ]) ]
-  in
+  let as_path = As_path.of_asns (dedup_adjacent [ peer.asn; via; origin ]) in
   let med = if Rng.bool rng then Some (Rng.int rng 200) else None in
   let communities =
     if Rng.int rng 4 = 0 then
@@ -644,20 +642,23 @@ type load = {
 let peer_key i = Printf.sprintf "peer%03d" i
 
 (* A PEER_INDEX_TABLE entry as RIB entries use it: the RIB peer key and
-   the route source, built once per table rather than once per entry. *)
-type indexed_peer = { key : string; source : Route.source }
+   the route source, built once per table rather than once per entry.
+   The source is kept as the option [Route.make] takes, so every route
+   of a peer shares one block. *)
+type indexed_peer = { key : string; source : Route.source option }
 
 let index_peers parr =
   Array.mapi
     (fun i p ->
       { key = peer_key i;
         source =
-          Route.
-            { peer_asn = p.asn;
-              peer_addr = peer_v4_addr p;
-              peer_router_id = p.bgp_id;
-              ebgp = true
-            }
+          Some
+            Route.
+              { peer_asn = p.asn;
+                peer_addr = peer_v4_addr p;
+                peer_router_id = p.bgp_id;
+                ebgp = true
+              }
       })
     parr
 
@@ -684,7 +685,7 @@ let load buf =
           let p = peer_at e.peer_index in
           ignore
             (Rib.announce rib ~peer:p.key
-               (Route.make ~source:p.source prefix e.attrs));
+               (Route.make ?source:p.source prefix e.attrs));
           incr routes4)
         entries
     | Rib_v6 { entries; _ } ->

@@ -23,11 +23,12 @@ let fill_rib ~peers ~prefixes_per_peer =
   for peer = 1 to peers do
     let peer_addr = Ipv4.of_octets 10 0 (peer lsr 8) (peer land 0xFF) in
     let source =
-      { Route.peer_asn = Asn.of_int (64000 + peer);
-        peer_addr;
-        peer_router_id = peer_addr;
-        ebgp = true
-      }
+      Some
+        { Route.peer_asn = Asn.of_int (64000 + peer);
+          peer_addr;
+          peer_router_id = peer_addr;
+          ebgp = true
+        }
     in
     let key = Ipv4.to_string peer_addr in
     for i = 0 to prefixes_per_peer - 1 do
@@ -39,7 +40,7 @@ let fill_rib ~peers ~prefixes_per_peer =
                [ Asn.of_int (64000 + peer); Asn.of_int (3356 + (i mod 11)) ])
           ~next_hop:peer_addr ()
       in
-      ignore (Rib.announce rib ~peer:key (Route.make ~source prefix attrs))
+      ignore (Rib.announce rib ~peer:key (Route.make ?source prefix attrs))
     done
   done;
   rib

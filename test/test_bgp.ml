@@ -24,7 +24,10 @@ let test_path_prepend () =
     (Option.map Asn.to_int (As_path.origin_asn p5))
 
 let test_path_set_length () =
-  let p = [ As_path.Seq [ asn 1; asn 2 ]; As_path.Set [ asn 3; asn 4; asn 5 ] ] in
+  let p =
+    As_path.of_segments
+      [ As_path.Seq [ asn 1; asn 2 ]; As_path.Set [ asn 3; asn 4; asn 5 ] ]
+  in
   check Alcotest.int "set counts one" 3 (As_path.length p);
   check Alcotest.bool "mem in set" true (As_path.mem (asn 4) p);
   check Alcotest.bool "not mem" false (As_path.mem (asn 9) p)
@@ -35,8 +38,135 @@ let test_path_strip_private () =
   check Alcotest.(list int) "private gone" [ 47065; 3356 ]
     (List.map Asn.to_int (As_path.to_asns stripped));
   (* all-private segment disappears entirely *)
-  let q = [ As_path.Seq [ asn 64512; asn 64513 ] ] in
-  check Alcotest.bool "empty after strip" true (As_path.strip_private q = [])
+  let q = As_path.of_segments [ As_path.Seq [ asn 64512; asn 64513 ] ] in
+  check Alcotest.bool "empty after strip" true
+    (As_path.segments (As_path.strip_private q) = [])
+
+let seg_lengths p =
+  List.map (fun (As_path.Seq l | As_path.Set l) -> List.length l) (As_path.segments p)
+
+(* A 300-ASN sequence is two segments, 255 then 45, and crosses the wire
+   and BMP whole: a count byte cannot hold 300. *)
+let test_path_split_255 () =
+  let p = As_path.of_asns (List.init 300 (fun i -> asn (70_000 + i))) in
+  check Alcotest.(list int) "split at 255" [ 255; 45 ] (seg_lengths p);
+  check Alcotest.int "length" 300 (As_path.length p);
+  check Alcotest.(option int) "origin" (Some 70_299)
+    (Option.map Asn.to_int (As_path.origin_asn p));
+  let update p =
+    { Message.withdrawn = [];
+      attrs = Some (Attrs.make ~as_path:p ~next_hop:(ip "10.0.0.1") ());
+      nlri = [ (0, pfx "184.164.224.0/24") ]
+    }
+  in
+  let wire name opts p =
+    let u = update p in
+    match Wire.decode opts (Wire.encode opts (Message.Update u)) ~pos:0 with
+    | Ok (Message.Update u', _) -> check Alcotest.bool name true (u' = u)
+    | Ok _ -> Alcotest.failf "%s: not an update" name
+    | Error e -> Alcotest.failf "%s: %s" name (Wire.error_to_string e)
+  in
+  wire "wire, 4-octet" { Wire.four_octet_asn = true; add_path = false } p;
+  wire "wire, 2-octet" Wire.default_opts
+    (As_path.of_asns (List.init 300 (fun i -> asn (1_000 + i))));
+  let msg =
+    Bmp.Route_monitoring
+      { peer = Bmp.make_peer_header ~addr:(ip "100.65.0.1") ~asn:(asn 65010)
+          ~time:1.0 ();
+        update = update p
+      }
+  in
+  match Bmp.decode (Bmp.encode msg) ~pos:0 with
+  | Ok (m, _) -> check Alcotest.bool "bmp" true (m = msg)
+  | Error e -> Alcotest.failf "bmp: %s" (Bmp.error_to_string e)
+
+let test_path_prepend_full_segment () =
+  let full = As_path.of_asns (List.init 255 (fun i -> asn (100 + i))) in
+  let p = As_path.prepend (asn 7) full in
+  check Alcotest.(list int) "new leading segment" [ 1; 255 ] (seg_lengths p);
+  check Alcotest.int "length" 256 (As_path.length p);
+  check Alcotest.(option int) "neighbor" (Some 7)
+    (Option.map Asn.to_int (As_path.neighbor_asn p));
+  check Alcotest.(list int) "next prepend extends it" [ 2; 255 ]
+    (seg_lengths (As_path.prepend (asn 8) p))
+
+(* The packed As_path against the segment-list reference, on segments
+   of 0-255 ASNs from the whole 32-bit space. *)
+module Ref = As_path_reference
+
+let gen_wide_asn =
+  QCheck.Gen.(
+    map asn
+      (frequency
+         [ (3, int_range 0 65_535);
+           (1, int_range 64_512 65_534);
+           (3, int_range 65_536 0xFFFF_FFFF);
+           (1, int_range 4_200_000_000 4_294_967_294)
+         ]))
+
+let gen_segments =
+  QCheck.Gen.(
+    list_size (int_range 0 4)
+      (let* n = frequency [ (6, int_range 0 4); (1, int_range 0 255) ] in
+       let* l = list_repeat n gen_wide_asn in
+       oneofl [ As_path.Seq l; As_path.Set l ]))
+
+let prop_as_path_reference =
+  QCheck.Test.make ~name:"as-path = segment-list reference" ~count:500
+    (QCheck.make
+       QCheck.Gen.(quad gen_segments gen_segments gen_wide_asn (int_range 0 3)))
+    (fun (s1, s2, a, n) ->
+      let ok what b = b || QCheck.Test.fail_reportf "%s differs" what in
+      let p = As_path.of_segments s1 and r = Ref.of_segments s1 in
+      let agree what p r = ok what (As_path.segments p = r) in
+      let probe = match Ref.to_asns r with x :: _ -> x | [] -> a in
+      let wire opts p =
+        let attrs = Attrs.make ~as_path:p ~next_hop:(ip "10.0.0.1") () in
+        match
+          Wire.decode_attrs opts (Wire.Cursor.of_bytes (Wire.encode_attrs opts attrs))
+        with
+        | Ok (Some a) -> As_path.segments a.Attrs.as_path
+        | Ok None -> QCheck.Test.fail_report "no attributes"
+        | Error e -> QCheck.Test.fail_reportf "wire: %s" (Wire.error_to_string e)
+      in
+      let trans =
+        List.map (fun a -> if Asn.to_int a > 0xFFFF then asn 23456 else a)
+      in
+      (* pairs that share segments, differ in a segment's type, or in
+         length, besides two unrelated paths *)
+      let pairs =
+        let drop_last l = List.filteri (fun i _ -> i < List.length l - 1) l in
+        let flip =
+          List.map (function As_path.Seq l -> As_path.Set l | As_path.Set l -> As_path.Seq l)
+        in
+        [ s2; s1; drop_last s1; flip s1; s1 @ s2 ]
+      in
+      let sign c = Int.compare c 0 in
+      agree "segments" p r
+      && ok "to_asns" (As_path.to_asns p = Ref.to_asns r)
+      && ok "length" (As_path.length p = Ref.length r)
+      && ok "mem" (As_path.mem probe p = Ref.mem probe r)
+      && ok "mem absent" (As_path.mem a p = Ref.mem a r)
+      && ok "origin_asn" (As_path.origin_asn p = Ref.origin_asn r)
+      && ok "neighbor_asn" (As_path.neighbor_asn p = Ref.neighbor_asn r)
+      && agree "strip_private" (As_path.strip_private p) (Ref.strip_private r)
+      && agree "prepend" (As_path.prepend a p) (Ref.prepend a r)
+      && agree "prepend_n" (As_path.prepend_n a n p) (Ref.prepend_n a n r)
+      && ok "pp" (Format.asprintf "%a" As_path.pp p = Ref.to_string r)
+      && List.for_all
+           (fun s ->
+             ok "compare"
+               (sign (As_path.compare p (As_path.of_segments s))
+               = sign (Ref.compare r (Ref.of_segments s))))
+           pairs
+      && ok "wire, 4-octet" (wire { Wire.four_octet_asn = true; add_path = false } p = r)
+      && ok "wire, 2-octet"
+           (wire Wire.default_opts p
+           = List.map
+               (function
+                 | As_path.Seq l -> As_path.Seq (trans l)
+                 | As_path.Set l -> As_path.Set (trans l))
+               r))
 
 (* ------------------------------------------------------------------ *)
 (* Community *)
@@ -1180,7 +1310,10 @@ let () =
     [ ( "as-path",
         [ tc "prepend" `Quick test_path_prepend;
           tc "set length" `Quick test_path_set_length;
-          tc "strip private" `Quick test_path_strip_private
+          tc "strip private" `Quick test_path_strip_private;
+          tc "split at 255" `Quick test_path_split_255;
+          tc "prepend onto a full segment" `Quick test_path_prepend_full_segment;
+          QCheck_alcotest.to_alcotest prop_as_path_reference
         ] );
       ( "community",
         [ tc "parts" `Quick test_community_parts;

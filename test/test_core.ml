@@ -653,7 +653,7 @@ let test_portal_board () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   check Alcotest.int "two pending" 2 (List.length (Portal.pending portal));
-  let outcomes = Portal.run_board portal in
+  let outcomes = Portal.forward_queued portal in
   check Alcotest.int "queue drained" 0 (List.length (Portal.pending portal));
   (match List.assoc "portal-good" outcomes with
   | Ok e ->
@@ -678,7 +678,7 @@ let test_portal_provisioning () =
    with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
-  (match Portal.run_board portal with
+  (match Portal.forward_queued portal with
   | [ (_, Ok _) ] -> ()
   | _ -> Alcotest.fail "provisioning failed");
   match Portal.provision portal ~experiment_id:"portal-prov" with
