@@ -10,8 +10,14 @@
      emulate    emulate a Topology Zoo backbone and converge it
      config     parse a Quagga-style configuration file and report
      check      statically analyze configs and experiment specs
+     verify     semantically verify a .world topology and specs against it
+     portal     walk the account/vetting/provisioning pipeline end to end
      stats      run an instrumented scenario and dump the metrics
-     monitor    stream BMP from every mux into the monitoring station *)
+     trace      render the seeded scenario's causal span tree
+     chaos      run the fault drills and judge them by their SLOs
+     sched      run the multi-tenant experiment scheduler
+     monitor    stream BMP from every mux into the monitoring station
+     mrt        dump, inspect and replay MRT (RFC 6396) files *)
 
 open Cmdliner
 open Peering_net
@@ -1051,7 +1057,7 @@ let monitor_cmd =
     Monitor.allow_export mon ~mux:mux1 ~peer:p1 (fun pfx ->
         Prefix.compare pfx leak_pfx <> 0);
     Monitor.watch_flaps mon flap_pfx;
-    Monitor.watch_reach mon dip_pfx ~floor:2;
+    Monitor.watch_reach mon dip_pfx;
     (* MOAS: the legitimate origin, then a second origin. *)
     Server.learn_route srv1 ~peer:p1 ~path:[ p1; Asn.of_int 65010 ] moas_pfx;
     Engine.run_for engine 0.5;

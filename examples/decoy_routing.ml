@@ -68,8 +68,7 @@ let () =
     Packet_program.compile engine
       [ { Packet_program.name = "decoy-rewrite";
           spec =
-            { Packet_program.match_any with
-              Packet_program.dst_in = Some (pfx "198.51.100.0/24");
+            { Packet_program.dst_in = Some (pfx "198.51.100.0/24");
               dport = Some 443
             };
           action = Packet_program.Rewrite_dst (ip "192.0.2.80")

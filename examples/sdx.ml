@@ -44,10 +44,7 @@ let () =
   Sdx.set_policy sdx ~asn:(asn "A")
     [ { Sdx.description = "web-via-B";
         matches =
-          { Packet_program.match_any with
-            Packet_program.dst_in = Some content;
-            dport = Some 80
-          };
+          { Packet_program.dst_in = Some content; dport = Some 80 };
         action = Sdx.Forward_to (asn "B")
       };
       { Sdx.description = "unannounced-via-C";

@@ -19,21 +19,18 @@ let m_suppressed_s =
     ~help:"time a route spent suppressed before release (virtual s)"
     "bgp.dampening.suppressed_s"
 
+(* The penalty one flap adds, and the cap on hold-down (seconds). *)
+let penalty_per_flap = 1000.0
+let max_suppress = 3600.0
+
 type params = {
-  penalty_per_flap : float;
   suppress_threshold : float;
   reuse_threshold : float;
   half_life : float;
-  max_suppress : float;
 }
 
 let default_params =
-  { penalty_per_flap = 1000.0;
-    suppress_threshold = 2000.0;
-    reuse_threshold = 750.0;
-    half_life = 900.0;
-    max_suppress = 3600.0
-  }
+  { suppress_threshold = 2000.0; reuse_threshold = 750.0; half_life = 900.0 }
 
 type entry = {
   mutable penalty : float;  (** as of [updated] *)
@@ -45,8 +42,6 @@ type t = { params : params; table : (string * Prefix.t, entry) Hashtbl.t }
 
 let create ?(params = default_params) () =
   { params; table = Hashtbl.create 64 }
-
-let params t = t.params
 
 let decayed t (e : entry) ~now =
   let dt = now -. e.updated in
@@ -60,14 +55,14 @@ let refresh t e ~now =
   | Some since ->
     if
       e.penalty < t.params.reuse_threshold
-      || now -. since >= t.params.max_suppress
+      || now -. since >= max_suppress
     then begin
       e.suppressed_since <- None;
       Metrics.Counter.inc m_reuses;
       Metrics.Histogram.observe m_suppressed_s (now -. since);
       (* After the max-suppress cap fires, clamp the penalty so the
          route does not instantly re-suppress on the next tiny flap. *)
-      if now -. since >= t.params.max_suppress then
+      if now -. since >= max_suppress then
         e.penalty <- min e.penalty t.params.reuse_threshold
     end
   | None ->
@@ -88,7 +83,7 @@ let flap t ~now ~peer prefix =
       e
   in
   refresh t e ~now;
-  e.penalty <- e.penalty +. t.params.penalty_per_flap;
+  e.penalty <- e.penalty +. penalty_per_flap;
   refresh t e ~now;
   Metrics.Counter.inc m_flaps;
   if Sink.active () then
@@ -130,4 +125,4 @@ let reuse_time t ~now ~peer prefix =
           +. t.params.half_life
              *. (Float.log (p /. t.params.reuse_threshold) /. Float.log 2.0)
       in
-      Some (min decay_t (since +. t.params.max_suppress)))
+      Some (min decay_t (since +. max_suppress)))

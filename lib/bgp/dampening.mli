@@ -15,12 +15,14 @@
 
 open Peering_net
 
+val max_suppress : float
+(** Cap on hold-down, seconds: 3600. Each flap adds a penalty of
+    1000. *)
+
 type params = {
-  penalty_per_flap : float;  (** default 1000 *)
   suppress_threshold : float;  (** default 2000 *)
   reuse_threshold : float;  (** default 750 *)
   half_life : float;  (** seconds, default 900 *)
-  max_suppress : float;  (** cap on hold-down, seconds, default 3600 *)
 }
 
 val default_params : params
@@ -44,5 +46,3 @@ val is_suppressed : t -> now:float -> peer:string -> Prefix.t -> bool
 val reuse_time : t -> now:float -> peer:string -> Prefix.t -> float option
 (** If suppressed, the virtual time at which the route becomes usable
     again. *)
-
-val params : t -> params

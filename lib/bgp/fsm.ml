@@ -62,17 +62,19 @@ type config = {
   local_asn : Asn.t;
   router_id : Ipv4.t;
   hold_time : int;
-  connect_retry : float;
   auto_restart : bool;
   capabilities : Capability.t list;
   passive : bool;
 }
 
+(* Initial seconds between connection attempts: the IdleHoldTime base
+   that auto-restart doubles on every failed attempt. *)
+let connect_retry = 5.0
+
 let default_config ~local_asn ~router_id =
   { local_asn;
     router_id;
     hold_time = 90;
-    connect_retry = 5.0;
     auto_restart = false;
     capabilities = [ Capability.Four_octet_asn (Asn.to_int local_asn) ];
     passive = false
@@ -113,7 +115,7 @@ let create engine config cb =
     hold_interval = 0.0;
     timer_generation = 0;
     established_count = 0;
-    retry_backoff = config.connect_retry;
+    retry_backoff = connect_retry;
     admin_down = false;
     gr_time = None
   }
@@ -254,7 +256,7 @@ let enter_established t =
   t.gr_time <-
     Capability.negotiated_graceful_restart t.config.capabilities
       peer.capabilities;
-  t.retry_backoff <- t.config.connect_retry;
+  t.retry_backoff <- connect_retry;
   set_state t Established;
   Metrics.Counter.inc m_established;
   t.established_count <- t.established_count + 1;

@@ -13,14 +13,12 @@ type config = {
   local_asn : Asn.t;
   router_id : Ipv4.t;
   hold_time : int;  (** proposed hold time, seconds *)
-  connect_retry : float;
-      (** initial seconds between connection attempts; with
-          [auto_restart] this is the IdleHoldTime base, doubled (with
-          jitter from the engine RNG) on every failed attempt up to a
-          cap, and reset on reaching Established *)
   auto_restart : bool;
       (** if true, non-administrative closes schedule a reconnect with
-          exponential backoff; {!stop} never auto-restarts *)
+          exponential backoff: the IdleHoldTime starts at 5 s, doubles
+          (with jitter from the engine RNG) on every failed attempt up
+          to a cap, and resets on reaching Established; {!stop} never
+          auto-restarts *)
   capabilities : Capability.t list;
   passive : bool;  (** if true, wait for the peer's OPEN before sending ours *)
 }

@@ -63,10 +63,6 @@ let put_attr_header b ~flags ~code len =
   put_u8 b code;
   if flags land 0x10 <> 0 then put_u16 b len else put_u8 b len
 
-let put_attribute b ~flags ~code body =
-  put_attr_header b ~flags ~code (Buffer.length body);
-  Buffer.add_buffer b body
-
 (* A 4-octet session takes the stored bytes as they are; a 2-octet one
    transcodes each segment, with AS_TRANS for an ASN above 65,535. *)
 let put_as_path opts b path =

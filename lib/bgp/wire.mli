@@ -60,11 +60,12 @@ val put_u16 : Buffer.t -> int -> unit
 val put_u32 : Buffer.t -> int -> unit
 (** Append the low 32 bits, big-endian. *)
 
-val put_attribute : Buffer.t -> flags:int -> code:int -> Buffer.t -> unit
-(** [put_attribute b ~flags ~code body] appends one path attribute:
-    flags byte, type code, length, then [body].  A body longer than
-    255 bytes sets the Extended Length flag (0x10) and takes a 2-byte
-    length; otherwise the length is one byte. *)
+val put_attr_header : Buffer.t -> flags:int -> code:int -> int -> unit
+(** [put_attr_header b ~flags ~code len] appends the header of one path
+    attribute whose body of [len] bytes the caller appends next: flags
+    byte, type code, length.  A body longer than 255 bytes sets the
+    Extended Length flag (0x10) and takes a 2-byte length; otherwise
+    the length is one byte. *)
 
 (** Bounds-checked read window over a shared byte buffer.  A cursor
     never copies: slices alias the parent buffer, and every read is

@@ -82,7 +82,7 @@ let dampening (spec : Spec.t) =
           let until =
             Option.value
               (Dampening.reuse_time d ~now ~peer e.Spec.ev_prefix)
-              ~default:(now +. (Dampening.params d).Dampening.max_suppress)
+              ~default:(now +. Dampening.max_suppress)
           in
           Some
             (Diagnostic.error ~code:c_dampen ~line:e.Spec.ev_line

@@ -10,7 +10,7 @@ type t = {
 }
 
 let create ~supply =
-  { pool = Prefix_pool.create ~alloc_len:24 supply;
+  { pool = Prefix_pool.create supply;
     experiments = [];
     next_private_asn = 64512
   }

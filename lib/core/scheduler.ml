@@ -22,13 +22,6 @@ let m_evicted =
   Metrics.counter ~help:"tenants evicted (lease expiry or revocation)"
     "core.sched.evicted"
 
-(* Nothing completes a lease early, so this counter reads 0; it stays
-   registered so the stats and chaos reports keep their
-   [core.sched.completed] row. *)
-let _m_completed =
-  Metrics.counter ~help:"tenants that completed voluntarily"
-    "core.sched.completed"
-
 let m_conflicts =
   Metrics.counter ~help:"admission-control conflict issues raised"
     "core.sched.conflicts"

@@ -12,9 +12,6 @@ type params = {
   world : Gen.params;
   seed : int;
   university_sites : (string * int) list;
-  with_amsix : bool;
-  with_phoenix : bool;
-  bilateral_requests : bool;
   domains : int option;
 }
 
@@ -22,9 +19,6 @@ let default_params =
   { world = Gen.default_params;
     seed = 7;
     university_sites = [ ("gatech01", 2); ("usc01", 2); ("ufmg01", 2) ];
-    with_amsix = true;
-    with_phoenix = true;
-    bilateral_requests = true;
     domains = None
   }
 
@@ -322,30 +316,26 @@ let build ?(params = default_params) () =
     site
   in
   (* AMS-IX site. *)
-  if params.with_amsix then begin
-    let fabric = Amsix.build ~rng:(Rng.split rng) w in
-    ignore
-      (add_site "amsterdam01" ~mk_peers:(fun site ->
-           (* Multilateral peers via the route server. *)
-           List.iter
-             (fun m ->
-               Server.add_peer site.s_server m;
-               As_graph.add_edge g site.s_asn Relationship.Peer m)
-             (Fabric.route_server_users fabric);
-           (* Bilateral requests to the non-RS members. *)
-           if params.bilateral_requests then
-             List.iter
-               (fun (m : Fabric.member) ->
-                 match Fabric.request_peering fabric ~target:m.Fabric.asn with
-                 | Fabric.Accepted ->
-                   Server.add_peer site.s_server m.Fabric.asn;
-                   As_graph.add_edge g site.s_asn Relationship.Peer
-                     m.Fabric.asn
-                 | Fabric.Declined | Fabric.No_response
-                 | Fabric.Replied_with_questions ->
-                   ())
-               (Fabric.non_route_server_members fabric)))
-  end;
+  let amsix = Amsix.build ~rng:(Rng.split rng) w in
+  ignore
+    (add_site "amsterdam01" ~mk_peers:(fun site ->
+         (* Multilateral peers via the route server. *)
+         List.iter
+           (fun m ->
+             Server.add_peer site.s_server m;
+             As_graph.add_edge g site.s_asn Relationship.Peer m)
+           (Fabric.route_server_users amsix);
+         (* Bilateral requests to the non-RS members. *)
+         List.iter
+           (fun (m : Fabric.member) ->
+             match Fabric.request_peering amsix ~target:m.Fabric.asn with
+             | Fabric.Accepted ->
+               Server.add_peer site.s_server m.Fabric.asn;
+               As_graph.add_edge g site.s_asn Relationship.Peer m.Fabric.asn
+             | Fabric.Declined | Fabric.No_response
+             | Fabric.Replied_with_questions ->
+               ())
+           (Fabric.non_route_server_members amsix)));
   (* University sites: transit providers drawn from the world. *)
   let transit_pool = Array.of_list (Gen.all_transit w) in
   List.iter
@@ -366,21 +356,19 @@ let build ?(params = default_params) () =
                chosen)))
     params.university_sites;
   (* Phoenix-IX (added September 2014). *)
-  if params.with_phoenix then begin
-    let fabric =
-      Amsix.build ~calibration:phoenix_calibration ~rng:(Rng.split rng) w
-    in
-    ignore
-      (add_site "phoenix01" ~mk_peers:(fun site ->
-           List.iter
-             (fun m ->
-               if not (List.exists (Asn.equal m) (Server.peer_asns site.s_server))
-               then begin
-                 Server.add_peer site.s_server m;
-                 As_graph.add_edge g site.s_asn Relationship.Peer m
-               end)
-             (Fabric.route_server_users fabric)))
-  end;
+  let phoenix =
+    Amsix.build ~calibration:phoenix_calibration ~rng:(Rng.split rng) w
+  in
+  ignore
+    (add_site "phoenix01" ~mk_peers:(fun site ->
+         List.iter
+           (fun m ->
+             if not (List.exists (Asn.equal m) (Server.peer_asns site.s_server))
+             then begin
+               Server.add_peer site.s_server m;
+               As_graph.add_edge g site.s_asn Relationship.Peer m
+             end)
+           (Fabric.route_server_users phoenix)));
   t
 
 (* ------------------------------------------------------------------ *)

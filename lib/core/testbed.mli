@@ -21,18 +21,16 @@ type params = {
   university_sites : (string * int) list;
       (** (site name, #upstream transit providers) — the paper's
           "dozens of indirect providers through universities" *)
-  with_amsix : bool;
-  with_phoenix : bool;
-  bilateral_requests : bool;
-      (** send peering requests to all open non-RS AMS-IX members *)
   domains : int option;
       (** accepted and ignored: propagation runs on the calling
           domain. Kept only for callers that still set it. *)
 }
 
 val default_params : params
-(** Default world, sites gatech01/usc01/ufmg01 with 2 providers each,
-    AMS-IX and Phoenix-IX enabled, bilateral requests on. *)
+(** Default world, sites gatech01/usc01/ufmg01 with 2 providers each.
+    Every testbed also has an AMS-IX site (its route-server users, and
+    the members that accept a bilateral peering request) and a
+    Phoenix-IX site, so the world needs at least 669 ASes. *)
 
 type site
 

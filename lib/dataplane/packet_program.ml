@@ -1,20 +1,9 @@
 open Peering_net
 module Engine = Peering_sim.Engine
 
-type match_spec = {
-  src_in : Prefix.t option;
-  dst_in : Prefix.t option;
-  proto : [ `Udp | `Tcp | `Icmp ] option;
-  dport : int option;
-}
+type match_spec = { dst_in : Prefix.t option; dport : int option }
 
-let match_any = { src_in = None; dst_in = None; proto = None; dport = None }
-
-let proto_of (pkt : Packet.t) =
-  match pkt.Packet.proto with
-  | Packet.Udp _ -> `Udp
-  | Packet.Tcp _ -> `Tcp
-  | Packet.Icmp _ -> `Icmp
+let match_any = { dst_in = None; dport = None }
 
 let dport_of (pkt : Packet.t) =
   match pkt.Packet.proto with
@@ -22,13 +11,9 @@ let dport_of (pkt : Packet.t) =
   | Packet.Icmp _ -> None
 
 let matches spec (pkt : Packet.t) =
-  (match spec.src_in with
-  | Some p -> Prefix.mem pkt.Packet.src p
+  (match spec.dst_in with
+  | Some p -> Prefix.mem pkt.Packet.dst p
   | None -> true)
-  && (match spec.dst_in with
-     | Some p -> Prefix.mem pkt.Packet.dst p
-     | None -> true)
-  && (match spec.proto with Some pr -> proto_of pkt = pr | None -> true)
   && match spec.dport with
      | Some port -> dport_of pkt = Some port
      | None -> true

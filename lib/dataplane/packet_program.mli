@@ -13,9 +13,7 @@
 open Peering_net
 
 type match_spec = {
-  src_in : Prefix.t option;  (** None = wildcard *)
-  dst_in : Prefix.t option;
-  proto : [ `Udp | `Tcp | `Icmp ] option;
+  dst_in : Prefix.t option;  (** None = wildcard *)
   dport : int option;  (** UDP/TCP destination port *)
 }
 

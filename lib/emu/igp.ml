@@ -1,58 +1,44 @@
 module Smap = Map.Make (String)
+module Sset = Set.Make (String)
 
-type t = { mutable adj : int Smap.t Smap.t }
+type t = { mutable adj : Sset.t Smap.t }
 
 let create () = { adj = Smap.empty }
 
 let add_node t n =
-  if not (Smap.mem n t.adj) then t.adj <- Smap.add n Smap.empty t.adj
+  if not (Smap.mem n t.adj) then t.adj <- Smap.add n Sset.empty t.adj
 
-let add_link t a b ~weight =
-  if weight <= 0 then invalid_arg "Igp.add_link: weight must be positive";
+let add_link t a b =
   add_node t a;
   add_node t b;
-  let link x y =
-    t.adj <- Smap.add x (Smap.add y weight (Smap.find x t.adj)) t.adj
-  in
+  let link x y = t.adj <- Smap.add x (Sset.add y (Smap.find x t.adj)) t.adj in
   link a b;
   link b a
 
-(* Dijkstra with deterministic tie-breaking: prefer the
-   lexicographically smaller first hop on equal distance. *)
+(* Breadth-first search. Ties break toward the name-smallest first
+   hop: neighbors are visited in name order, so each level of the FIFO
+   queue is sorted by first hop, and a node is first reached from the
+   predecessor whose first hop is smallest. *)
 let spf t root =
   let result : (string, int * string option) Hashtbl.t = Hashtbl.create 32 in
-  if not (Smap.mem root t.adj) then result
-  else begin
-    let module Pq = Set.Make (struct
-      type t = int * string * string option (* dist, node, first hop *)
-
-      let compare (d1, n1, h1) (d2, n2, h2) =
-        match Int.compare d1 d2 with
-        | 0 -> (
-          match String.compare n1 n2 with
-          | 0 -> Option.compare String.compare h1 h2
-          | c -> c)
-        | c -> c
-    end) in
-    let pq = ref (Pq.singleton (0, root, None)) in
-    while not (Pq.is_empty !pq) do
-      let ((dist, node, hop) as elt) = Pq.min_elt !pq in
-      pq := Pq.remove elt !pq;
-      if not (Hashtbl.mem result node) then begin
-        Hashtbl.replace result node (dist, hop);
-        Smap.iter
-          (fun nbr w ->
-            if not (Hashtbl.mem result nbr) then begin
-              let first_hop =
-                match hop with None -> Some nbr | Some h -> Some h
-              in
-              pq := Pq.add (dist + w, nbr, first_hop) !pq
-            end)
-          (Smap.find node t.adj)
-      end
-    done;
-    result
-  end
+  if Smap.mem root t.adj then begin
+    Hashtbl.replace result root (0, None);
+    let queue = Queue.create () in
+    Queue.push root queue;
+    while not (Queue.is_empty queue) do
+      let node = Queue.pop queue in
+      let dist, hop = Hashtbl.find result node in
+      Sset.iter
+        (fun nbr ->
+          if not (Hashtbl.mem result nbr) then begin
+            let first_hop = match hop with None -> nbr | Some h -> h in
+            Hashtbl.replace result nbr (dist + 1, Some first_hop);
+            Queue.push nbr queue
+          end)
+        (Smap.find node t.adj)
+    done
+  end;
+  result
 
 let distances t root =
   let r = spf t root in

@@ -1,5 +1,6 @@
-(** A link-state IGP: shortest-path-first routing over weighted
-    intradomain links (OSPF-style), used to resolve BGP next hops
+(** A link-state IGP: shortest-path-first routing over unit-cost
+    intradomain links (hop count, as on the Topology Zoo backbones,
+    whose links carry no weights), used to resolve BGP next hops
     inside an emulated AS. *)
 
 type t
@@ -9,11 +10,11 @@ val create : unit -> t
 val add_node : t -> string -> unit
 (** Idempotent. *)
 
-val add_link : t -> string -> string -> weight:int -> unit
-(** Undirected link. Re-adding replaces the weight. *)
+val add_link : t -> string -> string -> unit
+(** Undirected link. Idempotent. *)
 
 val distances : t -> string -> (string * int) list
-(** Shortest distances from the given node to every reachable node
+(** Hop counts from the given node to every reachable node
     (including itself at 0), sorted by node name. *)
 
 val next_hop : t -> src:string -> dst:string -> string option

@@ -75,7 +75,7 @@ let add_pop t ?(country = Country.nl) name =
 
 let link t a b =
   let pa = pop_exn t a and pb = pop_exn t b in
-  Igp.add_link t.igp a b ~weight:1;
+  Igp.add_link t.igp a b;
   Forwarder.set_link_latency t.fwd pa.node pb.node 0.005
 
 let of_topology engine fwd ~asn (zoo : Topology_zoo.t) =

@@ -1,7 +1,7 @@
 (** MinineXt-style intradomain emulation (paper §3 and §4.2).
 
     Builds an emulated AS out of lightweight "containers": one
-    {!Peering_router.Router} per PoP, joined by weighted intradomain
+    {!Peering_router.Router} per PoP, joined by unit-cost intradomain
     links. The builder wires an iBGP full mesh (with next-hop-self),
     runs an SPF IGP over the link topology, and installs the combined
     routing state into per-PoP dataplane FIBs, so both routes and
@@ -31,8 +31,8 @@ val add_pop : t -> ?country:Country.t -> string -> pop
     names or after {!start}. *)
 
 val link : t -> string -> string -> unit
-(** Connect two PoPs with an intradomain link of IGP weight 1 and
-    latency 5 ms. *)
+(** Connect two PoPs with an intradomain link: one IGP hop, latency
+    5 ms. *)
 
 val of_topology :
   Peering_sim.Engine.t ->

@@ -795,11 +795,7 @@ let sweep_grid =
 let sweep_combo ~seed (half_life, suppress_threshold, reuse_threshold) =
   let eng = Engine.create ~seed () in
   let params =
-    { Peering_bgp.Dampening.default_params with
-      half_life;
-      suppress_threshold;
-      reuse_threshold
-    }
+    { Peering_bgp.Dampening.half_life; suppress_threshold; reuse_threshold }
   in
   let safety =
     Safety.create ~dampening:params ~peering_asn:(Asn.of_int 47065)

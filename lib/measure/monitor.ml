@@ -63,8 +63,8 @@ type watch = {
   mutable w_origin : Asn.t option;  (* expected origin; MOAS otherwise *)
   mutable w_flaps : bool;  (* flap detector on *)
   mutable w_events : float list;  (* recent event times, newest first *)
-  mutable w_floor : int;  (* 0 = reach detector off *)
-  mutable w_armed : bool;  (* reach ever hit the floor *)
+  mutable w_reach : bool;  (* reach detector on *)
+  mutable w_armed : bool;  (* reach ever hit [reach_floor] *)
 }
 
 type alert = {
@@ -139,7 +139,7 @@ let watch t prefix =
   | Some w -> w
   | None ->
     let w =
-      { w_origin = None; w_flaps = false; w_events = []; w_floor = 0;
+      { w_origin = None; w_flaps = false; w_events = []; w_reach = false;
         w_armed = false
       }
     in
@@ -149,13 +149,15 @@ let watch t prefix =
 let watch_moas t prefix ~origin = (watch t prefix).w_origin <- Some origin
 
 (* The flap detector fires at this many announce/withdraw events
-   within this many virtual seconds. *)
+   within this many virtual seconds; the reach detector when a prefix
+   that this many (mux, peer) tables held falls below that. *)
 let flap_limit = 6
 let flap_window_s = 60.0
+let reach_floor = 2
 
 let watch_flaps t prefix = (watch t prefix).w_flaps <- true
 
-let watch_reach t prefix ~floor = (watch t prefix).w_floor <- max 1 floor
+let watch_reach t prefix = (watch t prefix).w_reach <- true
 
 let allow_export t ~mux ~peer pred =
   Hashtbl.replace t.cones (mux, Asn.to_int peer) pred
@@ -187,14 +189,14 @@ let reach t prefix =
     t.muxes 0
 
 let check_reach t ~time ~mux prefix w =
-  if w.w_floor > 0 then begin
+  if w.w_reach then begin
     let r = reach t prefix in
-    if r >= w.w_floor then w.w_armed <- true
+    if r >= reach_floor then w.w_armed <- true
     else if w.w_armed then
       raise_alert t
         ~key:(Printf.sprintf "dip|%s" (Prefix.to_string prefix))
         ~time ~kind:Event.Reach_dip ~mux ~prefix
-        ~detail:(Printf.sprintf "reach %d below floor %d" r w.w_floor)
+        ~detail:(Printf.sprintf "reach %d below floor %d" r reach_floor)
   end
 
 let note_churn t ~time ~mux prefix =

@@ -111,9 +111,9 @@ val watch_flaps : t -> Prefix.t -> unit
 (** Alert ([Flap_churn]) when the prefix sees 6 or more
     announce/withdraw events within 60 virtual seconds. *)
 
-val watch_reach : t -> Prefix.t -> floor:int -> unit
+val watch_reach : t -> Prefix.t -> unit
 (** Alert ([Reach_dip]) when the number of (mux, peer) tables holding
-    the prefix, having first reached [floor], falls below it. *)
+    the prefix, having first reached 2, falls below it. *)
 
 type alert = {
   a_time : float;  (** feed (virtual) time the detector fired *)

@@ -120,10 +120,9 @@ let put_peer b p =
 (* RFC 6396 §4.3.4: inside a RIB_IPV6 entry the MP_REACH_NLRI
    attribute is abbreviated to next-hop length + next-hop address. *)
 let put_mp_reach_next_hop b nh =
-  let body = Buffer.create 17 in
-  Wire.put_u8 body 16;
-  put_ipv6 body nh;
-  Wire.put_attribute b ~flags:0x80 ~code:14 body
+  Wire.put_attr_header b ~flags:0x80 ~code:14 17;
+  Wire.put_u8 b 16;
+  put_ipv6 b nh
 
 let put_rib_entry ~v6 b e =
   Wire.put_u16 b e.peer_index;

@@ -1,5 +1,7 @@
+(* Every allocation is one /24, PEERING's unit per experiment (§3). *)
+let alloc_len = 24
+
 type t = {
-  alloc_len : int;
   supply : Prefix.t list; (* parents, address order *)
   free : Prefix.Set.t;
   used : Prefix.Set.t;
@@ -12,14 +14,13 @@ let check_supply supply =
   in
   disjoint (List.sort Prefix.compare supply)
 
-let blocks_of alloc_len p = Prefix.subprefixes p alloc_len
+let blocks_of p = Prefix.subprefixes p alloc_len
 
-let create ~alloc_len supply =
-  if alloc_len < 0 || alloc_len > 32 then invalid_arg "Prefix_pool.create";
+let create supply =
   List.iter
     (fun p ->
       if Prefix.len p > alloc_len then
-        invalid_arg "Prefix_pool.create: supply prefix longer than alloc_len")
+        invalid_arg "Prefix_pool.create: supply prefix longer than /24")
     supply;
   if not (check_supply supply) then
     invalid_arg "Prefix_pool.create: overlapping supply";
@@ -27,10 +28,10 @@ let create ~alloc_len supply =
     List.fold_left
       (fun acc p ->
         List.fold_left (fun acc b -> Prefix.Set.add b acc) acc
-          (blocks_of alloc_len p))
+          (blocks_of p))
       Prefix.Set.empty supply
   in
-  { alloc_len; supply = List.sort Prefix.compare supply; free;
+  { supply = List.sort Prefix.compare supply; free;
     used = Prefix.Set.empty }
 
 let available t = Prefix.Set.cardinal t.free
@@ -58,13 +59,13 @@ let free p t =
 let mem_supply p t = List.exists (fun s -> Prefix.subsumes s p) t.supply
 
 let add_supply p t =
-  if Prefix.len p > t.alloc_len then
-    invalid_arg "Prefix_pool.add_supply: prefix longer than alloc_len";
+  if Prefix.len p > alloc_len then
+    invalid_arg "Prefix_pool.add_supply: prefix longer than /24";
   if List.exists (fun s -> Prefix.overlaps s p) t.supply then
     invalid_arg "Prefix_pool.add_supply: overlaps existing supply";
   let free =
     List.fold_left
       (fun acc b -> Prefix.Set.add b acc)
-      t.free (blocks_of t.alloc_len p)
+      t.free (blocks_of p)
   in
   { t with supply = List.sort Prefix.compare (p :: t.supply); free }

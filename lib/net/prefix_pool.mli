@@ -1,17 +1,15 @@
-(** Allocation of fixed-length subprefixes out of a supply of parent
-    prefixes.
+(** Allocation of /24 blocks out of a supply of parent prefixes.
 
     PEERING owns a /19 and hands each experiment its own /24; this
-    module is that allocator, generalised. Allocations are disjoint by
-    construction; freeing returns a block to the pool. *)
+    module is that allocator. Allocations are disjoint by construction;
+    freeing returns a block to the pool. *)
 
 type t
 
-val create : alloc_len:int -> Prefix.t list -> t
-(** [create ~alloc_len supply] is a pool handing out prefixes of length
-    [alloc_len] carved from the [supply] prefixes. Raises
-    [Invalid_argument] if any supply prefix is longer than
-    [alloc_len], or if supply prefixes overlap. *)
+val create : Prefix.t list -> t
+(** [create supply] is a pool handing out the /24s carved from the
+    [supply] prefixes. Raises [Invalid_argument] if any supply prefix
+    is longer than /24, or if supply prefixes overlap. *)
 
 val available : t -> int
 (** Blocks currently free. *)

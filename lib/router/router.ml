@@ -7,6 +7,8 @@ type neighbor = {
   remote_addr : Ipv4.t;
   local_addr : Ipv4.t;
   ebgp : bool;
+  source : Route.source option;  (** shared by every route it sends *)
+  key : string;  (** its Adj-RIB-In in the [Rib] *)
   mutable import : Policy.t;
   mutable export : Policy.t;
   mutable send : Message.t -> unit;
@@ -189,29 +191,21 @@ let import_route t (nbr : neighbor) prefix path_id (attrs : Attrs.t) =
   (* eBGP loop detection. *)
   if nbr.ebgp && As_path.mem t.asn attrs.Attrs.as_path then None
   else
-    let source =
-      { Route.peer_asn = nbr.remote_asn;
-        peer_addr = nbr.remote_addr;
-        peer_router_id = nbr.remote_addr;
-        ebgp = nbr.ebgp
-      }
-    in
     let attrs =
       if nbr.ebgp then Attrs.with_local_pref None attrs else attrs
     in
     let route =
-      Route.make ~source ~path_id ~learned_at:(Engine.now t.engine) prefix attrs
+      Route.make ?source:nbr.source ~path_id ~learned_at:(Engine.now t.engine)
+        prefix attrs
     in
     Policy.apply nbr.import route
-
-let peer_key (nbr : neighbor) = Ipv4.to_string nbr.remote_addr
 
 let on_update t (nbr : neighbor) (u : Message.update) =
   t.rx_updates <- t.rx_updates + 1;
   let changes = ref [] in
   List.iter
     (fun (path_id, prefix) ->
-      match Rib.withdraw t.rib ~peer:(peer_key nbr) ~path_id prefix with
+      match Rib.withdraw t.rib ~peer:nbr.key ~path_id prefix with
       | Some c -> changes := c :: !changes
       | None -> ())
     u.Message.withdrawn;
@@ -221,12 +215,12 @@ let on_update t (nbr : neighbor) (u : Message.update) =
       (fun (path_id, prefix) ->
         match import_route t nbr prefix path_id attrs with
         | Some route -> (
-          match Rib.announce t.rib ~peer:(peer_key nbr) route with
+          match Rib.announce t.rib ~peer:nbr.key route with
           | Some c -> changes := c :: !changes
           | None -> ())
         | None -> (
           (* Filtered on import: ensure no stale route remains. *)
-          match Rib.withdraw t.rib ~peer:(peer_key nbr) ~path_id prefix with
+          match Rib.withdraw t.rib ~peer:nbr.key ~path_id prefix with
           | Some c -> changes := c :: !changes
           | None -> ()))
       u.Message.nlri
@@ -235,7 +229,7 @@ let on_update t (nbr : neighbor) (u : Message.update) =
 
 let sweep_peer t (nbr : neighbor) generation () =
   if generation = nbr.stale_generation then begin
-    let changes = Rib.sweep_stale t.rib ~peer:(peer_key nbr) in
+    let changes = Rib.sweep_stale t.rib ~peer:nbr.key in
     propagate t changes
   end
 
@@ -246,7 +240,7 @@ let on_established t (nbr : neighbor) peer_gr_time (_ : Wire.session_opts) =
   (* If we were helping across a restart, re-announcements now refresh
      the stale marks; whatever is still stale after the deferral was
      lost in the restart and must go. *)
-  if Rib.stale_count t.rib ~peer:(peer_key nbr) > 0 then
+  if Rib.stale_count t.rib ~peer:nbr.key > 0 then
     Engine.schedule t.engine ~delay:resync_deferral
       (sweep_peer t nbr nbr.stale_generation);
   full_table_to t nbr
@@ -260,11 +254,11 @@ let on_close t (nbr : neighbor) (_reason : string) =
   | Some rt when rt > 0 ->
     (* RFC 4724 helper: keep the peer's routes installed and forwarding
        for its advertised restart time; only withdraw if it stays down. *)
-    ignore (Rib.mark_stale t.rib ~peer:(peer_key nbr) : int);
+    ignore (Rib.mark_stale t.rib ~peer:nbr.key : int);
     Engine.schedule t.engine ~delay:(float_of_int rt)
       (sweep_peer t nbr nbr.stale_generation)
   | Some _ | None ->
-    let changes = Rib.drop_peer t.rib ~peer:(peer_key nbr) in
+    let changes = Rib.drop_peer t.rib ~peer:nbr.key in
     propagate t changes
 
 (* ------------------------------------------------------------------ *)
@@ -292,11 +286,20 @@ let networks t = List.map fst t.networks |> List.sort Prefix.compare
 let add_neighbor t ~remote_asn ~remote_addr ~local_addr =
   if find_neighbor t remote_addr <> None then
     invalid_arg "Router.connect: duplicate neighbor";
+  let ebgp = not (Asn.equal remote_asn t.asn) in
   let nbr =
     { remote_asn;
       remote_addr;
       local_addr;
-      ebgp = not (Asn.equal remote_asn t.asn);
+      ebgp;
+      source =
+        Some
+          { Route.peer_asn = remote_asn;
+            peer_addr = remote_addr;
+            peer_router_id = remote_addr;
+            ebgp
+          };
+      key = Ipv4.to_string remote_addr;
       import = Policy.permit_all;
       export = Policy.permit_all;
       send = (fun _ -> ());

@@ -69,10 +69,6 @@ let sample_cdf cdf u =
   in
   go 0 (n - 1) + 1
 
-let zipf t ~n ~s =
-  let cdf = zipf_cdf n s in
-  sample_cdf cdf (float t 1.0)
-
 let zipf_sampler ~n ~s =
   let cdf = zipf_cdf n s in
   fun t -> sample_cdf cdf (float t 1.0)

@@ -37,14 +37,10 @@ val sample : t -> int -> 'a list -> 'a list
 (** [sample t k l] draws [k] elements of [l] without replacement
     (all of [l] if [k >= length l]). Order is randomised. *)
 
-val zipf : t -> n:int -> s:float -> int
-(** [zipf t ~n ~s] samples a rank in [1, n] from a Zipf distribution
-    with exponent [s], by inversion on the precomputed CDF. For
-    repeated draws with the same parameters prefer {!zipf_sampler}. *)
-
 val zipf_sampler : n:int -> s:float -> t -> int
-(** [zipf_sampler ~n ~s] precomputes the CDF once and returns a
-    sampling function. *)
+(** [zipf_sampler ~n ~s] precomputes the CDF of a Zipf distribution
+    over ranks [1, n] with exponent [s] once, and returns a function
+    that draws a rank by inversion, consuming one [float t 1.0]. *)
 
 val exponential : t -> mean:float -> float
 (** Exponentially distributed draw with the given mean. *)

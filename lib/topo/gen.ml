@@ -66,7 +66,7 @@ let weight_of_kind rng = function
   | As_graph.Content -> 15 + Rng.int rng 30
   | As_graph.Enterprise -> 1
 
-let country_for rng kind =
+let country_for ~zipf rng kind =
   let n = Array.length Country.pool in
   match kind with
   | As_graph.Tier1 | As_graph.Large_transit ->
@@ -75,17 +75,17 @@ let country_for rng kind =
   | As_graph.Content -> Country.pool.(Rng.int rng (min 20 n))
   | As_graph.Small_transit | As_graph.Stub | As_graph.Enterprise ->
     (* Zipf-ish spread across the whole pool. *)
-    let z = Rng.zipf rng ~n ~s:1.35 in
-    Country.pool.(z - 1)
+    Country.pool.(zipf rng - 1)
 
 let generate p =
   let rng = Rng.create p.seed in
+  let zipf = Rng.zipf_sampler ~n:(Array.length Country.pool) ~s:1.35 in
   let graph = As_graph.create () in
   let next_asn = ref 0 in
   let fresh kind name_prefix =
     incr next_asn;
     let asn = Asn.of_int !next_asn in
-    let country = country_for rng kind in
+    let country = country_for ~zipf rng kind in
     As_graph.add_as graph
       ~name:(Printf.sprintf "%s-%d" name_prefix !next_asn)
       ~country ~kind asn;

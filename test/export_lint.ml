@@ -1,6 +1,6 @@
 (* Export linter: every top-level [val] of a library interface must have
-   a caller outside its own module, and each of its optional
-   parameters two production values.
+   a caller outside its own module, and every knob of the library two
+   production values.
 
    Usage: export_lint ALLOWLIST FILE... -- TEST_FILE...
 
@@ -12,22 +12,42 @@
    saying which test needs it. An entry that no TEST_FILE refers to is
    stale and fails too: it would hide a value nothing calls.
 
-   Each [?lab:] parameter of such a [val]'s signature needs some
-   production call (in any FILE, the value's own module included) that
-   passes it, and either a call that omits it or two calls that pass
-   different values. A call passes the [~lab]/[?lab] arguments found
-   after the reference at bracket depth 0, up to a closing bracket,
-   [;], [in], [let], [then], [else], [with], [and], [do], [done],
-   [end], [->] or an operator starting with [|]. An integer, float,
-   string or character literal, [true]/[false] and a constant
-   constructor are literals; any other value (a variable, an
-   expression, [?lab] forwarding, [~lab] punning) counts as distinct
-   from every other. A reference whose arguments cannot be seen —
-   bound to a name, passed as an argument, or inside a local open —
-   passes every option with distinct values. An option that fails
-   needs an ALLOWLIST line [Module.value ?lab  reason]; such an entry
-   is stale once production passes a second value, or when no
-   TEST_FILE call passes the option.
+   A knob with one production value is a constant. Four kinds are
+   checked:
+   - Each [?lab:] parameter of such a [val]'s signature needs some
+     production call (in any FILE, the value's own module included)
+     that passes it, and either a call that omits it or two calls that
+     pass different values.
+   - Each required [lab:] parameter of such a [val]'s signature fails
+     when every production call passes it one numeric, boolean or
+     constant-constructor literal. A string names something, so a
+     string literal never fails, and a call that omits the label
+     counts as a distinct value.
+   - A config record is a record type of a lib interface whose module
+     also exports a value of that type or a function returning one
+     (its default). A field fails when the default gives it a literal
+     and no production record expression ([{ … with f = v }], a full
+     literal or a [r.f <- v]) sets it outside the default's own
+     definition. Fields are matched by name only, so a name shared
+     with another record can hide a finding but never invent one.
+   - A top-level [let] of a lib [.ml] that registers a metric
+     ([Metrics.counter], [gauge], [histogram] or any [Metrics.Family]
+     constructor) fails when nothing else refers to its name: a
+     counter nothing can move reads 0 whatever happens.
+
+   A call passes the [~lab]/[?lab] arguments found after the reference
+   at bracket depth 0, up to a closing bracket, [=], [,], [;], an infix
+   operator or keyword, [in], [let], [then], [else], [with], [and],
+   [do], [done] or [end]. An integer, float, string or character
+   literal, [true]/[false] and a constant constructor are literals; any
+   other value (a variable, an expression, [?lab] forwarding, [~lab]
+   punning) counts as distinct from every other. A reference whose
+   arguments cannot be seen — bound to a name, passed as an argument,
+   or inside a local open — passes every label with distinct values.
+   A label or field that fails needs an ALLOWLIST line
+   [Module.value ?lab  reason], [Module.value ~lab  reason] or
+   [Module.type.field  reason]; such an entry is stale once production
+   gives it a second value, or when no TEST_FILE passes or sets it.
 
    References are found on a token stream (comments, strings and
    character literals removed), and are resolved generously:
@@ -39,7 +59,7 @@
    - after [open M], [let open M in] or [include M], a bare [v] refers
      to [M]'s [v] for the rest of the file.
    Each rule can only add references, so resolving too much may hide an
-   unused value or a one-value option but never reports a used one. *)
+   unused value or a one-value knob but never reports a used one. *)
 
 let read_file file =
   let ic = open_in_bin file in
@@ -214,6 +234,8 @@ type export = {
   modname : string;
   value : string;
   options : string list;  (** the [?lab:] parameters of its signature *)
+  labels : string list;  (** its required [lab:] parameters *)
+  returns : string option;  (** its result type, when one bare name *)
 }
 
 let qualified e = e.modname ^ "." ^ e.value
@@ -221,22 +243,32 @@ let qualified e = e.modname ^ "." ^ e.value
 let module_name file =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename file))
 
-(* The [?lab:] parameters outside brackets in a signature's tokens. *)
-let options_of toks =
-  let depth = ref 0 in
-  Array.fold_left
-    (fun acc t ->
+(* The [?lab:] and [lab:] parameters outside brackets in a signature's
+   tokens, and its result type when that is one bare name. *)
+let parameters toks =
+  let n = Array.length toks in
+  let depth = ref 0 and typed = ref false and result = ref 0 in
+  let options = ref [] and labels = ref [] in
+  Array.iteri
+    (fun i t ->
       match t with
-      | Open _ ->
-        incr depth;
-        acc
-      | Close ->
-        decr depth;
-        acc
-      | Label ('?', lab, true) when !depth = 0 -> lab :: acc
-      | _ -> acc)
-    [] toks
-  |> List.rev
+      | Open _ -> incr depth
+      | Close -> decr depth
+      | Sym ":" when !depth = 0 && not !typed ->
+        typed := true;
+        result := i + 1
+      | Sym "->" when !depth = 0 -> result := i + 1
+      | Label ('?', lab, true) when !depth = 0 -> options := lab :: !options
+      | Lid lab when !depth = 0 && !typed && i + 1 < n && toks.(i + 1) = Sym ":"
+        ->
+        labels := lab :: !labels
+      | _ -> ())
+    toks;
+  let returns =
+    if !result = n - 1 then match toks.(n - 1) with Lid t -> Some t | _ -> None
+    else None
+  in
+  (List.rev !options, List.rev !labels, returns)
 
 (* The top-level [val]s of an interface, with their lines. A
    signature runs on to the next line starting at column 0. *)
@@ -263,14 +295,89 @@ let exports mli =
            let signature =
              String.concat "\n" (Array.to_list (Array.sub lines i (!j - i)))
            in
+           let options, labels, returns = parameters (tokens signature) in
            Some
              {
                file = mli;
                line = i + 1;
                modname;
                value = String.sub rest 0 !len;
-               options = options_of (tokens signature);
+               options;
+               labels;
+               returns;
              })
+
+(* The record types of an interface: (type name, its fields). *)
+let record_types mli =
+  let toks = tokens (read_file mli) in
+  let n = Array.length toks in
+  (* A field's name comes first after [{] or [;], maybe after
+     [mutable]. *)
+  let rec fields i depth first acc =
+    if i >= n then List.rev acc
+    else
+      match toks.(i) with
+      | Open _ -> fields (i + 1) (depth + 1) false acc
+      | Close ->
+        if depth = 1 then List.rev acc else fields (i + 1) (depth - 1) false acc
+      | Sym ";" when depth = 1 -> fields (i + 1) depth true acc
+      | Lid "mutable" when first -> fields (i + 1) depth true acc
+      | Lid f when first -> fields (i + 1) depth false (f :: acc)
+      | _ -> fields (i + 1) depth false acc
+  in
+  let rec go i acc =
+    if i + 3 >= n then List.rev acc
+    else
+      match (toks.(i), toks.(i + 1), toks.(i + 2)) with
+      | Lid name, Eq, Open '{' ->
+        go (i + 3) ((name, fields (i + 3) 1 true []) :: acc)
+      | Lid name, Eq, Lid "private" when toks.(i + 3) = Open '{' ->
+        go (i + 4) ((name, fields (i + 4) 1 true []) :: acc)
+      | _ -> go (i + 1) acc
+  in
+  go 0 []
+
+(* The top-level definitions of an .ml, one per line [let v] at column
+   0: [(v, first, last)], lines counted from 0. A definition runs on to
+   the next line that starts at column 0 with anything but a closing
+   bracket. *)
+let definitions lines =
+  let n = Array.length lines in
+  let continues l = l = "" || String.contains " )]}" l.[0] in
+  List.init n Fun.id
+  |> List.filter_map (fun i ->
+         let text = lines.(i) in
+         if not (starts_with "let " text) then None
+         else
+           let rest = String.sub text 4 (String.length text - 4) in
+           let rest =
+             if starts_with "rec " rest then
+               String.sub rest 4 (String.length rest - 4)
+             else rest
+           in
+           let len = ref 0 in
+           while !len < String.length rest && is_ident_char rest.[!len] do
+             incr len
+           done;
+           let j = ref (i + 1) in
+           while !j < n && continues lines.(!j) do
+             incr j
+           done;
+           if !len = 0 then None
+           else Some (String.sub rest 0 !len, i, !j - 1))
+
+(* [lines] with the [(first, last)] spans blanked. *)
+let without lines spans =
+  String.concat "\n"
+    (List.mapi
+       (fun i l ->
+         if List.exists (fun (first, last) -> i >= first && i <= last) spans
+         then ""
+         else l)
+       (Array.to_list lines))
+
+let span lines (first, last) =
+  String.concat "\n" (Array.to_list (Array.sub lines first (last - first + 1)))
 
 (* ------------------------------------------------------------------ *)
 (* References *)
@@ -387,10 +494,11 @@ let expression_start = function
 
 (* Tokens that end an application at bracket depth 0. *)
 let ends_application = function
-  | Close | Sym (";" | ";;" | "->") -> true
-  | Sym s -> s.[0] = '|'
-  | Lid ("in" | "let" | "then" | "else" | "with" | "and" | "do" | "done" | "end")
-    ->
+  | Close | Eq -> true
+  | Sym s -> not (String.contains "!?~#`'" s.[0])
+  | Lid
+      ( "in" | "let" | "then" | "else" | "with" | "and" | "do" | "done" | "end"
+      | "or" | "mod" | "land" | "lor" | "lxor" | "lsl" | "lsr" | "asr" ) ->
     true
   | _ -> false
 
@@ -467,16 +575,107 @@ let one_value calls lab =
     Some (Printf.sprintf "every production call passes ~%s:%s" lab l)
   | _ -> None
 
+(* A string or character literal names something rather than tunes it. *)
+let is_string l = String.contains "\"{'" l.[0]
+
+(* [Some reason] when [calls] pass required label [lab] one numeric,
+   boolean or constant-constructor literal. A call that omits it
+   applies the label elsewhere, so it counts as a distinct value. *)
+let one_literal calls lab =
+  let passed = function
+    | Some args -> Option.value (List.assoc_opt lab args) ~default:Other
+    | None -> Other
+  in
+  match List.sort_uniq compare (List.map passed calls) with
+  | [ Literal l ] when not (is_string l) ->
+    Some (Printf.sprintf "every production call passes ~%s:%s" lab l)
+  | _ -> None
+
 (* ------------------------------------------------------------------ *)
-(* Allowlist: [Module.value  reason] or [Module.value ?lab  reason] per
+(* Record expressions and metric registrations *)
+
+(* The fields that record expressions and patterns in [toks] give a
+   value, with the value: [f] in [{ f = v }], [{ r with f = v }] and
+   [{ f }] (also written [M.f]), and [r.f <- v]. *)
+let record_fields toks =
+  let n = Array.length toks in
+  let ends j =
+    j >= n || match toks.(j) with Close | Sym ";" -> true | _ -> false
+  in
+  (* A literal that makes up the whole value at [j]. *)
+  let value j =
+    let rec constr j text =
+      if j + 2 < n && toks.(j + 1) = Dot then
+        match toks.(j + 2) with
+        | Uid c -> constr (j + 2) (text ^ "." ^ c)
+        | _ -> Other
+      else if ends (j + 1) then Literal text
+      else Other
+    in
+    match if j < n then toks.(j) else Sym "" with
+    | (Lit s | Lid (("true" | "false") as s)) when ends (j + 1) -> Literal s
+    | Sym ("-" | "-.") when j + 2 <= n -> (
+      match toks.(j + 1) with
+      | Lit s when ends (j + 2) -> Literal ("-" ^ s)
+      | _ -> Other)
+    | Uid c -> constr j c
+    | _ -> Other
+  in
+  let found = ref [] in
+  (* [brackets]: the open brackets, innermost first; [field]: whether a
+     field name may start at [i]. *)
+  let rec go i brackets field =
+    if i < n then
+      let in_braces = match brackets with '{' :: _ -> true | _ -> false in
+      match toks.(i) with
+      | Open c -> go (i + 1) (c :: brackets) (c = '{')
+      | Close -> go (i + 1) (match brackets with _ :: b -> b | [] -> []) false
+      | Sym ";" | Lid "with" when in_braces -> go (i + 1) brackets true
+      | Uid _ when field && i + 1 < n && toks.(i + 1) = Dot ->
+        go (i + 2) brackets true
+      | Lid f when field && i + 1 < n && toks.(i + 1) = Eq ->
+        found := (f, value (i + 2)) :: !found;
+        go (i + 2) brackets false
+      | Lid f when field && ends (i + 1) ->
+        found := (f, Other) :: !found;
+        go (i + 1) brackets false
+      | Dot when i + 2 < n && toks.(i + 2) = Sym "<-" ->
+        (match toks.(i + 1) with
+        | Lid f -> found := (f, Other) :: !found
+        | _ -> ());
+        go (i + 1) brackets false
+      | _ -> go (i + 1) brackets false
+  in
+  go 0 [] false;
+  !found
+
+(* Whether a definition's right-hand side registers a metric: a
+   [Metrics.counter], [gauge] or [histogram], or any
+   [Metrics.Family] constructor. *)
+let registers_metric toks =
+  let n = Array.length toks in
+  let rec rhs i = if i >= n || toks.(i) = Eq then i + 1 else rhs (i + 1) in
+  let rec path i acc =
+    if i + 2 < n && toks.(i + 1) = Dot then
+      match (toks.(i), toks.(i + 2)) with
+      | Uid m, Uid _ -> path (i + 2) (m :: acc)
+      | Uid m, Lid f -> Some (m :: acc, f)
+      | _ -> None
+    else None
+  in
+  match path (rhs 0) [] with
+  | Some ("Metrics" :: _, ("counter" | "gauge" | "histogram")) -> true
+  | Some ("Family" :: "Metrics" :: _, _) -> true
+  | _ -> false
+
+(* ------------------------------------------------------------------ *)
+(* Allowlist: [Module.value  reason], [Module.value ?lab  reason],
+   [Module.value ~lab  reason] or [Module.type.field  reason] per
    line; [#] starts a comment. *)
 
-type entry = {
-  lineno : int;
-  key : string;
-  option : string option;
-  reason : string;
-}
+type knob = Export | Optional of string | Required of string | Field
+
+type entry = { lineno : int; key : string; knob : knob; reason : string }
 
 let allowlist file =
   let word s =
@@ -489,11 +688,15 @@ let allowlist file =
   |> List.filter (fun (_, line) -> line <> "" && line.[0] <> '#')
   |> List.map (fun (lineno, line) ->
          let key, rest = word line in
+         let label, reason = word rest in
+         let lab = String.sub label 1 (max 0 (String.length label - 1)) in
          if starts_with "?" rest then
-           let opt, reason = word rest in
-           let lab = String.sub opt 1 (String.length opt - 1) in
-           { lineno; key; option = Some lab; reason }
-         else { lineno; key; option = None; reason = rest })
+           { lineno; key; knob = Optional lab; reason }
+         else if starts_with "~" rest then
+           { lineno; key; knob = Required lab; reason }
+         else if List.length (String.split_on_char '.' key) = 3 then
+           { lineno; key; knob = Field; reason = rest }
+         else { lineno; key; knob = Export; reason = rest })
 
 let () =
   match List.tl (Array.to_list Sys.argv) with
@@ -509,6 +712,7 @@ let () =
     let files, tests = split [] args in
     let mlis = List.filter (ends_with ".mli") files in
     let mls = List.filter (ends_with ".ml") files in
+    let implementation mli = Filename.remove_extension mli ^ ".ml" in
     let all = List.concat_map exports mlis in
     let table = Hashtbl.create 1024 in
     List.iter (fun e -> Hashtbl.replace table (e.modname, e.value) ()) all;
@@ -540,13 +744,83 @@ let () =
         Hashtbl.add test_calls (m, v) call);
     (* A reference counts unless it comes from the value's own .ml. *)
     let called e =
-      let own = Filename.remove_extension e.file ^ ".ml" in
-      List.exists (fun ml -> ml <> own)
+      List.exists (fun ml -> ml <> implementation e.file)
         (Hashtbl.find_all used (e.modname, e.value))
     in
-    let one_value e lab =
-      one_value (Hashtbl.find_all calls (e.modname, e.value)) lab
+    let calls_of e = Hashtbl.find_all calls (e.modname, e.value) in
+    let tested_with e lab =
+      List.exists
+        (function Some args -> List.mem_assoc lab args | None -> false)
+        (Hashtbl.find_all test_calls (e.modname, e.value))
     in
+    (* Config records: (module, type, field, the literal its defaults
+       give it), for each field every default gives one literal. The
+       fields production sets outside those defaults, and the fields
+       tests set. *)
+    let defaults = Hashtbl.create 64 and n_fields = ref 0 in
+    let configs =
+      List.concat_map
+        (fun mli ->
+          let modname = module_name mli in
+          let ml = implementation mli in
+          let lines =
+            if List.mem ml mls then
+              Array.of_list (String.split_on_char '\n' (read_file ml))
+            else [||]
+          in
+          let defs = definitions lines in
+          List.concat_map
+            (fun (ty, fields) ->
+              (* The defaults of [ty], with their definitions' spans. *)
+              let defaults_of_ty =
+                List.filter_map
+                  (fun e ->
+                    if e.file = mli && e.returns = Some ty then
+                      List.find_map
+                        (fun (v, first, last) ->
+                          if v = e.value then Some (e, (first, last)) else None)
+                        defs
+                    else None)
+                  all
+              in
+              let spans = List.map snd defaults_of_ty in
+              List.iter (fun s -> Hashtbl.add defaults ml s) spans;
+              if spans <> [] then
+                n_fields := !n_fields + List.length fields;
+              let given =
+                List.concat_map
+                  (fun s -> record_fields (tokens (span lines s)))
+                  spans
+              in
+              List.filter_map
+                (fun f ->
+                  match
+                    ( defaults_of_ty,
+                      List.sort_uniq compare
+                        (List.filter_map
+                           (fun (g, v) -> if g = f then Some v else None)
+                           given) )
+                  with
+                  | (e, _) :: _, [ Literal l ] ->
+                    Some (e, String.concat "." [ modname; ty; f ], f, l)
+                  | _ -> None)
+                fields)
+            (record_types mli))
+        mlis
+    in
+    let set_in file text =
+      List.map fst (record_fields (tokens text))
+      |> List.iter (fun f -> Hashtbl.replace file f ())
+    in
+    let prod_set = Hashtbl.create 256 and test_set = Hashtbl.create 256 in
+    List.iter
+      (fun ml ->
+        let lines =
+          Array.of_list (String.split_on_char '\n' (read_file ml))
+        in
+        set_in prod_set (without lines (Hashtbl.find_all defaults ml)))
+      mls;
+    List.iter (fun t -> set_in test_set (read_file t)) tests;
     let allowed = allowlist allow_file in
     let failures = ref 0 in
     let fail fmt =
@@ -554,66 +828,117 @@ let () =
       Printf.eprintf fmt
     in
     List.iter
-      (fun { lineno; key; option; reason } ->
+      (fun { lineno; key; knob; reason } ->
         let named = List.filter (fun e -> qualified e = key) all in
         let where = Printf.sprintf "%s:%d: %s" allow_file lineno key in
         if reason = "" then fail "%s: entry gives no reason\n" where;
-        match option with
-        | None ->
+        match knob with
+        | Export ->
           if named = [] then fail "%s: no such lib export\n" where
           else if List.exists called named then
             fail "%s: has a caller; drop the entry\n" where
           else if not (Hashtbl.mem tested key) then
             fail "%s: no test refers to it; delete the value and the entry\n"
               where
-        | Some lab -> (
+        | Optional lab -> (
           let where = where ^ " ?" ^ lab in
           match List.filter (fun e -> List.mem lab e.options) named with
           | [] -> fail "%s: no such optional parameter\n" where
           | e :: _ ->
-            let passes = function
-              | Some args -> List.mem_assoc lab args
-              | None -> false
-            in
-            if one_value e lab = None then
+            if one_value (calls_of e) lab = None then
               fail "%s: has two production values; drop the entry\n" where
-            else if
-              not
-                (List.exists passes
-                   (Hashtbl.find_all test_calls (e.modname, e.value)))
-            then
+            else if not (tested_with e lab) then
               fail "%s: no test passes it; delete the option and the entry\n"
+                where)
+        | Required lab -> (
+          let where = where ^ " ~" ^ lab in
+          match List.filter (fun e -> List.mem lab e.labels) named with
+          | [] -> fail "%s: no such required label\n" where
+          | e :: _ ->
+            if one_literal (calls_of e) lab = None then
+              fail "%s: has two production values; drop the entry\n" where
+            else if not (tested_with e lab) then
+              fail "%s: no test passes it; delete the label and the entry\n"
+                where)
+        | Field -> (
+          match List.find_opt (fun (_, k, _, _) -> k = key) configs with
+          | None ->
+            fail "%s: no such config field with a literal default\n" where
+          | Some (_, _, f, _) ->
+            if Hashtbl.mem prod_set f then
+              fail "%s: production sets it; drop the entry\n" where
+            else if not (Hashtbl.mem test_set f) then
+              fail "%s: no test sets it; delete the field and the entry\n"
                 where))
       allowed;
-    let is_allowed e option =
-      List.exists (fun a -> a.key = qualified e && a.option = option) allowed
+    let is_allowed key knob =
+      List.exists (fun a -> a.key = key && a.knob = knob) allowed
     in
     List.iter
       (fun e ->
-        if not (called e || is_allowed e None) then
+        if not (called e || is_allowed (qualified e) Export) then
           fail "%s:%d: %s has no caller outside its module\n" e.file e.line
             (qualified e);
         List.iter
           (fun lab ->
-            match one_value e lab with
-            | Some why when not (is_allowed e (Some lab)) ->
+            match one_value (calls_of e) lab with
+            | Some why when not (is_allowed (qualified e) (Optional lab)) ->
               fail "%s:%d: %s ?%s: %s\n" e.file e.line (qualified e) lab why
             | _ -> ())
-          e.options)
+          e.options;
+        List.iter
+          (fun lab ->
+            match one_literal (calls_of e) lab with
+            | Some why when not (is_allowed (qualified e) (Required lab)) ->
+              fail "%s:%d: %s ~%s: %s\n" e.file e.line (qualified e) lab why
+            | _ -> ())
+          e.labels)
       all;
+    List.iter
+      (fun (e, key, f, l) ->
+        if not (Hashtbl.mem prod_set f || is_allowed key Field) then
+          fail "%s:%d: %s: no production record sets it; %s gives it %s\n"
+            e.file e.line key e.value l)
+      configs;
+    (* Metric registrations nothing else refers to. *)
+    let metrics = ref 0 in
+    List.iter
+      (fun ml ->
+        if List.mem (ml ^ "i") mlis then begin
+          let lines = Array.of_list (String.split_on_char '\n' (read_file ml)) in
+          List.iter
+            (fun (v, first, last) ->
+              if registers_metric (tokens (span lines (first, last))) then begin
+                incr metrics;
+                let rest = tokens (without lines [ (first, last) ]) in
+                let refers = function
+                  | Lid w | Label (_, w, _) -> w = v
+                  | _ -> false
+                in
+                if
+                  not
+                    (Array.exists refers rest
+                    || Hashtbl.mem used (module_name ml, v))
+                then
+                  fail "%s:%d: %s registers a metric that nothing updates\n" ml
+                    (first + 1) v
+              end)
+            (definitions lines)
+        end)
+      mls;
+    Printf.printf
+      "export_lint: %d exports in %d interfaces, %d optional parameters, %d \
+       required labels, %d config fields, %d metrics, %d allowlisted\n"
+      (List.length all) (List.length mlis)
+      (List.fold_left (fun n e -> n + List.length e.options) 0 all)
+      (List.fold_left (fun n e -> n + List.length e.labels) 0 all)
+      !n_fields !metrics (List.length allowed);
     if !failures > 0 then begin
       Printf.eprintf
         "export_lint: %d failure%s; un-export or delete the value, make the \
-         option a constant, or allowlist it with a reason in %s\n"
+         knob a constant, or allowlist it with a reason in %s\n"
         !failures
         (if !failures = 1 then "" else "s")
         allow_file;
       exit 1
     end
-    else
-      Printf.printf
-        "export_lint: %d exports in %d interfaces, %d optional parameters, %d \
-         allowlisted\n"
-        (List.length all) (List.length mlis)
-        (List.fold_left (fun n e -> n + List.length e.options) 0 all)
-        (List.length allowed)

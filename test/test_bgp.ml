@@ -520,7 +520,8 @@ let test_mp_transparent_to_v4_speakers () =
   Buffer.add_string mp "\x30\x28\x04\x26\x9c\x01\x00";
   let spliced = Buffer.create 128 in
   Buffer.add_subbytes spliced v4 0 (23 + attr_len);
-  Wire.put_attribute spliced ~flags:0x80 ~code:14 mp;
+  Wire.put_attr_header spliced ~flags:0x80 ~code:14 (Buffer.length mp);
+  Buffer.add_buffer spliced mp;
   let bytes = Buffer.to_bytes spliced in
   let set_u16 off v =
     Bytes.set bytes off (Char.chr (v lsr 8));

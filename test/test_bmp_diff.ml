@@ -43,15 +43,16 @@ let n_seeds =
 let seeds = List.init n_seeds (fun i -> i + 1)
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 
-(* ~100 ASes: enough peers per site for real tables, fast enough to
-   rebuild per seed. The chaos scenario uses the campaign's own full
+(* ~685 ASes: the smallest world that seats AMS-IX's 669 members,
+   enough peers per site for real tables, fast enough to rebuild per
+   seed. The chaos scenario uses the campaign's own full
    default world instead. *)
 let world seed =
   { Gen.seed;
     n_tier1 = 3;
     n_large_transit = 5;
     n_small_transit = 12;
-    n_stub = 75;
+    n_stub = 660;
     n_content = 5;
     target_prefixes = 150
   }
@@ -60,10 +61,7 @@ let params seed =
   { Testbed.default_params with
     Testbed.world = world seed;
     seed;
-    university_sites = [ ("gatech01", 2); ("usc01", 2) ];
-    with_amsix = false;
-    with_phoenix = false;
-    bilateral_requests = false
+    university_sites = [ ("gatech01", 2); ("usc01", 2) ]
   }
 
 let attach mon tb =
@@ -309,7 +307,7 @@ let scenario_detectors seed =
   Monitor.allow_export mon ~mux:name ~peer:p1 (fun p ->
       Prefix.compare p leak <> 0);
   Monitor.watch_flaps mon flap;
-  Monitor.watch_reach mon dip ~floor:2;
+  Monitor.watch_reach mon dip;
   (* MOAS: injected twice, alerted once (dedup). *)
   Server.learn_route srv ~peer:p1 ~path:[ p1; Asn.of_int 65010 ] moas;
   Server.learn_route srv ~peer:p2 ~path:[ p2; Asn.of_int 65666 ] moas;

@@ -711,8 +711,7 @@ let test_remote_peering () =
   let params =
     { Testbed.default_params with
       Testbed.world = small_world;
-      university_sites = [];
-      with_phoenix = false
+      university_sites = []
     }
   in
   let t = Testbed.build ~params () in
@@ -1371,8 +1370,7 @@ let test_sdx_policy_composition () =
   Sdx.set_policy sdx ~asn:(asn 100)
     [ { Sdx.description = "web-via-B";
         matches =
-          { Packet_program.match_any with
-            Packet_program.dst_in = Some (pfx "198.51.100.0/24");
+          { Packet_program.dst_in = Some (pfx "198.51.100.0/24");
             dport = Some 80
           };
         action = Sdx.Forward_to (asn 200)
@@ -1415,8 +1413,7 @@ let test_rov_containment () =
   let params =
     { Testbed.default_params with
       Testbed.world = small_world;
-      university_sites = [];
-      with_phoenix = false
+      university_sites = []
     }
   in
   let t = Testbed.build ~params () in
@@ -1463,8 +1460,7 @@ let test_periodic_announce_dampening () =
   let params =
     { Testbed.default_params with
       Testbed.world = small_world;
-      university_sites = [];
-      with_phoenix = false
+      university_sites = []
     }
   in
   let t = Testbed.build ~params () in

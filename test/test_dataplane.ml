@@ -191,7 +191,7 @@ let test_program_drop_allow () =
     Packet_program.compile e
       [ pp_rule "block-net"
           { Packet_program.match_any with
-            Packet_program.src_in = Some (pfx "66.0.0.0/8")
+            Packet_program.dst_in = Some (pfx "10.3.66.0/24")
           }
           Packet_program.Drop;
         pp_rule "rest" Packet_program.match_any Packet_program.Allow
@@ -199,7 +199,7 @@ let test_program_drop_allow () =
   in
   Packet_program.install prog f "B";
   Forwarder.inject f ~at:"A"
-    (Packet.make ~src:(ip "66.1.2.3") ~dst:(ip "10.3.0.1") ());
+    (Packet.make ~src:(ip "10.1.0.1") ~dst:(ip "10.3.66.1") ());
   Forwarder.inject f ~at:"A"
     (Packet.make ~src:(ip "10.1.0.1") ~dst:(ip "10.3.0.1") ());
   Engine.run ~until:1.0 e;
@@ -215,10 +215,7 @@ let test_program_rewrite () =
   let prog =
     Packet_program.compile e
       [ pp_rule "redirect"
-          { Packet_program.match_any with
-            Packet_program.dst_in = Some (pfx "10.3.0.0/16");
-            dport = Some 443
-          }
+          { Packet_program.dst_in = Some (pfx "10.3.0.0/16"); dport = Some 443 }
           (Packet_program.Rewrite_dst (ip "10.1.0.1"));
         pp_rule "rest" Packet_program.match_any Packet_program.Allow
       ]
@@ -246,8 +243,8 @@ let test_program_divert_and_mirror () =
   Forwarder.on_deliver f "monitor" (fun _ -> incr seen);
   let prog =
     Packet_program.compile e
-      [ pp_rule "mirror-udp"
-          { Packet_program.match_any with Packet_program.proto = Some `Udp }
+      [ pp_rule "mirror-traceroute-port"
+          { Packet_program.match_any with Packet_program.dport = Some 33434 }
           (Packet_program.Mirror "monitor")
       ]
   in

@@ -14,12 +14,11 @@ let pfx = Prefix.of_string_exn
 (* Igp *)
 
 let square () =
-  (* a - b - d and a - c - d, with a heavy a-c link *)
+  (* a - b - d, and the longer a - c - e - d *)
   let g = Igp.create () in
-  Igp.add_link g "a" "b" ~weight:1;
-  Igp.add_link g "b" "d" ~weight:1;
-  Igp.add_link g "a" "c" ~weight:5;
-  Igp.add_link g "c" "d" ~weight:1;
+  List.iter
+    (fun (x, y) -> Igp.add_link g x y)
+    [ ("a", "b"); ("b", "d"); ("a", "c"); ("c", "e"); ("e", "d") ];
   g
 
 let test_igp_shortest () =
@@ -29,22 +28,75 @@ let test_igp_shortest () =
   check Alcotest.(option (list string)) "path" (Some [ "a"; "b"; "d" ])
     (Igp.path g ~src:"a" ~dst:"d");
   check Alcotest.(list (pair string int)) "distances"
-    [ ("a", 0); ("b", 1); ("c", 3); ("d", 2) ]
+    [ ("a", 0); ("b", 1); ("c", 1); ("d", 2); ("e", 2) ]
     (Igp.distances g "a")
 
 let test_igp_reroute_on_failure () =
   let g = square () in
-  (* re-adding a link replaces its weight: b-d costed out *)
-  Igp.add_link g "b" "d" ~weight:10;
-  check Alcotest.(option string) "a->d now via c" (Some "c")
+  check Alcotest.(option string) "d->c via e" (Some "e")
+    (Igp.next_hop g ~src:"d" ~dst:"c");
+  (* a c - d link shortcuts c - e - d; a->d then ties between b and c,
+     and the name-smaller first hop wins *)
+  Igp.add_link g "c" "d";
+  check Alcotest.(option string) "d->c direct" (Some "c")
+    (Igp.next_hop g ~src:"d" ~dst:"c");
+  check Alcotest.(option string) "a->d tie to b" (Some "b")
     (Igp.next_hop g ~src:"a" ~dst:"d");
-  Igp.add_node g "e";
+  Igp.add_node g "f";
   check Alcotest.(option string) "unreachable" None
-    (Igp.next_hop g ~src:"a" ~dst:"e")
+    (Igp.next_hop g ~src:"a" ~dst:"f")
 
 let test_igp_self () =
   let g = square () in
   check Alcotest.(option string) "self" None (Igp.next_hop g ~src:"a" ~dst:"a")
+
+(* Random connected graphs of 2-30 nodes: a random spanning tree plus
+   random extra links, nodes named in shuffled order so that name order
+   and insertion order differ. *)
+let arbitrary_graph =
+  let gen =
+    QCheck.Gen.(
+      int_range 2 30 >>= fun n ->
+      shuffle_l (List.init n (Printf.sprintf "n%02d")) >>= fun names ->
+      let names = Array.of_list names in
+      list_repeat (n - 1) (int_bound 1_000_000) >>= fun parents ->
+      let node = int_bound (n - 1) in
+      list_size (int_bound (2 * n)) (pair node node) >|= fun extra ->
+      let tree =
+        List.mapi (fun i r -> (names.(i + 1), names.(r mod (i + 1)))) parents
+      in
+      (Array.to_list names,
+       tree @ List.map (fun (x, y) -> (names.(x), names.(y))) extra))
+  in
+  QCheck.make gen ~print:(fun (_, links) ->
+      String.concat " " (List.map (fun (x, y) -> x ^ "-" ^ y) links))
+
+let prop_igp_reference =
+  QCheck.Test.make ~name:"bfs = dijkstra reference" ~count:200 arbitrary_graph
+    (fun (nodes, links) ->
+      let g = Igp.create () and r = Igp_reference.create () in
+      List.iter
+        (fun (x, y) ->
+          if x <> y then begin
+            Igp.add_link g x y;
+            Igp_reference.add_link r x y
+          end)
+        links;
+      (* [path] walks [next_hop], so paths from one source suffice. *)
+      let src0 = List.hd nodes in
+      List.for_all
+        (fun dst ->
+          Igp.path g ~src:src0 ~dst = Igp_reference.path r ~src:src0 ~dst)
+        nodes
+      && List.for_all
+           (fun src ->
+             Igp.distances g src = Igp_reference.distances r src
+             && List.for_all
+                  (fun dst ->
+                    Igp.next_hop g ~src ~dst
+                    = Igp_reference.next_hop r ~src ~dst)
+                  nodes)
+           nodes)
 
 (* ------------------------------------------------------------------ *)
 (* Mininext *)
@@ -223,7 +275,8 @@ let () =
     [ ( "igp",
         [ tc "shortest" `Quick test_igp_shortest;
           tc "reroute" `Quick test_igp_reroute_on_failure;
-          tc "self" `Quick test_igp_self
+          tc "self" `Quick test_igp_self;
+          QCheck_alcotest.to_alcotest prop_igp_reference
         ] );
       ( "mininext",
         [ tc "ibgp mesh" `Quick test_mininext_ibgp_mesh;

@@ -269,7 +269,7 @@ let prop_trie_remove_all =
 
 let test_pool_alloc_free () =
   let supply = Prefix.of_string_exn "184.164.224.0/19" in
-  let pool = Prefix_pool.create ~alloc_len:24 [ supply ] in
+  let pool = Prefix_pool.create [ supply ] in
   check Alcotest.int "capacity" 32 (Prefix_pool.available pool);
   match Prefix_pool.alloc pool with
   | None -> Alcotest.fail "alloc failed"
@@ -285,8 +285,8 @@ let test_pool_alloc_free () =
     | Error `Not_allocated -> Alcotest.fail "free failed")
 
 let test_pool_exhaustion () =
-  let supply = Prefix.of_string_exn "10.0.0.0/30" in
-  let pool = Prefix_pool.create ~alloc_len:32 [ supply ] in
+  let supply = Prefix.of_string_exn "10.0.0.0/22" in
+  let pool = Prefix_pool.create [ supply ] in
   let rec drain pool n =
     match Prefix_pool.alloc pool with
     | Some (_, pool) -> drain pool (n + 1)
@@ -295,8 +295,8 @@ let test_pool_exhaustion () =
   check Alcotest.int "all blocks" 4 (drain pool 0)
 
 let test_pool_disjoint () =
-  let supply = Prefix.of_string_exn "10.0.0.0/24" in
-  let pool = Prefix_pool.create ~alloc_len:26 [ supply ] in
+  let supply = Prefix.of_string_exn "10.0.0.0/22" in
+  let pool = Prefix_pool.create [ supply ] in
   let rec take pool acc =
     match Prefix_pool.alloc pool with
     | Some (p, pool) -> take pool (p :: acc)
@@ -315,7 +315,7 @@ let test_pool_disjoint () =
 
 let test_pool_donation () =
   let pool =
-    Prefix_pool.create ~alloc_len:24 [ Prefix.of_string_exn "184.164.224.0/19" ]
+    Prefix_pool.create [ Prefix.of_string_exn "184.164.224.0/19" ]
   in
   let pool = Prefix_pool.add_supply (Prefix.of_string_exn "198.51.100.0/24") pool in
   check Alcotest.int "extra capacity" 33 (Prefix_pool.available pool);

@@ -31,14 +31,15 @@ let n_seeds =
 
 let seeds = List.init n_seeds (fun i -> i + 1)
 
-(* ~100 ASes: enough topology for distinct catchments, fast enough to
-   rebuild for every seed (twice, for the byte-identity oracle). *)
+(* ~685 ASes: the smallest world that seats AMS-IX's 669 members,
+   enough topology for distinct catchments, fast enough to rebuild for
+   every seed (twice, for the byte-identity oracle). *)
 let world seed =
   { Gen.seed;
     n_tier1 = 3;
     n_large_transit = 5;
     n_small_transit = 12;
-    n_stub = 75;
+    n_stub = 660;
     n_content = 5;
     target_prefixes = 150
   }
@@ -47,10 +48,7 @@ let params seed =
   { Testbed.default_params with
     Testbed.world = world seed;
     seed;
-    university_sites = [ ("gatech01", 2); ("usc01", 2) ];
-    with_amsix = false;
-    with_phoenix = false;
-    bilateral_requests = false
+    university_sites = [ ("gatech01", 2); ("usc01", 2) ]
   }
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
