@@ -439,8 +439,7 @@ let a2 () =
           let experiment =
             Experiment.make
               ~id:(Printf.sprintf "a2-%d-%d" n_clients i)
-              ~owner:"bench"
-              ~description:"session multiplexing ablation experiment" ()
+              ~owner:"bench" ()
           in
           experiment.Experiment.status <- Experiment.Active;
           Server.connect_client s ~experiment (Printf.sprintf "c%d" i)
@@ -533,8 +532,7 @@ let a4 () =
         ~owns:(fun _ -> true) ()
     in
     let exp =
-      Experiment.make ~id:"a4" ~owner:"bench"
-        ~description:"dampening ablation flap storm experiment" ()
+      Experiment.make ~id:"a4" ~owner:"bench" ()
     in
     exp.Experiment.prefixes <- [ Prefix.of_string_exn "184.164.224.0/24" ];
     exp.Experiment.status <- Experiment.Active;
@@ -583,7 +581,7 @@ let a5 () =
   report "AMS-IX only";
   List.iter
     (fun name ->
-      ignore (Testbed.add_remote_ixp t ~via:"amsterdam01" ~name);
+      ignore (Testbed.add_remote_ixp t ~via:"amsterdam01");
       report (Printf.sprintf "+ %s (remote)" name))
     [ "DE-CIX"; "LINX"; "France-IX"; "HKIX"; "Seattle-IX" ];
   Printf.printf

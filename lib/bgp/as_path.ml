@@ -140,32 +140,6 @@ let neighbor_asn p =
   else if len > 2 && ty p 2 = seg_seq && count p 2 > 0 then Some (asn_at p 4)
   else None
 
-let strip_private p =
-  let len = String.length p in
-  let b = Bytes.create len in
-  (* [i] reads a segment, [o] writes its kept ASNs' header *)
-  let rec from i o =
-    if i >= len then o
-    else begin
-      let w = ref (o + 2) in
-      for k = 0 to count p i - 1 do
-        let j = i + 2 + (4 * k) in
-        if not (Asn.is_private (asn_at p j)) then begin
-          Bytes.blit_string p j b !w 4;
-          w := !w + 4
-        end
-      done;
-      let kept = (!w - o - 2) / 4 in
-      if kept = 0 then from (next p i) o
-      else begin
-        set_header b o (ty p i) kept;
-        from (next p i) !w
-      end
-    end
-  in
-  let out = from 0 0 in
-  if out = len then p else Bytes.sub_string b 0 out
-
 (* The segment-list order: not byte order, which would compare counts
    before ASNs and put AS_SET (1) before AS_SEQUENCE (2). [i] and [j]
    are the offsets of the segments compared, [k] the ASN within them. *)

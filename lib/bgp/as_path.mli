@@ -66,11 +66,6 @@ val neighbor_asn : t -> Asn.t option
 (** The leftmost ASN — the AS the route was most recently exported
     by. *)
 
-val strip_private : t -> t
-(** Remove private ASNs everywhere in the path, dropping segments that
-    become empty. This is the mux's "present only the public PEERING
-    ASN" operation. *)
-
 val compare : t -> t -> int
 (** Segment by segment, shorter path first: an AS_SEQUENCE sorts
     before an AS_SET, and segments of one type compare ASN by ASN,

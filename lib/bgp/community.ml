@@ -38,5 +38,3 @@ let mem c l = List.exists (equal c) l
 
 let add c l =
   if mem c l then l else List.sort compare (c :: l)
-
-let remove c l = List.filter (fun x -> not (equal c x)) l

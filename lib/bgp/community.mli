@@ -34,5 +34,3 @@ val compare : t -> t -> int
 val mem : t -> t list -> bool
 val add : t -> t list -> t list
 (** Set-like insert preserving sorted order, no duplicates. *)
-
-val remove : t -> t list -> t list

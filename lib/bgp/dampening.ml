@@ -2,22 +2,13 @@ open Peering_net
 module Metrics = Peering_obs.Metrics
 module Sink = Peering_obs.Sink
 
-let m_flaps =
-  Metrics.counter ~help:"route flaps charged with a penalty"
-    "bgp.dampening.flaps"
+let m_flaps = Metrics.counter "bgp.dampening.flaps"
 
-let m_suppressions =
-  Metrics.counter ~help:"routes entering the suppressed state"
-    "bgp.dampening.suppressions"
+let m_suppressions = Metrics.counter "bgp.dampening.suppressions"
 
-let m_reuses =
-  Metrics.counter ~help:"suppressed routes released for reuse"
-    "bgp.dampening.reuses"
+let m_reuses = Metrics.counter "bgp.dampening.reuses"
 
-let m_suppressed_s =
-  Metrics.histogram
-    ~help:"time a route spent suppressed before release (virtual s)"
-    "bgp.dampening.suppressed_s"
+let m_suppressed_s = Metrics.histogram "bgp.dampening.suppressed_s"
 
 (* The penalty one flap adds, and the cap on hold-down (seconds). *)
 let penalty_per_flap = 1000.0

@@ -2,18 +2,13 @@ open Peering_net
 module Metrics = Peering_obs.Metrics
 module Sink = Peering_obs.Sink
 
-let m_runs =
-  Metrics.counter ~help:"decision-process runs (candidate sets ranked)"
-    "bgp.decision.runs"
+let m_runs = Metrics.counter "bgp.decision.runs"
 
 (* Wall-clock latency is inherently nondeterministic, so this histogram
    is volatile: excluded from default snapshots to keep same-seed runs
    byte-identical. It is sampled only while the recorder runs: two
    getrusage calls would cost more than the fold they time. *)
-let m_latency =
-  Metrics.histogram ~volatile:true
-    ~help:"decision-process wall-clock latency per run (s)"
-    "bgp.decision.latency_s"
+let m_latency = Metrics.histogram ~volatile:true "bgp.decision.latency_s"
 
 let default_local_pref = 100
 

@@ -3,48 +3,33 @@ module Engine = Peering_sim.Engine
 module Metrics = Peering_obs.Metrics
 module Sink = Peering_obs.Sink
 
-let m_transitions =
-  Metrics.counter ~help:"BGP session FSM state transitions"
-    "bgp.fsm.transitions"
+let m_transitions = Metrics.counter "bgp.fsm.transitions"
 
-let m_established =
-  Metrics.counter ~help:"sessions that reached Established"
-    "bgp.session.established"
+let m_established = Metrics.counter "bgp.session.established"
 
-let m_closed =
-  Metrics.counter ~help:"sessions closed (any reason)" "bgp.session.closed"
+let m_closed = Metrics.counter "bgp.session.closed"
 
-let m_updates_rx =
-  Metrics.counter ~help:"UPDATE messages received on established sessions"
-    "bgp.session.updates_rx"
+let m_updates_rx = Metrics.counter "bgp.session.updates_rx"
 
-let m_keepalives_rx =
-  Metrics.counter ~help:"KEEPALIVE messages received" "bgp.session.keepalives_rx"
+let m_keepalives_rx = Metrics.counter "bgp.session.keepalives_rx"
 
-let m_notifications_rx =
-  Metrics.counter ~help:"NOTIFICATION messages received"
-    "bgp.session.notifications_rx"
+let m_notifications_rx = Metrics.counter "bgp.session.notifications_rx"
 
-let m_fsm_errors =
-  Metrics.counter ~help:"messages rejected as FSM errors" "bgp.fsm.errors"
+let m_fsm_errors = Metrics.counter "bgp.fsm.errors"
 
-let m_auto_restarts =
-  Metrics.counter ~help:"automatic session restarts scheduled after a close"
-    "bgp.fsm.auto_restarts"
+let m_auto_restarts = Metrics.counter "bgp.fsm.auto_restarts"
 
 (* Per-peer state gauge (RFC 4271 state ordinal, Established = 5) so
    the registry can be cross-checked against the BMP Peer Up/Down feed
    — the mux exporter publishes the same family keyed (site, peer). *)
-let fam_session_state =
-  Metrics.Family.gauge
-    ~help:"BGP session FSM state ordinal (0 Idle .. 5 Established)"
-    "bgp.session.state"
+let fam_session_state = Metrics.Family.gauge "bgp.session.state"
 
-type state = Idle | Connect | Active | Open_sent | Open_confirm | Established
+type state = Idle | Active | Open_sent | Open_confirm | Established
 
+(* RFC 4271's state numbering. Connect (1) is never entered: the
+   transport is up before an FSM starts. *)
 let state_ordinal = function
   | Idle -> 0
-  | Connect -> 1
   | Active -> 2
   | Open_sent -> 3
   | Open_confirm -> 4
@@ -52,7 +37,6 @@ let state_ordinal = function
 
 let state_to_string = function
   | Idle -> "Idle"
-  | Connect -> "Connect"
   | Active -> "Active"
   | Open_sent -> "OpenSent"
   | Open_confirm -> "OpenConfirm"
@@ -189,7 +173,7 @@ and start t =
           (connect_check t generation)
       end
     end
-  | Connect | Active | Open_sent | Open_confirm | Established -> ()
+  | Active | Open_sent | Open_confirm | Established -> ()
 
 and connect_check t generation () =
   (* The OPEN we sent got no answer inside the retry window (lost on a
@@ -201,7 +185,7 @@ and connect_check t generation () =
     &&
     match t.state with
     | Open_sent | Open_confirm -> true
-    | Idle | Connect | Active | Established -> false
+    | Idle | Active | Established -> false
   then close t "connect retry expired"
 
 and close ?(restart = true) t reason =
@@ -320,7 +304,7 @@ let validate_open t (o : Message.open_msg) =
 let handle t msg =
   match (t.state, msg) with
   | Idle, _ -> () (* discard; transport should be down *)
-  | (Connect | Active), Message.Open o -> (
+  | Active, Message.Open o -> (
     (* Passive side: respond with our OPEN then confirm. *)
     match validate_open t o with
     | Error e ->
@@ -333,7 +317,7 @@ let handle t msg =
       t.cb.send (my_open t);
       t.cb.send Message.Keepalive;
       set_state t Open_confirm)
-  | (Connect | Active), _ -> fsm_error t "message before OPEN"
+  | Active, _ -> fsm_error t "message before OPEN"
   | Open_sent, Message.Open o -> (
     match validate_open t o with
     | Error e ->

@@ -7,7 +7,7 @@
 
 open Peering_net
 
-type state = Idle | Connect | Active | Open_sent | Open_confirm | Established
+type state = Idle | Active | Open_sent | Open_confirm | Established
 
 type config = {
   local_asn : Asn.t;

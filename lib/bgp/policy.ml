@@ -2,13 +2,8 @@ open Peering_net
 
 type cond =
   | Prefix_in of (Prefix.t * int * int) list
-  | Prefix_exact of Prefix.t list
   | Path_contains of Asn.t
-  | Originated_by of Asn.t
-  | Neighbor_is of Asn.t
   | Has_community of Community.t
-  | Path_length_le of int
-  | Has_private_asn
   | Not of cond
   | All of cond list
   | Any of cond list
@@ -17,11 +12,9 @@ type action =
   | Set_local_pref of int
   | Set_med of int option
   | Add_community of Community.t
-  | Del_community of Community.t
   | Clear_communities
   | Prepend of Asn.t * int
   | Set_next_hop of Ipv4.t
-  | Strip_private_asns
 
 type decision = Permit | Deny
 
@@ -60,19 +53,8 @@ let rec eval_cond cond (r : Route.t) =
         && Prefix.len r.prefix >= ge
         && Prefix.len r.prefix <= le)
       l
-  | Prefix_exact l -> List.exists (Prefix.equal r.prefix) l
   | Path_contains a -> As_path.mem a path
-  | Originated_by a -> (
-    match As_path.origin_asn path with
-    | Some o -> Asn.equal o a
-    | None -> false)
-  | Neighbor_is a -> (
-    match As_path.neighbor_asn path with
-    | Some n -> Asn.equal n a
-    | None -> false)
   | Has_community c -> Attrs.has_community c r.attrs
-  | Path_length_le n -> As_path.length path <= n
-  | Has_private_asn -> List.exists Asn.is_private (As_path.to_asns path)
   | Not c -> not (eval_cond c r)
   | All cs -> List.for_all (fun c -> eval_cond c r) cs
   | Any cs -> List.exists (fun c -> eval_cond c r) cs
@@ -84,16 +66,10 @@ let apply_action (r : Route.t) action =
     | Set_local_pref lp -> Attrs.with_local_pref (Some lp) attrs
     | Set_med med -> Attrs.with_med med attrs
     | Add_community c -> Attrs.add_community c attrs
-    | Del_community c ->
-      Attrs.with_communities
-        (Community.remove c attrs.Attrs.communities)
-        attrs
     | Clear_communities -> Attrs.with_communities [] attrs
     | Prepend (a, n) ->
       { attrs with Attrs.as_path = As_path.prepend_n a n attrs.Attrs.as_path }
     | Set_next_hop nh -> Attrs.with_next_hop nh attrs
-    | Strip_private_asns ->
-      { attrs with Attrs.as_path = As_path.strip_private attrs.Attrs.as_path }
   in
   { r with Route.attrs }
 

@@ -11,13 +11,8 @@ type cond =
   | Prefix_in of (Prefix.t * int * int) list
       (** prefix-list: [(p, ge, le)] matches routes whose prefix is
           inside [p] with length in [ge, le] *)
-  | Prefix_exact of Prefix.t list
   | Path_contains of Asn.t
-  | Originated_by of Asn.t
-  | Neighbor_is of Asn.t
   | Has_community of Community.t
-  | Path_length_le of int
-  | Has_private_asn  (** any private ASN anywhere in the path *)
   | Not of cond
   | All of cond list
   | Any of cond list
@@ -26,11 +21,9 @@ type action =
   | Set_local_pref of int
   | Set_med of int option
   | Add_community of Community.t
-  | Del_community of Community.t
   | Clear_communities
   | Prepend of Asn.t * int
   | Set_next_hop of Ipv4.t
-  | Strip_private_asns
 
 type decision = Permit | Deny
 

@@ -1,28 +1,17 @@
 open Peering_net
 module Metrics = Peering_obs.Metrics
 
-let m_announces =
-  Metrics.counter ~help:"routes offered to Adj-RIB-In" "bgp.rib.announces"
+let m_announces = Metrics.counter "bgp.rib.announces"
 
-let m_withdraws =
-  Metrics.counter ~help:"withdrawals applied to Adj-RIB-In" "bgp.rib.withdraws"
+let m_withdraws = Metrics.counter "bgp.rib.withdraws"
 
-let m_loc_changes =
-  Metrics.counter ~help:"Loc-RIB best-route changes" "bgp.rib.loc_changes"
+let m_loc_changes = Metrics.counter "bgp.rib.loc_changes"
 
-let m_stale_marked =
-  Metrics.counter ~help:"routes marked stale on graceful-restart entry"
-    "bgp.rib.stale_marked"
+let m_stale_marked = Metrics.counter "bgp.rib.stale_marked"
 
-let m_stale_swept =
-  Metrics.counter ~help:"stale routes withdrawn after graceful-restart sweep"
-    "bgp.rib.stale_swept"
+let m_stale_swept = Metrics.counter "bgp.rib.stale_swept"
 
-type change = {
-  prefix : Prefix.t;
-  previous : Route.t option;
-  current : Route.t option;
-}
+type change = { prefix : Prefix.t; current : Route.t option }
 
 (* Hashtbl.Make indexes buckets by the hash's low bits, and the low
    bits of a /24's address are all zero, so the address is mixed
@@ -145,7 +134,7 @@ let recompute t prefix slot =
     | None, Some _ -> count_len t prefix 1
     | Some _, None -> count_len t prefix (-1)
     | None, None | Some _, Some _ -> ());
-    Some { prefix; previous; current }
+    Some { prefix; current }
   end
   else None
 

@@ -36,13 +36,9 @@
 
 open Peering_net
 
-type change = {
-  prefix : Prefix.t;
-  previous : Route.t option;
-  current : Route.t option;
-}
-(** A best-route transition for one prefix. [previous = None] means the
-    prefix is newly reachable, [current = None] newly unreachable. *)
+type change = { prefix : Prefix.t; current : Route.t option }
+(** A best-route transition for one prefix. [current = None] means the
+    prefix is newly unreachable. *)
 
 type t
 

@@ -1,25 +1,17 @@
-open Peering_net
 module Engine = Peering_sim.Engine
 module Metrics = Peering_obs.Metrics
 module Sink = Peering_obs.Sink
 module Span = Peering_obs.Span
 
-let m_wire_messages =
-  Metrics.counter ~help:"BGP messages placed on the wire" "bgp.wire.messages"
+let m_wire_messages = Metrics.counter "bgp.wire.messages"
 
-let m_wire_bytes =
-  Metrics.counter ~help:"BGP message bytes placed on the wire" "bgp.wire.bytes"
+let m_wire_bytes = Metrics.counter "bgp.wire.bytes"
 
-let m_updates_tx =
-  Metrics.counter ~help:"UPDATE messages transmitted" "bgp.session.updates_tx"
+let m_updates_tx = Metrics.counter "bgp.session.updates_tx"
 
-let m_decode_errors =
-  Metrics.counter ~help:"messages that failed wire decoding at the receiver"
-    "bgp.wire.decode_errors"
+let m_decode_errors = Metrics.counter "bgp.wire.decode_errors"
 
 type wire_fault = Drop | Retransmit | Duplicate | Corrupt | Delay of float
-
-type endpoint = { fsm : Fsm.t; addr : Ipv4.t }
 
 (* One direction of the transport. While a lost segment waits for its
    retransmission, everything sent after it waits too, as TCP's
@@ -35,8 +27,8 @@ let latency = 0.01
 
 type t = {
   engine : Engine.t;
-  mutable a : endpoint;
-  mutable b : endpoint;
+  mutable a : Fsm.t;
+  mutable b : Fsm.t;
   mutable bytes : int;
   mutable fault_hook : (Message.t -> wire_fault option) option;
   a_to_b : lane;
@@ -171,7 +163,7 @@ let nop_established (_ : Wire.session_opts) = ()
 let nop_update (_ : Message.update) = ()
 let nop_close (_ : string) = ()
 
-let create engine ~a:(cfg_a, addr_a) ~b:(cfg_b, addr_b)
+let create engine ~a:cfg_a ~b:cfg_b
     ?(on_update_a = nop_update) ?(on_update_b = nop_update)
     ?(on_established_a = nop_established) ?(on_established_b = nop_established)
     ?(on_close_a = nop_close) ?(on_close_b = nop_close) () =
@@ -188,8 +180,8 @@ let create engine ~a:(cfg_a, addr_a) ~b:(cfg_b, addr_b)
   in
   let session =
     { engine;
-      a = { fsm = placeholder; addr = addr_a };
-      b = { fsm = placeholder; addr = addr_b };
+      a = placeholder;
+      b = placeholder;
       bytes = 0;
       fault_hook = None;
       a_to_b = { held = Queue.create (); stalled = false };
@@ -203,8 +195,8 @@ let create engine ~a:(cfg_a, addr_a) ~b:(cfg_b, addr_b)
       { Fsm.send =
           (fun m ->
             transmit session ~lane:session.a_to_b
-              ~sender:(fun () -> session.a.fsm)
-              ~receiver:(fun () -> session.b.fsm)
+              ~sender:(fun () -> session.a)
+              ~receiver:(fun () -> session.b)
               m);
         on_established = on_established_a;
         on_update = on_update_a;
@@ -220,8 +212,8 @@ let create engine ~a:(cfg_a, addr_a) ~b:(cfg_b, addr_b)
       { Fsm.send =
           (fun m ->
             transmit session ~lane:session.b_to_a
-              ~sender:(fun () -> session.b.fsm)
-              ~receiver:(fun () -> session.a.fsm)
+              ~sender:(fun () -> session.b)
+              ~receiver:(fun () -> session.a)
               m);
         on_established = on_established_b;
         on_update = on_update_b;
@@ -231,36 +223,36 @@ let create engine ~a:(cfg_a, addr_a) ~b:(cfg_b, addr_b)
             on_close_b reason)
       }
   in
-  session.a <- { fsm = fsm_a; addr = addr_a };
-  session.b <- { fsm = fsm_b; addr = addr_b };
+  session.a <- fsm_a;
+  session.b <- fsm_b;
   session
 
 let start t =
-  Fsm.start t.b.fsm;
-  Fsm.start t.a.fsm
+  Fsm.start t.b;
+  Fsm.start t.a
 
 let a t = t.a
 let b t = t.b
 
 let established t =
-  Fsm.state t.a.fsm = Fsm.Established && Fsm.state t.b.fsm = Fsm.Established
+  Fsm.state t.a = Fsm.Established && Fsm.state t.b = Fsm.Established
 
 let send_from_a t msg =
   transmit t ~lane:t.a_to_b
-    ~sender:(fun () -> t.a.fsm)
-    ~receiver:(fun () -> t.b.fsm)
+    ~sender:(fun () -> t.a)
+    ~receiver:(fun () -> t.b)
     msg
 
 let send_from_b t msg =
   transmit t ~lane:t.b_to_a
-    ~sender:(fun () -> t.b.fsm)
-    ~receiver:(fun () -> t.a.fsm)
+    ~sender:(fun () -> t.b)
+    ~receiver:(fun () -> t.a)
     msg
 
-let drop t ~reason = Fsm.stop t.a.fsm ~reason
+let drop t ~reason = Fsm.stop t.a ~reason
 
 let reset t ~reason =
   (* Transport-level reset: both FSMs lose the connection at once and
      neither gets a NOTIFICATION on the wire. *)
-  Fsm.kill t.a.fsm ~reason;
-  Fsm.kill t.b.fsm ~reason
+  Fsm.kill t.a ~reason;
+  Fsm.kill t.b ~reason

@@ -7,13 +7,6 @@
     codec is exercised on every control-plane exchange in the
     testbed. *)
 
-open Peering_net
-
-type endpoint = {
-  fsm : Fsm.t;
-  addr : Ipv4.t;  (** this side's session address *)
-}
-
 (** What a fault hook may do to one in-flight message. *)
 type wire_fault =
   | Drop  (** the message never arrives (the path is cut) *)
@@ -32,8 +25,8 @@ type t
 
 val create :
   Peering_sim.Engine.t ->
-  a:Fsm.config * Ipv4.t ->
-  b:Fsm.config * Ipv4.t ->
+  a:Fsm.config ->
+  b:Fsm.config ->
   ?on_update_a:(Message.update -> unit) ->
   ?on_update_b:(Message.update -> unit) ->
   ?on_established_a:(Wire.session_opts -> unit) ->
@@ -50,8 +43,8 @@ val create :
 
 val start : t -> unit
 
-val a : t -> endpoint
-val b : t -> endpoint
+val a : t -> Fsm.t
+val b : t -> Fsm.t
 
 val established : t -> bool
 (** Both sides in Established state. *)

@@ -2,12 +2,9 @@ module Metrics = Peering_obs.Metrics
 module Config = Peering_router.Config
 module Relationship = Peering_topo.Relationship
 
-let m_passes =
-  Metrics.counter ~help:"Analyzer passes executed" "check.passes_run"
+let m_passes = Metrics.counter "check.passes_run"
 
-let m_diags =
-  Metrics.Family.counter ~help:"Diagnostics emitted by analyzer passes"
-    "check.diagnostics"
+let m_diags = Metrics.Family.counter "check.diagnostics"
 
 (* Run every pass in list order and concatenate the diagnostics,
    counting passes and diagnostics by severity. *)

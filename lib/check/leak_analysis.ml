@@ -5,9 +5,7 @@ module Metrics = Peering_obs.Metrics
 let c_edge = "LEAK-EDGE"
 let c_reach = "LEAK-REACH"
 
-let m_iterations =
-  Metrics.counter ~help:"Work-queue pops in the static leak fixpoint"
-    "check.leak.fixpoint_iterations"
+let m_iterations = Metrics.counter "check.leak.fixpoint_iterations"
 
 (* ------------------------------------------------------------------ *)
 (* The abstract fixpoint. Per-AS state:
@@ -35,11 +33,7 @@ let m_iterations =
    ignoring loop suppression and path-length selection) is measured
    there, not bounded here. *)
 
-type verdict = {
-  reachable : Asn.Set.t;
-  tainted : Asn.Set.t;
-  iterations : int;
-}
+type verdict = { reachable : Asn.Set.t; tainted : Asn.Set.t }
 
 type state = {
   mutable classes : int;
@@ -64,7 +58,7 @@ let analyze w (ann : Propagation.announcement) =
   let g = World.graph w in
   let origin = ann.Propagation.origin in
   if not (As_graph.mem g origin) then
-    { reachable = Asn.Set.empty; tainted = Asn.Set.empty; iterations = 0 }
+    { reachable = Asn.Set.empty; tainted = Asn.Set.empty }
   else begin
     let tier1 = World.tier1s w in
     let relevant =
@@ -171,7 +165,7 @@ let analyze w (ann : Propagation.announcement) =
         states
         (Asn.Set.empty, Asn.Set.empty)
     in
-    { reachable; tainted; iterations = !iterations }
+    { reachable; tainted }
   end
 
 (* ------------------------------------------------------------------ *)

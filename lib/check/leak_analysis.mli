@@ -35,12 +35,12 @@ type verdict = {
   tainted : Asn.Set.t;
       (** ASes that may hold it via a Gao–Rexford-violating export —
           a superset of the oracle's {!Peering_topo.Propagation.polluted} *)
-  iterations : int;  (** work-queue pops until the fixpoint *)
 }
 
 val analyze : World.t -> Propagation.announcement -> verdict
 (** Run the fixpoint for one announcement. Deterministic (sorted seeds
-    and neighbor order); records [check.leak.fixpoint_iterations]. *)
+    and neighbor order); records the work-queue pops until the fixpoint
+    as [check.leak.fixpoint_iterations]. *)
 
 val edges : World.t -> Diagnostic.t list
 (** The [LEAK-EDGE] pass. *)

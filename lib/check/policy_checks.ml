@@ -52,14 +52,10 @@ let exact_in_triple p ((q, _, _) as t) =
 let rec unsat (c : Policy.cond) =
   match c with
   | Policy.Prefix_in l -> List.for_all empty_triple l
-  | Policy.Prefix_exact [] -> true
   | Policy.Any cs -> List.for_all unsat cs
   | Policy.All cs -> List.exists unsat cs || contradiction cs
   | Policy.Not c -> taut c
-  | Policy.Prefix_exact _ | Policy.Path_contains _ | Policy.Originated_by _
-  | Policy.Neighbor_is _ | Policy.Has_community _ | Policy.Path_length_le _
-  | Policy.Has_private_asn ->
-    false
+  | Policy.Path_contains _ | Policy.Has_community _ -> false
 
 and taut (c : Policy.cond) =
   match c with
@@ -72,10 +68,7 @@ and taut (c : Policy.cond) =
         let lo, hi = window t in
         Prefix.len p = 0 && lo = 0 && hi = 32)
       l
-  | Policy.Path_length_le _ | Policy.Prefix_exact _ | Policy.Path_contains _
-  | Policy.Originated_by _ | Policy.Neighbor_is _ | Policy.Has_community _
-  | Policy.Has_private_asn ->
-    false
+  | Policy.Path_contains _ | Policy.Has_community _ -> false
 
 (* A conjunction is contradictory if it contains [c] and [Not c]
    structurally, or two prefix constraints with disjoint route sets. *)
@@ -98,24 +91,11 @@ and contradiction cs =
   ||
   let prefix_sets =
     List.filter_map
-      (fun c ->
-        match c with
-        | Policy.Prefix_in l -> Some (`In l)
-        | Policy.Prefix_exact l -> Some (`Exact l)
-        | _ -> None)
+      (fun c -> match c with Policy.Prefix_in l -> Some l | _ -> None)
       members
   in
-  let disjoint a b =
-    match (a, b) with
-    | `In l1, `In l2 ->
-      not
-        (List.exists
-           (fun t1 -> List.exists (compatible_triples t1) l2)
-           l1)
-    | `In l, `Exact e | `Exact e, `In l ->
-      not (List.exists (fun p -> List.exists (exact_in_triple p) l) e)
-    | `Exact e1, `Exact e2 ->
-      not (List.exists (fun p -> List.exists (Prefix.equal p) e2) e1)
+  let disjoint l1 l2 =
+    not (List.exists (fun t1 -> List.exists (compatible_triples t1) l2) l1)
   in
   let rec pairs = function
     | [] -> false

@@ -45,7 +45,7 @@ let propose t ~id ~owner ~description ?(n_prefixes = 1) ?(may_poison = false)
   else if Prefix_pool.available t.pool < n_prefixes then
     Error "prefix pool exhausted"
   else begin
-    let e = Experiment.make ~id ~owner ~description ~may_poison () in
+    let e = Experiment.make ~id ~owner ~may_poison () in
     (match alloc_prefixes t n_prefixes with
     | Some ps -> e.Experiment.prefixes <- ps
     | None -> assert false (* availability checked above *));

@@ -5,29 +5,25 @@ type status =
   | Approved
   | Active
   | Stopped
-  | Rejected of string
 
 let status_to_string = function
   | Proposed -> "proposed"
   | Approved -> "approved"
   | Active -> "active"
   | Stopped -> "stopped"
-  | Rejected r -> "rejected: " ^ r
 
 type t = {
   id : string;
   owner : string;
-  description : string;
   mutable prefixes : Prefix.t list;
   mutable private_asns : Asn.t list;
   may_poison : bool;
   mutable status : status;
 }
 
-let make ~id ~owner ~description ?(may_poison = false) () =
+let make ~id ~owner ?(may_poison = false) () =
   { id;
     owner;
-    description;
     prefixes = [];
     private_asns = [];
     may_poison;

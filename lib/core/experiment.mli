@@ -14,12 +14,10 @@ type status =
   | Approved  (** vetted by the advisory board, not yet running *)
   | Active
   | Stopped
-  | Rejected of string
 
 type t = {
   id : string;
   owner : string;  (** researcher account *)
-  description : string;
   mutable prefixes : Prefix.t list;  (** allocated out of PEERING's pool *)
   mutable private_asns : Asn.t list;  (** for emulated client domains *)
   may_poison : bool;
@@ -31,7 +29,6 @@ type t = {
 val make :
   id:string ->
   owner:string ->
-  description:string ->
   ?may_poison:bool ->
   unit ->
   t

@@ -1,12 +1,5 @@
 open Peering_net
 
-type account = {
-  username : string;
-  email : string;
-  affiliation : string;
-  mutable approved : bool;
-}
-
 type proposal = {
   proposal_id : string;
   username_of : string;
@@ -14,15 +7,13 @@ type proposal = {
 }
 
 type provision_kit = {
-  experiment : Experiment.t;
-  sites : (string * Ipv4.t) list;
   client_config : string;
   tunnel_endpoints : (string * Ipv4.t) list;
 }
 
 type t = {
   testbed : Testbed.t;
-  accounts : (string, account) Hashtbl.t;
+  accounts : (string, bool) Hashtbl.t;  (** username -> approved *)
   mutable queue : proposal list;
 }
 
@@ -36,17 +27,17 @@ let register t ~username ~email ~affiliation =
       String.trim affiliation <> ""
       || Filename.check_suffix email ".edu"
     in
-    Hashtbl.replace t.accounts username { username; email; affiliation; approved };
+    Hashtbl.replace t.accounts username approved;
     if approved then Ok () else Error "account held for manual review"
   end
 
-let account t username = Hashtbl.find_opt t.accounts username
+let approved t username = Hashtbl.find_opt t.accounts username
 
 let submit t ~username ~id ~description =
-  match account t username with
+  match approved t username with
   | None -> Error "no such account"
-  | Some a when not a.approved -> Error "account not approved"
-  | Some _ ->
+  | Some false -> Error "account not approved"
+  | Some true ->
     if List.exists (fun p -> p.proposal_id = id) t.queue then
       Error "proposal id already queued"
     else begin
@@ -137,9 +128,7 @@ let provision t ~experiment_id =
       | Error msg -> Error ("internal error: generated route-map: " ^ msg)
       | Ok _ ->
         Ok
-          { experiment = e;
-            sites;
-            client_config;
+          { client_config;
             tunnel_endpoints =
               List.map (fun (name, addr) -> (name, Ipv4.add addr 1)) sites
           }))

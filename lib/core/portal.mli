@@ -10,13 +10,6 @@
 
 open Peering_net
 
-type account = {
-  username : string;
-  email : string;
-  affiliation : string;
-  mutable approved : bool;
-}
-
 type proposal = {
   proposal_id : string;
   username_of : string;
@@ -24,8 +17,6 @@ type proposal = {
 }
 
 type provision_kit = {
-  experiment : Experiment.t;
-  sites : (string * Ipv4.t) list;  (** site name, server endpoint *)
   client_config : string;
       (** bgpd configuration for the researcher's client router —
           guaranteed to parse with {!Peering_router.Config} *)
@@ -43,7 +34,8 @@ val register :
 (** Request an account. Academic affiliations ([.edu] or a non-empty
     institution string) are auto-approved; duplicates rejected. *)
 
-val account : t -> string -> account option
+val approved : t -> string -> bool option
+(** Whether the account was approved; [None] for no such account. *)
 
 val submit :
   t ->

@@ -4,23 +4,16 @@ module Metrics = Peering_obs.Metrics
 module Sink = Peering_obs.Sink
 module Span = Peering_obs.Span
 
-let m_accepted =
-  Metrics.counter ~help:"announcements accepted by the safety filter"
-    "core.safety.accepted"
+let m_accepted = Metrics.counter "core.safety.accepted"
 
-let m_rejected =
-  Metrics.counter ~help:"announcements rejected by the safety filter"
-    "core.safety.rejected"
+let m_rejected = Metrics.counter "core.safety.rejected"
 
-let m_withdraw_flaps =
-  Metrics.counter ~help:"withdrawals charged to the dampening state"
-    "core.safety.withdraw_flaps"
+let m_withdraw_flaps = Metrics.counter "core.safety.withdraw_flaps"
 
 type reason =
   | Experiment_not_active
   | Prefix_not_owned
   | Prefix_not_allocated
-  | Foreign_origin of Asn.t
   | Poisoning_not_permitted of Asn.t
   | Dampened of float
   | Announced_by_other_experiment
@@ -31,8 +24,6 @@ let reason_to_string = function
   | Experiment_not_active -> "experiment is not active"
   | Prefix_not_owned -> "prefix is not PEERING address space (hijack)"
   | Prefix_not_allocated -> "prefix is not allocated to this experiment"
-  | Foreign_origin a ->
-    Printf.sprintf "origin %s is not an experiment ASN" (Asn.to_string a)
   | Poisoning_not_permitted a ->
     Printf.sprintf "public ASN %s in path requires poisoning approval"
       (Asn.to_string a)

@@ -15,9 +15,6 @@ type reason =
   | Prefix_not_owned  (** outside PEERING's address supply — a hijack *)
   | Prefix_not_allocated
       (** inside PEERING space but not this experiment's — isolation *)
-  | Foreign_origin of Asn.t
-      (** the announced origin ASN is neither PEERING's nor one of the
-          experiment's private ASNs *)
   | Poisoning_not_permitted of Asn.t
       (** public ASN in the path suffix without vetting *)
   | Dampened of float  (** suppressed until the given virtual time *)

@@ -10,60 +10,31 @@ module Json = Peering_obs.Json
 (* ------------------------------------------------------------------ *)
 (* Metrics *)
 
-let m_admitted =
-  Metrics.counter ~help:"proposals admitted by the scheduler"
-    "core.sched.admitted"
+let m_admitted = Metrics.counter "core.sched.admitted"
 
-let m_rejected =
-  Metrics.counter ~help:"proposals rejected at admission control"
-    "core.sched.rejected"
+let m_rejected = Metrics.counter "core.sched.rejected"
 
-let m_evicted =
-  Metrics.counter ~help:"tenants evicted (lease expiry or revocation)"
-    "core.sched.evicted"
+let m_evicted = Metrics.counter "core.sched.evicted"
 
-let m_conflicts =
-  Metrics.counter ~help:"admission-control conflict issues raised"
-    "core.sched.conflicts"
+let m_conflicts = Metrics.counter "core.sched.conflicts"
 
-let m_ops_enqueued =
-  Metrics.counter ~help:"update requests queued by tenants"
-    "core.sched.ops_enqueued"
+let m_ops_enqueued = Metrics.counter "core.sched.ops_enqueued"
 
-let m_ops_applied =
-  Metrics.counter ~help:"update operations applied by batching rounds"
-    "core.sched.ops_applied"
+let m_ops_applied = Metrics.counter "core.sched.ops_applied"
 
-let m_ops_dropped =
-  Metrics.counter ~help:"queued update requests dropped by eviction"
-    "core.sched.ops_dropped"
+let m_ops_dropped = Metrics.counter "core.sched.ops_dropped"
 
-let m_op_failures =
-  Metrics.counter ~help:"per-site apply failures (safety refusals, mux down)"
-    "core.sched.op_failures"
+let m_op_failures = Metrics.counter "core.sched.op_failures"
 
-let m_rounds =
-  Metrics.counter ~help:"fair-share batching rounds executed"
-    "core.sched.rounds"
+let m_rounds = Metrics.counter "core.sched.rounds"
 
-let m_update_msgs =
-  Metrics.counter
-    ~help:"RFC 4271 UPDATE messages the granted operations pack into"
-    "core.sched.update_msgs"
+let m_update_msgs = Metrics.counter "core.sched.update_msgs"
 
-let m_occupancy =
-  Metrics.gauge ~help:"prefix blocks currently out on lease"
-    "core.sched.lease_occupancy"
+let m_occupancy = Metrics.gauge "core.sched.lease_occupancy"
 
-let m_tenant_slots =
-  Metrics.Family.histogram
-    ~help:"update slots granted to the tenant per batching round"
-    "core.sched.tenant_slots"
+let m_tenant_slots = Metrics.Family.histogram "core.sched.tenant_slots"
 
-let m_convergence =
-  Metrics.histogram
-    ~help:"virtual s from update request to its granted application"
-    "core.sched.convergence_s"
+let m_convergence = Metrics.histogram "core.sched.convergence_s"
 
 (* ------------------------------------------------------------------ *)
 (* Fair-share batcher *)

@@ -2,7 +2,7 @@ open Peering_net
 open Peering_dataplane
 module Engine = Peering_sim.Engine
 
-type action = Forward_to of Asn.t | Drop_traffic
+type action = Forward_to of Asn.t
 
 type rule = {
   description : string;
@@ -92,13 +92,6 @@ let compile t =
       List.iter
         (fun rule ->
           match rule.action with
-          | Drop_traffic ->
-            compiled :=
-              !compiled
-              @ [ { Packet_program.name = rule.description;
-                    spec = rule.matches;
-                    action = Packet_program.Drop
-                  } ]
           | Forward_to target -> (
             match find t target with
             | None ->

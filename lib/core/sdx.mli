@@ -15,7 +15,6 @@ open Peering_dataplane
 
 type action =
   | Forward_to of Asn.t  (** deliver via this participant *)
-  | Drop_traffic
 
 type rule = {
   description : string;

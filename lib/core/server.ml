@@ -9,56 +9,35 @@ module Span = Peering_obs.Span
    snapshot). Each server resolves its instruments once at creation
    through the family's label-set cache; increments stay O(1) and
    allocation-free. *)
-let fam_client_connects =
-  Metrics.Family.counter ~help:"experiment clients connected to a mux"
-    "core.server.client_connects"
+let fam_client_connects = Metrics.Family.counter "core.server.client_connects"
 
-let fam_routes_learned =
-  Metrics.Family.counter ~help:"routes learned from upstream peers"
-    "core.server.routes_learned"
+let fam_routes_learned = Metrics.Family.counter "core.server.routes_learned"
 
 let fam_updates_to_clients =
-  Metrics.Family.counter ~help:"route updates relayed to experiment clients"
-    "core.server.updates_to_clients"
+  Metrics.Family.counter "core.server.updates_to_clients"
 
 let fam_announces_exported =
-  Metrics.Family.counter ~help:"client announcements exported to peers"
-    "core.server.announces_exported"
+  Metrics.Family.counter "core.server.announces_exported"
 
 let fam_withdraws_exported =
-  Metrics.Family.counter ~help:"client withdrawals exported to peers"
-    "core.server.withdraws_exported"
+  Metrics.Family.counter "core.server.withdraws_exported"
 
-let fam_crashes =
-  Metrics.Family.counter ~help:"mux crashes injected" "core.server.crashes"
+let fam_crashes = Metrics.Family.counter "core.server.crashes"
 
-let fam_restarts =
-  Metrics.Family.counter ~help:"mux restarts after a crash"
-    "core.server.restarts"
+let fam_restarts = Metrics.Family.counter "core.server.restarts"
 
-let fam_failovers =
-  Metrics.Family.counter
-    ~help:"client sessions re-synchronized after a mux restart"
-    "core.server.client_failovers"
+let fam_failovers = Metrics.Family.counter "core.server.client_failovers"
 
-let fam_downtime =
-  Metrics.Family.histogram
-    ~help:"mux downtime per crash/restart cycle (virtual s)"
-    "core.server.downtime_s"
+let fam_downtime = Metrics.Family.histogram "core.server.downtime_s"
 
 (* Same family name (and ordinal convention) as the FSM's per-peer
    gauge, here keyed (peer, site): the mux's upstream sessions don't
    run a full FSM, so the exporter publishes 5 (Established) on Peer
    Up and 0 (Idle) on Peer Down — the registry-vs-BMP-feed
    cross-check in the telemetry harness reads exactly this row. *)
-let fam_session_state =
-  Metrics.Family.gauge
-    ~help:"BGP session FSM state ordinal (0 Idle .. 5 Established)"
-    "bgp.session.state"
+let fam_session_state = Metrics.Family.gauge "bgp.session.state"
 
-let fam_bmp_msgs =
-  Metrics.Family.counter ~help:"BMP messages exported to the monitoring feed"
-    "core.server.bmp_msgs"
+let fam_bmp_msgs = Metrics.Family.counter "core.server.bmp_msgs"
 
 type site_metrics = {
   m_client_connects : Metrics.Counter.t;
@@ -544,22 +523,11 @@ let adj_rib_dump t =
 
 let rib_digest t = Bmp.rib_digest (adj_rib_dump t)
 
-type session_stats = {
-  mode : mux_mode;
-  n_peers : int;
-  n_clients : int;
-  peer_sessions : int;
-  client_sessions : int;
-  total_sessions : int;
-  est_memory_bytes : int;
-  keepalives_per_hour : int;
-}
+type session_stats = { total_sessions : int; est_memory_bytes : int }
 
 (* Session-state model: Quagga's struct peer plus I/O buffers is on
-   the order of 64 KiB per configured session. Keepalives default to
-   one per 30 s per live session. *)
+   the order of 64 KiB per configured session. *)
 let session_memory_bytes = 64 * 1024
-let keepalives_per_session_hour = 120
 
 let session_stats t =
   let n_peers = n_peers t and n_clients = n_clients t in
@@ -570,12 +538,4 @@ let session_stats t =
   in
   let peer_sessions = n_peers in
   let total_sessions = peer_sessions + client_sessions in
-  { mode = t.mux;
-    n_peers;
-    n_clients;
-    peer_sessions;
-    client_sessions;
-    total_sessions;
-    est_memory_bytes = total_sessions * session_memory_bytes;
-    keepalives_per_hour = total_sessions * keepalives_per_session_hour
-  }
+  { total_sessions; est_memory_bytes = total_sessions * session_memory_bytes }

@@ -144,14 +144,9 @@ val rib_digest : t -> string
     check. *)
 
 type session_stats = {
-  mode : mux_mode;
-  n_peers : int;
-  n_clients : int;
-  peer_sessions : int;  (** server <-> upstream sessions *)
-  client_sessions : int;  (** server <-> client sessions *)
   total_sessions : int;
+      (** server <-> upstream plus server <-> client sessions *)
   est_memory_bytes : int;  (** session state, modelled *)
-  keepalives_per_hour : int;
 }
 
 val session_stats : t -> session_stats

@@ -298,8 +298,7 @@ let build ?(params = default_params) () =
     let s_asn =
       if idx = 0 then peering_asn else Asn.of_int (4706500 + idx)
     in
-    As_graph.add_as g ~name:(Printf.sprintf "PEERING-%s" name)
-      ~kind:As_graph.Enterprise s_asn;
+    As_graph.add_as g ~kind:As_graph.Enterprise s_asn;
     let server =
       Server.create eng ~name ~asn:peering_asn ~safety:saf
         ~export:(fun ev ->
@@ -480,12 +479,10 @@ let small_ixp_calibration =
     n_unlisted = 4
   }
 
-let add_remote_ixp t ~via ~name =
+let add_remote_ixp t ~via =
   let s = site_exn t via in
   let fabric =
-    Fabric.create ~name ~country:Country.nl
-      ~rng:(Rng.split (Engine.rng t.eng))
-      ()
+    Fabric.create ~rng:(Rng.split (Engine.rng t.eng)) ()
   in
   (* Populate with the same member model as a real IXP build, but at
      the smaller calibration, then peer over the virtual L2. *)

@@ -1,6 +1,6 @@
 open Peering_net
 
-type 'a action = Local | Via of 'a | Blackhole | Unreachable
+type 'a action = Local | Via of 'a | Blackhole
 
 type 'a t = 'a action Prefix_trie.t
 

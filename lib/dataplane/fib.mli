@@ -7,7 +7,6 @@ type 'a action =
   | Local  (** deliver to this node's stack *)
   | Via of 'a  (** forward to a next hop *)
   | Blackhole  (** drop silently *)
-  | Unreachable  (** drop with ICMP unreachable *)
 
 type 'a t
 

@@ -2,17 +2,11 @@ open Peering_net
 module Engine = Peering_sim.Engine
 module Metrics = Peering_obs.Metrics
 
-let m_delivered =
-  Metrics.counter ~help:"packets delivered to their destination node"
-    "dataplane.forwarder.delivered"
+let m_delivered = Metrics.counter "dataplane.forwarder.delivered"
 
-let m_dropped =
-  Metrics.counter ~help:"packets dropped (TTL, no-route, filter, blackhole)"
-    "dataplane.forwarder.dropped"
+let m_dropped = Metrics.counter "dataplane.forwarder.dropped"
 
-let m_hops =
-  Metrics.counter ~help:"router-to-router hops traversed"
-    "dataplane.forwarder.hops"
+let m_hops = Metrics.counter "dataplane.forwarder.hops"
 
 type node_id = string
 
@@ -102,13 +96,6 @@ let rec process t (node : node) ~router (pkt : Packet.t) =
   | Some Fib.Blackhole ->
     t.dropped_blackhole <- t.dropped_blackhole + 1;
     Metrics.Counter.inc m_dropped
-  | Some Fib.Unreachable -> begin
-    t.dropped_no_route <- t.dropped_no_route + 1;
-    Metrics.Counter.inc m_dropped;
-    icmp_back t node pkt
-      (Packet.Dest_unreachable
-         { original_dst = pkt.Packet.dst; original_id = pkt.Packet.id })
-  end
   | Some Fib.Local -> begin
     t.delivered <- t.delivered + 1;
     Metrics.Counter.inc m_delivered;
@@ -141,7 +128,6 @@ and icmp_back t (node : node) (orig : Packet.t) icmp =
   (* ICMP about ICMP errors is never generated (RFC 1122). *)
   match orig.Packet.proto with
   | Packet.Icmp (Packet.Ttl_exceeded _ | Packet.Dest_unreachable _) -> ()
-  | Packet.Icmp (Packet.Echo_request _ | Packet.Echo_reply _)
   | Packet.Udp _ | Packet.Tcp _ -> (
     match primary_address_of_node node with
     | None -> ()

@@ -6,8 +6,6 @@ type proto =
   | Icmp of icmp
 
 and icmp =
-  | Echo_request of int
-  | Echo_reply of int
   | Ttl_exceeded of { original_dst : Ipv4.t; original_id : int }
   | Dest_unreachable of { original_dst : Ipv4.t; original_id : int }
 
@@ -32,8 +30,6 @@ let decrement_ttl t = if t.ttl <= 1 then None else Some { t with ttl = t.ttl - 1
 let proto_string = function
   | Udp { sport; dport } -> Printf.sprintf "udp %d>%d" sport dport
   | Tcp { sport; dport } -> Printf.sprintf "tcp %d>%d" sport dport
-  | Icmp (Echo_request n) -> Printf.sprintf "icmp echo-req %d" n
-  | Icmp (Echo_reply n) -> Printf.sprintf "icmp echo-rep %d" n
   | Icmp (Ttl_exceeded _) -> "icmp ttl-exceeded"
   | Icmp (Dest_unreachable _) -> "icmp unreachable"
 

@@ -8,8 +8,6 @@ type proto =
   | Icmp of icmp
 
 and icmp =
-  | Echo_request of int  (** sequence *)
-  | Echo_reply of int
   | Ttl_exceeded of { original_dst : Ipv4.t; original_id : int }
   | Dest_unreachable of { original_dst : Ipv4.t; original_id : int }
 

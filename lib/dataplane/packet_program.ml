@@ -22,20 +22,11 @@ type action =
   | Allow
   | Drop
   | Rewrite_dst of Ipv4.t
-  | Rewrite_src of Ipv4.t
   | Divert of Forwarder.node_id
-  | Rate_limit of rate_spec
-  | Mirror of Forwarder.node_id
-
-and rate_spec = { bytes_per_s : float; burst : float }
 
 type rule = { name : string; spec : match_spec; action : action }
 
-type compiled_rule = {
-  rule : rule;
-  limiter : Filter.rate_limiter option;
-  mutable hit_count : int;
-}
+type compiled_rule = { rule : rule; mutable hit_count : int }
 
 type t = {
   engine : Engine.t;
@@ -46,20 +37,7 @@ type t = {
 }
 
 let compile engine rules =
-  let compiled =
-    List.map
-      (fun rule ->
-        let limiter =
-          match rule.action with
-          | Rate_limit { bytes_per_s; burst } ->
-            Some (Filter.rate_limiter engine ~rate_bytes_per_s:bytes_per_s
-                    ~burst_bytes:burst)
-          | Allow | Drop | Rewrite_dst _ | Rewrite_src _ | Divert _ | Mirror _
-            -> None
-        in
-        { rule; limiter; hit_count = 0 })
-      rules
-  in
+  let compiled = List.map (fun rule -> { rule; hit_count = 0 }) rules in
   { engine; rules = compiled; n_dropped = 0; n_diverted = 0; n_rewritten = 0 }
 
 (* The ingress-filter contract is a boolean (keep / drop); rewrites and
@@ -80,24 +58,9 @@ let install t fwd node =
             | Drop ->
               t.n_dropped <- t.n_dropped + 1;
               false
-            | Rate_limit _ -> (
-              match c.limiter with
-              | Some l ->
-                if Filter.rate_allow l pkt then true
-                else begin
-                  t.n_dropped <- t.n_dropped + 1;
-                  false
-                end
-              | None -> true)
             | Rewrite_dst dst ->
               t.n_rewritten <- t.n_rewritten + 1;
               let pkt' = { pkt with Packet.dst } in
-              Engine.schedule t.engine ~delay:0.0 (fun () ->
-                  Forwarder.inject fwd ~at:node pkt');
-              false
-            | Rewrite_src src ->
-              t.n_rewritten <- t.n_rewritten + 1;
-              let pkt' = { pkt with Packet.src } in
               Engine.schedule t.engine ~delay:0.0 (fun () ->
                   Forwarder.inject fwd ~at:node pkt');
               false
@@ -106,10 +69,6 @@ let install t fwd node =
               Engine.schedule t.engine ~delay:0.0 (fun () ->
                   Forwarder.inject fwd ~at:target pkt);
               false
-            | Mirror target ->
-              Engine.schedule t.engine ~delay:0.0 (fun () ->
-                  Forwarder.inject fwd ~at:target pkt);
-              true
           end
       in
       eval t.rules)

@@ -7,8 +7,8 @@
     A program is an ordered list of match-action rules, evaluated
     first-match like an OpenFlow table. Programs install at a
     forwarder node and run on every arriving packet, before the FIB:
-    they can drop, count, rewrite, rate-limit, divert to another node,
-    or fall through to normal forwarding. *)
+    they can drop, count, rewrite the destination, divert to another
+    node, or fall through to normal forwarding. *)
 
 open Peering_net
 
@@ -23,14 +23,7 @@ type action =
   | Allow  (** continue to the FIB *)
   | Drop
   | Rewrite_dst of Ipv4.t  (** then continue to the FIB *)
-  | Rewrite_src of Ipv4.t
-      (** controlled spoofing — the experiment must be vetted *)
   | Divert of Forwarder.node_id  (** re-inject at another node *)
-  | Rate_limit of rate_spec
-  | Mirror of Forwarder.node_id
-      (** copy to another node, original continues *)
-
-and rate_spec = { bytes_per_s : float; burst : float }
 
 type rule = {
   name : string;
@@ -40,9 +33,8 @@ type rule = {
 
 type t
 
-val compile :
-  Peering_sim.Engine.t -> rule list -> t
-(** Build a program; rate limiters are bound to the engine's clock. *)
+val compile : Peering_sim.Engine.t -> rule list -> t
+(** Build a program; rewrites and diversions re-inject on the engine. *)
 
 val install : t -> Forwarder.t -> Forwarder.node_id -> unit
 (** Attach the program at a node. Packets arriving at (not originated

@@ -4,30 +4,22 @@ module Metrics = Peering_obs.Metrics
 module Sink = Peering_obs.Sink
 module Span = Peering_obs.Span
 
-let m_packets =
-  Metrics.counter ~help:"packets carried through tunnels"
-    "dataplane.tunnel.packets"
+let m_packets = Metrics.counter "dataplane.tunnel.packets"
 
-let m_bytes =
-  Metrics.counter ~help:"bytes carried through tunnels" "dataplane.tunnel.bytes"
+let m_bytes = Metrics.counter "dataplane.tunnel.bytes"
 
-let m_blackholed =
-  Metrics.counter ~help:"packets silently dropped by blackholed tunnels"
-    "dataplane.tunnel.blackholed_packets"
+let m_blackholed = Metrics.counter "dataplane.tunnel.blackholed_packets"
 
 (* Round-trip estimate per forwarded packet: twice the one-way transit
    the packet actually experienced in virtual time. Rendered with
    p50/p90/p99 by [peering_cli stats] like every histogram. *)
-let m_rtt =
-  Metrics.histogram ~help:"tunnel round-trip time estimate (virtual s)"
-    "dataplane.tunnel.rtt_s"
+let m_rtt = Metrics.histogram "dataplane.tunnel.rtt_s"
 
 (* One-way tunnel latency, in seconds. *)
 let latency = 0.02
 
 type t = {
   fwd : Forwarder.t;
-  engine : Engine.t;
   a : Forwarder.node_id;
   b : Forwarder.node_id;
   via_a : Forwarder.node_id;  (* virtual node: entrance at [a] *)
@@ -45,7 +37,7 @@ let establish fwd engine ~a ~b () =
   let via_a = Printf.sprintf "%s@%s" tag a in
   let via_b = Printf.sprintf "%s@%s" tag b in
   let t =
-    { fwd; engine; a; b; via_a; via_b; blackhole = false;
+    { fwd; a; b; via_a; via_b; blackhole = false;
       bytes = 0; packets = 0 }
   in
   (* The virtual entrance nodes deliver everything locally, then we

@@ -45,12 +45,9 @@ let distances t root =
   Hashtbl.fold (fun n (d, _) acc -> (n, d) :: acc) r []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let next_hop t ~src ~dst =
-  if src = dst then None
-  else
-    match Hashtbl.find_opt (spf t src) dst with
-    | Some (_, hop) -> hop
-    | None -> None
+let next_hops t ~src =
+  let r = spf t src in
+  fun dst -> Option.bind (Hashtbl.find_opt r dst) snd
 
 let path t ~src ~dst =
   if src = dst then Some [ src ]
@@ -58,7 +55,7 @@ let path t ~src ~dst =
     let rec go current acc =
       if current = dst then Some (List.rev (dst :: acc))
       else
-        match next_hop t ~src:current ~dst with
+        match next_hops t ~src:current dst with
         | Some h -> go h (current :: acc)
         | None -> None
     in

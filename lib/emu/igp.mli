@@ -17,9 +17,11 @@ val distances : t -> string -> (string * int) list
 (** Hop counts from the given node to every reachable node
     (including itself at 0), sorted by node name. *)
 
-val next_hop : t -> src:string -> dst:string -> string option
-(** First hop on a shortest path from [src] to [dst]; ties break by
-    node-name order. [None] if unreachable or [src = dst]. *)
+val next_hops : t -> src:string -> string -> string option
+(** [next_hops t ~src] runs one search from [src] and returns its
+    next-hop table: the first hop on a shortest path from [src] to a
+    destination; ties break by node-name order. [None] if unreachable
+    or the destination is [src]. *)
 
 val path : t -> src:string -> dst:string -> string list option
 (** Full shortest path including both endpoints. *)

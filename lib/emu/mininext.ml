@@ -7,11 +7,9 @@ module Topology_zoo = Peering_topo.Topology_zoo
 
 type pop = {
   name : string;
-  index : int;
   loopback : Ipv4.t;
   router : Router.t;
   node : Forwarder.node_id;
-  country : Country.t;
 }
 
 type t = {
@@ -58,7 +56,7 @@ let router p = p.router
 let loopback p = p.loopback
 let node_id p = p.node
 
-let add_pop t ?(country = Country.nl) name =
+let add_pop t name =
   if t.is_started then invalid_arg "Mininext.add_pop: already started";
   if pop t name <> None then invalid_arg "Mininext.add_pop: duplicate PoP";
   let index = List.length t.pop_list in
@@ -69,7 +67,7 @@ let add_pop t ?(country = Country.nl) name =
   Forwarder.add_node t.fwd node;
   Forwarder.add_address t.fwd node lb;
   Igp.add_node t.igp name;
-  let p = { name; index; loopback = lb; router = r; node; country } in
+  let p = { name; loopback = lb; router = r; node } in
   t.pop_list <- p :: t.pop_list;
   p
 
@@ -81,13 +79,11 @@ let link t a b =
 let of_topology engine fwd ~asn (zoo : Topology_zoo.t) =
   let t = create engine fwd ~name:zoo.Topology_zoo.name ~asn () in
   Array.iter
-    (fun (p : Topology_zoo.pop) ->
-      ignore (add_pop t ~country:p.Topology_zoo.country p.Topology_zoo.city))
+    (fun city -> ignore (add_pop t city))
     zoo.Topology_zoo.pops;
   List.iter
     (fun (i, j) ->
-      link t zoo.Topology_zoo.pops.(i).Topology_zoo.city
-        zoo.Topology_zoo.pops.(j).Topology_zoo.city)
+      link t zoo.Topology_zoo.pops.(i) zoo.Topology_zoo.pops.(j))
     zoo.Topology_zoo.links;
   t
 
@@ -143,12 +139,13 @@ let sync_fibs t =
   let ps = pops t in
   List.iter
     (fun p ->
+      let next_hop = Igp.next_hops t.igp ~src:p.name in
       (* Loopbacks via IGP. *)
       Forwarder.set_route t.fwd p.node (Prefix.make p.loopback 32) Fib.Local;
       List.iter
         (fun q ->
           if q.name <> p.name then
-            match Igp.next_hop t.igp ~src:p.name ~dst:q.name with
+            match next_hop q.name with
             | Some hop ->
               Forwarder.set_route t.fwd p.node
                 (Prefix.make q.loopback 32)
@@ -165,7 +162,7 @@ let sync_fibs t =
           else
             match find_pop_by_loopback t nh with
             | Some q -> (
-              match Igp.next_hop t.igp ~src:p.name ~dst:q.name with
+              match next_hop q.name with
               | Some hop ->
                 Forwarder.set_route t.fwd p.node prefix
                   (Fib.Via (pop_exn t hop).node)

@@ -25,7 +25,7 @@ val create :
   t
 (** An empty emulation sharing the given dataplane. *)
 
-val add_pop : t -> ?country:Country.t -> string -> pop
+val add_pop : t -> string -> pop
 (** Add a PoP: allocates a loopback, creates its router "container"
     and its forwarder node. Raises [Invalid_argument] on duplicate
     names or after {!start}. *)

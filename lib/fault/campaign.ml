@@ -19,9 +19,7 @@ module Stats = Peering_measure.Stats
 
 let recovery_hist cls =
   Metrics.histogram
-    ~labels:[ ("class", cls) ]
-    ~help:"time from fault injection to reconvergence (virtual s)"
-    "fault.recovery_s"
+    ~labels:[ ("class", cls) ] "fault.recovery_s"
 
 (* ------------------------------------------------------------------ *)
 (* Blast-radius accounting *)
@@ -108,7 +106,6 @@ type wire = {
 
 type ann = {
   ann_client : Client.t;
-  ann_sites : string list;  (** sites the announcement goes out of *)
   ann_prefix : Prefix.t;
 }
 
@@ -248,7 +245,7 @@ let make_world ?(on_world = fun _ -> ()) ~seed () =
                site
                (Safety.reason_to_string reason)))
       (Client.announce client ~servers:sites prefix);
-    { ann_client = client; ann_sites = sites; ann_prefix = prefix }
+    { ann_client = client; ann_prefix = prefix }
   in
   let anns =
     [ mk_ann "cl:gatech01" [ "gatech01" ];
@@ -777,7 +774,7 @@ let wire_drill ~seed drill (step, fault_horizon) =
     detail =
       Printf.sprintf "session established %d times; %s"
         (Peering_bgp.Fsm.established_count
-           (Session.a w.wire_session).Session.fsm)
+           (Session.a w.wire_session))
         (if !low_water = w.wire_full then
            "routes retained throughout (RFC 4724)"
          else Printf.sprintf "table dipped to %d of %d" !low_water w.wire_full)
@@ -803,8 +800,7 @@ let sweep_combo ~seed (half_life, suppress_threshold, reuse_threshold) =
       ()
   in
   let exp =
-    Experiment.make ~id:"campaign-sweep" ~owner:"campaign"
-      ~description:"dampening parameter sweep flap workload" ()
+    Experiment.make ~id:"campaign-sweep" ~owner:"campaign" ()
   in
   let pfx = Prefix.of_string_exn "184.164.230.0/24" in
   exp.Experiment.prefixes <- [ pfx ];
@@ -818,9 +814,7 @@ let sweep_combo ~seed (half_life, suppress_threshold, reuse_threshold) =
       ~prefix:pfx
   in
   let suppressed_hist =
-    Metrics.histogram
-      ~help:"time a route spent suppressed before release (virtual s)"
-      "bgp.dampening.suppressed_s"
+    Metrics.histogram "bgp.dampening.suppressed_s"
   in
   let samples0 = List.length (Metrics.Histogram.samples suppressed_hist) in
   (match announce () with Ok () -> () | Error _ -> ());

@@ -5,40 +5,25 @@ module Metrics = Peering_obs.Metrics
 module Sink = Peering_obs.Sink
 module Span = Peering_obs.Span
 
-let m_injected =
-  Metrics.counter ~help:"fault-plan steps applied" "fault.injected"
+let m_injected = Metrics.counter "fault.injected"
 
-let m_dropped =
-  Metrics.counter ~help:"messages dropped by fault injection"
-    "fault.msg_dropped"
+let m_dropped = Metrics.counter "fault.msg_dropped"
 
-let m_duplicated =
-  Metrics.counter ~help:"messages duplicated by fault injection"
-    "fault.msg_duplicated"
+let m_duplicated = Metrics.counter "fault.msg_duplicated"
 
-let m_corrupted =
-  Metrics.counter ~help:"messages corrupted by fault injection"
-    "fault.msg_corrupted"
+let m_corrupted = Metrics.counter "fault.msg_corrupted"
 
-let m_delayed =
-  Metrics.counter ~help:"messages delayed (reordered) by fault injection"
-    "fault.msg_delayed"
+let m_delayed = Metrics.counter "fault.msg_delayed"
 
-let m_session_resets =
-  Metrics.counter ~help:"session resets injected" "fault.session_resets"
+let m_session_resets = Metrics.counter "fault.session_resets"
 
-let m_partitions =
-  Metrics.counter ~help:"link partitions injected" "fault.partitions"
+let m_partitions = Metrics.counter "fault.partitions"
 
-let m_mux_crashes =
-  Metrics.counter ~help:"mux crashes injected" "fault.mux_crashes"
+let m_mux_crashes = Metrics.counter "fault.mux_crashes"
 
-let m_blackholes =
-  Metrics.counter ~help:"tunnel blackholes injected" "fault.tunnel_blackholes"
+let m_blackholes = Metrics.counter "fault.tunnel_blackholes"
 
-let m_fate_groups =
-  Metrics.counter ~help:"correlated fate-group failures injected"
-    "fault.fate_groups"
+let m_fate_groups = Metrics.counter "fault.fate_groups"
 
 type link = {
   session : Session.t;

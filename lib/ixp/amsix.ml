@@ -27,7 +27,7 @@ let build ?(calibration = paper_calibration) ~rng (world : Gen.world) =
   if As_graph.n_ases world.graph < cal.n_members then
     invalid_arg "Amsix.build: world too small";
   let fabric =
-    Fabric.create ~name:"AMS-IX" ~country:Country.nl ~rng:(Rng.split rng) ()
+    Fabric.create ~rng:(Rng.split rng) ()
   in
   (* Candidate selection with kind-dependent join probability. The top
      of the cone ranking gets an extra boost so "we peer with 13 of

@@ -10,20 +10,13 @@ type member = {
 }
 
 type t = {
-  name : string;
-  country : Country.t;
   rng : Rng.t;
   mutable directory : member Asn.Map.t;
   mutable responses : response Asn.Map.t;
 }
 
-let create ~name ~country ~rng () =
-  { name;
-    country;
-    rng;
-    directory = Asn.Map.empty;
-    responses = Asn.Map.empty
-  }
+let create ~rng () =
+  { rng; directory = Asn.Map.empty; responses = Asn.Map.empty }
 
 let add_member t ?(uses_route_server = false) ~policy asn =
   if Asn.Map.mem asn t.directory then

@@ -20,8 +20,7 @@ type member = {
 
 type t
 
-val create :
-  name:string -> country:Country.t -> rng:Peering_sim.Rng.t -> unit -> t
+val create : rng:Peering_sim.Rng.t -> unit -> t
 (** The fabric starts with no members. *)
 
 val add_member :

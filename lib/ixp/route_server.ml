@@ -20,24 +20,15 @@ type instruments = {
 let instruments =
   lazy
     { m_announces =
-        Metrics.counter
-          ~help:"member announcements processed by the route server"
-          "ixp.route_server.announces";
+        Metrics.counter "ixp.route_server.announces";
       m_withdraws =
-        Metrics.counter ~help:"member withdrawals processed by the route server"
-          "ixp.route_server.withdraws";
+        Metrics.counter "ixp.route_server.withdraws";
       m_delivered =
-        Metrics.counter
-          ~help:"routes delivered to members after export filtering"
-          "ixp.route_server.delivered";
+        Metrics.counter "ixp.route_server.delivered";
       m_filtered =
-        Metrics.counter
-          ~help:"deliveries blocked by BGP-community export policy"
-          "ixp.route_server.filtered";
+        Metrics.counter "ixp.route_server.filtered";
       m_fanout =
-        Metrics.histogram
-          ~help:"members reached per announcement after export filtering"
-          "ixp.route_server.fanout"
+        Metrics.histogram "ixp.route_server.fanout"
     }
 
 let m () = Lazy.force instruments

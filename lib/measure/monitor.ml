@@ -8,9 +8,7 @@ module Event = Peering_obs.Event
 module Sink = Peering_obs.Sink
 module Metrics = Peering_obs.Metrics
 
-let fam_alerts =
-  Metrics.Family.counter ~help:"monitoring-station detector alerts raised"
-    "measure.monitor.alerts"
+let fam_alerts = Metrics.Family.counter "measure.monitor.alerts"
 
 (* The station's instruments, registered by the first [create]: a
    program that runs no station prints no [measure.monitor.*] rows. *)
@@ -23,15 +21,11 @@ type instruments = {
 let instruments =
   lazy
     { m_msgs =
-        Metrics.counter ~help:"BMP messages ingested by the monitoring station"
-          "measure.monitor.msgs";
+        Metrics.counter "measure.monitor.msgs";
       m_parse_errors =
-        Metrics.counter ~help:"undecodable BMP frames dropped by the station"
-          "measure.monitor.parse_errors";
+        Metrics.counter "measure.monitor.parse_errors";
       m_feed_gap =
-        Metrics.histogram
-          ~help:"virtual seconds between consecutive ingested BMP messages"
-          "measure.monitor.feed_gap_s"
+        Metrics.histogram "measure.monitor.feed_gap_s"
     }
 
 let m () = Lazy.force instruments

@@ -4,8 +4,6 @@ module Gen = Peering_topo.Gen
 module As_graph = Peering_topo.As_graph
 
 type site = {
-  rank : int;
-  fqdn : string;
   addr : Ipv4.t;
   resources : string list;
 }
@@ -95,8 +93,7 @@ let generate ~rng (world : Gen.world) =
   let sample_fqdn = Rng.zipf_sampler ~n:n_resource_fqdns ~s:0.9 in
   let sites =
     List.init n_sites (fun i ->
-        let rank = i + 1 in
-        let fqdn = Printf.sprintf "site%d.example" rank in
+        let fqdn = Printf.sprintf "site%d.example" (i + 1) in
         let prefer_cdn = Rng.bernoulli rng site_cdn_share in
         let addr =
           match pick_host rng world pools ~prefer_cdn with
@@ -111,7 +108,7 @@ let generate ~rng (world : Gen.world) =
         let resources =
           List.init n_res (fun _ -> pool.(sample_fqdn rng - 1))
         in
-        { rank; fqdn; addr; resources })
+        { addr; resources })
   in
   { sites; dns }
 

@@ -11,8 +11,6 @@
 open Peering_net
 
 type site = {
-  rank : int;  (** 1-based Alexa-style rank *)
-  fqdn : string;
   addr : Ipv4.t;  (** homepage A record *)
   resources : string list;  (** embedded-resource FQDNs (with repeats) *)
 }

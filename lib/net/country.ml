@@ -1,18 +1,5 @@
 type t = string
 
-let of_string s =
-  if String.length s = 2
-     && String.for_all
-          (fun c -> (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'))
-          s
-  then Some (String.uppercase_ascii s)
-  else None
-
-let of_string_exn s =
-  match of_string s with
-  | Some c -> c
-  | None -> invalid_arg (Printf.sprintf "Country.of_string_exn: %S" s)
-
 let nl = "NL"
 
 let pool =

@@ -4,10 +4,6 @@
 type t = private string
 (** An ISO 3166-1 alpha-2 code, uppercase. *)
 
-val of_string_exn : string -> t
-(** Accepts any two-letter code (case-insensitive); raises
-    [Invalid_argument] otherwise. *)
-
 val nl : t
 (** The Netherlands — AMS-IX's home, the modal peer country. *)
 

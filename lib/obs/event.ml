@@ -43,7 +43,6 @@ type t =
       prefix : Prefix.t;
       detail : string;
     }
-  | Ad_hoc of string
 
 let to_string = function
   | Session_transition { peer; from_state; to_state } ->
@@ -82,7 +81,6 @@ let to_string = function
     Printf.sprintf "monitor alert [%s] %s at %s: %s"
       (alert_kind_to_string kind)
       (Prefix.to_string prefix) mux detail
-  | Ad_hoc s -> s
 
 let level_to_string = function
   | Debug -> "debug"

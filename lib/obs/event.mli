@@ -4,8 +4,7 @@
     what happened as one of these constructors instead of a formatted
     string, so tests and experiment harnesses can pattern-match on
     events ("the route server filtered two deliveries of this prefix")
-    rather than grep rendered text. [Ad_hoc] keeps the old free-form
-    string escape hatch for one-off instrumentation. *)
+    rather than grep rendered text. *)
 
 open Peering_net
 
@@ -69,7 +68,6 @@ type t =
       prefix : Prefix.t;
       detail : string;  (** rendered specifics (origins, peer, counts) *)
     }  (** A live detector on the monitoring station fired. *)
-  | Ad_hoc of string  (** free-form fallback; the old string events *)
 
 val to_string : t -> string
 (** A stable one-line rendering (used by substring search over traces

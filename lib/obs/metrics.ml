@@ -48,7 +48,6 @@ type instrument =
 type entry = {
   e_name : string;
   e_labels : (string * string) list;
-  e_help : string;
   e_volatile : bool;
   e_instrument : instrument;
 }
@@ -90,7 +89,7 @@ let kind_name = function
   | G _ -> "gauge"
   | H _ -> "histogram"
 
-let register ~labels ~volatile ~help name fresh matching =
+let register ~labels ~volatile name fresh matching =
   let labels = canonical_labels labels in
   let key = (name, labels) in
   match Hashtbl.find_opt table key with
@@ -106,29 +105,27 @@ let register ~labels ~volatile ~help name fresh matching =
     Hashtbl.replace table key
       { e_name = name;
         e_labels = labels;
-        e_help = help;
         e_volatile = volatile;
         e_instrument = instrument
       };
     witness
 
-let counter ?(labels = []) ?(volatile = false) ~help name =
-  register ~labels ~volatile ~help name
+let counter ?(labels = []) ?(volatile = false) name =
+  register ~labels ~volatile name
     (fun () ->
       let c = { Counter.count = 0 } in
       (C c, c))
     (function C c -> Some c | G _ | H _ -> None)
 
-let gauge ?(labels = []) ?(volatile = false) ~help name =
-  register ~labels ~volatile ~help name
+let gauge ?(labels = []) ?(volatile = false) name =
+  register ~labels ~volatile name
     (fun () ->
       let g = { Gauge.level = 0.0; high = 0.0 } in
       (G g, g))
     (function G g -> Some g | C _ | H _ -> None)
 
-let histogram ?(labels = []) ?(volatile = false) ?(sample_cap = 4096) ~help
-    name =
-  register ~labels ~volatile ~help name
+let histogram ?(labels = []) ?(volatile = false) ?(sample_cap = 4096) name =
+  register ~labels ~volatile name
     (fun () ->
       let h =
         { Histogram.cap = max 1 sample_cap;
@@ -154,14 +151,12 @@ module Family = struct
 
   let make f = { f_get = f; f_cache = Hashtbl.create 8 }
 
-  let counter ?volatile ~help name =
-    make (fun labels -> counter ~labels ?volatile ~help name)
+  let counter ?volatile name = make (fun labels -> counter ~labels ?volatile name)
 
-  let gauge ?volatile ~help name =
-    make (fun labels -> gauge ~labels ?volatile ~help name)
+  let gauge ?volatile name = make (fun labels -> gauge ~labels ?volatile name)
 
-  let histogram ?volatile ?sample_cap ~help name =
-    make (fun labels -> histogram ~labels ?volatile ?sample_cap ~help name)
+  let histogram ?volatile ?sample_cap name =
+    make (fun labels -> histogram ~labels ?volatile ?sample_cap name)
 
   let get fam labels =
     let labels = canonical_labels labels in
@@ -183,13 +178,7 @@ type value =
       dropped : int;
     }
 
-type row = {
-  name : string;
-  labels : (string * string) list;
-  help : string;
-  volatile : bool;
-  value : value;
-}
+type row = { name : string; labels : (string * string) list; value : value }
 
 let row_of_entry e =
   let value =
@@ -204,12 +193,7 @@ let row_of_entry e =
           dropped = Histogram.dropped h
         }
   in
-  { name = e.e_name;
-    labels = e.e_labels;
-    help = e.e_help;
-    volatile = e.e_volatile;
-    value
-  }
+  { name = e.e_name; labels = e.e_labels; value }
 
 let compare_rows a b =
   match String.compare a.name b.name with

@@ -72,10 +72,9 @@ end
 val counter :
   ?labels:(string * string) list ->
   ?volatile:bool ->
-  help:string ->
   string ->
   Counter.t
-(** [counter ~help name] finds or creates the counter [name]. Raises [Invalid_argument] if the
+(** [counter name] finds or creates the counter [name]. Raises [Invalid_argument] if the
     name is already registered as a different instrument kind, or if
     [labels] repeats a key (a silent duplicate would make {!row_name}
     ambiguous and snapshots unstable). *)
@@ -83,7 +82,6 @@ val counter :
 val gauge :
   ?labels:(string * string) list ->
   ?volatile:bool ->
-  help:string ->
   string ->
   Gauge.t
 
@@ -91,7 +89,6 @@ val histogram :
   ?labels:(string * string) list ->
   ?volatile:bool ->
   ?sample_cap:int ->
-  help:string ->
   string ->
   Histogram.t
 (** [sample_cap] (default 4096) bounds retained samples; see
@@ -112,16 +109,16 @@ module Family : sig
   (** A named metric family whose members differ only in labels;
       ['a] is the instrument type. *)
 
-  val counter : ?volatile:bool -> help:string -> string -> Counter.t t
+  val counter : ?volatile:bool -> string -> Counter.t t
   (** Declare a counter family. No instrument is registered until
       {!get} sees a label set, so a family with no members leaves no
       row in snapshots. *)
 
-  val gauge : ?volatile:bool -> help:string -> string -> Gauge.t t
+  val gauge : ?volatile:bool -> string -> Gauge.t t
   (** Gauge variant of {!counter}. *)
 
   val histogram :
-    ?volatile:bool -> ?sample_cap:int -> help:string -> string -> Histogram.t t
+    ?volatile:bool -> ?sample_cap:int -> string -> Histogram.t t
   (** Histogram variant of {!counter}; [sample_cap] as in
       {!histogram}. *)
 
@@ -144,13 +141,7 @@ type value =
       dropped : int;
     }
 
-type row = {
-  name : string;
-  labels : (string * string) list;
-  help : string;
-  volatile : bool;
-  value : value;
-}
+type row = { name : string; labels : (string * string) list; value : value }
 (** One registered metric as read by {!snapshot}. *)
 
 val snapshot : ?include_volatile:bool -> unit -> row list

@@ -12,10 +12,7 @@ type entry = Ev of event | Sp of Span.completed
 
 (* Drops are also a metric row so `peering_cli stats` surfaces them
    without callers having to poll [dropped]. *)
-let m_dropped =
-  Metrics.counter
-    ~help:"recorder entries (events and spans) dropped at capacity"
-    "obs.recorder.dropped"
+let m_dropped = Metrics.counter "obs.recorder.dropped"
 
 let capacity = 100_000
 

@@ -3,7 +3,6 @@ open Peering_bgp
 module Engine = Peering_sim.Engine
 
 type neighbor = {
-  remote_asn : Asn.t;
   remote_addr : Ipv4.t;
   local_addr : Ipv4.t;
   ebgp : bool;
@@ -288,8 +287,7 @@ let add_neighbor t ~remote_asn ~remote_addr ~local_addr =
     invalid_arg "Router.connect: duplicate neighbor";
   let ebgp = not (Asn.equal remote_asn t.asn) in
   let nbr =
-    { remote_asn;
-      remote_addr;
+    { remote_addr;
       local_addr;
       ebgp;
       source =
@@ -337,12 +335,12 @@ let connect engine ?(auto_restart = false) (r1, addr1) (r2, addr2) =
   let gr_of side () =
     match !session_ref with
     | None -> None
-    | Some s -> Fsm.graceful_restart_time (side s).Session.fsm
+    | Some s -> Fsm.graceful_restart_time (side s)
   in
   let session =
     Session.create engine
-      ~a:(cfg r1, addr1)
-      ~b:(cfg r2, addr2)
+      ~a:(cfg r1)
+      ~b:(cfg r2)
       ~on_update_a:(fun u -> on_update r1 n1 u)
       ~on_update_b:(fun u -> on_update r2 n2 u)
       ~on_established_a:(fun opts ->

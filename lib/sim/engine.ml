@@ -5,20 +5,14 @@ module Span = Peering_obs.Span
    wants per-run numbers resets the default registry first). The
    wall-clock pacing histogram is volatile: its samples depend on host
    speed, so it is excluded from deterministic snapshots. *)
-let m_events =
-  Metrics.counter ~help:"simulation events executed" "engine.events_executed"
+let m_events = Metrics.counter "engine.events_executed"
 
-let m_scheduled =
-  Metrics.counter ~help:"events pushed onto the queue" "engine.events_scheduled"
+let m_scheduled = Metrics.counter "engine.events_scheduled"
 
-let m_queue =
-  Metrics.gauge ~help:"event-queue depth (hwm = high-water mark)"
-    "engine.queue_depth"
+let m_queue = Metrics.gauge "engine.queue_depth"
 
 let m_wall =
-  Metrics.histogram ~volatile:true ~sample_cap:1024
-    ~help:"host seconds spent per virtual second inside run_for"
-    "engine.wall_s_per_vsec"
+  Metrics.histogram ~volatile:true ~sample_cap:1024 "engine.wall_s_per_vsec"
 
 type t = {
   mutable clock : float;

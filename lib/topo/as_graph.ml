@@ -18,7 +18,6 @@ let kind_to_string = function
 
 type node = {
   asn : Asn.t;
-  name : string;
   country : Country.t;
   kind : kind;
 }
@@ -91,12 +90,11 @@ let entry_exn t asn =
   | Some e -> e
   | None -> invalid_arg (Printf.sprintf "As_graph: unknown %s" (Asn.to_string asn))
 
-let add_as t ?name ?(country = Country.nl) ?(kind = Stub) asn =
+let add_as t ?(country = Country.nl) ?(kind = Stub) asn =
   if Hashtbl.mem t.nodes (Asn.to_int asn) then
     invalid_arg (Printf.sprintf "As_graph.add_as: duplicate %s" (Asn.to_string asn));
-  let name = Option.value name ~default:(Asn.to_string asn) in
   Hashtbl.replace t.nodes (Asn.to_int asn)
-    { info = { asn; name; country; kind };
+    { info = { asn; country; kind };
       index = Hashtbl.length t.nodes;
       adj = Asn.Map.empty;
       prefixes = Prefix.Set.empty

@@ -26,7 +26,6 @@ val kind_to_string : kind -> string
 
 type node = {
   asn : Asn.t;
-  name : string;
   country : Country.t;
   kind : kind;
 }
@@ -35,10 +34,8 @@ type t
 
 val create : unit -> t
 
-val add_as :
-  t -> ?name:string -> ?country:Country.t -> ?kind:kind -> Asn.t -> unit
-(** Register an AS. Defaults: name ["ASn"], country [Country.nl],
-    kind [Stub]. Re-adding an existing ASN raises [Invalid_argument]. *)
+val add_as : t -> ?country:Country.t -> ?kind:kind -> Asn.t -> unit
+(** Register an AS. Defaults: country [Country.nl], kind [Stub]. Re-adding an existing ASN raises [Invalid_argument]. *)
 
 val add_edge : t -> Asn.t -> Relationship.t -> Asn.t -> unit
 (** [add_edge g a rel b] links [a] and [b]; [rel] is [b]'s role from

@@ -82,24 +82,22 @@ let generate p =
   let zipf = Rng.zipf_sampler ~n:(Array.length Country.pool) ~s:1.35 in
   let graph = As_graph.create () in
   let next_asn = ref 0 in
-  let fresh kind name_prefix =
+  let fresh kind =
     incr next_asn;
     let asn = Asn.of_int !next_asn in
     let country = country_for ~zipf rng kind in
-    As_graph.add_as graph
-      ~name:(Printf.sprintf "%s-%d" name_prefix !next_asn)
-      ~country ~kind asn;
+    As_graph.add_as graph ~country ~kind asn;
     asn
   in
-  let tier1 = List.init p.n_tier1 (fun _ -> fresh As_graph.Tier1 "T1") in
+  let tier1 = List.init p.n_tier1 (fun _ -> fresh As_graph.Tier1) in
   let large =
-    List.init p.n_large_transit (fun _ -> fresh As_graph.Large_transit "LT")
+    List.init p.n_large_transit (fun _ -> fresh As_graph.Large_transit)
   in
   let small =
-    List.init p.n_small_transit (fun _ -> fresh As_graph.Small_transit "ST")
+    List.init p.n_small_transit (fun _ -> fresh As_graph.Small_transit)
   in
-  let stubs = List.init p.n_stub (fun _ -> fresh As_graph.Stub "STUB") in
-  let content = List.init p.n_content (fun _ -> fresh As_graph.Content "CDN") in
+  let stubs = List.init p.n_stub (fun _ -> fresh As_graph.Stub) in
+  let content = List.init p.n_content (fun _ -> fresh As_graph.Content) in
   let tier1_a = Array.of_list tier1 in
   let large_a = Array.of_list large in
   let small_a = Array.of_list small in

@@ -111,22 +111,13 @@ let better (a : route) (b : route) =
 
 (* Observability: recorded by [propagate]'s phases only; [repair] has
    its own counters below. *)
-let m_offers =
-  Metrics.counter ~help:"Candidate (asn, route) offers generated by exports"
-    "topo.propagation.offers"
+let m_offers = Metrics.counter "topo.propagation.offers"
 
-let m_adoptions =
-  Metrics.counter ~help:"Offers adopted into the propagation route table"
-    "topo.propagation.adoptions"
+let m_adoptions = Metrics.counter "topo.propagation.adoptions"
 
-let m_repairs =
-  Metrics.counter
-    ~help:"Incremental table repairs after a down-set or announcement change"
-    "topo.propagation.repairs"
+let m_repairs = Metrics.counter "topo.propagation.repairs"
 
-let m_reselects =
-  Metrics.counter ~help:"Best-route re-selections run by incremental repair"
-    "topo.propagation.reselects"
+let m_reselects = Metrics.counter "topo.propagation.reselects"
 
 let denied deny asn ann = match deny with Some f -> f asn ann | None -> false
 

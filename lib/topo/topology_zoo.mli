@@ -8,17 +8,9 @@
     European and Asian extensions). The Amsterdam PoP — the one §4.2
     connects to AMS-IX — is present by construction. *)
 
-open Peering_net
-
-type pop = {
-  id : int;
-  city : string;
-  country : Country.t;
-}
-
 type t = {
   name : string;
-  pops : pop array;
+  pops : string array;  (** city names, by pop id *)
   links : (int * int) list;  (** undirected, by pop id *)
 }
 

@@ -55,15 +55,6 @@ let neighbor_asn = function
   | Seq [] :: Seq (x :: _) :: _ -> Some x
   | _ -> None
 
-let strip_private p =
-  List.filter_map
-    (fun seg ->
-      let keep l = List.filter (fun a -> not (Asn.is_private a)) l in
-      match seg with
-      | Seq l -> ( match keep l with [] -> None | l' -> Some (Seq l'))
-      | Set l -> ( match keep l with [] -> None | l' -> Some (Set l')))
-    p
-
 let segment_compare s1 s2 =
   match (s1, s2) with
   | Seq a, Seq b | Set a, Set b -> List.compare Asn.compare a b

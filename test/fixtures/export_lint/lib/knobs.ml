@@ -1,7 +1,7 @@
 module Metrics = Peering_obs.Metrics
 
-let m_idle = Metrics.counter ~help:"nothing increments this" "knobs.idle"
-let m_calls = Metrics.counter ~help:"calls of used" "knobs.calls"
+let m_idle = Metrics.counter "knobs.idle"
+let m_calls = Metrics.counter "knobs.calls"
 
 let unused x = x + 1
 
@@ -18,3 +18,13 @@ let greet ~name = "hello " ^ name
 type config = { retries : int; label : string }
 
 let default = { retries = 3; label = "default" }
+
+type color = Red | Green | Blue
+
+let paint = function Red -> "red" | Green -> "green" | Blue -> "blue"
+
+type tally = { name : string; note : string; mutable hits : int; mutable misses : int }
+
+let hit t = t.hits <- t.hits + 1
+
+type limits = { retries : int }

@@ -25,3 +25,19 @@ type config = { retries : int; label : string }
 
 val default : config
 (** [retries] keeps its literal everywhere: fails. *)
+
+type color = Red | Green | Blue
+(** The app builds [Red]; only a test builds [Green], and nothing
+    builds [Blue]: both fail. *)
+
+val paint : color -> string
+
+type tally = { name : string; note : string; mutable hits : int; mutable misses : int }
+(** [note] is written and never read, and nothing assigns [misses]:
+    both fail. [hits] is assigned and read. *)
+
+val hit : tally -> unit
+
+type limits = { retries : int }
+(** Shares a field name with [config], so a name-only match would let
+    the app's [limits] record hide [config.retries]. *)

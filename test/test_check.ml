@@ -568,8 +568,6 @@ let test_leak_analysis () =
   check Alcotest.(list int) "taint reaches the whole world"
     [ 10; 20; 30; 40 ]
     (List.map Asn.to_int (Asn.Set.elements v.Leak_analysis.tainted));
-  check Alcotest.bool "fixpoint terminates with work done" true
-    (v.Leak_analysis.iterations > 0);
   (* without the leak nothing is tainted *)
   let clean =
     parsed @@ World.parse

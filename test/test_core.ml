@@ -79,8 +79,7 @@ let test_controller_donation () =
 
 let active_experiment () =
   let exp =
-    Experiment.make ~id:"e1" ~owner:"o"
-      ~description:"a perfectly legitimate routing experiment" ()
+    Experiment.make ~id:"e1" ~owner:"o" ()
   in
   exp.Experiment.prefixes <- [ pfx "184.164.224.0/24" ];
   exp.Experiment.private_asns <- [ asn 64512 ];
@@ -161,7 +160,6 @@ let test_safety_poisoning_permission () =
   (* vetted poisoning passes and survives sanitize *)
   let exp2 =
     Experiment.make ~id:"e2" ~owner:"o"
-      ~description:"a lifeguard style failure avoidance experiment"
       ~may_poison:true ()
   in
   exp2.Experiment.prefixes <- [ pfx "184.164.225.0/24" ];
@@ -525,17 +523,31 @@ let test_testbed_client_receives_routes () =
   in
   check Alcotest.bool "client sees per-peer routes" true (multi >= 1)
 
+(* Three upstreams and two clients: per-peer sessions give each client
+   one session per upstream, the ADD-PATH mux one in all. *)
 let test_server_session_stats () =
-  let t = Lazy.force testbed in
-  let server = Testbed.site_server (Testbed.site_exn t "amsterdam01") in
-  let stats = Server.session_stats server in
-  check Alcotest.bool "per-peer mode default" true
-    (stats.Server.mode = Server.Per_peer_sessions);
-  check Alcotest.int "peer sessions = peers" stats.Server.n_peers
-    stats.Server.peer_sessions;
-  check Alcotest.int "client sessions = clients x peers"
-    (stats.Server.n_clients * stats.Server.n_peers)
-    stats.Server.client_sessions
+  let stats ?mux () =
+    let safety = Safety.create ~peering_asn:(asn 47065) ~owns:(fun _ -> true) () in
+    let s =
+      Server.create (Engine.create ()) ~name:"m" ~asn:(asn 47065) ~safety ?mux
+        ~export:(fun _ -> ()) ()
+    in
+    List.iter (fun a -> Server.add_peer s (asn a)) [ 100; 200; 300 ];
+    List.iter
+      (fun id ->
+        let experiment = Experiment.make ~id ~owner:"o" () in
+        experiment.Experiment.status <- Experiment.Active;
+        Server.connect_client s ~experiment id)
+      [ "c1"; "c2" ];
+    Server.session_stats s
+  in
+  let per_peer = stats () and add_path = stats ~mux:Server.Add_path_mux () in
+  check Alcotest.int "per-peer: 3 upstream + 2 x 3 client sessions" 9
+    per_peer.Server.total_sessions;
+  check Alcotest.int "add-path: 3 upstream + 2 client sessions" 5
+    add_path.Server.total_sessions;
+  check Alcotest.int "64 KiB per session" (9 * 64 * 1024)
+    per_peer.Server.est_memory_bytes
 
 (* The mux's BMP stream walks its peers in the order they were added
    (attach sync, crash, restart), and its Stats Reports read the live
@@ -626,10 +638,8 @@ let test_portal_accounts () =
            ~affiliation:"  " with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "anonymous account auto-approved");
-  check Alcotest.bool "approved" true
-    (match Portal.account portal "alice" with
-    | Some a -> a.Portal.approved
-    | None -> false)
+  check Alcotest.(option bool) "approved" (Some true)
+    (Portal.approved portal "alice")
 
 let test_portal_board () =
   let t = Lazy.force testbed in
@@ -684,7 +694,8 @@ let test_portal_provisioning () =
   match Portal.provision portal ~experiment_id:"portal-prov" with
   | Error e -> Alcotest.fail e
   | Ok kit ->
-    check Alcotest.int "one endpoint per site" 3 (List.length kit.Portal.sites);
+    check Alcotest.int "one endpoint per site" 3
+      (List.length kit.Portal.tunnel_endpoints);
     (* the generated config parses and compiles with our own tools *)
     let parsed =
       match Peering_router.Config.parse kit.Portal.client_config with
@@ -716,7 +727,7 @@ let test_remote_peering () =
   in
   let t = Testbed.build ~params () in
   let before = List.length (Testbed.peers_at t "amsterdam01") in
-  let fabric = Testbed.add_remote_ixp t ~via:"amsterdam01" ~name:"DE-CIX" in
+  let fabric = Testbed.add_remote_ixp t ~via:"amsterdam01" in
   let after = List.length (Testbed.peers_at t "amsterdam01") in
   check Alcotest.bool "peers grew" true (after > before);
   check Alcotest.bool "no more than fabric RS users" true
@@ -824,7 +835,7 @@ let test_set_down_repair_matches_recompute () =
   matches_rebuild "all restored";
   check Alcotest.(list int) "reach back to baseline" baseline
     (List.map (Testbed.reach_count t) prefixes);
-  ignore (Testbed.add_remote_ixp t ~via:"amsterdam01" ~name:"DE-CIX");
+  ignore (Testbed.add_remote_ixp t ~via:"amsterdam01");
   matches_rebuild "after remote peering";
   Server.crash (mux "gatech01");
   Testbed.set_down t tier1 true;
@@ -1194,7 +1205,7 @@ let test_remote_peering_repair_matches_rebuild () =
   Testbed.set_down t transit true;
   let neighbours () = List.map fst (Peering_topo.As_graph.neighbors g ams) in
   let before = neighbours () in
-  ignore (Testbed.add_remote_ixp t ~via:"amsterdam01" ~name:"DE-CIX");
+  ignore (Testbed.add_remote_ixp t ~via:"amsterdam01");
   let added =
     List.filter (fun a -> not (List.exists (Asn.equal a) before)) (neighbours ())
   in
@@ -1214,7 +1225,7 @@ let test_remote_peering_repair_matches_rebuild () =
   matches_rebuild t prefixes "transit restored";
   Testbed.set_leak_edges t (provider_leaks g w);
   let before = List.length (neighbours ()) in
-  ignore (Testbed.add_remote_ixp t ~via:"amsterdam01" ~name:"LINX");
+  ignore (Testbed.add_remote_ixp t ~via:"amsterdam01");
   check Alcotest.bool "LINX adds edges" true
     (List.length (neighbours ()) > before);
   check_stable t ~down:Asn.Set.empty prefixes "leaky: after LINX";
@@ -1315,8 +1326,7 @@ let test_route_server_to_mux_integration () =
     members;
   Peering_ixp.Route_server.connect rs (asn 47065);
   let exp =
-    Experiment.make ~id:"rs-int" ~owner:"o"
-      ~description:"route server to mux integration exercise" ()
+    Experiment.make ~id:"rs-int" ~owner:"o" ()
   in
   exp.Experiment.status <- Experiment.Active;
   let client = Client.create ~id:"rs-client" ~experiment:exp () in

@@ -146,20 +146,6 @@ let test_tunnel_carries () =
   check Alcotest.int "packets" 1 (Tunnel.packets_carried tun)
 
 (* ------------------------------------------------------------------ *)
-(* Filter rate limiter *)
-
-let test_rate_limiter () =
-  let e = Engine.create () in
-  let rl = Filter.rate_limiter e ~rate_bytes_per_s:1000.0 ~burst_bytes:1000.0 in
-  let pkt = Packet.make ~size:400 ~src:(ip "1.1.1.1") ~dst:(ip "2.2.2.2") () in
-  check Alcotest.bool "1st" true (Filter.rate_allow rl pkt);
-  check Alcotest.bool "2nd" true (Filter.rate_allow rl pkt);
-  check Alcotest.bool "3rd exceeds burst" false (Filter.rate_allow rl pkt);
-  (* tokens refill with virtual time *)
-  Engine.run_for e 1.0;
-  check Alcotest.bool "refilled" true (Filter.rate_allow rl pkt)
-
-(* ------------------------------------------------------------------ *)
 (* Traceroute *)
 
 let test_traceroute_path () =
@@ -235,7 +221,7 @@ let test_program_rewrite () =
   check Alcotest.int "80 went to C" 1 !got_c;
   check Alcotest.int "rewrites counted" 1 (Packet_program.rewritten prog)
 
-let test_program_divert_and_mirror () =
+let test_program_divert () =
   let e, f = line () in
   Forwarder.add_node f "monitor";
   Forwarder.set_route f "monitor" (pfx "0.0.0.0/0") Fib.Local;
@@ -243,9 +229,10 @@ let test_program_divert_and_mirror () =
   Forwarder.on_deliver f "monitor" (fun _ -> incr seen);
   let prog =
     Packet_program.compile e
-      [ pp_rule "mirror-traceroute-port"
+      [ pp_rule "divert-traceroute-port"
           { Packet_program.match_any with Packet_program.dport = Some 33434 }
-          (Packet_program.Mirror "monitor")
+          (Packet_program.Divert "monitor");
+        pp_rule "rest" Packet_program.match_any Packet_program.Allow
       ]
   in
   Packet_program.install prog f "B";
@@ -253,28 +240,12 @@ let test_program_divert_and_mirror () =
   Forwarder.on_deliver f "C" (fun _ -> incr delivered);
   Forwarder.inject f ~at:"A"
     (Packet.make ~src:(ip "10.1.0.1") ~dst:(ip "10.3.0.1") ());
+  Forwarder.inject f ~at:"A"
+    (Packet.make ~src:(ip "10.1.0.1") ~dst:(ip "10.3.0.1")
+       ~proto:(Packet.Tcp { sport = 1; dport = 80 }) ());
   Engine.run ~until:2.0 e;
-  check Alcotest.int "original delivered" 1 !delivered;
-  check Alcotest.int "copy at monitor" 1 !seen
-
-let test_program_rate_limit () =
-  let e, f = line () in
-  let prog =
-    Packet_program.compile e
-      [ pp_rule "limit" Packet_program.match_any
-          (Packet_program.Rate_limit
-             { Packet_program.bytes_per_s = 64.0; burst = 128.0 })
-      ]
-  in
-  Packet_program.install prog f "B";
-  for _ = 1 to 5 do
-    Forwarder.inject f ~at:"A"
-      (Packet.make ~size:64 ~src:(ip "10.1.0.1") ~dst:(ip "10.3.0.1") ())
-  done;
-  Engine.run ~until:0.5 e;
-  (* burst admits 2 packets of 64B; the rest drop *)
-  check Alcotest.int "burst enforced" 2 (Forwarder.delivered f);
-  check Alcotest.int "drops" 3 (Packet_program.dropped prog)
+  check Alcotest.int "other traffic delivered" 1 !delivered;
+  check Alcotest.int "traceroute port diverted" 1 !seen
 
 let () =
   Alcotest.run "dataplane"
@@ -288,7 +259,6 @@ let () =
           tc "loop dies by ttl" `Quick test_forwarding_loop_dies_by_ttl
         ] );
       ("tunnel", [ tc "carries" `Quick test_tunnel_carries ]);
-      ("filter", [ tc "rate limiter" `Quick test_rate_limiter ]);
       ( "traceroute",
         [ tc "path" `Quick test_traceroute_path;
           tc "unreachable" `Quick test_traceroute_unreachable
@@ -296,7 +266,6 @@ let () =
       ( "packet-program",
         [ tc "drop/allow" `Quick test_program_drop_allow;
           tc "rewrite" `Quick test_program_rewrite;
-          tc "divert+mirror" `Quick test_program_divert_and_mirror;
-          tc "rate limit" `Quick test_program_rate_limit
+          tc "divert" `Quick test_program_divert
         ] )
     ]

@@ -260,7 +260,7 @@ let test_backoff_reconnects () =
          ~timeout:600.0)
   done;
   Alcotest.(check bool) "established at least 4 times" true
-    (Fsm.established_count (Session.a session).Session.fsm >= 4)
+    (Fsm.established_count (Session.a session) >= 4)
 
 (* A lost UPDATE on a session that stays up is retransmitted, as TCP
    would resend it: it arrives once the impairment ends, in order, with
@@ -306,7 +306,7 @@ let test_lost_update_retransmitted () =
   Alcotest.(check int) "r2 holds exactly the new table" (full + 1)
     (Router.table_size r2);
   Alcotest.(check int) "the session never reset" 1
-    (Fsm.established_count (Session.a session).Session.fsm)
+    (Fsm.established_count (Session.a session))
 
 (* A transport reset takes the lost segments with it: nothing sent on
    the dead connection surfaces in the next one. *)

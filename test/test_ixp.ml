@@ -191,7 +191,7 @@ let test_rs_disconnect () =
 
 let test_fabric_census () =
   let rng = Rng.create 5 in
-  let f = Fabric.create ~name:"TEST-IX" ~country:Country.nl ~rng () in
+  let f = Fabric.create ~rng () in
   List.iteri
     (fun i policy ->
       Fabric.add_member f ~policy (asn (100 + i)))
@@ -211,7 +211,7 @@ let test_fabric_census () =
 
 let test_fabric_requests () =
   let rng = Rng.create 5 in
-  let f = Fabric.create ~name:"TEST-IX" ~country:Country.nl ~rng () in
+  let f = Fabric.create ~rng () in
   Fabric.add_member f ~policy:Peering_policy.Closed (asn 1);
   (* closed never accepts *)
   (match Fabric.request_peering f ~target:(asn 1) with
@@ -222,7 +222,7 @@ let test_fabric_requests () =
   let r2 = Fabric.request_peering f ~target:(asn 1) in
   check Alcotest.bool "sticky" true (r1 = r2);
   (* open members mostly accept: statistical check over many members *)
-  let f2 = Fabric.create ~name:"T2" ~country:Country.nl ~rng () in
+  let f2 = Fabric.create ~rng () in
   for i = 1 to 200 do
     Fabric.add_member f2 ~policy:Peering_policy.Open (asn i)
   done;

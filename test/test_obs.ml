@@ -198,28 +198,28 @@ let test_json_indented_bytes () =
 
 let test_metrics_basics () =
   Metrics.reset ();
-  let c = Metrics.counter ~help:"test counter" "t.count" in
+  let c = Metrics.counter "t.count" in
   Metrics.Counter.inc c;
   Metrics.Counter.add c 4;
   check Alcotest.int "counter" 5 (Metrics.Counter.value c);
   (* registration is memoised: same name, same instrument *)
-  let c' = Metrics.counter ~help:"test counter" "t.count" in
+  let c' = Metrics.counter "t.count" in
   Metrics.Counter.inc c';
   check Alcotest.int "memoised" 6 (Metrics.Counter.value c);
-  let g = Metrics.gauge ~help:"test gauge" "t.gauge" in
+  let g = Metrics.gauge "t.gauge" in
   Metrics.Gauge.set g 3.0;
   Metrics.Gauge.set g 1.0;
   check Alcotest.(float 1e-9) "gauge level" 1.0 (Metrics.Gauge.value g);
   check Alcotest.(float 1e-9) "gauge hwm" 3.0 (Metrics.Gauge.hwm g);
   (* a name cannot change kind *)
-  match Metrics.gauge ~help:"oops" "t.count" with
+  match Metrics.gauge "t.count" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "kind mismatch accepted"
 
 let test_metrics_histogram_cap () =
   Metrics.reset ();
   let h =
-    Metrics.histogram ~sample_cap:5 ~help:"capped" "t.hist"
+    Metrics.histogram ~sample_cap:5 "t.hist"
   in
   for i = 1 to 8 do
     Metrics.Histogram.observe h (float_of_int i)
@@ -233,9 +233,9 @@ let test_metrics_histogram_cap () =
 
 let test_metrics_reset_and_snapshot () =
   Metrics.reset ();
-  let c = Metrics.counter ~help:"c" "snap.b.count" in
-  let g = Metrics.gauge ~help:"g" "snap.a.gauge" in
-  let v = Metrics.counter ~volatile:true ~help:"v" "snap.c.volatile" in
+  let c = Metrics.counter "snap.b.count" in
+  let g = Metrics.gauge "snap.a.gauge" in
+  let v = Metrics.counter ~volatile:true "snap.c.volatile" in
   Metrics.Counter.inc c;
   Metrics.Gauge.set g 2.0;
   Metrics.Counter.inc v;
@@ -277,20 +277,18 @@ let test_duplicate_label_keys () =
     (Invalid_argument "Metrics: duplicate label key \"site\" in label set")
     (fun () ->
       ignore
-        (Metrics.counter ~labels:[ ("site", "ams"); ("site", "gru") ]
-           ~help:"dup" "dup.count"));
+        (Metrics.counter ~labels:[ ("site", "ams"); ("site", "gru") ] "dup.count"));
   (* Detection happens after canonical sorting, so non-adjacent
      duplicates are caught too. *)
   Alcotest.check_raises "non-adjacent duplicates rejected"
     (Invalid_argument "Metrics: duplicate label key \"a\" in label set")
     (fun () ->
       ignore
-        (Metrics.counter ~labels:[ ("a", "1"); ("b", "2"); ("a", "3") ]
-           ~help:"dup" "dup2.count"))
+        (Metrics.counter ~labels:[ ("a", "1"); ("b", "2"); ("a", "3") ] "dup2.count"))
 
 let test_family_cache () =
   Metrics.reset ();
-  let fam = Metrics.Family.counter ~help:"f" "fam.count" in
+  let fam = Metrics.Family.counter "fam.count" in
   let a = Metrics.Family.get fam [ ("site", "ams"); ("kind", "x") ] in
   let b = Metrics.Family.get fam [ ("kind", "x"); ("site", "ams") ] in
   check Alcotest.bool "same label set, same instrument" true (a == b);
@@ -306,7 +304,7 @@ let test_family_cache () =
 
 let test_family_hot_path_allocation () =
   Metrics.reset ();
-  let fam = Metrics.Family.counter ~help:"f" "hot.count" in
+  let fam = Metrics.Family.counter "hot.count" in
   let c = Metrics.Family.get fam [ ("site", "ams") ] in
   for _ = 1 to 100 do
     Metrics.Counter.inc c
@@ -357,10 +355,13 @@ let test_span_contexts () =
 (* The recorder's bound on retained events and spans (sink.mli). *)
 let capacity = 100_000
 
+(* A test event carrying [msg]. *)
+let note msg = Event.Fault_injected { target = msg; fault = "test" }
+
 (* [n] filler events. *)
 let fill n =
   for i = 1 to n do
-    Sink.emit ~time:0.0 ~subsystem:"fill" (Event.Ad_hoc (string_of_int i))
+    Sink.emit ~time:0.0 ~subsystem:"fill" (note (string_of_int i))
   done
 
 let test_flight_recorder_drops () =
@@ -391,8 +392,8 @@ let test_emit_ambient_stamp () =
   let sp = Span.start ~time:0.0 "ambient" in
   Span.with_current
     (Some (Span.context sp))
-    (fun () -> Sink.emit ~subsystem:"t" (Event.Ad_hoc "stamped"));
-  Sink.emit ~subsystem:"t" (Event.Ad_hoc "unstamped");
+    (fun () -> Sink.emit ~subsystem:"t" (note "stamped"));
+  Sink.emit ~subsystem:"t" (note "unstamped");
   Span.finish sp ~time:1.0;
   Sink.stop ();
   match Sink.events () with
@@ -478,8 +479,8 @@ let test_span_tree_determinism () =
 (* ------------------------------------------------------------------ *)
 (* Events and spans in the one recorder *)
 
-let ad_hoc ?(level = Event.Info) ~time ~subsystem msg =
-  Sink.emit ~time ~level ~subsystem (Event.Ad_hoc msg)
+let emit ?(level = Event.Info) ~time ~subsystem msg =
+  Sink.emit ~time ~level ~subsystem (note msg)
 
 let test_sink_trace () =
   Sink.start ~clock:(fun () -> 42.0) ();
@@ -493,7 +494,7 @@ let test_sink_trace () =
          verdict = Event.Rejected "hijack"
        });
   Sink.stop ();
-  Sink.emit ~subsystem:"test" (Event.Ad_hoc "after stop: dropped");
+  Sink.emit ~subsystem:"test" (note "after stop: dropped");
   let events = Sink.events () in
   check Alcotest.int "two events captured" 2 (List.length events);
   (match events with
@@ -512,8 +513,8 @@ let test_sink_trace () =
 
 let test_trace_roundtrip () =
   Sink.start ();
-  ad_hoc ~time:1.0 ~subsystem:"bgp" "session up";
-  ad_hoc ~time:2.0 ~level:Event.Warn ~subsystem:"safety" "hijack blocked";
+  emit ~time:1.0 ~subsystem:"bgp" "session up";
+  emit ~time:2.0 ~level:Event.Warn ~subsystem:"safety" "hijack blocked";
   Sink.stop ();
   let events = Sink.events () in
   let where ?subsystem ?needle () =
@@ -533,14 +534,15 @@ let test_trace_roundtrip () =
 let test_trace_capacity () =
   Sink.start ();
   for i = 1 to capacity + 15 do
-    ad_hoc ~time:(float_of_int i) ~level:Event.Debug ~subsystem:"x"
+    emit ~time:(float_of_int i) ~level:Event.Debug ~subsystem:"x"
       (string_of_int i)
   done;
   Sink.stop ();
   check Alcotest.int "bounded" capacity (List.length (Sink.events ()));
   check Alcotest.int "dropped" 15 (Sink.dropped ());
   match Sink.events () with
-  | e :: _ -> check Alcotest.string "oldest retained" "16" (Sink.message e)
+  | e :: _ -> check Alcotest.string "oldest retained" (Event.to_string (note "16"))
+      (Sink.message e)
   | [] -> Alcotest.fail "no events"
 
 (* Events and spans share one capacity: eviction is oldest-first across
@@ -549,14 +551,15 @@ let test_shared_capacity () =
   Metrics.reset ();
   Sink.start ();
   let span name = Span.finish (Span.start ~time:0.0 name) ~time:1.0 in
-  ad_hoc ~time:0.0 ~subsystem:"t" "e1";
+  emit ~time:0.0 ~subsystem:"t" "e1";
   span "a";
-  ad_hoc ~time:0.0 ~subsystem:"t" "e2";
+  emit ~time:0.0 ~subsystem:"t" "e2";
   span "b";
-  ad_hoc ~time:0.0 ~subsystem:"t" "e3";
+  emit ~time:0.0 ~subsystem:"t" "e3";
   fill (capacity - 3);
   Sink.stop ();
-  check Alcotest.(list string) "oldest events evicted" [ "e2"; "e3" ]
+  check Alcotest.(list string) "oldest events evicted"
+    (List.map (fun m -> Event.to_string (note m)) [ "e2"; "e3" ])
     (List.filter_map
        (fun (e : Sink.event) ->
          if e.Sink.subsystem = "t" then Some (Sink.message e) else None)
@@ -572,7 +575,7 @@ let test_off_after_stop () =
   let late = Span.start ~time:0.0 "late" in
   Sink.stop ();
   check Alcotest.bool "inactive after stop" false (Sink.active ());
-  Sink.emit ~subsystem:"t" (Event.Ad_hoc "after stop");
+  Sink.emit ~subsystem:"t" (note "after stop");
   Span.finish late ~time:1.0;
   Span.with_span "after" (fun () -> ());
   check Alcotest.int "no events after stop" 0 (List.length (Sink.events ()));
@@ -595,7 +598,7 @@ let test_start_clears () =
    without a clock does not inherit it. *)
 let test_start_clock () =
   let stamps () =
-    Sink.emit ~subsystem:"t" (Event.Ad_hoc "clockless");
+    Sink.emit ~subsystem:"t" (note "clockless");
     Span.with_span "clockless" (fun () -> ());
     Sink.stop ();
     match (Sink.events (), Sink.spans ()) with
@@ -650,8 +653,8 @@ let test_snapshot_determinism () =
 
 let test_obs_report () =
   Metrics.reset ();
-  let c = Metrics.counter ~help:"c" "x.count" in
-  let h = Metrics.histogram ~help:"h" "x.hist" in
+  let c = Metrics.counter "x.count" in
+  let h = Metrics.histogram "x.hist" in
   Metrics.Counter.add c 7;
   List.iter (Metrics.Histogram.observe h) [ 1.0; 2.0; 3.0 ];
   let txt = Obs_report.render () in
@@ -659,7 +662,7 @@ let test_obs_report () =
   check Alcotest.bool "no drop, no dropped= field" false
     (contains txt "dropped=");
   let capped =
-    Metrics.histogram ~sample_cap:2 ~help:"h" "x.capped"
+    Metrics.histogram ~sample_cap:2 "x.capped"
   in
   List.iter (Metrics.Histogram.observe capped) [ 1.0; 2.0; 3.0; 4.0; 5.0 ];
   check Alcotest.bool "text shows the histogram's drops" true

@@ -154,7 +154,7 @@ let ref_recompute r prefix =
     r.loc_changes <- r.loc_changes + 1;
     r.loc <- List.remove_assoc prefix r.loc;
     Option.iter (fun c -> r.loc <- (prefix, c) :: r.loc) current;
-    Some { Rib.prefix; previous; current }
+    Some { Rib.prefix; current }
   end
 
 let same_path peer path_id prefix e =
@@ -241,8 +241,8 @@ let pp_view ppf v =
      lookups: @[%a@]@,best_routes: @[%a@]@,routes %d, prefixes %d@,\
      peers: @[%a@]@,stale: @[%a@]@,counters: @[%a@]@]"
     (list (fun ppf (c : Rib.change) ->
-       Format.fprintf ppf "%a: %a -> %a" Prefix.pp c.Rib.prefix pp_route_opt
-         c.Rib.previous pp_route_opt c.Rib.current))
+       Format.fprintf ppf "%a: -> %a" Prefix.pp c.Rib.prefix pp_route_opt
+         c.Rib.current))
     v.changes v.marked (list pp_route_opt) v.best
     (list (fun ppf l -> Format.fprintf ppf "[@[%a@]]" (list pp_route) l))
     v.candidates (list pp_route_opt) v.lookups

@@ -88,7 +88,7 @@ let test_export_policy_filtering () =
     (Policy.of_entries
        [ { Policy.seq = 5;
            decision = Policy.Deny;
-           conds = [ Policy.Prefix_exact [ pfx "10.2.0.0/16" ] ];
+           conds = [ Policy.Prefix_in [ (pfx "10.2.0.0/16", 16, 16) ] ];
            actions = []
          };
          { Policy.seq = 10; decision = Policy.Permit; conds = []; actions = [] }

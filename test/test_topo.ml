@@ -602,7 +602,7 @@ let test_zoo_he () =
   (* Amsterdam, the PoP §4.2 connects to AMS-IX, has at least two links *)
   match
     List.find_opt
-      (fun i -> he.Topology_zoo.pops.(i).Topology_zoo.city = "Amsterdam")
+      (fun i -> he.Topology_zoo.pops.(i) = "Amsterdam")
       (List.init (Topology_zoo.n_pops he) Fun.id)
   with
   | Some i ->
