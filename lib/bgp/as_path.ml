@@ -179,16 +179,18 @@ let pp ppf p =
 
 let to_wire p = p
 
+(* Top-level rather than local, so that checking allocates nothing. *)
+let rec check_wire buf i stop =
+  if i >= stop then Ok ()
+  else if i + 2 > stop then Error `Truncated
+  else
+    let next = i + 2 + (4 * Bytes.get_uint8 buf (i + 1)) in
+    let t = Bytes.get_uint8 buf i in
+    if next > stop then Error `Truncated
+    else if t <> seg_set && t <> seg_seq then Error (`Segment_type t)
+    else check_wire buf next stop
+
 let of_wire buf ~pos ~len =
-  let stop = pos + len in
-  let rec check i =
-    if i >= stop then Ok (Bytes.sub_string buf pos len)
-    else if i + 2 > stop then Error `Truncated
-    else
-      let next = i + 2 + (4 * Bytes.get_uint8 buf (i + 1)) in
-      let t = Bytes.get_uint8 buf i in
-      if next > stop then Error `Truncated
-      else if t <> seg_set && t <> seg_seq then Error (`Segment_type t)
-      else check next
-  in
-  check pos
+  match check_wire buf pos (pos + len) with
+  | Ok () -> Ok (Bytes.sub_string buf pos len)
+  | Error _ as e -> e

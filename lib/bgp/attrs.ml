@@ -29,7 +29,10 @@ let make ?(origin = IGP) ?(as_path = As_path.empty) ?med ?local_pref
     local_pref;
     atomic_aggregate;
     aggregator;
-    communities = List.sort_uniq Community.compare communities
+    communities =
+      (match communities with
+      | [] | [ _ ] -> communities
+      | _ -> List.sort_uniq Community.compare communities)
   }
 
 let with_communities cs t =

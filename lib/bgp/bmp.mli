@@ -9,13 +9,18 @@
     IPv4 peers with a zero distinguisher; embedded PDUs always use
     4-octet ASNs and no ADD-PATH ({!pdu_opts}).
 
-    The codec has one canonical encoder and one decoder, {!decode},
-    which reads the BMP framing through {!Wire.Cursor} and hands
-    embedded PDUs to {!Wire.decode}.  An independent reference reader
-    of the framing, with its own copy of every check, lives in test
-    code ([test/bmp_reference.ml]); the [@mrt-roundtrip] alias's BMP
-    corruption corpus requires the two to agree on every input,
-    including the [error] value for corrupt frames. *)
+    The codec has one canonical encoder, {!encode}, which writes the
+    common header, the per-peer header and any embedded PDU
+    ({!Wire.put_message}) into one buffer sized up front, and one
+    decoder, {!decode}, which reads the BMP framing through
+    {!Wire.Cursor} and hands embedded PDUs to {!Wire.decode}.  An
+    independent reference reader of the framing, with its own copy of
+    every check, lives in test code ([test/bmp_reference.ml]); the
+    [@mrt-roundtrip] alias's BMP corruption corpus requires the two to
+    agree on every input, including the [error] value for corrupt
+    frames.  The buffer-per-section encoder {!encode} replaced lives
+    on in [test/wire_reference.ml], and test_bgp requires the same
+    bytes from both. *)
 
 open Peering_net
 

@@ -27,17 +27,18 @@ exception Error of error
 let as_trans = 23456
 
 (* ------------------------------------------------------------------ *)
-(* Encoding *)
+(* Encoding.  Every writer appends whole big-endian fields, and every
+   length is computed before its section is written, so a message goes
+   into one buffer in one pass. *)
 
-let put_u8 b v = Buffer.add_char b (Char.chr (v land 0xFF))
+let put_u8 b v = Buffer.add_uint8 b (v land 0xFF)
+let put_u16 b v = Buffer.add_uint16_be b (v land 0xFFFF)
+let put_u32 b v = Buffer.add_int32_be b (Int32.of_int v)
 
-let put_u16 b v =
-  put_u8 b (v lsr 8);
-  put_u8 b v
+let marker = String.make 16 '\xFF'
+let header_len = 19
 
-let put_u32 b v =
-  put_u16 b (v lsr 16);
-  put_u16 b (v land 0xFFFF)
+let asn_len opts = if opts.four_octet_asn then 4 else 2
 
 let put_asn opts b asn =
   let a = Asn.to_int asn in
@@ -46,51 +47,98 @@ let put_asn opts b asn =
 
 let prefix_byte_len l = (l + 7) / 8
 
-let put_prefix opts b (path_id, p) =
-  if opts.add_path then put_u32 b path_id;
+let prefix_len opts (_, p) =
+  (if opts.add_path then 5 else 1) + prefix_byte_len (Prefix.len p)
+
+let rec prefixes_len opts acc = function
+  | [] -> acc
+  | p :: rest -> prefixes_len opts (acc + prefix_len opts p) rest
+
+(* The address bytes a prefix needs, as whole fields. *)
+let put_prefix_addr b l a =
+  match prefix_byte_len l with
+  | 0 -> ()
+  | 1 -> put_u8 b (a lsr 24)
+  | 2 -> put_u16 b (a lsr 16)
+  | 3 ->
+    put_u16 b (a lsr 16);
+    put_u8 b (a lsr 8)
+  | _ -> put_u32 b a
+
+let encode_prefix b p =
   let l = Prefix.len p in
   put_u8 b l;
-  let a = Ipv4.to_int (Prefix.addr p) in
-  for i = 0 to prefix_byte_len l - 1 do
-    put_u8 b ((a lsr (24 - (8 * i))) land 0xFF)
-  done
+  put_prefix_addr b l (Ipv4.to_int (Prefix.addr p))
 
-let encode_prefix b p = put_prefix default_opts b (0, p)
+let put_prefix opts b (path_id, p) =
+  if opts.add_path then put_u32 b path_id;
+  encode_prefix b p
+
+let rec put_prefixes opts b = function
+  | [] -> ()
+  | p :: rest ->
+    put_prefix opts b p;
+    put_prefixes opts b rest
+
+(* An attribute of a [len]-byte body: flags, code, and a length of one
+   byte, or two with the Extended Length flag (0x10) past 255. *)
+let attr_len len = (if len > 255 then 4 else 3) + len
 
 let put_attr_header b ~flags ~code len =
   let flags = if len > 255 then flags lor 0x10 else flags in
-  put_u8 b flags;
-  put_u8 b code;
+  put_u16 b ((flags lsl 8) lor (code land 0xFF));
   if flags land 0x10 <> 0 then put_u16 b len else put_u8 b len
 
-(* A 4-octet session takes the stored bytes as they are; a 2-octet one
-   transcodes each segment, with AS_TRANS for an ASN above 65,535. *)
-let put_as_path opts b path =
-  if opts.four_octet_asn then begin
-    let body = As_path.to_wire path in
-    put_attr_header b ~flags:0x40 ~code:2 (String.length body);
-    Buffer.add_string b body
-  end
-  else begin
-    let segs =
-      List.map
-        (function As_path.Set l -> (1, l) | As_path.Seq l -> (2, l))
-        (As_path.segments path)
-    in
-    put_attr_header b ~flags:0x40 ~code:2
-      (List.fold_left (fun acc (_, l) -> acc + 2 + (2 * List.length l)) 0 segs);
-    List.iter
-      (fun (ty, asns) ->
-        put_u8 b ty;
-        put_u8 b (List.length asns);
-        List.iter (put_asn opts b) asns)
-      segs
+(* A 4-octet session takes the stored AS_PATH bytes as they are; a
+   2-octet one transcodes each stored segment (type, count, 4-byte
+   ASNs) to 2-byte ASNs, with AS_TRANS for an ASN above 65,535. *)
+let rec as2_len w i acc =
+  if i >= String.length w then acc
+  else
+    let n = String.get_uint8 w (i + 1) in
+    as2_len w (i + 2 + (4 * n)) (acc + 2 + (2 * n))
+
+let as_path_body_len opts path =
+  let w = As_path.to_wire path in
+  if opts.four_octet_asn then String.length w else as2_len w 0 0
+
+let rec put_as2_segments b w i =
+  if i < String.length w then begin
+    let n = String.get_uint8 w (i + 1) in
+    put_u8 b (String.get_uint8 w i);
+    put_u8 b n;
+    for k = 0 to n - 1 do
+      let a =
+        Int32.to_int (String.get_int32_be w (i + 2 + (4 * k))) land 0xFFFF_FFFF
+      in
+      put_u16 b (if a > 0xFFFF then as_trans else a)
+    done;
+    put_as2_segments b w (i + 2 + (4 * n))
   end
 
-(* Every attribute's length is known before its body is written, so
-   each header goes straight into the one buffer. *)
-let attrs_buffer ?(with_next_hop = true) opts (a : Attrs.t) =
-  let b = Buffer.create 64 in
+let put_as_path opts b path =
+  put_attr_header b ~flags:0x40 ~code:2 (as_path_body_len opts path);
+  if opts.four_octet_asn then Buffer.add_string b (As_path.to_wire path)
+  else put_as2_segments b (As_path.to_wire path) 0
+
+let attrs_length ?(with_next_hop = true) opts (a : Attrs.t) =
+  4 (* ORIGIN *)
+  + attr_len (as_path_body_len opts a.as_path)
+  + (if with_next_hop then 7 else 0)
+  + (match a.med with Some _ -> 7 | None -> 0)
+  + (match a.local_pref with Some _ -> 7 | None -> 0)
+  + (if a.atomic_aggregate then 3 else 0)
+  + (match a.aggregator with Some _ -> attr_len (asn_len opts + 4) | None -> 0)
+  + match a.communities with [] -> 0 | cs -> attr_len (4 * List.length cs)
+
+let rec put_communities b = function
+  | [] -> ()
+  | c :: rest ->
+    put_u32 b (Community.to_int32 c);
+    put_communities b rest
+
+(* In ascending attribute-code order. *)
+let put_attrs ?(with_next_hop = true) opts b (a : Attrs.t) =
   (* ORIGIN, well-known mandatory *)
   put_attr_header b ~flags:0x40 ~code:1 1;
   put_u8 b (Attrs.origin_rank a.origin);
@@ -102,34 +150,36 @@ let attrs_buffer ?(with_next_hop = true) opts (a : Attrs.t) =
     put_u32 b (Ipv4.to_int a.next_hop)
   end;
   (* MED, optional non-transitive *)
-  Option.iter
-    (fun med ->
-      put_attr_header b ~flags:0x80 ~code:4 4;
-      put_u32 b med)
-    a.med;
+  (match a.med with
+  | Some med ->
+    put_attr_header b ~flags:0x80 ~code:4 4;
+    put_u32 b med
+  | None -> ());
   (* LOCAL_PREF *)
-  Option.iter
-    (fun lp ->
-      put_attr_header b ~flags:0x40 ~code:5 4;
-      put_u32 b lp)
-    a.local_pref;
+  (match a.local_pref with
+  | Some lp ->
+    put_attr_header b ~flags:0x40 ~code:5 4;
+    put_u32 b lp
+  | None -> ());
   if a.atomic_aggregate then put_attr_header b ~flags:0x40 ~code:6 0;
-  Option.iter
-    (fun (asn, addr) ->
-      put_attr_header b ~flags:0xC0 ~code:7 (if opts.four_octet_asn then 8 else 6);
-      put_asn opts b asn;
-      put_u32 b (Ipv4.to_int addr))
-    a.aggregator;
-  if a.communities <> [] then begin
-    put_attr_header b ~flags:0xC0 ~code:8 (4 * List.length a.communities);
-    List.iter (fun c -> put_u32 b (Community.to_int32 c)) a.communities
-  end;
-  b
+  (match a.aggregator with
+  | Some (asn, addr) ->
+    put_attr_header b ~flags:0xC0 ~code:7 (asn_len opts + 4);
+    put_asn opts b asn;
+    put_u32 b (Ipv4.to_int addr)
+  | None -> ());
+  match a.communities with
+  | [] -> ()
+  | cs ->
+    put_attr_header b ~flags:0xC0 ~code:8 (4 * List.length cs);
+    put_communities b cs
 
-let encode_attrs ?with_next_hop opts a =
-  Buffer.to_bytes (attrs_buffer ?with_next_hop opts a)
+let capability_len = function
+  | Capability.Route_refresh -> 2
+  | Capability.Graceful_restart _ -> 4
+  | Capability.Four_octet_asn _ | Capability.Add_path _ -> 6
 
-let encode_capability b (cap : Capability.t) =
+let put_capability b (cap : Capability.t) =
   match cap with
   | Capability.Route_refresh ->
     put_u8 b 2;
@@ -153,63 +203,80 @@ let encode_capability b (cap : Capability.t) =
       | Capability.Send -> 2
       | Capability.Send_receive -> 3)
 
-let encode_open (o : Message.open_msg) =
-  let b = Buffer.create 64 in
+let capabilities_len caps =
+  List.fold_left (fun n c -> n + capability_len c) 0 caps
+
+(* version, ASN, hold time, router id, optional-parameters length *)
+let open_fixed_len = 10
+
+let open_len (o : Message.open_msg) =
+  match capabilities_len o.capabilities with
+  | 0 -> open_fixed_len
+  | n -> open_fixed_len + 2 + n
+
+let put_open b (o : Message.open_msg) =
   put_u8 b o.version;
   let a = Asn.to_int o.asn in
   put_u16 b (if a > 0xFFFF then as_trans else a);
   put_u16 b o.hold_time;
   put_u32 b (Ipv4.to_int o.router_id);
-  let caps = Buffer.create 32 in
-  List.iter (encode_capability caps) o.capabilities;
-  if Buffer.length caps = 0 then put_u8 b 0
-  else begin
+  match capabilities_len o.capabilities with
+  | 0 -> put_u8 b 0
+  | n ->
     (* one optional parameter of type 2 (capabilities) *)
-    put_u8 b (Buffer.length caps + 2);
+    put_u8 b (n + 2);
     put_u8 b 2;
-    put_u8 b (Buffer.length caps);
-    Buffer.add_buffer b caps
-  end;
-  b
+    put_u8 b n;
+    List.iter (put_capability b) o.capabilities
 
-let encode_update opts (u : Message.update) =
-  let b = Buffer.create 128 in
-  let withdrawn = Buffer.create 32 in
-  List.iter (put_prefix opts withdrawn) u.withdrawn;
-  put_u16 b (Buffer.length withdrawn);
-  Buffer.add_buffer b withdrawn;
-  let attrs =
-    match u.attrs with
-    | Some a -> attrs_buffer opts a
-    | None -> Buffer.create 0
-  in
-  put_u16 b (Buffer.length attrs);
-  Buffer.add_buffer b attrs;
-  List.iter (put_prefix opts b) u.nlri;
-  b
+let update_attrs_len opts (u : Message.update) =
+  match u.attrs with Some a -> attrs_length opts a | None -> 0
 
-let encode_notification (n : Message.notification) =
-  let b = Buffer.create 32 in
-  put_u8 b n.code;
-  put_u8 b n.subcode;
-  Buffer.add_string b n.reason;
-  b
+let update_len opts (u : Message.update) =
+  4
+  + prefixes_len opts 0 u.withdrawn
+  + update_attrs_len opts u
+  + prefixes_len opts 0 u.nlri
+
+let message_length opts = function
+  | Message.Open o -> header_len + open_len o
+  | Message.Update u -> header_len + update_len opts u
+  | Message.Notification n -> header_len + 2 + String.length n.reason
+  | Message.Keepalive -> header_len
+
+let put_header b len ty =
+  Buffer.add_string b marker;
+  put_u16 b len;
+  put_u8 b ty
+
+(* Each section's length is computed once, and the message's from
+   them. *)
+let put_update opts b (u : Message.update) =
+  let wlen = prefixes_len opts 0 u.withdrawn in
+  let alen = update_attrs_len opts u in
+  put_header b (header_len + 4 + wlen + alen + prefixes_len opts 0 u.nlri) 2;
+  put_u16 b wlen;
+  put_prefixes opts b u.withdrawn;
+  put_u16 b alen;
+  (match u.attrs with Some a -> put_attrs opts b a | None -> ());
+  put_prefixes opts b u.nlri
+
+let put_message opts b msg =
+  match msg with
+  | Message.Open o ->
+    put_header b (message_length opts msg) 1;
+    put_open b o
+  | Message.Update u -> put_update opts b u
+  | Message.Notification n ->
+    put_header b (message_length opts msg) 3;
+    put_u8 b n.code;
+    put_u8 b n.subcode;
+    Buffer.add_string b n.reason
+  | Message.Keepalive -> put_header b header_len 4
 
 let encode opts msg =
-  let ty, body =
-    match msg with
-    | Message.Open o -> (1, encode_open o)
-    | Message.Update u -> (2, encode_update opts u)
-    | Message.Notification n -> (3, encode_notification n)
-    | Message.Keepalive -> (4, Buffer.create 0)
-  in
-  let b = Buffer.create (19 + Buffer.length body) in
-  for _ = 1 to 16 do
-    Buffer.add_char b '\xFF'
-  done;
-  put_u16 b (19 + Buffer.length body);
-  put_u8 b ty;
-  Buffer.add_buffer b body;
+  let b = Buffer.create (message_length opts msg) in
+  put_message opts b msg;
   Buffer.to_bytes b
 
 (* ------------------------------------------------------------------ *)
@@ -227,32 +294,38 @@ module Cursor = struct
 
   let pos c = c.pos
   let remaining c = c.limit - c.pos
-  let need c n = if c.pos + n > c.limit then raise (Error Truncated)
 
-  let u8 c =
-    need c 1;
-    let v = Char.code (Bytes.get c.buf c.pos) in
-    c.pos <- c.pos + 1;
-    v
+  (* The end offset of the next [n] bytes, which must lie in the
+     window; the cursor does not move. *)
+  let span c n =
+    let stop = c.pos + n in
+    if stop > c.limit then raise (Error Truncated);
+    stop
 
-  let u16 c =
-    let hi = u8 c in
-    let lo = u8 c in
-    (hi lsl 8) lor lo
+  (* The offset of the next [n] bytes, which must end by [stop]; the
+     cursor moves past them.  Every read is one such check and one
+     whole-field read. *)
+  let take c n stop =
+    let p = c.pos in
+    if p + n > stop then raise (Error Truncated);
+    c.pos <- p + n;
+    p
 
-  let u32 c =
-    let hi = u16 c in
-    let lo = u16 c in
-    (hi lsl 16) lor lo
+  let u8_to c stop = Bytes.get_uint8 c.buf (take c 1 stop)
+  let u16_to c stop = Bytes.get_uint16_be c.buf (take c 2 stop)
 
-  let skip c n =
-    need c n;
-    c.pos <- c.pos + n
+  let u32_to c stop =
+    Int32.to_int (Bytes.get_int32_be c.buf (take c 4 stop)) land 0xFFFF_FFFF
+
+  let u8 c = u8_to c c.limit
+  let u16 c = u16_to c c.limit
+  let u32 c = u32_to c c.limit
+  let skip c n = c.pos <- span c n
 
   let slice c n =
-    need c n;
-    let sub = { buf = c.buf; pos = c.pos; limit = c.pos + n } in
-    c.pos <- c.pos + n;
+    let stop = span c n in
+    let sub = { buf = c.buf; pos = c.pos; limit = stop } in
+    c.pos <- stop;
     sub
 
   let rest c = Bytes.sub c.buf c.pos (remaining c)
@@ -260,134 +333,139 @@ module Cursor = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Sub-parsers over a cursor.  Each raises [Error] on a malformed or
+(* Sub-parsers over a cursor.  Each reads up to an end offset [stop]
+   inside the cursor's window and raises [Error] on a malformed or
    truncated span; the public entry points catch it. *)
 
-let get_asn opts c =
-  Asn.of_int (if opts.four_octet_asn then Cursor.u32 c else Cursor.u16 c)
+let get_asn opts c stop =
+  Asn.of_int
+    (if opts.four_octet_asn then Cursor.u32_to c stop else Cursor.u16_to c stop)
 
-let get_prefix opts c =
-  let path_id = if opts.add_path then Cursor.u32 c else 0 in
-  let l = Cursor.u8 c in
+let get_prefix opts c stop =
+  let path_id = if opts.add_path then Cursor.u32_to c stop else 0 in
+  let l = Cursor.u8_to c stop in
   if l > 32 then raise (Error (Bad_attribute "prefix length > 32"));
-  let nbytes = prefix_byte_len l in
-  let a = ref 0 in
-  for i = 0 to nbytes - 1 do
-    a := !a lor (Cursor.u8 c lsl (24 - (8 * i)))
-  done;
-  (path_id, Prefix.make (Ipv4.of_int !a) l)
+  let a =
+    match prefix_byte_len l with
+    | 0 -> 0
+    | 1 -> Cursor.u8_to c stop lsl 24
+    | 2 -> Cursor.u16_to c stop lsl 16
+    | 3 ->
+      let hi = Cursor.u16_to c stop in
+      (hi lsl 16) lor (Cursor.u8_to c stop lsl 8)
+    | _ -> Cursor.u32_to c stop
+  in
+  (path_id, Prefix.make (Ipv4.of_int a) l)
 
-let read_prefix c = snd (get_prefix default_opts c)
+let read_prefix c = snd (get_prefix default_opts c c.Cursor.limit)
 
-let get_prefixes opts c =
-  let acc = ref [] in
-  while Cursor.remaining c > 0 do
-    acc := get_prefix opts c :: !acc
-  done;
-  List.rev !acc
+(* In wire order; not tail-recursive, so the list is built once. *)
+let rec get_prefixes opts c stop =
+  if c.Cursor.pos >= stop then []
+  else
+    let p = get_prefix opts c stop in
+    p :: get_prefixes opts c stop
 
-let get_as_path opts c =
+let rec get_as2_segments opts c stop =
+  if c.Cursor.pos >= stop then []
+  else
+    let ty = Cursor.u8_to c stop in
+    let n = Cursor.u8_to c stop in
+    let asns = List.init n (fun _ -> get_asn opts c stop) in
+    let seg =
+      match ty with
+      | 1 -> As_path.Set asns
+      | 2 -> As_path.Seq asns
+      | t -> raise (Error (Bad_attribute (Printf.sprintf "segment type %d" t)))
+    in
+    seg :: get_as2_segments opts c stop
+
+let get_as_path opts c stop =
   if opts.four_octet_asn then begin
-    match As_path.of_wire c.Cursor.buf ~pos:c.pos ~len:(Cursor.remaining c) with
+    match As_path.of_wire c.Cursor.buf ~pos:c.pos ~len:(stop - c.pos) with
     | Ok p -> p
     | Error `Truncated -> raise (Error Truncated)
     | Error (`Segment_type t) ->
       raise (Error (Bad_attribute (Printf.sprintf "segment type %d" t)))
   end
-  else begin
-    let segs = ref [] in
-    while Cursor.remaining c > 0 do
-      let ty = Cursor.u8 c in
-      let n = Cursor.u8 c in
-      let asns = List.init n (fun _ -> get_asn opts c) in
-      let seg =
-        match ty with
-        | 1 -> As_path.Set asns
-        | 2 -> As_path.Seq asns
-        | t -> raise (Error (Bad_attribute (Printf.sprintf "segment type %d" t)))
-      in
-      segs := seg :: !segs
-    done;
-    As_path.of_segments (List.rev !segs)
-  end
+  else As_path.of_segments (get_as2_segments opts c stop)
 
-type partial_attrs = {
-  mutable p_origin : Attrs.origin option;
-  mutable p_as_path : As_path.t option;
-  mutable p_next_hop : Ipv4.t option;
-  mutable p_med : int option;
-  mutable p_local_pref : int option;
-  mutable p_atomic : bool;
-  mutable p_aggregator : (Asn.t * Ipv4.t) option;
-  mutable p_communities : Community.t list;
-}
+let rec get_communities c stop =
+  if c.Cursor.pos >= stop then []
+  else
+    let x = Community.of_int32 (Cursor.u32_to c stop) in
+    x :: get_communities c stop
 
-let get_attrs ?(require_next_hop = true) opts c =
-  let p =
-    { p_origin = None;
-      p_as_path = None;
-      p_next_hop = None;
-      p_med = None;
-      p_local_pref = None;
-      p_atomic = false;
-      p_aggregator = None;
-      p_communities = []
-    }
-  in
-  while Cursor.remaining c > 0 do
-    let flags = Cursor.u8 c in
-    let code = Cursor.u8 c in
-    let len = if flags land 0x10 <> 0 then Cursor.u16 c else Cursor.u8 c in
-    let sub = Cursor.slice c len in
-    match code with
+(* Reads attributes up to [stop], each against its own end offset,
+   into local variables, and builds the [Attrs.t] from them. *)
+let get_attrs ~require_next_hop opts c stop =
+  let origin = ref None
+  and as_path = ref None
+  and next_hop = ref None
+  and med = ref None
+  and local_pref = ref None
+  and atomic = ref false
+  and aggregator = ref None
+  and communities = ref [] in
+  while c.Cursor.pos < stop do
+    let flags = Cursor.u8_to c stop in
+    let code = Cursor.u8_to c stop in
+    let len =
+      if flags land 0x10 <> 0 then Cursor.u16_to c stop else Cursor.u8_to c stop
+    in
+    let attr_end = c.pos + len in
+    if attr_end > stop then raise (Error Truncated);
+    (match code with
     | 1 ->
-      p.p_origin <-
-        Some
-          (match Cursor.u8 sub with
-          | 0 -> Attrs.IGP
-          | 1 -> Attrs.EGP
-          | 2 -> Attrs.INCOMPLETE
-          | o -> raise (Error (Bad_attribute (Printf.sprintf "origin %d" o))))
-    | 2 -> p.p_as_path <- Some (get_as_path opts sub)
-    | 3 -> p.p_next_hop <- Some (Ipv4.of_int (Cursor.u32 sub))
-    | 4 -> p.p_med <- Some (Cursor.u32 sub)
-    | 5 -> p.p_local_pref <- Some (Cursor.u32 sub)
-    | 6 -> p.p_atomic <- true
+      origin :=
+        (match Cursor.u8_to c attr_end with
+        | 0 -> Some Attrs.IGP
+        | 1 -> Some Attrs.EGP
+        | 2 -> Some Attrs.INCOMPLETE
+        | o -> raise (Error (Bad_attribute (Printf.sprintf "origin %d" o))))
+    | 2 -> as_path := Some (get_as_path opts c attr_end)
+    | 3 -> next_hop := Some (Ipv4.of_int (Cursor.u32_to c attr_end))
+    | 4 -> med := Some (Cursor.u32_to c attr_end)
+    | 5 -> local_pref := Some (Cursor.u32_to c attr_end)
+    | 6 -> atomic := true
     | 7 ->
-      let asn = get_asn opts sub in
-      let addr = Ipv4.of_int (Cursor.u32 sub) in
-      p.p_aggregator <- Some (asn, addr)
-    | 8 ->
-      let cs = ref [] in
-      while Cursor.remaining sub > 0 do
-        cs := Community.of_int32 (Cursor.u32 sub) :: !cs
-      done;
-      p.p_communities <- List.rev !cs
+      let asn = get_asn opts c attr_end in
+      let addr = Ipv4.of_int (Cursor.u32_to c attr_end) in
+      aggregator := Some (asn, addr)
+    | 8 -> communities := get_communities c attr_end
     | _ when flags land 0x80 <> 0 -> () (* skip unknown optional *)
-    | c -> raise (Error (Bad_attribute (Printf.sprintf "unknown mandatory %d" c)))
+    | n -> raise (Error (Bad_attribute (Printf.sprintf "unknown mandatory %d" n))));
+    c.pos <- attr_end
   done;
-  let build ~next_hop origin as_path =
-    Some
-      (Attrs.make ~origin ~as_path ?med:p.p_med ?local_pref:p.p_local_pref
-         ~atomic_aggregate:p.p_atomic ?aggregator:p.p_aggregator
-         ~communities:p.p_communities ~next_hop ())
-  in
-  match (p.p_origin, p.p_as_path, p.p_next_hop) with
-  | Some origin, Some as_path, Some next_hop -> build ~next_hop origin as_path
-  | Some origin, Some as_path, None when not require_next_hop ->
-    (* MRT RIB_IPV6 entries: reachability is in MP_REACH_NLRI, not a
-       NEXT_HOP attribute; the v4 slot is filled with 0.0.0.0. *)
-    build ~next_hop:(Ipv4.of_int 0) origin as_path
+  match (!origin, !as_path, !next_hop) with
   | None, None, None ->
     (* Only optional attributes (e.g. MP_REACH/MP_UNREACH, RFC 4760):
        legal for an UPDATE without v4 NLRI. *)
     None
   | None, _, _ -> raise (Error (Bad_attribute "missing ORIGIN"))
   | _, None, _ -> raise (Error (Bad_attribute "missing AS_PATH"))
-  | _, _, None -> raise (Error (Bad_attribute "missing NEXT_HOP"))
+  | origin, as_path, next_hop ->
+    let next_hop =
+      match next_hop with
+      | Some nh -> nh
+      | None when not require_next_hop ->
+        (* MRT RIB_IPV6 entries: reachability is in MP_REACH_NLRI, not
+           a NEXT_HOP attribute; the v4 slot is filled with 0.0.0.0. *)
+        Ipv4.of_int 0
+      | None -> raise (Error (Bad_attribute "missing NEXT_HOP"))
+    in
+    (* Every optional argument is an option already built or a
+       constant, so building allocates only the attributes. *)
+    Some
+      (Attrs.make ?origin ?as_path ?med:!med ?local_pref:!local_pref
+         ?atomic_aggregate:(if !atomic then Some true else None)
+         ?aggregator:!aggregator
+         ?communities:(match !communities with [] -> None | cs -> Some cs)
+         ~next_hop ())
 
-let decode_attrs ?require_next_hop opts c =
-  try Ok (get_attrs ?require_next_hop opts c) with Error e -> Result.Error e
+let decode_attrs ?(require_next_hop = true) opts c =
+  try Ok (get_attrs ~require_next_hop opts c c.Cursor.limit)
+  with Error e -> Result.Error e
 
 let decode_capability c =
   let code = Cursor.u8 c in
@@ -453,43 +531,43 @@ let decode_notification c : Message.notification =
 (* Decoding: one pass over the frame, sections in wire order. *)
 
 let decode_update opts c =
-  let wlen = Cursor.u16 c in
-  let wsub = Cursor.slice c wlen in
-  let withdrawn = get_prefixes opts wsub in
+  let withdrawn_end = Cursor.span c (Cursor.u16 c) in
+  let withdrawn = get_prefixes opts c withdrawn_end in
   let alen = Cursor.u16 c in
-  let asub = Cursor.slice c alen in
-  let attrs = if alen = 0 then None else get_attrs opts asub in
-  let nlri = get_prefixes opts c in
+  let attrs_end = Cursor.span c alen in
+  let attrs =
+    if alen = 0 then None
+    else get_attrs ~require_next_hop:true opts c attrs_end
+  in
+  let nlri = get_prefixes opts c c.limit in
   if nlri <> [] && attrs = None then
     raise (Error (Bad_attribute "NLRI without path attributes"));
   Message.Update { withdrawn; attrs; nlri }
 
-(* Header validation: returns the message type and total length, or
-   raises. *)
+(* Header validation: bounds are checked once, then the fields are
+   read in place.  Returns the total length, or raises. *)
 let check_header buf ~pos =
   let total = Bytes.length buf in
-  if pos + 19 > total then raise (Error Truncated);
-  let hdr = Cursor.of_bytes ~pos ~len:19 buf in
-  for _ = 1 to 16 do
-    if Cursor.u8 hdr <> 0xFF then raise (Error Bad_marker)
-  done;
-  let len = Cursor.u16 hdr in
-  if len < 19 || len > 4096 then raise (Error (Bad_length len));
+  if pos + header_len > total then raise (Error Truncated);
+  if Bytes.get_int64_ne buf pos <> -1L || Bytes.get_int64_ne buf (pos + 8) <> -1L
+  then raise (Error Bad_marker);
+  let len = Bytes.get_uint16_be buf (pos + 16) in
+  if len < header_len || len > 4096 then raise (Error (Bad_length len));
   if pos + len > total then raise (Error Truncated);
-  let ty = Cursor.u8 hdr in
-  (ty, len)
+  len
 
 let decode opts buf ~pos =
   try
-    let ty, len = check_header buf ~pos in
-    let c = Cursor.of_bytes ~pos:(pos + 19) ~len:(len - 19) buf in
+    let len = check_header buf ~pos in
+    let ty = Bytes.get_uint8 buf (pos + 18) in
+    let c = { Cursor.buf; pos = pos + header_len; limit = pos + len } in
     let msg =
       match ty with
       | 1 -> Message.Open (decode_open c)
       | 2 -> decode_update opts c
       | 3 -> Message.Notification (decode_notification c)
       | 4 ->
-        if len <> 19 then raise (Error (Bad_length len));
+        if len <> header_len then raise (Error (Bad_length len));
         Message.Keepalive
       | t -> raise (Error (Bad_type t))
     in

@@ -5,10 +5,13 @@
     identifiers is session state negotiated via OPEN capabilities, so
     both directions of the codec take explicit {!session_opts}.
 
-    {!decode} is the one decoder: it validates the 19-byte header, then
-    materializes a {!Message.t} in a single pass, reading UPDATE
-    sections in wire order (withdrawn routes, path attributes, NLRI).
-    The first malformed span decides the returned [error]. *)
+    {!put_message} is the one encoder: it writes a whole PDU into a
+    caller's buffer in one pass, every length computed before its
+    section is written; {!encode} is its bytes.  {!decode} is the one
+    decoder: it validates the 19-byte header, then materializes a
+    {!Message.t} in a single pass, reading UPDATE sections in wire
+    order (withdrawn routes, path attributes, NLRI).  The first
+    malformed span decides the returned [error]. *)
 
 open Peering_net
 
@@ -45,20 +48,22 @@ exception Error of error
 (** {1 Byte layer}
 
     The one byte layer of the binary codecs: this module, [Bmp] and
-    the MRT codec.  Every encoder writes integers through the
-    big-endian writers below, and every decoder reads bytes only
-    through a {!Cursor}, so no malformed frame can read past its
-    window. *)
+    the MRT codec.  Every encoder appends whole big-endian fields
+    through the writers below, and every length is computed before
+    its section is written, so a message is written into one buffer
+    in one pass.  Every decoder reads a frame's fields through a
+    {!Cursor}, one bounds check and one whole-field read each, so no
+    malformed frame can read past its window. *)
 
 val put_u8 : Buffer.t -> int -> unit
 (** Append the low 8 bits of an integer as one byte. *)
 
 val put_u16 : Buffer.t -> int -> unit
-(** Append the low 16 bits, big-endian (network order, like every
-    field of the three codecs). *)
+(** Append the low 16 bits as one big-endian field (network order,
+    like every field of the three codecs). *)
 
 val put_u32 : Buffer.t -> int -> unit
-(** Append the low 32 bits, big-endian. *)
+(** Append the low 32 bits as one big-endian field. *)
 
 val put_attr_header : Buffer.t -> flags:int -> code:int -> int -> unit
 (** [put_attr_header b ~flags ~code len] appends the header of one path
@@ -110,11 +115,25 @@ end
 
 (** {1 Encoding} *)
 
+val message_length : session_opts -> Message.t -> int
+(** The encoded size of a message, 19-byte header included, computed
+    without writing it: [Bytes.length (encode opts m)]. *)
+
+val put_message : session_opts -> Buffer.t -> Message.t -> unit
+(** [put_message opts b m] appends the whole PDU of [m] (header,
+    then body) to [b]: the {!message_length}[ opts m] bytes of
+    {!encode}[ opts m], written in one pass with no intermediate
+    buffer.  The BMP and MRT encoders embed PDUs this way. *)
+
 val encode : session_opts -> Message.t -> bytes
 (** Serialise a message, including the 19-byte header. *)
 
-val encode_attrs : ?with_next_hop:bool -> session_opts -> Attrs.t -> bytes
-(** Serialise just a path-attribute section (no framing), in canonical
+val attrs_length : ?with_next_hop:bool -> session_opts -> Attrs.t -> int
+(** The size of the path-attribute section {!put_attrs} writes,
+    computed arithmetically; [~with_next_hop] as there. *)
+
+val put_attrs : ?with_next_hop:bool -> session_opts -> Buffer.t -> Attrs.t -> unit
+(** Append just a path-attribute section (no framing), in canonical
     ascending attribute-code order.  [~with_next_hop:false] omits the
     NEXT_HOP attribute — MRT [RIB_IPV6_UNICAST] entries carry
     reachability in an abbreviated MP_REACH_NLRI instead

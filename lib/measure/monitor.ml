@@ -193,8 +193,13 @@ let check_reach t ~time ~mux prefix w =
         ~detail:(Printf.sprintf "reach %d below floor %d" r reach_floor)
   end
 
-let note_churn t ~time ~mux prefix =
-  match Hashtbl.find_opt t.watches prefix with
+(* The prefix's watch, probing the table only when some watch is set:
+   most stations watch nothing, and a probe hashes the prefix. *)
+let watch_of t prefix =
+  if Hashtbl.length t.watches = 0 then None
+  else Hashtbl.find_opt t.watches prefix
+
+let note_churn t ~time ~mux prefix = function
   | None -> ()
   | Some w ->
     if w.w_flaps then begin
@@ -237,8 +242,9 @@ let on_announce t ~mux mx (hdr : Bmp.peer_header) attrs (path_id, prefix) =
   in
   let route = Route.make ?source ~path_id ~learned_at:time prefix attrs in
   ps.p_table <- Prefix.Map.add prefix route ps.p_table;
+  let w = watch_of t prefix in
   (* MOAS: watched prefix announced from an unexpected origin *)
-  (match Hashtbl.find_opt t.watches prefix with
+  (match w with
   | Some { w_origin = Some expect; _ } -> (
     match As_path.origin_asn attrs.Attrs.as_path with
     | Some org when not (Asn.equal org expect) ->
@@ -250,8 +256,12 @@ let on_announce t ~mux mx (hdr : Bmp.peer_header) attrs (path_id, prefix) =
              (Asn.to_string expect))
     | _ -> ())
   | _ -> ());
-  (* out-of-cone leak: this (mux, peer) announced outside its cone *)
-  (match Hashtbl.find_opt t.cones (mux, Asn.to_int hdr.Bmp.peer_asn) with
+  (* out-of-cone leak: this (mux, peer) announced outside its cone;
+     the (mux, peer) key is only built and hashed when a cone is set *)
+  (match
+     if Hashtbl.length t.cones = 0 then None
+     else Hashtbl.find_opt t.cones (mux, Asn.to_int hdr.Bmp.peer_asn)
+   with
   | Some pred when not (pred prefix) ->
     raise_alert t
       ~key:
@@ -263,13 +273,13 @@ let on_announce t ~mux mx (hdr : Bmp.peer_header) attrs (path_id, prefix) =
         (Printf.sprintf "announced by peer %s outside its cone"
            (Asn.to_string hdr.Bmp.peer_asn))
   | _ -> ());
-  note_churn t ~time ~mux prefix
+  note_churn t ~time ~mux prefix w
 
 let on_withdraw t ~mux mx (hdr : Bmp.peer_header) (_path_id, prefix) =
   let time = Bmp.time hdr in
   let ps = peer_state mx hdr.Bmp.peer_asn in
   ps.p_table <- Prefix.Map.remove prefix ps.p_table;
-  note_churn t ~time ~mux prefix
+  note_churn t ~time ~mux prefix (watch_of t prefix)
 
 let clear_peer t ~time ~mux ps =
   ps.p_up <- false;
@@ -278,12 +288,13 @@ let clear_peer t ~time ~mux ps =
   ps.p_reported <- None;
   (* A session loss can dip a watched prefix's reach without any
      withdraw on the wire; re-check them. *)
-  Prefix.Map.iter
-    (fun prefix _ ->
-      match Hashtbl.find_opt t.watches prefix with
-      | Some w -> check_reach t ~time ~mux prefix w
-      | None -> ())
-    gone
+  if Hashtbl.length t.watches > 0 then
+    Prefix.Map.iter
+      (fun prefix _ ->
+        match Hashtbl.find_opt t.watches prefix with
+        | Some w -> check_reach t ~time ~mux prefix w
+        | None -> ())
+      gone
 
 (* Count one message in the bucket of its virtual second. A bucket
    still holding an older second is recycled; a message older than the

@@ -75,19 +75,15 @@ let session_opts_of_as4 as4 = Wire.{ four_octet_asn = as4; add_path = false }
 (* ------------------------------------------------------------------ *)
 (* Writer, on Wire's writers.  Output is canonical: peers and BGP4MP
    records always use 4-byte ASN forms, attribute sections come from
-   [Wire.encode_attrs] (ascending code order), so encode ∘ decode is
-   the identity on our own dumps. *)
+   [Wire.put_attrs] (ascending code order), so encode ∘ decode is
+   the identity on our own dumps.  Every body length is computed
+   before the record is written, so a dump is one buffer. *)
 
 let put_ipv4 b a = Wire.put_u32 b (Ipv4.to_int a)
 
-let put_u64 b v =
-  for i = 7 downto 0 do
-    Wire.put_u8 b (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xFF)
-  done
-
 let put_ipv6 b (a : Ipv6.t) =
-  put_u64 b a.Ipv6.hi;
-  put_u64 b a.Ipv6.lo
+  Buffer.add_int64_be b a.Ipv6.hi;
+  Buffer.add_int64_be b a.Ipv6.lo
 
 (* A v6 prefix in NLRI form: length byte, then the minimal address
    bytes. *)
@@ -106,9 +102,14 @@ let put_prefix6 b p =
     Wire.put_u8 b byte
   done
 
+let peer_addr_len = function V4 _ -> 4 | V6 _ -> 16
+
 let put_peer_addr b = function
   | V4 a -> put_ipv4 b a
   | V6 a -> put_ipv6 b a
+
+(* type, BGP id, address, 4-byte ASN *)
+let peer_len p = 9 + peer_addr_len p.addr
 
 let put_peer b p =
   let ty = (match p.addr with V4 _ -> 0 | V6 _ -> 1) lor 2 in
@@ -118,26 +119,44 @@ let put_peer b p =
   Wire.put_u32 b (Asn.to_int p.asn)
 
 (* RFC 6396 §4.3.4: inside a RIB_IPV6 entry the MP_REACH_NLRI
-   attribute is abbreviated to next-hop length + next-hop address. *)
+   attribute is abbreviated to next-hop length + next-hop address:
+   a 3-byte attribute header and 17 bytes of body. *)
+let mp_reach_next_hop_len = 20
+
 let put_mp_reach_next_hop b nh =
   Wire.put_attr_header b ~flags:0x80 ~code:14 17;
   Wire.put_u8 b 16;
   put_ipv6 b nh
 
+let attrs_len ~v6 e =
+  Wire.attrs_length ~with_next_hop:(not v6) attr_opts e.attrs
+  + if v6 then mp_reach_next_hop_len else 0
+
+(* peer index, originated time, attribute length, attributes *)
+let rib_entries_len ~v6 entries =
+  List.fold_left (fun n e -> n + 8 + attrs_len ~v6 e) 0 entries
+
 let put_rib_entry ~v6 b e =
   Wire.put_u16 b e.peer_index;
   Wire.put_u32 b e.originated;
-  let attrs = Wire.encode_attrs ~with_next_hop:(not v6) attr_opts e.attrs in
-  if v6 then begin
-    Wire.put_u16 b (Bytes.length attrs + 20);
-    Buffer.add_bytes b attrs;
-    let nh = Option.value e.next_hop6 ~default:(Ipv6.make 0L 0L) in
-    put_mp_reach_next_hop b nh
-  end
-  else begin
-    Wire.put_u16 b (Bytes.length attrs);
-    Buffer.add_bytes b attrs
-  end
+  Wire.put_u16 b (attrs_len ~v6 e);
+  Wire.put_attrs ~with_next_hop:(not v6) attr_opts b e.attrs;
+  if v6 then
+    put_mp_reach_next_hop b
+      (Option.value e.next_hop6 ~default:(Ipv6.make 0L 0L))
+
+let body_len = function
+  | Peer_index_table { view_name; peers; _ } ->
+    8 + String.length view_name
+    + Array.fold_left (fun n p -> n + peer_len p) 0 peers
+  | Rib_v4 { prefix; entries; _ } ->
+    7 + ((Prefix.len prefix + 7) / 8) + rib_entries_len ~v6:false entries
+  | Rib_v6 { prefix; entries; _ } ->
+    7 + ((Prefix6.len prefix + 7) / 8) + rib_entries_len ~v6:true entries
+  | Bgp4mp { peer_ip; local_ip; as4; payload; _ } ->
+    (if as4 then 8 else 4)
+    + 4 + peer_addr_len peer_ip + peer_addr_len local_ip
+    + Bytes.length payload
 
 let body_of_record b = function
   | Peer_index_table { collector_id; view_name; peers } ->
@@ -176,6 +195,7 @@ let body_of_record b = function
     Wire.put_u16 b afi;
     put_peer_addr b peer_ip;
     put_peer_addr b local_ip;
+    (* the record's PDU, stored encoded *)
     Buffer.add_bytes b payload
 
 let type_subtype = function
@@ -187,14 +207,12 @@ let type_subtype = function
       if as4 then subtype_bgp4mp_message_as4 else subtype_bgp4mp_message )
 
 let encode_record b t =
-  let body = Buffer.create 64 in
-  body_of_record body t.record;
   let ty, sub = type_subtype t.record in
   Wire.put_u32 b t.timestamp;
   Wire.put_u16 b ty;
   Wire.put_u16 b sub;
-  Wire.put_u32 b (Buffer.length body);
-  Buffer.add_buffer b body
+  Wire.put_u32 b (body_len t.record);
+  body_of_record b t.record
 
 let encode records =
   let b = Buffer.create 4096 in
@@ -207,11 +225,9 @@ let encode records =
    record body must parse exactly to its header length. *)
 
 let u64 c =
-  let v = ref 0L in
-  for _ = 1 to 8 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Cursor.u8 c))
-  done;
-  !v
+  let hi = Cursor.u32 c in
+  let lo = Cursor.u32 c in
+  Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)
 
 let read_ipv6 c =
   let hi = u64 c in

@@ -7,7 +7,8 @@
     1/2/4) and BGP4MP [BGP4MP_MESSAGE] / [BGP4MP_MESSAGE_AS4]
     (type 16, subtypes 1/4).  The writer is canonical — 4-byte-AS peer
     entries, attribute sections in ascending code order via
-    {!Peering_bgp.Wire.encode_attrs} — so for dumps this module
+    {!Peering_bgp.Wire.put_attrs}, every record written into the
+    dump's one buffer — so for dumps this module
     produced, decode ∘ encode is the identity byte-for-byte; the
     [@mrt-roundtrip] alias enforces that over seeded worlds.  The
     reader additionally accepts the 2-byte-AS forms RFC 6396 allows.

@@ -92,15 +92,13 @@ let generate ~rng (world : Gen.world) =
   (* Zipf sampler over the pool: popular CDNs host many resources. *)
   let sample_fqdn = Rng.zipf_sampler ~n:n_resource_fqdns ~s:0.9 in
   let sites =
-    List.init n_sites (fun i ->
-        let fqdn = Printf.sprintf "site%d.example" (i + 1) in
+    List.init n_sites (fun _ ->
         let prefer_cdn = Rng.bernoulli rng site_cdn_share in
         let addr =
           match pick_host rng world pools ~prefer_cdn with
           | Some (_, addr) -> addr
           | None -> Ipv4.of_octets 192 0 2 1
         in
-        Dns.add_a dns fqdn addr;
         (* Resource count: exponential around the mean, at least 5. *)
         let n_res =
           max 5 (int_of_float (Rng.exponential rng ~mean:mean_resources))

@@ -11,7 +11,7 @@
 open Peering_net
 
 type site = {
-  addr : Ipv4.t;  (** homepage A record *)
+  addr : Ipv4.t;  (** homepage address *)
   resources : string list;  (** embedded-resource FQDNs (with repeats) *)
 }
 
@@ -22,9 +22,9 @@ val generate : rng:Peering_sim.Rng.t -> Peering_topo.Gen.world -> t
     embedded resources per page, drawn from a pool of 4,200 resource
     FQDNs. Half of the resource FQDNs and 18% of the homepages are
     hosted on Content-kind ASes (homepages sit on origin
-    infrastructure more often than embedded resources do). Every FQDN
-    resolves in [dns] to an address inside a prefix its hosting AS
-    originates. *)
+    infrastructure more often than embedded resources do). Every
+    resource FQDN resolves in [dns] to an address inside a prefix its
+    hosting AS originates. *)
 
 val total_resources : t -> int
 val distinct_resource_fqdns : t -> string list

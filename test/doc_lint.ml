@@ -1,13 +1,22 @@
-(* Documentation linter for interface files.
+(* Documentation linter for interface files and prose docs.
 
    The build environment has no odoc, so `dune build @doc` alone cannot
    gate documentation quality; this tool is attached to the @doc alias
-   (and to runtest) instead. It requires every top-level [val] and
-   [type] in the given .mli files to carry an adjacent odoc comment —
-   either a [(** … *)] in the lines of the declaration itself / right
-   after it, or one ending on the line directly above — and rejects
-   files whose comment delimiters do not balance (a malformed or
-   unterminated doc comment). *)
+   (and to runtest) instead.
+
+   [doc_lint FILE.mli...] requires every top-level [val] and [type] in
+   the given .mli files to carry an adjacent odoc comment — either a
+   [(** … *)] in the lines of the declaration itself / right after it,
+   or one ending on the line directly above — and rejects files whose
+   comment delimiters do not balance (a malformed or unterminated doc
+   comment).
+
+   [doc_lint --paths ROOT FILE.md...] requires every backquoted repo
+   path in the given Markdown files to exist under ROOT. A repo path is
+   the first word of a code span outside fenced blocks, made only of
+   path characters, whose first component is a top-level source
+   directory ([lib/…], [test/…], …). An [x.exe] path resolves to
+   [x.ml]; an extensionless one to a directory or [x.ml]. *)
 
 let starts_with prefix s =
   String.length s >= String.length prefix
@@ -88,10 +97,71 @@ let lint file =
   done;
   List.rev !failures
 
+let source_dirs = [ "lib"; "bin"; "bench"; "perfbench"; "examples"; "test"; "docs" ]
+
+let is_path_char = function
+  | 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '_' | '.' | '/' | '-' -> true
+  | _ -> false
+
+(* The repo path a code span names, if any. *)
+let repo_path span =
+  let word =
+    match String.index_opt span ' ' with
+    | Some i -> String.sub span 0 i
+    | None -> span
+  in
+  match String.index_opt word '/' with
+  | Some i
+    when List.mem (String.sub word 0 i) source_dirs
+         && String.for_all is_path_char word ->
+    Some word
+  | _ -> None
+
+let resolves root path =
+  let at p = Sys.file_exists (Filename.concat root p) in
+  if Filename.check_suffix path ".exe" then
+    at (Filename.chop_suffix path ".exe" ^ ".ml")
+  else if Filename.extension path = "" then at path || at (path ^ ".ml")
+  else at path
+
+(* The code spans of one line: the text between pairs of backquotes. *)
+let code_spans line =
+  let rec go i acc =
+    match String.index_from_opt line i '`' with
+    | None -> List.rev acc
+    | Some a -> (
+      match String.index_from_opt line (a + 1) '`' with
+      | None -> List.rev acc
+      | Some b -> go (b + 1) (String.sub line (a + 1) (b - a - 1) :: acc))
+  in
+  go 0 []
+
+let lint_paths root file =
+  let failures = ref [] in
+  let fenced = ref false in
+  Array.iteri
+    (fun i line ->
+      if starts_with "```" (String.trim line) then fenced := not !fenced
+      else if not !fenced then
+        List.iter
+          (fun span ->
+            match repo_path span with
+            | Some p when not (resolves root p) ->
+              failures := (i + 1, Printf.sprintf "no such path: %s" p) :: !failures
+            | _ -> ())
+          (code_spans line))
+    (read_lines file);
+  List.rev !failures
+
 let () =
-  let files = List.tl (Array.to_list Sys.argv) in
+  let args = List.tl (Array.to_list Sys.argv) in
+  let check, files =
+    match args with
+    | "--paths" :: root :: files -> (lint_paths root, files)
+    | files -> (lint, files)
+  in
   if files = [] then begin
-    prerr_endline "doc_lint: no .mli files given";
+    prerr_endline "doc_lint: no files given";
     exit 2
   end;
   let bad = ref 0 in
@@ -101,7 +171,7 @@ let () =
         (fun (line, msg) ->
           incr bad;
           Printf.eprintf "%s:%d: %s\n" file line msg)
-        (lint file))
+        (check file))
     files;
   if !bad > 0 then begin
     Printf.eprintf "doc_lint: %d failure%s in %d file%s\n" !bad

@@ -7,6 +7,12 @@ let asn = Asn.of_int
 let ip = Ipv4.of_string_exn
 let pfx = Prefix.of_string_exn
 
+(* A bare path-attribute section, as bytes. *)
+let encode_attrs ?with_next_hop opts a =
+  let b = Buffer.create 64 in
+  Wire.put_attrs ?with_next_hop opts b a;
+  Buffer.to_bytes b
+
 (* ------------------------------------------------------------------ *)
 (* As_path *)
 
@@ -113,7 +119,7 @@ let prop_as_path_reference =
       let wire opts p =
         let attrs = Attrs.make ~as_path:p ~next_hop:(ip "10.0.0.1") () in
         match
-          Wire.decode_attrs opts (Wire.Cursor.of_bytes (Wire.encode_attrs opts attrs))
+          Wire.decode_attrs opts (Wire.Cursor.of_bytes (encode_attrs opts attrs))
         with
         | Ok (Some a) -> As_path.segments a.Attrs.as_path
         | Ok None -> QCheck.Test.fail_report "no attributes"
@@ -352,8 +358,8 @@ let test_wire_decode_errors () =
 
 let test_wire_encode_attrs_next_hop () =
   let opts = { Wire.four_octet_asn = true; add_path = false } in
-  let with_nh = Wire.encode_attrs opts sample_attrs in
-  let without = Wire.encode_attrs ~with_next_hop:false opts sample_attrs in
+  let with_nh = encode_attrs opts sample_attrs in
+  let without = encode_attrs ~with_next_hop:false opts sample_attrs in
   check Alcotest.bool "omitting NEXT_HOP shrinks the section" true
     (Bytes.length without < Bytes.length with_nh);
   (* Round trip through the bare-section decoder. *)
@@ -1292,6 +1298,206 @@ let prop_bmp_garbage_total =
       | Error e, Error e' -> e = e'
       | _ -> false)
 
+(* ------------------------------------------------------------------ *)
+(* The encoders against the byte-at-a-time, buffer-per-section
+   reference *)
+
+module Wref = Wire_reference
+
+let gen_u32 = QCheck.Gen.int_range 0 0xFFFF_FFFF
+
+let gen_path_prefix =
+  QCheck.Gen.(
+    let* id = gen_u32 in
+    let* p = gen_prefix in
+    let* len = int_range 0 32 in
+    return (id, Prefix.make (Prefix.addr p) len))
+
+(* Paths of up to 600 ASNs from the whole 32-bit space (split at 255,
+   and AS_TRANS on a 2-octet session), with sets among the sequences. *)
+let gen_long_path =
+  QCheck.Gen.(
+    let* n = int_range 0 3 in
+    let* segs =
+      list_repeat n
+        (let* k = frequency [ (4, int_range 0 6); (1, int_range 250 600) ] in
+         let* l = list_repeat k gen_wide_asn in
+         oneofl [ As_path.Seq l; As_path.Set l ])
+    in
+    return (As_path.of_segments segs))
+
+(* Every optional attribute, and community lists long enough (up to
+   100, 400 bytes) to need the Extended Length flag. *)
+let gen_full_attrs =
+  QCheck.Gen.(
+    let* origin = oneofl [ Attrs.IGP; Attrs.EGP; Attrs.INCOMPLETE ] in
+    let* as_path = gen_long_path in
+    let* med = opt gen_u32 in
+    let* local_pref = opt gen_u32 in
+    let* atomic_aggregate = bool in
+    let* aggregator = opt (pair gen_wide_asn (map Ipv4.of_int gen_u32)) in
+    let* n = frequency [ (3, int_range 0 4); (1, int_range 60 100) ] in
+    let* communities = list_repeat n (map Community.of_int32 gen_u32) in
+    let* nh = gen_u32 in
+    return
+      (Attrs.make ~origin ~as_path ?med ?local_pref ~atomic_aggregate
+         ?aggregator ~communities ~next_hop:(Ipv4.of_int nh) ()))
+
+let gen_capability =
+  QCheck.Gen.(
+    oneof
+      [ return Capability.Route_refresh;
+        map (fun s -> Capability.Graceful_restart s) (int_range 0 0xFFFF);
+        map (fun a -> Capability.Four_octet_asn a) gen_u32;
+        map
+          (fun m -> Capability.Add_path m)
+          (oneofl Capability.[ Receive; Send; Send_receive ])
+      ])
+
+let gen_open =
+  QCheck.Gen.(
+    let* asn = gen_wide_asn in
+    let* hold_time = int_range 0 0xFFFF in
+    let* rid = gen_u32 in
+    let* n = int_range 0 4 in
+    let* capabilities = list_repeat n gen_capability in
+    return
+      { Message.version = 4; asn; hold_time; router_id = Ipv4.of_int rid;
+        capabilities
+      })
+
+let gen_message =
+  QCheck.Gen.(
+    oneof
+      [ map (fun o -> Message.Open o) gen_open;
+        (let* nw = int_range 0 4 in
+         let* withdrawn = list_repeat nw gen_path_prefix in
+         let* nn = int_range 0 4 in
+         let* nlri = list_repeat nn gen_path_prefix in
+         let* attrs = opt gen_full_attrs in
+         return (Message.Update { withdrawn; attrs; nlri }));
+        (let* code = int_range 0 255 in
+         let* subcode = int_range 0 255 in
+         let* reason = string_size ~gen:printable (int_range 0 40) in
+         return (Message.Notification { code; subcode; reason }));
+        return Message.Keepalive
+      ])
+
+let gen_opts =
+  QCheck.Gen.(
+    map2
+      (fun four_octet_asn add_path -> { Wire.four_octet_asn; add_path })
+      bool bool)
+
+let show_bytes b =
+  String.concat " "
+    (List.init (Bytes.length b) (fun i -> Printf.sprintf "%02x" (Bytes.get_uint8 b i)))
+
+let same_bytes what ours ref_ =
+  Bytes.equal ours ref_
+  || QCheck.Test.fail_reportf "%s differs:\n  new %s\n  ref %s" what
+       (show_bytes ours) (show_bytes ref_)
+
+let prop_wire_encode_reference =
+  QCheck.Test.make ~name:"encode = reference, wire" ~count:400
+    (QCheck.make QCheck.Gen.(triple gen_opts gen_message gen_full_attrs))
+    (fun (opts, m, a) ->
+      let b = Wire.encode opts m in
+      same_bytes "encode" b (Wref.encode opts m)
+      && (Wire.message_length opts m = Bytes.length b
+         || QCheck.Test.fail_report "message_length")
+      && List.for_all
+           (fun with_next_hop ->
+             let ours = encode_attrs ~with_next_hop opts a in
+             same_bytes "put_attrs" ours (Wref.encode_attrs ~with_next_hop opts a)
+             && (Wire.attrs_length ~with_next_hop opts a = Bytes.length ours
+                || QCheck.Test.fail_report "attrs_length"))
+           [ true; false ])
+
+let gen_bmp =
+  QCheck.Gen.(
+    let* addr = gen_u32 in
+    let* pasn = gen_wide_asn in
+    let* t = float_range 0.0 2e9 in
+    let peer =
+      Bmp.make_peer_header ~addr:(Ipv4.of_int addr) ~asn:pasn ~time:t ()
+    in
+    let gen_info =
+      let* n = int_range 0 3 in
+      list_repeat n
+        (pair (int_range 0 2) (string_size ~gen:printable (int_range 0 20)))
+    in
+    oneof
+      [ (let* nw = int_range 0 3 in
+         let* withdrawn = list_repeat nw gen_path_prefix in
+         let* nn = int_range 0 3 in
+         let* nlri = list_repeat nn gen_path_prefix in
+         let* attrs = opt gen_full_attrs in
+         return (Bmp.Route_monitoring { peer; update = { withdrawn; attrs; nlri } }));
+        (let* n = int_range 0 4 in
+         let* stats =
+           list_repeat n
+             (map2
+                (fun stat_type stat_value -> { Bmp.stat_type; stat_value })
+                (int_range 0 10) (int_range 0 (1 lsl 40)))
+         in
+         return (Bmp.Stats_report { peer; stats }));
+        map (fun reason -> Bmp.Peer_down { peer; reason }) (int_range 1 6);
+        (let* local = gen_u32 in
+         let* local_port = int_range 0 0xFFFF in
+         let* remote_port = int_range 0 0xFFFF in
+         let* sent_open = gen_open in
+         let* recv_open = gen_open in
+         return
+           (Bmp.Peer_up
+              { peer; local_addr = Ipv4.of_int local; local_port; remote_port;
+                sent_open; recv_open
+              }));
+        map (fun info -> Bmp.Initiation { info }) gen_info;
+        map (fun info -> Bmp.Termination { info }) gen_info
+      ])
+
+let prop_bmp_encode_reference =
+  QCheck.Test.make ~name:"encode = reference, bmp" ~count:400
+    (QCheck.make gen_bmp) (fun m ->
+      same_bytes "bmp encode" (Bmp.encode m) (Wref.bmp_encode m))
+
+(* Exact allocation of the BMP codec on one Route Monitoring frame of
+   one /24 with a 3-ASN path: Gc.minor_words counts every word. *)
+let test_bmp_alloc () =
+  let frame =
+    Bmp.Route_monitoring
+      { peer = bmp_peer;
+        update =
+          Message.
+            { withdrawn = [];
+              attrs =
+                Some
+                  (Attrs.make
+                     ~as_path:(As_path.of_asns [ asn 65010; asn 3356; asn 174 ])
+                     ~next_hop:(ip "100.65.0.1") ());
+              nlri = [ (0, pfx "184.164.224.0/24") ]
+            }
+      }
+  in
+  let words f =
+    ignore (Sys.opaque_identity (f ()));
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. w0
+  in
+  let b = Bmp.encode frame in
+  check Alcotest.int "frame bytes" 103 (Bytes.length b);
+  let enc = words (fun () -> Bmp.encode frame) in
+  let dec = words (fun () -> Bmp.decode b ~pos:0) in
+  check Alcotest.bool
+    (Printf.sprintf "encode allocates %.0f words, at most 48" enc)
+    true (enc <= 48.);
+  check Alcotest.bool
+    (Printf.sprintf "decode allocates %.0f words, at most 80" dec)
+    true (dec <= 80.)
+
+
 let () =
   Alcotest.run "bgp"
     [ ( "as-path",
@@ -1319,6 +1525,7 @@ let () =
           tc "decode error values" `Quick test_wire_decode_errors;
           tc "encode_attrs next-hop modes" `Quick
             test_wire_encode_attrs_next_hop;
+          QCheck_alcotest.to_alcotest prop_wire_encode_reference;
           QCheck_alcotest.to_alcotest prop_update_roundtrip;
           QCheck_alcotest.to_alcotest prop_decode_never_raises;
           QCheck_alcotest.to_alcotest prop_decode_corrupted_valid
@@ -1378,6 +1585,8 @@ let () =
       ( "bmp",
         [ tc "roundtrip" `Quick test_bmp_roundtrip;
           tc "canon time + peer_of" `Quick test_bmp_canon_time;
+          tc "allocation bounds" `Quick test_bmp_alloc;
+          QCheck_alcotest.to_alcotest prop_bmp_encode_reference;
           QCheck_alcotest.to_alcotest prop_bmp_reference_agree;
           QCheck_alcotest.to_alcotest prop_bmp_truncation_agree;
           QCheck_alcotest.to_alcotest prop_bmp_garbage_total
