@@ -6,9 +6,9 @@ let header_overhead = 23 (* marker + length + type + the two length fields *)
 (* Sizes are for a default session: 2-octet ASNs, no ADD-PATH. *)
 let prefix_bytes p = 1 + ((Prefix.len p + 7) / 8)
 
-(* The fixed part of each message past the 19-byte header: the two
-   section-length fields and the attribute section. *)
-let attrs_bytes attrs = 4 + Wire.attrs_length Wire.default_opts attrs
+(* The attribute section of each message; [header_overhead] already
+   counts the two section-length fields around it. *)
+let attrs_bytes attrs = Wire.attrs_length Wire.default_opts attrs
 
 (* Split [prefixes] into chunks whose encoded size fits alongside
    [fixed] bytes of attribute data. *)

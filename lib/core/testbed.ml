@@ -43,6 +43,68 @@ type active_ann = {
   ann : Propagation.announcement;
 }
 
+(* What a propagation table depends on besides the graph, the down set,
+   the leak edges and the ROV adopters, all of which every prefix
+   shares: per slot, in slot order, the origin, the path suffix, the
+   export set and whether ROV finds the origin invalid. The prefix
+   enters a table only through that verdict. [anns] are one holder's
+   announcements, read for all but their prefix; [invalid] lists the
+   slots whose origin is invalid under the current ROV, ascending. *)
+type shape = {
+  anns : Propagation.announcement list;
+  invalid : int list;
+}
+
+(* Export sets compare physically first: a full export's peer set is
+   shared, so equal shapes rarely walk a 604-peer set. *)
+let same_slot (a : Propagation.announcement) (b : Propagation.announcement) =
+  Asn.equal a.origin b.origin
+  && List.equal Asn.equal a.path_suffix b.path_suffix
+  && Option.equal (fun x y -> x == y || Asn.Set.equal x y) a.export_to b.export_to
+
+let same_shape a b =
+  List.equal same_slot a.anns b.anns && List.equal Int.equal a.invalid b.invalid
+
+module Shapes = Hashtbl.Make (struct
+  type t = shape
+
+  let equal = same_shape
+  let mix h x = (h * 65599) + x
+
+  (* The origins and suffixes, and of an export set only its least and
+     greatest members: O(log n) probes, not a walk. *)
+  let hash s =
+    let slot h (a : Propagation.announcement) =
+      let h =
+        List.fold_left
+          (fun h x -> mix h (Asn.to_int x))
+          (mix h (Asn.to_int a.origin))
+          a.path_suffix
+      in
+      match a.export_to with
+      | None -> mix h 1
+      | Some e when Asn.Set.is_empty e -> mix h 2
+      | Some e ->
+        mix (mix h (Asn.to_int (Asn.Set.min_elt e))) (Asn.to_int (Asn.Set.max_elt e))
+    in
+    List.fold_left mix (List.fold_left slot 0 s.anns) s.invalid
+end)
+
+(* One propagation table, shared by every prefix whose announcements
+   have its [shape] (DESIGN.md §9, "Shared tables"). *)
+type table = {
+  result : Propagation.result;
+  mutable shape : shape;
+  mutable holders : int;  (* prefixes holding the table *)
+  mutable pass : int;  (* the last whole-testbed pass that visited it *)
+}
+
+(* An announced prefix: its slots and the table it holds. *)
+type held = {
+  active : active_ann list;
+  table : table;
+}
+
 type t = {
   eng : Engine.t;
   w : Gen.world;
@@ -50,8 +112,10 @@ type t = {
   saf : Safety.t;
   col : Collector.t;
   mutable site_list : site list;
-  mutable active : active_ann list Prefix.Map.t;
-  mutable results : Propagation.result Prefix.Map.t;
+  mutable prefixes : held Prefix.Map.t;
+  shapes : table Shapes.t;
+      (* with no leak active, every live table by its shape *)
+  mutable passes : int;
   mutable down : Asn.Set.t;
   mutable leaks : (Asn.t * Asn.t) list;
   mutable rov : (Peering_bgp.Rpki.t * Asn.Set.t) option;
@@ -125,6 +189,16 @@ let leak_ends edges =
 
 let anns_of active = List.map (fun a -> a.ann) active
 
+(* [active]'s shape under the current ROV. *)
+let shape_of t active =
+  let rec invalid i = function
+    | [] -> []
+    | a :: rest ->
+      if rov_invalid t t.rov a.ann then i :: invalid (i + 1) rest
+      else invalid (i + 1) rest
+  in
+  { anns = anns_of active; invalid = invalid 0 active }
+
 (* Re-select from [toggled] in [result], the table of [active]. *)
 let repair t active result ~toggled =
   if not (Asn.Set.is_empty toggled) then
@@ -143,13 +217,88 @@ let build_table t active =
   result
 
 let rebuilt_for t prefix =
-  Option.map (build_table t) (Prefix.Map.find_opt prefix t.active)
+  Option.map (fun h -> build_table t h.active) (Prefix.Map.find_opt prefix t.prefixes)
+
+(* ------------------------------------------------------------------ *)
+(* The table store. With no leak active a shape's stable table is
+   unique, so the prefixes of one shape hold one table, and [t.shapes]
+   names every live table by its shape. Under leaks a table is the one
+   its own history reached, so no prefix joins another's table; a
+   table may then share its shape with one [t.shapes] does not name,
+   until the leaks are cleared. *)
+
+let index t tbl =
+  if not (Shapes.mem t.shapes tbl.shape) then Shapes.replace t.shapes tbl.shape tbl
+
+let unindex t tbl =
+  match Shapes.find_opt t.shapes tbl.shape with
+  | Some x when x == tbl -> Shapes.remove t.shapes tbl.shape
+  | Some _ | None -> ()
+
+let hold tbl =
+  tbl.holders <- tbl.holders + 1;
+  tbl
+
+let release t tbl =
+  tbl.holders <- tbl.holders - 1;
+  if tbl.holders = 0 then unindex t tbl
+
+(* A copy of [tbl]'s table for one holder that leaves it. *)
+let split_off t tbl =
+  release t tbl;
+  { result = Propagation.copy tbl.result;
+    shape = tbl.shape;
+    holders = 1;
+    pass = t.passes
+  }
+
+(* The table a prefix of [shape] joins instead of building or repairing
+   its own: with no leak active, the shape's unique stable table. *)
+let joinable t shape =
+  match t.leaks with
+  | _ :: _ -> None
+  | [] -> (
+    match Shapes.find_opt t.shapes shape with
+    | Some tbl when Propagation.settled tbl.result -> Some tbl
+    | Some _ | None -> None)
+
+(* [f active tbl] once per distinct table, with the slots of its first
+   holder, in prefix order. *)
+let iter_tables t f =
+  t.passes <- t.passes + 1;
+  let pass = t.passes in
+  Prefix.Map.iter
+    (fun _ h ->
+      if h.table.pass <> pass then begin
+        h.table.pass <- pass;
+        f h.active h.table
+      end)
+    t.prefixes
+
+(* Name the live tables in [t.shapes] again, in prefix order. With no
+   leak active, a prefix whose shape an earlier prefix's table holds
+   moves to that table: both are the shape's unique stable table. *)
+let reindex t =
+  Shapes.reset t.shapes;
+  let merge = t.leaks = [] in
+  t.prefixes <-
+    Prefix.Map.map
+      (fun h ->
+        match Shapes.find_opt t.shapes h.table.shape with
+        | None ->
+          index t h.table;
+          h
+        | Some tbl
+          when tbl != h.table && merge
+               && Propagation.settled tbl.result
+               && Propagation.settled h.table.result ->
+          release t h.table;
+          { h with table = hold tbl }
+        | Some _ -> h)
+      t.prefixes
 
 let repair_all t ~toggled =
-  Prefix.Map.iter
-    (fun prefix result ->
-      repair t (Prefix.Map.find prefix t.active) result ~toggled)
-    t.results
+  iter_tables t (fun active tbl -> repair t active tbl.result ~toggled)
 
 let set_down t asn down =
   t.down <-
@@ -158,25 +307,32 @@ let set_down t asn down =
 
 let set_leak_edges t edges =
   let toggled = Asn.Set.union (leak_ends t.leaks) (leak_ends edges) in
+  let leaked = t.leaks <> [] in
   t.leaks <- edges;
-  repair_all t ~toggled
+  repair_all t ~toggled;
+  if leaked && edges = [] then reindex t
 
 let leak_edges t = t.leaks
 
-let result_for t prefix = Prefix.Map.find_opt prefix t.results
+let result_for t prefix =
+  match Prefix.Map.find prefix t.prefixes with
+  | h -> Some h.table.result
+  | exception Not_found -> None
 
 let announcements t prefix =
-  anns_of (Option.value (Prefix.Map.find_opt prefix t.active) ~default:[])
+  match Prefix.Map.find prefix t.prefixes with
+  | h -> anns_of h.active
+  | exception Not_found -> []
 
 let route_from t asn prefix =
-  match result_for t prefix with
-  | None -> None
-  | Some r -> Propagation.route_at r asn
+  match Prefix.Map.find prefix t.prefixes with
+  | h -> Propagation.route_at h.table.result asn
+  | exception Not_found -> None
 
 let reach_count t prefix =
-  match result_for t prefix with
-  | None -> 0
-  | Some r -> Propagation.reachable_count r
+  match Prefix.Map.find prefix t.prefixes with
+  | h -> Propagation.reachable_count h.table.result
+  | exception Not_found -> 0
 
 let canonical_path t path =
   let is_site a = List.exists (fun s -> Asn.equal s.s_asn a) t.site_list in
@@ -188,10 +344,9 @@ let canonical_path t path =
   dedup (List.map (fun a -> if is_site a then peering_asn else a) path)
 
 let path_from t asn prefix =
-  match result_for t prefix with
-  | None -> None
-  | Some r ->
-    Option.map (canonical_path t) (Propagation.full_path r asn)
+  match Prefix.Map.find prefix t.prefixes with
+  | h -> Option.map (canonical_path t) (Propagation.full_path h.table.result asn)
+  | exception Not_found -> None
 
 (* ------------------------------------------------------------------ *)
 (* Server export wiring *)
@@ -202,41 +357,77 @@ let source_matches a b =
   | External x, External y -> Asn.equal x y
   | From_site _, External _ | External _, From_site _ -> false
 
-(* The prefix's announcement list went from [before] to [after], both
-   non-empty: its table is repaired in place. *)
-let update_active t prefix before after =
-  t.active <- Prefix.Map.add prefix after t.active;
-  match Prefix.Map.find_opt prefix t.results with
-  | Some result ->
-    Propagation.update ?deny:(rov_deny t) ?leak:(leak_hook t) ~down:t.down
-      (graph t) ~before:(anns_of before) ~after:(anns_of after) result
-  | None -> t.results <- Prefix.Map.add prefix (build_table t after) t.results
+(* The prefix, holding [h], changes its announcement list to [after],
+   non-empty. An unchanged shape keeps the table: {!Propagation.update}
+   would find every slot unchanged. A shape some table holds is joined.
+   Otherwise the table is updated in place, on a copy when other
+   prefixes hold it. *)
+let update_active t prefix h after =
+  let shape = shape_of t after in
+  let tbl = h.table in
+  let table =
+    if same_shape shape tbl.shape then tbl
+    else
+      match joinable t shape with
+      | Some other ->
+        release t tbl;
+        hold other
+      | None ->
+        let own =
+          if tbl.holders = 1 then begin
+            unindex t tbl;
+            tbl
+          end
+          else split_off t tbl
+        in
+        Propagation.update ?deny:(rov_deny t) ?leak:(leak_hook t) ~down:t.down
+          (graph t) ~before:(anns_of h.active) ~after:(anns_of after) own.result;
+        own.shape <- shape;
+        index t own;
+        own
+  in
+  t.prefixes <- Prefix.Map.add prefix { active = after; table } t.prefixes
 
 let remove_active t prefix src =
-  match Prefix.Map.find_opt prefix t.active with
+  match Prefix.Map.find_opt prefix t.prefixes with
   | None -> ()
-  | Some before -> (
-    match List.filter (fun a -> not (source_matches a.src src)) before with
+  | Some h -> (
+    match List.filter (fun a -> not (source_matches a.src src)) h.active with
     | [] ->
-      t.active <- Prefix.Map.remove prefix t.active;
-      t.results <- Prefix.Map.remove prefix t.results
-    | after -> update_active t prefix before after)
+      release t h.table;
+      t.prefixes <- Prefix.Map.remove prefix t.prefixes
+    | after -> update_active t prefix h after)
 
 (* A source keeps its slot while it stays active: a re-export replaces
-   its entry in place, so no other announcement's index moves. *)
+   its entry in place, so no other announcement's index moves. A first
+   announcement joins its shape's table if one is live, and builds one
+   otherwise. *)
 let add_active t prefix src ann =
   let entry = { src; ann } in
-  match Prefix.Map.find_opt prefix t.active with
+  match Prefix.Map.find_opt prefix t.prefixes with
   | None ->
-    t.active <- Prefix.Map.add prefix [ entry ] t.active;
-    t.results <- Prefix.Map.add prefix (build_table t [ entry ]) t.results
-  | Some before ->
-    let after =
-      if List.exists (fun a -> source_matches a.src src) before then
-        List.map (fun a -> if source_matches a.src src then entry else a) before
-      else before @ [ entry ]
+    let active = [ entry ] in
+    let shape = shape_of t active in
+    let table =
+      match joinable t shape with
+      | Some tbl -> hold tbl
+      | None ->
+        let tbl =
+          { result = build_table t active; shape; holders = 1; pass = 0 }
+        in
+        index t tbl;
+        tbl
     in
-    update_active t prefix before after
+    t.prefixes <- Prefix.Map.add prefix { active; table } t.prefixes
+  | Some h ->
+    let after =
+      if List.exists (fun a -> source_matches a.src src) h.active then
+        List.map
+          (fun a -> if source_matches a.src src then entry else a)
+          h.active
+      else h.active @ [ entry ]
+    in
+    update_active t prefix h after
 
 let handle_export t site_name site_asn event =
   match event with
@@ -282,8 +473,9 @@ let build ?(params = default_params) () =
       saf;
       col;
       site_list = [];
-      active = Prefix.Map.empty;
-      results = Prefix.Map.empty;
+      prefixes = Prefix.Map.empty;
+      shapes = Shapes.create 8;
+      passes = 0;
       down = Asn.Set.empty;
       leaks = [];
       rov = None
@@ -410,24 +602,54 @@ let retract_external t ~origin prefix =
 
 (* ROV goes from [t.rov] to [rov]. A deny verdict changes only at the
    old and new adopters, so each table re-selects those of them whose
-   verdict on one of its announcements flips. *)
+   verdict on one of its announcements flips. The holders of one table
+   share its old verdicts but may not share their new ones (a ROA
+   covers some of the prefixes): the first group keeps the table, and
+   each other group takes a copy of it, all before any repair. *)
 let change_rov t rov =
   let before = t.rov in
   t.rov <- rov;
   let candidates = Asn.Set.union (rov_adopters before) (rov_adopters rov) in
-  Prefix.Map.iter
-    (fun prefix result ->
-      let active = Prefix.Map.find prefix t.active in
-      let verdicts rov = List.map (fun a -> rov_invalid t rov a.ann) active in
-      let was = verdicts before and now = verdicts rov in
-      let flips asn =
-        let adopts rov = Asn.Set.mem asn (rov_adopters rov) in
-        List.exists2
-          (fun w n -> (adopts before && w) <> (adopts rov && n))
-          was now
+  t.passes <- t.passes + 1;
+  let pass = t.passes in
+  (* new shape -> (old table, the table its group holds) *)
+  let groups = Shapes.create 8 and work = ref [] in
+  t.prefixes <-
+    Prefix.Map.map
+      (fun h ->
+        let old = h.table and shape = shape_of t h.active in
+        let split = Option.value (Shapes.find_opt groups shape) ~default:[] in
+        match List.assq_opt old split with
+        | Some tbl when tbl == old -> h
+        | Some tbl ->
+          release t old;
+          { h with table = hold tbl }
+        | None ->
+          let tbl =
+            if old.pass = pass then split_off t old
+            else begin
+              old.pass <- pass;
+              old
+            end
+          in
+          Shapes.replace groups shape ((old, tbl) :: split);
+          work := (h.active, tbl, old.shape.invalid, shape) :: !work;
+          if tbl == old then h else { h with table = tbl })
+      t.prefixes;
+  List.iter
+    (fun (active, tbl, was, shape) ->
+      let verdicts rov invalid asn =
+        if Asn.Set.mem asn (rov_adopters rov) then invalid else []
       in
-      repair t active result ~toggled:(Asn.Set.filter flips candidates))
-    t.results
+      let flips asn =
+        not
+          (List.equal Int.equal (verdicts before was asn)
+             (verdicts rov shape.invalid asn))
+      in
+      repair t active tbl.result ~toggled:(Asn.Set.filter flips candidates);
+      tbl.shape <- shape)
+    (List.rev !work);
+  reindex t
 
 let set_rov t ~roas ~adopters = change_rov t (Some (roas, adopters))
 let clear_rov t = change_rov t None
@@ -445,10 +667,10 @@ let site_of_graph_asn t asn =
    about 28% higher at seed 1 on a 2-vCPU host. Drop it once perfbench
    times the reads apart from the ops. *)
 let ingress_info t ~from_asn prefix =
-  match result_for t prefix with
-  | None -> None
-  | Some r -> (
-    match Propagation.full_path r from_asn with
+  match Prefix.Map.find prefix t.prefixes with
+  | exception Not_found -> None
+  | h -> (
+    match Propagation.full_path h.table.result from_asn with
     | None -> None
     | Some path -> (
       (* Walk to the terminal AS; if it is a PEERING site node, the

@@ -81,7 +81,21 @@ val result_for : t -> Prefix.t -> Propagation.result option
     the result, and {!set_down} and every announcement change repair it
     in place, so it reflects the testbed's state when it is read, not
     when it was fetched: read it right away, or snapshot it with
-    {!Propagation.table}.
+    {!Propagation.table}. The result may be shared with other prefixes,
+    so read it and never repair or update it yourself.
+
+    A table depends on a prefix's announcements only through its
+    shape: per slot, in slot order, the origin, the path suffix, the
+    export set and whether ROV finds the origin invalid. With no leak
+    active, the prefixes of one shape hold one table, the shape's
+    unique stable table (DESIGN.md §9, "Shared tables"). A prefix
+    whose list changes to a shape a live table holds joins that table
+    with no repair; one that leaves a shared table for a new shape
+    takes a {!Propagation.copy} and updates it; a first announcement
+    joins its shape's table if one is live. Under leak edges a stable
+    table need not be unique, so no prefix joins another's table while
+    a leak is active, and once the leaks clear the tables of one shape
+    merge again.
 
     Each prefix holds one announcement list, with one slot per source:
     a (site, client) export or an {!inject_external} origin. A route's
@@ -130,11 +144,13 @@ val set_down : t -> Asn.t -> bool -> unit
     mux's status hook ({!Server.crash} / {!Server.restart}), so a dead
     PoP really disappears from the simulated Internet.
 
-    Every active prefix's table is repaired in place with
+    Every distinct table is repaired once, in place, with
     {!Propagation.repair}, under the active leaks and ROV, in time
     proportional to the routes that change and their neighbourhoods
-    rather than to the table. With no leak active the result equals a
-    full re-propagation. *)
+    rather than to the table: the cost is one repair per distinct
+    shape, not per prefix, and so it is for {!set_leak_edges},
+    {!set_rov}, {!clear_rov} and {!add_remote_ixp}. With no leak active
+    the result equals a full re-propagation. *)
 
 val set_leak_edges : t -> (Asn.t * Asn.t) list -> unit
 (** Inject (or, with [[]], clear) RFC 7908 route leaks: each [(u, v)]
@@ -159,7 +175,9 @@ val set_rov :
     It replaces any earlier ROA table and adopter set. Every active
     prefix's table is repaired in place with {!Propagation.repair},
     seeded with the old and new adopters whose verdict on one of its
-    announcements flips: no other AS's choices change. *)
+    announcements flips: no other AS's choices change. The holders of
+    one table whose new verdicts differ (a ROA that covers some of
+    them) split first, each further group taking a copy. *)
 
 val clear_rov : t -> unit
 (** Turn ROV off, repairing every table as {!set_rov} does. *)

@@ -32,6 +32,9 @@ type result = {
 let no_view = As_graph.freeze (As_graph.create ())
 
 let empty () = { view = no_view; routes = [||]; count = 0; settled = true }
+
+(* Routes are immutable, so a copy shares them and copies the array. *)
+let copy r = { r with routes = Array.copy r.routes }
 let settled r = r.settled
 
 (* Index [r] by [d], the graph's current view. Indices never move as a

@@ -131,6 +131,12 @@ val empty : unit -> result
 (** A fresh table in which no AS holds a route. {!repair} seeded with
     the origins builds a table from it, and ties it to that graph. *)
 
+val copy : result -> result
+(** An independent copy of the table: {!repair} and {!update} of
+    either leave the other as it was. It costs one array of the
+    table's size; the routes themselves are shared. [Testbed] takes one
+    when a prefix leaves a table other prefixes still hold. *)
+
 val repair :
   ?deny:(Asn.t -> announcement -> bool) ->
   ?leak:(Asn.t -> Asn.t -> bool) ->

@@ -579,6 +579,37 @@ let test_update_group_splits_large () =
   check Alcotest.int "message_count agrees" (List.length groups)
     (Update_group.message_count announcements)
 
+(* The UPDATE's two section-length fields count once: a group that
+   encodes to exactly 4,096 bytes is one message, and one more prefix
+   makes two, each within the limit. The /24s fill the budget left by
+   the header and the attributes, and a /16 and a /8 (3 and 2 bytes of
+   NLRI) make up the remainder. *)
+let test_update_group_fills_4096 () =
+  let attrs = sample_attrs in
+  let budget = 4096 - 23 - Wire.attrs_length Wire.default_opts attrs in
+  let slash24 i = Prefix.make (Ipv4.of_octets 10 (i / 256) (i mod 256) 0) 24 in
+  let n24, tail =
+    match budget mod 4 with
+    | 0 -> (budget / 4, [])
+    | 1 -> ((budget / 4) - 1, [ 16; 8 ])
+    | 2 -> (budget / 4, [ 8 ])
+    | _ -> (budget / 4, [ 16 ])
+  in
+  let tail =
+    List.mapi (fun k len -> Prefix.make (Ipv4.of_octets (20 + k) 0 0 0) len) tail
+  in
+  let full = List.map (fun p -> (p, attrs)) (List.init n24 slash24 @ tail) in
+  let sizes l =
+    List.map
+      (fun u -> Bytes.length (Wire.encode Wire.default_opts (Message.Update u)))
+      (Update_group.group l)
+  in
+  check Alcotest.(list int) "exactly 4096 bytes, one message" [ 4096 ] (sizes full);
+  let more = full @ [ (slash24 n24, attrs) ] in
+  let split = sizes more in
+  check Alcotest.int "one more prefix makes two" 2 (List.length split);
+  List.iter (fun n -> check Alcotest.bool "within 4096" true (n <= 4096)) split
+
 let test_update_group_withdrawals () =
   let prefixes =
     List.init 1500 (fun i ->
@@ -1536,7 +1567,8 @@ let () =
       ( "update-group",
         [ tc "shares attrs" `Quick test_update_group_shares_attrs;
           tc "splits large" `Quick test_update_group_splits_large;
-          tc "withdrawals" `Quick test_update_group_withdrawals
+          tc "withdrawals" `Quick test_update_group_withdrawals;
+          tc "fills 4096 bytes" `Quick test_update_group_fills_4096
         ] );
       ( "decision",
         [ tc "local-pref" `Quick test_decision_local_pref;

@@ -1305,6 +1305,328 @@ let test_leaky_tables_stable () =
          | None -> acc)
        0 prefixes)
 
+(* ------------------------------------------------------------------ *)
+(* Shared tables *)
+
+(* A stub that leaks to both of its providers, which hear the prefix
+   only from their provider above them: a leaky world with two stable
+   tables (a BGP wedgie). With both paths equally long, the stub picks
+   [wedge_low] and leaks to [wedge_high], which prefers that customer
+   route. Once [wedge_low] fails and recovers, the stub stays on
+   [wedge_high] and [wedge_low] takes the leak instead, while a table
+   built afresh reaches the first state again. *)
+let wedge_low = asn 396_001
+let wedge_high = asn 396_002
+let wedge_stub = asn 396_003
+
+let add_wedge t =
+  let module G = Peering_topo.As_graph in
+  let module R = Peering_topo.Relationship in
+  let g = Testbed.graph t in
+  let top = List.hd (Testbed.world t).Gen.tier1 in
+  List.iter
+    (fun a ->
+      check Alcotest.bool "wedge AS is new" false (G.mem g a);
+      G.add_as g a)
+    [ wedge_low; wedge_high; wedge_stub ];
+  G.add_edge g top R.Customer wedge_low;
+  G.add_edge g top R.Customer wedge_high;
+  G.add_edge g wedge_low R.Customer wedge_stub;
+  G.add_edge g wedge_high R.Customer wedge_stub
+
+(* A testbed with the wedge, three experiments of four prefixes each,
+   every client connected at every site, and the ROA table its script
+   last set. *)
+type share_env = {
+  tb : Testbed.t;
+  owned : (Prefix.t * Client.t) array;
+  mutable roas : Peering_bgp.Rpki.t option;
+}
+
+let share_env () =
+  let t = Testbed.build ~params:small_params () in
+  add_wedge t;
+  let sites = List.map Testbed.site_name (Testbed.sites t) in
+  let owned =
+    List.concat_map
+      (fun i ->
+        let id = Printf.sprintf "share%d" i in
+        let exp =
+          match
+            Testbed.new_experiment t ~id ~n_prefixes:4 ~may_poison:true ()
+          with
+          | Ok e -> e
+          | Error e -> Alcotest.fail e
+        in
+        let c = Client.create ~id:("c-" ^ id) ~experiment:exp () in
+        Testbed.connect_client t c ~sites;
+        List.map (fun p -> (p, c)) exp.Experiment.prefixes)
+      [ 0; 1; 2 ]
+  in
+  { tb = t; owned = Array.of_list owned; roas = None }
+
+(* One step of a script: a global op every testbed runs, or the own op
+   of the prefix at an index of [owned]. *)
+type share_step =
+  | Global of string * (share_env -> unit)
+  | Own of int * string * (share_env -> unit)
+
+let share_ops =
+  let half e k =
+    List.filteri (fun i _ -> i mod 2 = k) (Testbed.all_peers e.tb)
+  in
+  let attacker e = List.nth (Testbed.world e.tb).Gen.small_transit 2 in
+  let poison suffix _ (p, c) = ignore (Client.announce c ~path_suffix:suffix p) in
+  [| ("announce", fun _ (p, c) -> ignore (Client.announce c p));
+     ("half 0", fun e (p, c) -> ignore (Client.announce c ~peers:(half e 0) p));
+     ("half 1", fun e (p, c) -> ignore (Client.announce c ~peers:(half e 1) p));
+     ( "poison",
+       fun e pc -> poison [ List.hd (Testbed.peers_at e.tb "gatech01") ] e pc );
+     ("withdraw at phoenix01", fun _ (p, c) -> Client.withdraw c ~servers:[ "phoenix01" ] p);
+     ("inject", fun e (p, _) -> Testbed.inject_external e.tb ~origin:(attacker e) p);
+     ("retract", fun e (p, _) -> Testbed.retract_external e.tb ~origin:(attacker e) p);
+     ("withdraw", fun _ (p, c) -> Client.withdraw c p);
+     (* not drawn by [seeded] *)
+     ("poison the wedge", poison [ wedge_low ]);
+     ( "inject at amsterdam01",
+       fun e (p, _) ->
+         Testbed.inject_external e.tb
+           ~origin:(Testbed.site_asn (Testbed.site_exn e.tb "amsterdam01"))
+           p )
+  |]
+
+let n_seeded = 8
+
+let own i name =
+  let f = List.assoc name (Array.to_list share_ops) in
+  Own (i, name, fun e -> f e e.owned.(i))
+
+(* [n] seeded own ops on the prefixes at [among]. *)
+let seeded rng ?(among = List.init 12 Fun.id) n =
+  let among = Array.of_list among in
+  List.init n (fun _ ->
+      let i = among.(Random.State.int rng (Array.length among)) in
+      own i (fst share_ops.(Random.State.int rng n_seeded)))
+
+(* Withdraws dampen a prefix; an hour lifts every suppression. *)
+let an_hour =
+  Global
+    ("an hour passes", fun e -> Engine.run_for (Testbed.engine e.tb) 3601.0)
+
+(* ROAs for the prefixes at [authorised] that name PEERING's ASN, and
+   for the others one that names AS 64500: a shape's holders split by
+   verdict. *)
+let share_roas e authorised =
+  let module Rpki = Peering_bgp.Rpki in
+  let roas =
+    Array.to_list
+      (Array.mapi
+         (fun i (p, _) ->
+           (p, if authorised i then Testbed.peering_asn else asn 64_500))
+         e.owned)
+  in
+  List.fold_left
+    (fun acc (p, origin) -> Rpki.add_roa acc ~prefix:p origin)
+    Rpki.empty roas
+
+let share_rov authorised parity =
+  Global
+    ( Printf.sprintf "ROV at ASes of parity %d" parity,
+      fun e ->
+        let roas = share_roas e authorised in
+        let adopters =
+          Asn.Set.of_list
+            (List.filteri
+               (fun i _ -> i mod 2 = parity)
+               (Peering_topo.As_graph.ases (Testbed.graph e.tb)))
+        in
+        e.roas <- Some roas;
+        Testbed.set_rov e.tb ~roas ~adopters )
+
+let share_script () =
+  let rng = Random.State.make [| 51 |] in
+  let transit e = List.hd (Testbed.world e.tb).Gen.large_transit in
+  let mux e name = Testbed.site_server (Testbed.site_exn e.tb name) in
+  let leaks e =
+    [ (wedge_stub, wedge_low); (wedge_stub, wedge_high) ]
+    @ provider_leaks (Testbed.graph e.tb) (Testbed.world e.tb)
+  in
+  (* Prefixes 0-3 (authorised by the first ROAs) and 8-9 (not) keep one
+     shape until the leaks, so the first ROAs split it. *)
+  let churned = [ 4; 5; 6; 7; 10; 11 ] in
+  List.concat
+    [ List.init 12 (fun i -> own i "announce");
+      seeded rng ~among:churned 12;
+      [ Global ("transit down", fun e -> Testbed.set_down e.tb (transit e) true) ];
+      seeded rng ~among:churned 8;
+      [ Global ("transit restored", fun e -> Testbed.set_down e.tb (transit e) false);
+        share_rov (fun i -> i < 8) 0
+      ];
+      seeded rng ~among:churned 8;
+      [ own 0 "poison the wedge";
+        own 1 "withdraw";
+        own 1 "inject at amsterdam01";
+        own 3 "withdraw";
+        an_hour;
+        Global ("leaks on", fun e -> Testbed.set_leak_edges e.tb (leaks e));
+        Global
+          ( "the wedge's low provider fails and recovers",
+            fun e ->
+              Testbed.set_down e.tb wedge_low true;
+              Testbed.set_down e.tb wedge_low false );
+        (* Now prefix 2's table is in the wedge's second state, and so is
+           prefix 1's, the Amsterdam node's alone. Prefix 0's table,
+           poisoned at the low provider through the failure, reaches the
+           first state when it takes prefix 2's shape; a first
+           announcement of prefix 1's shape builds the first state. *)
+        own 0 "announce";
+        own 3 "inject at amsterdam01"
+      ];
+      seeded rng 6;
+      [ Global ("transit down under leaks", fun e -> Testbed.set_down e.tb (transit e) true) ];
+      seeded rng 4;
+      [ Global ("leaks off", fun e -> Testbed.set_leak_edges e.tb []);
+        Global ("transit restored", fun e -> Testbed.set_down e.tb (transit e) false);
+        an_hour;
+        share_rov (fun i -> i >= 4) 1
+      ];
+      seeded rng 6;
+      [ Global
+          ( "ROV off",
+            fun e ->
+              e.roas <- None;
+              Testbed.clear_rov e.tb )
+      ];
+      seeded rng 6;
+      [ an_hour;
+        Global ("remote IXP", fun e -> ignore (Testbed.add_remote_ixp e.tb ~via:"amsterdam01"))
+      ];
+      seeded rng 6;
+      [ Global ("gatech01 crashes", fun e -> Server.crash (mux e "gatech01")) ];
+      seeded rng 6;
+      [ Global ("gatech01 restarts", fun e -> Server.restart (mux e "gatech01")) ];
+      List.init 6 (fun i -> own (2 * i) "withdraw");
+      seeded rng 8
+    ]
+
+(* The shape a prefix's table depends on, restated: per slot the
+   origin, suffix and export set, and the slots whose origin the ROAs
+   find invalid (site nodes announce as PEERING's ASN). *)
+let restated_shape e p =
+  let module P = Peering_topo.Propagation in
+  let anns = Testbed.announcements e.tb p in
+  let invalid (a : P.announcement) =
+    match e.roas with
+    | None -> false
+    | Some roas ->
+      let origin =
+        match List.rev a.P.path_suffix with
+        | last :: _ -> last
+        | [] ->
+          if
+            List.exists
+              (fun s -> Asn.equal (Testbed.site_asn s) a.P.origin)
+              (Testbed.sites e.tb)
+          then Testbed.peering_asn
+          else a.P.origin
+      in
+      Peering_bgp.Rpki.validate roas ~prefix:p ~origin:(Some origin)
+      = Peering_bgp.Rpki.Invalid
+  in
+  List.map
+    (fun (a : P.announcement) ->
+      (a.P.origin, a.P.path_suffix, Option.map Asn.Set.elements a.P.export_to, invalid a))
+    anns
+
+(* Prefixes announced alike share one table, and the sharing is
+   invisible: a seeded script over twelve prefixes in three experiments
+   (shapes that collide, diverge and re-converge; ROAs that split one
+   shape's holders by verdict; leaks, with joins attempted under them;
+   a remote IXP; a mux crash and restart; withdraws) runs on one
+   testbed and, filtered to the global ops and one prefix's own, on a
+   fresh testbed per prefix. After every step each prefix's table
+   equals the one its lone replay holds, and with no leak active two
+   prefixes hold one table iff their shapes and verdicts match. *)
+let test_shared_tables_invisible () =
+  let module P = Peering_topo.Propagation in
+  let shared = share_env () in
+  let alone = Array.init 12 (fun _ -> share_env ()) in
+  let joins = ref 0 in
+  List.iteri
+    (fun k step ->
+      let what =
+        match step with
+        | Global (name, f) ->
+          f shared;
+          Array.iter f alone;
+          name
+        | Own (i, name, f) ->
+          f shared;
+          f alone.(i);
+          Printf.sprintf "prefix %d: %s" i name
+      in
+      let what = Printf.sprintf "step %d (%s)" k what in
+      let table e p = Option.map P.table (Testbed.result_for e.tb p) in
+      Array.iteri
+        (fun i (p, _) ->
+          if table shared p <> table alone.(i) p then
+            Alcotest.failf "%s: %s's table differs from its lone replay" what
+              (Prefix.to_string p))
+        shared.owned;
+      if Testbed.leak_edges shared.tb = [] then
+        Array.iteri
+          (fun i (p, _) ->
+            Array.iteri
+              (fun j (q, _) ->
+                if i < j then
+                  match (Testbed.result_for shared.tb p, Testbed.result_for shared.tb q) with
+                  | Some r, Some r' ->
+                    let same = restated_shape shared p = restated_shape shared q in
+                    if same then incr joins;
+                    if (r == r') <> same then
+                      Alcotest.failf "%s: prefixes %d and %d %s one table" what i j
+                        (if same then "do not hold" else "hold")
+                  | _ -> ())
+              shared.owned)
+          shared.owned)
+    (share_script ());
+  check Alcotest.bool "shapes were shared" true (!joins > 0)
+
+(* One set_down repairs each distinct table once: 8 prefixes announced
+   alike and 1 announced to half the peers cost two repairs, with the
+   re-selections of a testbed holding one table of each shape. *)
+let test_set_down_repairs_each_shape_once () =
+  let module M = Peering_obs.Metrics in
+  let bed ~alike =
+    let t = Testbed.build ~params:small_params () in
+    List.iteri
+      (fun k n -> ignore (announce_everywhere t ~id:(Printf.sprintf "alike%d" k) ~n))
+      alike;
+    let half =
+      List.filteri (fun i _ -> i mod 2 = 0) (Testbed.all_peers t)
+    in
+    let exp =
+      match Testbed.new_experiment t ~id:"half" () with
+      | Ok e -> e
+      | Error e -> Alcotest.fail e
+    in
+    let c = Client.create ~id:"c-half" ~experiment:exp () in
+    Testbed.connect_client t c
+      ~sites:(List.map Testbed.site_name (Testbed.sites t));
+    ignore (Client.announce c ~peers:half (List.hd exp.Experiment.prefixes));
+    let transit = List.hd (Testbed.world t).Gen.large_transit in
+    let repairs = M.counter_value "topo.propagation.repairs"
+    and reselects = M.counter_value "topo.propagation.reselects" in
+    Testbed.set_down t transit true;
+    ( M.counter_value "topo.propagation.repairs" - repairs,
+      M.counter_value "topo.propagation.reselects" - reselects )
+  in
+  let repairs, reselects = bed ~alike:[ 4; 4 ] in
+  check Alcotest.int "one repair per shape" 2 repairs;
+  let _, one_each = bed ~alike:[ 1 ] in
+  check Alcotest.bool "the transit AS moves routes" true (one_each > 2);
+  check Alcotest.int "re-selections of one table per shape" one_each reselects
+
 let test_route_server_to_mux_integration () =
   (* Control-plane path the AMS-IX deployment uses: members announce to
      the IXP route server; the server's deliveries feed the PEERING
@@ -1804,6 +2126,9 @@ let () =
           tc "announce repair = rebuild" `Quick
             test_announce_repair_matches_rebuild;
           tc "leaky tables stable" `Quick test_leaky_tables_stable;
+          tc "shared tables invisible" `Quick test_shared_tables_invisible;
+          tc "set_down repairs each shape once" `Quick
+            test_set_down_repairs_each_shape_once;
           tc "rov repair = rebuild" `Quick test_rov_repair_matches_rebuild;
           tc "remote peering repair = rebuild" `Quick
             test_remote_peering_repair_matches_rebuild;
